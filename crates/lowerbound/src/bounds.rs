@@ -437,7 +437,6 @@ mod tests {
                         max_states: 400_000,
                         threads: 1,
                         symmetry: SymmetryMode::ProcessIds,
-                        reduction: sa_runtime::ReductionMode::SleepSets,
                     },
                 );
                 let witness = report

@@ -143,7 +143,7 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
     /// `a`/`b`, so reduced explorations using it stay deterministic at any
     /// worker count. Ops referring to locations outside the layout (or an
     /// overwriting write to a still-`⊥` cell) conservatively return `false`.
-    /// Soundness is machine-checked: the sleep-set explorers assert (in
+    /// Soundness is machine-checked: the DPOR explorer asserts (in
     /// debug builds) that every pair kept by this refinement actually
     /// commutes, and `sa-runtime`'s commutation checker audits it alongside
     /// the static relation.

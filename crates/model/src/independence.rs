@@ -106,8 +106,8 @@ impl Footprint {
     }
 
     /// The single cell this footprint writes, if the write is cell-granular:
-    /// the location a write-like op is poised to modify. The successor of
-    /// [`Op::write_target`], in [`Location`] vocabulary.
+    /// the location a write-like op is poised to modify, in [`Location`]
+    /// vocabulary.
     pub fn write_cell(&self) -> Option<Location> {
         match self.write {
             Some(Access::Cell(cell)) => Some(cell),
@@ -140,8 +140,9 @@ impl Footprint {
 /// soundness. The payload- and state-sensitive cases (same-value writes to
 /// one cell; a write of the value a cell already holds against a concurrent
 /// reader) are recovered by `sa-memory`'s `SimMemory::invisibly_independent`
-/// refinement, which the sleep-set explorers evaluate per configuration and
-/// the dynamic commutation checker audits alongside this relation.
+/// refinement, which the DPOR explorer's sleep sets evaluate per
+/// configuration and the dynamic commutation checker audits alongside this
+/// relation.
 pub fn independent<V, W>(a: &Op<V>, b: &Op<W>) -> bool {
     match (a, b) {
         (Op::Nop, _) | (_, Op::Nop) => true,

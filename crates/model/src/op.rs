@@ -110,24 +110,6 @@ impl<V> Op<V> {
         }
     }
 
-    /// For write-like operations, the *location* written: `(None, register)`
-    /// for a register write, `(Some(snapshot), component)` for an update.
-    /// Returns `None` for read-like operations and `Nop`.
-    #[deprecated(
-        note = "use `Op::footprint().write_cell()`, which speaks the shared `Location` vocabulary"
-    )]
-    pub fn write_target(&self) -> Option<(Option<SnapshotId>, usize)> {
-        match self {
-            Op::Write { register, .. } => Some((None, *register)),
-            Op::Update {
-                snapshot,
-                component,
-                ..
-            } => Some((Some(*snapshot), *component)),
-            _ => None,
-        }
-    }
-
     /// Maps the value payload of this operation, preserving the shape.
     pub fn map_value<W>(self, f: impl FnOnce(V) -> W) -> Op<W> {
         match self {
@@ -280,36 +262,6 @@ mod tests {
         assert!(update.is_write_like());
         assert!(scan.is_read_like());
         assert_eq!(Op::<u64>::Nop.kind(), OpKind::Nop);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn write_target_identifies_poised_location() {
-        let write = Op::Write {
-            register: 3,
-            value: 1u64,
-        };
-        assert_eq!(write.write_target(), Some((None, 3)));
-        let update = Op::Update {
-            snapshot: 1,
-            component: 4,
-            value: 1u64,
-        };
-        assert_eq!(update.write_target(), Some((Some(1), 4)));
-        assert_eq!(Op::<u64>::Scan { snapshot: 0 }.write_target(), None);
-        assert_eq!(Op::<u64>::Nop.write_target(), None);
-        // The deprecated accessor and the footprint agree on every shape.
-        assert_eq!(
-            write.footprint().write_cell(),
-            Some(crate::Location::Register(3))
-        );
-        assert_eq!(
-            update.footprint().write_cell(),
-            Some(crate::Location::Component {
-                snapshot: 1,
-                component: 4
-            })
-        );
     }
 
     #[test]

@@ -1,28 +1,31 @@
 //! The dynamic commutation checker: an executable oracle for the static
 //! independence relation.
 //!
-//! Sleep-set reduction ([`ReductionMode::SleepSets`](crate::ReductionMode))
-//! prunes the second order of every pair of transitions whose poised
-//! operations [`sa_model::independent`] calls independent. That relation is
-//! computed *statically* from op footprints — if it ever called a
-//! non-commuting pair independent (say, after a new op kind or a memory
-//! semantics change), the reduction would silently prune reachable states.
-//! [`check_commutation`] closes that gap dynamically: it walks the reachable
-//! configurations of a system and, for every enabled pair the static
-//! analysis calls independent, executes **both orders** from the same
-//! configuration and asserts the successors collapse to one state key.
+//! The serial explorer's persistent-set search
+//! ([`ReductionMode::PersistentSets`](crate::ReductionMode)) closes its
+//! persistent sets under, and prunes sleeping sibling orders of, every pair
+//! of transitions whose poised operations [`sa_model::independent`] calls
+//! independent. That relation is computed *statically* from op footprints —
+//! if it ever called a non-commuting pair independent (say, after a new op
+//! kind or a memory semantics change), the reduction would silently prune
+//! reachable states. [`check_commutation`] closes that gap dynamically: it
+//! walks the reachable configurations of a system and, for every enabled
+//! pair the static analysis calls independent, executes **both orders**
+//! from the same configuration and asserts the successors collapse to one
+//! state key.
 //!
-//! The sleep-set explorers also prune through a *state-conditional*
+//! The DPOR explorer's sleep sets also prune through a *state-conditional*
 //! refinement — [`sa_memory::SimMemory::invisibly_independent`], which calls
 //! same-value writes to one cell and already-present-value writes against a
 //! reader independent in the state at hand — so the sweep audits that
 //! relation too, at exactly the configurations it would be consulted from.
 //!
-//! The explorers additionally run the same oracle inline in debug builds
-//! (see [`orders_commute`]): every pair a sleep set actually retains is
-//! checked at the very expansion that would prune unsoundly. This module is
-//! the campaign-level sweep — it checks *all* independent pairs everywhere,
-//! not just the ones a particular search happens to keep asleep.
+//! The DPOR explorer additionally runs the same oracle inline in debug
+//! builds (see [`orders_commute`]): every pair a sleep set actually retains
+//! is checked at the very expansion that would prune unsoundly. This module
+//! is the campaign-level sweep — it checks *all* independent pairs
+//! everywhere, not just the ones a particular search happens to keep
+//! asleep.
 
 use crate::executor::Executor;
 use crate::explore::state_key;
@@ -161,7 +164,7 @@ where
                 // footprint relation and, where it declines, the
                 // state-conditional invisible-write refinement judged at
                 // exactly this configuration — the same disjunction the
-                // sleep-set explorers prune with.
+                // DPOR explorer's sleep sets prune with.
                 if independent(&op_p, &op_q) {
                     report.pairs_checked += 1;
                 } else if state.memory().invisibly_independent(&op_p, &op_q) {

@@ -10,7 +10,7 @@
 //! which is exactly what the Theorem 2 covering construction and the bounded
 //! explorer need.
 
-use crate::explore::{ExploreConfig, ReductionMode, SymmetryMode};
+use crate::explore::{ExploreConfig, SymmetryMode};
 use crate::parallel::ParallelExploreConfig;
 use crate::schedule::{Scheduler, SchedulerView};
 use crate::threaded::ThreadedConfig;
@@ -142,10 +142,6 @@ pub struct SearchConfig {
     /// Canonicalize configurations up to process-id orbits before
     /// deduplication, exactly as the exhaustive explorers do.
     pub symmetry: SymmetryMode,
-    /// Prune commuting interleavings with sleep sets, exactly as the
-    /// exhaustive explorers do. Verdicts are unaffected (sleep sets visit
-    /// every reachable configuration); only the expansion count shrinks.
-    pub reduction: ReductionMode,
 }
 
 impl Default for SearchConfig {
@@ -157,7 +153,6 @@ impl Default for SearchConfig {
             max_states: 1_000_000,
             threads: 1,
             symmetry: SymmetryMode::Off,
-            reduction: ReductionMode::Off,
         }
     }
 }

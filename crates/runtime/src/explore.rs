@@ -71,49 +71,37 @@ impl SymmetryMode {
     }
 }
 
-/// Whether an explorer prunes commuting interleavings with sleep sets over
-/// the static independence relation ([`sa_model::independent`]).
+/// Whether the serial explorer cuts redundant interleavings with
+/// partial-order reduction.
 ///
-/// Sleep-set reduction visits **every** reachable state the plain search
-/// visits — it only skips redundant *transitions* between them (the second
-/// order of an independent pair), so `states_visited` and every safety
-/// verdict are invariant while [`Exploration::expansions`] shrinks. It
-/// composes multiplicatively with [`SymmetryMode`]: sleep masks are kept in
-/// canonical process coordinates, making the combined search a sleep-set
-/// traversal of the symmetry quotient graph.
+/// Only [`explore`] applies a reduction. The breadth-first
+/// [`parallel_explore`](crate::parallel_explore) keeps no DFS path to hang
+/// backtrack sets on, so it always expands fully and reports
+/// [`Exploration::reduction_applied`] as `false`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReductionMode {
     /// Every enabled transition of every visited state is expanded — the
     /// historical behavior.
     #[default]
     Off,
-    /// Per-configuration sleep sets: once a transition has been expanded
-    /// from a state, sibling orders that commute with it are skipped.
+    /// Persistent-set selective search with Flanagan–Godefroid dynamic
+    /// backtracking (POPL 2005): each state expands only a provably
+    /// sufficient subset of its enabled processes — a seed closed under the
+    /// static dependency relation (see [`persistent_set`]) — so whole
+    /// successor *states* are cut, not just redundant transitions. Sleep
+    /// sets ([`successor_sleep`]) still prune the second order of commuting
+    /// pairs within the persistent subset.
+    ///
+    /// On discovering (while expanding a transition) a static dependency
+    /// with an earlier transition of the DFS path, the stepping process is
+    /// added to that ancestor's backtrack set, which re-establishes the
+    /// persistent-set condition the cheap seed may have missed.
     ///
     /// This is **requested**, not guaranteed: the masks are a dedup-map
     /// payload, so searches with dedup disabled (or more than 64 processes,
-    /// the mask width) fall back to [`Off`] rather than prune unsoundly —
-    /// [`Exploration::reduction_applied`] records what actually happened.
-    SleepSets,
-    /// Persistent-set selective search: each state expands only a
-    /// provably sufficient subset of its enabled processes — a seed closed
-    /// under the static dependency relation (see [`persistent_set`]) — so
-    /// whole successor *states* are cut, not just redundant transitions.
-    /// Subsumes [`SleepSets`]: sleep masks still prune the second order of
-    /// commuting pairs within the persistent subset.
-    ///
-    /// The serial explorer pairs the selection with Flanagan–Godefroid
-    /// dynamic backtracking: on discovering (while expanding a transition)
-    /// a static dependency with an earlier transition of the DFS path, the
-    /// stepping process is added to that ancestor's backtrack set, which
-    /// re-establishes the persistent-set condition the cheap seed may have
-    /// missed. The breadth-first explorer and the adversary search, which
-    /// keep no path to backtrack over, apply the cut only at states where
-    /// it is locally provable (every non-member halts after its poised
-    /// op — see [`persistent_set_applies`]).
-    ///
-    /// Same fallback contract as [`SleepSets`]: dedup off or more than 64
-    /// processes falls back to [`Off`].
+    /// the mask width) fall back to [`Off`](ReductionMode::Off) rather than
+    /// prune unsoundly — [`Exploration::reduction_applied`] records what
+    /// actually happened.
     PersistentSets,
 }
 
@@ -122,7 +110,6 @@ impl ReductionMode {
     pub fn label(&self) -> &'static str {
         match self {
             ReductionMode::Off => "off",
-            ReductionMode::SleepSets => "sleep-set",
             ReductionMode::PersistentSets => "persistent-set",
         }
     }
@@ -131,7 +118,6 @@ impl ReductionMode {
     pub fn parse(text: &str) -> Option<ReductionMode> {
         match text {
             "off" => Some(ReductionMode::Off),
-            "sleep-set" => Some(ReductionMode::SleepSets),
             "persistent-set" => Some(ReductionMode::PersistentSets),
             _ => None,
         }
@@ -155,9 +141,9 @@ pub struct ExploreConfig {
     /// falls back to [`SymmetryMode::Off`] for automata that do not opt
     /// in — see [`SymmetryMode::ProcessIds`]).
     pub symmetry: SymmetryMode,
-    /// Whether to prune commuting interleavings with sleep sets (requires
-    /// `dedup` and at most 64 processes; falls back to
-    /// [`ReductionMode::Off`] otherwise — see [`ReductionMode::SleepSets`]).
+    /// Whether to run the persistent-set DPOR search (requires `dedup` and
+    /// at most 64 processes; falls back to [`ReductionMode::Off`] otherwise
+    /// — see [`ReductionMode::PersistentSets`]).
     pub reduction: ReductionMode,
     /// Whether the explorer may spill frozen frontier chunks to disk when
     /// the resident frontier exceeds [`max_resident_bytes`](Self::max_resident_bytes).
@@ -301,20 +287,18 @@ pub struct Exploration {
     /// factor the quotient achieved. Exact up to 128-bit signature
     /// collisions between distinct slot states.
     pub full_states_lower_bound: u64,
-    /// `true` if the search pruned commuting interleavings with sleep sets:
-    /// [`ReductionMode::SleepSets`] was requested **and** its preconditions
-    /// held (dedup on, at most 64 processes). When `false` despite a
-    /// request, the search fell back to plain expansion — same verdicts, no
-    /// transition reduction.
+    /// `true` if the search ran the persistent-set DPOR explorer:
+    /// [`ReductionMode::PersistentSets`] was requested **and** its
+    /// preconditions held (the serial explorer, dedup on, at most 64
+    /// processes). When `false` despite a request, the search fell back to
+    /// plain expansion — same verdicts, no reduction.
     pub reduction_applied: bool,
     /// Number of successor configurations generated (one per expanded
-    /// transition). Sleep sets leave
-    /// [`states_visited`](Self::states_visited) untouched and shrink
-    /// **this** figure; the ratio `(expansions + sleep_pruned) / expansions`
-    /// is the transition-level reduction factor achieved.
+    /// transition).
     pub expansions: u64,
-    /// Number of enabled transitions skipped because they were asleep at a
-    /// state's expansion (0 without [`ReductionMode::SleepSets`]).
+    /// Number of enabled transitions the DPOR explorer skipped because they
+    /// were asleep at a state's expansion (0 without
+    /// [`ReductionMode::PersistentSets`]).
     pub sleep_pruned: u64,
     /// Number of transitions expanded out of persistent/backtrack sets —
     /// i.e. from states where the persistent-set selection restricted the
@@ -741,7 +725,7 @@ fn relabel_for_order(order: &[usize]) -> IdRelabeling {
 
 /// Hashes the orbit representative selected by `order`/`relabel` into its
 /// [`StateKey`] — the shared tail of [`canonical_state_key`] and
-/// [`keyed_relabeled`].
+/// `keyed_relabeled`.
 fn canonical_key_for_order<A>(
     executor: &Executor<A>,
     order: &[usize],
@@ -777,12 +761,12 @@ where
 
 /// The dedup key (and visited-orbit weight) of a configuration under a
 /// plan: [`canonical_state_key`] when the plan applies non-trivially, the
-/// plain [`state_key`] (weight 1) otherwise. The single key function both
-/// explorers share. Trivial plans (every orbit group a singleton, e.g. a
-/// distinct-workload id-carrying cell) provably cannot merge anything, so
-/// they skip the per-slot signature work entirely rather than pay n extra
-/// memory hashes per state for a 1.0x reduction.
-pub(crate) fn keyed<A>(executor: &Executor<A>, plan: &SymmetryPlan) -> (StateKey, u64)
+/// plain [`state_key`] (weight 1) otherwise. The single key function the
+/// explorers and the adversary search share. Trivial plans (every orbit
+/// group a singleton, e.g. a distinct-workload id-carrying cell) provably
+/// cannot merge anything, so they skip the per-slot signature work entirely
+/// rather than pay n extra memory hashes per state for a 1.0x reduction.
+pub fn keyed<A>(executor: &Executor<A>, plan: &SymmetryPlan) -> (StateKey, u64)
 where
     A: Automaton + Hash,
     A::Value: Hash + Clone + Eq + Debug,
@@ -795,15 +779,12 @@ where
 }
 
 /// [`keyed`], additionally returning the canonical relabeling that maps the
-/// configuration onto its orbit representative — what sleep-set reduction
+/// configuration onto its orbit representative — what the DPOR explorer
 /// needs to store its masks in **canonical** process coordinates, where
 /// masks from different members of one orbit are comparable. The identity
 /// when the plan applies no (or only trivial) reduction. One
 /// `canonical_order` pass serves the key, the weight and the relabeling.
-pub fn keyed_relabeled<A>(
-    executor: &Executor<A>,
-    plan: &SymmetryPlan,
-) -> (StateKey, u64, IdRelabeling)
+fn keyed_relabeled<A>(executor: &Executor<A>, plan: &SymmetryPlan) -> (StateKey, u64, IdRelabeling)
 where
     A: Automaton + Hash,
     A::Value: Hash + Clone + Eq + Debug,
@@ -840,14 +821,14 @@ pub fn checked_mask_of(processes: &[ProcessId]) -> Option<u64> {
         .try_fold(0u64, |mask, p| Some(mask | checked_bit_of(*p)?))
 }
 
-/// The bit mask of a process set. Sleep masks are `u64` bit sets indexed by
-/// process slot — the reason sleep-set and persistent-set reduction fall
+/// The bit mask of a process set. Sleep and backtrack masks are `u64` bit
+/// sets indexed by process slot — the reason persistent-set reduction falls
 /// back to plain expansion beyond 64 processes.
 ///
 /// # Panics
 ///
-/// Panics if a process index is outside the mask width: the explorers gate
-/// reduction on `n <= 64`, so an out-of-range index here is a bug, and the
+/// Panics if a process index is outside the mask width: the DPOR explorer
+/// is gated on `n <= 64`, so an out-of-range index here is a bug, and the
 /// pre-fix wrapping shift would have aliased process `p` with `p - 64` in
 /// sleep/backtrack masks instead of failing. Use [`checked_mask_of`] when
 /// the precondition is not already established.
@@ -863,7 +844,7 @@ pub fn mask_of(processes: &[ProcessId]) -> u64 {
 ///
 /// Panics if the relabeling maps a set bit outside the 64-bit mask width
 /// (see [`mask_of`]).
-pub fn relabel_mask(mask: u64, relabel: &IdRelabeling) -> u64 {
+fn relabel_mask(mask: u64, relabel: &IdRelabeling) -> u64 {
     let mut out = 0u64;
     let mut rest = mask;
     while rest != 0 {
@@ -883,7 +864,7 @@ pub fn relabel_mask(mask: u64, relabel: &IdRelabeling) -> u64 {
 ///
 /// Panics if the relabeling maps a domain slot outside the 64-bit mask
 /// width (see [`mask_of`]).
-pub fn unrelabel_mask(mask: u64, relabel: &IdRelabeling) -> u64 {
+fn unrelabel_mask(mask: u64, relabel: &IdRelabeling) -> u64 {
     let mut out = 0u64;
     for p in 0..relabel.len() {
         let image = checked_bit_of(relabel.apply(ProcessId(p)))
@@ -895,14 +876,15 @@ pub fn unrelabel_mask(mask: u64, relabel: &IdRelabeling) -> u64 {
     out
 }
 
-/// The sleep set inherited by the successor reached by stepping `process`
-/// from `state`: the members of `sleep` whose poised operations commute with
-/// the one `process` is about to perform (dependent members wake — their
-/// orders with `process` are now distinguishable and must be explored).
+/// The sleep set inherited by the successor the DPOR explorer reaches by
+/// stepping `process` from `state`: the members of `sleep` whose poised
+/// operations commute with the one `process` is about to perform (dependent
+/// members wake — their orders with `process` are now distinguishable and
+/// must be explored).
 ///
 /// Commutation is judged by a three-tier interference analysis, every tier
 /// a pure (and, across the pair, symmetric) function of the configuration,
-/// so reduced output stays byte-identical at any worker count:
+/// so reduced output stays byte-identical at any cell-level worker count:
 ///
 /// 1. the static footprint relation ([`independent`]) — free, holds in
 ///    every state;
@@ -971,16 +953,13 @@ where
 /// matter which non-members step in between — the part of the persistent-set
 /// condition a state-conditional relation could not deliver. What the
 /// closure cannot see is a non-member's *future* operations becoming
-/// dependent after it steps; the two consumers each close that hole their
-/// own way: the serial DFS with Flanagan–Godefroid dynamic backtracking
-/// (the missed process is added to the ancestor's backtrack set the moment
-/// the dependency materializes), the breadth-first engines by applying the
-/// cut only where [`persistent_set_applies`] proves non-members have no
-/// future operations at all.
+/// dependent after it steps; the DPOR explorer closes that hole with
+/// Flanagan–Godefroid dynamic backtracking (the missed process is added to
+/// the ancestor's backtrack set the moment the dependency materializes).
 ///
 /// A process with no poised op cannot conflict and never joins. The result
 /// is a pure function of the configuration, so reduced output stays
-/// byte-identical at any worker count.
+/// byte-identical at any cell-level worker count.
 pub fn persistent_set<A>(state: &Executor<A>, runnable: &[ProcessId]) -> u64
 where
     A: Automaton,
@@ -1030,31 +1009,6 @@ where
             return set;
         }
     }
-}
-
-/// `true` when expanding only `set` (a [`persistent_set`] result) from
-/// `state` is sound *without* dynamic backtracking: every enabled process
-/// outside the set halts after its poised operation. Then any sequence of
-/// non-member steps consists solely of their poised ops — each statically
-/// independent of every member op by the closure — so the set is persistent
-/// by definition, with no future operation left to conflict. The
-/// breadth-first explorer and the adversary search, which keep no DFS path
-/// to hang backtrack sets on, gate their state cuts on exactly this check;
-/// the serial DFS needs no gate because its backtracking re-adds whatever
-/// a non-member's future turns out to need.
-pub fn persistent_set_applies<A>(state: &Executor<A>, set: u64, runnable: &[ProcessId]) -> bool
-where
-    A: Automaton + Clone,
-    A::Value: Clone + Eq + Debug,
-{
-    runnable.iter().all(|q| {
-        if set & mask_of(&[*q]) != 0 {
-            return true;
-        }
-        let mut stepped = state.clone();
-        stepped.step(*q);
-        stepped.automaton(*q).is_halted()
-    })
 }
 
 /// Debug oracle behind [`successor_sleep`]: executes both orders of a pair
@@ -1113,44 +1067,6 @@ struct DfsEntry<A: Automaton> {
     schedule: Vec<ProcessId>,
     orbit_lower: u64,
     bytes: u64,
-    /// The sleep set this entry arrived with, in its own (original) process
-    /// labeling. Always 0 without sleep-set reduction.
-    sleep: u64,
-    /// `Some(owed)` marks a **revisit**: the state was already visited, but
-    /// an arrival with a smaller sleep set found the stored mask promised
-    /// too little — exactly the `owed` transitions must still be expanded.
-    /// Revisits are not re-counted in `states_visited`.
-    expand: Option<u64>,
-}
-
-/// The serial explorer's seen-set: a bare key table, or — under sleep-set
-/// reduction — a map from key to the canonical-coordinate sleep mask the
-/// state's expansion is accountable to (smaller mask ⇒ more transitions
-/// covered). The map is only ever probed by key, never iterated, so the
-/// std `HashMap`'s seeded hasher cannot leak nondeterminism into output.
-enum Seen {
-    Plain(KeyTable),
-    Masked(HashMap<StateKey, u64>),
-}
-
-impl Seen {
-    fn len(&self) -> u64 {
-        match self {
-            Seen::Plain(table) => table.len() as u64,
-            Seen::Masked(map) => map.len() as u64,
-        }
-    }
-
-    /// The deterministic byte charge of the seen structure: the key table
-    /// for its entry count, plus one mask word per entry when masked.
-    fn table_bytes(&self) -> u64 {
-        let len = self.len();
-        let masks = match self {
-            Seen::Plain(_) => 0,
-            Seen::Masked(_) => len * std::mem::size_of::<u64>() as u64,
-        };
-        KeyTable::bytes_for_len(len) + masks
-    }
 }
 
 /// Exhaustively explores every interleaving of the executor's processes up to
@@ -1167,9 +1083,10 @@ where
     F: FnMut(&Executor<A>) -> Option<String>,
 {
     // Persistent-set selective search restructures the DFS around a path
-    // stack with per-frame backtrack sets; it lives in its own driver. The
-    // fallback preconditions are the sleep-set ones (the masks share the
-    // same dedup-map plumbing).
+    // stack with per-frame backtrack sets; it lives in its own driver. Its
+    // masks live in the seen-map and in u64 bit sets, so it falls back
+    // (mirroring the symmetry fallback) when dedup is off or the system
+    // outgrows the mask width.
     let n = initial.process_count();
     if config.reduction == ReductionMode::PersistentSets
         && config.dedup
@@ -1188,18 +1105,7 @@ where
             SymmetryMode::Off
         },
     );
-    // Sleep masks live in the seen-map and in u64 bit sets, so reduction
-    // falls back (mirroring the symmetry fallback) when dedup is off or the
-    // system outgrows the mask width.
-    let reduce = config.reduction == ReductionMode::SleepSets
-        && config.dedup
-        && n > 0
-        && n <= u64::BITS as usize;
-    let mut seen = if reduce {
-        Seen::Masked(HashMap::new())
-    } else {
-        Seen::Plain(KeyTable::new())
-    };
+    let mut seen = KeyTable::new();
     let mut result = Exploration {
         states_visited: 0,
         paths: 0,
@@ -1214,7 +1120,7 @@ where
         spilled_entries: 0,
         symmetry_applied: plan.applied(),
         full_states_lower_bound: 0,
-        reduction_applied: reduce,
+        reduction_applied: false,
         expansions: 0,
         sleep_pruned: 0,
         persistent_expanded: 0,
@@ -1238,21 +1144,10 @@ where
         schedule: Vec::new(),
         orbit_lower: initial_orbit,
         bytes: initial_bytes,
-        sleep: 0,
-        expand: None,
     }];
     result.frontier_peak = 1;
-    match &mut seen {
-        Seen::Plain(table) => {
-            if config.dedup {
-                table.insert(initial_key);
-            }
-        }
-        // The root arrives with the empty sleep set, whose canonical image
-        // is itself.
-        Seen::Masked(map) => {
-            map.insert(initial_key, 0);
-        }
+    if config.dedup {
+        seen.insert(initial_key);
     }
     // Byte accounting. `resident` tracks the deep bytes of in-memory
     // frontier entries (what the cap polices); `spilled_logical` the deep
@@ -1317,8 +1212,6 @@ where
                     schedule: frozen.schedule,
                     orbit_lower: frozen.orbit_lower,
                     bytes,
-                    sleep: frozen.sleep,
-                    expand: frozen.expand,
                 });
             }
             spilled_pending -= count;
@@ -1329,47 +1222,21 @@ where
             schedule,
             orbit_lower,
             bytes,
-            sleep,
-            expand,
         } = entry;
         resident -= bytes;
-        let is_revisit = expand.is_some();
-        if !is_revisit {
-            result.states_visited += 1;
-            result.full_states_lower_bound =
-                result.full_states_lower_bound.saturating_add(orbit_lower);
-            result.max_depth_reached = result.max_depth_reached.max(schedule.len() as u64);
-        }
+        result.states_visited += 1;
+        result.full_states_lower_bound = result.full_states_lower_bound.saturating_add(orbit_lower);
+        result.max_depth_reached = result.max_depth_reached.max(schedule.len() as u64);
         let runnable = state.runnable();
         if runnable.is_empty() || schedule.len() as u64 >= config.max_depth {
             if !runnable.is_empty() {
                 // Depth bound cut this path short.
                 result.truncated = true;
             }
-            if !is_revisit {
-                result.paths += 1;
-            }
+            result.paths += 1;
             continue;
         }
-        // Fresh entries expand everything enabled outside their sleep set;
-        // revisits expand exactly the transitions the stored mask still
-        // owed when they were pushed. (Enabledness is monotone — a process
-        // stays enabled until it steps — so sleeping and owed processes are
-        // always still runnable here.)
-        let runnable_mask = mask_of(&runnable);
-        let targets = match expand {
-            Some(owed) => owed,
-            None => runnable_mask & !sleep,
-        };
-        if reduce && !is_revisit {
-            result.sleep_pruned += (sleep & runnable_mask).count_ones() as u64;
-        }
-        let mut sleep_cur = sleep;
         for process in runnable {
-            let bit = 1u64 << process.index();
-            if targets & bit == 0 {
-                continue;
-            }
             result.expansions += 1;
             let mut next = state.clone();
             next.step(process);
@@ -1381,89 +1248,30 @@ where
                     schedule: next_schedule,
                     description,
                 });
-                result.seen_entries = seen.len();
+                result.seen_entries = seen.len() as u64;
                 result.approx_bytes = logical_peak + seen_table_bytes(config, &seen);
                 return result;
             }
-            // The successor sleeps on every still-independent member of the
-            // *current* sleep set — which grows by each transition expanded
-            // from this state, so later siblings sleep on earlier ones.
-            let child_sleep = if reduce {
-                successor_sleep(&state, process, sleep_cur)
-            } else {
-                0
-            };
-            match &mut seen {
-                Seen::Plain(table) => {
-                    let mut next_orbit = 1;
-                    if config.dedup {
-                        let (key, orbit) = keyed(&next, &plan);
-                        if !table.insert(key) {
-                            // Plain keys: an identical state was expanded.
-                            // Canonical keys: a configuration whose entire
-                            // future is the consistently relabeled image of
-                            // an expanded one — same verdicts, so pruning
-                            // it is sound.
-                            continue;
-                        }
-                        next_orbit = orbit;
-                    }
-                    let next_bytes = entry_bytes(&next, next_schedule.len());
-                    resident += next_bytes;
-                    stack.push(DfsEntry {
-                        state: next,
-                        schedule: next_schedule,
-                        orbit_lower: next_orbit,
-                        bytes: next_bytes,
-                        sleep: 0,
-                        expand: None,
-                    });
+            let mut next_orbit = 1;
+            if config.dedup {
+                let (key, orbit) = keyed(&next, &plan);
+                if !seen.insert(key) {
+                    // Plain keys: an identical state was expanded.
+                    // Canonical keys: a configuration whose entire future is
+                    // the consistently relabeled image of an expanded one —
+                    // same verdicts, so pruning it is sound.
+                    continue;
                 }
-                Seen::Masked(map) => {
-                    // Masks are stored in canonical coordinates so arrivals
-                    // from different orbit members are comparable; the
-                    // entry keeps its own labeling, converting back on the
-                    // way out.
-                    let (key, orbit, relabel) = keyed_relabeled(&next, &plan);
-                    let canon_sleep = relabel_mask(child_sleep, &relabel);
-                    let push = match map.entry(key) {
-                        std::collections::hash_map::Entry::Vacant(vacant) => {
-                            vacant.insert(canon_sleep);
-                            Some((orbit, None))
-                        }
-                        std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                            // The state was visited with stored mask M: its
-                            // expansion covered enabled∖M. This arrival
-                            // needs enabled∖Z — anything in M∖Z is still
-                            // owed, so push a revisit for exactly that and
-                            // shrink the stored promise to M∩Z.
-                            let stored = *occupied.get();
-                            let owed = stored & !canon_sleep;
-                            if owed == 0 {
-                                None
-                            } else {
-                                occupied.insert(stored & canon_sleep);
-                                Some((0, Some(unrelabel_mask(owed, &relabel))))
-                            }
-                        }
-                    };
-                    if let Some((next_orbit, next_expand)) = push {
-                        let next_bytes = entry_bytes(&next, next_schedule.len());
-                        resident += next_bytes;
-                        stack.push(DfsEntry {
-                            state: next,
-                            schedule: next_schedule,
-                            orbit_lower: next_orbit,
-                            bytes: next_bytes,
-                            sleep: child_sleep,
-                            expand: next_expand,
-                        });
-                    }
-                }
+                next_orbit = orbit;
             }
-            // The transition was expanded (or its target's coverage is
-            // promised elsewhere): later siblings may sleep on it.
-            sleep_cur |= bit;
+            let next_bytes = entry_bytes(&next, next_schedule.len());
+            resident += next_bytes;
+            stack.push(DfsEntry {
+                state: next,
+                schedule: next_schedule,
+                orbit_lower: next_orbit,
+                bytes: next_bytes,
+            });
         }
         result.frontier_peak = result
             .frontier_peak
@@ -1492,10 +1300,7 @@ where
                     .append(&encode_frontier_record(&FrontierRecord {
                         schedule: entry.schedule,
                         orbit_lower: entry.orbit_lower,
-                        sleep: entry.sleep,
-                        expand: entry.expand,
-                        backtrack: 0,
-                        done: 0,
+                        ..FrontierRecord::default()
                     }))
                     .expect("writing a frontier spill record");
                 resident -= entry.bytes;
@@ -1511,7 +1316,7 @@ where
         // Without symmetry every visited state is its own orbit.
         result.full_states_lower_bound = result.states_visited;
     }
-    result.seen_entries = seen.len();
+    result.seen_entries = seen.len() as u64;
     result.approx_bytes = logical_peak + seen_table_bytes(config, &seen);
     result
 }
@@ -1611,8 +1416,9 @@ where
         return result;
     }
     // Seen-map: canonical key → mask of enabled transitions NOT promised an
-    // expansion (canonical coordinates). Same discipline as the sleep-set
-    // explorer, except promises also shrink when backtracking grows.
+    // expansion (canonical coordinates). Godefroid's sleep-set
+    // state-matching discipline, except promises also shrink when
+    // backtracking grows.
     let mut map: HashMap<StateKey, u64> = HashMap::new();
     let mut frames: Vec<DporFrame<A>> = Vec::new();
     // Byte accounting mirrors `explore`: resident + spilled_logical is
@@ -1670,7 +1476,7 @@ where
         if fresh {
             // Promise: everything enabled outside the (sleep-filtered)
             // backtrack set is *not* covered here. Sleeping transitions are
-            // never promised (mirroring the sleep-set explorer's stored Z).
+            // never promised (the stored sleep set Z of state matching).
             map.insert(key, relabel_mask(runnable_mask & !backtrack, &relabel));
         }
         let bytes = entry_bytes(&state, schedule.len());
@@ -1837,8 +1643,7 @@ where
         }
         let (key, orbit, relabel) = keyed_relabeled(&next, &plan);
         // The successor sleeps on still-independent previously expanded
-        // siblings (done ∖ {bit}) and inherited sleepers, exactly as in the
-        // sleep-set explorer.
+        // siblings (done ∖ {bit}) and inherited sleepers.
         let sibling_base = frames[top].sleep | (frames[top].done & !bit);
         let state = frames[top].state.as_ref().expect("top frame is thawed");
         let child_sleep = successor_sleep(state, process, sibling_base);
@@ -1942,9 +1747,9 @@ where
 /// The deterministic byte charge of the seen-set (0 with dedup off — no
 /// keys are stored). Computed from the entry count alone so the figure
 /// never depends on capacities or insertion order.
-fn seen_table_bytes(config: ExploreConfig, seen: &Seen) -> u64 {
+fn seen_table_bytes(config: ExploreConfig, seen: &KeyTable) -> u64 {
     if config.dedup {
-        seen.table_bytes()
+        KeyTable::bytes_for_len(seen.len() as u64)
     } else {
         0
     }
@@ -2464,210 +2269,17 @@ mod tests {
     }
 
     #[test]
-    fn sleep_sets_preserve_states_and_reduce_expansions() {
-        // Three writers on distinct registers commute pairwise: sleep sets
-        // must prune redundant orders while still visiting every state —
-        // the soundness pin is states_visited invariance, the win is
-        // measured on expansions.
-        let exec = Executor::new(vec![
-            ToyWriter::new(0, 1),
-            ToyWriter::new(1, 2),
-            ToyWriter::new(2, 3),
-        ]);
-        let off = explore(&exec, ExploreConfig::default(), agreement_predicate(3));
-        let on = explore(
-            &exec,
-            ExploreConfig {
-                reduction: ReductionMode::SleepSets,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(3),
-        );
-        assert!(off.verified() && on.verified());
-        assert!(!off.reduction_applied);
-        assert!(on.reduction_applied);
-        assert_eq!(on.states_visited, off.states_visited);
-        assert_eq!(on.seen_entries, off.seen_entries);
-        assert!(
-            on.expansions < off.expansions,
-            "sleep sets must prune expansions: {} !< {}",
-            on.expansions,
-            off.expansions
-        );
-        assert!(on.sleep_pruned > 0);
-        assert_eq!(off.sleep_pruned, 0);
-        // Deterministic: the same reduced run yields the same report.
-        let again = explore(
-            &exec,
-            ExploreConfig {
-                reduction: ReductionMode::SleepSets,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(3),
-        );
-        assert_eq!(on.expansions, again.expansions);
-        assert_eq!(on.sleep_pruned, again.sleep_pruned);
-        assert_eq!(on.states_visited, again.states_visited);
-    }
-
-    #[test]
-    fn sleep_sets_keep_the_racy_verdict() {
-        // The dependent read/write pairs of RacyConsensus must never be
-        // pruned: the reduced search still finds the 1-agreement violation
-        // and visits the exact same set of states.
-        let exec = Executor::new(vec![
-            RacyConsensus::new(ProcessId(0), 10),
-            RacyConsensus::new(ProcessId(1), 20),
-        ]);
-        let off = explore(&exec, ExploreConfig::default(), agreement_predicate(1));
-        let on = explore(
-            &exec,
-            ExploreConfig {
-                reduction: ReductionMode::SleepSets,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(1),
-        );
-        assert!(on.reduction_applied);
-        assert!(!off.verified() && !on.verified(), "both must find the race");
-        // (states_visited at exit may differ: a violating search stops
-        // early, and pruning changes the order states are reached in. The
-        // invariance pin applies to exhausted spaces — see the other tests.)
-        let witness = on.violation.expect("the race must still be found");
-        assert!(witness.description.contains("exceeding k = 1"));
-        // The witness replays to a genuine violation of the same predicate.
-        let mut replayed = exec.clone();
-        for &p in &witness.schedule {
-            replayed.step(p);
-        }
-        assert!(agreement_predicate(1)(&replayed).is_some());
-    }
-
-    #[test]
-    fn sleep_sets_compose_with_symmetry() {
-        // Identical writers: symmetry quotients states, sleep sets prune
-        // orders of the quotient — the reductions multiply.
-        let exec = Executor::new(vec![
-            ToyWriter::new(0, 7),
-            ToyWriter::new(1, 7),
-            ToyWriter::new(2, 9),
-        ]);
-        let sym_only = explore(
-            &exec,
-            ExploreConfig {
-                symmetry: SymmetryMode::ProcessIds,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(3),
-        );
-        let both = explore(
-            &exec,
-            ExploreConfig {
-                symmetry: SymmetryMode::ProcessIds,
-                reduction: ReductionMode::SleepSets,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(3),
-        );
-        assert!(sym_only.verified() && both.verified());
-        assert!(both.symmetry_applied && both.reduction_applied);
-        assert_eq!(both.states_visited, sym_only.states_visited);
-        assert_eq!(
-            both.full_states_lower_bound,
-            sym_only.full_states_lower_bound
-        );
-        assert!(
-            both.expansions < sym_only.expansions,
-            "sleep sets must prune on top of the symmetry quotient: {} !< {}",
-            both.expansions,
-            sym_only.expansions
-        );
-    }
-
-    #[test]
-    fn sleep_sets_require_dedup() {
-        // Sleep-set promises live in the seen-map; without dedup the mode
-        // must fall back and report it, leaving the plain results intact.
-        let exec = Executor::new(vec![ToyWriter::new(0, 1), ToyWriter::new(1, 2)]);
-        let plain = explore(
-            &exec,
-            ExploreConfig {
-                dedup: false,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(2),
-        );
-        let requested = explore(
-            &exec,
-            ExploreConfig {
-                dedup: false,
-                reduction: ReductionMode::SleepSets,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(2),
-        );
-        assert!(!requested.reduction_applied);
-        assert_eq!(requested.states_visited, plain.states_visited);
-        assert_eq!(requested.expansions, plain.expansions);
-        assert_eq!(requested.sleep_pruned, 0);
-    }
-
-    #[test]
-    fn sleep_set_spill_is_byte_identical() {
-        // Frontier spilling under reduction serializes sleep masks and
-        // expansion promises through the record codec; draining them back
-        // must change nothing but spilled_entries.
-        let exec = Executor::new(vec![
-            ToyWriter::new(0, 1),
-            ToyWriter::new(1, 2),
-            ToyWriter::new(2, 3),
-        ]);
-        let config = ExploreConfig {
-            reduction: ReductionMode::SleepSets,
-            ..ExploreConfig::default()
-        };
-        let base = explore(&exec, config, agreement_predicate(3));
-        let spilled = explore(
-            &exec,
-            ExploreConfig {
-                spill: true,
-                max_resident_bytes: 1,
-                ..config
-            },
-            agreement_predicate(3),
-        );
-        assert!(
-            spilled.spilled_entries > 0,
-            "the tiny cap must force spills"
-        );
-        assert!(spilled.verified());
-        assert_eq!(spilled.states_visited, base.states_visited);
-        assert_eq!(spilled.expansions, base.expansions);
-        assert_eq!(spilled.sleep_pruned, base.sleep_pruned);
-        assert_eq!(spilled.paths, base.paths);
-        assert_eq!(spilled.max_depth_reached, base.max_depth_reached);
-        assert_eq!(spilled.seen_entries, base.seen_entries);
-    }
-
-    #[test]
-    fn persistent_sets_cut_states_below_sleep_sets() {
+    fn persistent_sets_cut_states_below_full_expansion() {
         // Three writers on distinct registers commute pairwise: a singleton
         // persistent set is dependency-closed, so the DPOR search explores
-        // one interleaving where sleep sets still walk the whole product
+        // one interleaving where full expansion walks the whole product
         // lattice — the win is measured on *states*, not just expansions.
         let exec = Executor::new(vec![
             ToyWriter::new(0, 1),
             ToyWriter::new(1, 2),
             ToyWriter::new(2, 3),
         ]);
-        let sleep = explore(
-            &exec,
-            ExploreConfig {
-                reduction: ReductionMode::SleepSets,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(3),
-        );
+        let off = explore(&exec, ExploreConfig::default(), agreement_predicate(3));
         let dpor = explore(
             &exec,
             ExploreConfig {
@@ -2676,18 +2288,20 @@ mod tests {
             },
             agreement_predicate(3),
         );
-        assert!(sleep.verified() && dpor.verified());
+        assert!(off.verified() && dpor.verified());
+        assert!(!off.reduction_applied);
         assert!(dpor.reduction_applied);
         assert!(
-            dpor.states_visited < sleep.states_visited,
+            dpor.states_visited < off.states_visited,
             "persistent sets must cut states: {} !< {}",
             dpor.states_visited,
-            sleep.states_visited
+            off.states_visited
         );
         assert!(dpor.states_cut > 0);
         assert!(dpor.persistent_expanded > 0);
-        assert_eq!(sleep.persistent_expanded, 0);
-        assert_eq!(sleep.states_cut, 0);
+        assert_eq!(off.persistent_expanded, 0);
+        assert_eq!(off.states_cut, 0);
+        assert_eq!(off.sleep_pruned, 0);
         // Deterministic: the same reduced run yields the same report.
         let again = explore(
             &exec,

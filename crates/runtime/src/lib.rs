@@ -21,7 +21,8 @@
 //!   worker pool, byte-identical at any thread count.
 //! * [`check_commutation`] — the dynamic oracle auditing the static
 //!   independence relation ([`sa_model::independent`]) that feeds the
-//!   explorers' sleep-set partial-order reduction ([`ReductionMode`]).
+//!   serial explorer's persistent-set partial-order reduction
+//!   ([`ReductionMode`]).
 //! * [`run_threaded`] — runs the same automata on real OS threads against a
 //!   [`SharedMemory`](sa_memory::SharedMemory).
 //! * [`Workload`] — reproducible input generators.
@@ -65,10 +66,9 @@ pub use executor::{
     ServeOptions, StopReason,
 };
 pub use explore::{
-    agreement_predicate, canonical_state_key, checked_bit_of, checked_mask_of, explore,
-    keyed_relabeled, mask_of, persistent_set, persistent_set_applies, relabel_mask, state_key,
-    successor_sleep, unrelabel_mask, Exploration, ExploreConfig, ExploredViolation,
-    FrontierSemantics, ReductionMode, StateKey, SymmetryMode, SymmetryPlan,
+    agreement_predicate, canonical_state_key, checked_bit_of, checked_mask_of, explore, keyed,
+    mask_of, persistent_set, state_key, successor_sleep, Exploration, ExploreConfig,
+    ExploredViolation, FrontierSemantics, ReductionMode, StateKey, SymmetryMode, SymmetryPlan,
 };
 pub use parallel::{parallel_explore, ParallelExploreConfig};
 pub use properties::{

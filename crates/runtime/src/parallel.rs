@@ -41,12 +41,6 @@
 //!   schedules);
 //! * budgets are enforced at level barriers, so truncation decisions never
 //!   depend on scheduling races;
-//! * sleep-set reduction keeps its masks deterministic the same way:
-//!   concurrent sleep promises for one key merge by **intersection** (a
-//!   commutative, associative operation), and stored-mask updates — the
-//!   owed-transition revisits of Godefroid's state-matching discipline —
-//!   are resolved only at barriers, while workers merely read masks frozen
-//!   by the previous barrier;
 //! * when a level discovers violations, the whole level is still finished
 //!   and the violation with the lexicographically smallest schedule is
 //!   reported — the first violation in breadth-first order, deterministic
@@ -58,18 +52,23 @@
 //! measure a stack rather than a level. On *verified* runs `states_visited`,
 //! `verified` and the absence of a violation agree exactly; the
 //! serial-vs-parallel equivalence suite pins that.
+//!
+//! Partial-order reduction is the serial explorer's alone: its DPOR search
+//! needs a DFS path to hang backtrack sets on. This explorer always expands
+//! every enabled transition, whatever
+//! [`ParallelExploreConfig::reduction`] asks for, and reports
+//! [`Exploration::reduction_applied`] as `false`.
 
 use crate::executor::Executor;
 use crate::explore::{
-    entry_bytes, keyed, keyed_relabeled, mask_of, persistent_set, persistent_set_applies,
-    relabel_mask, replay, successor_sleep, unrelabel_mask, Exploration, ExploredViolation,
-    FrontierSemantics, ReductionMode, StateKey, SymmetryMode, SymmetryPlan,
+    entry_bytes, keyed, replay, Exploration, ExploredViolation, FrontierSemantics, ReductionMode,
+    StateKey, SymmetryMode, SymmetryPlan,
 };
 use crate::store::{
     read_segment, KeyTable, ScheduleArena, SegmentKind, SegmentWriter, SpillDir, SCHEDULE_ROOT,
 };
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use sa_model::{Automaton, IdRelabeling, ProcessId};
+use sa_model::{Automaton, ProcessId};
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -105,16 +104,12 @@ pub struct ParallelExploreConfig {
     /// Falls back to [`SymmetryMode::Off`] for automata that do not opt in
     /// (see [`SymmetryMode::ProcessIds`]).
     pub symmetry: SymmetryMode,
-    /// Whether to prune commuting interleavings with sleep sets (falls back
-    /// to [`ReductionMode::Off`] beyond 64 processes — see
-    /// [`ReductionMode::SleepSets`]). Sleep masks ride the seen-set and the
-    /// next-frontier merge, and both are resolved with order-independent
-    /// operations (mask intersection) at single-threaded barriers, so the
-    /// byte-identical-at-any-thread-count guarantee holds with reduction
-    /// on. Composes with [`symmetry`](Self::symmetry): masks are kept in
-    /// canonical process coordinates. Seen-set shards stay resident under
-    /// reduction (their masks must remain probe-able), so only BFS levels
-    /// spill then.
+    /// The requested partial-order reduction. Never applied: this explorer
+    /// always expands fully and reports
+    /// [`Exploration::reduction_applied`] as `false`, the same fallback the
+    /// serial explorer takes with dedup off or beyond 64 processes. Only
+    /// the serial [`explore`](crate::explore) runs
+    /// [`ReductionMode::PersistentSets`].
     pub reduction: ReductionMode,
     /// Whether the explorer may spill frozen BFS levels (and seen-set
     /// shards) to disk when they exceed
@@ -168,7 +163,7 @@ impl ParallelExploreConfig {
 }
 
 /// A frontier entry awaiting expansion. States are kept in their *original*
-/// labeling — canonical forms exist only inside the dedup keys and masks.
+/// labeling — canonical forms exist only inside the dedup keys.
 struct Entry<A: Automaton> {
     /// The configuration; absent when the level was thawed from disk —
     /// workers rebuild it by deterministic replay.
@@ -176,17 +171,8 @@ struct Entry<A: Automaton> {
     /// Schedule-arena node of the delta-encoded path that produced it, the
     /// lexicographically smallest among its shortest schedules.
     node: u32,
-    /// Orbit-size lower bound (0 for revisit entries — the state was
-    /// already weighed when it was first visited).
+    /// Orbit-size lower bound.
     orbit_lower: u64,
-    /// The sleep set the entry arrived with, in its own labeling (always 0
-    /// without sleep-set reduction).
-    sleep: u64,
-    /// `Some(owed)` marks a **revisit**: an already-visited state whose
-    /// stored sleep mask promised too little for this level's arrivals —
-    /// exactly the `owed` transitions must still be expanded. Revisits are
-    /// not re-counted in `states_visited`.
-    expand: Option<u64>,
 }
 
 /// A successor discovered while expanding a level, before the barrier
@@ -211,21 +197,6 @@ struct Discovered<A: Automaton> {
     orbit_lower: u64,
     bytes: u64,
     violating: bool,
-    /// Intersection of the canonical-coordinate sleep masks of every
-    /// arrival at this key this level (0 without sleep-set reduction).
-    /// Intersection is commutative, so the merged mask never depends on
-    /// arrival order.
-    sleep_canon: u64,
-    /// The canonical relabeling of the **retained** member — what converts
-    /// the merged canonical masks back into that member's own labeling at
-    /// the barrier. Replaced together with the state.
-    relabel: IdRelabeling,
-    /// `true` if the key was already in the seen-set when the level began
-    /// (stable: the seen-set only changes at barriers): the barrier
-    /// resolves it into a revisit entry instead of a fresh one. Seen states
-    /// were predicate-checked at first discovery, so revisit candidates are
-    /// never violating.
-    revisit: bool,
 }
 
 /// One seen-set shard: a live open-addressed key table plus the sealed
@@ -238,11 +209,6 @@ struct Discovered<A: Automaton> {
 /// verdict and no statistic.
 struct SeenShard {
     live: KeyTable,
-    /// Key → canonical sleep mask: the seen structure under sleep-set
-    /// reduction (the `live` table stays empty then, and vice versa). The
-    /// map is only ever probed by key, never iterated, so the std
-    /// `HashMap`'s seeded hasher cannot leak nondeterminism into output.
-    masks: HashMap<StateKey, u64>,
     spilled: Vec<PathBuf>,
     spilled_count: u64,
 }
@@ -260,7 +226,6 @@ impl ShardedSeen {
                 .map(|_| {
                     Mutex::new(SeenShard {
                         live: KeyTable::new(),
-                        masks: HashMap::new(),
                         spilled: Vec::new(),
                         spilled_count: 0,
                     })
@@ -287,47 +252,13 @@ impl ShardedSeen {
             .insert(key)
     }
 
-    /// The canonical sleep mask stored for a visited key, `None` if the key
-    /// is unseen. Only meaningful under sleep-set reduction; stable while a
-    /// level is in flight (masks change only at barriers), which is what
-    /// makes the workers' owed-transition test deterministic.
-    fn stored_mask(&self, key: &StateKey) -> Option<u64> {
-        self.shards[key.shard(SHARDS)]
-            .lock()
-            .expect("seen shard poisoned")
-            .masks
-            .get(key)
-            .copied()
-    }
-
-    /// Commits a fresh key with its canonical sleep mask (the reduction
-    /// counterpart of [`insert`](Self::insert)).
-    fn insert_masked(&self, key: StateKey, mask: u64) -> bool {
-        self.shards[key.shard(SHARDS)]
-            .lock()
-            .expect("seen shard poisoned")
-            .masks
-            .insert(key, mask)
-            .is_none()
-    }
-
-    /// Shrinks the stored promise of an already-visited key (barrier-side
-    /// revisit resolution).
-    fn update_mask(&self, key: StateKey, mask: u64) {
-        self.shards[key.shard(SHARDS)]
-            .lock()
-            .expect("seen shard poisoned")
-            .masks
-            .insert(key, mask);
-    }
-
     /// Total distinct keys committed, live and spilled.
     fn len(&self) -> u64 {
         self.shards
             .iter()
             .map(|s| {
                 let shard = s.lock().expect("seen shard poisoned");
-                shard.live.len() as u64 + shard.spilled_count + shard.masks.len() as u64
+                shard.live.len() as u64 + shard.spilled_count
             })
             .sum()
     }
@@ -353,12 +284,7 @@ impl ShardedSeen {
             .iter()
             .map(|s| {
                 let shard = s.lock().expect("seen shard poisoned");
-                let count =
-                    shard.live.len() as u64 + shard.spilled_count + shard.masks.len() as u64;
-                // One mask word per entry under reduction — the same charge
-                // the serial explorer's masked seen-set reports.
-                KeyTable::bytes_for_len(count)
-                    + shard.masks.len() as u64 * std::mem::size_of::<u64>() as u64
+                KeyTable::bytes_for_len(shard.live.len() as u64 + shard.spilled_count)
             })
             .sum()
     }
@@ -406,46 +332,34 @@ fn load_spilled_keys(paths: &[PathBuf]) -> KeyTable {
 }
 
 /// A frozen BFS level: resident entries, or a sealed segment of
-/// `(arena node, orbit weight, sleep mask, owed mask)` records awaiting
-/// thaw.
+/// `(arena node, orbit weight)` records awaiting thaw.
 enum PendingLevel<A: Automaton> {
     Resident(Vec<Entry<A>>),
     Spilled { path: PathBuf, count: u64 },
 }
 
-/// Length of one spilled-level record: arena node (u32), orbit weight
-/// (u64), sleep mask (u64), revisit flag (u8), owed mask (u64) — all LE.
-const LEVEL_RECORD_LEN: usize = 4 + 8 + 8 + 1 + 8;
+/// Length of one spilled-level record: arena node (u32) and orbit weight
+/// (u64), both LE.
+const LEVEL_RECORD_LEN: usize = 4 + 8;
 
 /// Encodes one spilled-level record.
-fn encode_level_record(
-    node: u32,
-    orbit_lower: u64,
-    sleep: u64,
-    expand: Option<u64>,
-) -> [u8; LEVEL_RECORD_LEN] {
+fn encode_level_record(node: u32, orbit_lower: u64) -> [u8; LEVEL_RECORD_LEN] {
     let mut record = [0u8; LEVEL_RECORD_LEN];
     record[..4].copy_from_slice(&node.to_le_bytes());
-    record[4..12].copy_from_slice(&orbit_lower.to_le_bytes());
-    record[12..20].copy_from_slice(&sleep.to_le_bytes());
-    record[20] = expand.is_some() as u8;
-    record[21..29].copy_from_slice(&expand.unwrap_or(0).to_le_bytes());
+    record[4..].copy_from_slice(&orbit_lower.to_le_bytes());
     record
 }
 
 /// Decodes [`encode_level_record`] output.
-fn decode_level_record(record: &[u8]) -> (u32, u64, u64, Option<u64>) {
+fn decode_level_record(record: &[u8]) -> (u32, u64) {
     assert_eq!(
         record.len(),
         LEVEL_RECORD_LEN,
         "level records are {LEVEL_RECORD_LEN} bytes"
     );
     let node = u32::from_le_bytes(record[..4].try_into().expect("4 bytes"));
-    let orbit = u64::from_le_bytes(record[4..12].try_into().expect("8 bytes"));
-    let sleep = u64::from_le_bytes(record[12..20].try_into().expect("8 bytes"));
-    let expand =
-        (record[20] != 0).then(|| u64::from_le_bytes(record[21..29].try_into().expect("8 bytes")));
-    (node, orbit, sleep, expand)
+    let orbit = u64::from_le_bytes(record[4..].try_into().expect("8 bytes"));
+    (node, orbit)
 }
 
 /// Pulls the next task for a worker: local deque first, then the shared
@@ -501,24 +415,6 @@ where
 {
     let threads = config.effective_threads();
     let plan = SymmetryPlan::for_executor(initial, config.symmetry);
-    // Sleep masks are u64 bit sets riding the (always-on) seen-set, so
-    // reduction falls back only when the system outgrows the mask width.
-    let n = initial.process_count();
-    let reduce = matches!(
-        config.reduction,
-        ReductionMode::SleepSets | ReductionMode::PersistentSets
-    ) && n > 0
-        && n <= u64::BITS as usize;
-    // Persistent-set cuts ride on top of the sleep discipline. With no DFS
-    // path to hang backtrack sets on, the cut is applied only at states
-    // where it is locally provable ([`persistent_set_applies`]): there the
-    // non-members have no future operations, so pset-first expansion covers
-    // every behavior (the state graph is acyclic — each step advances a
-    // bounded program — and violations are stable), and the stored promise
-    // mask can stay the plain sleep mask. Both the set and the gate are
-    // pure functions of the configuration, keeping reports byte-identical
-    // at any worker count.
-    let persistent = reduce && config.reduction == ReductionMode::PersistentSets;
     let mut result = Exploration {
         states_visited: 0,
         paths: 0,
@@ -533,7 +429,7 @@ where
         spilled_entries: 0,
         symmetry_applied: plan.applied(),
         full_states_lower_bound: 0,
-        reduction_applied: reduce,
+        reduction_applied: false,
         expansions: 0,
         sleep_pruned: 0,
         persistent_expanded: 0,
@@ -550,13 +446,7 @@ where
     }
     let seen = ShardedSeen::new();
     let (initial_key, initial_orbit) = keyed(initial, &plan);
-    if reduce {
-        // The root arrives with the empty sleep set, whose canonical image
-        // is itself.
-        seen.insert_masked(initial_key, 0);
-    } else {
-        seen.insert(initial_key);
-    }
+    seen.insert(initial_key);
     // Delta-encoded schedules: every frontier entry references an arena
     // node; the node chain materializes its schedule. The arena is only
     // mutated at single-threaded barriers, so workers share it by
@@ -569,8 +459,6 @@ where
         state: Some(initial.clone()),
         node: SCHEDULE_ROOT,
         orbit_lower: initial_orbit,
-        sleep: 0,
-        expand: None,
     }]);
     // Peak deep bytes of any single level — the frontier term of
     // `approx_bytes`. Tracked from barrier sums (plus the root entry), so
@@ -591,22 +479,17 @@ where
                     records
                         .iter()
                         .map(|record| {
-                            let (node, orbit, sleep, expand) = decode_level_record(record);
+                            let (node, orbit_lower) = decode_level_record(record);
                             Entry {
                                 state: None,
                                 node,
-                                orbit_lower: orbit,
-                                sleep,
-                                expand,
+                                orbit_lower,
                             }
                         })
                         .collect()
                 }
             };
-        // Revisit entries re-expand owed transitions of an already-counted
-        // state; only fresh entries are visits.
-        let fresh = level.iter().filter(|e| e.expand.is_none()).count() as u64;
-        result.states_visited += fresh;
+        result.states_visited += level.len() as u64;
         for entry in &level {
             result.full_states_lower_bound = result
                 .full_states_lower_bound
@@ -623,9 +506,6 @@ where
             (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
         let terminal_paths = AtomicU64::new(0);
         let expansions = AtomicU64::new(0);
-        let sleep_pruned = AtomicU64::new(0);
-        let persistent_expanded = AtomicU64::new(0);
-        let states_cut = AtomicU64::new(0);
         let depth_cut = AtomicBool::new(false);
         let injector: Injector<Entry<A>> = Injector::new();
         for entry in level {
@@ -641,123 +521,37 @@ where
                 let next = &next;
                 let terminal_paths = &terminal_paths;
                 let expansions = &expansions;
-                let sleep_pruned = &sleep_pruned;
-                let persistent_expanded = &persistent_expanded;
-                let states_cut = &states_cut;
                 let depth_cut = &depth_cut;
                 let predicate = &predicate;
                 let plan = &plan;
                 let arena = &arena;
                 scope.spawn(move || {
                     while let Some(entry) = find_task(&local, injector, stealers) {
-                        let Entry {
-                            state,
-                            node,
-                            sleep,
-                            expand,
-                            ..
-                        } = entry;
+                        let Entry { state, node, .. } = entry;
                         let schedule = arena.materialize(node);
                         let state = state.unwrap_or_else(|| replay(initial, &schedule));
-                        let is_revisit = expand.is_some();
                         let runnable = state.runnable();
                         if runnable.is_empty() {
-                            if !is_revisit {
-                                terminal_paths.fetch_add(1, Ordering::Relaxed);
-                            }
+                            terminal_paths.fetch_add(1, Ordering::Relaxed);
                             continue;
                         }
                         if at_depth_limit {
-                            // The depth bound cut this path short. A
-                            // revisit's state was already a counted path
-                            // when it first hit the bound.
-                            if !is_revisit {
-                                terminal_paths.fetch_add(1, Ordering::Relaxed);
-                            }
+                            // The depth bound cut this path short.
+                            terminal_paths.fetch_add(1, Ordering::Relaxed);
                             depth_cut.store(true, Ordering::Relaxed);
                             continue;
                         }
-                        // Fresh entries expand everything enabled outside
-                        // their sleep set; revisits exactly the owed
-                        // transitions. (Enabledness is monotone, so both
-                        // masks only name still-runnable processes.)
-                        let runnable_mask = mask_of(&runnable);
-                        let mut targets = expand.unwrap_or(runnable_mask & !sleep);
-                        if reduce && !is_revisit {
-                            sleep_pruned.fetch_add(
-                                (sleep & runnable_mask).count_ones() as u64,
-                                Ordering::Relaxed,
-                            );
-                            // Fresh states under persistent-set reduction
-                            // narrow their expansion to the persistent
-                            // subset where the cut is locally provable;
-                            // owed revisits always expand exactly what was
-                            // demanded. Both checks are pure, so the
-                            // narrowed mask is worker-count-invariant.
-                            if persistent {
-                                let pset = persistent_set(&state, &runnable);
-                                if persistent_set_applies(&state, pset, &runnable) {
-                                    let cut = targets & !pset;
-                                    if cut != 0 {
-                                        states_cut
-                                            .fetch_add(cut.count_ones() as u64, Ordering::Relaxed);
-                                        targets &= pset;
-                                    }
-                                    persistent_expanded
-                                        .fetch_add(targets.count_ones() as u64, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        let mut sleep_cur = sleep;
                         for process in runnable {
-                            let bit = 1u64 << process.index();
-                            if targets & bit == 0 {
-                                continue;
-                            }
                             expansions.fetch_add(1, Ordering::Relaxed);
                             let mut successor = state.clone();
                             successor.step(process);
-                            // The successor sleeps on every still-independent
-                            // member of the *current* sleep set, which grows
-                            // by each transition expanded from this state.
-                            // Growing it is sound even when the successor is
-                            // skipped below: a skip means the successor's
-                            // coverage is promised by a stored mask.
-                            let child_sleep = if reduce {
-                                successor_sleep(&state, process, sleep_cur)
-                            } else {
-                                0
-                            };
-                            sleep_cur |= bit;
-                            let (key, orbit_lower, relabel, canon_sleep, revisit) = if reduce {
-                                let (key, orbit_lower, relabel) = keyed_relabeled(&successor, plan);
-                                let canon_sleep = relabel_mask(child_sleep, &relabel);
-                                match seen.stored_mask(&key) {
-                                    Some(stored) => {
-                                        // Visited with stored promise M: its
-                                        // expansion covers enabled∖M. This
-                                        // arrival needs enabled∖Z — anything
-                                        // in M∖Z is still owed. Nothing owed
-                                        // ⇒ skip; masks are stable during
-                                        // the level, so the test is
-                                        // deterministic.
-                                        if stored & !canon_sleep == 0 {
-                                            continue;
-                                        }
-                                        (key, 0, relabel, canon_sleep, true)
-                                    }
-                                    None => (key, orbit_lower, relabel, canon_sleep, false),
-                                }
-                            } else {
-                                let (key, orbit_lower) = keyed(&successor, plan);
-                                if seen.contains(&key) {
-                                    // A spilled key reads as unseen here; the
-                                    // barrier re-filters against the on-disk
-                                    // generations before committing.
-                                    continue;
-                                }
-                                (key, orbit_lower, IdRelabeling::identity(0), 0, false)
-                            };
+                            let (key, orbit_lower) = keyed(&successor, plan);
+                            if seen.contains(&key) {
+                                // A spilled key reads as unseen here; the
+                                // barrier re-filters against the on-disk
+                                // generations before committing.
+                                continue;
+                            }
                             let mut successor_schedule = schedule.clone();
                             successor_schedule.push(process);
                             let bytes = entry_bytes(&successor, successor_schedule.len());
@@ -766,11 +560,6 @@ where
                             match shard.entry(key) {
                                 std::collections::hash_map::Entry::Occupied(mut occupied) => {
                                     let kept = occupied.get_mut();
-                                    // Sleep promises of concurrent arrivals
-                                    // merge by intersection — commutative,
-                                    // so the merged mask never depends on
-                                    // arrival order.
-                                    kept.sleep_canon &= canon_sleep;
                                     // Same key, different parent: keep the
                                     // lexicographically smallest schedule —
                                     // and the state it produced, which with
@@ -782,13 +571,12 @@ where
                                         kept.schedule = successor_schedule;
                                         kept.parent = node;
                                         kept.step = process;
-                                        // The orbit weight, byte charge and
-                                        // relabeling belong to the retained
-                                        // member, so they travel with the
-                                        // state to stay deterministic.
+                                        // The orbit weight and byte charge
+                                        // belong to the retained member, so
+                                        // they travel with the state to stay
+                                        // deterministic.
                                         kept.orbit_lower = orbit_lower;
                                         kept.bytes = bytes;
-                                        kept.relabel = relabel;
                                     }
                                 }
                                 std::collections::hash_map::Entry::Vacant(vacant) => {
@@ -796,9 +584,8 @@ where
                                     // the predicate once per fresh key
                                     // (verdicts are identical across an
                                     // orbit, so whichever member arrives
-                                    // first decides the same way; revisits
-                                    // were checked at first discovery).
-                                    let violating = !revisit && predicate(&successor).is_some();
+                                    // first decides the same way).
+                                    let violating = predicate(&successor).is_some();
                                     vacant.insert(Discovered {
                                         state: successor,
                                         schedule: successor_schedule,
@@ -807,9 +594,6 @@ where
                                         orbit_lower,
                                         bytes,
                                         violating,
-                                        sleep_canon: canon_sleep,
-                                        relabel,
-                                        revisit,
                                     });
                                 }
                             }
@@ -820,9 +604,6 @@ where
         });
         result.paths += terminal_paths.load(Ordering::Relaxed);
         result.expansions += expansions.load(Ordering::Relaxed);
-        result.sleep_pruned += sleep_pruned.load(Ordering::Relaxed);
-        result.persistent_expanded += persistent_expanded.load(Ordering::Relaxed);
-        result.states_cut += states_cut.load(Ordering::Relaxed);
         if at_depth_limit {
             result.truncated |= depth_cut.load(Ordering::Relaxed);
             break;
@@ -853,45 +634,12 @@ where
             let spilled_keys =
                 (!spilled_paths.is_empty()).then(|| load_spilled_keys(&spilled_paths));
             for (key, discovered) in candidates {
-                if discovered.revisit {
-                    // Wake the owed transitions: shrink the stored promise
-                    // to what this level's arrivals jointly cover, and
-                    // queue a revisit for exactly the difference — masks
-                    // converted into the retained member's own labeling.
-                    // (Seen shards never spill under reduction, so the
-                    // stored mask is always live here.)
-                    let stored = seen
-                        .stored_mask(&key)
-                        .expect("revisit candidates carry a stored mask");
-                    let owed_canon = stored & !discovered.sleep_canon;
-                    debug_assert_ne!(
-                        owed_canon, 0,
-                        "a candidate survived the worker-side owed test, and merging \
-                         can only grow the owed set"
-                    );
-                    seen.update_mask(key, stored & discovered.sleep_canon);
-                    let node = arena.push(discovered.parent, discovered.step);
-                    next_level_bytes += discovered.bytes;
-                    next_level.push(Entry {
-                        state: Some(discovered.state),
-                        node,
-                        orbit_lower: 0,
-                        sleep: unrelabel_mask(discovered.sleep_canon, &discovered.relabel),
-                        expand: Some(unrelabel_mask(owed_canon, &discovered.relabel)),
-                    });
-                    continue;
-                }
                 if let Some(spilled) = &spilled_keys {
                     if spilled.contains(&key) {
                         continue;
                     }
                 }
-                let inserted = if reduce {
-                    seen.insert_masked(key, discovered.sleep_canon)
-                } else {
-                    seen.insert(key)
-                };
-                if !inserted {
+                if !seen.insert(key) {
                     continue;
                 }
                 if discovered.violating {
@@ -906,17 +654,10 @@ where
                 } else {
                     let node = arena.push(discovered.parent, discovered.step);
                     next_level_bytes += discovered.bytes;
-                    let sleep = if reduce {
-                        unrelabel_mask(discovered.sleep_canon, &discovered.relabel)
-                    } else {
-                        0
-                    };
                     next_level.push(Entry {
                         state: Some(discovered.state),
                         node,
                         orbit_lower: discovered.orbit_lower,
-                        sleep,
-                        expand: None,
                     });
                 }
             }
@@ -964,12 +705,7 @@ where
             let count = next_level.len() as u64;
             for entry in next_level.drain(..) {
                 writer
-                    .append(&encode_level_record(
-                        entry.node,
-                        entry.orbit_lower,
-                        entry.sleep,
-                        entry.expand,
-                    ))
+                    .append(&encode_level_record(entry.node, entry.orbit_lower))
                     .expect("writing a level spill record");
             }
             writer.finish().expect("sealing a level spill segment");
@@ -979,10 +715,8 @@ where
             pending = PendingLevel::Resident(next_level);
         }
         // Seen-set shards follow the same budget: once the live tables
-        // outgrow it, they move to sealed per-shard generations. Under
-        // sleep-set reduction the shards hold masks that must stay
-        // probe-able (and mutable) — they never spill.
-        if config.spill && cap > 0 && !reduce && seen.live_bytes() > cap {
+        // outgrow it, they move to sealed per-shard generations.
+        if config.spill && cap > 0 && seen.live_bytes() > cap {
             let dir = match &spill_dir {
                 Some(dir) => dir,
                 None => {
@@ -1384,191 +1118,46 @@ mod tests {
     }
 
     #[test]
-    fn sleep_sets_preserve_states_and_reduce_expansions() {
+    fn reduction_requests_fall_back_to_full_expansion() {
+        // Partial-order reduction belongs to the serial DPOR explorer: a
+        // persistent-set request here must expand fully, report that it
+        // did, and leave every statistic equal to the unreduced run.
         let exec = writers(3);
         let off = parallel_explore(
             &exec,
             ParallelExploreConfig::default(),
             agreement_predicate(3),
         );
-        assert!(off.verified());
-        assert!(!off.reduction_applied);
-        assert_eq!(off.sleep_pruned, 0);
-        let serial_on = explore(
-            &exec,
-            ExploreConfig {
-                reduction: ReductionMode::SleepSets,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(3),
-        );
-        assert!(serial_on.reduction_applied);
-        let mut previous: Option<Exploration> = None;
-        for threads in [1, 2, 8] {
-            let on = parallel_explore(
-                &exec,
-                ParallelExploreConfig {
-                    threads,
-                    reduction: ReductionMode::SleepSets,
-                    ..ParallelExploreConfig::default()
-                },
-                agreement_predicate(3),
-            );
-            assert!(on.reduction_applied, "threads={threads}");
-            assert!(on.verified(), "threads={threads}: {on:?}");
-            // Sleep sets skip transitions, never states: the visited set is
-            // the full reachable space, shared with the serial reducer.
-            assert_eq!(on.states_visited, off.states_visited, "threads={threads}");
-            assert_eq!(on.seen_entries, off.seen_entries);
-            assert_eq!(on.states_visited, serial_on.states_visited);
-            assert!(
-                on.expansions < off.expansions,
-                "threads={threads}: {} !< {}",
-                on.expansions,
-                off.expansions
-            );
-            assert!(on.sleep_pruned > 0, "threads={threads}");
-            if let Some(previous) = &previous {
-                assert_eq!(on.expansions, previous.expansions);
-                assert_eq!(on.sleep_pruned, previous.sleep_pruned);
-                assert_eq!(on.paths, previous.paths);
-                assert_eq!(on.frontier_peak, previous.frontier_peak);
-                assert_eq!(on.max_depth_reached, previous.max_depth_reached);
-                assert_eq!(on.approx_bytes, previous.approx_bytes);
-            }
-            previous = Some(on);
-        }
-    }
-
-    #[test]
-    fn sleep_sets_find_the_race_and_stay_thread_invariant() {
-        let exec = racy();
-        let config = |threads| ParallelExploreConfig {
-            threads,
-            reduction: ReductionMode::SleepSets,
-            ..ParallelExploreConfig::default()
-        };
-        let reference = parallel_explore(&exec, config(1), agreement_predicate(1));
-        assert!(reference.reduction_applied);
-        let witness = reference.violation.clone().expect("the race must be found");
-        assert!(witness.description.contains("exceeding k = 1"));
-        // The witness replays on the original executor.
-        let mut replayed = racy();
-        for &process in &witness.schedule {
-            assert!(replayed.step(process).is_some());
-        }
-        assert!(agreement_predicate(1)(&replayed).is_some());
-        for threads in [2, 8] {
-            let other = parallel_explore(&exec, config(threads), agreement_predicate(1));
-            assert_eq!(
-                other.violation.as_ref(),
-                Some(&witness),
-                "threads={threads}"
-            );
-            assert_eq!(other.states_visited, reference.states_visited);
-            assert_eq!(other.expansions, reference.expansions);
-            assert_eq!(other.sleep_pruned, reference.sleep_pruned);
-        }
-    }
-
-    #[test]
-    fn sleep_sets_compose_with_symmetry() {
-        // Writers 0 and 1 contend on one register (dependent), writer 2 is
-        // independent of both; slots 0 and 1 additionally form one orbit.
-        let exec = Executor::new(vec![
-            ToyWriter::new(0, 7),
-            ToyWriter::new(0, 7),
-            ToyWriter::new(1, 9),
-        ]);
-        let serial_both = explore(
-            &exec,
-            ExploreConfig {
-                symmetry: SymmetryMode::ProcessIds,
-                reduction: ReductionMode::SleepSets,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(3),
-        );
-        assert!(serial_both.symmetry_applied && serial_both.reduction_applied);
-        let sym_only = parallel_explore(
+        let requested = parallel_explore(
             &exec,
             ParallelExploreConfig {
-                symmetry: SymmetryMode::ProcessIds,
+                reduction: ReductionMode::PersistentSets,
                 ..ParallelExploreConfig::default()
             },
             agreement_predicate(3),
         );
-        for threads in [1, 2, 8] {
-            let both = parallel_explore(
-                &exec,
-                ParallelExploreConfig {
-                    threads,
-                    symmetry: SymmetryMode::ProcessIds,
-                    reduction: ReductionMode::SleepSets,
-                    ..ParallelExploreConfig::default()
-                },
-                agreement_predicate(3),
-            );
-            assert!(both.symmetry_applied && both.reduction_applied);
-            assert!(both.verified(), "threads={threads}: {both:?}");
-            // The quotient is the same state set; sleep sets only thin the
-            // transitions between its representatives — the two reductions
-            // multiply.
-            assert_eq!(both.states_visited, sym_only.states_visited);
-            assert_eq!(both.states_visited, serial_both.states_visited);
-            assert_eq!(
-                both.full_states_lower_bound,
-                sym_only.full_states_lower_bound
-            );
-            assert!(
-                both.expansions < sym_only.expansions,
-                "threads={threads}: {} !< {}",
-                both.expansions,
-                sym_only.expansions
-            );
-        }
-    }
-
-    #[test]
-    fn sleep_set_levels_spill_byte_identically() {
-        let exec = writers(3);
-        let base = parallel_explore(
-            &exec,
-            ParallelExploreConfig {
-                reduction: ReductionMode::SleepSets,
-                ..ParallelExploreConfig::default()
-            },
-            agreement_predicate(3),
+        assert!(requested.verified());
+        assert!(!off.reduction_applied && !requested.reduction_applied);
+        assert_eq!(requested.states_visited, off.states_visited);
+        assert_eq!(requested.expansions, off.expansions);
+        assert_eq!(requested.approx_bytes, off.approx_bytes);
+        assert_eq!(
+            (
+                requested.sleep_pruned,
+                requested.persistent_expanded,
+                requested.states_cut
+            ),
+            (0, 0, 0)
         );
-        assert!(base.verified() && base.reduction_applied);
-        for threads in [1, 2, 8] {
-            let spilled = parallel_explore(
-                &exec,
-                ParallelExploreConfig {
-                    threads,
-                    reduction: ReductionMode::SleepSets,
-                    spill: true,
-                    max_resident_bytes: 1,
-                    ..ParallelExploreConfig::default()
-                },
-                agreement_predicate(3),
-            );
-            assert!(spilled.spilled_entries > 0, "threads={threads}");
-            assert!(spilled.verified(), "threads={threads}: {spilled:?}");
-            assert_eq!(spilled.states_visited, base.states_visited);
-            assert_eq!(spilled.expansions, base.expansions);
-            assert_eq!(spilled.sleep_pruned, base.sleep_pruned);
-            assert_eq!(spilled.paths, base.paths);
-            assert_eq!(spilled.approx_bytes, base.approx_bytes);
-        }
     }
 
     #[test]
-    fn level_records_roundtrip_sleep_masks() {
-        let record = encode_level_record(7, 42, 0b101, Some(0b010));
-        assert_eq!(decode_level_record(&record), (7, 42, 0b101, Some(0b010)));
-        let fresh = encode_level_record(0, 1, 0, None);
-        assert_eq!(decode_level_record(&fresh), (0, 1, 0, None));
+    fn level_records_roundtrip() {
+        assert_eq!(decode_level_record(&encode_level_record(7, 42)), (7, 42));
+        assert_eq!(
+            decode_level_record(&encode_level_record(u32::MAX, u64::MAX)),
+            (u32::MAX, u64::MAX)
+        );
     }
 
     #[test]

@@ -501,9 +501,11 @@ pub struct FrontierRecord {
     pub schedule: Vec<ProcessId>,
     /// The orbit-size lower bound of the configuration.
     pub orbit_lower: u64,
-    /// The sleep mask the entry arrived with (its own labeling).
+    /// The sleep mask the entry arrived with (its own labeling; 0 outside
+    /// persistent-set runs).
     pub sleep: u64,
-    /// `Some(owed)` for an owed-revisit entry (see sleep-set reduction).
+    /// `Some(owed)` for an owed-revisit entry of the DPOR explorer's
+    /// sleep-set state matching (`None` outside persistent-set runs).
     pub expand: Option<u64>,
     /// The DPOR backtrack set at freeze time (0 outside persistent-set
     /// runs). Additions made while the frame is on disk are merged back by
@@ -515,7 +517,7 @@ pub struct FrontierRecord {
 
 /// Encodes one spilled frontier record: the orbit-size lower bound, the
 /// entry's sleep mask, its owed-revisit mask (flag byte then mask — see
-/// sleep-set reduction in the serial explorer), the DPOR backtrack and done
+/// the DPOR explorer's state matching), the DPOR backtrack and done
 /// sets, the schedule length, then the schedule's steps as `u32`s.
 ///
 /// # Panics

@@ -30,9 +30,9 @@ use std::hash::Hash;
 ///
 /// Defined as the write cell of the poised op's
 /// [footprint](sa_model::Op::footprint) — the same static analysis that
-/// feeds the explorers' independence relation, so the lower-bound machinery
-/// and the partial-order reduction can never disagree about what a step
-/// writes.
+/// feeds the serial explorer's independence relation, so the lower-bound
+/// machinery and the partial-order reduction can never disagree about what
+/// a step writes.
 pub fn poised_write_location<A>(executor: &Executor<A>, process: ProcessId) -> Option<Location>
 where
     A: Automaton,

@@ -108,24 +108,22 @@ run options:
                        automata cannot establish the symmetry fall back to
                        plain exploration (symmetry = fallback-off in the
                        record) instead of pruning unsoundly
-  --reduction MODE     `off` (default), `sleep-set` or `persistent-set`.
-                       Sleep sets prune commuting sibling expansions,
-                       driven by a three-tier interference analysis (static
-                       op footprints, invisible-write refinement, dynamic
-                       commutation from the pruned state); verdicts and
-                       visited states are identical to full exploration.
-                       Persistent sets additionally restrict expansion to a
-                       dependency-closed subset of enabled processes (with
-                       dynamic DPOR backtracking in the serial explorer),
-                       cutting visited states, not just transitions;
-                       verdicts stay identical and records additionally
-                       carry persistent_expanded / states_cut. Records
-                       carry expansions / sleep_pruned, and the reduction
-                       factor composes multiplicatively with --symmetry.
-                       Applies to explore and adversary-search modes; cells
-                       the explorer cannot reduce soundly (dedup off, more
-                       than 64 processes) fall back to plain exploration
-                       (reduction = fallback-off in the record)
+  --reduction MODE     `off` (default) or `persistent-set`: the serial
+                       explorer's DPOR search restricts each state's
+                       expansion to a dependency-closed subset of enabled
+                       processes, grown by dynamic backtracking, and prunes
+                       commuting siblings with sleep sets judged by a
+                       three-tier interference analysis (static op
+                       footprints, invisible-write refinement, dynamic
+                       commutation). It cuts visited states; verdicts stay
+                       identical to full exploration. Records carry
+                       expansions / sleep_pruned / persistent_expanded /
+                       states_cut, and the reduction composes with
+                       --symmetry. Serial explore mode only: explore-threads
+                       >= 1 and adversary-search mode reject it before any
+                       scenario runs; sample and serve modes ignore it.
+                       Cells with more than 64 processes fall back to plain
+                       exploration (reduction = fallback-off in the record)
   --goals LIST         adversary-search mode: comma list of witness goals to
                        sweep, `covering` (default) and/or `block-write`
   --target-registers T adversary-search mode: `auto` (default; the paper's
@@ -314,9 +312,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 }
                 "--reduction" => {
                     spec.reduction = ReductionMode::parse(value).ok_or_else(|| {
-                        format!(
-                            "bad reduction mode {value:?} (want off, sleep-set or persistent-set)"
-                        )
+                        format!("bad reduction mode {value:?} (want off or persistent-set)")
                     })?;
                 }
                 "--spill" => {
@@ -394,6 +390,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
             return fail("--n/--m/--k must all be given when overriding --params");
         }
         spec.params = ParamsSpec::Grid { n, m, k };
+    }
+    if let Err(e) = spec.validate() {
+        return fail(e);
     }
 
     let run_to = |sink: &mut dyn std::io::Write| run_campaign(&spec, config, sink);

@@ -183,7 +183,6 @@ pub fn run_scenario(campaign: &str, spec: &ScenarioSpec) -> SweepRecord {
             max_states: spec.max_states,
             threads: spec.explore_threads,
             symmetry: spec.symmetry,
-            reduction: spec.reduction,
         }),
         (CampaignMode::Serve, _) => unreachable!("serve scenarios are dispatched above"),
     };

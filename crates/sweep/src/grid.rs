@@ -93,10 +93,11 @@ pub struct ScenarioSpec {
     /// [`SymmetryMode::Off`] when sampling). Like `explore_threads`, not
     /// part of the scenario's identity.
     pub symmetry: SymmetryMode,
-    /// Sleep-set partial-order reduction for exhaustive and search
-    /// scenarios (always [`ReductionMode::Off`] when sampling or serving).
-    /// Like `symmetry`, not part of the scenario's identity: it changes
-    /// how many expansions the explorer performs, never a verdict.
+    /// Partial-order reduction for exhaustive scenarios (always
+    /// [`ReductionMode::Off`] when sampling, serving or searching). Only the
+    /// serial explorer applies it. Like `symmetry`, not part of the
+    /// scenario's identity: it changes how many states the explorer visits,
+    /// never a verdict.
     pub reduction: ReductionMode,
     /// Spill frozen frontier levels and seen-set shards to disk when the
     /// explorer exceeds its resident budget (exhaustive scenarios only).
@@ -658,11 +659,11 @@ fn serve_scenario(spec: &CampaignSpec, index: u64, params: Params, seed: u64) ->
 /// and seed axes collapse (the search quantifies over all schedules); the
 /// goal joins the identity instead, labelled `adversary-search:<goal>`.
 /// The spec's target is resolved to this cell's concrete register count
-/// here, so `auto` pins `n + 2m − k` into the scenario. `explore-threads`,
-/// `symmetry` and `reduction` carry over as the search's "how" knobs —
-/// results are byte-identical at any worker count, symmetry
-/// canonicalization prunes orbits without changing the best witness, and
-/// sleep sets prune commuting expansions without changing the verdict.
+/// here, so `auto` pins `n + 2m − k` into the scenario. `explore-threads`
+/// and `symmetry` carry over as the search's "how" knobs — results are
+/// byte-identical at any worker count, and symmetry canonicalization prunes
+/// orbits without changing the best witness. The search never reduces
+/// (see [`CampaignSpec::validate`]).
 fn search_scenario(
     spec: &CampaignSpec,
     index: u64,
@@ -707,7 +708,7 @@ fn search_scenario(
         max_states: spec.max_states,
         explore_threads: spec.explore_threads,
         symmetry: spec.symmetry,
-        reduction: spec.reduction,
+        reduction: ReductionMode::Off,
         spill: false,
         max_resident_mb: 0,
         shards: 0,

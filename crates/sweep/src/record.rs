@@ -121,28 +121,26 @@ pub struct SweepRecord {
     /// is the achieved reduction factor. Encoded only when symmetry was
     /// requested.
     pub full_states_lower_bound: u64,
-    /// Partial-order-reduction status of an exploration or search: `off`
-    /// (not requested), `sleep-set` (requested and applied: commuting
-    /// sibling expansions were pruned) or `fallback-off` (requested, but
-    /// the explorer could not honor it — dedup off or more than 64
-    /// processes — so full expansion ran instead). Encoded, together with
-    /// the two expansion statistics below, only when the campaign
-    /// requested reduction — records of reduction-off campaigns stay
-    /// byte-identical to pre-reduction releases.
+    /// Partial-order-reduction status of an exploration: `off` (not
+    /// requested), `persistent-set` (requested and applied by the serial
+    /// DPOR explorer) or `fallback-off` (requested, but the explorer could
+    /// not honor it — the parallel explorer, dedup off or more than 64
+    /// processes — so full expansion ran instead). Records written while
+    /// `sleep-set` reduction existed carry that label; they still parse,
+    /// summarize and diff. Encoded, together with the two expansion
+    /// statistics below, only when the campaign requested reduction —
+    /// records of reduction-off campaigns stay byte-identical to
+    /// pre-reduction releases.
     pub reduction: String,
-    /// Successor expansions the exploration or search performed (0 for
-    /// sampled records). Encoded only when reduction was requested;
-    /// `(expansions + sleep_pruned) / expansions` is the multiplicative
-    /// factor sleep sets achieved on top of symmetry.
+    /// Successor expansions the exploration performed (0 for sampled
+    /// records). Encoded only when reduction was requested.
     pub expansions: u64,
     /// Expansions skipped because a sleeping sibling order was provably
     /// commuting. Encoded only when reduction was requested.
     pub sleep_pruned: u64,
-    /// Expansions performed from persistent/backtrack sets (the serial
-    /// explorer counts every DPOR expansion; the breadth-first engines
-    /// count expansions at states where the cut applied). Encoded only
-    /// when `persistent-set` reduction was requested, so records of other
-    /// campaigns stay byte-identical to earlier releases.
+    /// Expansions the DPOR explorer drew from persistent/backtrack sets.
+    /// Encoded only when `persistent-set` reduction was applied, so records
+    /// of other campaigns stay byte-identical to earlier releases.
     pub persistent_expanded: u64,
     /// Enabled transitions left permanently unexpanded by persistent-set
     /// selection — the roots of subtrees the reduction proved redundant.
@@ -199,16 +197,11 @@ pub struct SweepRecord {
 }
 
 impl SweepRecord {
-    /// Builds the record for one completed scenario.
-    pub fn from_report(campaign: &str, spec: &ScenarioSpec, report: &ScenarioReport) -> Self {
-        let distinct_outputs_max = report
-            .decisions
-            .instances()
-            .map(|t| report.decisions.distinct_outputs(t))
-            .max()
-            .unwrap_or(0);
-        let registers_written = report.metrics.registers_written();
-        let component_bound = spec.algorithm.component_bound(spec.params);
+    /// The record every constructor starts from: the scenario's identity and
+    /// the algorithm's bounds, taken from the spec, with every measured
+    /// field zero, `false`, `"off"` or empty. Each `from_*` constructor
+    /// overrides only what its mode measures.
+    fn base(campaign: &str, spec: &ScenarioSpec) -> Self {
         SweepRecord {
             campaign: campaign.to_string(),
             scenario: spec.index,
@@ -220,12 +213,76 @@ impl SweepRecord {
             adversary: spec.adversary_label.clone(),
             mode: spec.mode.label().to_string(),
             backend: spec.backend_label().to_string(),
-            contention_steps: spec.contention_steps,
-            survivors: spec.survivors,
-            crashes: spec.crashes,
+            contention_steps: 0,
+            survivors: 0,
+            crashes: 0,
             seed: spec.seed,
             workload: spec.workload_label.clone(),
             max_steps: spec.max_steps,
+            steps: 0,
+            stop: String::new(),
+            validity_ok: false,
+            agreement_ok: false,
+            progress_required: false,
+            survivors_decided: false,
+            decisions: 0,
+            distinct_outputs_max: 0,
+            total_ops: 0,
+            locations_written: 0,
+            registers_written: 0,
+            components_written: 0,
+            register_bound: spec.algorithm.register_bound(spec.params),
+            component_bound: spec.algorithm.component_bound(spec.params),
+            bound_ok: false,
+            explored_states: 0,
+            explored_depth: 0,
+            verified: false,
+            frontier_peak: 0,
+            seen_entries: 0,
+            approx_bytes: 0,
+            symmetry: "off".into(),
+            orbit_states: 0,
+            full_states_lower_bound: 0,
+            reduction: "off".into(),
+            expansions: 0,
+            sleep_pruned: 0,
+            persistent_expanded: 0,
+            states_cut: 0,
+            wall_us: 0,
+            steps_per_sec: 0,
+            proposals: 0,
+            batches: 0,
+            p50_us: 0,
+            p90_us: 0,
+            p99_us: 0,
+            p999_us: 0,
+            ops_per_sec: 0,
+            decided_fingerprint: 0,
+            goal: String::new(),
+            target_registers: 0,
+            witness_found: false,
+            witness_depth: 0,
+            registers_covered: 0,
+            witness_registers: 0,
+            witness_schedule: String::new(),
+            witness_fingerprint: 0,
+        }
+    }
+
+    /// Builds the record for one completed scenario.
+    pub fn from_report(campaign: &str, spec: &ScenarioSpec, report: &ScenarioReport) -> Self {
+        let distinct_outputs_max = report
+            .decisions
+            .instances()
+            .map(|t| report.decisions.distinct_outputs(t))
+            .max()
+            .unwrap_or(0);
+        let registers_written = report.metrics.registers_written();
+        let base = Self::base(campaign, spec);
+        SweepRecord {
+            contention_steps: spec.contention_steps,
+            survivors: spec.survivors,
+            crashes: spec.crashes,
             steps: report.steps,
             stop: match report.stop {
                 StopReason::AllHalted => "all-halted",
@@ -243,41 +300,8 @@ impl SweepRecord {
             locations_written: report.locations_written,
             registers_written,
             components_written: report.locations_written - registers_written,
-            register_bound: spec.algorithm.register_bound(spec.params),
-            component_bound,
-            bound_ok: report.locations_written <= component_bound,
-            explored_states: 0,
-            explored_depth: 0,
-            verified: false,
-            frontier_peak: 0,
-            seen_entries: 0,
-            approx_bytes: 0,
-            symmetry: "off".into(),
-            orbit_states: 0,
-            full_states_lower_bound: 0,
-            reduction: "off".into(),
-            expansions: 0,
-            sleep_pruned: 0,
-            persistent_expanded: 0,
-            states_cut: 0,
-            wall_us: 0,
-            steps_per_sec: 0,
-            proposals: 0,
-            batches: 0,
-            p50_us: 0,
-            p90_us: 0,
-            p99_us: 0,
-            p999_us: 0,
-            ops_per_sec: 0,
-            decided_fingerprint: 0,
-            goal: String::new(),
-            target_registers: 0,
-            witness_found: false,
-            witness_depth: 0,
-            registers_covered: 0,
-            witness_registers: 0,
-            witness_schedule: String::new(),
-            witness_fingerprint: 0,
+            bound_ok: report.locations_written <= base.component_bound,
+            ..base
         }
     }
 
@@ -293,24 +317,8 @@ impl SweepRecord {
             .max()
             .unwrap_or(0);
         let registers_written = report.metrics.registers_written();
-        let component_bound = spec.algorithm.component_bound(spec.params);
+        let base = Self::base(campaign, spec);
         SweepRecord {
-            campaign: campaign.to_string(),
-            scenario: spec.index,
-            n: spec.params.n(),
-            m: spec.params.m(),
-            k: spec.params.k(),
-            algorithm: spec.algorithm.label().to_string(),
-            instances: spec.algorithm.instances(),
-            adversary: spec.adversary_label.clone(),
-            mode: spec.mode.label().to_string(),
-            backend: spec.backend_label().to_string(),
-            contention_steps: 0,
-            survivors: 0,
-            crashes: 0,
-            seed: spec.seed,
-            workload: spec.workload_label.clone(),
-            max_steps: spec.max_steps,
             steps: report.steps,
             stop: if report.all_halted() {
                 "all-halted"
@@ -322,7 +330,6 @@ impl SweepRecord {
             agreement_ok: report.safety.agreement.is_none(),
             // Nobody is obligated: all n threads may contend forever, which
             // the m-obstruction progress condition permits.
-            progress_required: false,
             survivors_decided: true,
             decisions: report.decisions.len() as u64,
             distinct_outputs_max,
@@ -330,41 +337,10 @@ impl SweepRecord {
             locations_written: report.locations_written,
             registers_written,
             components_written: report.locations_written - registers_written,
-            register_bound: spec.algorithm.register_bound(spec.params),
-            component_bound,
-            bound_ok: report.locations_written <= component_bound,
-            explored_states: 0,
-            explored_depth: 0,
-            verified: false,
-            frontier_peak: 0,
-            seen_entries: 0,
-            approx_bytes: 0,
-            symmetry: "off".into(),
-            orbit_states: 0,
-            full_states_lower_bound: 0,
-            reduction: "off".into(),
-            expansions: 0,
-            sleep_pruned: 0,
-            persistent_expanded: 0,
-            states_cut: 0,
+            bound_ok: report.locations_written <= base.component_bound,
             wall_us: report.wall.as_micros() as u64,
             steps_per_sec: report.steps_per_sec() as u64,
-            proposals: 0,
-            batches: 0,
-            p50_us: 0,
-            p90_us: 0,
-            p99_us: 0,
-            p999_us: 0,
-            ops_per_sec: 0,
-            decided_fingerprint: 0,
-            goal: String::new(),
-            target_registers: 0,
-            witness_found: false,
-            witness_depth: 0,
-            registers_covered: 0,
-            witness_registers: 0,
-            witness_schedule: String::new(),
-            witness_fingerprint: 0,
+            ..base
         }
     }
 
@@ -373,25 +349,10 @@ impl SweepRecord {
     /// `bound_ok` means no interleaving whatsoever exceeds the declared
     /// footprint.
     pub fn from_exploration(campaign: &str, spec: &ScenarioSpec, report: &ExploreReport) -> Self {
-        let component_bound = spec.algorithm.component_bound(spec.params);
+        let symmetry_on = spec.symmetry != SymmetryMode::Off;
+        let reduction_on = spec.reduction != ReductionMode::Off;
+        let base = Self::base(campaign, spec);
         SweepRecord {
-            campaign: campaign.to_string(),
-            scenario: spec.index,
-            n: spec.params.n(),
-            m: spec.params.m(),
-            k: spec.params.k(),
-            algorithm: spec.algorithm.label().to_string(),
-            instances: spec.algorithm.instances(),
-            adversary: spec.adversary_label.clone(),
-            mode: spec.mode.label().to_string(),
-            backend: spec.backend_label().to_string(),
-            contention_steps: 0,
-            survivors: 0,
-            crashes: 0,
-            seed: spec.seed,
-            workload: spec.workload_label.clone(),
-            max_steps: spec.max_steps,
-            steps: 0,
             stop: if report.violation.is_some() {
                 "violation-found"
             } else if report.truncated {
@@ -402,90 +363,38 @@ impl SweepRecord {
             .to_string(),
             validity_ok: report.validity_ok,
             agreement_ok: report.agreement_ok,
-            progress_required: false,
             survivors_decided: true,
-            decisions: 0,
-            distinct_outputs_max: 0,
-            total_ops: 0,
             locations_written: report.max_locations_written,
             registers_written: report.max_registers_written,
             components_written: report.max_components_written,
-            register_bound: spec.algorithm.register_bound(spec.params),
-            component_bound,
-            bound_ok: report.max_locations_written <= component_bound,
+            bound_ok: report.max_locations_written <= base.component_bound,
             explored_states: report.states_visited,
             explored_depth: report.max_depth_reached,
             verified: report.verified(),
             frontier_peak: report.frontier_peak,
             seen_entries: report.seen_entries,
             approx_bytes: report.approx_bytes,
-            symmetry: match (spec.symmetry, report.symmetry_applied) {
-                (SymmetryMode::Off, _) => "off".into(),
-                (SymmetryMode::ProcessIds, true) => "process-ids".into(),
-                // Requested but not established (e.g. the single-writer
-                // emulation): the explorer fell back rather than prune
-                // unsoundly, and the record says so.
-                (SymmetryMode::ProcessIds, false) => "fallback-off".into(),
-            },
-            orbit_states: if spec.symmetry == SymmetryMode::Off {
-                0
-            } else {
-                report.orbit_states
-            },
-            full_states_lower_bound: if spec.symmetry == SymmetryMode::Off {
-                0
-            } else {
+            symmetry: status_label(symmetry_on, report.symmetry_applied, spec.symmetry.label()),
+            orbit_states: if symmetry_on { report.orbit_states } else { 0 },
+            full_states_lower_bound: if symmetry_on {
                 report.full_states_lower_bound
-            },
-            reduction: match (spec.reduction, report.reduction_applied) {
-                (ReductionMode::Off, _) => "off".into(),
-                (ReductionMode::SleepSets, true) => "sleep-set".into(),
-                (ReductionMode::PersistentSets, true) => "persistent-set".into(),
-                // Requested but not honorable (dedup off, > 64 processes):
-                // the explorer expanded fully rather than prune unsoundly,
-                // and the record says so.
-                (ReductionMode::SleepSets | ReductionMode::PersistentSets, false) => {
-                    "fallback-off".into()
-                }
-            },
-            expansions: if spec.reduction == ReductionMode::Off {
-                0
             } else {
-                report.expansions
-            },
-            sleep_pruned: if spec.reduction == ReductionMode::Off {
                 0
-            } else {
-                report.sleep_pruned
             },
-            persistent_expanded: if spec.reduction == ReductionMode::PersistentSets {
+            reduction: status_label(
+                reduction_on,
+                report.reduction_applied,
+                spec.reduction.label(),
+            ),
+            expansions: if reduction_on { report.expansions } else { 0 },
+            sleep_pruned: if reduction_on { report.sleep_pruned } else { 0 },
+            persistent_expanded: if reduction_on {
                 report.persistent_expanded
             } else {
                 0
             },
-            states_cut: if spec.reduction == ReductionMode::PersistentSets {
-                report.states_cut
-            } else {
-                0
-            },
-            wall_us: 0,
-            steps_per_sec: 0,
-            proposals: 0,
-            batches: 0,
-            p50_us: 0,
-            p90_us: 0,
-            p99_us: 0,
-            p999_us: 0,
-            ops_per_sec: 0,
-            decided_fingerprint: 0,
-            goal: String::new(),
-            target_registers: 0,
-            witness_found: false,
-            witness_depth: 0,
-            registers_covered: 0,
-            witness_registers: 0,
-            witness_schedule: String::new(),
-            witness_fingerprint: 0,
+            states_cut: if reduction_on { report.states_cut } else { 0 },
+            ..base
         }
     }
 
@@ -496,6 +405,10 @@ impl SweepRecord {
     /// the drain. Latency percentiles come from the merged shard
     /// histograms, and `decided_fingerprint` hashes the full decided-value
     /// log so cross-shard-count equality is checkable from the JSONL alone.
+    ///
+    /// Footprint accounting is per-instance and the service discards each
+    /// batch's memory, so the space fields stay zero: the space story
+    /// belongs to the sample and explore modes.
     pub fn from_serve(
         campaign: &str,
         spec: &ScenarioSpec,
@@ -503,22 +416,7 @@ impl SweepRecord {
     ) -> Self {
         let (p50, p90, p99, p999) = report.histogram.summary();
         SweepRecord {
-            campaign: campaign.to_string(),
-            scenario: spec.index,
-            n: spec.params.n(),
-            m: spec.params.m(),
-            k: spec.params.k(),
-            algorithm: spec.algorithm.label().to_string(),
             instances: 1,
-            adversary: spec.adversary_label.clone(),
-            mode: spec.mode.label().to_string(),
-            backend: spec.backend_label().to_string(),
-            contention_steps: 0,
-            survivors: 0,
-            crashes: 0,
-            seed: spec.seed,
-            workload: spec.workload_label.clone(),
-            max_steps: spec.max_steps,
             steps: report.steps,
             stop: if report.drained {
                 "drained"
@@ -535,29 +433,7 @@ impl SweepRecord {
             // Every algorithm step in a batch is one shared-memory
             // operation on that batch's private instance.
             total_ops: report.steps,
-            // Footprint accounting is per-instance and the service
-            // discards each batch's memory; the space story belongs to
-            // the sample and explore modes.
-            locations_written: 0,
-            registers_written: 0,
-            components_written: 0,
-            register_bound: spec.algorithm.register_bound(spec.params),
-            component_bound: spec.algorithm.component_bound(spec.params),
             bound_ok: true,
-            explored_states: 0,
-            explored_depth: 0,
-            verified: false,
-            frontier_peak: 0,
-            seen_entries: 0,
-            approx_bytes: 0,
-            symmetry: "off".into(),
-            orbit_states: 0,
-            full_states_lower_bound: 0,
-            reduction: "off".into(),
-            expansions: 0,
-            sleep_pruned: 0,
-            persistent_expanded: 0,
-            states_cut: 0,
             wall_us: report.duration_us,
             steps_per_sec: report.steps_per_sec(),
             proposals: report.proposals,
@@ -568,14 +444,7 @@ impl SweepRecord {
             p999_us: p999,
             ops_per_sec: report.ops_per_sec(),
             decided_fingerprint: report.decided_fingerprint(),
-            goal: String::new(),
-            target_registers: 0,
-            witness_found: false,
-            witness_depth: 0,
-            registers_covered: 0,
-            witness_registers: 0,
-            witness_schedule: String::new(),
-            witness_fingerprint: 0,
+            ..Self::base(campaign, spec)
         }
     }
 
@@ -593,95 +462,26 @@ impl SweepRecord {
         let witness = report.witness.as_ref();
         let certificate = witness.map(|w| &w.certificate);
         let witness_registers = certificate.map_or(0, |c| c.registers);
+        let symmetry_on = spec.symmetry != SymmetryMode::Off;
         SweepRecord {
-            campaign: campaign.to_string(),
-            scenario: spec.index,
-            n: spec.params.n(),
-            m: spec.params.m(),
-            k: spec.params.k(),
-            algorithm: spec.algorithm.label().to_string(),
-            instances: spec.algorithm.instances(),
-            adversary: spec.adversary_label.clone(),
-            mode: spec.mode.label().to_string(),
-            backend: spec.backend_label().to_string(),
-            contention_steps: 0,
-            survivors: 0,
-            crashes: 0,
-            seed: spec.seed,
-            workload: spec.workload_label.clone(),
-            max_steps: spec.max_steps,
-            steps: 0,
             stop: report.stop.label().to_string(),
             validity_ok: true,
             agreement_ok: true,
-            progress_required: false,
             survivors_decided: true,
-            decisions: 0,
-            distinct_outputs_max: 0,
-            total_ops: 0,
             // For a search, the space story *is* the witness: `written ∪
             // covered` of the best configuration found.
             locations_written: witness_registers,
             registers_written: certificate.map_or(0, |c| c.registers_written),
-            components_written: 0,
-            register_bound: spec.algorithm.register_bound(spec.params),
-            component_bound: spec.algorithm.component_bound(spec.params),
             bound_ok: true,
             explored_states: report.states_visited,
             explored_depth: report.max_depth_reached,
             verified: report.verified,
-            frontier_peak: 0,
-            seen_entries: 0,
-            approx_bytes: 0,
-            symmetry: match (spec.symmetry, report.symmetry_applied) {
-                (SymmetryMode::Off, _) => "off".into(),
-                (SymmetryMode::ProcessIds, true) => "process-ids".into(),
-                (SymmetryMode::ProcessIds, false) => "fallback-off".into(),
-            },
-            orbit_states: if spec.symmetry == SymmetryMode::Off {
-                0
-            } else {
+            symmetry: status_label(symmetry_on, report.symmetry_applied, spec.symmetry.label()),
+            orbit_states: if symmetry_on {
                 report.states_visited
-            },
-            full_states_lower_bound: 0,
-            reduction: match (spec.reduction, report.reduction_applied) {
-                (ReductionMode::Off, _) => "off".into(),
-                (ReductionMode::SleepSets, true) => "sleep-set".into(),
-                (ReductionMode::PersistentSets, true) => "persistent-set".into(),
-                (ReductionMode::SleepSets | ReductionMode::PersistentSets, false) => {
-                    "fallback-off".into()
-                }
-            },
-            expansions: if spec.reduction == ReductionMode::Off {
-                0
-            } else {
-                report.expansions
-            },
-            sleep_pruned: if spec.reduction == ReductionMode::Off {
-                0
-            } else {
-                report.sleep_pruned
-            },
-            persistent_expanded: if spec.reduction == ReductionMode::PersistentSets {
-                report.persistent_expanded
             } else {
                 0
             },
-            states_cut: if spec.reduction == ReductionMode::PersistentSets {
-                report.states_cut
-            } else {
-                0
-            },
-            wall_us: 0,
-            steps_per_sec: 0,
-            proposals: 0,
-            batches: 0,
-            p50_us: 0,
-            p90_us: 0,
-            p99_us: 0,
-            p999_us: 0,
-            ops_per_sec: 0,
-            decided_fingerprint: 0,
             goal: report.goal.label().to_string(),
             target_registers: report.target_registers,
             witness_found: witness.is_some(),
@@ -690,6 +490,7 @@ impl SweepRecord {
             witness_registers,
             witness_schedule: witness.map_or_else(|| "-".to_string(), |w| w.schedule_label()),
             witness_fingerprint: certificate.map_or(0, |c| c.fingerprint),
+            ..Self::base(campaign, spec)
         }
     }
 
@@ -836,9 +637,9 @@ impl SweepRecord {
             field(&mut out, "expansions", &self.expansions.to_string());
             field(&mut out, "sleep_pruned", &self.sleep_pruned.to_string());
         }
-        // Emitted only when the persistent-set tier actually ran, so
-        // sleep-set (and fallback) records stay byte-identical to earlier
-        // releases.
+        // Emitted only when the persistent-set search actually ran, so
+        // fallback records (and old sleep-set ones) stay byte-identical to
+        // earlier releases.
         if self.reduction == "persistent-set" {
             field(
                 &mut out,
@@ -987,6 +788,21 @@ impl SweepRecord {
         };
         Ok(record)
     }
+}
+
+/// The record label of a requested reduction: `off` when not requested,
+/// `label` when the engine applied it, and `fallback-off` when the engine
+/// could not honor the request and ran unreduced instead rather than prune
+/// unsoundly (automata that cannot establish the symmetry; for
+/// partial-order reduction, the parallel explorer, dedup off or more than
+/// 64 processes).
+fn status_label(requested: bool, applied: bool, label: &str) -> String {
+    match (requested, applied) {
+        (false, _) => "off",
+        (true, true) => label,
+        (true, false) => "fallback-off",
+    }
+    .to_string()
 }
 
 fn bool_str(b: bool) -> &'static str {

@@ -466,20 +466,18 @@ pub struct CampaignSpec {
     /// prune unsoundly. Off by default, which keeps record bytes identical
     /// to pre-symmetry releases.
     pub symmetry: SymmetryMode,
-    /// Partial-order reduction per exploration or adversary search (ignored
-    /// in [`CampaignMode::Sample`] and [`CampaignMode::Serve`]):
-    /// `sleep-set` prunes commuting sibling interleavings with per-state
-    /// sleep sets, which shrinks the expansion count without changing any
-    /// verdict or (on exhausted spaces) the visited-state count;
-    /// `persistent-set` adds persistent-set selective search with dynamic
+    /// Partial-order reduction per exploration (ignored in
+    /// [`CampaignMode::Sample`] and [`CampaignMode::Serve`]):
+    /// `persistent-set` runs persistent-set selective search with dynamic
     /// (Flanagan–Godefroid) backtracking in the serial explorer, cutting
-    /// whole redundant *states* while preserving every verdict. Like
-    /// `symmetry` this is a "how" knob, not part of a scenario's identity,
-    /// and it composes with `symmetry`: the two reductions multiply.
-    /// Explorations that cannot honor the request (dedup off, more than 64
-    /// processes) fall back to full expansion rather than prune unsoundly.
-    /// Off by default, which keeps record bytes identical to pre-reduction
-    /// releases.
+    /// whole redundant *states* while preserving every verdict. It needs
+    /// the serial explorer, so [`validate`](Self::validate) rejects it
+    /// with `explore-threads ≥ 1` or in [`CampaignMode::AdversarySearch`].
+    /// Like `symmetry` this is a "how" knob, not part of a scenario's
+    /// identity, and it composes with `symmetry`. Explorations that cannot
+    /// honor the request (more than 64 processes) fall back to full
+    /// expansion rather than prune unsoundly. Off by default, which keeps
+    /// record bytes identical to pre-reduction releases.
     pub reduction: ReductionMode,
     /// Whether explorations may spill frozen frontier chunks and seen-set
     /// shards to disk when they exceed the resident-byte budget (ignored
@@ -658,9 +656,9 @@ impl CampaignSpec {
     /// (exploration state budget), `explore-threads` (exploration worker
     /// threads; 0 = serial explorer), `symmetry` (`off` or
     /// `process-ids`: deduplicate explored states up to process-id
-    /// orbits), `reduction` (`off`, `sleep-set` or `persistent-set`: prune
-    /// commuting interleavings — and, for `persistent-set`, whole redundant
-    /// states — with partial-order reduction, composable with `symmetry`),
+    /// orbits), `reduction` (`off` or `persistent-set`: cut redundant
+    /// interleavings and states with the serial explorer's DPOR search,
+    /// composable with `symmetry`),
     /// `spill` (`on` or `off`: let explorations move cold
     /// frontier and seen-set state to disk under memory pressure),
     /// `max-resident-mb` (resident-memory budget per exploration in MiB;
@@ -739,7 +737,7 @@ impl CampaignSpec {
                 "reduction" => {
                     spec.reduction = ReductionMode::parse(value).ok_or_else(|| {
                         SpecError(format!(
-                            "unknown reduction {value:?} (want off, sleep-set or persistent-set)"
+                            "unknown reduction {value:?} (want off or persistent-set)"
                         ))
                     })?;
                 }
@@ -808,7 +806,33 @@ impl CampaignSpec {
         if spec.goals.is_empty() {
             return err("no goals");
         }
+        spec.validate()?;
         Ok(spec)
+    }
+
+    /// Rejects a reduction no scenario of the campaign could apply:
+    /// `reduction = persistent-set` is the serial explorer's alone, so it
+    /// fails with `explore-threads ≥ 1` in explore mode and in adversary
+    /// search. [`parse`](Self::parse) runs this check, and `sweep run` runs
+    /// it again after applying its flags, so spec files and command-line
+    /// overrides fail the same way, before any scenario runs.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        if self.reduction == ReductionMode::Off {
+            return Ok(());
+        }
+        match self.mode {
+            CampaignMode::AdversarySearch => err(format!(
+                "reduction = {} needs the serial explorer; adversary searches never reduce",
+                self.reduction.label()
+            )),
+            CampaignMode::Explore if self.explore_threads > 0 => err(format!(
+                "reduction = {} needs the serial explorer (explore-threads = 0), got \
+                 explore-threads = {}",
+                self.reduction.label(),
+                self.explore_threads
+            )),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -1173,23 +1197,57 @@ symmetry = process-ids",
             CampaignSpec::parse("").unwrap().reduction,
             ReductionMode::Off
         );
-        let spec = CampaignSpec::parse(
-            "mode = explore
-symmetry = process-ids
-reduction = sleep-set",
-        )
-        .unwrap();
-        assert_eq!(spec.reduction, ReductionMode::SleepSets);
-        assert_eq!(spec.symmetry, SymmetryMode::ProcessIds);
-        assert_eq!(CampaignSpec::parse(&spec.to_string()).unwrap(), spec);
         let dpor = CampaignSpec::parse(
             "mode = explore
+symmetry = process-ids
 reduction = persistent-set",
         )
         .unwrap();
         assert_eq!(dpor.reduction, ReductionMode::PersistentSets);
+        assert_eq!(dpor.symmetry, SymmetryMode::ProcessIds);
         assert_eq!(CampaignSpec::parse(&dpor.to_string()).unwrap(), dpor);
         assert!(CampaignSpec::parse("reduction = ample-set").is_err());
+    }
+
+    #[test]
+    fn retired_sleep_set_reduction_is_an_unknown_value() {
+        let error = CampaignSpec::parse("mode = explore\nreduction = sleep-set")
+            .expect_err("sleep-set reduction is gone");
+        assert!(
+            error.0.contains("unknown reduction \"sleep-set\""),
+            "{error}"
+        );
+    }
+
+    #[test]
+    fn persistent_sets_need_the_serial_explorer() {
+        let parallel = CampaignSpec::parse(
+            "mode = explore
+explore-threads = 2
+reduction = persistent-set",
+        )
+        .expect_err("the parallel explorer never reduces");
+        assert!(parallel.0.contains("explore-threads = 2"), "{parallel}");
+        let search = CampaignSpec::parse(
+            "mode = adversary-search
+reduction = persistent-set",
+        )
+        .expect_err("adversary searches never reduce");
+        assert!(search.0.contains("adversary searches"), "{search}");
+        // The same check catches a command-line override of a valid spec.
+        let mut spec = CampaignSpec::parse("mode = explore\nreduction = persistent-set").unwrap();
+        spec.validate().unwrap();
+        spec.explore_threads = 1;
+        assert!(spec.validate().is_err());
+        // Modes that ignore the knob, and reduction off, stay valid.
+        for text in [
+            "mode = sample\nreduction = persistent-set",
+            "mode = serve\nreduction = persistent-set",
+            "mode = adversary-search\nexplore-threads = 8",
+            "mode = explore\nexplore-threads = 8",
+        ] {
+            CampaignSpec::parse(text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+        }
     }
 
     #[test]

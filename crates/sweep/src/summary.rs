@@ -70,18 +70,18 @@ pub struct CellSummary {
     /// Maximum full-state lower bound of any symmetry-reduced exploration
     /// of this cell.
     pub max_full_states_lower_bound: u64,
-    /// Explored or searched scenarios pruned by sleep sets
-    /// (`reduction = sleep-set` applied).
+    /// Scenarios pruned by the retired sleep-set mode
+    /// (`reduction = sleep-set`, found only in older result files).
     pub sleep_reduced: u64,
-    /// Scenarios that requested sleep sets but fell back to plain
+    /// Scenarios that requested reduction but fell back to plain
     /// exploration (`reduction = fallback-off`).
     pub sleep_fallbacks: u64,
-    /// Total expansions performed across the cell's sleep-set scenarios.
+    /// Total expansions performed across the cell's reduced scenarios.
     pub total_expansions: u64,
     /// Total commuting sibling expansions pruned by sleep sets across the
     /// cell's scenarios.
     pub total_sleep_pruned: u64,
-    /// Explored or searched scenarios reduced by persistent sets
+    /// Explorations reduced by persistent sets
     /// (`reduction = persistent-set` applied).
     pub persistent_reduced: u64,
     /// Total expansions drawn from persistent (or DPOR backtrack) sets
@@ -181,16 +181,16 @@ pub struct Summary {
     pub total_orbit_states: u64,
     /// Total full-state lower bound across all symmetry-reduced records.
     pub total_full_states_lower_bound: u64,
-    /// Explore or search records pruned by sleep sets.
+    /// Records pruned by the retired sleep-set mode (older result files).
     pub sleep_reduced: u64,
-    /// Records that requested sleep sets but fell back.
+    /// Records that requested reduction but fell back.
     pub sleep_fallbacks: u64,
-    /// Total expansions performed across all sleep-set records.
+    /// Total expansions performed across all reduced records.
     pub total_expansions: u64,
-    /// Total commuting sibling expansions pruned across all sleep-set
+    /// Total commuting sibling expansions pruned across all reduced
     /// records.
     pub total_sleep_pruned: u64,
-    /// Explore or search records reduced by persistent sets.
+    /// Explore records reduced by persistent sets.
     pub persistent_reduced: u64,
     /// Total expansions drawn from persistent (or DPOR backtrack) sets
     /// across all persistent-set records.
@@ -298,9 +298,9 @@ impl Summary {
                 summary.max_ops_per_sec = summary.max_ops_per_sec.max(record.ops_per_sec);
             }
             if record.mode == "explore" || record.mode == "adversary-search" {
-                // Sleep sets apply to both exhaustive exploration and
-                // adversary search, so the aggregation sits outside the
-                // per-mode branches.
+                // Older result files carry sleep-set reductions on both
+                // exhaustive exploration and adversary search records, so
+                // the aggregation sits outside the per-mode branches.
                 if record.reduction == "sleep-set" {
                     cell.sleep_reduced += 1;
                     cell.total_expansions += record.expansions;
@@ -423,11 +423,16 @@ impl Summary {
     /// (maximum states visited and maximum exploration depth per cell);
     /// campaigns with parallel-explore records additionally gain
     /// `frontier`/`mem-MB` columns (peak BFS level width and estimated peak
-    /// explorer memory per cell); campaigns with sleep-set-reduced records
-    /// gain `expanded`/`pruned`/`por` columns (total expansions performed,
-    /// commuting sibling expansions pruned, and the multiplicative factor
-    /// `(expanded + pruned) / expanded` per cell — multiplicative on top of
-    /// any symmetry reduction); campaigns with threaded records gain
+    /// explorer memory per cell); campaigns with symmetry-reduced records
+    /// gain `orbits`/`full-states`/`red` columns, where `red` reads `-`
+    /// when the full-state lower bound only equals the orbit count and so
+    /// says nothing about the real reduction; campaigns with
+    /// partial-order-reduced records (`persistent-set`, or `sleep-set` from
+    /// older files) gain `expanded`/`pruned`/`por` columns (total
+    /// expansions performed, commuting sibling expansions pruned, and the
+    /// multiplicative factor `(expanded + pruned) / expanded` per cell —
+    /// multiplicative on top of any symmetry reduction); campaigns with
+    /// threaded records gain
     /// `wall-ms`/`steps/s` columns
     /// (total wall clock, millisecond display of the microsecond totals, and
     /// aggregate throughput per cell); campaigns with adversary-search
@@ -672,13 +677,19 @@ impl Summary {
             );
         }
         if self.symmetry_reduced + self.symmetry_fallbacks > 0 {
-            let rate =
+            let rate = if self.total_orbit_states == 0 {
+                "- reduction".into()
+            } else {
                 reduction_factor(self.total_full_states_lower_bound, self.total_orbit_states)
-                    .map_or_else(|| "-".into(), |r| format!("{r:.1}x"));
+                    .map_or_else(
+                        || "bound uninformative".into(),
+                        |r| format!("{r:.1}x reduction"),
+                    )
+            };
             let _ = writeln!(
                 out,
                 "symmetry: {} orbit-reduced explorations ({} fell back), \
-                 {} orbit states standing for \u{2265}{} full states ({rate} reduction)",
+                 {} orbit states standing for \u{2265}{} full states ({rate})",
                 self.symmetry_reduced,
                 self.symmetry_fallbacks,
                 self.total_orbit_states,
@@ -745,9 +756,13 @@ impl Summary {
 }
 
 /// The reduction factor `full_states / orbit_states`; `None` when no orbit
-/// was counted.
+/// was counted, or when the lower bound merely equals the orbit count. The
+/// orbit bound degenerates to one full state per orbit when all inputs are
+/// distinct, so equality carries no information about the real reduction
+/// (the distinct 3/1/2 anonymous cell reads 1.0x that way, but measures
+/// 137,318 full states against 21,137 orbits).
 fn reduction_factor(full_states: u64, orbit_states: u64) -> Option<f64> {
-    if orbit_states == 0 {
+    if orbit_states == 0 || full_states == orbit_states {
         return None;
     }
     Some(full_states as f64 / orbit_states as f64)
@@ -1081,6 +1096,83 @@ mod tests {
         // Symmetry-free campaigns do not grow the columns.
         let plain = Summary::of(&[record(0)]).render();
         assert!(!plain.contains("orbits"), "{plain}");
+    }
+
+    #[test]
+    fn uninformative_orbit_bounds_print_no_reduction_factor() {
+        // The distinct 3/1/2 anonymous cell: every orbit's lower bound is
+        // one full state, so the bound equals the orbit count although the
+        // measured full space is 6.5x larger. The summary must not print
+        // that as a 1.0x reduction.
+        let mut distinct = record(0);
+        distinct.adversary = "exhaustive".into();
+        distinct.mode = "explore".into();
+        distinct.backend = "explore".into();
+        distinct.symmetry = "process-ids".into();
+        distinct.explored_states = 21_137;
+        distinct.orbit_states = 21_137;
+        distinct.full_states_lower_bound = 21_137;
+        distinct.verified = true;
+        let rendered = Summary::of(&[distinct]).render();
+        assert!(!rendered.contains("1.0x"), "{rendered}");
+        assert!(
+            rendered.contains(
+                "21137 orbit states standing for \u{2265}21137 full states (bound uninformative)"
+            ),
+            "{rendered}"
+        );
+        let row = rendered
+            .lines()
+            .find(|line| line.contains("figure3-oneshot"))
+            .expect("the cell has a row");
+        assert!(
+            row.ends_with(&format!(
+                " {:>9} {:>11} {:>6}",
+                21_137, "\u{2265}21137", "-"
+            )),
+            "{row}"
+        );
+    }
+
+    #[test]
+    fn old_sleep_set_records_still_parse_summarize_and_diff() {
+        // A line written while `reduction = sleep-set` existed: the anonymous
+        // Figure 5 algorithm on 2/1/1 under process-id symmetry. The mode is
+        // gone, but its result files must stay readable.
+        let line = "{\"campaign\":\"exhaustive-por\",\"scenario\":0,\"n\":2,\"m\":1,\"k\":1,\
+            \"algorithm\":\"figure5-anon-oneshot\",\"instances\":1,\"adversary\":\"exhaustive\",\
+            \"mode\":\"explore\",\"contention_steps\":0,\"survivors\":0,\"crashes\":0,\"seed\":0,\
+            \"workload\":\"distinct\",\"max_steps\":100000,\"steps\":0,\
+            \"stop\":\"state-space-exhausted\",\"validity_ok\":true,\"agreement_ok\":true,\
+            \"progress_required\":false,\"survivors_decided\":true,\"decisions\":0,\
+            \"distinct_outputs_max\":0,\"total_ops\":0,\"locations_written\":3,\
+            \"registers_written\":0,\"components_written\":3,\"register_bound\":3,\
+            \"component_bound\":3,\"bound_ok\":true,\"explored_states\":454,\
+            \"explored_depth\":37,\"symmetry\":\"process-ids\",\"orbit_states\":454,\
+            \"full_states_lower_bound\":454,\"reduction\":\"sleep-set\",\"expansions\":725,\
+            \"sleep_pruned\":165,\"verified\":true}";
+        let old = SweepRecord::parse(line).expect("old sleep-set records parse");
+        assert_eq!(old.reduction, "sleep-set");
+        assert_eq!((old.expansions, old.sleep_pruned), (725, 165));
+        assert_eq!(old.to_json(), line, "re-encoding keeps the old bytes");
+        let summary = Summary::of(std::slice::from_ref(&old));
+        assert!(summary.clean() && summary.exhaustiveness_gaps() == 0);
+        assert_eq!(summary.sleep_reduced, 1);
+        assert_eq!(summary.total_sleep_pruned, 165);
+        let rendered = summary.render();
+        assert!(
+            rendered.contains("sleep sets: 1 reduced runs (0 fell back)"),
+            "{rendered}"
+        );
+        // Against a reduction-off run of the same cell, diff sees the same
+        // scenario and no regression.
+        let mut unreduced = old.clone();
+        unreduced.reduction = "off".into();
+        unreduced.expansions = 0;
+        unreduced.sleep_pruned = 0;
+        let report = diff(&[old], &[unreduced]);
+        assert!(report.removed.is_empty() && report.added.is_empty());
+        assert!(!report.has_regressions(), "{}", report.render());
     }
 
     #[test]

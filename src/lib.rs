@@ -472,30 +472,26 @@ pub struct ExploreReport {
     /// `full_states_lower_bound / orbit_states` is the reduction factor the
     /// quotient achieved; 1x without symmetry.
     pub full_states_lower_bound: u64,
-    /// `true` if the search pruned commuting interleavings with sleep sets:
-    /// [`ReductionMode::SleepSets`](sa_runtime::ReductionMode) was requested
-    /// **and** the explorer could honor it (dedup on, at most 64 processes).
-    /// Verdicts and `states_visited` are unaffected on exhausted spaces;
-    /// only [`expansions`](ExploreReport::expansions) shrinks.
+    /// `true` if the search ran the persistent-set DPOR explorer:
+    /// [`ReductionMode::PersistentSets`](sa_runtime::ReductionMode) was
+    /// requested **and** the explorer could honor it (the serial explorer,
+    /// dedup on, at most 64 processes). The parallel explorer never
+    /// reduces, so it always reports `false`.
     pub reduction_applied: bool,
     /// Successor expansions the search performed (state × enabled-process
     /// pairs actually stepped). Without reduction this is the raw edge
-    /// count of the explored graph; sleep sets shrink it.
+    /// count of the explored graph.
     pub expansions: u64,
-    /// Expansions skipped because a sleeping sibling order was provably
-    /// commuting (0 without reduction).
-    /// `(expansions + sleep_pruned) / expansions` is the multiplicative
-    /// reduction factor on top of whatever symmetry already removed.
+    /// Expansions the DPOR explorer skipped because a sleeping sibling
+    /// order was provably commuting (0 without reduction).
     pub sleep_pruned: u64,
-    /// Expansions performed from persistent/backtrack sets under
-    /// [`ReductionMode::PersistentSets`](sa_runtime::ReductionMode) (0
-    /// otherwise): every DPOR expansion for the serial explorer, the
-    /// expansions at cut states for the breadth-first one.
+    /// Expansions the DPOR explorer drew from persistent/backtrack sets
+    /// (0 without reduction).
     pub persistent_expanded: u64,
     /// Enabled transitions persistent-set selection left permanently
     /// unexpanded — roots of subtrees proven redundant (0 without
-    /// persistent-set reduction). Unlike sleep sets, this cut removes
-    /// *states*, so `states_visited` shrinks with it.
+    /// reduction). This cut removes *states*, so `states_visited` shrinks
+    /// with it.
     pub states_cut: u64,
 }
 
@@ -1754,7 +1750,6 @@ mod tests {
             max_states: 100_000,
             threads: 2,
             symmetry: sa_runtime::SymmetryMode::ProcessIds,
-            reduction: sa_runtime::ReductionMode::Off,
         })
         .execute(&plan);
         assert_eq!(searched.backend_label(), "adversary-search");
@@ -1781,7 +1776,6 @@ mod tests {
                     max_states: 100_000,
                     threads,
                     symmetry: sa_runtime::SymmetryMode::ProcessIds,
-                    reduction: sa_runtime::ReductionMode::SleepSets,
                 })
                 .execute(&plan)
                 .expect_searched();

@@ -1,7 +1,7 @@
 //! Soundness battery for the op-footprint interference analysis and the
-//! sleep-set reduction it feeds.
+//! persistent-set reduction it feeds.
 //!
-//! Three layers, mirroring the three places the analysis is trusted:
+//! Three layers, mirroring the places the analysis is trusted:
 //!
 //! 1. **Statically-independent pairs commute** on arbitrary [`SimMemory`]
 //!    states: both orders yield identical memory contents *and* identical
@@ -11,19 +11,17 @@
 //!    proving the rule is not vacuous conservatism — plus the matching
 //!    invisible-write cases showing exactly when the state-conditional
 //!    refinement is allowed to overrule it.
-//! 3. **Reduced-vs-full verdict equivalence** over every cell of
-//!    `campaigns/exhaustive.spec`, for `ReductionMode::SleepSets` crossed
-//!    with `SymmetryMode` on/off: the same verdicts, the same visited state
-//!    counts, and (with reduction on) a non-zero pruning count.
-//! 4. **Persistent-set soundness**: the per-state persistent sets the
+//! 3. **Persistent-set soundness**: the per-state persistent sets the
 //!    selective search expands are dependency-closed on random reachable
 //!    configurations (proptest over random automata and schedule prefixes),
-//!    and `ReductionMode::PersistentSets` reproduces the full exploration's
-//!    verdicts — and violation witnesses, trivially `None == None` on these
-//!    verified cells — over every `exhaustive.spec` cell, crossed with
-//!    `SymmetryMode` on/off and the serial/parallel explorer backends.
-//!    Unlike sleep sets, persistent sets cut *states*, so `explored_states`
-//!    is pinned as `reduced ≤ full`, not as equality.
+//!    and `ReductionMode::PersistentSets` in the serial DPOR explorer
+//!    reproduces the full exploration's verdicts — and violation witnesses,
+//!    trivially `None == None` on these verified cells — over every
+//!    `exhaustive.spec` cell, crossed with `SymmetryMode` on/off. Persistent
+//!    sets cut *states*, so `explored_states` is pinned as `reduced ≤ full`,
+//!    not as equality. In a debug build these runs are also a full dynamic
+//!    audit of the interference tiers: every pair a sleep set keeps is
+//!    re-executed in both orders at the state being pruned.
 
 use proptest::prelude::*;
 use sa_sweep::{run_campaign_collect, CampaignSpec, EngineConfig, SweepRecord};
@@ -242,67 +240,7 @@ fn exhaustive_spec() -> CampaignSpec {
     CampaignSpec::parse(&text).expect("exhaustive.spec parses")
 }
 
-/// Layer 3 worker: runs the exhaustive campaign with reduction off and on
-/// under one symmetry mode and asserts verdict and state-count equality on
-/// every cell.
-fn assert_reduced_matches_full(symmetry: SymmetryMode) {
-    let mut off = exhaustive_spec();
-    off.symmetry = symmetry;
-    off.reduction = ReductionMode::Off;
-    let (full, full_outcome) = run_campaign_collect(&off, EngineConfig::default());
-
-    let mut on = off.clone();
-    on.reduction = ReductionMode::SleepSets;
-    let (reduced, reduced_outcome) = run_campaign_collect(&on, EngineConfig::default());
-
-    assert_eq!(full_outcome.clean(), reduced_outcome.clean());
-    assert_eq!(full.len(), reduced.len(), "cell list must not change");
-    let mut total_pruned = 0;
-    for (f, r) in full.iter().zip(&reduced) {
-        let cell = |rec: &SweepRecord| {
-            (
-                rec.n,
-                rec.m,
-                rec.k,
-                rec.algorithm.clone(),
-                rec.instances,
-                rec.scenario,
-            )
-        };
-        assert_eq!(cell(f), cell(r), "records must pair up cell-for-cell");
-        // The verdict: same safety outcome, same exhaustiveness, and —
-        // because sleep sets prune transitions, never states — the same
-        // visited state count.
-        assert_eq!(f.validity_ok, r.validity_ok, "{:?}", cell(f));
-        assert_eq!(f.agreement_ok, r.agreement_ok, "{:?}", cell(f));
-        assert_eq!(f.verified, r.verified, "{:?}", cell(f));
-        assert_eq!(f.stop, r.stop, "{:?}", cell(f));
-        assert_eq!(f.explored_states, r.explored_states, "{:?}", cell(f));
-        assert_eq!(f.reduction, "off");
-        assert_eq!(r.reduction, "sleep-set");
-        assert!(
-            r.expansions > 0,
-            "reduced runs must report their expansions"
-        );
-        total_pruned += r.sleep_pruned;
-    }
-    assert!(
-        total_pruned > 0,
-        "sleep sets must prune something across the campaign"
-    );
-}
-
-#[test]
-fn reduced_matches_full_without_symmetry() {
-    assert_reduced_matches_full(SymmetryMode::Off);
-}
-
-#[test]
-fn reduced_matches_full_with_symmetry() {
-    assert_reduced_matches_full(SymmetryMode::ProcessIds);
-}
-
-/// Layer 4 invariant: the set the selective search expands must be
+/// Layer 3 invariant: the set the selective search expands must be
 /// dependency-closed — a persistent member with a poised op statically
 /// dependent on some enabled non-member's poised op would let that
 /// non-member invalidate the persistence argument.
@@ -350,7 +288,7 @@ where
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Layer 4a: persistent sets are dependency-closed on random reachable
+    /// Layer 3a: persistent sets are dependency-closed on random reachable
     /// writer configurations — overlapping registers make the closure
     /// non-trivial (dependent writers must be pulled in together).
     #[test]
@@ -373,7 +311,7 @@ proptest! {
         assert_dependency_closed(&exec);
     }
 
-    /// Layer 4b: the same closure invariant on random reachable
+    /// Layer 3b: the same closure invariant on random reachable
     /// read/write-racing consensus configurations, whose poised ops change
     /// shape (write then read) along the execution.
     #[test]
@@ -398,15 +336,14 @@ proptest! {
     }
 }
 
-/// Layer 4 worker: runs the exhaustive campaign with reduction off and with
-/// persistent sets under one symmetry mode and explorer backend, and asserts
-/// verdict equivalence on every cell. `explored_states` is pinned as
+/// Layer 3 worker: runs the exhaustive campaign with reduction off and with
+/// persistent sets on the serial explorer under one symmetry mode, and
+/// asserts verdict equivalence on every cell. `explored_states` is pinned as
 /// `reduced ≤ full` — cutting states is the point of the mode.
-fn assert_persistent_matches_full(symmetry: SymmetryMode, explore_threads: usize) {
+fn assert_persistent_matches_full(symmetry: SymmetryMode) {
     let mut off = exhaustive_spec();
     off.symmetry = symmetry;
     off.reduction = ReductionMode::Off;
-    off.explore_threads = explore_threads;
     let (full, full_outcome) = run_campaign_collect(&off, EngineConfig::default());
 
     let mut on = off.clone();
@@ -446,33 +383,19 @@ fn assert_persistent_matches_full(symmetry: SymmetryMode, explore_threads: usize
         assert_eq!(r.reduction, "persistent-set");
         total_persistent_expanded += r.persistent_expanded;
     }
-    if explore_threads == 0 {
-        // Serial DPOR draws every expansion from a backtrack set; the
-        // parallel explorer only counts gated states, which these tiny
-        // cells may never produce.
-        assert!(
-            total_persistent_expanded > 0,
-            "the DPOR search must report its persistent expansions"
-        );
-    }
+    // Serial DPOR draws every expansion from a backtrack set.
+    assert!(
+        total_persistent_expanded > 0,
+        "the DPOR search must report its persistent expansions"
+    );
 }
 
 #[test]
 fn persistent_matches_full_serial_without_symmetry() {
-    assert_persistent_matches_full(SymmetryMode::Off, 0);
+    assert_persistent_matches_full(SymmetryMode::Off);
 }
 
 #[test]
 fn persistent_matches_full_serial_with_symmetry() {
-    assert_persistent_matches_full(SymmetryMode::ProcessIds, 0);
-}
-
-#[test]
-fn persistent_matches_full_parallel_without_symmetry() {
-    assert_persistent_matches_full(SymmetryMode::Off, 2);
-}
-
-#[test]
-fn persistent_matches_full_parallel_with_symmetry() {
-    assert_persistent_matches_full(SymmetryMode::ProcessIds, 2);
+    assert_persistent_matches_full(SymmetryMode::ProcessIds);
 }
