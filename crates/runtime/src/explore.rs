@@ -46,7 +46,7 @@ pub enum SymmetryMode {
     ///
     /// This is **requested**, not guaranteed: automata must opt in through
     /// [`Automaton::symmetry_class`], and a system whose automata report
-    /// [`SymmetryClass::Opaque`] (or disable dedup) falls back to [`Off`]
+    /// [`SymmetryClass::Opaque`] falls back to [`Off`]
     /// rather than prune unsoundly —
     /// [`Exploration::symmetry_applied`] records what actually happened.
     ProcessIds,
@@ -97,11 +97,10 @@ pub enum ReductionMode {
     /// added to that ancestor's backtrack set, which re-establishes the
     /// persistent-set condition the cheap seed may have missed.
     ///
-    /// This is **requested**, not guaranteed: the masks are a dedup-map
-    /// payload, so searches with dedup disabled (or more than 64 processes,
-    /// the mask width) fall back to [`Off`](ReductionMode::Off) rather than
-    /// prune unsoundly — [`Exploration::reduction_applied`] records what
-    /// actually happened.
+    /// This is **requested**, not guaranteed: the masks are u64 bit sets,
+    /// so searches over more than 64 processes (the mask width) fall back
+    /// to [`Off`](ReductionMode::Off) rather than prune unsoundly —
+    /// [`Exploration::reduction_applied`] records what actually happened.
     PersistentSets,
 }
 
@@ -134,15 +133,11 @@ pub struct ExploreConfig {
     /// truncated: truncation means the budget ran out while unexplored
     /// work remained.
     pub max_states: u64,
-    /// Whether to deduplicate states (requires hashing each state; almost
-    /// always worth it).
-    pub dedup: bool,
-    /// Whether to deduplicate up to process-id symmetry (requires `dedup`;
-    /// falls back to [`SymmetryMode::Off`] for automata that do not opt
+    /// Whether to deduplicate up to process-id symmetry (falls back to [`SymmetryMode::Off`] for automata that do not opt
     /// in — see [`SymmetryMode::ProcessIds`]).
     pub symmetry: SymmetryMode,
-    /// Whether to run the persistent-set DPOR search (requires `dedup` and
-    /// at most 64 processes; falls back to [`ReductionMode::Off`] otherwise
+    /// Whether to run the persistent-set DPOR search (requires at most 64
+    /// processes; falls back to [`ReductionMode::Off`] otherwise
     /// — see [`ReductionMode::PersistentSets`]).
     pub reduction: ReductionMode,
     /// Whether the explorer may spill frozen frontier chunks to disk when
@@ -166,7 +161,6 @@ impl Default for ExploreConfig {
         ExploreConfig {
             max_depth: 60,
             max_states: 2_000_000,
-            dedup: true,
             symmetry: SymmetryMode::Off,
             reduction: ReductionMode::Off,
             spill: false,
@@ -233,8 +227,8 @@ pub struct Exploration {
     /// `true` if the search stopped because a limit was hit rather than
     /// because the state space was exhausted.
     pub truncated: bool,
-    /// The deepest schedule prefix (in steps) the search examined. With
-    /// dedup on this is the longest *non-revisiting* path for the serial
+    /// The deepest schedule prefix (in steps) the search examined: the
+    /// longest *non-revisiting* path for the serial
     /// explorer, and the breadth-first radius of the explored state space
     /// for the parallel explorer — both can be far below `max_depth` even
     /// when the state space is exhausted.
@@ -256,8 +250,7 @@ pub struct Exploration {
     /// checkpoint-resume needs. The pre-fix explorer silently discarded the
     /// state it had just popped when the budget ran out.
     pub pending_at_exit: u64,
-    /// Entries held by the dedup seen-set when the search stopped (0 with
-    /// dedup disabled).
+    /// Entries held by the dedup seen-set when the search stopped.
     pub seen_entries: u64,
     /// A rough, deterministic estimate of the bytes held by the explorer's
     /// data structures at their peak: the deep size of the peak frontier
@@ -289,8 +282,7 @@ pub struct Exploration {
     pub full_states_lower_bound: u64,
     /// `true` if the search ran the persistent-set DPOR explorer:
     /// [`ReductionMode::PersistentSets`] was requested **and** its
-    /// preconditions held (the serial explorer, dedup on, at most 64
-    /// processes). When `false` despite a request, the search fell back to
+    /// preconditions held (the serial explorer, at most 64 processes). When `false` despite a request, the search fell back to
     /// plain expansion — same verdicts, no reduction.
     pub reduction_applied: bool,
     /// Number of successor configurations generated (one per expanded
@@ -1084,27 +1076,13 @@ where
 {
     // Persistent-set selective search restructures the DFS around a path
     // stack with per-frame backtrack sets; it lives in its own driver. Its
-    // masks live in the seen-map and in u64 bit sets, so it falls back
-    // (mirroring the symmetry fallback) when dedup is off or the system
-    // outgrows the mask width.
+    // masks live in u64 bit sets, so it falls back (mirroring the symmetry
+    // fallback) when the system outgrows the mask width.
     let n = initial.process_count();
-    if config.reduction == ReductionMode::PersistentSets
-        && config.dedup
-        && n > 0
-        && n <= u64::BITS as usize
-    {
+    if config.reduction == ReductionMode::PersistentSets && n > 0 && n <= u64::BITS as usize {
         return explore_dpor(initial, config, predicate);
     }
-    // Symmetry reduction needs the seen-set (it *is* a dedup strategy), so
-    // dedup-off searches fall back to plain enumeration.
-    let plan = SymmetryPlan::for_executor(
-        initial,
-        if config.dedup {
-            config.symmetry
-        } else {
-            SymmetryMode::Off
-        },
-    );
+    let plan = SymmetryPlan::for_executor(initial, config.symmetry);
     let mut seen = KeyTable::new();
     let mut result = Exploration {
         states_visited: 0,
@@ -1146,9 +1124,7 @@ where
         bytes: initial_bytes,
     }];
     result.frontier_peak = 1;
-    if config.dedup {
-        seen.insert(initial_key);
-    }
+    seen.insert(initial_key);
     // Byte accounting. `resident` tracks the deep bytes of in-memory
     // frontier entries (what the cap polices); `spilled_logical` the deep
     // bytes their spilled counterparts *would* occupy resident. Their sum —
@@ -1249,20 +1225,16 @@ where
                     description,
                 });
                 result.seen_entries = seen.len() as u64;
-                result.approx_bytes = logical_peak + seen_table_bytes(config, &seen);
+                result.approx_bytes = logical_peak + seen_table_bytes(&seen);
                 return result;
             }
-            let mut next_orbit = 1;
-            if config.dedup {
-                let (key, orbit) = keyed(&next, &plan);
-                if !seen.insert(key) {
-                    // Plain keys: an identical state was expanded.
-                    // Canonical keys: a configuration whose entire future is
-                    // the consistently relabeled image of an expanded one —
-                    // same verdicts, so pruning it is sound.
-                    continue;
-                }
-                next_orbit = orbit;
+            let (key, next_orbit) = keyed(&next, &plan);
+            if !seen.insert(key) {
+                // Plain keys: an identical state was expanded. Canonical
+                // keys: a configuration whose entire future is the
+                // consistently relabeled image of an expanded one — same
+                // verdicts, so pruning it is sound.
+                continue;
             }
             let next_bytes = entry_bytes(&next, next_schedule.len());
             resident += next_bytes;
@@ -1317,7 +1289,7 @@ where
         result.full_states_lower_bound = result.states_visited;
     }
     result.seen_entries = seen.len() as u64;
-    result.approx_bytes = logical_peak + seen_table_bytes(config, &seen);
+    result.approx_bytes = logical_peak + seen_table_bytes(&seen);
     result
 }
 
@@ -1361,7 +1333,7 @@ struct DporFrame<A: Automaton> {
 
 /// The serial persistent-set explorer: a path-stack DFS with
 /// Flanagan–Godefroid dynamic backtracking, dispatched to by [`explore`]
-/// under [`ReductionMode::PersistentSets`] (dedup on, ≤ 64 processes).
+/// under [`ReductionMode::PersistentSets`] (≤ 64 processes).
 ///
 /// Each fresh state's initial backtrack set is the sleep-filtered
 /// [static persistent set](persistent_set); whenever a newly generated
@@ -1744,15 +1716,11 @@ where
     result
 }
 
-/// The deterministic byte charge of the seen-set (0 with dedup off — no
-/// keys are stored). Computed from the entry count alone so the figure
-/// never depends on capacities or insertion order.
-fn seen_table_bytes(config: ExploreConfig, seen: &KeyTable) -> u64 {
-    if config.dedup {
-        KeyTable::bytes_for_len(seen.len() as u64)
-    } else {
-        0
-    }
+/// The deterministic byte charge of the seen-set. Computed from the entry
+/// count alone so the figure never depends on capacities or insertion
+/// order.
+fn seen_table_bytes(seen: &KeyTable) -> u64 {
+    KeyTable::bytes_for_len(seen.len() as u64)
 }
 
 /// Convenience predicate: fail whenever more than `k` distinct values have
@@ -1927,31 +1895,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_reduces_states_visited() {
-        let exec = Executor::new(vec![
-            ToyWriter::new(0, 1),
-            ToyWriter::new(1, 2),
-            ToyWriter::new(2, 3),
-        ]);
-        let with_dedup = explore(&exec, ExploreConfig::default(), agreement_predicate(3));
-        let without = explore(
-            &exec,
-            ExploreConfig {
-                dedup: false,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(3),
-        );
-        assert!(with_dedup.verified() && without.verified());
-        assert!(
-            with_dedup.states_visited <= without.states_visited,
-            "dedup should not increase the number of visited states"
-        );
-        assert_eq!(with_dedup.seen_entries, with_dedup.states_visited);
-        assert_eq!(without.seen_entries, 0, "dedup off stores no keys");
-    }
-
-    #[test]
     fn symmetric_toy_writers_merge_under_process_id_symmetry() {
         // Two identical ToyWriters (same register, same value) are
         // interchangeable: the quotient halves the mixed-progress states.
@@ -2047,25 +1990,6 @@ mod tests {
         assert_eq!(requested.paths, off.paths);
         assert_eq!(requested.truncated, off.truncated);
         assert_eq!(requested.full_states_lower_bound, off.states_visited);
-    }
-
-    #[test]
-    fn symmetry_requires_dedup() {
-        let exec = Executor::new(vec![ToyWriter::new(0, 7), ToyWriter::new(0, 7)]);
-        let result = explore(
-            &exec,
-            ExploreConfig {
-                dedup: false,
-                symmetry: SymmetryMode::ProcessIds,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(2),
-        );
-        assert!(
-            !result.symmetry_applied,
-            "symmetry is a dedup strategy; without a seen-set it must fall back"
-        );
-        assert_eq!(result.full_states_lower_bound, result.states_visited);
     }
 
     #[test]
@@ -2381,35 +2305,6 @@ mod tests {
             both.states_visited,
             sym_only.states_visited
         );
-    }
-
-    #[test]
-    fn persistent_sets_require_dedup() {
-        // The DPOR seen-map carries the backtrack promises; without dedup
-        // the mode must fall back and report it.
-        let exec = Executor::new(vec![ToyWriter::new(0, 1), ToyWriter::new(1, 2)]);
-        let plain = explore(
-            &exec,
-            ExploreConfig {
-                dedup: false,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(2),
-        );
-        let requested = explore(
-            &exec,
-            ExploreConfig {
-                dedup: false,
-                reduction: ReductionMode::PersistentSets,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(2),
-        );
-        assert!(!requested.reduction_applied);
-        assert_eq!(requested.states_visited, plain.states_visited);
-        assert_eq!(requested.expansions, plain.expansions);
-        assert_eq!(requested.states_cut, 0);
-        assert_eq!(requested.persistent_expanded, 0);
     }
 
     #[test]

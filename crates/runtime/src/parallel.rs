@@ -83,9 +83,8 @@ const SHARDS: usize = 64;
 
 /// Configuration of a parallel bounded exploration.
 ///
-/// Compared to [`ExploreConfig`](crate::ExploreConfig) there is no `dedup`
-/// flag: the sharded seen-set *is* the shared search structure, and sound
-/// (collision-resistant) dedup is always on.
+/// Like the serial explorer, it always deduplicates: the sharded seen-set
+/// *is* the shared search structure, and its keys are collision-resistant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelExploreConfig {
     /// Worker threads; 0 means one per available CPU. The result does not
@@ -107,7 +106,7 @@ pub struct ParallelExploreConfig {
     /// The requested partial-order reduction. Never applied: this explorer
     /// always expands fully and reports
     /// [`Exploration::reduction_applied`] as `false`, the same fallback the
-    /// serial explorer takes with dedup off or beyond 64 processes. Only
+    /// serial explorer takes beyond 64 processes. Only
     /// the serial [`explore`](crate::explore) runs
     /// [`ReductionMode::PersistentSets`].
     pub reduction: ReductionMode,

@@ -1,12 +1,12 @@
 //! The `sweep` CLI: run campaigns, summarize result files, diff two runs.
 //!
 //! ```text
-//! sweep run [--spec FILE] [--name NAME] [--n 4..8] [--m 1,2] [--k 2,3]
-//!           [--params N/M/K;...] [--algorithms all|LIST] [--adversaries LIST]
-//!           [--backend scheduled|threaded[,BOTH]] [--seeds N|LIST]
-//!           [--campaign-seed S] [--workload SPEC] [--max-steps N]
-//!           [--shard I/N] [--threads N] [--out FILE] [--progress N]
-//!           [--spill on|off] [--max-resident-mb N] [--checkpoint DIR]
+//! sweep run [--spec FILE] [--KEY VALUE]... [--shard I/N] [--threads N]
+//!           [--out FILE] [--progress N] [--checkpoint DIR]
+//!     KEY: name n m k params algorithms adversaries backend seeds workload
+//!          max-steps campaign-seed mode max-states explore-threads symmetry
+//!          reduction spill max-resident-mb goals target-registers
+//!          search-depth shards batch-max clients rate duration
 //! sweep serve [--n N] [--m M] [--k K] [--shards N] [--batch-max N]
 //!             [--clients N] [--rate N] [--duration N] [--clock MODE]
 //!             [--workload SPEC] [--seed S] [--max-steps N]
@@ -17,10 +17,13 @@
 //! sweep lint [--allow FILE] ROOT...
 //! ```
 //!
-//! `run` writes JSONL to `--out` (default stdout) and prints the outcome to
-//! stderr. `summarize` exits non-zero if the file contains safety or bound
-//! violations, if an exhaustive exploration was truncated before its
-//! state space was exhausted, or if an adversary search missed its register
+//! Every campaign spec key `KEY = VALUE` is also a `sweep run` flag
+//! `--KEY VALUE`, parsed by the same code; the flags form one layer over the
+//! `--spec` file. `run` writes JSONL to `--out` (default stdout) and prints
+//! the outcome to stderr. `summarize` exits non-zero if the file contains
+//! safety or bound violations, if an exhaustive exploration was truncated
+//! before its state space was exhausted, or if an adversary search missed
+//! its register
 //! target — the CI gate. `verify` independently replays every witness in an
 //! adversary-search result file through the shared replay verifier. `diff`
 //! exits non-zero on regressions (a scenario newly unsafe, newly over its
@@ -29,13 +32,10 @@
 //! unsharded run would have written.
 
 use sa_sweep::{
-    diff, lint_source, merge_shards, parse_allowlist, parse_jsonl, run_campaign, AdversarySpec,
-    BackendSpec, CampaignMode, CampaignSpec, EngineConfig, ParamsSpec, SearchTarget, Summary,
-    WorkloadSpec,
+    diff, lint_source, merge_shards, parse_allowlist, parse_jsonl, run_campaign, CampaignSpec,
+    EngineConfig, Summary, WorkloadSpec,
 };
-use set_agreement::runtime::{
-    ReductionMode, SearchGoal, ServeClock, ServeLoad, ServeOptions, SymmetryMode, Workload,
-};
+use set_agreement::runtime::{SearchGoal, ServeClock, ServeLoad, ServeOptions, Workload};
 use set_agreement::search::{Certificate, VerifyError, Witness};
 use set_agreement::{verify_witness, Algorithm, Backend, ExecutionPlan, Executor};
 use std::process::ExitCode;
@@ -59,8 +59,9 @@ usage:
                               finding not suppressed by the `rule
                               path-suffix` allowlist
 
-run options:
-  --spec FILE          load a `key = value` campaign spec, then apply flags
+run options (every campaign spec key KEY is also a flag --KEY VALUE with
+the same parsing; the flags form one layer over the --spec file, and within
+it --params and --n/--m/--k exclude each other):
   --name NAME          campaign name embedded in records
   --n, --m, --k LIST   grid axes: `4`, `4,6`, `4..8` (inclusive)
   --params LIST        explicit cells `n/m/k;n/m/k;...` (replaces the grid)
@@ -139,8 +140,6 @@ run options:
   --workload SPEC      `distinct` (default), `uniform:V`, `random:UNIVERSE`
   --max-steps N        per-scenario step budget (default 2000000); the
                        threaded backend splits it across the n threads
-  --shard I/N          run only scenarios with index = I mod N (0 <= I < N);
-                       indices are preserved, `sweep merge` reassembles
   --shards N           serve mode: service worker threads (default 2); not
                        part of scenario identity, output is byte-identical
                        at any shard count
@@ -158,6 +157,11 @@ run options:
                        in MiB (0 = unlimited, the default). Without --spill
                        the explorer truncates at the budget; with it, frozen
                        work moves to disk and the search continues
+
+flags that are not spec keys:
+  --spec FILE          load a `key = value` campaign spec, then apply flags
+  --shard I/N          run only scenarios with index = I mod N (0 <= I < N);
+                       indices are preserved, `sweep merge` reassembles
   --checkpoint DIR     journal each completed scenario to
                        DIR/campaign.journal (synced before it reaches the
                        sink). Rerunning with the same spec, shard and DIR
@@ -204,7 +208,6 @@ fn main() -> ExitCode {
 fn cmd_run(args: &[String]) -> ExitCode {
     let mut config = EngineConfig::default();
     let mut out_path: Option<String> = None;
-    let (mut grid_n, mut grid_m, mut grid_k) = (None, None, None);
 
     // Pair up flags first so --spec can be applied before the other flags
     // regardless of where it appears on the command line ("load spec, then
@@ -233,167 +236,54 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     }
 
-    for (flag, value) in &pairs {
-        let value = *value;
-        let result: Result<(), String> = (|| {
-            match *flag {
-                "--spec" => {} // already applied above
-                "--name" => spec.name = value.to_string(),
-                "--n" => grid_n = Some(to_usizes(value)?),
-                "--m" => grid_m = Some(to_usizes(value)?),
-                "--k" => grid_k = Some(to_usizes(value)?),
-                "--params" => {
-                    spec.params = ParamsSpec::parse_explicit(value).map_err(|e| e.to_string())?;
-                }
-                "--algorithms" => {
-                    spec.algorithms =
-                        sa_sweep::parse_algorithms(value).map_err(|e| e.to_string())?;
-                }
-                "--adversaries" => {
-                    spec.adversaries = value
-                        .split(',')
-                        .map(|part| AdversarySpec::parse(part.trim()))
-                        .collect::<Result<_, _>>()
-                        .map_err(|e| e.to_string())?;
-                }
-                "--backend" => {
-                    spec.backends = value
-                        .split(',')
-                        .map(|part| BackendSpec::parse(part.trim()))
-                        .collect::<Result<_, _>>()
-                        .map_err(|e| e.to_string())?;
-                    if spec.backends.is_empty() {
-                        return Err("no backends".into());
+    // Every other `--KEY VALUE` is a spec setting, applied as one layer over
+    // the spec file by the same parser the file went through.
+    let mut settings: Vec<(&str, &str)> = Vec::new();
+    for &(flag, value) in &pairs {
+        let result: Result<(), String> = match flag.strip_prefix("--") {
+            Some("spec") => Ok(()), // already applied above
+            Some("shard") => {
+                let parsed = value.split_once('/').and_then(|(i, n)| {
+                    Some((i.trim().parse::<u64>().ok()?, n.trim().parse::<u64>().ok()?))
+                });
+                match parsed {
+                    Some((index, count)) if count > 0 && index < count => {
+                        config.shard = Some((index, count));
+                        Ok(())
                     }
+                    _ => Err(format!("bad shard {value:?} (want I/N with 0 <= I < N)")),
                 }
-                "--shard" => {
-                    let parsed = value.split_once('/').and_then(|(i, n)| {
-                        Some((i.trim().parse::<u64>().ok()?, n.trim().parse::<u64>().ok()?))
-                    });
-                    match parsed {
-                        Some((index, count)) if count > 0 && index < count => {
-                            config.shard = Some((index, count));
-                        }
-                        _ => return Err(format!("bad shard {value:?} (want I/N with 0 <= I < N)")),
-                    }
-                }
-                "--seeds" => {
-                    spec.seeds = sa_sweep::parse_seeds(value).map_err(|e| e.to_string())?;
-                }
-                "--campaign-seed" => {
-                    spec.campaign_seed =
-                        value.parse().map_err(|_| format!("bad seed {value:?}"))?;
-                }
-                "--workload" => {
-                    spec.workload = WorkloadSpec::parse(value).map_err(|e| e.to_string())?;
-                }
-                "--max-steps" => {
-                    spec.max_steps = value
-                        .parse()
-                        .map_err(|_| format!("bad step budget {value:?}"))?;
-                }
-                "--mode" => {
-                    spec.mode = CampaignMode::parse(value).map_err(|e| e.to_string())?;
-                }
-                "--max-states" => {
-                    spec.max_states = value
-                        .parse()
-                        .map_err(|_| format!("bad state budget {value:?}"))?;
-                }
-                "--explore-threads" => {
-                    spec.explore_threads = value
-                        .parse()
-                        .map_err(|_| format!("bad explorer thread count {value:?}"))?;
-                }
-                "--symmetry" => {
-                    spec.symmetry = SymmetryMode::parse(value).ok_or_else(|| {
-                        format!("bad symmetry mode {value:?} (want off or process-ids)")
-                    })?;
-                }
-                "--reduction" => {
-                    spec.reduction = ReductionMode::parse(value).ok_or_else(|| {
-                        format!("bad reduction mode {value:?} (want off or persistent-set)")
-                    })?;
-                }
-                "--spill" => {
-                    spec.spill = match value {
-                        "on" => true,
-                        "off" => false,
-                        other => return Err(format!("bad spill mode {other:?} (want on or off)")),
-                    };
-                }
-                "--max-resident-mb" => {
-                    spec.max_resident_mb = value
-                        .parse()
-                        .map_err(|_| format!("bad resident budget {value:?}"))?;
-                }
-                "--goals" => {
-                    spec.goals = value
-                        .split(',')
-                        .map(|part| {
-                            SearchGoal::parse(part).ok_or_else(|| {
-                                format!(
-                                    "unknown goal {:?} (want covering or block-write)",
-                                    part.trim()
-                                )
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if spec.goals.is_empty() {
-                        return Err("no goals".into());
-                    }
-                }
-                "--target-registers" => {
-                    spec.target = SearchTarget::parse(value).map_err(|e| e.to_string())?;
-                }
-                "--search-depth" => {
-                    spec.search_depth = parse_at_least_one(flag, value)? as u64;
-                }
-                "--checkpoint" => {
-                    config.checkpoint = Some(std::path::PathBuf::from(value));
-                }
-                "--threads" => {
-                    config.threads = value
-                        .parse()
-                        .map_err(|_| format!("bad thread count {value:?}"))?;
-                }
-                "--shards" => spec.shards = parse_at_least_one(flag, value)?,
-                "--batch-max" => spec.batch_max = parse_at_least_one(flag, value)?,
-                "--clients" => spec.clients = parse_at_least_one(flag, value)?,
-                "--rate" => spec.rate = parse_at_least_one(flag, value)? as u64,
-                "--duration" => spec.duration = parse_at_least_one(flag, value)? as u64,
-                "--out" => out_path = Some(value.to_string()),
-                "--progress" => {
-                    config.progress_every = value
-                        .parse()
-                        .map_err(|_| format!("bad progress interval {value:?}"))?;
-                }
-                other => return Err(format!("unknown flag {other:?}")),
             }
-            Ok(())
-        })();
+            Some("checkpoint") => {
+                config.checkpoint = Some(std::path::PathBuf::from(value));
+                Ok(())
+            }
+            Some("threads") => value
+                .parse()
+                .map(|threads| config.threads = threads)
+                .map_err(|_| format!("bad thread count {value:?}")),
+            Some("out") => {
+                out_path = Some(value.to_string());
+                Ok(())
+            }
+            Some("progress") => value
+                .parse()
+                .map(|every| config.progress_every = every)
+                .map_err(|_| format!("bad progress interval {value:?}")),
+            Some(key) => {
+                settings.push((key, value));
+                Ok(())
+            }
+            None => Err(format!("unknown flag {flag:?}")),
+        };
         if let Err(message) = result {
             return fail(message);
         }
     }
-
-    if grid_n.is_some() || grid_m.is_some() || grid_k.is_some() {
-        let (default_n, default_m, default_k) = match &spec.params {
-            ParamsSpec::Grid { n, m, k } => (n.clone(), m.clone(), k.clone()),
-            // Axis flags replace an explicit cell list wholesale.
-            ParamsSpec::Explicit(_) => (vec![], vec![], vec![]),
-        };
-        let n = grid_n.unwrap_or(default_n);
-        let m = grid_m.unwrap_or(default_m);
-        let k = grid_k.unwrap_or(default_k);
-        if n.is_empty() || m.is_empty() || k.is_empty() {
-            return fail("--n/--m/--k must all be given when overriding --params");
-        }
-        spec.params = ParamsSpec::Grid { n, m, k };
-    }
-    if let Err(e) = spec.validate() {
-        return fail(e);
-    }
+    let spec = match spec.apply(&settings) {
+        Ok(spec) => spec,
+        Err(e) => return fail(e),
+    };
 
     let run_to = |sink: &mut dyn std::io::Write| run_campaign(&spec, config, sink);
     let outcome = match &out_path {
@@ -656,14 +546,6 @@ fn cmd_merge(args: &[String]) -> ExitCode {
         }
         Err(e) => fail(format!("i/o error: {e}")),
     }
-}
-
-fn to_usizes(text: &str) -> Result<Vec<usize>, String> {
-    Ok(sa_sweep::parse_values(text)
-        .map_err(|e| e.to_string())?
-        .into_iter()
-        .map(|v| v as usize)
-        .collect())
 }
 
 fn load_records(path: &str) -> Result<Vec<sa_sweep::SweepRecord>, String> {

@@ -13,6 +13,7 @@
 use crate::grid::{derive_seed, expand, ExpansionStats, ScenarioSpec};
 use crate::record::SweepRecord;
 use crate::spec::{BackendSpec, CampaignMode, CampaignSpec};
+use crate::summary::CellSummary;
 use set_agreement::runtime::store::{fnv1a64, Journal, SegmentKind};
 use set_agreement::runtime::{
     ExploreConfig, ParallelExploreConfig, SearchConfig, ServeClock, ServeOptions, ThreadedConfig,
@@ -60,7 +61,8 @@ impl EngineConfig {
     }
 }
 
-/// Aggregate outcome of a campaign run.
+/// Aggregate outcome of a campaign run: the campaign totals of
+/// [`Summary`](crate::Summary), folded while the records stream out.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignOutcome {
     /// How the spec expanded.
@@ -170,7 +172,6 @@ pub fn run_scenario(campaign: &str, spec: &ScenarioSpec) -> SweepRecord {
         (CampaignMode::Explore, _) => Backend::Explore(ExploreConfig {
             max_depth: spec.max_steps,
             max_states: spec.max_states,
-            dedup: true,
             symmetry: spec.symmetry,
             reduction: spec.reduction,
             spill: spec.spill,
@@ -226,10 +227,7 @@ pub fn run_campaign(
         assert!(count > 0 && index < count, "shard index out of range");
         scenarios.retain(|s| s.index % count == index);
     }
-    let mut outcome = CampaignOutcome {
-        expansion,
-        ..CampaignOutcome::default()
-    };
+    let mut totals = CellSummary::default();
 
     // Checkpoint resume: load the journal's completed records, keyed by
     // campaign index. Workers skip completed scenarios entirely; the
@@ -323,39 +321,7 @@ pub fn run_campaign(
                 let Some((record, journaled_line)) = pending.remove(&index) else {
                     break;
                 };
-                outcome.records += 1;
-                if !record.safe() {
-                    outcome.safety_violations += 1;
-                }
-                if !record.bound_ok {
-                    outcome.bound_violations += 1;
-                }
-                if !record.progress_ok() {
-                    outcome.progress_failures += 1;
-                }
-                if record.backend == "threaded" {
-                    outcome.threaded += 1;
-                }
-                if record.backend == "serve" {
-                    outcome.served += 1;
-                }
-                if record.mode == "adversary-search" {
-                    outcome.searched += 1;
-                    if record.witness_found {
-                        outcome.witnesses_found += 1;
-                    }
-                }
-                if record.mode == "explore" {
-                    outcome.explored += 1;
-                    if record.backend == "parallel-explore" {
-                        outcome.parallel_explored += 1;
-                    }
-                    if record.verified {
-                        outcome.exhaustively_verified += 1;
-                    } else if record.safe() {
-                        outcome.unverified_explorations += 1;
-                    }
-                }
+                totals.add(&record);
                 match journaled_line {
                     Some(line) => {
                         sink.write_all(&line)?;
@@ -390,7 +356,21 @@ pub fn run_campaign(
     })?;
 
     sink.flush()?;
-    Ok(outcome)
+    Ok(CampaignOutcome {
+        expansion,
+        records: totals.runs,
+        safety_violations: totals.safety_violations,
+        bound_violations: totals.bound_violations,
+        progress_failures: totals.progress_failures,
+        explored: totals.explored,
+        exhaustively_verified: totals.verified,
+        unverified_explorations: totals.truncated_explorations,
+        threaded: totals.threaded_runs,
+        parallel_explored: totals.parallel_explored,
+        served: totals.serve_runs,
+        searched: totals.searched,
+        witnesses_found: totals.witnesses_found,
+    })
 }
 
 /// The journal tag binding a checkpoint directory to one campaign: a hash

@@ -7,6 +7,7 @@
 //! engine exploits this to produce byte-identical JSONL output at any level
 //! of parallelism.
 
+use crate::record::scenario_identity;
 use crate::spec::{
     AdversarySpec, BackendSpec, CampaignMode, CampaignSpec, Survivors, WorkloadSpec,
 };
@@ -15,7 +16,8 @@ use set_agreement::runtime::{ReductionMode, SearchGoal, ServeLoad, SymmetryMode,
 use set_agreement::{Adversary, Algorithm};
 
 /// Mixes a campaign seed and a scenario's *identity* (its
-/// [`SweepRecord::key`](crate::SweepRecord::key)-equivalent string) into an
+/// [`SweepRecord::key`](crate::SweepRecord::key) text; serve scenarios
+/// keep an older text of their own) into an
 /// independent per-scenario seed: FNV-1a over the identity, then a
 /// SplitMix64 finalizer over the campaign seed.
 ///
@@ -401,36 +403,45 @@ pub fn expand(spec: &CampaignSpec) -> (Vec<ScenarioSpec>, ExpansionStats) {
     (scenarios, stats)
 }
 
-fn sampled_scenario(
+/// The scenario every builder starts from: the identity fields, the seed
+/// derived from the scenario's identity text and the workload drawn from
+/// that seed, with every mode-specific knob off or zero. Each builder
+/// overrides only what its mode uses.
+fn base_scenario(
     spec: &CampaignSpec,
     index: u64,
     params: Params,
     algorithm: Algorithm,
-    adversary_spec: &AdversarySpec,
+    mode: CampaignMode,
+    adversary_label: String,
     seed: u64,
 ) -> ScenarioSpec {
+    let workload_label = spec.workload.label();
     // Seed from the scenario's identity, never its index: extending the
     // campaign must not reseed existing scenarios (see `derive_seed`).
-    let identity = format!(
-        "n{} m{} k{} {} x{} {} seed{} {}",
-        params.n(),
-        params.m(),
-        params.k(),
-        algorithm.label(),
-        algorithm.instances(),
-        adversary_spec.label(),
-        seed,
-        spec.workload.label()
-    );
+    let identity = if mode == CampaignMode::Serve {
+        // Service scenarios keep the identity text their seeds were first
+        // derived from.
+        format!(
+            "n{} m{} k{} repeated serve seed{seed} {workload_label}",
+            params.n(),
+            params.m(),
+            params.k()
+        )
+    } else {
+        scenario_identity(
+            [params.n(), params.m(), params.k()],
+            algorithm.label(),
+            algorithm.instances(),
+            &adversary_label,
+            seed,
+            &workload_label,
+        )
+    };
     let derived_seed = derive_seed(spec.campaign_seed, &identity);
     // Distinct sub-seeds per purpose: a random workload and a random
     // scheduler must not consume the same stream, or inputs would
     // correlate with the schedule.
-    let instantiated = instantiate_adversary(
-        adversary_spec,
-        params,
-        derive_seed(derived_seed, "adversary"),
-    );
     let workload = instantiate_workload(
         spec.workload,
         params,
@@ -441,18 +452,18 @@ fn sampled_scenario(
         index,
         params,
         algorithm,
-        mode: CampaignMode::Sample,
+        mode,
         backend: BackendSpec::Scheduled,
-        adversary_label: adversary_spec.label(),
-        adversary_spec: Some(adversary_spec.clone()),
-        adversary: Some(instantiated.adversary),
-        contention_steps: instantiated.contention_steps,
-        survivors: instantiated.survivors,
-        crashes: instantiated.crashes,
+        adversary_spec: None,
+        adversary: None,
+        adversary_label,
+        contention_steps: 0,
+        survivors: 0,
+        crashes: 0,
         seed,
         derived_seed,
         workload,
-        workload_label: spec.workload.label(),
+        workload_label,
         max_steps: spec.max_steps,
         max_states: spec.max_states,
         explore_threads: 0,
@@ -469,6 +480,38 @@ fn sampled_scenario(
         goal: SearchGoal::Covering,
         target_registers: 0,
         search_depth: 0,
+    }
+}
+
+fn sampled_scenario(
+    spec: &CampaignSpec,
+    index: u64,
+    params: Params,
+    algorithm: Algorithm,
+    adversary_spec: &AdversarySpec,
+    seed: u64,
+) -> ScenarioSpec {
+    let base = base_scenario(
+        spec,
+        index,
+        params,
+        algorithm,
+        CampaignMode::Sample,
+        adversary_spec.label(),
+        seed,
+    );
+    let instantiated = instantiate_adversary(
+        adversary_spec,
+        params,
+        derive_seed(base.derived_seed, "adversary"),
+    );
+    ScenarioSpec {
+        adversary_spec: Some(adversary_spec.clone()),
+        adversary: Some(instantiated.adversary),
+        contention_steps: instantiated.contention_steps,
+        survivors: instantiated.survivors,
+        crashes: instantiated.crashes,
+        ..base
     }
 }
 
@@ -484,55 +527,17 @@ fn threaded_scenario(
     algorithm: Algorithm,
     seed: u64,
 ) -> ScenarioSpec {
-    let identity = format!(
-        "n{} m{} k{} {} x{} hardware seed{} {}",
-        params.n(),
-        params.m(),
-        params.k(),
-        algorithm.label(),
-        algorithm.instances(),
-        seed,
-        spec.workload.label()
-    );
-    let derived_seed = derive_seed(spec.campaign_seed, &identity);
-    let workload = instantiate_workload(
-        spec.workload,
-        params,
-        algorithm.instances(),
-        derive_seed(derived_seed, "workload"),
-    );
     ScenarioSpec {
-        index,
-        params,
-        algorithm,
-        mode: CampaignMode::Sample,
         backend: BackendSpec::Threaded,
-        adversary_label: "hardware".into(),
-        adversary_spec: None,
-        adversary: None,
-        contention_steps: 0,
-        survivors: 0,
-        crashes: 0,
-        seed,
-        derived_seed,
-        workload,
-        workload_label: spec.workload.label(),
-        max_steps: spec.max_steps,
-        max_states: spec.max_states,
-        explore_threads: 0,
-        symmetry: SymmetryMode::Off,
-        reduction: ReductionMode::Off,
-        spill: false,
-        max_resident_mb: 0,
-        shards: 0,
-        batch_max: 0,
-        clients: 0,
-        rate: 0,
-        duration: 0,
-        serve_load: ServeLoad::Distinct,
-        goal: SearchGoal::Covering,
-        target_registers: 0,
-        search_depth: 0,
+        ..base_scenario(
+            spec,
+            index,
+            params,
+            algorithm,
+            CampaignMode::Sample,
+            "hardware".into(),
+            seed,
+        )
     }
 }
 
@@ -542,54 +547,21 @@ fn explore_scenario(
     params: Params,
     algorithm: Algorithm,
 ) -> ScenarioSpec {
-    let identity = format!(
-        "n{} m{} k{} {} x{} exhaustive seed0 {}",
-        params.n(),
-        params.m(),
-        params.k(),
-        algorithm.label(),
-        algorithm.instances(),
-        spec.workload.label()
-    );
-    let derived_seed = derive_seed(spec.campaign_seed, &identity);
-    let workload = instantiate_workload(
-        spec.workload,
-        params,
-        algorithm.instances(),
-        derive_seed(derived_seed, "workload"),
-    );
     ScenarioSpec {
-        index,
-        params,
-        algorithm,
-        mode: CampaignMode::Explore,
-        backend: BackendSpec::Scheduled,
-        adversary_label: "exhaustive".into(),
-        adversary_spec: None,
-        adversary: None,
-        contention_steps: 0,
-        survivors: 0,
-        crashes: 0,
-        seed: 0,
-        derived_seed,
-        workload,
-        workload_label: spec.workload.label(),
-        max_steps: spec.max_steps,
-        max_states: spec.max_states,
         explore_threads: spec.explore_threads,
         symmetry: spec.symmetry,
         reduction: spec.reduction,
         spill: spec.spill,
         max_resident_mb: spec.max_resident_mb,
-        shards: 0,
-        batch_max: 0,
-        clients: 0,
-        rate: 0,
-        duration: 0,
-        serve_load: ServeLoad::Distinct,
-        goal: SearchGoal::Covering,
-        target_registers: 0,
-        search_depth: 0,
+        ..base_scenario(
+            spec,
+            index,
+            params,
+            algorithm,
+            CampaignMode::Explore,
+            "exhaustive".into(),
+            0,
+        )
     }
 }
 
@@ -601,44 +573,7 @@ fn explore_scenario(
 /// stream. The shard count is deliberately *not* part of the identity:
 /// under the virtual clock the record is byte-identical at any shard count.
 fn serve_scenario(spec: &CampaignSpec, index: u64, params: Params, seed: u64) -> ScenarioSpec {
-    let identity = format!(
-        "n{} m{} k{} repeated serve seed{} {}",
-        params.n(),
-        params.m(),
-        params.k(),
-        seed,
-        spec.workload.label()
-    );
-    let derived_seed = derive_seed(spec.campaign_seed, &identity);
-    let workload = instantiate_workload(
-        spec.workload,
-        params,
-        1,
-        derive_seed(derived_seed, "workload"),
-    );
     ScenarioSpec {
-        index,
-        params,
-        algorithm: Algorithm::Repeated(1),
-        mode: CampaignMode::Serve,
-        backend: BackendSpec::Scheduled,
-        adversary_label: "open-loop".into(),
-        adversary_spec: None,
-        adversary: None,
-        contention_steps: 0,
-        survivors: 0,
-        crashes: 0,
-        seed,
-        derived_seed,
-        workload,
-        workload_label: spec.workload.label(),
-        max_steps: spec.max_steps,
-        max_states: spec.max_states,
-        explore_threads: 0,
-        symmetry: SymmetryMode::Off,
-        reduction: ReductionMode::Off,
-        spill: false,
-        max_resident_mb: 0,
         shards: spec.shards,
         batch_max: spec.batch_max,
         clients: spec.clients,
@@ -649,9 +584,15 @@ fn serve_scenario(spec: &CampaignSpec, index: u64, params: Params, seed: u64) ->
             WorkloadSpec::Uniform(value) => ServeLoad::Uniform(value),
             WorkloadSpec::Random { universe } => ServeLoad::Random { universe },
         },
-        goal: SearchGoal::Covering,
-        target_registers: 0,
-        search_depth: 0,
+        ..base_scenario(
+            spec,
+            index,
+            params,
+            Algorithm::Repeated(1),
+            CampaignMode::Serve,
+            "open-loop".into(),
+            seed,
+        )
     }
 }
 
@@ -671,55 +612,21 @@ fn search_scenario(
     algorithm: Algorithm,
     goal: SearchGoal,
 ) -> ScenarioSpec {
-    let identity = format!(
-        "n{} m{} k{} {} x{} adversary-search:{} seed0 {}",
-        params.n(),
-        params.m(),
-        params.k(),
-        algorithm.label(),
-        algorithm.instances(),
-        goal.label(),
-        spec.workload.label()
-    );
-    let derived_seed = derive_seed(spec.campaign_seed, &identity);
-    let workload = instantiate_workload(
-        spec.workload,
-        params,
-        algorithm.instances(),
-        derive_seed(derived_seed, "workload"),
-    );
     ScenarioSpec {
-        index,
-        params,
-        algorithm,
-        mode: CampaignMode::AdversarySearch,
-        backend: BackendSpec::Scheduled,
-        adversary_label: format!("adversary-search:{}", goal.label()),
-        adversary_spec: None,
-        adversary: None,
-        contention_steps: 0,
-        survivors: 0,
-        crashes: 0,
-        seed: 0,
-        derived_seed,
-        workload,
-        workload_label: spec.workload.label(),
-        max_steps: spec.max_steps,
-        max_states: spec.max_states,
         explore_threads: spec.explore_threads,
         symmetry: spec.symmetry,
-        reduction: ReductionMode::Off,
-        spill: false,
-        max_resident_mb: 0,
-        shards: 0,
-        batch_max: 0,
-        clients: 0,
-        rate: 0,
-        duration: 0,
-        serve_load: ServeLoad::Distinct,
         goal,
         target_registers: spec.target.for_params(&params),
         search_depth: spec.search_depth,
+        ..base_scenario(
+            spec,
+            index,
+            params,
+            algorithm,
+            CampaignMode::AdversarySearch,
+            format!("adversary-search:{}", goal.label()),
+            0,
+        )
     }
 }
 

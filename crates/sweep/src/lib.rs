@@ -52,7 +52,7 @@
 //! assert_eq!(records.len(), 4); // 2 cells x 1 algorithm x 1 adversary x 2 seeds
 //! assert!(outcome.clean());
 //! let summary = Summary::of(&records);
-//! assert_eq!(summary.safety_violations, 0);
+//! assert_eq!(summary.totals.safety_violations, 0);
 //! # Ok::<(), sa_sweep::SpecError>(())
 //! ```
 

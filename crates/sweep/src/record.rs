@@ -4,7 +4,8 @@
 //! what the sweep needs: a writer emitting one flat, field-ordered JSON
 //! object per line (field order is fixed, which is what makes campaign
 //! output byte-comparable), and a parser for those same flat objects used by
-//! `sweep summarize` and `sweep diff`.
+//! `sweep summarize` and `sweep diff`. Both are derived from one declared
+//! field walk (`field_walk!` below), so a new field is one row there.
 
 use crate::grid::ScenarioSpec;
 use set_agreement::runtime::{ReductionMode, StopReason, SymmetryMode};
@@ -13,7 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The result of one scenario, flattened for JSONL.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepRecord {
     /// Campaign name.
     pub campaign: String,
@@ -124,8 +125,8 @@ pub struct SweepRecord {
     /// Partial-order-reduction status of an exploration: `off` (not
     /// requested), `persistent-set` (requested and applied by the serial
     /// DPOR explorer) or `fallback-off` (requested, but the explorer could
-    /// not honor it — the parallel explorer, dedup off or more than 64
-    /// processes — so full expansion ran instead). Records written while
+    /// not honor it — the parallel explorer or more than 64 processes — so
+    /// full expansion ran instead). Records written while
     /// `sleep-set` reduction existed carry that label; they still parse,
     /// summarize and diff. Encoded, together with the two expansion
     /// statistics below, only when the campaign requested reduction —
@@ -213,59 +214,14 @@ impl SweepRecord {
             adversary: spec.adversary_label.clone(),
             mode: spec.mode.label().to_string(),
             backend: spec.backend_label().to_string(),
-            contention_steps: 0,
-            survivors: 0,
-            crashes: 0,
             seed: spec.seed,
             workload: spec.workload_label.clone(),
             max_steps: spec.max_steps,
-            steps: 0,
-            stop: String::new(),
-            validity_ok: false,
-            agreement_ok: false,
-            progress_required: false,
-            survivors_decided: false,
-            decisions: 0,
-            distinct_outputs_max: 0,
-            total_ops: 0,
-            locations_written: 0,
-            registers_written: 0,
-            components_written: 0,
             register_bound: spec.algorithm.register_bound(spec.params),
             component_bound: spec.algorithm.component_bound(spec.params),
-            bound_ok: false,
-            explored_states: 0,
-            explored_depth: 0,
-            verified: false,
-            frontier_peak: 0,
-            seen_entries: 0,
-            approx_bytes: 0,
             symmetry: "off".into(),
-            orbit_states: 0,
-            full_states_lower_bound: 0,
             reduction: "off".into(),
-            expansions: 0,
-            sleep_pruned: 0,
-            persistent_expanded: 0,
-            states_cut: 0,
-            wall_us: 0,
-            steps_per_sec: 0,
-            proposals: 0,
-            batches: 0,
-            p50_us: 0,
-            p90_us: 0,
-            p99_us: 0,
-            p999_us: 0,
-            ops_per_sec: 0,
-            decided_fingerprint: 0,
-            goal: String::new(),
-            target_registers: 0,
-            witness_found: false,
-            witness_depth: 0,
-            registers_covered: 0,
-            witness_registers: 0,
-            witness_schedule: String::new(),
-            witness_fingerprint: 0,
+            ..SweepRecord::default()
         }
     }
 
@@ -507,295 +463,224 @@ impl SweepRecord {
     /// The identity of this record for cross-file comparison: everything
     /// that names the scenario, nothing that measures it.
     pub fn key(&self) -> String {
-        format!(
-            "n{} m{} k{} {} x{} {} seed{} {}",
-            self.n,
-            self.m,
-            self.k,
-            self.algorithm,
+        scenario_identity(
+            [self.n, self.m, self.k],
+            &self.algorithm,
             self.instances,
-            self.adversary,
+            &self.adversary,
             self.seed,
-            self.workload
+            &self.workload,
         )
     }
+}
 
-    /// Encodes the record as one JSON line (no trailing newline). Field
-    /// order is fixed, so equal records encode to equal bytes.
-    ///
-    /// Backend-specific fields are encoded only where they carry
-    /// information: `backend`, `wall_us` and `steps_per_sec` appear on
-    /// threaded and serve records, `explored_depth` on explore-mode and
-    /// adversary-search records, the service measurements (`proposals`
-    /// through `decided_fingerprint`) on serve records, and the witness
-    /// fields (`goal` through `witness_fingerprint`) on adversary-search
-    /// records. Scheduled sampled output is therefore byte-identical to
-    /// what pre-backend releases emitted.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push('{');
-        let mut first = true;
-        let mut field = |out: &mut String, key: &str, value: &str| {
-            if !first {
-                out.push(',');
+/// The identity text of a scenario: its cell, algorithm, schedule source,
+/// seed and workload. [`SweepRecord::key`] matches records across files by
+/// it, and [`expand`](crate::expand) derives each scenario's seed from it.
+pub(crate) fn scenario_identity(
+    [n, m, k]: [usize; 3],
+    algorithm: &str,
+    instances: usize,
+    adversary: &str,
+    seed: u64,
+    workload: &str,
+) -> String {
+    format!("n{n} m{m} k{k} {algorithm} x{instances} {adversary} seed{seed} {workload}")
+}
+
+/// Declares the record's one ordered field walk and derives from it
+/// [`SweepRecord::to_json`] (the encoder) and [`SweepRecord::parse`] (the
+/// decoder). Each row names a field, the condition under which the
+/// encoder writes it, and what the decoder assumes when a line omits it.
+macro_rules! field_walk {
+    ($($field:ident if $shown:ident else $absent:tt;)*) => {
+        impl SweepRecord {
+            /// Encodes the record as one JSON line (no trailing newline).
+            /// Field order is fixed, so equal records encode to equal bytes.
+            /// Mode- and backend-specific fields are written only on the
+            /// records that measure them, which keeps the output of older
+            /// modes byte-identical to the releases before each addition.
+            pub fn to_json(&self) -> String {
+                let mut out = String::with_capacity(512);
+                $(if $shown(self) {
+                    out.push(if out.is_empty() { '{' } else { ',' });
+                    out.push_str(concat!("\"", stringify!($field), "\":"));
+                    self.$field.write(&mut out);
+                })*
+                out.push('}');
+                out
             }
-            first = false;
-            let _ = write!(out, "\"{key}\":{value}");
-        };
-        field(&mut out, "campaign", &json_string(&self.campaign));
-        field(&mut out, "scenario", &self.scenario.to_string());
-        field(&mut out, "n", &self.n.to_string());
-        field(&mut out, "m", &self.m.to_string());
-        field(&mut out, "k", &self.k.to_string());
-        field(&mut out, "algorithm", &json_string(&self.algorithm));
-        field(&mut out, "instances", &self.instances.to_string());
-        field(&mut out, "adversary", &json_string(&self.adversary));
-        field(&mut out, "mode", &json_string(&self.mode));
-        if self.backend == "threaded"
-            || self.backend == "parallel-explore"
-            || self.backend == "serve"
-        {
-            field(&mut out, "backend", &json_string(&self.backend));
-        }
-        field(
-            &mut out,
-            "contention_steps",
-            &self.contention_steps.to_string(),
-        );
-        field(&mut out, "survivors", &self.survivors.to_string());
-        field(&mut out, "crashes", &self.crashes.to_string());
-        field(&mut out, "seed", &self.seed.to_string());
-        field(&mut out, "workload", &json_string(&self.workload));
-        field(&mut out, "max_steps", &self.max_steps.to_string());
-        field(&mut out, "steps", &self.steps.to_string());
-        field(&mut out, "stop", &json_string(&self.stop));
-        field(&mut out, "validity_ok", bool_str(self.validity_ok));
-        field(&mut out, "agreement_ok", bool_str(self.agreement_ok));
-        field(
-            &mut out,
-            "progress_required",
-            bool_str(self.progress_required),
-        );
-        field(
-            &mut out,
-            "survivors_decided",
-            bool_str(self.survivors_decided),
-        );
-        field(&mut out, "decisions", &self.decisions.to_string());
-        field(
-            &mut out,
-            "distinct_outputs_max",
-            &self.distinct_outputs_max.to_string(),
-        );
-        field(&mut out, "total_ops", &self.total_ops.to_string());
-        field(
-            &mut out,
-            "locations_written",
-            &self.locations_written.to_string(),
-        );
-        field(
-            &mut out,
-            "registers_written",
-            &self.registers_written.to_string(),
-        );
-        field(
-            &mut out,
-            "components_written",
-            &self.components_written.to_string(),
-        );
-        field(&mut out, "register_bound", &self.register_bound.to_string());
-        field(
-            &mut out,
-            "component_bound",
-            &self.component_bound.to_string(),
-        );
-        field(&mut out, "bound_ok", bool_str(self.bound_ok));
-        field(
-            &mut out,
-            "explored_states",
-            &self.explored_states.to_string(),
-        );
-        if self.mode == "explore" || self.mode == "adversary-search" {
-            field(&mut out, "explored_depth", &self.explored_depth.to_string());
-        }
-        if self.backend == "parallel-explore" {
-            field(&mut out, "frontier_peak", &self.frontier_peak.to_string());
-            field(&mut out, "seen_entries", &self.seen_entries.to_string());
-            field(&mut out, "approx_bytes", &self.approx_bytes.to_string());
-        }
-        if self.symmetry != "off" {
-            field(&mut out, "symmetry", &json_string(&self.symmetry));
-            field(&mut out, "orbit_states", &self.orbit_states.to_string());
-            field(
-                &mut out,
-                "full_states_lower_bound",
-                &self.full_states_lower_bound.to_string(),
-            );
-        }
-        if self.reduction != "off" {
-            field(&mut out, "reduction", &json_string(&self.reduction));
-            field(&mut out, "expansions", &self.expansions.to_string());
-            field(&mut out, "sleep_pruned", &self.sleep_pruned.to_string());
-        }
-        // Emitted only when the persistent-set search actually ran, so
-        // fallback records (and old sleep-set ones) stay byte-identical to
-        // earlier releases.
-        if self.reduction == "persistent-set" {
-            field(
-                &mut out,
-                "persistent_expanded",
-                &self.persistent_expanded.to_string(),
-            );
-            field(&mut out, "states_cut", &self.states_cut.to_string());
-        }
-        field(&mut out, "verified", bool_str(self.verified));
-        if self.mode == "adversary-search" {
-            field(&mut out, "goal", &json_string(&self.goal));
-            field(
-                &mut out,
-                "target_registers",
-                &self.target_registers.to_string(),
-            );
-            field(&mut out, "witness_found", bool_str(self.witness_found));
-            field(&mut out, "witness_depth", &self.witness_depth.to_string());
-            field(
-                &mut out,
-                "registers_covered",
-                &self.registers_covered.to_string(),
-            );
-            field(
-                &mut out,
-                "witness_registers",
-                &self.witness_registers.to_string(),
-            );
-            field(
-                &mut out,
-                "witness_schedule",
-                &json_string(&self.witness_schedule),
-            );
-            field(
-                &mut out,
-                "witness_fingerprint",
-                &self.witness_fingerprint.to_string(),
-            );
-        }
-        if self.backend == "threaded" || self.backend == "serve" {
-            field(&mut out, "wall_us", &self.wall_us.to_string());
-            field(&mut out, "steps_per_sec", &self.steps_per_sec.to_string());
-        }
-        if self.backend == "serve" {
-            field(&mut out, "proposals", &self.proposals.to_string());
-            field(&mut out, "batches", &self.batches.to_string());
-            field(&mut out, "p50_us", &self.p50_us.to_string());
-            field(&mut out, "p90_us", &self.p90_us.to_string());
-            field(&mut out, "p99_us", &self.p99_us.to_string());
-            field(&mut out, "p999_us", &self.p999_us.to_string());
-            field(&mut out, "ops_per_sec", &self.ops_per_sec.to_string());
-            field(
-                &mut out,
-                "decided_fingerprint",
-                &self.decided_fingerprint.to_string(),
-            );
-        }
-        out.push('}');
-        out
-    }
 
-    /// Decodes one JSON line produced by [`SweepRecord::to_json`].
-    ///
-    /// The fields introduced after the first release (`mode`, `crashes`,
-    /// `explored_states`, `verified`, the backend fields `backend`,
-    /// `explored_depth`, `wall_us`, `steps_per_sec`, and the
-    /// adversary-search witness fields) default to their crash-free
-    /// scheduled values when absent, so result files written by older
-    /// versions remain summarizable and diffable.
-    pub fn parse(line: &str) -> Result<Self, ParseError> {
-        let fields = parse_flat_object(line)?;
-        let mode = fields.string_or("mode", "sample")?;
-        // Absent backend is implied by the mode: explore-mode records run
-        // on the explorer, serve-mode records on the service, everything
-        // else on the simulator.
-        let default_backend = match mode.as_str() {
-            "explore" => "explore",
-            "serve" => "serve",
-            "adversary-search" => "adversary-search",
+            /// Decodes one JSON line produced by [`SweepRecord::to_json`].
+            /// Every field that is present is read, whatever its encode
+            /// condition. The fields of the first release are required; a
+            /// later field that is absent takes its crash-free, scheduled
+            /// default, so result files written by older versions remain
+            /// summarizable and diffable.
+            pub fn parse(line: &str) -> Result<Self, ParseError> {
+                let fields = parse_flat_object(line)?;
+                let mut record = SweepRecord::default();
+                $(record.$field = match fields.get(stringify!($field)) {
+                    Some(value) => FlatValue::read(stringify!($field), value)?,
+                    None => absent!(record, $field, $absent),
+                };)*
+                Ok(record)
+            }
+        }
+    };
+}
+
+/// The decoder's value for one absent field: `required` rejects the line,
+/// `zero` is 0, `false` or empty, `implied` is the backend the record's
+/// mode implies, and a literal is the default string.
+macro_rules! absent {
+    ($record:ident, $field:ident, required) => {
+        return Err(ParseError(format!(
+            "missing field {:?}",
+            stringify!($field)
+        )))
+    };
+    ($record:ident, $field:ident, zero) => {
+        Default::default()
+    };
+    ($record:ident, $field:ident, implied) => {
+        // Explore, serve and search records name their backend by their
+        // mode; everything else ran on the simulator.
+        match $record.mode.as_str() {
+            mode @ ("explore" | "serve" | "adversary-search") => mode,
             _ => "scheduled",
-        };
-        let record = SweepRecord {
-            campaign: fields.string("campaign")?,
-            scenario: fields.u64("scenario")?,
-            n: fields.u64("n")? as usize,
-            m: fields.u64("m")? as usize,
-            k: fields.u64("k")? as usize,
-            algorithm: fields.string("algorithm")?,
-            instances: fields.u64("instances")? as usize,
-            adversary: fields.string("adversary")?,
-            backend: fields.string_or("backend", default_backend)?,
-            mode,
-            contention_steps: fields.u64("contention_steps")?,
-            survivors: fields.u64("survivors")? as usize,
-            crashes: fields.u64_or("crashes", 0)? as usize,
-            seed: fields.u64("seed")?,
-            workload: fields.string("workload")?,
-            max_steps: fields.u64("max_steps")?,
-            steps: fields.u64("steps")?,
-            stop: fields.string("stop")?,
-            validity_ok: fields.bool("validity_ok")?,
-            agreement_ok: fields.bool("agreement_ok")?,
-            progress_required: fields.bool("progress_required")?,
-            survivors_decided: fields.bool("survivors_decided")?,
-            decisions: fields.u64("decisions")?,
-            distinct_outputs_max: fields.u64("distinct_outputs_max")? as usize,
-            total_ops: fields.u64("total_ops")?,
-            locations_written: fields.u64("locations_written")? as usize,
-            registers_written: fields.u64("registers_written")? as usize,
-            components_written: fields.u64("components_written")? as usize,
-            register_bound: fields.u64("register_bound")? as usize,
-            component_bound: fields.u64("component_bound")? as usize,
-            bound_ok: fields.bool("bound_ok")?,
-            explored_states: fields.u64_or("explored_states", 0)?,
-            explored_depth: fields.u64_or("explored_depth", 0)?,
-            verified: fields.bool_or("verified", false)?,
-            frontier_peak: fields.u64_or("frontier_peak", 0)?,
-            seen_entries: fields.u64_or("seen_entries", 0)?,
-            approx_bytes: fields.u64_or("approx_bytes", 0)?,
-            symmetry: fields.string_or("symmetry", "off")?,
-            orbit_states: fields.u64_or("orbit_states", 0)?,
-            full_states_lower_bound: fields.u64_or("full_states_lower_bound", 0)?,
-            reduction: fields.string_or("reduction", "off")?,
-            expansions: fields.u64_or("expansions", 0)?,
-            sleep_pruned: fields.u64_or("sleep_pruned", 0)?,
-            persistent_expanded: fields.u64_or("persistent_expanded", 0)?,
-            states_cut: fields.u64_or("states_cut", 0)?,
-            wall_us: fields.u64_or("wall_us", 0)?,
-            steps_per_sec: fields.u64_or("steps_per_sec", 0)?,
-            proposals: fields.u64_or("proposals", 0)?,
-            batches: fields.u64_or("batches", 0)?,
-            p50_us: fields.u64_or("p50_us", 0)?,
-            p90_us: fields.u64_or("p90_us", 0)?,
-            p99_us: fields.u64_or("p99_us", 0)?,
-            p999_us: fields.u64_or("p999_us", 0)?,
-            ops_per_sec: fields.u64_or("ops_per_sec", 0)?,
-            decided_fingerprint: fields.u64_or("decided_fingerprint", 0)?,
-            goal: fields.string_or("goal", "")?,
-            target_registers: fields.u64_or("target_registers", 0)? as usize,
-            witness_found: fields.bool_or("witness_found", false)?,
-            witness_depth: fields.u64_or("witness_depth", 0)?,
-            registers_covered: fields.u64_or("registers_covered", 0)? as usize,
-            witness_registers: fields.u64_or("witness_registers", 0)? as usize,
-            witness_schedule: fields.string_or("witness_schedule", "")?,
-            witness_fingerprint: fields.u64_or("witness_fingerprint", 0)?,
-        };
-        Ok(record)
-    }
+        }
+        .to_string()
+    };
+    ($record:ident, $field:ident, $default:literal) => {
+        $default.to_string()
+    };
+}
+
+field_walk! {
+    campaign if always else required;
+    scenario if always else required;
+    n if always else required;
+    m if always else required;
+    k if always else required;
+    algorithm if always else required;
+    instances if always else required;
+    adversary if always else required;
+    mode if always else "sample";
+    backend if names_backend else implied;
+    contention_steps if always else required;
+    survivors if always else required;
+    crashes if always else zero;
+    seed if always else required;
+    workload if always else required;
+    max_steps if always else required;
+    steps if always else required;
+    stop if always else required;
+    validity_ok if always else required;
+    agreement_ok if always else required;
+    progress_required if always else required;
+    survivors_decided if always else required;
+    decisions if always else required;
+    distinct_outputs_max if always else required;
+    total_ops if always else required;
+    locations_written if always else required;
+    registers_written if always else required;
+    components_written if always else required;
+    register_bound if always else required;
+    component_bound if always else required;
+    bound_ok if always else required;
+    explored_states if always else zero;
+    explored_depth if explores else zero;
+    frontier_peak if parallel else zero;
+    seen_entries if parallel else zero;
+    approx_bytes if parallel else zero;
+    symmetry if symmetry_requested else "off";
+    orbit_states if symmetry_requested else zero;
+    full_states_lower_bound if symmetry_requested else zero;
+    reduction if reduction_requested else "off";
+    expansions if reduction_requested else zero;
+    sleep_pruned if reduction_requested else zero;
+    persistent_expanded if persistent else zero;
+    states_cut if persistent else zero;
+    verified if always else zero;
+    goal if searches else zero;
+    target_registers if searches else zero;
+    witness_found if searches else zero;
+    witness_depth if searches else zero;
+    registers_covered if searches else zero;
+    witness_registers if searches else zero;
+    witness_schedule if searches else zero;
+    witness_fingerprint if searches else zero;
+    wall_us if timed else zero;
+    steps_per_sec if timed else zero;
+    proposals if serves else zero;
+    batches if serves else zero;
+    p50_us if serves else zero;
+    p90_us if serves else zero;
+    p99_us if serves else zero;
+    p999_us if serves else zero;
+    ops_per_sec if serves else zero;
+    decided_fingerprint if serves else zero;
+}
+
+// The encode conditions of the walk.
+
+fn always(_: &SweepRecord) -> bool {
+    true
+}
+
+/// The backend is written where the mode does not imply it.
+fn names_backend(r: &SweepRecord) -> bool {
+    matches!(
+        r.backend.as_str(),
+        "threaded" | "parallel-explore" | "serve"
+    )
+}
+
+fn explores(r: &SweepRecord) -> bool {
+    matches!(r.mode.as_str(), "explore" | "adversary-search")
+}
+
+/// Memory statistics are deterministic at any worker count only on the
+/// parallel explorer.
+fn parallel(r: &SweepRecord) -> bool {
+    r.backend == "parallel-explore"
+}
+
+fn symmetry_requested(r: &SweepRecord) -> bool {
+    r.symmetry != "off"
+}
+
+fn reduction_requested(r: &SweepRecord) -> bool {
+    r.reduction != "off"
+}
+
+/// Only an applied persistent-set search writes its two counters, so
+/// fallback records (and old sleep-set ones) keep their earlier bytes.
+fn persistent(r: &SweepRecord) -> bool {
+    r.reduction == "persistent-set"
+}
+
+fn searches(r: &SweepRecord) -> bool {
+    r.mode == "adversary-search"
+}
+
+/// Wall-clock fields make no byte-determinism claim, so only threaded and
+/// serve records carry them.
+fn timed(r: &SweepRecord) -> bool {
+    r.backend == "threaded" || r.backend == "serve"
+}
+
+fn serves(r: &SweepRecord) -> bool {
+    r.backend == "serve"
 }
 
 /// The record label of a requested reduction: `off` when not requested,
 /// `label` when the engine applied it, and `fallback-off` when the engine
 /// could not honor the request and ran unreduced instead rather than prune
 /// unsoundly (automata that cannot establish the symmetry; for
-/// partial-order reduction, the parallel explorer, dedup off or more than
-/// 64 processes).
+/// partial-order reduction, the parallel explorer or more than 64
+/// processes).
 fn status_label(requested: bool, applied: bool, label: &str) -> String {
     match (requested, applied) {
         (false, _) => "off",
@@ -805,32 +690,78 @@ fn status_label(requested: bool, applied: bool, label: &str) -> String {
     .to_string()
 }
 
-fn bool_str(b: bool) -> &'static str {
-    if b {
-        "true"
-    } else {
-        "false"
+/// A field type of the flat JSON object: how the encoder writes it and
+/// how the decoder reads it back.
+trait FlatValue: Sized {
+    fn write(&self, out: &mut String);
+    fn read(key: &str, value: &JsonValue) -> Result<Self, ParseError>;
+}
+
+fn mistyped(key: &str, kind: &str, value: &JsonValue) -> ParseError {
+    ParseError(format!("field {key:?} is not a {kind}: {value:?}"))
+}
+
+impl FlatValue for String {
+    fn write(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    fn read(key: &str, value: &JsonValue) -> Result<Self, ParseError> {
+        match value {
+            JsonValue::String(s) => Ok(s.clone()),
+            other => Err(mistyped(key, "string", other)),
+        }
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+impl FlatValue for u64 {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read(key: &str, value: &JsonValue) -> Result<Self, ParseError> {
+        match value {
+            JsonValue::Number(n) => Ok(*n),
+            other => Err(mistyped(key, "number", other)),
         }
     }
-    out.push('"');
-    out
+}
+
+impl FlatValue for usize {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read(key: &str, value: &JsonValue) -> Result<Self, ParseError> {
+        u64::read(key, value).map(|n| n as usize)
+    }
+}
+
+impl FlatValue for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn read(key: &str, value: &JsonValue) -> Result<Self, ParseError> {
+        match value {
+            JsonValue::Bool(b) => Ok(*b),
+            other => Err(mistyped(key, "bool", other)),
+        }
+    }
 }
 
 /// Error from [`SweepRecord::parse`].
@@ -852,77 +783,13 @@ enum JsonValue {
     Bool(bool),
 }
 
-#[derive(Debug, Default)]
-struct Fields(BTreeMap<String, JsonValue>);
-
-impl Fields {
-    fn get(&self, key: &str) -> Result<&JsonValue, ParseError> {
-        self.0
-            .get(key)
-            .ok_or_else(|| ParseError(format!("missing field {key:?}")))
-    }
-
-    fn string(&self, key: &str) -> Result<String, ParseError> {
-        match self.get(key)? {
-            JsonValue::String(s) => Ok(s.clone()),
-            other => Err(ParseError(format!(
-                "field {key:?} is not a string: {other:?}"
-            ))),
-        }
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, ParseError> {
-        match self.get(key)? {
-            JsonValue::Number(n) => Ok(*n),
-            other => Err(ParseError(format!(
-                "field {key:?} is not a number: {other:?}"
-            ))),
-        }
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, ParseError> {
-        match self.get(key)? {
-            JsonValue::Bool(b) => Ok(*b),
-            other => Err(ParseError(format!(
-                "field {key:?} is not a bool: {other:?}"
-            ))),
-        }
-    }
-
-    // `_or` variants for fields added after the first release: absent means
-    // the default (old files stay readable), present-but-mistyped is still
-    // an error.
-
-    fn string_or(&self, key: &str, default: &str) -> Result<String, ParseError> {
-        if self.0.contains_key(key) {
-            self.string(key)
-        } else {
-            Ok(default.to_string())
-        }
-    }
-
-    fn u64_or(&self, key: &str, default: u64) -> Result<u64, ParseError> {
-        if self.0.contains_key(key) {
-            self.u64(key)
-        } else {
-            Ok(default)
-        }
-    }
-
-    fn bool_or(&self, key: &str, default: bool) -> Result<bool, ParseError> {
-        if self.0.contains_key(key) {
-            self.bool(key)
-        } else {
-            Ok(default)
-        }
-    }
-}
-
 /// Parses a single-line flat JSON object with string, non-negative-integer
 /// and boolean values — exactly the shape [`SweepRecord::to_json`] emits.
-fn parse_flat_object(line: &str) -> Result<Fields, ParseError> {
+/// A key given twice is an error: keeping either value would silently
+/// summarize a measurement the line does not unambiguously state.
+fn parse_flat_object(line: &str) -> Result<BTreeMap<String, JsonValue>, ParseError> {
     let mut chars = line.trim().chars().peekable();
-    let mut fields = Fields::default();
+    let mut fields = BTreeMap::new();
     if chars.next() != Some('{') {
         return Err(ParseError("expected '{'".into()));
     }
@@ -964,7 +831,10 @@ fn parse_flat_object(line: &str) -> Result<Fields, ParseError> {
             }
             other => return Err(ParseError(format!("unexpected value start {other:?}"))),
         };
-        fields.0.insert(key, value);
+        if fields.contains_key(&key) {
+            return Err(ParseError(format!("duplicate field {key:?}")));
+        }
+        fields.insert(key, value);
         skip_ws(&mut chars);
         match chars.next() {
             Some(',') => continue,
@@ -1484,6 +1354,20 @@ mod tests {
         ] {
             assert!(SweepRecord::parse(bad).is_err(), "{bad:?} parsed");
         }
+    }
+
+    #[test]
+    fn duplicate_fields_are_rejected_by_name() {
+        // Keeping either value would summarize a step count the line does
+        // not unambiguously state.
+        let line = sample()
+            .to_json()
+            .replace("\"steps\":812", "\"steps\":0,\"steps\":7");
+        let error = SweepRecord::parse(&line).expect_err("a field given twice is ambiguous");
+        assert!(error.0.contains("duplicate field \"steps\""), "{error}");
+        // `sweep summarize` and checkpoint replay read through parse_jsonl.
+        let error = parse_jsonl(&format!("{}\n{line}\n", sample().to_json())).unwrap_err();
+        assert!(error.0.contains("line 2: duplicate field"), "{error}");
     }
 
     #[test]

@@ -668,65 +668,57 @@ impl CampaignSpec {
     /// `mode = serve` service keys `shards`, `batch-max`, `clients`,
     /// `rate` and `duration` (all at least 1).
     pub fn parse(text: &str) -> Result<Self, SpecError> {
-        let mut spec = CampaignSpec::default();
-        let (mut grid_n, mut grid_m, mut grid_k) = (None, None, None);
-        let mut explicit = None;
-        for (lineno, raw) in text.lines().enumerate() {
+        CampaignSpec::default().layer(text.lines().enumerate().filter_map(|(lineno, raw)| {
             let line = raw.split('#').next().unwrap_or_default().trim();
             if line.is_empty() {
-                continue;
+                return None;
             }
-            let Some((key, value)) = line.split_once('=') else {
-                return err(format!("line {}: expected `key = value`", lineno + 1));
-            };
-            let (key, value) = (key.trim(), value.trim());
+            Some(match line.split_once('=') {
+                Some((key, value)) => Ok((key.trim(), value.trim())),
+                None => err(format!("line {}: expected `key = value`", lineno + 1)),
+            })
+        }))
+    }
+
+    /// Applies one layer of `key = value` settings over this spec, in
+    /// order, and checks the result. A spec file is one layer over the
+    /// defaults ([`parse`](Self::parse)); `sweep run`'s `--KEY VALUE` flags
+    /// are a second layer over the file, so flags and spec keys share one
+    /// parser and its messages. A key set twice keeps its last value. Within
+    /// one layer `params` and `n`/`m`/`k` exclude each other; axes the layer
+    /// does not set keep this spec's grid, and replacing an explicit cell
+    /// list takes all three.
+    pub fn apply(self, settings: &[(&str, &str)]) -> Result<Self, SpecError> {
+        self.layer(settings.iter().map(|&setting| Ok(setting)))
+    }
+
+    /// [`apply`](Self::apply) over settings that may themselves be
+    /// malformed: the first error, of a setting or of its value, wins.
+    fn layer<'a>(
+        self,
+        settings: impl Iterator<Item = Result<(&'a str, &'a str), SpecError>>,
+    ) -> Result<Self, SpecError> {
+        let mut spec = self;
+        let mut axes: [Option<Vec<usize>>; 3] = [None, None, None];
+        let mut explicit = None;
+        for setting in settings {
+            let (key, value) = setting?;
             match key {
                 "name" => spec.name = value.to_string(),
-                "n" => grid_n = Some(parse_usizes(value)?),
-                "m" => grid_m = Some(parse_usizes(value)?),
-                "k" => grid_k = Some(parse_usizes(value)?),
-                "params" => {
-                    let ParamsSpec::Explicit(cells) = ParamsSpec::parse_explicit(value)? else {
-                        unreachable!("parse_explicit returns Explicit");
-                    };
-                    explicit = Some(cells);
-                }
+                "n" => axes[0] = Some(parse_usizes(value)?),
+                "m" => axes[1] = Some(parse_usizes(value)?),
+                "k" => axes[2] = Some(parse_usizes(value)?),
+                "params" => explicit = Some(ParamsSpec::parse_explicit(value)?),
                 "algorithms" => spec.algorithms = parse_algorithms(value)?,
-                "adversaries" => {
-                    spec.adversaries = value
-                        .split(',')
-                        .map(|part| AdversarySpec::parse(part.trim()))
-                        .collect::<Result<_, _>>()?;
-                }
-                "backend" => {
-                    spec.backends = value
-                        .split(',')
-                        .map(|part| BackendSpec::parse(part.trim()))
-                        .collect::<Result<_, _>>()?;
-                }
+                "adversaries" => spec.adversaries = parse_list(value, AdversarySpec::parse)?,
+                "backend" => spec.backends = parse_list(value, BackendSpec::parse)?,
                 "seeds" => spec.seeds = parse_seeds(value)?,
                 "workload" => spec.workload = WorkloadSpec::parse(value)?,
-                "max-steps" => {
-                    spec.max_steps = value
-                        .parse()
-                        .map_err(|_| SpecError(format!("bad max-steps {value:?}")))?;
-                }
-                "campaign-seed" => {
-                    spec.campaign_seed = value
-                        .parse()
-                        .map_err(|_| SpecError(format!("bad campaign-seed {value:?}")))?;
-                }
+                "max-steps" => spec.max_steps = parse_number(key, value)?,
+                "campaign-seed" => spec.campaign_seed = parse_number(key, value)?,
                 "mode" => spec.mode = CampaignMode::parse(value)?,
-                "max-states" => {
-                    spec.max_states = value
-                        .parse()
-                        .map_err(|_| SpecError(format!("bad max-states {value:?}")))?;
-                }
-                "explore-threads" => {
-                    spec.explore_threads = value
-                        .parse()
-                        .map_err(|_| SpecError(format!("bad explore-threads {value:?}")))?;
-                }
+                "max-states" => spec.max_states = parse_number(key, value)?,
+                "explore-threads" => spec.explore_threads = parse_number(key, value)?,
                 "symmetry" => {
                     spec.symmetry = SymmetryMode::parse(value).ok_or_else(|| {
                         SpecError(format!(
@@ -748,23 +740,15 @@ impl CampaignSpec {
                         _ => return err(format!("unknown spill {value:?} (want on or off)")),
                     };
                 }
-                "max-resident-mb" => {
-                    spec.max_resident_mb = value
-                        .parse()
-                        .map_err(|_| SpecError(format!("bad max-resident-mb {value:?}")))?;
-                }
+                "max-resident-mb" => spec.max_resident_mb = parse_number(key, value)?,
                 "goals" => {
-                    spec.goals = value
-                        .split(',')
-                        .map(|part| {
-                            SearchGoal::parse(part).ok_or_else(|| {
-                                SpecError(format!(
-                                    "unknown goal {:?} (want covering or block-write)",
-                                    part.trim()
-                                ))
-                            })
+                    spec.goals = parse_list(value, |part| {
+                        SearchGoal::parse(part).ok_or_else(|| {
+                            SpecError(format!(
+                                "unknown goal {part:?} (want covering or block-write)"
+                            ))
                         })
-                        .collect::<Result<_, _>>()?;
+                    })?;
                 }
                 "target-registers" => spec.target = SearchTarget::parse(value)?,
                 "search-depth" => spec.search_depth = parse_positive(key, value)? as u64,
@@ -777,18 +761,26 @@ impl CampaignSpec {
             }
         }
         if let Some(cells) = explicit {
-            if grid_n.is_some() || grid_m.is_some() || grid_k.is_some() {
+            if axes.iter().any(Option::is_some) {
                 return err("`params` and `n`/`m`/`k` are mutually exclusive");
             }
-            spec.params = ParamsSpec::Explicit(cells);
-        } else if grid_n.is_some() || grid_m.is_some() || grid_k.is_some() {
-            let ParamsSpec::Grid { n, m, k } = &spec.params else {
-                unreachable!("default spec uses a grid");
-            };
-            spec.params = ParamsSpec::Grid {
-                n: grid_n.unwrap_or_else(|| n.clone()),
-                m: grid_m.unwrap_or_else(|| m.clone()),
-                k: grid_k.unwrap_or_else(|| k.clone()),
+            spec.params = cells;
+        } else if axes.iter().any(Option::is_some) {
+            let [n, m, k] = axes;
+            spec.params = match &spec.params {
+                ParamsSpec::Grid {
+                    n: base_n,
+                    m: base_m,
+                    k: base_k,
+                } => ParamsSpec::Grid {
+                    n: n.unwrap_or_else(|| base_n.clone()),
+                    m: m.unwrap_or_else(|| base_m.clone()),
+                    k: k.unwrap_or_else(|| base_k.clone()),
+                },
+                ParamsSpec::Explicit(_) => match (n, m, k) {
+                    (Some(n), Some(m), Some(k)) => ParamsSpec::Grid { n, m, k },
+                    _ => return err("`n`, `m` and `k` must all be set to replace `params`"),
+                },
             };
         }
         if spec.algorithms.is_empty() {
@@ -813,9 +805,9 @@ impl CampaignSpec {
     /// Rejects a reduction no scenario of the campaign could apply:
     /// `reduction = persistent-set` is the serial explorer's alone, so it
     /// fails with `explore-threads ≥ 1` in explore mode and in adversary
-    /// search. [`parse`](Self::parse) runs this check, and `sweep run` runs
-    /// it again after applying its flags, so spec files and command-line
-    /// overrides fail the same way, before any scenario runs.
+    /// search. [`apply`](Self::apply) runs this check after every layer, so
+    /// spec files and command-line overrides fail the same way, before any
+    /// scenario runs.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.reduction == ReductionMode::Off {
             return Ok(());
@@ -834,6 +826,21 @@ impl CampaignSpec {
             _ => Ok(()),
         }
     }
+}
+
+/// Parses a comma list, trimming each entry.
+fn parse_list<T>(
+    value: &str,
+    parse: impl Fn(&str) -> Result<T, SpecError>,
+) -> Result<Vec<T>, SpecError> {
+    value.split(',').map(|part| parse(part.trim())).collect()
+}
+
+/// Parses a non-negative integer setting.
+fn parse_number<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, SpecError> {
+    value
+        .parse()
+        .map_err(|_| SpecError(format!("bad {key} {value:?}")))
 }
 
 /// Parses a strictly positive integer (the serve keys reject 0: a service
@@ -1316,6 +1323,41 @@ reduction = persistent-set",
 
         assert!(CampaignSpec::parse("bogus = 1").is_err());
         assert!(CampaignSpec::parse("name").is_err());
+    }
+
+    #[test]
+    fn layers_replace_params_and_keep_unset_axes() {
+        let file = CampaignSpec::parse("params = 3/1/2\nmode = explore").unwrap();
+        // A later layer's axes replace the file's explicit cells wholesale...
+        let grid = file
+            .clone()
+            .apply(&[("n", "4"), ("m", "1"), ("k", "2")])
+            .unwrap();
+        assert_eq!(grid.params.cells(), vec![Params::new(4, 1, 2).unwrap()]);
+        assert_eq!(
+            grid.mode,
+            CampaignMode::Explore,
+            "the file's other keys stay"
+        );
+        // ...but only all three at once.
+        let partial = file.apply(&[("n", "4")]).unwrap_err();
+        assert!(partial.0.contains("must all be set"), "{partial}");
+        // Over a grid, unset axes keep the lower layer's values.
+        let grid = CampaignSpec::parse("n = 4..5\nm = 1\nk = 2").unwrap();
+        let widened = grid.apply(&[("k", "2,3")]).unwrap();
+        assert_eq!(
+            widened.params,
+            ParamsSpec::Grid {
+                n: vec![4, 5],
+                m: vec![1],
+                k: vec![2, 3]
+            }
+        );
+        // Within one layer, cells and axes conflict exactly as in a file.
+        let both = CampaignSpec::default()
+            .apply(&[("params", "3/1/2"), ("n", "2"), ("m", "1"), ("k", "1")])
+            .unwrap_err();
+        assert!(both.0.contains("mutually exclusive"), "{both}");
     }
 
     #[test]

@@ -48,6 +48,10 @@ pub struct CellSummary {
     pub explored: u64,
     /// Explored scenarios whose state space was exhausted violation-free.
     pub verified: u64,
+    /// Explored scenarios whose search hit a budget before exhausting the
+    /// state space *without* finding a violation (violation-finding
+    /// explorations are counted under `explored_violations` instead).
+    pub truncated_explorations: u64,
     /// Explored scenarios whose search found a safety violation (a real
     /// counterexample, as opposed to a budget truncation).
     pub explored_violations: u64,
@@ -70,6 +74,12 @@ pub struct CellSummary {
     /// Maximum full-state lower bound of any symmetry-reduced exploration
     /// of this cell.
     pub max_full_states_lower_bound: u64,
+    /// Total orbit representatives across the symmetry-reduced
+    /// explorations.
+    pub total_orbit_states: u64,
+    /// Total full-state lower bound across the symmetry-reduced
+    /// explorations.
+    pub total_full_states_lower_bound: u64,
     /// Scenarios pruned by the retired sleep-set mode
     /// (`reduction = sleep-set`, found only in older result files).
     pub sleep_reduced: u64,
@@ -122,6 +132,8 @@ pub struct CellSummary {
     pub searched: u64,
     /// Search scenarios that found a witness.
     pub witnesses_found: u64,
+    /// Found witnesses that replayed successfully through the verifier.
+    pub witnesses_verified: u64,
     /// Search scenarios with a register target whose best witness fell
     /// short of it (a rediscovery miss — the machine failed to re-find the
     /// paper's bound within its budgets).
@@ -152,92 +164,123 @@ pub struct CellSummary {
 pub struct Summary {
     /// Per-cell aggregates, in deterministic key order.
     pub cells: BTreeMap<CellKey, CellSummary>,
-    /// Total records.
-    pub records: u64,
-    /// Total safety violations.
-    pub safety_violations: u64,
-    /// Total bound violations.
-    pub bound_violations: u64,
-    /// Total progress failures among obliged scenarios.
-    pub progress_failures: u64,
-    /// Total crash points injected.
-    pub total_crashes: u64,
-    /// Total explore-mode records.
-    pub explored: u64,
-    /// Explore-mode records that were exhaustively verified.
-    pub verified: u64,
-    /// Explore-mode records whose search hit a budget before exhausting the
-    /// state space *without* finding a violation (violation-finding
-    /// explorations are counted under [`Summary::safety_violations`], not
-    /// here).
-    pub truncated_explorations: u64,
-    /// Explore-mode records run on the work-stealing parallel explorer.
-    pub parallel_explored: u64,
-    /// Explore-mode records deduplicated up to process-id orbits.
-    pub symmetry_reduced: u64,
-    /// Explore-mode records that requested symmetry but fell back.
-    pub symmetry_fallbacks: u64,
-    /// Total orbit representatives across all symmetry-reduced records.
-    pub total_orbit_states: u64,
-    /// Total full-state lower bound across all symmetry-reduced records.
-    pub total_full_states_lower_bound: u64,
-    /// Records pruned by the retired sleep-set mode (older result files).
-    pub sleep_reduced: u64,
-    /// Records that requested reduction but fell back.
-    pub sleep_fallbacks: u64,
-    /// Total expansions performed across all reduced records.
-    pub total_expansions: u64,
-    /// Total commuting sibling expansions pruned across all reduced
-    /// records.
-    pub total_sleep_pruned: u64,
-    /// Explore records reduced by persistent sets.
-    pub persistent_reduced: u64,
-    /// Total expansions drawn from persistent (or DPOR backtrack) sets
-    /// across all persistent-set records.
-    pub total_persistent_expanded: u64,
-    /// Total enabled transitions left permanently unexpanded by persistent
-    /// sets across all persistent-set records.
-    pub total_states_cut: u64,
-    /// Maximum peak BFS level width across all parallel explorations
-    /// (the widest level of the level-synchronized search, not a DFS stack
-    /// depth).
-    pub max_frontier_peak: u64,
-    /// Maximum estimated explorer memory (bytes) across all parallel
-    /// explorations.
-    pub max_approx_bytes: u64,
-    /// Records executed on the threaded backend.
-    pub threaded_runs: u64,
-    /// Total wall-clock microseconds across all threaded records.
-    pub total_wall_us: u64,
-    /// Total shared-memory steps across all threaded records.
-    pub threaded_steps: u64,
-    /// Records executed as batched service runs.
-    pub serve_runs: u64,
-    /// Total proposals accepted across all service runs.
-    pub serve_proposals: u64,
-    /// Total batches cut across all service runs.
-    pub serve_batches: u64,
-    /// Worst median proposal latency across all service runs
-    /// (microseconds).
-    pub max_p50_us: u64,
-    /// Worst 99th-percentile proposal latency across all service runs
-    /// (microseconds).
-    pub max_p99_us: u64,
-    /// Peak decided-proposals-per-second across all service runs.
-    pub max_ops_per_sec: u64,
-    /// Records executed as goal-directed adversary searches.
-    pub searched: u64,
-    /// Search records that found a witness.
-    pub witnesses_found: u64,
-    /// Found witnesses that replayed successfully through the verifier.
-    pub witnesses_verified: u64,
-    /// Search records whose best witness fell short of their register
-    /// target (see [`Summary::rediscovery_misses`]).
-    pub search_misses: u64,
+    /// The same aggregates over every record of the campaign
+    /// (`totals.runs` is the record count).
+    pub totals: CellSummary,
+}
+
+impl CellSummary {
+    /// Folds one record into the aggregates — the single update behind
+    /// every cell, the campaign totals and the engine's
+    /// [`CampaignOutcome`](crate::CampaignOutcome).
+    pub(crate) fn add(&mut self, record: &SweepRecord) {
+        self.runs += 1;
+        self.register_bound = record.register_bound;
+        self.component_bound = record.component_bound;
+        self.max_locations_written = self.max_locations_written.max(record.locations_written);
+        self.max_steps_seen = self.max_steps_seen.max(record.steps);
+        self.total_steps += record.steps;
+        if !record.safe() {
+            self.safety_violations += 1;
+        }
+        if !record.bound_ok {
+            self.bound_violations += 1;
+        }
+        if record.progress_required {
+            self.progress_required += 1;
+            if !record.survivors_decided {
+                self.progress_failures += 1;
+            }
+        }
+        if record.crashes > 0 {
+            self.crashed_runs += 1;
+            self.total_crashes += record.crashes as u64;
+        }
+        if record.backend == "threaded" {
+            self.threaded_runs += 1;
+            self.total_wall_us += record.wall_us;
+            self.threaded_steps += record.steps;
+        }
+        if record.backend == "serve" {
+            self.serve_runs += 1;
+            self.serve_proposals += record.proposals;
+            self.serve_batches += record.batches;
+            self.max_p50_us = self.max_p50_us.max(record.p50_us);
+            self.max_p99_us = self.max_p99_us.max(record.p99_us);
+            self.max_ops_per_sec = self.max_ops_per_sec.max(record.ops_per_sec);
+        }
+        if record.mode == "explore" || record.mode == "adversary-search" {
+            // Older result files carry sleep-set reductions on both
+            // exhaustive exploration and adversary search records, so the
+            // aggregation sits outside the per-mode branches.
+            if record.reduction == "sleep-set" || record.reduction == "persistent-set" {
+                if record.reduction == "sleep-set" {
+                    self.sleep_reduced += 1;
+                } else {
+                    self.persistent_reduced += 1;
+                    self.total_persistent_expanded += record.persistent_expanded;
+                    self.total_states_cut += record.states_cut;
+                }
+                self.total_expansions += record.expansions;
+                self.total_sleep_pruned += record.sleep_pruned;
+            } else if record.reduction == "fallback-off" {
+                self.sleep_fallbacks += 1;
+            }
+        }
+        if record.mode == "adversary-search" {
+            self.searched += 1;
+            self.search_target = self.search_target.max(record.target_registers);
+            self.max_witness_depth = self.max_witness_depth.max(record.witness_depth);
+            self.max_registers_covered = self.max_registers_covered.max(record.registers_covered);
+            self.max_witness_registers = self.max_witness_registers.max(record.witness_registers);
+            self.max_explored_states = self.max_explored_states.max(record.explored_states);
+            self.max_explored_depth = self.max_explored_depth.max(record.explored_depth);
+            if record.witness_found {
+                self.witnesses_found += 1;
+                if record.verified {
+                    self.witnesses_verified += 1;
+                }
+            }
+            if record.target_registers > 0 && record.witness_registers < record.target_registers {
+                self.search_misses += 1;
+            }
+        }
+        if record.mode == "explore" {
+            self.explored += 1;
+            self.max_explored_states = self.max_explored_states.max(record.explored_states);
+            self.max_explored_depth = self.max_explored_depth.max(record.explored_depth);
+            if record.symmetry == "process-ids" {
+                self.symmetry_reduced += 1;
+                self.max_orbit_states = self.max_orbit_states.max(record.orbit_states);
+                self.max_full_states_lower_bound = self
+                    .max_full_states_lower_bound
+                    .max(record.full_states_lower_bound);
+                self.total_orbit_states += record.orbit_states;
+                self.total_full_states_lower_bound += record.full_states_lower_bound;
+            } else if record.symmetry == "fallback-off" {
+                self.symmetry_fallbacks += 1;
+            }
+            if record.backend == "parallel-explore" {
+                self.parallel_explored += 1;
+                self.max_frontier_peak = self.max_frontier_peak.max(record.frontier_peak);
+                self.max_approx_bytes = self.max_approx_bytes.max(record.approx_bytes);
+            }
+            if record.verified {
+                self.verified += 1;
+            } else if record.safe() {
+                // Unverified but no violation found: the search was cut by
+                // a budget. (A found violation is a safety violation, not
+                // an exhaustiveness gap.)
+                self.truncated_explorations += 1;
+            } else {
+                self.explored_violations += 1;
+            }
+        }
+    }
 }
 
 impl Summary {
-    /// Aggregates records into per-cell summaries.
+    /// Aggregates records into per-cell summaries and campaign totals.
     pub fn of(records: &[SweepRecord]) -> Self {
         let mut summary = Summary::default();
         for record in records {
@@ -248,152 +291,15 @@ impl Summary {
                 algorithm: record.algorithm.clone(),
                 instances: record.instances,
             };
-            let cell = summary.cells.entry(key).or_default();
-            cell.runs += 1;
-            cell.register_bound = record.register_bound;
-            cell.component_bound = record.component_bound;
-            cell.max_locations_written = cell.max_locations_written.max(record.locations_written);
-            cell.max_steps_seen = cell.max_steps_seen.max(record.steps);
-            cell.total_steps += record.steps;
-            if !record.safe() {
-                cell.safety_violations += 1;
-                summary.safety_violations += 1;
-            }
-            if !record.bound_ok {
-                cell.bound_violations += 1;
-                summary.bound_violations += 1;
-            }
-            if record.progress_required {
-                cell.progress_required += 1;
-                if !record.survivors_decided {
-                    cell.progress_failures += 1;
-                    summary.progress_failures += 1;
-                }
-            }
-            if record.crashes > 0 {
-                cell.crashed_runs += 1;
-                cell.total_crashes += record.crashes as u64;
-                summary.total_crashes += record.crashes as u64;
-            }
-            if record.backend == "threaded" {
-                cell.threaded_runs += 1;
-                cell.total_wall_us += record.wall_us;
-                cell.threaded_steps += record.steps;
-                summary.threaded_runs += 1;
-                summary.total_wall_us += record.wall_us;
-                summary.threaded_steps += record.steps;
-            }
-            if record.backend == "serve" {
-                cell.serve_runs += 1;
-                cell.serve_proposals += record.proposals;
-                cell.serve_batches += record.batches;
-                cell.max_p50_us = cell.max_p50_us.max(record.p50_us);
-                cell.max_p99_us = cell.max_p99_us.max(record.p99_us);
-                cell.max_ops_per_sec = cell.max_ops_per_sec.max(record.ops_per_sec);
-                summary.serve_runs += 1;
-                summary.serve_proposals += record.proposals;
-                summary.serve_batches += record.batches;
-                summary.max_p50_us = summary.max_p50_us.max(record.p50_us);
-                summary.max_p99_us = summary.max_p99_us.max(record.p99_us);
-                summary.max_ops_per_sec = summary.max_ops_per_sec.max(record.ops_per_sec);
-            }
-            if record.mode == "explore" || record.mode == "adversary-search" {
-                // Older result files carry sleep-set reductions on both
-                // exhaustive exploration and adversary search records, so
-                // the aggregation sits outside the per-mode branches.
-                if record.reduction == "sleep-set" {
-                    cell.sleep_reduced += 1;
-                    cell.total_expansions += record.expansions;
-                    cell.total_sleep_pruned += record.sleep_pruned;
-                    summary.sleep_reduced += 1;
-                    summary.total_expansions += record.expansions;
-                    summary.total_sleep_pruned += record.sleep_pruned;
-                } else if record.reduction == "persistent-set" {
-                    cell.persistent_reduced += 1;
-                    cell.total_expansions += record.expansions;
-                    cell.total_sleep_pruned += record.sleep_pruned;
-                    cell.total_persistent_expanded += record.persistent_expanded;
-                    cell.total_states_cut += record.states_cut;
-                    summary.persistent_reduced += 1;
-                    summary.total_expansions += record.expansions;
-                    summary.total_sleep_pruned += record.sleep_pruned;
-                    summary.total_persistent_expanded += record.persistent_expanded;
-                    summary.total_states_cut += record.states_cut;
-                } else if record.reduction == "fallback-off" {
-                    cell.sleep_fallbacks += 1;
-                    summary.sleep_fallbacks += 1;
-                }
-            }
-            if record.mode == "adversary-search" {
-                cell.searched += 1;
-                summary.searched += 1;
-                cell.search_target = cell.search_target.max(record.target_registers);
-                cell.max_witness_depth = cell.max_witness_depth.max(record.witness_depth);
-                cell.max_registers_covered =
-                    cell.max_registers_covered.max(record.registers_covered);
-                cell.max_witness_registers =
-                    cell.max_witness_registers.max(record.witness_registers);
-                cell.max_explored_states = cell.max_explored_states.max(record.explored_states);
-                cell.max_explored_depth = cell.max_explored_depth.max(record.explored_depth);
-                if record.witness_found {
-                    cell.witnesses_found += 1;
-                    summary.witnesses_found += 1;
-                    if record.verified {
-                        summary.witnesses_verified += 1;
-                    }
-                }
-                if record.target_registers > 0 && record.witness_registers < record.target_registers
-                {
-                    cell.search_misses += 1;
-                    summary.search_misses += 1;
-                }
-            }
-            if record.mode == "explore" {
-                cell.explored += 1;
-                summary.explored += 1;
-                cell.max_explored_states = cell.max_explored_states.max(record.explored_states);
-                cell.max_explored_depth = cell.max_explored_depth.max(record.explored_depth);
-                if record.symmetry == "process-ids" {
-                    cell.symmetry_reduced += 1;
-                    summary.symmetry_reduced += 1;
-                    cell.max_orbit_states = cell.max_orbit_states.max(record.orbit_states);
-                    cell.max_full_states_lower_bound = cell
-                        .max_full_states_lower_bound
-                        .max(record.full_states_lower_bound);
-                    summary.total_orbit_states += record.orbit_states;
-                    summary.total_full_states_lower_bound += record.full_states_lower_bound;
-                } else if record.symmetry == "fallback-off" {
-                    cell.symmetry_fallbacks += 1;
-                    summary.symmetry_fallbacks += 1;
-                }
-                if record.backend == "parallel-explore" {
-                    cell.parallel_explored += 1;
-                    summary.parallel_explored += 1;
-                    cell.max_frontier_peak = cell.max_frontier_peak.max(record.frontier_peak);
-                    cell.max_approx_bytes = cell.max_approx_bytes.max(record.approx_bytes);
-                    summary.max_frontier_peak = summary.max_frontier_peak.max(record.frontier_peak);
-                    summary.max_approx_bytes = summary.max_approx_bytes.max(record.approx_bytes);
-                }
-                if record.verified {
-                    cell.verified += 1;
-                    summary.verified += 1;
-                } else if record.safe() {
-                    // Unverified but no violation found: the search was cut
-                    // by a budget. (A found violation is a safety violation,
-                    // not an exhaustiveness gap.)
-                    summary.truncated_explorations += 1;
-                } else {
-                    cell.explored_violations += 1;
-                }
-            }
-            summary.records += 1;
+            summary.cells.entry(key).or_default().add(record);
+            summary.totals.add(record);
         }
         summary
     }
 
     /// `true` when the campaign is free of safety and bound violations.
     pub fn clean(&self) -> bool {
-        self.safety_violations == 0 && self.bound_violations == 0
+        self.totals.safety_violations == 0 && self.totals.bound_violations == 0
     }
 
     /// Explore-mode records whose state space was truncated by a budget
@@ -401,7 +307,7 @@ impl Summary {
     /// count as safety violations instead). Zero for sampled campaigns;
     /// non-zero is an exhaustiveness violation for an explore campaign.
     pub fn exhaustiveness_gaps(&self) -> u64 {
-        self.truncated_explorations
+        self.totals.truncated_explorations
     }
 
     /// Adversary-search records whose best witness fell short of their
@@ -410,7 +316,7 @@ impl Summary {
     /// without search records; non-zero fails `sweep summarize` the same
     /// way an exhaustiveness gap does.
     pub fn rediscovery_misses(&self) -> u64 {
-        self.search_misses
+        self.totals.search_misses
     }
 
     /// Renders the summary as an aligned text table. The `coverage` column
@@ -441,14 +347,15 @@ impl Summary {
     /// witness's registers, covering width and depth per cell), with
     /// `MISSED` in the coverage column flagging rediscovery misses.
     pub fn render(&self) -> String {
-        let show_explore = self.explored > 0;
-        let show_parallel = self.parallel_explored > 0;
-        let show_symmetry = self.symmetry_reduced + self.symmetry_fallbacks > 0;
+        let totals = &self.totals;
+        let show_explore = totals.explored > 0;
+        let show_parallel = totals.parallel_explored > 0;
+        let show_symmetry = totals.symmetry_reduced + totals.symmetry_fallbacks > 0;
         let show_reduction =
-            self.sleep_reduced + self.persistent_reduced + self.sleep_fallbacks > 0;
-        let show_threaded = self.threaded_runs > 0;
-        let show_serve = self.serve_runs > 0;
-        let show_searched = self.searched > 0;
+            totals.sleep_reduced + totals.persistent_reduced + totals.sleep_fallbacks > 0;
+        let show_threaded = totals.threaded_runs > 0;
+        let show_serve = totals.serve_runs > 0;
+        let show_searched = totals.searched > 0;
         let mut out = String::new();
         let mut header = format!(
             "{:>3} {:>2} {:>2} {:<24} {:>5} {:>7} {:>7} {:>6} {:>9} {:>9} {:>7} {:>6} {:>6} {:<10}",
@@ -651,104 +558,112 @@ impl Summary {
             out,
             "total: {} records, {} safety violations, {} bound violations, {} progress failures, \
              {} crashes injected",
-            self.records,
-            self.safety_violations,
-            self.bound_violations,
-            self.progress_failures,
-            self.total_crashes
+            totals.runs,
+            totals.safety_violations,
+            totals.bound_violations,
+            totals.progress_failures,
+            totals.total_crashes
         );
-        if self.explored > 0 {
+        if totals.explored > 0 {
             let _ = writeln!(
                 out,
                 "exploration: {} cells explored, {} exhaustively verified, {} truncated",
-                self.explored,
-                self.verified,
+                totals.explored,
+                totals.verified,
                 self.exhaustiveness_gaps()
             );
         }
-        if self.parallel_explored > 0 {
+        if totals.parallel_explored > 0 {
             let _ = writeln!(
                 out,
                 "parallel explore: {} cells on the work-stealing explorer, \
                  peak BFS level width {} states, ~{:.1} MB peak explorer memory",
-                self.parallel_explored,
-                self.max_frontier_peak,
-                self.max_approx_bytes as f64 / (1024.0 * 1024.0)
+                totals.parallel_explored,
+                totals.max_frontier_peak,
+                totals.max_approx_bytes as f64 / (1024.0 * 1024.0)
             );
         }
-        if self.symmetry_reduced + self.symmetry_fallbacks > 0 {
-            let rate = if self.total_orbit_states == 0 {
+        if totals.symmetry_reduced + totals.symmetry_fallbacks > 0 {
+            let rate = if totals.total_orbit_states == 0 {
                 "- reduction".into()
             } else {
-                reduction_factor(self.total_full_states_lower_bound, self.total_orbit_states)
-                    .map_or_else(
-                        || "bound uninformative".into(),
-                        |r| format!("{r:.1}x reduction"),
-                    )
+                reduction_factor(
+                    totals.total_full_states_lower_bound,
+                    totals.total_orbit_states,
+                )
+                .map_or_else(
+                    || "bound uninformative".into(),
+                    |r| format!("{r:.1}x reduction"),
+                )
             };
             let _ = writeln!(
                 out,
                 "symmetry: {} orbit-reduced explorations ({} fell back), \
                  {} orbit states standing for \u{2265}{} full states ({rate})",
-                self.symmetry_reduced,
-                self.symmetry_fallbacks,
-                self.total_orbit_states,
-                self.total_full_states_lower_bound
+                totals.symmetry_reduced,
+                totals.symmetry_fallbacks,
+                totals.total_orbit_states,
+                totals.total_full_states_lower_bound
             );
         }
-        if self.sleep_reduced + self.persistent_reduced + self.sleep_fallbacks > 0 {
-            let rate = por_factor(self.total_expansions, self.total_sleep_pruned)
+        if totals.sleep_reduced + totals.persistent_reduced + totals.sleep_fallbacks > 0 {
+            let rate = por_factor(totals.total_expansions, totals.total_sleep_pruned)
                 .map_or_else(|| "-".into(), |r| format!("{r:.1}x"));
             let _ = writeln!(
                 out,
                 "sleep sets: {} reduced runs ({} fell back), {} expansions with \
                  {} commuting siblings pruned ({rate} reduction)",
-                self.sleep_reduced + self.persistent_reduced,
-                self.sleep_fallbacks,
-                self.total_expansions,
-                self.total_sleep_pruned
+                totals.sleep_reduced + totals.persistent_reduced,
+                totals.sleep_fallbacks,
+                totals.total_expansions,
+                totals.total_sleep_pruned
             );
         }
-        if self.persistent_reduced > 0 {
+        if totals.persistent_reduced > 0 {
             let _ = writeln!(
                 out,
                 "persistent sets: {} reduced runs, {} expansions drawn from \
                  persistent/backtrack sets, {} enabled transitions cut \
                  (whole subtrees, not just commuting siblings)",
-                self.persistent_reduced, self.total_persistent_expanded, self.total_states_cut
+                totals.persistent_reduced,
+                totals.total_persistent_expanded,
+                totals.total_states_cut
             );
         }
-        if self.threaded_runs > 0 {
-            let rate = steps_per_sec(self.threaded_steps, self.total_wall_us)
+        if totals.threaded_runs > 0 {
+            let rate = steps_per_sec(totals.threaded_steps, totals.total_wall_us)
                 .map_or_else(|| "-".into(), |r| format!("~{r}"));
             let _ = writeln!(
                 out,
                 "threaded: {} runs on real threads, {} total steps in {:.3} ms wall clock \
                  ({rate} steps/s)",
-                self.threaded_runs,
-                self.threaded_steps,
-                self.total_wall_us as f64 / 1000.0
+                totals.threaded_runs,
+                totals.threaded_steps,
+                totals.total_wall_us as f64 / 1000.0
             );
         }
-        if self.serve_runs > 0 {
+        if totals.serve_runs > 0 {
             let _ = writeln!(
                 out,
                 "serve: {} service runs, {} proposals in {} batches, \
                  worst p50 {} us, worst p99 {} us, peak {} ops/s",
-                self.serve_runs,
-                self.serve_proposals,
-                self.serve_batches,
-                self.max_p50_us,
-                self.max_p99_us,
-                self.max_ops_per_sec
+                totals.serve_runs,
+                totals.serve_proposals,
+                totals.serve_batches,
+                totals.max_p50_us,
+                totals.max_p99_us,
+                totals.max_ops_per_sec
             );
         }
-        if self.searched > 0 {
+        if totals.searched > 0 {
             let _ = writeln!(
                 out,
                 "adversary search: {} searches, {} witnesses found ({} replay-verified), \
                  {} rediscovery misses",
-                self.searched, self.witnesses_found, self.witnesses_verified, self.search_misses
+                totals.searched,
+                totals.witnesses_found,
+                totals.witnesses_verified,
+                totals.search_misses
             );
         }
         out
@@ -1041,7 +956,7 @@ mod tests {
         parallel.approx_bytes = 3 * 1024 * 1024;
         parallel.verified = true;
         let summary = Summary::of(&[parallel]);
-        assert_eq!(summary.max_frontier_peak, 44);
+        assert_eq!(summary.totals.max_frontier_peak, 44);
         let rendered = summary.render();
         assert!(
             rendered.contains("peak BFS level width 44 states"),
@@ -1058,7 +973,7 @@ mod tests {
         serial.explored_states = 200;
         serial.verified = true;
         let summary = Summary::of(&[serial]);
-        assert_eq!(summary.max_frontier_peak, 0);
+        assert_eq!(summary.totals.max_frontier_peak, 0);
         assert!(!summary.render().contains("BFS level width"));
     }
 
@@ -1081,10 +996,10 @@ mod tests {
         fallback.explored_states = 50;
         fallback.verified = true;
         let summary = Summary::of(&[reduced, fallback]);
-        assert_eq!(summary.symmetry_reduced, 1);
-        assert_eq!(summary.symmetry_fallbacks, 1);
-        assert_eq!(summary.total_orbit_states, 100);
-        assert_eq!(summary.total_full_states_lower_bound, 400);
+        assert_eq!(summary.totals.symmetry_reduced, 1);
+        assert_eq!(summary.totals.symmetry_fallbacks, 1);
+        assert_eq!(summary.totals.total_orbit_states, 100);
+        assert_eq!(summary.totals.total_full_states_lower_bound, 400);
         let rendered = summary.render();
         assert!(rendered.contains("orbits"), "{rendered}");
         assert!(rendered.contains("4.0x"), "{rendered}");
@@ -1157,8 +1072,8 @@ mod tests {
         assert_eq!(old.to_json(), line, "re-encoding keeps the old bytes");
         let summary = Summary::of(std::slice::from_ref(&old));
         assert!(summary.clean() && summary.exhaustiveness_gaps() == 0);
-        assert_eq!(summary.sleep_reduced, 1);
-        assert_eq!(summary.total_sleep_pruned, 165);
+        assert_eq!(summary.totals.sleep_reduced, 1);
+        assert_eq!(summary.totals.total_sleep_pruned, 165);
         let rendered = summary.render();
         assert!(
             rendered.contains("sleep sets: 1 reduced runs (0 fell back)"),
@@ -1194,10 +1109,10 @@ mod tests {
         fallback.explored_states = 50;
         fallback.verified = true;
         let summary = Summary::of(&[reduced, fallback]);
-        assert_eq!(summary.sleep_reduced, 1);
-        assert_eq!(summary.sleep_fallbacks, 1);
-        assert_eq!(summary.total_expansions, 200);
-        assert_eq!(summary.total_sleep_pruned, 400);
+        assert_eq!(summary.totals.sleep_reduced, 1);
+        assert_eq!(summary.totals.sleep_fallbacks, 1);
+        assert_eq!(summary.totals.total_expansions, 200);
+        assert_eq!(summary.totals.total_sleep_pruned, 400);
         let rendered = summary.render();
         assert!(rendered.contains("expanded"), "{rendered}");
         assert!(rendered.contains("pruned"), "{rendered}");
@@ -1214,8 +1129,8 @@ mod tests {
         searched.expansions = 50;
         searched.sleep_pruned = 150;
         let summary = Summary::of(&[searched]);
-        assert_eq!(summary.sleep_reduced, 1);
-        assert_eq!(summary.total_expansions, 50);
+        assert_eq!(summary.totals.sleep_reduced, 1);
+        assert_eq!(summary.totals.total_expansions, 50);
         assert!(summary.render().contains("4.0x"), "{}", summary.render());
         // Reduction-free campaigns do not grow the columns.
         let plain = Summary::of(&[record(0)]).render();
@@ -1231,9 +1146,9 @@ mod tests {
         bad.bound_ok = false;
         let records = vec![record(0), record(1), bad];
         let summary = Summary::of(&records);
-        assert_eq!(summary.records, 3);
-        assert_eq!(summary.safety_violations, 1);
-        assert_eq!(summary.bound_violations, 1);
+        assert_eq!(summary.totals.runs, 3);
+        assert_eq!(summary.totals.safety_violations, 1);
+        assert_eq!(summary.totals.bound_violations, 1);
         assert!(!summary.clean());
         assert_eq!(summary.cells.len(), 1);
         let cell = summary.cells.values().next().unwrap();
@@ -1282,7 +1197,7 @@ mod tests {
         crashed_more.adversary = "crash:obstruction:50:2".into();
         crashed_more.crashes = 1;
         let summary = Summary::of(&[record(0), crashed, crashed_more]);
-        assert_eq!(summary.total_crashes, 3);
+        assert_eq!(summary.totals.total_crashes, 3);
         let cell = summary.cells.values().next().unwrap();
         assert_eq!(cell.crashed_runs, 2);
         assert_eq!(cell.total_crashes, 3);
@@ -1301,8 +1216,8 @@ mod tests {
         let mut sampled = record(0);
         sampled.n = 8; // a different cell
         let summary = Summary::of(&[explored, sampled]);
-        assert_eq!(summary.explored, 1);
-        assert_eq!(summary.verified, 1);
+        assert_eq!(summary.totals.explored, 1);
+        assert_eq!(summary.totals.verified, 1);
         assert_eq!(summary.exhaustiveness_gaps(), 0);
         let cell = summary.cells.values().next().unwrap();
         assert_eq!(cell.max_explored_states, 999);
@@ -1336,9 +1251,9 @@ mod tests {
         let mut sampled = record(2);
         sampled.n = 8; // a different cell
         let summary = Summary::of(&[threaded, more, sampled]);
-        assert_eq!(summary.threaded_runs, 2);
-        assert_eq!(summary.total_wall_us, 20_000);
-        assert_eq!(summary.threaded_steps, 8000);
+        assert_eq!(summary.totals.threaded_runs, 2);
+        assert_eq!(summary.totals.total_wall_us, 20_000);
+        assert_eq!(summary.totals.threaded_steps, 8000);
         let cell = summary.cells.values().next().unwrap();
         assert_eq!(cell.threaded_runs, 2);
         assert_eq!(cell.total_wall_us, 20_000);
@@ -1381,12 +1296,12 @@ mod tests {
         let mut sampled = record(2);
         sampled.n = 8; // a different cell
         let summary = Summary::of(&[served, slower, sampled]);
-        assert_eq!(summary.serve_runs, 2);
-        assert_eq!(summary.serve_proposals, 8000);
-        assert_eq!(summary.serve_batches, 1100);
-        assert_eq!(summary.max_p50_us, 1_100);
-        assert_eq!(summary.max_p99_us, 1_300);
-        assert_eq!(summary.max_ops_per_sec, 40_000);
+        assert_eq!(summary.totals.serve_runs, 2);
+        assert_eq!(summary.totals.serve_proposals, 8000);
+        assert_eq!(summary.totals.serve_batches, 1100);
+        assert_eq!(summary.totals.max_p50_us, 1_100);
+        assert_eq!(summary.totals.max_p99_us, 1_300);
+        assert_eq!(summary.totals.max_ops_per_sec, 40_000);
         let cell = summary.cells.values().next().unwrap();
         assert_eq!(cell.serve_runs, 2);
         assert_eq!(cell.max_p99_us, 1_300);
@@ -1414,9 +1329,9 @@ mod tests {
         let mut sampled = record(2);
         sampled.n = 8; // a different cell
         let summary = Summary::of(&[covering, block_write, sampled]);
-        assert_eq!(summary.searched, 2);
-        assert_eq!(summary.witnesses_found, 2);
-        assert_eq!(summary.witnesses_verified, 2);
+        assert_eq!(summary.totals.searched, 2);
+        assert_eq!(summary.totals.witnesses_found, 2);
+        assert_eq!(summary.totals.witnesses_verified, 2);
         assert_eq!(summary.rediscovery_misses(), 0);
         let cell = summary.cells.values().next().unwrap();
         assert_eq!(cell.searched, 2);
@@ -1536,7 +1451,7 @@ mod tests {
         refuted.verified = false;
         let summary = Summary::of(&[refuted]);
         // A found counterexample is a safety violation, not a budget gap.
-        assert_eq!(summary.safety_violations, 1);
+        assert_eq!(summary.totals.safety_violations, 1);
         assert_eq!(summary.exhaustiveness_gaps(), 0);
         assert!(!summary.clean());
         let rendered = summary.render();
@@ -1557,7 +1472,7 @@ mod tests {
         explored.explored_states = 100;
         explored.verified = true;
         let summary = Summary::of(&[unsafe_sampled, explored]);
-        assert_eq!(summary.safety_violations, 1);
+        assert_eq!(summary.totals.safety_violations, 1);
         assert_eq!(summary.exhaustiveness_gaps(), 0);
         let rendered = summary.render();
         assert!(!rendered.contains("REFUTED"), "{rendered}");

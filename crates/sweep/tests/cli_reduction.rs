@@ -32,7 +32,7 @@ fn unsupported_reduction_flags_fail_before_any_scenario_runs() {
         (
             "sleep-set",
             "--mode explore --reduction sleep-set",
-            "bad reduction mode \"sleep-set\"",
+            "unknown reduction \"sleep-set\"",
         ),
         (
             "parallel",

@@ -101,7 +101,7 @@ fn crash_campaign_is_safe_with_bounded_crash_counts() {
     let summary = Summary::of(&records);
     assert!(summary.clean());
     assert_eq!(
-        summary.total_crashes,
+        summary.totals.total_crashes,
         records.iter().map(|r| r.crashes as u64).sum::<u64>()
     );
     assert!(summary.render().contains("crashes injected"));

@@ -54,7 +54,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let explored = Executor::exploring(ExploreConfig {
         max_depth: 100_000,
         max_states: 2_000_000,
-        dedup: true,
         ..ExploreConfig::default()
     })
     .execute(&plan)
@@ -70,26 +69,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(threaded.safety.is_safe());
     assert!(explored.verified());
 
-    // The same dispatch is open to custom backends: anything implementing
-    // ExecutionBackend slots behind the same Executor surface.
-    #[derive(Debug)]
-    struct Twice;
-    impl ExecutionBackend for Twice {
-        fn label(&self) -> &'static str {
-            "twice"
-        }
-        fn execute(&self, plan: &ExecutionPlan) -> ExecutionReport {
-            // Run the simulator twice and keep the second report — a stand-in
-            // for retry/ensemble backends.
-            let _ = Backend::Scheduled.execute(plan);
-            Backend::Scheduled.execute(plan)
-        }
-    }
-    let twice = Executor::with_backend(Box::new(Twice));
-    println!(
-        "custom backend {:?} is safe: {}",
-        twice.label(),
-        twice.execute(&plan).safe()
-    );
     Ok(())
 }

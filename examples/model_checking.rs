@@ -112,7 +112,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let config = |symmetry| ExploreConfig {
             max_depth: 100_000,
             max_states: 1_000_000,
-            dedup: true,
             symmetry,
             ..ExploreConfig::default()
         };

@@ -39,8 +39,8 @@
 //!    ([`Adversary::Crash`]), not a backend, so they compose with any
 //!    scheduler.
 //!
-//! An [`Executor`] binds a backend (any [`ExecutionBackend`] trait object)
-//! and turns plans into [`ExecutionReport`]s.
+//! An [`Executor`] binds a [`Backend`] and turns plans into
+//! [`ExecutionReport`]s.
 //!
 //! # Quickstart
 //!
@@ -81,8 +81,8 @@ pub use sa_serve as serve;
 /// The most commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::{
-        Adversary, Algorithm, Backend, ExecutionBackend, ExecutionPlan, ExecutionReport, Executor,
-        ExploreReport, Scenario, ScenarioReport, ThreadedRunReport,
+        Adversary, Algorithm, Backend, ExecutionPlan, ExecutionReport, Executor, ExploreReport,
+        Scenario, ScenarioReport, ThreadedRunReport,
     };
     pub use sa_core::{
         AnonymousSetAgreement, FullInfoSetAgreement, OneShotSetAgreement, RepeatedSetAgreement,
@@ -475,7 +475,7 @@ pub struct ExploreReport {
     /// `true` if the search ran the persistent-set DPOR explorer:
     /// [`ReductionMode::PersistentSets`](sa_runtime::ReductionMode) was
     /// requested **and** the explorer could honor it (the serial explorer,
-    /// dedup on, at most 64 processes). The parallel explorer never
+    /// at most 64 processes). The parallel explorer never
     /// reduces, so it always reports `false`.
     pub reduction_applied: bool,
     /// Successor expansions the search performed (state × enabled-process
@@ -1151,45 +1151,6 @@ impl SafetyProbe {
     }
 }
 
-/// An execution backend behind object-safe dispatch: anything that can turn
-/// an [`ExecutionPlan`] into an [`ExecutionReport`].
-///
-/// The built-in implementation is the [`Backend`] enum itself — an
-/// [`Executor`] is "the `Backend` enum behind one trait object". Downstream
-/// code can implement this trait to plug in custom backends (e.g. a
-/// distributed or work-stealing executor) and run unchanged plans through
-/// [`Executor::with_backend`].
-pub trait ExecutionBackend: Debug {
-    /// A short identifier used in records and reports.
-    fn label(&self) -> &'static str;
-
-    /// Executes the plan.
-    fn execute(&self, plan: &ExecutionPlan) -> ExecutionReport;
-}
-
-impl ExecutionBackend for Backend {
-    fn label(&self) -> &'static str {
-        Backend::label(self)
-    }
-
-    fn execute(&self, plan: &ExecutionPlan) -> ExecutionReport {
-        if let Backend::Serve(options) = self {
-            // The service builds its own automata, one fresh Figure 4
-            // instance per batch, so it bypasses the plan's automata
-            // construction; the plan contributes the cell (m, k) and the
-            // per-batch step budget.
-            let config = sa_serve::ServeConfig {
-                m: plan.params.m(),
-                k: plan.params.k(),
-                options: *options,
-                max_steps_per_batch: plan.max_steps,
-            };
-            return ExecutionReport::Served(Box::new(sa_serve::serve(&config)));
-        }
-        plan.with_automata(BackendDriver { backend: self })
-    }
-}
-
 /// Executes [`ExecutionPlan`]s on a fixed backend.
 ///
 /// This is the single execution surface of the workspace: the examples, the
@@ -1198,13 +1159,13 @@ impl ExecutionBackend for Backend {
 /// given, never in how the system was assembled.
 #[derive(Debug)]
 pub struct Executor {
-    backend: Box<dyn ExecutionBackend>,
+    backend: Backend,
 }
 
 impl Executor {
-    /// An executor for one of the built-in [`Backend`]s.
+    /// An executor for one of the [`Backend`]s.
     pub fn new(backend: Backend) -> Self {
-        Executor::with_backend(Box::new(backend))
+        Executor { backend }
     }
 
     /// An executor for the deterministic simulator.
@@ -1242,11 +1203,6 @@ impl Executor {
         Executor::new(Backend::AdversarySearch(config))
     }
 
-    /// An executor for a custom [`ExecutionBackend`] trait object.
-    pub fn with_backend(backend: Box<dyn ExecutionBackend>) -> Self {
-        Executor { backend }
-    }
-
     /// The label of this executor's backend.
     pub fn label(&self) -> &'static str {
         self.backend.label()
@@ -1254,7 +1210,22 @@ impl Executor {
 
     /// Executes a plan on this executor's backend.
     pub fn execute(&self, plan: &ExecutionPlan) -> ExecutionReport {
-        self.backend.execute(plan)
+        if let Backend::Serve(options) = self.backend {
+            // The service builds its own automata, one fresh Figure 4
+            // instance per batch, so it bypasses the plan's automata
+            // construction; the plan contributes the cell (m, k) and the
+            // per-batch step budget.
+            let config = sa_serve::ServeConfig {
+                m: plan.params.m(),
+                k: plan.params.k(),
+                options,
+                max_steps_per_batch: plan.max_steps,
+            };
+            return ExecutionReport::Served(Box::new(sa_serve::serve(&config)));
+        }
+        plan.with_automata(BackendDriver {
+            backend: &self.backend,
+        })
     }
 }
 
@@ -1311,7 +1282,7 @@ impl AutomataDriver for BackendDriver<'_> {
                 ExecutionReport::Searched(Box::new(plan.run_search(automata, *config)))
             }
             // Serve runs are intercepted before automata construction in
-            // `<Backend as ExecutionBackend>::execute`.
+            // `Executor::execute`.
             Backend::Serve(_) => unreachable!("serve dispatches before automata construction"),
         }
     }
@@ -1649,7 +1620,6 @@ mod tests {
             .explore(ExploreConfig {
                 max_depth: 100_000,
                 max_states: 1_000_000,
-                dedup: true,
                 ..ExploreConfig::default()
             });
         assert!(
@@ -1675,7 +1645,6 @@ mod tests {
             .explore(ExploreConfig {
                 max_depth: 2,
                 max_states: 10,
-                dedup: true,
                 ..ExploreConfig::default()
             });
         assert!(report.truncated);
@@ -1719,7 +1688,6 @@ mod tests {
         let explored = Executor::exploring(ExploreConfig {
             max_depth: 100_000,
             max_states: 1_000_000,
-            dedup: true,
             ..ExploreConfig::default()
         })
         .execute(&plan);
@@ -1802,7 +1770,6 @@ mod tests {
         let serial = Executor::exploring(ExploreConfig {
             max_depth: 100_000,
             max_states: 1_000_000,
-            dedup: true,
             ..ExploreConfig::default()
         })
         .execute(&plan)
@@ -1877,26 +1844,6 @@ mod tests {
         assert!(report.wall > Duration::ZERO);
         assert!(report.steps_per_sec() > 0.0);
         assert!(report.locations_written <= Algorithm::OneShot.component_bound(params()));
-    }
-
-    #[test]
-    fn custom_backends_plug_in_as_trait_objects() {
-        /// A backend that delegates to the simulator but tags its label —
-        /// the extension point future multi-backend scaling uses.
-        #[derive(Debug)]
-        struct Recorder;
-        impl ExecutionBackend for Recorder {
-            fn label(&self) -> &'static str {
-                "recorder"
-            }
-            fn execute(&self, plan: &ExecutionPlan) -> ExecutionReport {
-                Backend::Scheduled.execute(plan)
-            }
-        }
-        let executor = Executor::with_backend(Box::new(Recorder));
-        assert_eq!(executor.label(), "recorder");
-        let plan = ExecutionPlan::new(params()).adversary(Adversary::Solo { process: 1 });
-        assert!(executor.execute(&plan).safe());
     }
 
     #[test]

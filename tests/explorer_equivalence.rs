@@ -58,7 +58,6 @@ fn serial_and_parallel_explorers_agree_on_every_spec_cell() {
             Backend::Explore(ExploreConfig {
                 max_depth: scenario.max_steps,
                 max_states: scenario.max_states,
-                dedup: true,
                 ..ExploreConfig::default()
             }),
         );
@@ -144,7 +143,6 @@ fn symmetry_quotient_preserves_verdicts_on_every_spec_cell() {
             Backend::Explore(ExploreConfig {
                 max_depth: scenario.max_steps,
                 max_states: scenario.max_states,
-                dedup: true,
                 symmetry,
                 ..ExploreConfig::default()
             })
@@ -251,7 +249,6 @@ fn uniform_workloads_reduce_id_carrying_cells_too() {
             Executor::new(Backend::Explore(ExploreConfig {
                 max_depth: 100_000,
                 max_states: 1_000_000,
-                dedup: true,
                 symmetry,
                 ..ExploreConfig::default()
             }))

@@ -313,7 +313,6 @@ fn witnesses_replay_with_symmetry_on_and_off() {
         let serial = ExploreConfig {
             max_depth: 10_000,
             max_states: 500_000,
-            dedup: true,
             symmetry,
             ..ExploreConfig::default()
         };
@@ -371,7 +370,6 @@ fn opaque_systems_fall_back_instead_of_pruning() {
     let config = ExploreConfig {
         max_depth: 200,
         max_states: 20_000,
-        dedup: true,
         symmetry: SymmetryMode::ProcessIds,
         ..ExploreConfig::default()
     };
