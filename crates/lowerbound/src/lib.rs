@@ -7,11 +7,6 @@
 //! * [`bounds`] — every cell of **Figure 1** as an executable formula, with
 //!   consistency relations, rendering and parameter sweeps (used by the
 //!   `figure1` bench binary and EXPERIMENTS.md).
-//! * [`blockwrite`] — the mechanical core of **Theorem 2**: covering
-//!   configurations, block writes, the obliteration check (a block write
-//!   erases every trace of a fragment confined to the covered locations) and
-//!   the splice-invisibility check (re-exported from `sa-search`, which
-//!   evaluates the same mechanics during adversary search).
 //! * [`covering`] — the covering attack of **Theorem 2** run against
 //!   deliberately under-provisioned instances of the paper's algorithms:
 //!   group-sequential adversary schedules, width sweeps, the empirical
@@ -19,7 +14,11 @@
 //!   interleavings for tiny configurations, and
 //!   [`hand_built_witness`](covering::hand_built_witness) — the
 //!   construction emitted as a replayable `sa-search` `Witness`, checked
-//!   by the same replay verifier as machine-found ones.
+//!   by the same replay verifier as machine-found ones. The mechanical
+//!   core it drives — covering configurations, block writes, the
+//!   obliteration and splice-invisibility checks — lives in
+//!   `sa_search::goal`, where the adversary search evaluates the same
+//!   mechanics.
 //! * [`cloning`] — the cloning mechanism of **Lemma 9 / Theorem 10** for
 //!   anonymous algorithms: lockstep clone schedules, the executable
 //!   indistinguishability property, and the anonymous group-isolation
@@ -57,12 +56,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod blockwrite;
 pub mod bounds;
 pub mod cloning;
 pub mod covering;
 
-pub use blockwrite::{block_write, covered_locations, obliterates, splice_is_invisible, GroupRun};
 pub use bounds::{Bound, BoundsCell, Figure1, Naming, Setting, SweepRow};
 pub use cloning::{clone_attack, clones_behave_identically, LockstepScheduler, ProcessBehaviour};
 pub use covering::{

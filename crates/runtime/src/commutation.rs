@@ -28,8 +28,7 @@
 //! asleep.
 
 use crate::executor::Executor;
-use crate::explore::state_key;
-use crate::store::KeyTable;
+use crate::explore::{dfs, state_key, ExploreConfig};
 use sa_model::{independent, Automaton, ProcessId};
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -125,9 +124,10 @@ where
 /// judged at that very configuration — collecting the pairs whose orders
 /// diverge.
 ///
-/// The walk is full-expansion (no reduction — the oracle must not trust the
-/// relation it is auditing) and deterministic: depth-first in process
-/// order, so a violating system yields the same witness every run.
+/// The walk is [`explore`](crate::explore)'s plain DFS with no symmetry,
+/// reduction or spill — the oracle must not trust the relation it is
+/// auditing — and is deterministic: depth-first in process order, so a
+/// violating system yields the same witness every run.
 pub fn check_commutation<A>(initial: &Executor<A>, config: CommutationConfig) -> CommutationReport
 where
     A: Automaton + Clone + Hash,
@@ -140,16 +140,12 @@ where
         truncated: false,
         violations: Vec::new(),
     };
-    let mut seen = KeyTable::new();
-    seen.insert(state_key(initial));
-    let mut stack: Vec<(Executor<A>, Vec<ProcessId>)> = vec![(initial.clone(), Vec::new())];
-    while let Some((state, schedule)) = stack.pop() {
-        if report.states_checked >= config.max_states {
-            report.truncated = true;
-            break;
-        }
-        report.states_checked += 1;
-        let runnable = state.runnable();
+    let walk = ExploreConfig {
+        max_depth: config.max_depth,
+        max_states: config.max_states,
+        ..ExploreConfig::default()
+    };
+    let audit = |state: &Executor<A>, schedule: &[ProcessId], runnable: &[ProcessId]| {
         for (i, &p) in runnable.iter().enumerate() {
             // A process with no poised op contributes no footprint; there
             // is nothing to audit.
@@ -172,9 +168,9 @@ where
                 } else {
                     continue;
                 }
-                if !orders_commute(&state, p, q) {
+                if !orders_commute(state, p, q) {
                     report.violations.push(CommutationViolation {
-                        schedule: schedule.clone(),
+                        schedule: schedule.to_vec(),
                         first: p,
                         second: q,
                         first_op: op_p.kind().to_string(),
@@ -183,22 +179,10 @@ where
                 }
             }
         }
-        if schedule.len() as u64 >= config.max_depth {
-            if !runnable.is_empty() {
-                report.truncated = true;
-            }
-            continue;
-        }
-        for process in runnable {
-            let mut next = state.clone();
-            next.step(process);
-            if seen.insert(state_key(&next)) {
-                let mut next_schedule = schedule.clone();
-                next_schedule.push(process);
-                stack.push((next, next_schedule));
-            }
-        }
-    }
+    };
+    let walked = dfs(initial, walk, |_| None, audit);
+    report.states_checked = walked.states_visited;
+    report.truncated = walked.truncated;
     report
 }
 
@@ -285,5 +269,57 @@ mod tests {
         );
         assert!(report.truncated);
         assert_eq!(report.states_checked, 2);
+    }
+
+    #[test]
+    fn sweep_counts_are_exact() {
+        // Three writers on distinct registers: 27 reachable states (3
+        // stages each), and every pair of poised ops is statically
+        // independent.
+        let writers = Executor::new(vec![
+            ToyWriter::new(0, 1),
+            ToyWriter::new(1, 2),
+            ToyWriter::new(2, 3),
+        ]);
+        let report = check_commutation(&writers, CommutationConfig::default());
+        assert_eq!(
+            (
+                report.states_checked,
+                report.pairs_checked,
+                report.conditional_pairs_checked,
+                report.truncated
+            ),
+            (27, 36, 0, false)
+        );
+        // Two same-value writers on one register: one read/read pair is
+        // statically independent, three write/write and write/read pairs
+        // are conditionally independent.
+        let same = Executor::new(vec![ToyWriter::new(0, 7), ToyWriter::new(0, 7)]);
+        let report = check_commutation(&same, CommutationConfig::default());
+        assert_eq!(
+            (
+                report.states_checked,
+                report.pairs_checked,
+                report.conditional_pairs_checked,
+                report.truncated
+            ),
+            (9, 1, 3, false)
+        );
+        // The depth bound cuts the writers' walk short.
+        let report = check_commutation(
+            &writers,
+            CommutationConfig {
+                max_depth: 2,
+                ..CommutationConfig::default()
+            },
+        );
+        assert_eq!(
+            (
+                report.states_checked,
+                report.pairs_checked,
+                report.truncated
+            ),
+            (10, 24, true)
+        );
     }
 }

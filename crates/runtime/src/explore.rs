@@ -22,15 +22,11 @@
 //! [`parallel_explore`](crate::parallel_explore).
 
 use crate::executor::Executor;
-use crate::store::{
-    decode_frontier_record, encode_frontier_record, read_segment, FrontierRecord, KeyTable,
-    SegmentKind, SegmentWriter, SpillDir,
-};
+use crate::store::KeyTable;
 use sa_model::{independent, Automaton, IdRelabeling, InstanceId, Op, ProcessId, SymmetryClass};
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
-use std::path::PathBuf;
 
 /// Whether an explorer deduplicates reachable configurations up to
 /// process-id symmetry.
@@ -140,17 +136,19 @@ pub struct ExploreConfig {
     /// processes; falls back to [`ReductionMode::Off`] otherwise
     /// — see [`ReductionMode::PersistentSets`]).
     pub reduction: ReductionMode,
-    /// Whether the explorer may spill frozen frontier chunks to disk when
-    /// the resident frontier exceeds [`max_resident_bytes`](Self::max_resident_bytes).
-    /// Spilled entries store only their schedule and orbit weight (the
-    /// executor state is reconstructed by deterministic replay), so the
-    /// search verdict and every statistic except
+    /// Whether the explorer may evict the executors of cold frontier entries
+    /// when the resident frontier exceeds
+    /// [`max_resident_bytes`](Self::max_resident_bytes). An evicted entry
+    /// keeps only its place on the DFS stack; its executor is rebuilt by
+    /// deterministic replay of the DFS path when the search reaches it
+    /// again, so the search verdict and every statistic except
     /// [`Exploration::spilled_entries`] are identical with spill on or off.
+    /// Nothing is written to disk.
     pub spill: bool,
     /// A budget, in estimated deep bytes ([`Executor::approx_deep_bytes`]),
     /// on the resident frontier. `0` means unlimited. When the budget is
-    /// exceeded: with [`spill`](Self::spill) the explorer moves the coldest
-    /// half of the frontier to disk and continues; without it the search
+    /// exceeded: with [`spill`](Self::spill) the explorer evicts the coldest
+    /// half of the resident frontier and continues; without it the search
     /// deterministically truncates, preserving the pending count in
     /// [`Exploration::pending_at_exit`].
     pub max_resident_bytes: u64,
@@ -198,7 +196,7 @@ pub struct ExploredViolation {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrontierSemantics {
     /// The serial [`explore`](crate::explore): the deepest pending DFS
-    /// stack, counting in-memory and spilled entries alike.
+    /// stack, counting resident and evicted entries alike.
     DfsStackDepth,
     /// [`parallel_explore`](crate::parallel_explore): the widest
     /// breadth-first level awaiting expansion.
@@ -235,9 +233,9 @@ pub struct Exploration {
     pub max_depth_reached: u64,
     /// Peak size of the frontier of states awaiting expansion; what a
     /// "frontier entry" *is* differs per backend — see
-    /// [`frontier_semantics`](Self::frontier_semantics). Spilled entries
-    /// count: the peak is a property of the search, not of where the
-    /// entries happened to live.
+    /// [`frontier_semantics`](Self::frontier_semantics). Spilled and evicted
+    /// entries count: the peak is a property of the search, not of where
+    /// the entries happened to live.
     pub frontier_peak: u64,
     /// What [`frontier_peak`](Self::frontier_peak) measures for the backend
     /// that produced this report: the deepest DFS stack for the serial
@@ -254,16 +252,18 @@ pub struct Exploration {
     pub seen_entries: u64,
     /// A rough, deterministic estimate of the bytes held by the explorer's
     /// data structures at their peak: the deep size of the peak frontier
-    /// (resident plus spilled, so the figure is spill-invariant) plus the
+    /// (resident plus spilled or evicted, so it is spill-invariant) plus the
     /// final seen-set table. Deep means heap payloads — register contents,
     /// histories, decision maps — are charged per entry, not just the
     /// struct shells; the pre-fix shallow accounting under-reported
     /// history-heavy cells by an order of magnitude.
     pub approx_bytes: u64,
-    /// Cumulative number of frontier entries written to disk (0 unless
-    /// [`ExploreConfig::spill`] was on and the resident budget was
-    /// exceeded). The only statistic that legitimately differs between a
-    /// spilled and an in-core run of the same cell.
+    /// Cumulative number of frontier entries moved out of memory (0 unless
+    /// spill was on and the resident budget was exceeded): entries whose
+    /// executors the serial explorers evicted, or level entries the
+    /// breadth-first explorer wrote to disk. The only statistic that
+    /// legitimately differs between a spilled and an in-core run of the
+    /// same cell.
     pub spilled_entries: u64,
     /// `true` if the search deduplicated up to process-id symmetry:
     /// [`SymmetryMode::ProcessIds`] was requested **and** every automaton
@@ -305,6 +305,42 @@ pub struct Exploration {
 }
 
 impl Exploration {
+    /// The report of a search that has visited nothing yet — or, when the
+    /// predicate rejected the initial configuration (`root_violation`), the
+    /// finished report of that one-state search, which the caller returns
+    /// as is.
+    pub(crate) fn new(
+        frontier_semantics: FrontierSemantics,
+        symmetry_applied: bool,
+        reduction_applied: bool,
+        root_violation: Option<String>,
+    ) -> Exploration {
+        let root_visited = root_violation.is_some() as u64;
+        Exploration {
+            states_visited: root_visited,
+            paths: 0,
+            violation: root_violation.map(|description| ExploredViolation {
+                schedule: Vec::new(),
+                description,
+            }),
+            truncated: false,
+            max_depth_reached: 0,
+            frontier_peak: 0,
+            frontier_semantics,
+            pending_at_exit: 0,
+            seen_entries: 0,
+            approx_bytes: 0,
+            spilled_entries: 0,
+            symmetry_applied,
+            full_states_lower_bound: root_visited,
+            reduction_applied,
+            expansions: 0,
+            sleep_pruned: 0,
+            persistent_expanded: 0,
+            states_cut: 0,
+        }
+    }
+
     /// `true` if no violation was found and the search was not truncated —
     /// i.e. the predicate holds in **every** reachable configuration within
     /// the depth bound.
@@ -697,12 +733,8 @@ where
         // singleton orbit, so callers can use the two interchangeably.
         return (state_key(executor), 1);
     }
-    let (order, orbit_lower) = plan.canonical_order(executor);
-    let relabel = relabel_for_order(&order);
-    (
-        canonical_key_for_order(executor, &order, &relabel),
-        orbit_lower,
-    )
+    let (key, orbit_lower, _) = canonical_keyed(executor, plan);
+    (key, orbit_lower)
 }
 
 /// The canonical relabeling (`old id → new id`) induced by a canonical slot
@@ -715,27 +747,26 @@ fn relabel_for_order(order: &[usize]) -> IdRelabeling {
     IdRelabeling::from_map(map)
 }
 
-/// Hashes the orbit representative selected by `order`/`relabel` into its
-/// [`StateKey`] — the shared tail of [`canonical_state_key`] and
+/// The [`StateKey`] of the configuration's canonical orbit representative
+/// under an applied plan, its orbit-size lower bound and the canonical
+/// relabeling — the shared core of [`canonical_state_key`] and
 /// `keyed_relabeled`.
-fn canonical_key_for_order<A>(
-    executor: &Executor<A>,
-    order: &[usize],
-    relabel: &IdRelabeling,
-) -> StateKey
+fn canonical_keyed<A>(executor: &Executor<A>, plan: &SymmetryPlan) -> (StateKey, u64, IdRelabeling)
 where
     A: Automaton + Hash,
     A::Value: Hash + Clone + Eq + Debug,
 {
+    let (order, orbit_lower) = plan.canonical_order(executor);
+    let relabel = relabel_for_order(&order);
     let mut hasher = SplitHasher::new();
-    for &old_slot in order {
+    for &old_slot in &order {
         executor
             .automaton(ProcessId(old_slot))
-            .hash_behavior(relabel, &mut hasher);
+            .hash_behavior(&relabel, &mut hasher);
     }
     executor
         .memory()
-        .hash_contents_mapped(&mut hasher, |value| A::relabel_value(value, relabel));
+        .hash_contents_mapped(&mut hasher, |value| A::relabel_value(value, &relabel));
     for instance in executor.decisions().instances() {
         instance.hash(&mut hasher);
         for (new_slot, &old_slot) in order.iter().enumerate() {
@@ -748,7 +779,7 @@ where
             }
         }
     }
-    hasher.into_key()
+    (hasher.into_key(), orbit_lower, relabel)
 }
 
 /// The dedup key (and visited-orbit weight) of a configuration under a
@@ -782,10 +813,7 @@ where
     A::Value: Hash + Clone + Eq + Debug,
 {
     if plan.applied && !plan.is_trivial() {
-        let (order, orbit_lower) = plan.canonical_order(executor);
-        let relabel = relabel_for_order(&order);
-        let key = canonical_key_for_order(executor, &order, &relabel);
-        (key, orbit_lower, relabel)
+        canonical_keyed(executor, plan)
     } else {
         (
             state_key(executor),
@@ -1020,8 +1048,9 @@ where
 
 /// The deterministic deep-byte charge of one frontier entry: the executor's
 /// [`deep size`](Executor::approx_deep_bytes) (struct shells **plus** heap
-/// payloads — register contents, histories, decision maps) plus the schedule
-/// vector and the entry's bookkeeping words.
+/// payloads — register contents, histories, decision maps) plus a schedule
+/// vector and the entry's bookkeeping words — charged even where no schedule
+/// is stored, as recorded `approx_bytes` and budget decisions depend on it.
 ///
 /// The pre-fix `estimate_bytes` charged only `size_of::<Executor<A>>()` per
 /// entry, blind to every heap allocation inside the state; a 4-process
@@ -1037,26 +1066,34 @@ pub(crate) fn entry_bytes<A: Automaton>(state: &Executor<A>, schedule_len: usize
 }
 
 /// Reconstructs the executor reached by `schedule` from `initial` by
-/// deterministic replay — the reason spilled frontier records need to store
-/// no automaton or memory bytes at all.
-pub(crate) fn replay<A>(initial: &Executor<A>, schedule: &[ProcessId]) -> Executor<A>
+/// deterministic replay — the reason evicted and spilled frontier entries
+/// need to keep no automaton or memory bytes at all.
+pub(crate) fn replay<A>(
+    initial: &Executor<A>,
+    schedule: impl IntoIterator<Item = ProcessId>,
+) -> Executor<A>
 where
     A: Automaton + Clone,
     A::Value: Clone + Eq + Debug,
 {
     let mut state = initial.clone();
-    for &process in schedule {
+    for process in schedule {
         state.step(process);
     }
     state
 }
 
-/// One pending entry of the serial DFS. States are kept in their *original*
-/// labeling — canonical forms exist only inside the dedup keys — so witness
-/// schedules replay on the caller's executor as-is.
+/// One pending entry of the serial DFS: its depth and the step from its
+/// parent, whose schedule is a prefix of the DFS path when the entry is
+/// popped (see [`dfs`]). States are kept in their *original* labeling —
+/// canonical forms exist only inside the dedup keys — so witness schedules
+/// replay on the caller's executor as-is.
 struct DfsEntry<A: Automaton> {
-    state: Executor<A>,
-    schedule: Vec<ProcessId>,
+    /// `None` once evicted to honor the resident budget; rebuilt by
+    /// replaying the DFS path when the entry is popped.
+    state: Option<Executor<A>>,
+    depth: usize,
+    step: ProcessId,
     orbit_lower: u64,
     bytes: u64,
 }
@@ -1068,7 +1105,7 @@ struct DfsEntry<A: Automaton> {
 /// The predicate receives the executor after each step and returns
 /// `Some(description)` to report a violation (which stops the search) or
 /// `None` if the configuration is acceptable.
-pub fn explore<A, F>(initial: &Executor<A>, config: ExploreConfig, mut predicate: F) -> Exploration
+pub fn explore<A, F>(initial: &Executor<A>, config: ExploreConfig, predicate: F) -> Exploration
 where
     A: Automaton + Clone + Hash,
     A::Value: Hash + Clone + Eq + Debug,
@@ -1082,67 +1119,67 @@ where
     if config.reduction == ReductionMode::PersistentSets && n > 0 && n <= u64::BITS as usize {
         return explore_dpor(initial, config, predicate);
     }
+    dfs(initial, config, predicate, |_, _, _| {})
+}
+
+/// The plain serial DFS behind [`explore`]. `visit` sees every visited
+/// state, its schedule and its runnable processes before the terminal and
+/// depth checks: the hook [`check_commutation`](crate::check_commutation)
+/// audits on.
+///
+/// The only schedule stored is the path to the state being expanded. Stack
+/// depths never decrease toward the top, so every pending entry's parent
+/// lies on the path: popping an entry at depth `d` truncates the path to
+/// `d - 1` steps and appends the entry's step.
+pub(crate) fn dfs<A, F, V>(
+    initial: &Executor<A>,
+    config: ExploreConfig,
+    mut predicate: F,
+    mut visit: V,
+) -> Exploration
+where
+    A: Automaton + Clone + Hash,
+    A::Value: Hash + Clone + Eq + Debug,
+    F: FnMut(&Executor<A>) -> Option<String>,
+    V: FnMut(&Executor<A>, &[ProcessId], &[ProcessId]),
+{
     let plan = SymmetryPlan::for_executor(initial, config.symmetry);
-    let mut seen = KeyTable::new();
-    let mut result = Exploration {
-        states_visited: 0,
-        paths: 0,
-        violation: None,
-        truncated: false,
-        max_depth_reached: 0,
-        frontier_peak: 0,
-        frontier_semantics: FrontierSemantics::DfsStackDepth,
-        pending_at_exit: 0,
-        seen_entries: 0,
-        approx_bytes: 0,
-        spilled_entries: 0,
-        symmetry_applied: plan.applied(),
-        full_states_lower_bound: 0,
-        reduction_applied: false,
-        expansions: 0,
-        sleep_pruned: 0,
-        persistent_expanded: 0,
-        states_cut: 0,
-    };
-    // The initial configuration is reachable (by the empty schedule): a
-    // predicate that rejects it must be reported, not silently skipped.
-    if let Some(description) = predicate(initial) {
-        result.states_visited = 1;
-        result.full_states_lower_bound = 1;
-        result.violation = Some(ExploredViolation {
-            schedule: Vec::new(),
-            description,
-        });
+    let mut result = Exploration::new(
+        FrontierSemantics::DfsStackDepth,
+        plan.applied(),
+        false,
+        // The initial configuration is reachable (by the empty schedule): a
+        // predicate that rejects it must be reported, not silently skipped.
+        predicate(initial),
+    );
+    if result.violation.is_some() {
         return result;
     }
+    let mut seen = KeyTable::new();
     let (initial_key, initial_orbit) = keyed(initial, &plan);
     let initial_bytes = entry_bytes(initial, 0);
     let mut stack: Vec<DfsEntry<A>> = vec![DfsEntry {
-        state: initial.clone(),
-        schedule: Vec::new(),
+        state: Some(initial.clone()),
+        depth: 0,
+        step: ProcessId(0),
         orbit_lower: initial_orbit,
         bytes: initial_bytes,
     }];
     result.frontier_peak = 1;
     seen.insert(initial_key);
-    // Byte accounting. `resident` tracks the deep bytes of in-memory
-    // frontier entries (what the cap polices); `spilled_logical` the deep
-    // bytes their spilled counterparts *would* occupy resident. Their sum —
-    // whose peak feeds `approx_bytes` — is conserved by spilling and
-    // reloading, so the reported figure is spill-invariant.
+    let mut path: Vec<ProcessId> = Vec::new();
+    // Byte accounting. `resident` tracks the deep bytes of entries holding
+    // their executor (what the cap polices), `evicted` those of evicted
+    // entries. Their sum — whose peak feeds `approx_bytes` — is conserved
+    // by eviction and rebuild, so the reported figure is spill-invariant.
     let cap = config.max_resident_bytes;
     let mut resident: u64 = initial_bytes;
-    let mut spilled_logical: u64 = 0;
+    let mut evicted: u64 = 0;
     let mut logical_peak: u64 = resident;
-    // Spilled chunks form a LIFO of sealed segment files: the most recently
-    // frozen chunk is the deepest part of the stack, so it reloads first,
-    // preserving exact DFS order (and therefore every verdict and
-    // statistic) across spill boundaries.
-    let mut spill_dir: Option<SpillDir> = None;
-    let mut segments: Vec<(PathBuf, u64)> = Vec::new();
-    let mut spilled_pending: u64 = 0;
-    let mut spill_seq: u64 = 0;
-    loop {
+    // Eviction takes the coldest resident entries, so the evicted entries
+    // are always the stack's bottom `evicted_below`.
+    let mut evicted_below: usize = 0;
+    'search: loop {
         // Budget first, pop second: running out of budget must leave every
         // pending state *pending* (counted in `pending_at_exit`, resumable
         // from a checkpoint) — the pre-fix code popped first and silently
@@ -1150,10 +1187,9 @@ where
         // `max_states` states and then finding no pending work is still an
         // exhausted search, not a truncated one.
         if result.states_visited >= config.max_states {
-            let pending = stack.len() as u64 + spilled_pending;
-            if pending > 0 {
+            if !stack.is_empty() {
                 result.truncated = true;
-                result.pending_at_exit = pending;
+                result.pending_at_exit = stack.len() as u64;
             }
             break;
         }
@@ -1161,50 +1197,35 @@ where
         // truncation — same accounting as exhausting the state budget.
         if cap > 0 && !config.spill && resident > cap {
             result.truncated = true;
-            result.pending_at_exit = stack.len() as u64 + spilled_pending;
+            result.pending_at_exit = stack.len() as u64;
             break;
         }
         let Some(entry) = stack.pop() else {
-            if spilled_pending == 0 {
-                break;
-            }
-            // Resident stack drained: thaw the most recently spilled chunk.
-            // Records were frozen bottom-to-top, so pushing them back in
-            // file order restores their exact relative order.
-            let (path, count) = segments.pop().expect("spilled work implies a segment");
-            let (_tag, records) = read_segment(&path, SegmentKind::FrontierLevel)
-                .expect("reading back a spilled frontier segment");
-            let _ = std::fs::remove_file(&path);
-            debug_assert_eq!(records.len() as u64, count);
-            for record in &records {
-                let frozen = decode_frontier_record(record, initial.process_count())
-                    .expect("decoding a spilled frontier record");
-                let state = replay(initial, &frozen.schedule);
-                let bytes = entry_bytes(&state, frozen.schedule.len());
-                resident += bytes;
-                spilled_logical = spilled_logical.saturating_sub(bytes);
-                stack.push(DfsEntry {
-                    state,
-                    schedule: frozen.schedule,
-                    orbit_lower: frozen.orbit_lower,
-                    bytes,
-                });
-            }
-            spilled_pending -= count;
-            continue;
+            break;
         };
-        let DfsEntry {
-            state,
-            schedule,
-            orbit_lower,
-            bytes,
-        } = entry;
-        resident -= bytes;
+        if let Some(parent_len) = entry.depth.checked_sub(1) {
+            path.truncate(parent_len);
+            path.push(entry.step);
+        }
+        let state = match entry.state {
+            Some(state) => {
+                resident -= entry.bytes;
+                state
+            }
+            None => {
+                evicted_below = stack.len();
+                evicted -= entry.bytes;
+                replay(initial, path.iter().copied())
+            }
+        };
         result.states_visited += 1;
-        result.full_states_lower_bound = result.full_states_lower_bound.saturating_add(orbit_lower);
-        result.max_depth_reached = result.max_depth_reached.max(schedule.len() as u64);
+        result.full_states_lower_bound = result
+            .full_states_lower_bound
+            .saturating_add(entry.orbit_lower);
+        result.max_depth_reached = result.max_depth_reached.max(path.len() as u64);
         let runnable = state.runnable();
-        if runnable.is_empty() || schedule.len() as u64 >= config.max_depth {
+        visit(&state, &path, &runnable);
+        if runnable.is_empty() || path.len() as u64 >= config.max_depth {
             if !runnable.is_empty() {
                 // Depth bound cut this path short.
                 result.truncated = true;
@@ -1216,17 +1237,14 @@ where
             result.expansions += 1;
             let mut next = state.clone();
             next.step(process);
-            let mut next_schedule = schedule.clone();
-            next_schedule.push(process);
             if let Some(description) = predicate(&next) {
-                result.max_depth_reached = result.max_depth_reached.max(next_schedule.len() as u64);
+                path.push(process);
+                result.max_depth_reached = result.max_depth_reached.max(path.len() as u64);
                 result.violation = Some(ExploredViolation {
-                    schedule: next_schedule,
+                    schedule: path,
                     description,
                 });
-                result.seen_entries = seen.len() as u64;
-                result.approx_bytes = logical_peak + seen_table_bytes(&seen);
-                return result;
+                break 'search;
             }
             let (key, next_orbit) = keyed(&next, &plan);
             if !seen.insert(key) {
@@ -1236,79 +1254,58 @@ where
                 // verdicts, so pruning it is sound.
                 continue;
             }
-            let next_bytes = entry_bytes(&next, next_schedule.len());
+            let next_bytes = entry_bytes(&next, path.len() + 1);
             resident += next_bytes;
             stack.push(DfsEntry {
-                state: next,
-                schedule: next_schedule,
+                state: Some(next),
+                depth: path.len() + 1,
+                step: process,
                 orbit_lower: next_orbit,
                 bytes: next_bytes,
             });
         }
-        result.frontier_peak = result
-            .frontier_peak
-            .max(stack.len() as u64 + spilled_pending);
-        logical_peak = logical_peak.max(resident + spilled_logical);
-        // Over budget with spill enabled: freeze the *bottom* half of the
-        // stack (the coldest entries — DFS will not revisit them until
-        // everything above is done) into a sealed segment of
-        // (schedule, orbit) records. No executor bytes hit the disk; thawed
-        // entries are rebuilt by replay.
-        if config.spill && cap > 0 && resident > cap && stack.len() >= 2 {
-            let dir = match &spill_dir {
-                Some(dir) => dir,
-                None => {
-                    spill_dir = Some(SpillDir::fresh().expect("creating the spill directory"));
-                    spill_dir.as_ref().expect("just created")
-                }
-            };
-            let path = dir.file(&format!("frontier-{spill_seq:08}.seg"));
-            let mut writer = SegmentWriter::create(&path, SegmentKind::FrontierLevel, spill_seq)
-                .expect("creating a frontier spill segment");
-            spill_seq += 1;
-            let half = stack.len() / 2;
-            for entry in stack.drain(..half) {
-                writer
-                    .append(&encode_frontier_record(&FrontierRecord {
-                        schedule: entry.schedule,
-                        orbit_lower: entry.orbit_lower,
-                        ..FrontierRecord::default()
-                    }))
-                    .expect("writing a frontier spill record");
+        result.frontier_peak = result.frontier_peak.max(stack.len() as u64);
+        logical_peak = logical_peak.max(resident + evicted);
+        // Over budget with spill enabled: evict the bottom half of the
+        // resident entries (the coldest — DFS will not reach them until
+        // everything above is done).
+        let live = stack.len() - evicted_below;
+        if config.spill && cap > 0 && resident > cap && live >= 2 {
+            for entry in &mut stack[evicted_below..evicted_below + live / 2] {
+                entry.state = None;
                 resident -= entry.bytes;
-                spilled_logical += entry.bytes;
+                evicted += entry.bytes;
             }
-            writer.finish().expect("sealing a frontier spill segment");
-            segments.push((path, half as u64));
-            spilled_pending += half as u64;
-            result.spilled_entries += half as u64;
+            evicted_below += live / 2;
+            result.spilled_entries += (live / 2) as u64;
         }
     }
     if !plan.applied() {
-        // Without symmetry every visited state is its own orbit.
+        // Without symmetry every visited state is its own orbit (a no-op
+        // after a violation, where every weight summed so far was 1).
         result.full_states_lower_bound = result.states_visited;
     }
     result.seen_entries = seen.len() as u64;
-    result.approx_bytes = logical_peak + seen_table_bytes(&seen);
+    result.approx_bytes = logical_peak + KeyTable::bytes_for_len(seen.len() as u64);
     result
 }
 
 /// One frame of the persistent-set DFS path stack. Unlike [`DfsEntry`]
 /// (siblings coexist on the stack), the stack here *is* the current
-/// schedule: frame `i` holds the state reached by the first `i` steps, and
-/// expands one transition at a time from its backtrack set, so
-/// Flanagan–Godefroid race detection can add processes to an ancestor's
-/// `backtrack` **after** the ancestor was first expanded.
+/// schedule: frame `i` holds the state reached by the first `i` steps — the
+/// `taken` processes of the frames below it — and expands one transition
+/// at a time from its backtrack set, so Flanagan–Godefroid race detection
+/// can add processes to an ancestor's `backtrack` **after** the ancestor
+/// was first expanded.
 struct DporFrame<A: Automaton> {
-    /// `None` while the frame is frozen in a spill segment; rebuilt by
-    /// replay on thaw. The masks below stay resident so race additions can
-    /// target frozen frames without touching disk.
+    /// `None` while evicted to honor the resident budget; rebuilt by
+    /// replaying the path when the frame is on top again. The masks below
+    /// stay resident, so race additions can target evicted frames.
     state: Option<Executor<A>>,
-    schedule: Vec<ProcessId>,
     /// The operation most recently executed *from* this frame along the
     /// current path — the anchor races are detected against.
     taken_op: Option<Op<A::Value>>,
-    /// The process that executed `taken_op`.
+    /// The process that executed `taken_op`: the path's next step.
     taken: ProcessId,
     bytes: u64,
     /// Enabled processes at this frame, in its own labeling.
@@ -1349,8 +1346,8 @@ struct DporFrame<A: Automaton> {
 /// tightened the moment a race is visible at the prune point.
 ///
 /// All decisions are pure functions of the configuration, and every
-/// statistic is accounted at frame creation or completion — never at spill
-/// boundaries — so output is byte-identical with spill on or off.
+/// statistic is accounted at frame creation or completion — never at
+/// eviction — so output is byte-identical with spill on or off.
 fn explore_dpor<A, F>(initial: &Executor<A>, config: ExploreConfig, mut predicate: F) -> Exploration
 where
     A: Automaton + Clone + Hash,
@@ -1358,33 +1355,13 @@ where
     F: FnMut(&Executor<A>) -> Option<String>,
 {
     let plan = SymmetryPlan::for_executor(initial, config.symmetry);
-    let mut result = Exploration {
-        states_visited: 0,
-        paths: 0,
-        violation: None,
-        truncated: false,
-        max_depth_reached: 0,
-        frontier_peak: 0,
-        frontier_semantics: FrontierSemantics::DfsStackDepth,
-        pending_at_exit: 0,
-        seen_entries: 0,
-        approx_bytes: 0,
-        spilled_entries: 0,
-        symmetry_applied: plan.applied(),
-        full_states_lower_bound: 0,
-        reduction_applied: true,
-        expansions: 0,
-        sleep_pruned: 0,
-        persistent_expanded: 0,
-        states_cut: 0,
-    };
-    if let Some(description) = predicate(initial) {
-        result.states_visited = 1;
-        result.full_states_lower_bound = 1;
-        result.violation = Some(ExploredViolation {
-            schedule: Vec::new(),
-            description,
-        });
+    let mut result = Exploration::new(
+        FrontierSemantics::DfsStackDepth,
+        plan.applied(),
+        true,
+        predicate(initial),
+    );
+    if result.violation.is_some() {
         return result;
     }
     // Seen-map: canonical key → mask of enabled transitions NOT promised an
@@ -1393,30 +1370,24 @@ where
     // backtracking grows.
     let mut map: HashMap<StateKey, u64> = HashMap::new();
     let mut frames: Vec<DporFrame<A>> = Vec::new();
-    // Byte accounting mirrors `explore`: resident + spilled_logical is
-    // conserved by freezing/thawing, so `approx_bytes` is spill-invariant.
+    // Byte accounting mirrors `dfs`: resident + evicted is conserved by
+    // eviction and rebuild, so `approx_bytes` is spill-invariant.
     let cap = config.max_resident_bytes;
     let mut resident: u64 = 0;
-    let mut spilled_logical: u64 = 0;
+    let mut evicted: u64 = 0;
     let mut logical_peak: u64 = 0;
-    let mut spill_dir: Option<SpillDir> = None;
-    // Each segment freezes the frames `[start, start + count)` of the path
-    // stack — always the coldest prefix of the still-resident frames — and
-    // thaws only once the DFS has popped back down to its top frame.
-    let mut segments: Vec<(PathBuf, usize, usize)> = Vec::new();
-    let mut spill_seq: u64 = 0;
-    let mut frozen_below: usize = 0;
+    // Eviction takes the coldest resident frames, so the evicted frames are
+    // always the bottom `evicted_below` of the path stack.
+    let mut evicted_below: usize = 0;
 
-    // Creates (and accounts) a frame for `state` reached by `schedule`,
-    // arriving with `sleep`; `owed` is `Some(mask)` for revisit frames.
-    // Returns the frame; the caller pushes it.
+    // Creates (and accounts) a frame for `state` at `depth`, keyed by
+    // `keyed_relabeled` and arriving with `sleep`; `owed` is `Some(mask)`
+    // for revisit frames. Returns the frame; the caller pushes it.
     let make_frame = |state: Executor<A>,
-                      schedule: Vec<ProcessId>,
+                      depth: usize,
                       sleep: u64,
                       owed: Option<u64>,
-                      key: StateKey,
-                      orbit: u64,
-                      relabel: IdRelabeling,
+                      (key, orbit, relabel): (StateKey, u64, IdRelabeling),
                       result: &mut Exploration,
                       map: &mut HashMap<StateKey, u64>|
      -> DporFrame<A> {
@@ -1426,12 +1397,12 @@ where
         if fresh {
             result.states_visited += 1;
             result.full_states_lower_bound = result.full_states_lower_bound.saturating_add(orbit);
-            result.max_depth_reached = result.max_depth_reached.max(schedule.len() as u64);
+            result.max_depth_reached = result.max_depth_reached.max(depth as u64);
             result.sleep_pruned += (sleep & runnable_mask).count_ones() as u64;
         }
         let backtrack = match owed {
             Some(owed) => owed,
-            None if schedule.len() as u64 >= config.max_depth => 0,
+            None if depth as u64 >= config.max_depth => 0,
             None => {
                 // Seed from the lowest non-sleeping enabled process; the
                 // closure still ranges over everything enabled, but sleeping
@@ -1451,10 +1422,9 @@ where
             // never promised (the stored sleep set Z of state matching).
             map.insert(key, relabel_mask(runnable_mask & !backtrack, &relabel));
         }
-        let bytes = entry_bytes(&state, schedule.len());
+        let bytes = entry_bytes(&state, depth);
         DporFrame {
             state: Some(state),
-            schedule,
             taken_op: None,
             taken: ProcessId(0),
             bytes,
@@ -1468,15 +1438,13 @@ where
         }
     };
 
-    let (root_key, root_orbit, root_relabel) = keyed_relabeled(initial, &plan);
+    let root_keyed = keyed_relabeled(initial, &plan);
     let root = make_frame(
         initial.clone(),
-        Vec::new(),
+        0,
         0,
         None,
-        root_key,
-        root_orbit,
-        root_relabel,
+        root_keyed,
         &mut result,
         &mut map,
     );
@@ -1495,39 +1463,18 @@ where
         let Some(top) = frames.len().checked_sub(1) else {
             break;
         };
-        if frames[top].state.is_none() {
-            // The DFS popped back down into a frozen range: thaw the most
-            // recently sealed segment (it covers exactly the frames up to
-            // and including the current top) and rebuild states by replay.
-            let (path, start, count) = segments.pop().expect("frozen frame implies a segment");
-            debug_assert_eq!(start + count, frames.len());
-            let (_tag, records) = read_segment(&path, SegmentKind::FrontierLevel)
-                .expect("reading back a spilled DPOR segment");
-            let _ = std::fs::remove_file(&path);
-            debug_assert_eq!(records.len(), count);
-            for (offset, record) in records.iter().enumerate() {
-                let frozen = decode_frontier_record(record, initial.process_count())
-                    .expect("decoding a spilled DPOR record");
-                let frame = &mut frames[start + offset];
-                // Resident masks are authoritative — they may have grown by
-                // race additions since the freeze — so merge by union.
-                frame.backtrack |= frozen.backtrack;
-                frame.done |= frozen.done;
-                let state = replay(initial, &frozen.schedule);
-                resident += frame.bytes;
-                spilled_logical = spilled_logical.saturating_sub(frame.bytes);
-                frame.schedule = frozen.schedule;
-                frame.state = Some(state);
-            }
-            frozen_below = segments.last().map_or(0, |(_, s, c)| s + c);
-            continue;
-        }
         let todo = frames[top].backtrack & !frames[top].done;
         if todo == 0 {
             let frame = frames.pop().expect("top frame exists");
-            resident -= frame.bytes;
+            if frame.state.is_some() {
+                resident -= frame.bytes;
+            } else {
+                evicted -= frame.bytes;
+                evicted_below = top;
+            }
             if frame.fresh {
-                let at_bound = frame.schedule.len() as u64 >= config.max_depth;
+                // The popped frame's depth is the new stack height.
+                let at_bound = frames.len() as u64 >= config.max_depth;
                 if frame.runnable_mask == 0 || at_bound {
                     result.paths += 1;
                     if frame.runnable_mask != 0 {
@@ -1550,27 +1497,31 @@ where
             // covered by the path that put it to sleep.
             continue;
         }
-        let state = frames[top].state.as_ref().expect("top frame is thawed");
+        if frames[top].state.is_none() {
+            // The DFS returned to an evicted frame with work left: rebuild it
+            // by replaying the path, the steps taken from the frames below.
+            let state = replay(initial, frames[..top].iter().map(|f| f.taken));
+            resident += frames[top].bytes;
+            evicted -= frames[top].bytes;
+            frames[top].state = Some(state);
+            evicted_below = top;
+        }
+        let state = frames[top].state.as_ref().expect("top frame is resident");
         let taken_op = state.poised(process);
         let mut next = state.clone();
         next.step(process);
-        let mut next_schedule = frames[top].schedule.clone();
-        next_schedule.push(process);
         frames[top].taken_op = taken_op;
         frames[top].taken = process;
         result.expansions += 1;
         result.persistent_expanded += 1;
         if let Some(description) = predicate(&next) {
-            result.max_depth_reached = result.max_depth_reached.max(next_schedule.len() as u64);
+            let schedule: Vec<ProcessId> = frames.iter().map(|f| f.taken).collect();
+            result.max_depth_reached = result.max_depth_reached.max(schedule.len() as u64);
             result.violation = Some(ExploredViolation {
-                schedule: next_schedule,
+                schedule,
                 description,
             });
-            result.seen_entries = map.len() as u64;
-            result.approx_bytes = logical_peak
-                + KeyTable::bytes_for_len(map.len() as u64)
-                + map.len() as u64 * std::mem::size_of::<u64>() as u64;
-            return result;
+            break;
         }
         // Flanagan–Godefroid race detection, run for EVERY generated
         // successor (pushed or dedup-pruned): each process enabled at the
@@ -1617,7 +1568,7 @@ where
         // The successor sleeps on still-independent previously expanded
         // siblings (done ∖ {bit}) and inherited sleepers.
         let sibling_base = frames[top].sleep | (frames[top].done & !bit);
-        let state = frames[top].state.as_ref().expect("top frame is thawed");
+        let state = frames[top].state.as_ref().expect("top frame is resident");
         let child_sleep = successor_sleep(state, process, sibling_base);
         let canon_sleep = relabel_mask(child_sleep, &relabel);
         let push = match map.entry(key) {
@@ -1645,14 +1596,13 @@ where
             }
         };
         if let Some(owed) = push {
+            let keyed = (key, orbit, relabel);
             let frame = make_frame(
                 next,
-                next_schedule,
+                frames.len(),
                 child_sleep,
                 owed,
-                key,
-                orbit,
-                relabel,
+                keyed,
                 &mut result,
                 &mut map,
             );
@@ -1660,50 +1610,20 @@ where
             frames.push(frame);
         }
         result.frontier_peak = result.frontier_peak.max(frames.len() as u64);
-        logical_peak = logical_peak.max(resident + spilled_logical);
-        // Over the resident cap with spill on: freeze the coldest half of
-        // the still-resident frames (never the top — it is about to be
+        logical_peak = logical_peak.max(resident + evicted);
+        // Over the resident cap with spill on: evict the coldest half of the
+        // still-resident frames (never the top — it is about to be
         // expanded). Masks stay resident so race additions keep working;
-        // only the executor and schedule bytes leave memory.
-        if config.spill && cap > 0 && resident > cap {
-            let live = frames.len() - frozen_below;
-            if live >= 2 {
-                let dir = match &spill_dir {
-                    Some(dir) => dir,
-                    None => {
-                        spill_dir = Some(SpillDir::fresh().expect("creating the spill directory"));
-                        spill_dir.as_ref().expect("just created")
-                    }
-                };
-                let path = dir.file(&format!("dpor-{spill_seq:08}.seg"));
-                let mut writer =
-                    SegmentWriter::create(&path, SegmentKind::FrontierLevel, spill_seq)
-                        .expect("creating a DPOR spill segment");
-                spill_seq += 1;
-                let start = frozen_below;
-                let count = live / 2;
-                for frame in &mut frames[start..start + count] {
-                    writer
-                        .append(&encode_frontier_record(&FrontierRecord {
-                            schedule: std::mem::take(&mut frame.schedule),
-                            orbit_lower: 0,
-                            sleep: frame.sleep,
-                            // The flagged mask doubles as the fresh/revisit
-                            // marker across the spill boundary.
-                            expand: (!frame.fresh).then_some(0),
-                            backtrack: frame.backtrack,
-                            done: frame.done,
-                        }))
-                        .expect("writing a DPOR spill record");
-                    frame.state = None;
-                    resident -= frame.bytes;
-                    spilled_logical += frame.bytes;
-                }
-                writer.finish().expect("sealing a DPOR spill segment");
-                segments.push((path, start, count));
-                frozen_below = start + count;
-                result.spilled_entries += count as u64;
+        // only the executor bytes leave memory.
+        let live = frames.len() - evicted_below;
+        if config.spill && cap > 0 && resident > cap && live >= 2 {
+            for frame in &mut frames[evicted_below..evicted_below + live / 2] {
+                frame.state = None;
+                resident -= frame.bytes;
+                evicted += frame.bytes;
             }
+            evicted_below += live / 2;
+            result.spilled_entries += (live / 2) as u64;
         }
     }
     if !plan.applied() {
@@ -1714,13 +1634,6 @@ where
         + KeyTable::bytes_for_len(map.len() as u64)
         + map.len() as u64 * std::mem::size_of::<u64>() as u64;
     result
-}
-
-/// The deterministic byte charge of the seen-set. Computed from the entry
-/// count alone so the figure never depends on capacities or insertion
-/// order.
-fn seen_table_bytes(seen: &KeyTable) -> u64 {
-    KeyTable::bytes_for_len(seen.len() as u64)
 }
 
 /// Convenience predicate: fail whenever more than `k` distinct values have

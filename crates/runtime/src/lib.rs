@@ -70,7 +70,9 @@ pub use explore::{
     mask_of, persistent_set, state_key, successor_sleep, Exploration, ExploreConfig,
     ExploredViolation, FrontierSemantics, ReductionMode, StateKey, SymmetryMode, SymmetryPlan,
 };
-pub use parallel::{parallel_explore, ParallelExploreConfig};
+pub use parallel::{
+    parallel_explore, Bfs, BfsEntry, BfsLevel, BfsSuccessor, ParallelExploreConfig,
+};
 pub use properties::{
     check_k_agreement, check_obstruction_termination, check_validity, AgreementViolation, InputLog,
     SafetyReport, TerminationViolation, ValidityViolation,

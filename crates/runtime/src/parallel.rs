@@ -1,4 +1,5 @@
-//! The work-stealing exhaustive explorer.
+//! The work-stealing exhaustive explorer, and the breadth-first kernel it
+//! shares with the adversary search.
 //!
 //! [`parallel_explore`] checks the same property as [`explore`](crate::explore)
 //! — a safety predicate in **every** reachable configuration — but spreads
@@ -9,21 +10,21 @@
 //! # Design
 //!
 //! The search is a **level-synchronized breadth-first traversal** with
-//! work-stealing inside each level:
+//! work-stealing inside each level, run by the [`Bfs`] kernel:
 //!
-//! * the current BFS level is the shared frontier: its `(Executor, schedule)`
-//!   entries are pushed into a [`crossbeam::deque::Injector`], and each
-//!   worker refills a local [`crossbeam::deque::Worker`] deque in batches,
-//!   stealing from its peers' [`Stealer`](crossbeam::deque::Stealer)s when
-//!   both run dry (cooperative termination: a worker exits once its own
-//!   deque, the injector and every peer report `Empty`, retrying on
-//!   contended `Retry` results);
+//! * the current BFS level is the shared frontier: its entries are pushed
+//!   into a [`crossbeam::deque::Injector`], and each worker refills a local
+//!   [`crossbeam::deque::Worker`] deque in batches, stealing from its
+//!   peers' [`Stealer`](crossbeam::deque::Stealer)s when both run dry
+//!   (cooperative termination: a worker exits once its own deque, the
+//!   injector and every peer report `Empty`, retrying on contended `Retry`
+//!   results);
 //! * discovered successors are deduplicated against a **sharded seen-set**
 //!   (shards selected by a [`StateKey`] prefix) holding the same
 //!   collision-resistant 128-bit keys as the serial explorer;
-//! * levels are separated by a barrier at which the next frontier is frozen,
-//!   the predicate is evaluated once per newly discovered state, and
-//!   violations are resolved.
+//! * levels are separated by a barrier at which the caller's policy
+//!   (violations and budgets here, admission and witnesses in
+//!   `sa_search::search`) commits new states, in schedule order.
 //!
 //! # Determinism
 //!
@@ -65,13 +66,15 @@ use crate::explore::{
     StateKey, SymmetryMode, SymmetryPlan,
 };
 use crate::store::{
-    read_segment, KeyTable, ScheduleArena, SegmentKind, SegmentWriter, SpillDir, SCHEDULE_ROOT,
+    corrupt, read_segment, KeyTable, ScheduleArena, SegmentKind, SegmentWriter, SpillDir,
+    SCHEDULE_ROOT,
 };
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use sa_model::{Automaton, ProcessId};
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -161,43 +164,6 @@ impl ParallelExploreConfig {
     }
 }
 
-/// A frontier entry awaiting expansion. States are kept in their *original*
-/// labeling — canonical forms exist only inside the dedup keys.
-struct Entry<A: Automaton> {
-    /// The configuration; absent when the level was thawed from disk —
-    /// workers rebuild it by deterministic replay.
-    state: Option<Executor<A>>,
-    /// Schedule-arena node of the delta-encoded path that produced it, the
-    /// lexicographically smallest among its shortest schedules.
-    node: u32,
-    /// Orbit-size lower bound.
-    orbit_lower: u64,
-}
-
-/// A successor discovered while expanding a level, before the barrier
-/// resolves it: the state, its (still mergeable) schedule plus the
-/// `(parent, step)` delta the arena will commit, the orbit-size lower
-/// bound, the entry's deep-byte charge, and whether the predicate rejected
-/// it.
-///
-/// With symmetry on, several *distinct* configurations of one orbit can be
-/// discovered under the same canonical key in one level; the barrier keeps
-/// the one whose schedule is lexicographically smallest (state, schedule,
-/// delta, weight and bytes are always replaced together, so the retained
-/// tuple stays consistent and deterministic). All orbit members have
-/// relabel-identical futures and identical predicate verdicts, so which one
-/// expands cannot change any reported verdict — only the (deterministically
-/// chosen) witness labels.
-struct Discovered<A: Automaton> {
-    state: Executor<A>,
-    schedule: Vec<ProcessId>,
-    parent: u32,
-    step: ProcessId,
-    orbit_lower: u64,
-    bytes: u64,
-    violating: bool,
-}
-
 /// One seen-set shard: a live open-addressed key table plus the sealed
 /// segments its earlier generations were spilled to. Spilled keys are
 /// invisible to [`ShardedSeen::contains`] — workers may re-discover a
@@ -206,6 +172,7 @@ struct Discovered<A: Automaton> {
 /// every spilled key belongs to a state whose level already completed
 /// without ending the search, so dropping its re-discovery changes no
 /// verdict and no statistic.
+#[derive(Debug, Default)]
 struct SeenShard {
     live: KeyTable,
     spilled: Vec<PathBuf>,
@@ -214,6 +181,7 @@ struct SeenShard {
 
 /// The seen-set, sharded by key prefix so workers rarely contend on the
 /// same lock.
+#[derive(Debug)]
 struct ShardedSeen {
     shards: Vec<Mutex<SeenShard>>,
 }
@@ -221,77 +189,33 @@ struct ShardedSeen {
 impl ShardedSeen {
     fn new() -> Self {
         ShardedSeen {
-            shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(SeenShard {
-                        live: KeyTable::new(),
-                        spilled: Vec::new(),
-                        spilled_count: 0,
-                    })
-                })
-                .collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
         }
+    }
+
+    fn shard(&self, index: usize) -> std::sync::MutexGuard<'_, SeenShard> {
+        self.shards[index].lock().expect("seen shard poisoned")
     }
 
     /// `true` if the key is in the shard's **live** table. Spilled keys
     /// report `false`; see [`SeenShard`] for why that is sound.
     fn contains(&self, key: &StateKey) -> bool {
-        self.shards[key.shard(SHARDS)]
-            .lock()
-            .expect("seen shard poisoned")
-            .live
-            .contains(key)
+        self.shard(key.shard(SHARDS)).live.contains(key)
     }
 
     fn insert(&self, key: StateKey) -> bool {
-        self.shards[key.shard(SHARDS)]
-            .lock()
-            .expect("seen shard poisoned")
-            .live
-            .insert(key)
+        self.shard(key.shard(SHARDS)).live.insert(key)
     }
 
-    /// Total distinct keys committed, live and spilled.
-    fn len(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                let shard = s.lock().expect("seen shard poisoned");
-                shard.live.len() as u64 + shard.spilled_count
-            })
-            .sum()
-    }
-
-    /// Deep bytes of the live tables (what a spill decision polices).
-    fn live_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("seen shard poisoned")
-                    .live
-                    .allocated_bytes()
-            })
-            .sum()
-    }
-
-    /// The deterministic byte charge of holding **every** committed key
-    /// resident, computed from per-shard counts alone — so the reported
-    /// figure is identical with spill on or off, at any thread count.
-    fn table_bytes_if_resident(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                let shard = s.lock().expect("seen shard poisoned");
-                KeyTable::bytes_for_len(shard.live.len() as u64 + shard.spilled_count)
-            })
-            .sum()
+    /// A per-shard figure summed over the shards.
+    fn sum(&self, figure: impl Fn(&SeenShard) -> u64) -> u64 {
+        (0..SHARDS).map(|index| figure(&self.shard(index))).sum()
     }
 
     /// Moves every non-empty live table to a sealed on-disk generation.
     fn spill_live(&self, dir: &SpillDir, generation: u64) {
-        for (index, shard) in self.shards.iter().enumerate() {
-            let mut shard = shard.lock().expect("seen shard poisoned");
+        for index in 0..SHARDS {
+            let mut shard = self.shard(index);
             if shard.live.is_empty() {
                 continue;
             }
@@ -311,30 +235,266 @@ impl ShardedSeen {
             shard.live = KeyTable::new();
         }
     }
+
+    /// Loads a shard's spilled generations back into one lookup table (used
+    /// at barriers to filter re-discovered states); `None` if the shard
+    /// never spilled.
+    fn spilled_keys(&self, index: usize) -> Option<KeyTable> {
+        let paths = self.shard(index).spilled.clone();
+        if paths.is_empty() {
+            return None;
+        }
+        let mut table = KeyTable::new();
+        for path in paths {
+            let (_tag, records) =
+                read_segment(&path, SegmentKind::SeenShard).expect("reading a seen-shard segment");
+            for record in records {
+                assert_eq!(record.len(), 16, "seen-shard records are 16-byte keys");
+                let lo = u64::from_le_bytes(record[..8].try_into().expect("8 bytes"));
+                let hi = u64::from_le_bytes(record[8..].try_into().expect("8 bytes"));
+                table.insert(StateKey::from_parts([lo, hi]));
+            }
+        }
+        Some(table)
+    }
 }
 
-/// Loads a shard's spilled generations back into one lookup table (used at
-/// barriers to filter re-discovered states).
-fn load_spilled_keys(paths: &[PathBuf]) -> KeyTable {
-    let mut table = KeyTable::new();
-    for path in paths {
-        let (_tag, records) =
-            read_segment(path, SegmentKind::SeenShard).expect("reading a seen-shard segment");
-        for record in records {
-            assert_eq!(record.len(), 16, "seen-shard records are 16-byte keys");
-            let lo = u64::from_le_bytes(record[..8].try_into().expect("8 bytes"));
-            let hi = u64::from_le_bytes(record[8..].try_into().expect("8 bytes"));
-            table.insert(StateKey::from_parts([lo, hi]));
+/// One entry of a breadth-first level: a configuration awaiting expansion.
+/// States are kept in their *original* labeling — canonical forms exist
+/// only inside the dedup keys.
+#[derive(Debug)]
+pub struct BfsEntry<A: Automaton> {
+    /// The configuration; absent when the level was thawed from disk —
+    /// workers rebuild it by deterministic replay.
+    state: Option<Executor<A>>,
+    /// Schedule-arena node of the delta-encoded path that produced it, the
+    /// lexicographically smallest among its shortest schedules.
+    node: u32,
+    /// Orbit-size lower bound.
+    orbit_lower: u64,
+}
+
+/// A successor found by [`Bfs::expand`] and not yet committed: the retained
+/// configuration of one new dedup key.
+///
+/// With symmetry on, several *distinct* configurations of one orbit can be
+/// discovered under the same canonical key in one level; the kernel keeps
+/// the one whose schedule is lexicographically smallest (state, schedule,
+/// weight, bytes and value are always replaced together, so the retained
+/// successor stays consistent and deterministic). All orbit members have
+/// relabel-identical futures and identical predicate verdicts, so which one
+/// expands cannot change any reported verdict — only the
+/// (deterministically chosen) witness labels.
+#[derive(Debug)]
+pub struct BfsSuccessor<A: Automaton, V> {
+    /// The caller's per-state value of the retained configuration: a
+    /// predicate's verdict, a goal's measure.
+    pub value: V,
+    /// The retained configuration's deep-byte frontier charge.
+    pub(crate) bytes: u64,
+    key: StateKey,
+    state: Executor<A>,
+    /// The parent's position in its (schedule-ordered) level: successors
+    /// order by `(rank, step)` exactly as their schedules order.
+    rank: usize,
+    parent: u32,
+    step: ProcessId,
+    orbit_lower: u64,
+}
+
+/// One expanded level; see [`Bfs::expand`].
+#[derive(Debug)]
+pub struct BfsLevel<A: Automaton, V> {
+    /// One successor per dedup key not seen before, in schedule order.
+    pub successors: Vec<BfsSuccessor<A, V>>,
+    /// Successor configurations generated (one per expanded transition).
+    pub expansions: u64,
+    /// Entries that ended a path: halted, or in a level not expanded.
+    pub(crate) terminal: u64,
+    /// `true` if an entry of a level not expanded could still step.
+    pub(crate) depth_cut: bool,
+}
+
+/// The level-synchronized breadth-first kernel shared by
+/// [`parallel_explore`] and the adversary search (`sa_search::search`).
+///
+/// The kernel owns the traversal's symmetry plan, its sharded seen-set and
+/// its schedule arena. [`expand`](Self::expand) expands one level on the
+/// worker pool and returns its new successors; the caller's barrier policy
+/// decides which of them to [`commit`](Self::commit) into the next level.
+#[derive(Debug)]
+pub struct Bfs<'a, A: Automaton> {
+    initial: &'a Executor<A>,
+    plan: SymmetryPlan,
+    threads: usize,
+    seen: ShardedSeen,
+    arena: ScheduleArena,
+}
+
+impl<'a, A> Bfs<'a, A>
+where
+    A: Automaton + Clone + Hash + Send + Sync,
+    A::Value: Hash + Clone + Eq + Debug + Send + Sync,
+{
+    /// A traversal from `initial` on `threads` workers (at least one),
+    /// deduplicating under `symmetry`, and its root level. The initial
+    /// configuration's key is already seen.
+    pub fn new(
+        initial: &'a Executor<A>,
+        symmetry: SymmetryMode,
+        threads: usize,
+    ) -> (Self, Vec<BfsEntry<A>>) {
+        let plan = SymmetryPlan::for_executor(initial, symmetry);
+        let seen = ShardedSeen::new();
+        let (key, orbit_lower) = keyed(initial, &plan);
+        seen.insert(key);
+        let root = BfsEntry {
+            state: Some(initial.clone()),
+            node: SCHEDULE_ROOT,
+            orbit_lower,
+        };
+        let bfs = Bfs {
+            initial,
+            plan,
+            threads: threads.max(1),
+            seen,
+            arena: ScheduleArena::new(),
+        };
+        (bfs, vec![root])
+    }
+
+    /// `true` if configurations are deduplicated up to process-id symmetry
+    /// (see [`SymmetryPlan::applied`]).
+    pub fn symmetry_applied(&self) -> bool {
+        self.plan.applied()
+    }
+
+    /// Expands `level`, whose entries are `depth` steps deep, across the
+    /// worker pool; with `successors` off, entries are only classified.
+    ///
+    /// Each successor whose key is not yet seen is kept once per key: the
+    /// one reached by the lexicographically smallest schedule. `value` is
+    /// evaluated, in nondeterministic order, on first discovery and again
+    /// whenever a smaller schedule replaces the kept state, so a returned
+    /// value always describes its successor's state.
+    pub fn expand<V, F>(
+        &self,
+        level: Vec<BfsEntry<A>>,
+        depth: usize,
+        successors: bool,
+        value: &F,
+    ) -> BfsLevel<A, V>
+    where
+        V: Send,
+        F: Fn(&Executor<A>) -> V + Sync,
+    {
+        let next: Vec<Mutex<HashMap<StateKey, BfsSuccessor<A, V>>>> =
+            (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
+        let terminal = AtomicU64::new(0);
+        let expansions = AtomicU64::new(0);
+        let depth_cut = AtomicBool::new(false);
+        let injector = Injector::new();
+        for task in level.into_iter().enumerate() {
+            injector.push(task);
+        }
+        let workers: Vec<Worker<(usize, BfsEntry<A>)>> =
+            (0..self.threads).map(|_| Worker::new_fifo()).collect();
+        let stealers: Vec<Stealer<(usize, BfsEntry<A>)>> =
+            workers.iter().map(Worker::stealer).collect();
+        std::thread::scope(|scope| {
+            for local in workers {
+                let (injector, stealers, next) = (&injector, &stealers, &next);
+                let (terminal, expansions, depth_cut) = (&terminal, &expansions, &depth_cut);
+                scope.spawn(move || {
+                    while let Some((rank, entry)) = find_task(&local, injector, stealers) {
+                        let state = entry.state.unwrap_or_else(|| {
+                            replay(self.initial, self.arena.materialize(entry.node))
+                        });
+                        let runnable = state.runnable();
+                        if runnable.is_empty() || !successors {
+                            terminal.fetch_add(1, Ordering::Relaxed);
+                            if !runnable.is_empty() {
+                                depth_cut.store(true, Ordering::Relaxed);
+                            }
+                            continue;
+                        }
+                        expansions.fetch_add(runnable.len() as u64, Ordering::Relaxed);
+                        for step in runnable {
+                            let mut successor = state.clone();
+                            successor.step(step);
+                            let (key, orbit_lower) = keyed(&successor, &self.plan);
+                            if self.seen.contains(&key) {
+                                // A spilled key reads as unseen here; the
+                                // barrier re-filters against the on-disk
+                                // generations.
+                                continue;
+                            }
+                            let mut shard =
+                                next[key.shard(SHARDS)].lock().expect("next shard poisoned");
+                            // Same key, different parent: keep the
+                            // lexicographically smallest schedule, so the
+                            // retained successor never depends on timing.
+                            if shard
+                                .get(&key)
+                                .is_some_and(|kept| (kept.rank, kept.step) < (rank, step))
+                            {
+                                continue;
+                            }
+                            let found = BfsSuccessor {
+                                value: value(&successor),
+                                bytes: entry_bytes(&successor, depth + 1),
+                                key,
+                                state: successor,
+                                rank,
+                                parent: entry.node,
+                                step,
+                                orbit_lower,
+                            };
+                            shard.insert(key, found);
+                        }
+                    }
+                });
+            }
+        });
+        let mut found: Vec<BfsSuccessor<A, V>> = Vec::new();
+        for (index, shard) in next.into_iter().enumerate() {
+            let shard = shard.into_inner().expect("next shard poisoned");
+            if shard.is_empty() {
+                continue;
+            }
+            let spilled = self.seen.spilled_keys(index);
+            found.extend(
+                shard
+                    .into_values()
+                    .filter(|s| spilled.as_ref().is_none_or(|keys| !keys.contains(&s.key))),
+            );
+        }
+        found.sort_unstable_by_key(|s| (s.rank, s.step));
+        BfsLevel {
+            successors: found,
+            expansions: expansions.into_inner(),
+            terminal: terminal.into_inner(),
+            depth_cut: depth_cut.into_inner(),
         }
     }
-    table
-}
 
-/// A frozen BFS level: resident entries, or a sealed segment of
-/// `(arena node, orbit weight)` records awaiting thaw.
-enum PendingLevel<A: Automaton> {
-    Resident(Vec<Entry<A>>),
-    Spilled { path: PathBuf, count: u64 },
+    /// Commits `successor` into the traversal — its key becomes seen and its
+    /// schedule joins the arena — and returns its next-level entry.
+    pub fn commit<V>(&mut self, successor: BfsSuccessor<A, V>) -> BfsEntry<A> {
+        self.seen.insert(successor.key);
+        BfsEntry {
+            state: Some(successor.state),
+            node: self.arena.push(successor.parent, successor.step),
+            orbit_lower: successor.orbit_lower,
+        }
+    }
+
+    /// The schedule reaching `successor`'s configuration.
+    pub fn schedule<V>(&self, successor: &BfsSuccessor<A, V>) -> Vec<ProcessId> {
+        let mut schedule = self.arena.materialize(successor.parent);
+        schedule.push(successor.step);
+        schedule
+    }
 }
 
 /// Length of one spilled-level record: arena node (u32) and orbit weight
@@ -349,16 +509,20 @@ fn encode_level_record(node: u32, orbit_lower: u64) -> [u8; LEVEL_RECORD_LEN] {
     record
 }
 
-/// Decodes [`encode_level_record`] output.
-fn decode_level_record(record: &[u8]) -> (u32, u64) {
-    assert_eq!(
-        record.len(),
-        LEVEL_RECORD_LEN,
-        "level records are {LEVEL_RECORD_LEN} bytes"
-    );
+/// Decodes [`encode_level_record`] output against an arena of `arena_len`
+/// nodes. The bytes come from disk: a record of the wrong length, or one
+/// naming a node the arena does not hold, is a clean `corrupt segment`
+/// error here rather than an out-of-bounds panic inside a worker's replay.
+fn decode_level_record(record: &[u8], arena_len: usize) -> io::Result<(u32, u64)> {
+    if record.len() != LEVEL_RECORD_LEN {
+        return Err(corrupt("corrupt segment: level record length mismatch"));
+    }
     let node = u32::from_le_bytes(record[..4].try_into().expect("4 bytes"));
+    if node != SCHEDULE_ROOT && node as usize >= arena_len {
+        return Err(corrupt("corrupt segment: level record node out of range"));
+    }
     let orbit = u64::from_le_bytes(record[4..].try_into().expect("8 bytes"));
-    (node, orbit)
+    Ok((node, orbit))
 }
 
 /// Pulls the next task for a worker: local deque first, then the shared
@@ -396,12 +560,13 @@ fn find_task<T>(local: &Worker<T>, injector: &Injector<T>, stealers: &[Stealer<T
 /// The report is byte-identical at any `config.threads` (see the module
 /// docs for how); the predicate must therefore be pure with respect to the
 /// reported fields, though it may accumulate its own statistics through
-/// interior mutability. It is evaluated once per newly discovered dedup key
-/// (in nondeterministic order), plus once more per *violating* key at the
-/// level barrier to bind the description to the retained witness state.
-/// With [`SymmetryMode::ProcessIds`] the predicate must additionally be
-/// relabeling-invariant — true of any predicate over decided value sets
-/// and memory contents, like the safety properties.
+/// interior mutability. It is evaluated (in nondeterministic order) once
+/// per newly discovered dedup key, and again whenever a lexicographically
+/// smaller schedule replaces the state retained for that key, so a
+/// violation's description always describes the reported schedule's
+/// configuration. With [`SymmetryMode::ProcessIds`] the predicate must
+/// additionally be relabeling-invariant — true of any predicate over
+/// decided value sets and memory contents, like the safety properties.
 pub fn parallel_explore<A, F>(
     initial: &Executor<A>,
     config: ParallelExploreConfig,
@@ -412,53 +577,23 @@ where
     A::Value: Hash + Clone + Eq + Debug + Send + Sync,
     F: Fn(&Executor<A>) -> Option<String> + Sync,
 {
-    let threads = config.effective_threads();
-    let plan = SymmetryPlan::for_executor(initial, config.symmetry);
-    let mut result = Exploration {
-        states_visited: 0,
-        paths: 0,
-        violation: None,
-        truncated: false,
-        max_depth_reached: 0,
-        frontier_peak: 0,
-        frontier_semantics: FrontierSemantics::BfsLevelWidth,
-        pending_at_exit: 0,
-        seen_entries: 0,
-        approx_bytes: 0,
-        spilled_entries: 0,
-        symmetry_applied: plan.applied(),
-        full_states_lower_bound: 0,
-        reduction_applied: false,
-        expansions: 0,
-        sleep_pruned: 0,
-        persistent_expanded: 0,
-        states_cut: 0,
-    };
-    if let Some(description) = predicate(initial) {
-        result.states_visited = 1;
-        result.full_states_lower_bound = 1;
-        result.violation = Some(ExploredViolation {
-            schedule: Vec::new(),
-            description,
-        });
+    let (mut bfs, root) = Bfs::new(initial, config.symmetry, config.effective_threads());
+    let mut result = Exploration::new(
+        FrontierSemantics::BfsLevelWidth,
+        bfs.symmetry_applied(),
+        false,
+        predicate(initial),
+    );
+    if result.violation.is_some() {
         return result;
     }
-    let seen = ShardedSeen::new();
-    let (initial_key, initial_orbit) = keyed(initial, &plan);
-    seen.insert(initial_key);
-    // Delta-encoded schedules: every frontier entry references an arena
-    // node; the node chain materializes its schedule. The arena is only
-    // mutated at single-threaded barriers, so workers share it by
-    // reference while a level is in flight.
-    let mut arena = ScheduleArena::new();
     let cap = config.max_resident_bytes;
     let mut spill_dir: Option<SpillDir> = None;
     let mut seen_spill_generation: u64 = 0;
-    let mut pending: PendingLevel<A> = PendingLevel::Resident(vec![Entry {
-        state: Some(initial.clone()),
-        node: SCHEDULE_ROOT,
-        orbit_lower: initial_orbit,
-    }]);
+    let mut level = root;
+    // A level frozen to a sealed segment of `(arena node, orbit weight)`
+    // records, awaiting thaw.
+    let mut spilled_level: Option<PathBuf> = None;
     // Peak deep bytes of any single level — the frontier term of
     // `approx_bytes`. Tracked from barrier sums (plus the root entry), so
     // it is a pure function of the state space.
@@ -467,27 +602,20 @@ where
     loop {
         // Thaw a spilled level: records carry only (node, orbit); workers
         // rebuild the executors by replaying the materialized schedules.
-        let level: Vec<Entry<A>> =
-            match std::mem::replace(&mut pending, PendingLevel::Resident(Vec::new())) {
-                PendingLevel::Resident(entries) => entries,
-                PendingLevel::Spilled { path, count } => {
-                    let (_tag, records) = read_segment(&path, SegmentKind::FrontierLevel)
-                        .expect("reading back a spilled level segment");
-                    let _ = std::fs::remove_file(&path);
-                    debug_assert_eq!(records.len() as u64, count);
-                    records
-                        .iter()
-                        .map(|record| {
-                            let (node, orbit_lower) = decode_level_record(record);
-                            Entry {
-                                state: None,
-                                node,
-                                orbit_lower,
-                            }
-                        })
-                        .collect()
-                }
-            };
+        if let Some(path) = spilled_level.take() {
+            let (_tag, records) = read_segment(&path, SegmentKind::FrontierLevel)
+                .expect("reading back a spilled level segment");
+            let _ = std::fs::remove_file(&path);
+            for record in records {
+                let (node, orbit_lower) = decode_level_record(&record, bfs.arena.len())
+                    .expect("decoding a spilled level record");
+                level.push(BfsEntry {
+                    state: None,
+                    node,
+                    orbit_lower,
+                });
+            }
+        }
         result.states_visited += level.len() as u64;
         for entry in &level {
             result.full_states_lower_bound = result
@@ -497,175 +625,32 @@ where
         result.frontier_peak = result.frontier_peak.max(level.len() as u64);
         result.max_depth_reached = depth;
         let at_depth_limit = depth >= config.max_depth;
-
-        // Expand the level across the worker pool. Successors land in the
-        // sharded next-frontier map keyed by state, merging duplicate
-        // discoveries to the lexicographically smallest schedule.
-        let next: Vec<Mutex<HashMap<StateKey, Discovered<A>>>> =
-            (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
-        let terminal_paths = AtomicU64::new(0);
-        let expansions = AtomicU64::new(0);
-        let depth_cut = AtomicBool::new(false);
-        let injector: Injector<Entry<A>> = Injector::new();
-        for entry in level {
-            injector.push(entry);
-        }
-        let workers: Vec<Worker<Entry<A>>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Entry<A>>> = workers.iter().map(Worker::stealer).collect();
-        std::thread::scope(|scope| {
-            for local in workers {
-                let stealers = &stealers;
-                let injector = &injector;
-                let seen = &seen;
-                let next = &next;
-                let terminal_paths = &terminal_paths;
-                let expansions = &expansions;
-                let depth_cut = &depth_cut;
-                let predicate = &predicate;
-                let plan = &plan;
-                let arena = &arena;
-                scope.spawn(move || {
-                    while let Some(entry) = find_task(&local, injector, stealers) {
-                        let Entry { state, node, .. } = entry;
-                        let schedule = arena.materialize(node);
-                        let state = state.unwrap_or_else(|| replay(initial, &schedule));
-                        let runnable = state.runnable();
-                        if runnable.is_empty() {
-                            terminal_paths.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                        if at_depth_limit {
-                            // The depth bound cut this path short.
-                            terminal_paths.fetch_add(1, Ordering::Relaxed);
-                            depth_cut.store(true, Ordering::Relaxed);
-                            continue;
-                        }
-                        for process in runnable {
-                            expansions.fetch_add(1, Ordering::Relaxed);
-                            let mut successor = state.clone();
-                            successor.step(process);
-                            let (key, orbit_lower) = keyed(&successor, plan);
-                            if seen.contains(&key) {
-                                // A spilled key reads as unseen here; the
-                                // barrier re-filters against the on-disk
-                                // generations before committing.
-                                continue;
-                            }
-                            let mut successor_schedule = schedule.clone();
-                            successor_schedule.push(process);
-                            let bytes = entry_bytes(&successor, successor_schedule.len());
-                            let mut shard =
-                                next[key.shard(SHARDS)].lock().expect("next shard poisoned");
-                            match shard.entry(key) {
-                                std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                                    let kept = occupied.get_mut();
-                                    // Same key, different parent: keep the
-                                    // lexicographically smallest schedule —
-                                    // and the state it produced, which with
-                                    // symmetry on may be a different member
-                                    // of the same orbit — so the retained
-                                    // tuple never depends on timing.
-                                    if successor_schedule < kept.schedule {
-                                        kept.state = successor;
-                                        kept.schedule = successor_schedule;
-                                        kept.parent = node;
-                                        kept.step = process;
-                                        // The orbit weight and byte charge
-                                        // belong to the retained member, so
-                                        // they travel with the state to stay
-                                        // deterministic.
-                                        kept.orbit_lower = orbit_lower;
-                                        kept.bytes = bytes;
-                                    }
-                                }
-                                std::collections::hash_map::Entry::Vacant(vacant) => {
-                                    // First discovery this level: evaluate
-                                    // the predicate once per fresh key
-                                    // (verdicts are identical across an
-                                    // orbit, so whichever member arrives
-                                    // first decides the same way).
-                                    let violating = predicate(&successor).is_some();
-                                    vacant.insert(Discovered {
-                                        state: successor,
-                                        schedule: successor_schedule,
-                                        parent: node,
-                                        step: process,
-                                        orbit_lower,
-                                        bytes,
-                                        violating,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        result.paths += terminal_paths.load(Ordering::Relaxed);
-        result.expansions += expansions.load(Ordering::Relaxed);
+        let expanded = bfs.expand(level, depth as usize, !at_depth_limit, &predicate);
+        result.paths += expanded.terminal;
+        result.expansions += expanded.expansions;
         if at_depth_limit {
-            result.truncated |= depth_cut.load(Ordering::Relaxed);
+            result.truncated |= expanded.depth_cut;
             break;
         }
 
-        // Barrier: filter candidates against spilled seen generations,
-        // commit the survivors' keys and arena deltas, resolve violations,
-        // freeze the next frontier. The spilled-filter runs FIRST: a
-        // re-discovered spilled key must vanish before violation handling,
-        // which keeps the output identical to a spill-off run (a seen key
-        // is never violating — its discovery level would have ended the
-        // search). Violation descriptions are (re)computed from the
-        // *retained* state, so the reported witness schedule and its
-        // description always describe the same configuration, whichever
-        // orbit member was discovered first.
-        let mut violations: Vec<ExploredViolation> = Vec::new();
-        let mut next_level: Vec<Entry<A>> = Vec::new();
-        let mut next_level_bytes: u64 = 0;
-        for (index, shard) in next.into_iter().enumerate() {
-            let candidates = shard.into_inner().expect("next shard poisoned");
-            if candidates.is_empty() {
-                continue;
-            }
-            let spilled_paths = {
-                let shard = seen.shards[index].lock().expect("seen shard poisoned");
-                shard.spilled.clone()
-            };
-            let spilled_keys =
-                (!spilled_paths.is_empty()).then(|| load_spilled_keys(&spilled_paths));
-            for (key, discovered) in candidates {
-                if let Some(spilled) = &spilled_keys {
-                    if spilled.contains(&key) {
-                        continue;
-                    }
-                }
-                if !seen.insert(key) {
-                    continue;
-                }
-                if discovered.violating {
-                    let description = predicate(&discovered.state).expect(
-                        "the predicate rejected an orbit member of this state; verdicts \
-                         must be pure and relabeling-invariant",
-                    );
-                    violations.push(ExploredViolation {
-                        schedule: discovered.schedule,
-                        description,
-                    });
-                } else {
-                    let node = arena.push(discovered.parent, discovered.step);
-                    next_level_bytes += discovered.bytes;
-                    next_level.push(Entry {
-                        state: Some(discovered.state),
-                        node,
-                        orbit_lower: discovered.orbit_lower,
-                    });
-                }
-            }
-        }
-        if !violations.is_empty() {
-            violations.sort_by(|a, b| a.schedule.cmp(&b.schedule));
-            let chosen = violations.swap_remove(0);
-            result.max_depth_reached = result.max_depth_reached.max(chosen.schedule.len() as u64);
-            result.violation = Some(chosen);
+        // Barrier: commit the level's new states and freeze the next
+        // frontier. Successors arrive in schedule order, so the first
+        // violating one is the lexicographically smallest violating
+        // schedule, and its description was computed on the retained state.
+        result.violation = expanded.successors.iter().find_map(|successor| {
+            Some(ExploredViolation {
+                description: successor.value.clone()?,
+                schedule: bfs.schedule(successor),
+            })
+        });
+        let next_level_bytes: u64 = expanded.successors.iter().map(|s| s.bytes).sum();
+        let mut next_level: Vec<BfsEntry<A>> = expanded
+            .successors
+            .into_iter()
+            .map(|s| bfs.commit(s))
+            .collect();
+        if result.violation.is_some() {
+            result.max_depth_reached = depth + 1;
             break;
         }
         if next_level.is_empty() {
@@ -691,45 +676,39 @@ where
             // Freeze the level to a sealed segment of (node, orbit)
             // records; the executors are dropped here and rebuilt by
             // replay when the level thaws.
-            let dir = match &spill_dir {
-                Some(dir) => dir,
-                None => {
-                    spill_dir = Some(SpillDir::fresh().expect("creating the spill directory"));
-                    spill_dir.as_ref().expect("just created")
-                }
-            };
+            let dir = spill_dir
+                .get_or_insert_with(|| SpillDir::fresh().expect("creating the spill directory"));
             let path = dir.file(&format!("level-{depth:08}.seg"));
             let mut writer = SegmentWriter::create(&path, SegmentKind::FrontierLevel, depth)
                 .expect("creating a level spill segment");
-            let count = next_level.len() as u64;
+            result.spilled_entries += next_level.len() as u64;
             for entry in next_level.drain(..) {
                 writer
                     .append(&encode_level_record(entry.node, entry.orbit_lower))
                     .expect("writing a level spill record");
             }
             writer.finish().expect("sealing a level spill segment");
-            result.spilled_entries += count;
-            pending = PendingLevel::Spilled { path, count };
-        } else {
-            pending = PendingLevel::Resident(next_level);
+            spilled_level = Some(path);
         }
+        level = next_level;
         // Seen-set shards follow the same budget: once the live tables
         // outgrow it, they move to sealed per-shard generations.
-        if config.spill && cap > 0 && seen.live_bytes() > cap {
-            let dir = match &spill_dir {
-                Some(dir) => dir,
-                None => {
-                    spill_dir = Some(SpillDir::fresh().expect("creating the spill directory"));
-                    spill_dir.as_ref().expect("just created")
-                }
-            };
-            seen.spill_live(dir, seen_spill_generation);
+        if config.spill && cap > 0 && bfs.seen.sum(|s| s.live.allocated_bytes()) > cap {
+            let dir = spill_dir
+                .get_or_insert_with(|| SpillDir::fresh().expect("creating the spill directory"));
+            bfs.seen.spill_live(dir, seen_spill_generation);
             seen_spill_generation += 1;
         }
         depth += 1;
     }
-    result.seen_entries = seen.len();
-    result.approx_bytes = level_bytes_peak + seen.table_bytes_if_resident();
+    // Every committed key, live or spilled, is charged as if resident, so
+    // the figure is identical with spill on or off, at any thread count.
+    let committed = |shard: &SeenShard| shard.live.len() as u64 + shard.spilled_count;
+    result.seen_entries = bfs.seen.sum(committed);
+    result.approx_bytes = level_bytes_peak
+        + bfs
+            .seen
+            .sum(|shard| KeyTable::bytes_for_len(committed(shard)));
     result
 }
 
@@ -1152,11 +1131,41 @@ mod tests {
 
     #[test]
     fn level_records_roundtrip() {
-        assert_eq!(decode_level_record(&encode_level_record(7, 42)), (7, 42));
         assert_eq!(
-            decode_level_record(&encode_level_record(u32::MAX, u64::MAX)),
-            (u32::MAX, u64::MAX)
+            decode_level_record(&encode_level_record(7, 42), 8).unwrap(),
+            (7, 42)
         );
+        assert_eq!(
+            decode_level_record(&encode_level_record(SCHEDULE_ROOT, u64::MAX), 0).unwrap(),
+            (SCHEDULE_ROOT, u64::MAX)
+        );
+    }
+
+    #[test]
+    fn doctored_level_records_fail_as_corrupt_not_panic() {
+        // A sealed segment whose checksum is intact but whose level record
+        // names a node the arena does not hold, or has the wrong length:
+        // decoding must refuse with a clean `corrupt segment` io::Error
+        // instead of handing a worker a node that panics with an
+        // out-of-bounds index inside `ScheduleArena::materialize`.
+        let dir = SpillDir::fresh().unwrap();
+        let path = dir.file("doctored-level.seg");
+        let mut writer = SegmentWriter::create(&path, SegmentKind::FrontierLevel, 0).unwrap();
+        writer.append(&encode_level_record(999, 1)).unwrap();
+        writer.append(&encode_level_record(2, 1)[..10]).unwrap();
+        writer.finish().unwrap();
+        let (_tag, records) = read_segment(&path, SegmentKind::FrontierLevel).unwrap();
+        assert_eq!(records.len(), 2);
+        // A 1000-node arena holds node 999; a 3-node arena does not.
+        assert_eq!(decode_level_record(&records[0], 1000).unwrap(), (999, 1));
+        for (record, arena_len) in [(&records[0], 3), (&records[1], 3)] {
+            let err = decode_level_record(record, arena_len).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string().contains("corrupt segment"),
+                "unexpected error: {err}"
+            );
+        }
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! **Sealed** segments are written once and finished with a trailer
 //! (`record count` u64, FNV-1a checksum over every record's length prefix
 //! and bytes, tail magic `b"SASEGEND"`); a reader rejects any file whose
-//! trailer does not check out. The explorers spill frozen BFS levels,
-//! DFS stack slices and seen-set shards this way — the data is immutable
-//! the moment it is written.
+//! trailer does not check out. The breadth-first explorer spills frozen
+//! levels and seen-set shards this way — the data is immutable the moment
+//! it is written.
 //!
 //! **Journal** segments are append-only and crash-tolerant: each record is
 //! `length` (u32 LE), `FNV-1a of the record bytes` (u64 LE), then the bytes,
@@ -42,7 +42,7 @@
 //!   `Vec<ProcessId>` per frontier entry. Configurations themselves are
 //!   never serialized: a schedule replayed from the initial executor *is*
 //!   the configuration (the executor is deterministic), which is what lets
-//!   spilled frontier records store schedules only.
+//!   spilled level records store arena nodes only.
 
 use crate::explore::StateKey;
 use sa_model::ProcessId;
@@ -62,7 +62,7 @@ const FRAMING_JOURNAL: u8 = 2;
 /// What the records of a segment mean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentKind {
-    /// A frozen explorer frontier (one schedule + orbit weight per record).
+    /// A frozen BFS level (one arena node + orbit weight per record).
     FrontierLevel,
     /// A seen-set shard (one 16-byte [`StateKey`] per record).
     SeenShard,
@@ -114,7 +114,7 @@ fn read_header(input: &mut impl Read, kind: SegmentKind, framing: u8) -> io::Res
     Ok(u64::from_le_bytes(tag))
 }
 
-fn corrupt(message: &str) -> io::Error {
+pub(crate) fn corrupt(message: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.to_string())
 }
 
@@ -491,10 +491,9 @@ impl ScheduleArena {
 /// length.
 const FRONTIER_RECORD_HEADER: usize = 8 + 8 + 1 + 8 + 8 + 8 + 4;
 
-/// One spilled frontier entry of the serial explorer, as serialized by
-/// [`encode_frontier_record`]. Configurations are **not** part of the
-/// record — replaying the schedule from the initial executor reconstructs
-/// them exactly, because the executor is deterministic.
+/// A frontier entry as serialized by [`encode_frontier_record`]. No
+/// explorer uses this record: it is kept only for `perfbench`'s
+/// `store.frontier_*` timings, until perfbench next changes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FrontierRecord {
     /// The schedule reaching the entry's configuration.
@@ -508,8 +507,7 @@ pub struct FrontierRecord {
     /// sleep-set state matching (`None` outside persistent-set runs).
     pub expand: Option<u64>,
     /// The DPOR backtrack set at freeze time (0 outside persistent-set
-    /// runs). Additions made while the frame is on disk are merged back by
-    /// union when it thaws.
+    /// runs).
     pub backtrack: u64,
     /// The DPOR done set at freeze time (0 outside persistent-set runs).
     pub done: u64,

@@ -1,19 +1,20 @@
 //! The deterministic goal-directed search driver.
 //!
-//! A level-synchronized breadth-first search over schedule space, built on
-//! the same state machinery as the exhaustive explorers: configurations are
-//! deduplicated by their (optionally symmetry-canonicalized) 128-bit
-//! [`StateKey`] in a [`KeyTable`], every first-visited configuration is
-//! evaluated against the configured
-//! [`WitnessGoal`](crate::goal::WitnessGoal), and the best witness is kept
-//! under a total order — most registers, then widest covering, then
-//! shallowest depth, then lexicographically smallest schedule. Levels are
-//! expanded in contiguous chunks across worker threads and merged back in
-//! submission order, so the report (and the campaign JSONL built from it)
-//! is **byte-identical at any thread count**; a serial search is simply the
-//! one-chunk case of the same merge.
+//! A level-synchronized breadth-first search over schedule space, run on
+//! the exhaustive explorers' own breadth-first kernel ([`Bfs`]): the same
+//! work-stealing level expansion, sharded seen-set of (optionally
+//! symmetry-canonicalized) 128-bit `StateKey`s and
+//! lexicographically-smallest-schedule merge as
+//! [`parallel_explore`](sa_runtime::parallel_explore). The driver adds only
+//! its barrier policy: new configurations are admitted in schedule order
+//! until the state budget runs out, each admitted one is evaluated against
+//! the configured [`WitnessGoal`](crate::goal::WitnessGoal), and the best
+//! witness is kept under a total order — most registers, then widest
+//! covering, then shallowest depth, then lexicographically smallest
+//! schedule. The report (and the campaign JSONL built from it) is
+//! therefore **byte-identical at any thread count**.
 //!
-//! The search expands every enabled transition of every first-visited
+//! The search expands every enabled transition of every admitted
 //! configuration: partial-order reduction lives only in the serial
 //! exhaustive explorer, whose DPOR search needs a DFS path to backtrack
 //! over.
@@ -21,8 +22,7 @@
 use crate::goal::{goal_for, GoalMeasure};
 use crate::witness::{verify, Certificate, Witness};
 use sa_model::{Automaton, ProcessId};
-use sa_runtime::store::KeyTable;
-use sa_runtime::{keyed, Executor, SearchConfig, SearchGoal, StateKey, SymmetryPlan};
+use sa_runtime::{Bfs, Executor, SearchConfig, SearchGoal};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -82,73 +82,48 @@ pub struct SearchReport {
     pub verified: bool,
 }
 
-/// One expansion chunk's output: candidates plus the chunk's expansion
-/// count.
-type ChunkExpansion<A> = (Vec<Candidate<A>>, u64);
-
-/// A successor produced by expanding one frontier entry.
-struct Candidate<A: Automaton> {
-    key: StateKey,
-    state: Executor<A>,
-    schedule: Vec<ProcessId>,
-    hit: Option<GoalMeasure>,
-}
-
-/// One frontier entry: a configuration and the schedule reaching it.
-struct Frontier<A: Automaton> {
-    state: Executor<A>,
-    schedule: Vec<ProcessId>,
-}
-
 /// `true` when `candidate` beats `best` under the witness order: most
 /// registers, then widest covering, then shallowest, then lexicographically
 /// smallest schedule.
 fn better(candidate: &Witness, best: &Witness) -> bool {
-    let c = &candidate.certificate;
-    let b = &best.certificate;
-    (
-        c.registers,
-        c.registers_covered,
-        std::cmp::Reverse(c.depth),
-        std::cmp::Reverse(candidate.schedule.clone()),
-    ) > (
-        b.registers,
-        b.registers_covered,
-        std::cmp::Reverse(b.depth),
-        std::cmp::Reverse(best.schedule.clone()),
-    )
+    let rank = |w: &Witness| {
+        let c = &w.certificate;
+        (c.registers, c.registers_covered, std::cmp::Reverse(c.depth))
+    };
+    rank(candidate)
+        .cmp(&rank(best))
+        .then_with(|| best.schedule.cmp(&candidate.schedule))
+        .is_gt()
 }
 
 /// Runs a goal-directed adversary search from `initial`.
 ///
 /// The search visits configurations breadth-first up to
 /// [`SearchConfig::max_depth`] steps and [`SearchConfig::max_states`]
-/// distinct configurations, evaluating the goal on every first visit. With
-/// a non-zero [`SearchConfig::target_registers`] it stops at the end of the
-/// first level containing a witness with at least that many registers;
-/// otherwise it searches the whole budgeted space for the best witness.
-/// The emitted witness is replay-verified before the report is returned.
+/// distinct configurations, evaluating the goal on every first visit. Each
+/// level's new configurations are admitted in schedule order, so a budget
+/// that runs out mid-level keeps the level's lexicographically first ones.
+/// With a non-zero [`SearchConfig::target_registers`] it stops at the end
+/// of the first level containing a witness with at least that many
+/// registers; otherwise it searches the whole budgeted space for the best
+/// witness. The emitted witness is replay-verified before the report is
+/// returned.
 pub fn search<A>(initial: &Executor<A>, config: SearchConfig) -> SearchReport
 where
     A: Automaton + Clone + Hash + Send + Sync,
     A::Value: Hash + Clone + Eq + Debug + Send + Sync,
 {
-    let plan = SymmetryPlan::for_executor(initial, config.symmetry);
     let goal = goal_for::<A>(config.goal);
     let threads = config.threads.max(1);
+    let (mut bfs, mut level) = Bfs::new(initial, config.symmetry, threads);
 
-    let mut seen = KeyTable::new();
     let mut best: Option<Witness> = None;
-    let mut states_visited: u64 = 0;
-    let mut max_depth_reached: u64 = 0;
-    let mut expansions: u64 = 0;
-    let mut truncated = false;
-
-    let consider = |best: &mut Option<Witness>, schedule: &[ProcessId], measure: GoalMeasure| {
+    let consider = |best: &mut Option<Witness>, schedule: Vec<ProcessId>, measure: GoalMeasure| {
+        let depth = schedule.len() as u64;
         let candidate = Witness {
             goal: config.goal,
-            schedule: schedule.to_vec(),
-            certificate: Certificate::from_measure(config.goal, schedule.len() as u64, measure),
+            schedule,
+            certificate: Certificate::from_measure(config.goal, depth, measure),
         };
         if best.as_ref().is_none_or(|b| better(&candidate, b)) {
             *best = Some(candidate);
@@ -156,18 +131,14 @@ where
     };
 
     // Depth 0: the initial configuration is visited (and measured) too.
-    seen.insert(keyed(initial, &plan).0);
-    states_visited += 1;
+    let mut states_visited: u64 = 1;
     if let Some(measure) = goal.evaluate(initial) {
-        consider(&mut best, &[], measure);
+        consider(&mut best, Vec::new(), measure);
     }
-
-    let mut frontier: Vec<Frontier<A>> = vec![Frontier {
-        state: initial.clone(),
-        schedule: Vec::new(),
-    }];
+    let mut max_depth_reached: u64 = 0;
+    let mut expansions: u64 = 0;
     let mut depth: u64 = 0;
-    let stop = loop {
+    let stop = 'search: loop {
         let target_reached = config.target_registers > 0
             && best
                 .as_ref()
@@ -175,87 +146,29 @@ where
         if target_reached {
             break SearchStop::TargetReached;
         }
-        if frontier.is_empty() {
+        if level.is_empty() {
             break SearchStop::StateSpaceExhausted;
         }
         if depth >= config.max_depth {
-            truncated = true;
             break SearchStop::Truncated;
         }
-
-        // Expand the level in contiguous chunks, merged back in submission
-        // order — the order is a pure function of the frontier, never of
-        // the thread count.
-        let chunk_count = threads.min(frontier.len());
-        let chunk_size = frontier.len().div_ceil(chunk_count);
-        let expand = |chunk: &[Frontier<A>]| -> ChunkExpansion<A> {
-            let mut out = Vec::new();
-            let mut stepped: u64 = 0;
-            for entry in chunk {
-                for process in entry.state.runnable() {
-                    stepped += 1;
-                    let mut successor = entry.state.clone();
-                    successor.step(process);
-                    let (key, _) = keyed(&successor, &plan);
-                    let hit = goal.evaluate(&successor);
-                    let mut next_schedule = Vec::with_capacity(entry.schedule.len() + 1);
-                    next_schedule.extend_from_slice(&entry.schedule);
-                    next_schedule.push(process);
-                    out.push(Candidate {
-                        key,
-                        state: successor,
-                        schedule: next_schedule,
-                        hit,
-                    });
-                }
-            }
-            (out, stepped)
-        };
-        let merged: Vec<ChunkExpansion<A>> = if chunk_count == 1 {
-            vec![expand(&frontier)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = frontier
-                    .chunks(chunk_size)
-                    .map(|chunk| scope.spawn(|| expand(chunk)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-        };
-
+        let expanded = bfs.expand(level, depth as usize, true, &|state| goal.evaluate(state));
+        expansions += expanded.expansions;
         depth += 1;
-        let mut next: Vec<Frontier<A>> = Vec::new();
-        let mut budget_hit = false;
-        'merge: for (chunk, stepped) in merged {
-            expansions += stepped;
-            for candidate in chunk {
-                if seen.contains(&candidate.key) {
-                    continue;
-                }
-                if states_visited >= config.max_states {
-                    budget_hit = true;
-                    break 'merge;
-                }
-                seen.insert(candidate.key);
-                states_visited += 1;
-                max_depth_reached = depth;
-                if let Some(measure) = candidate.hit {
-                    consider(&mut best, &candidate.schedule, measure);
-                }
-                next.push(Frontier {
-                    state: candidate.state,
-                    schedule: candidate.schedule,
-                });
+        level = Vec::with_capacity(expanded.successors.len());
+        for mut successor in expanded.successors {
+            if states_visited >= config.max_states {
+                break 'search SearchStop::Truncated;
             }
+            states_visited += 1;
+            max_depth_reached = depth;
+            if let Some(measure) = successor.value.take() {
+                consider(&mut best, bfs.schedule(&successor), measure);
+            }
+            level.push(bfs.commit(successor));
         }
-        if budget_hit {
-            truncated = true;
-            break SearchStop::Truncated;
-        }
-        frontier = next;
     };
 
-    let target_reached = stop == SearchStop::TargetReached;
     let verified = match &best {
         Some(witness) => verify(initial, witness).is_ok(),
         None => true,
@@ -266,9 +179,9 @@ where
         threads,
         states_visited,
         max_depth_reached,
-        truncated,
-        target_reached,
-        symmetry_applied: plan.applied(),
+        truncated: stop == SearchStop::Truncated,
+        target_reached: stop == SearchStop::TargetReached,
+        symmetry_applied: bfs.symmetry_applied(),
         expansions,
         stop,
         witness: best,
@@ -312,6 +225,52 @@ mod tests {
                 a.as_ref().map(|w| (&w.schedule, &w.certificate)),
                 b.as_ref().map(|w| (&w.schedule, &w.certificate)),
                 "witness must be byte-identical at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn state_budget_truncates_identically_at_any_thread_count() {
+        // The 4/1/3 anonymous one-shot cell under process-id symmetry, with
+        // no target: the budget admits exactly `max_states` states, in
+        // schedule order, and every count and the witness are the same at
+        // any worker count.
+        use sa_core::AnonymousSetAgreement;
+        use sa_model::Params;
+        let params = Params::new(4, 1, 3).unwrap();
+        let exec = Executor::new(
+            (0..4)
+                .map(|p| AnonymousSetAgreement::one_shot(params, 100 + p as u64))
+                .collect(),
+        );
+        let config = SearchConfig {
+            max_states: 5_000,
+            symmetry: SymmetryMode::ProcessIds,
+            ..SearchConfig::default()
+        };
+        let serial = search(&exec, config);
+        assert_eq!(serial.states_visited, 5_000);
+        assert_eq!(serial.stop, SearchStop::Truncated);
+        assert!(serial.truncated && serial.verified);
+        assert_eq!((serial.max_depth_reached, serial.expansions), (12, 18_652));
+        let witness = serial.witness.as_ref().expect("a covering is found");
+        assert_eq!(
+            (witness.schedule.len(), witness.certificate.registers),
+            (9, 3)
+        );
+        for threads in [2, 8] {
+            let parallel = search(&exec, SearchConfig { threads, ..config });
+            assert_eq!(parallel.states_visited, serial.states_visited);
+            assert_eq!(parallel.max_depth_reached, serial.max_depth_reached);
+            assert_eq!(parallel.expansions, serial.expansions, "threads={threads}");
+            assert_eq!(parallel.stop, serial.stop);
+            assert_eq!(
+                parallel
+                    .witness
+                    .as_ref()
+                    .map(|w| (&w.schedule, &w.certificate)),
+                Some((&witness.schedule, &witness.certificate)),
+                "threads={threads}"
             );
         }
     }

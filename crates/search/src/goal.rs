@@ -14,9 +14,11 @@
 //! all written before, so releasing it obliterates recorded information),
 //! composable with [`And`] / [`Or`].
 //!
-//! These primitives used to live in `sa-lowerbound`'s `blockwrite` module;
-//! they moved here so the hand-built Theorem 2 constructions and the
-//! machine search evaluate witnesses through the *same* code.
+//! The hand-built Theorem 2 constructions in `sa-lowerbound` and the
+//! machine search evaluate witnesses through this *same* code, and the
+//! tests below are the executable specification of the mechanics
+//! (covering observation, block-write release, obliteration and splice
+//! invisibility) against the paper's own algorithms.
 
 use sa_memory::Location;
 use sa_model::{Automaton, ProcessId};
@@ -434,11 +436,7 @@ mod tests {
     use sa_model::Params;
 
     fn executor() -> Executor<OneShotSetAgreement> {
-        let params = Params::new(3, 1, 1).unwrap();
-        let automata: Vec<_> = (0..3)
-            .map(|p| OneShotSetAgreement::new(params, ProcessId(p), 100 + p as u64))
-            .collect();
-        Executor::new(automata)
+        full_width_executor(Params::new(3, 1, 1).unwrap())
     }
 
     const COMPONENT_0: Location = Location::Component {
@@ -535,5 +533,159 @@ mod tests {
             goal_for::<OneShotSetAgreement>(SearchGoal::BlockWrite).label(),
             "block-write"
         );
+    }
+
+    /// A deficient width-1 instance: every process only ever writes component
+    /// 0, so covering that single location covers everything.
+    fn width_one_executor(params: Params) -> Executor<OneShotSetAgreement> {
+        let automata: Vec<_> = (0..params.n())
+            .map(|p| {
+                OneShotSetAgreement::deficient(params, ProcessId(p), 100 + p as u64, 1).unwrap()
+            })
+            .collect();
+        Executor::new(automata)
+    }
+
+    fn full_width_executor(params: Params) -> Executor<OneShotSetAgreement> {
+        let automata: Vec<_> = (0..params.n())
+            .map(|p| OneShotSetAgreement::new(params, ProcessId(p), 100 + p as u64))
+            .collect();
+        Executor::new(automata)
+    }
+
+    #[test]
+    fn poised_write_location_reports_the_update_target() {
+        let params = Params::new(3, 1, 1).unwrap();
+        let exec = full_width_executor(params);
+        // Initially every Figure 3 process is poised to update component 0.
+        for p in 0..3 {
+            assert_eq!(
+                poised_write_location(&exec, ProcessId(p)),
+                Some(COMPONENT_0)
+            );
+        }
+        assert_eq!(
+            covered_locations(&exec, &[ProcessId(0), ProcessId(2)]),
+            BTreeSet::from([COMPONENT_0])
+        );
+    }
+
+    #[test]
+    fn run_until_poised_outside_finds_the_second_location() {
+        // With nothing covered, the group is immediately poised outside; with
+        // component 0 covered, it runs until poised to component 1.
+        let params = Params::new(3, 1, 1).unwrap();
+        let mut exec = full_width_executor(params);
+        let group = vec![ProcessId(1)];
+        let outcome = run_until_poised_outside(&mut exec, &group, &BTreeSet::new(), 1_000);
+        assert!(matches!(
+            outcome,
+            GroupRun::PoisedOutside {
+                location: COMPONENT_0,
+                ..
+            }
+        ));
+        let covered = BTreeSet::from([COMPONENT_0]);
+        let outcome = run_until_poised_outside(&mut exec, &group, &covered, 1_000);
+        match outcome {
+            GroupRun::PoisedOutside {
+                location, process, ..
+            } => {
+                assert_eq!(process, ProcessId(1));
+                assert_eq!(
+                    location,
+                    Location::Component {
+                        snapshot: 0,
+                        component: 1
+                    }
+                );
+            }
+            other => panic!("unexpected outcome: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn run_until_poised_outside_reports_halting_groups() {
+        // A width-1 process can never write outside {component 0}, so it runs
+        // to completion (it decides) without ever being poised outside.
+        let params = Params::new(3, 1, 1).unwrap();
+        let mut exec = width_one_executor(params);
+        let covered = BTreeSet::from([COMPONENT_0]);
+        let outcome = run_until_poised_outside(&mut exec, &[ProcessId(0)], &covered, 10_000);
+        assert!(matches!(outcome, GroupRun::Halted { .. }), "{outcome:?}");
+    }
+
+    #[test]
+    fn block_write_steps_every_coverer_once() {
+        let params = Params::new(4, 1, 2).unwrap();
+        let mut exec = full_width_executor(params);
+        let writers = vec![ProcessId(2), ProcessId(3)];
+        let written = block_write(&mut exec, &writers);
+        assert_eq!(written, BTreeSet::from([COMPONENT_0]));
+        assert_eq!(exec.steps(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "not poised to write")]
+    fn block_write_rejects_non_covering_processes() {
+        let params = Params::new(3, 1, 1).unwrap();
+        let mut exec = full_width_executor(params);
+        // After its update, p0 is poised to scan — not a covering process.
+        exec.step(ProcessId(0));
+        block_write(&mut exec, &[ProcessId(0)]);
+    }
+
+    #[test]
+    fn block_write_obliterates_fragments_confined_to_covered_locations() {
+        // Width-1 algorithm: p0 covers component 0; any fragment by p1 writes
+        // only component 0, so the block write erases it.
+        let params = Params::new(3, 1, 1).unwrap();
+        let exec = width_one_executor(params);
+        let fragment: Vec<ProcessId> = std::iter::repeat_n(ProcessId(1), 12).collect();
+        assert!(obliterates(&exec, &[ProcessId(0)], &fragment));
+    }
+
+    #[test]
+    fn block_write_does_not_obliterate_uncovered_writes() {
+        // Full-width algorithm: p1's fragment eventually writes component 1,
+        // which p0 does not cover, so the memories differ.
+        let params = Params::new(3, 1, 1).unwrap();
+        let exec = full_width_executor(params);
+        let fragment: Vec<ProcessId> = std::iter::repeat_n(ProcessId(1), 12).collect();
+        assert!(!obliterates(&exec, &[ProcessId(0)], &fragment));
+    }
+
+    #[test]
+    fn spliced_fragments_are_invisible_to_later_observers() {
+        // The heart of Theorem 2: with the width-1 algorithm, whether or not
+        // p1 ran (and decided!) before the block write, the later solo
+        // observer p2 decides exactly the same values.
+        let params = Params::new(3, 1, 1).unwrap();
+        let exec = width_one_executor(params);
+        let fragment: Vec<ProcessId> = std::iter::repeat_n(ProcessId(1), 30).collect();
+        assert!(splice_is_invisible(
+            &exec,
+            &[ProcessId(0)],
+            &fragment,
+            ProcessId(2),
+            10_000
+        ));
+    }
+
+    #[test]
+    fn splice_visibility_returns_false_when_traces_survive() {
+        // With the full-width algorithm the fragment's writes to uncovered
+        // locations survive the block write and change what the observer
+        // decides (p2 adopts p1's value instead of its own in one branch).
+        let params = Params::new(3, 1, 1).unwrap();
+        let exec = full_width_executor(params);
+        let fragment: Vec<ProcessId> = std::iter::repeat_n(ProcessId(1), 40).collect();
+        assert!(!splice_is_invisible(
+            &exec,
+            &[ProcessId(0)],
+            &fragment,
+            ProcessId(2),
+            10_000
+        ));
     }
 }

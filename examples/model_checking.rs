@@ -21,11 +21,11 @@
 //! ```
 
 use set_agreement::algorithms::OneShotSetAgreement;
-use set_agreement::lowerbound::blockwrite::{covered_locations, obliterates};
 use set_agreement::model::{Params, ProcessId};
 use set_agreement::runtime::{
     agreement_predicate, explore, parallel_explore, Executor, ExploreConfig, ParallelExploreConfig,
 };
+use set_agreement::search::{covered_locations, obliterates};
 
 fn executor(params: Params, width: usize) -> Executor<OneShotSetAgreement> {
     let automata: Vec<_> = (0..params.n())
