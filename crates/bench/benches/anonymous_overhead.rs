@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sa_bench::obstruction_adversary;
 use sa_model::Params;
-use set_agreement::{Algorithm, Scenario};
+use set_agreement::{Algorithm, Backend, ExecutionPlan};
 use std::hint::black_box;
 
 fn bench_anonymous_overhead(c: &mut Criterion) {
@@ -28,11 +28,12 @@ fn bench_anonymous_overhead(c: &mut Criterion) {
             let id = BenchmarkId::new(label, format!("n{n}_m{m}_k{k}"));
             group.bench_function(id, |b| {
                 b.iter(|| {
-                    let report = Scenario::new(params)
+                    let report = ExecutionPlan::new(params)
                         .algorithm(algorithm)
                         .adversary(obstruction_adversary(params, 23))
                         .max_steps(5_000_000)
-                        .run();
+                        .execute(Backend::Scheduled)
+                        .expect_scheduled();
                     assert!(report.safety.is_safe());
                     black_box(report.steps)
                 });

@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sa_bench::{baseline_rows, obstruction_adversary};
 use sa_model::Params;
-use set_agreement::{Algorithm, Scenario};
+use set_agreement::{Algorithm, Backend, ExecutionPlan};
 use std::hint::black_box;
 
 fn bench_baselines(c: &mut Criterion) {
@@ -29,11 +29,12 @@ fn bench_baselines(c: &mut Criterion) {
             let id = BenchmarkId::new(algorithm.label(), format!("n{n}_k{k}"));
             group.bench_function(id, |b| {
                 b.iter(|| {
-                    let report = Scenario::new(params)
+                    let report = ExecutionPlan::new(params)
                         .algorithm(algorithm)
                         .adversary(obstruction_adversary(params, 11))
                         .max_steps(4_000_000)
-                        .run();
+                        .execute(Backend::Scheduled)
+                        .expect_scheduled();
                     assert!(report.safety.is_safe());
                     black_box(report.steps)
                 });

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sa_model::Params;
-use set_agreement::{Adversary, Algorithm, Scenario};
+use set_agreement::{Adversary, Algorithm, Backend, ExecutionPlan};
 use std::hint::black_box;
 
 fn bench_obstruction(c: &mut Criterion) {
@@ -19,7 +19,7 @@ fn bench_obstruction(c: &mut Criterion) {
         let id = BenchmarkId::new("figure3-oneshot", format!("survivors{survivors}"));
         group.bench_function(id, |b| {
             b.iter(|| {
-                let report = Scenario::new(params)
+                let report = ExecutionPlan::new(params)
                     .algorithm(Algorithm::OneShot)
                     .adversary(Adversary::Obstruction {
                         contention_steps: 120,
@@ -27,7 +27,8 @@ fn bench_obstruction(c: &mut Criterion) {
                         seed: 13,
                     })
                     .max_steps(2_000_000)
-                    .run();
+                    .execute(Backend::Scheduled)
+                    .expect_scheduled();
                 assert!(report.safety.is_safe());
                 assert!(report.survivors_decided);
                 black_box(report.steps)
@@ -39,11 +40,12 @@ fn bench_obstruction(c: &mut Criterion) {
     // guaranteed but safety must still hold.
     group.bench_function("figure3-oneshot/round-robin", |b| {
         b.iter(|| {
-            let report = Scenario::new(params)
+            let report = ExecutionPlan::new(params)
                 .algorithm(Algorithm::OneShot)
                 .adversary(Adversary::RoundRobin)
                 .max_steps(50_000)
-                .run();
+                .execute(Backend::Scheduled)
+                .expect_scheduled();
             assert!(report.safety.is_safe());
             black_box(report.steps)
         });

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sa_bench::obstruction_adversary;
 use sa_model::Params;
-use set_agreement::{Algorithm, Scenario};
+use set_agreement::{Algorithm, Backend, ExecutionPlan};
 use std::hint::black_box;
 
 fn bench_repeated_throughput(c: &mut Criterion) {
@@ -25,11 +25,12 @@ fn bench_repeated_throughput(c: &mut Criterion) {
             );
             group.bench_function(id, |b| {
                 b.iter(|| {
-                    let report = Scenario::new(params)
+                    let report = ExecutionPlan::new(params)
                         .algorithm(Algorithm::Repeated(instances))
                         .adversary(obstruction_adversary(params, 17))
                         .max_steps(10_000_000)
-                        .run();
+                        .execute(Backend::Scheduled)
+                        .expect_scheduled();
                     assert!(report.safety.is_safe());
                     assert!(report.survivors_decided);
                     black_box(report.steps)

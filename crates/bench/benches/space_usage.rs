@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sa_bench::{obstruction_adversary, space_rows};
 use sa_model::Params;
-use set_agreement::{Algorithm, Scenario};
+use set_agreement::{Algorithm, Backend, ExecutionPlan};
 use std::hint::black_box;
 
 fn bench_space_usage(c: &mut Criterion) {
@@ -30,11 +30,12 @@ fn bench_space_usage(c: &mut Criterion) {
             let id = BenchmarkId::new(algorithm.label(), format!("n{n}_m{m}_k{k}"));
             group.bench_function(id, |b| {
                 b.iter(|| {
-                    let report = Scenario::new(params)
+                    let report = ExecutionPlan::new(params)
                         .algorithm(algorithm)
                         .adversary(obstruction_adversary(params, 7))
                         .max_steps(2_000_000)
-                        .run();
+                        .execute(Backend::Scheduled)
+                        .expect_scheduled();
                     assert!(report.safety.is_safe());
                     assert!(
                         report.locations_written <= algorithm.component_bound(params),

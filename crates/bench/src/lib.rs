@@ -28,7 +28,7 @@ use sa_lowerbound::bounds::{Figure1, Naming, Setting};
 use sa_lowerbound::cloning::clone_attack_sweep;
 use sa_lowerbound::covering::{width_sweep_one_shot, AttackOutcome};
 use sa_model::Params;
-use set_agreement::{Adversary, Algorithm, Scenario, ScenarioReport};
+use set_agreement::{Adversary, Algorithm, Backend, ExecutionPlan, ScenarioReport};
 use std::fmt::Write as _;
 
 /// The default obstruction adversary used for space and termination
@@ -44,11 +44,12 @@ pub fn obstruction_adversary(params: Params, seed: u64) -> Adversary {
 /// Runs one scenario of `algorithm` for `params` under the standard
 /// obstruction adversary.
 pub fn run_measured(params: Params, algorithm: Algorithm, seed: u64) -> ScenarioReport {
-    Scenario::new(params)
+    ExecutionPlan::new(params)
         .algorithm(algorithm)
         .adversary(obstruction_adversary(params, seed))
         .max_steps(5_000_000)
-        .run()
+        .execute(Backend::Scheduled)
+        .expect_scheduled()
 }
 
 /// One row of a space-usage table: an algorithm, its paper bound and the
@@ -263,7 +264,7 @@ pub fn obstruction_series(
 ) -> Vec<ObstructionPoint> {
     (1..=max_survivors)
         .map(|survivors| {
-            let report = Scenario::new(params)
+            let report = ExecutionPlan::new(params)
                 .algorithm(algorithm)
                 .adversary(Adversary::Obstruction {
                     contention_steps: 20 * params.n() as u64,
@@ -271,7 +272,8 @@ pub fn obstruction_series(
                     seed,
                 })
                 .max_steps(budget)
-                .run();
+                .execute(Backend::Scheduled)
+                .expect_scheduled();
             ObstructionPoint {
                 survivors,
                 steps: report.steps,

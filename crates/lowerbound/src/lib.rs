@@ -11,9 +11,8 @@
 //!   deliberately under-provisioned instances of the paper's algorithms:
 //!   group-sequential adversary schedules, width sweeps, the empirical
 //!   "smallest resilient width", exhaustive searches over all
-//!   interleavings for tiny configurations, and
-//!   [`hand_built_witness`](covering::hand_built_witness) — the
-//!   construction emitted as a replayable `sa-search` `Witness`, checked
+//!   interleavings for tiny configurations, and [`hand_built_witness`] —
+//!   the construction emitted as a replayable `sa-search` `Witness`, checked
 //!   by the same replay verifier as machine-found ones. The mechanical
 //!   core it drives — covering configurations, block writes, the
 //!   obliteration and splice-invisibility checks — lives in

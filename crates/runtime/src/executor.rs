@@ -447,9 +447,9 @@ where
     /// memory contents (slots plus each occupied value's
     /// [`Automaton::value_heap_bytes`]) and the decision set.
     ///
-    /// This is the deep-size hook behind [`Exploration::approx_bytes`]
-    /// (crate::Exploration::approx_bytes) and the explorers' spill
-    /// triggers. It is computed from lengths, never capacities, so two
+    /// This is the deep-size hook behind
+    /// [`Exploration::approx_bytes`](crate::Exploration::approx_bytes) and
+    /// the explorers' spill triggers. It is computed from lengths, never capacities, so two
     /// equal configurations always report the same bytes — regardless of
     /// how they were produced, which worker produced them, or whether they
     /// were round-tripped through a spill segment.

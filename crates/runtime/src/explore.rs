@@ -42,7 +42,7 @@ pub enum SymmetryMode {
     ///
     /// This is **requested**, not guaranteed: automata must opt in through
     /// [`Automaton::symmetry_class`], and a system whose automata report
-    /// [`SymmetryClass::Opaque`] falls back to [`Off`]
+    /// [`SymmetryClass::Opaque`] falls back to [`Off`](SymmetryMode::Off)
     /// rather than prune unsoundly —
     /// [`Exploration::symmetry_applied`] records what actually happened.
     ProcessIds,
@@ -2222,9 +2222,11 @@ mod tests {
 
     #[test]
     fn persistent_set_spill_is_byte_identical() {
-        // DPOR frames spill their schedules through the frontier record
-        // codec with the backtrack/done masks threaded alongside; draining
-        // them back must change nothing but spilled_entries.
+        // Under the 1-byte cap the DPOR explorer keeps evicting the coldest
+        // half of its resident path frames: an evicted frame drops only its
+        // executor, keeps its backtrack/done masks, and is rebuilt by
+        // replaying the path when the DFS returns to it with work left.
+        // That must change nothing but spilled_entries.
         let exec = Executor::new(vec![
             RacyConsensus::new(ProcessId(0), 10),
             RacyConsensus::new(ProcessId(1), 10),

@@ -25,8 +25,8 @@
 //!   and a graceful drain flushes, hangs up, joins and merges.
 //!
 //! Executions are driven either directly ([`serve`] with a
-//! [`ServeConfig`]) or through the workspace's unified executor surface
-//! (`Backend::Serve(ServeOptions)` in the facade crate). Under the virtual
+//! [`ServeConfig`]) or through the facade crate's one entry point,
+//! `ExecutionPlan::execute(Backend::Serve(options))`. Under the virtual
 //! clock the full report — decided values, latencies, throughput — is
 //! bit-for-bit reproducible at any shard count; see [`service`](self) for
 //! the argument.

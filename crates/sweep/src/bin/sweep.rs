@@ -7,9 +7,7 @@
 //!          max-steps campaign-seed mode max-states explore-threads symmetry
 //!          reduction spill max-resident-mb goals target-registers
 //!          search-depth shards batch-max clients rate duration
-//! sweep serve [--n N] [--m M] [--k K] [--shards N] [--batch-max N]
-//!             [--clients N] [--rate N] [--duration N] [--clock MODE]
-//!             [--workload SPEC] [--seed S] [--max-steps N]
+//! sweep serve [--KEY VALUE]... [--clock MODE] [--seed S]
 //! sweep summarize FILE
 //! sweep verify FILE
 //! sweep diff OLD NEW
@@ -19,7 +17,9 @@
 //!
 //! Every campaign spec key `KEY = VALUE` is also a `sweep run` flag
 //! `--KEY VALUE`, parsed by the same code; the flags form one layer over the
-//! `--spec` file. `run` writes JSONL to `--out` (default stdout) and prints
+//! `--spec` file. `serve` takes the same flags, except `--mode`, as one
+//! layer over its serve-mode defaults, and runs the one scenario they
+//! select. `run` writes JSONL to `--out` (default stdout) and prints
 //! the outcome to stderr. `summarize` exits non-zero if the file contains
 //! safety or bound violations, if an exhaustive exploration was truncated
 //! before its state space was exhausted, or if an adversary search missed
@@ -32,12 +32,12 @@
 //! unsharded run would have written.
 
 use sa_sweep::{
-    diff, lint_source, merge_shards, parse_allowlist, parse_jsonl, run_campaign, CampaignSpec,
-    EngineConfig, Summary, WorkloadSpec,
+    diff, expand, lint_source, merge_shards, parse_allowlist, parse_jsonl, run_campaign,
+    CampaignSpec, EngineConfig, Summary, WorkloadSpec,
 };
-use set_agreement::runtime::{SearchGoal, ServeClock, ServeLoad, ServeOptions, Workload};
+use set_agreement::runtime::{SearchGoal, ServeClock, Workload};
 use set_agreement::search::{Certificate, VerifyError, Witness};
-use set_agreement::{verify_witness, Algorithm, Backend, ExecutionPlan, Executor};
+use set_agreement::{verify_witness, Algorithm, Backend, ExecutionPlan};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -171,15 +171,18 @@ flags that are not spec keys:
   --out FILE           write JSONL here instead of stdout
   --progress N         progress line to stderr every N scenarios
 
-serve options (a one-off service run; the campaign keys above plus):
-  --n, --m, --k N      the cell (defaults 4/1/2); each batch solves
-                       (m, k)-agreement among its proposers
-  --clock MODE         `virtual` (default; deterministic, 1 tick = 1 ms) or
-                       `wall` (real time, no determinism claim)
+serve options (a one-off service run: every run flag that is a spec key,
+except --mode, with the same parsing, as one layer over mode = serve, n = 4,
+m = 1, k = 2, seeds = 1, max-steps = 1000000; the flags must select exactly
+one scenario):
+  --n, --m, --k N      the cell; each batch solves (m, k)-agreement among its
+                       proposers
+  --max-steps N        per-batch step budget
   --workload SPEC      the value stream: `distinct` (default), `uniform:V`,
                        `random:UNIVERSE`
+  --clock MODE         `virtual` (default; deterministic, 1 tick = 1 ms) or
+                       `wall` (real time, no determinism claim)
   --seed S             load-generator seed (default 0)
-  --max-steps N        per-batch step budget (default 1000000)
 ";
 
 fn fail(message: impl std::fmt::Display) -> ExitCode {
@@ -353,20 +356,21 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
 }
 
-fn parse_at_least_one(flag: &str, value: &str) -> Result<usize, String> {
-    match value.parse::<usize>() {
-        Ok(parsed) if parsed >= 1 => Ok(parsed),
-        Ok(parsed) => Err(format!("{flag} must be at least 1, got {parsed}")),
-        Err(_) => Err(format!("bad {flag} value {value:?}")),
-    }
-}
+/// The settings `sweep serve` layers its flags over: one serve-mode
+/// scenario of the 4/1/2 cell with a one-million-step batch budget.
+const SERVE_BASE: &[(&str, &str)] = &[
+    ("mode", "serve"),
+    ("n", "4"),
+    ("m", "1"),
+    ("k", "2"),
+    ("seeds", "1"),
+    ("max-steps", "1000000"),
+];
 
 fn cmd_serve(args: &[String]) -> ExitCode {
-    let (mut n, mut m, mut k) = (4usize, 1usize, 2usize);
-    let mut options = ServeOptions::default();
-    let mut workload = WorkloadSpec::Distinct;
-    let mut max_steps = 1_000_000u64;
-
+    let mut clock = ServeClock::Virtual;
+    let mut seed = 0u64;
+    let mut settings: Vec<(&str, &str)> = Vec::new();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         if flag == "--help" || flag == "-h" {
@@ -376,64 +380,54 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         let Some(value) = iter.next() else {
             return fail(format!("{flag} needs a value"));
         };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--n" => n = parse_at_least_one(flag, value)?,
-                "--m" => m = parse_at_least_one(flag, value)?,
-                "--k" => k = parse_at_least_one(flag, value)?,
-                "--shards" => options.shards = parse_at_least_one(flag, value)?,
-                "--batch-max" => options.batch_max = parse_at_least_one(flag, value)?,
-                "--clients" => options.clients = parse_at_least_one(flag, value)?,
-                "--rate" => options.rate = parse_at_least_one(flag, value)? as u64,
-                "--duration" => options.duration_ticks = parse_at_least_one(flag, value)? as u64,
-                "--clock" => {
-                    options.clock = match value.as_str() {
-                        "virtual" => ServeClock::Virtual,
-                        "wall" => ServeClock::Wall,
-                        other => return Err(format!("bad clock {other:?} (want virtual or wall)")),
-                    };
-                }
-                "--workload" => {
-                    workload = WorkloadSpec::parse(value).map_err(|e| e.to_string())?;
-                }
-                "--seed" => {
-                    options.seed = value.parse().map_err(|_| format!("bad seed {value:?}"))?;
-                }
-                "--max-steps" => {
-                    max_steps = value
-                        .parse()
-                        .map_err(|_| format!("bad step budget {value:?}"))?;
-                }
-                other => return Err(format!("unknown flag {other:?}")),
+        match flag.strip_prefix("--") {
+            Some("clock") => {
+                clock = match value.as_str() {
+                    "virtual" => ServeClock::Virtual,
+                    "wall" => ServeClock::Wall,
+                    other => return fail(format!("bad clock {other:?} (want virtual or wall)")),
+                };
             }
-            Ok(())
-        })();
-        if let Err(message) = result {
-            return fail(message);
+            Some("seed") => match value.parse() {
+                Ok(parsed) => seed = parsed,
+                Err(_) => return fail(format!("bad seed {value:?}")),
+            },
+            Some("mode") => return fail("serve always runs mode = serve; drop --mode"),
+            Some(key) => settings.push((key, value)),
+            None => return fail(format!("unknown flag {flag:?}")),
         }
     }
-
-    let params = match sa_model::Params::new(n, m, k) {
-        Ok(params) => params,
-        Err(e) => return fail(format!("invalid cell n={n} m={m} k={k}: {e}")),
+    // The campaign flags go through the same parser as `sweep run`'s, as
+    // one layer over the serve defaults.
+    let spec = match CampaignSpec::default()
+        .apply(SERVE_BASE)
+        .and_then(|base| base.apply(&settings))
+    {
+        Ok(spec) => spec,
+        Err(e) => return fail(e),
     };
-    options.load = match workload {
-        WorkloadSpec::Distinct => ServeLoad::Distinct,
-        WorkloadSpec::Uniform(value) => ServeLoad::Uniform(value),
-        WorkloadSpec::Random { universe } => ServeLoad::Random { universe },
+    let (scenarios, _) = expand(&spec);
+    let [scenario] = scenarios.as_slice() else {
+        return fail(format!(
+            "serve runs one scenario, but these flags select {} (set one valid n/m/k cell \
+             and one seed)",
+            scenarios.len()
+        ));
     };
-
-    let plan = ExecutionPlan::new(params)
-        .algorithm(Algorithm::Repeated(1))
-        .max_steps(max_steps);
-    let report = Executor::new(Backend::Serve(options))
-        .execute(&plan)
+    let options = scenario.serve_options(clock, seed);
+    let report = ExecutionPlan::new(scenario.params)
+        .algorithm(scenario.algorithm)
+        .max_steps(scenario.max_steps)
+        .execute(Backend::Serve(options))
         .expect_served();
 
     let (p50, p90, p99, p999) = report.histogram.summary();
     println!(
-        "serve: n={n} m={m} k={k}, {} shards, batch-max {}, {} clients at {}/tick for {} ticks \
+        "serve: n={} m={} k={}, {} shards, batch-max {}, {} clients at {}/tick for {} ticks \
          ({} clock)",
+        scenario.params.n(),
+        scenario.params.m(),
+        scenario.params.k(),
         report.shards,
         options.batch_max,
         options.clients,

@@ -16,9 +16,9 @@ use crate::spec::{BackendSpec, CampaignMode, CampaignSpec};
 use crate::summary::CellSummary;
 use set_agreement::runtime::store::{fnv1a64, Journal, SegmentKind};
 use set_agreement::runtime::{
-    ExploreConfig, ParallelExploreConfig, SearchConfig, ServeClock, ServeOptions, ThreadedConfig,
+    ExploreConfig, ParallelExploreConfig, SearchConfig, ServeClock, ThreadedConfig,
 };
-use set_agreement::{Backend, ExecutionPlan, Executor};
+use set_agreement::{Backend, ExecutionPlan, ExecutionReport};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
@@ -109,35 +109,11 @@ impl CampaignOutcome {
     }
 }
 
-/// Runs one scenario to a record through the unified
-/// [`ExecutionPlan`] → [`Executor`] → `ExecutionReport` facade API.
-/// Deterministic for the scheduled and explore backends (depends only on
-/// the spec); threaded records are reproducible up to interleaving.
+/// Runs one scenario to a record through the facade's one entry point,
+/// [`ExecutionPlan::execute`]. Deterministic for the scheduled, explore,
+/// serve and search backends (depends only on the spec); threaded records
+/// are reproducible up to interleaving.
 pub fn run_scenario(campaign: &str, spec: &ScenarioSpec) -> SweepRecord {
-    if spec.mode == CampaignMode::Serve {
-        // The service builds one fresh automaton set per batch, so the
-        // plan carries only the cell and the per-batch step budget. The
-        // campaign always serves under the virtual clock: that is what
-        // makes the record — latencies and throughput included — a pure
-        // function of the spec.
-        let options = ServeOptions {
-            shards: spec.shards,
-            batch_max: spec.batch_max,
-            clients: spec.clients,
-            rate: spec.rate,
-            duration_ticks: spec.duration,
-            clock: ServeClock::Virtual,
-            load: spec.serve_load,
-            seed: derive_seed(spec.derived_seed, "serve-load"),
-        };
-        let plan = ExecutionPlan::new(spec.params)
-            .algorithm(spec.algorithm)
-            .max_steps(spec.max_steps);
-        let report = Executor::new(Backend::Serve(options))
-            .execute(&plan)
-            .expect_served();
-        return SweepRecord::from_serve(campaign, spec, &report);
-    }
     let mut plan = ExecutionPlan::new(spec.params)
         .algorithm(spec.algorithm)
         .workload(spec.workload.clone())
@@ -185,24 +161,20 @@ pub fn run_scenario(campaign: &str, spec: &ScenarioSpec) -> SweepRecord {
             threads: spec.explore_threads,
             symmetry: spec.symmetry,
         }),
-        (CampaignMode::Serve, _) => unreachable!("serve scenarios are dispatched above"),
+        // The campaign always serves under the virtual clock: that is what
+        // makes the record — latencies and throughput included — a pure
+        // function of the spec.
+        (CampaignMode::Serve, _) => Backend::Serve(spec.serve_options(
+            ServeClock::Virtual,
+            derive_seed(spec.derived_seed, "serve-load"),
+        )),
     };
-    match Executor::new(backend).execute(&plan) {
-        set_agreement::ExecutionReport::Scheduled(report) => {
-            SweepRecord::from_report(campaign, spec, &report)
-        }
-        set_agreement::ExecutionReport::Threaded(report) => {
-            SweepRecord::from_threaded(campaign, spec, &report)
-        }
-        set_agreement::ExecutionReport::Explored(report) => {
-            SweepRecord::from_exploration(campaign, spec, &report)
-        }
-        set_agreement::ExecutionReport::Searched(report) => {
-            SweepRecord::from_search(campaign, spec, &report)
-        }
-        set_agreement::ExecutionReport::Served(_) => {
-            unreachable!("serve scenarios return before the sampled/explore dispatch")
-        }
+    match plan.execute(backend) {
+        ExecutionReport::Scheduled(report) => SweepRecord::from_report(campaign, spec, &report),
+        ExecutionReport::Threaded(report) => SweepRecord::from_threaded(campaign, spec, &report),
+        ExecutionReport::Explored(report) => SweepRecord::from_exploration(campaign, spec, &report),
+        ExecutionReport::Served(report) => SweepRecord::from_serve(campaign, spec, &report),
+        ExecutionReport::Searched(report) => SweepRecord::from_search(campaign, spec, &report),
     }
 }
 

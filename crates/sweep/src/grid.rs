@@ -12,7 +12,9 @@ use crate::spec::{
     AdversarySpec, BackendSpec, CampaignMode, CampaignSpec, Survivors, WorkloadSpec,
 };
 use sa_model::Params;
-use set_agreement::runtime::{ReductionMode, SearchGoal, ServeLoad, SymmetryMode, Workload};
+use set_agreement::runtime::{
+    ReductionMode, SearchGoal, ServeClock, ServeLoad, ServeOptions, SymmetryMode, Workload,
+};
 use set_agreement::{Adversary, Algorithm};
 
 /// Mixes a campaign seed and a scenario's *identity* (its
@@ -158,6 +160,21 @@ impl ScenarioSpec {
             CampaignMode::Sample => self.backend.label(),
             CampaignMode::Serve => "serve",
             CampaignMode::AdversarySearch => "adversary-search",
+        }
+    }
+
+    /// The service options of a serve scenario, on `clock` with the load
+    /// generator seeded by `seed`.
+    pub fn serve_options(&self, clock: ServeClock, seed: u64) -> ServeOptions {
+        ServeOptions {
+            shards: self.shards,
+            batch_max: self.batch_max,
+            clients: self.clients,
+            rate: self.rate,
+            duration_ticks: self.duration,
+            clock,
+            load: self.serve_load,
+            seed,
         }
     }
 }

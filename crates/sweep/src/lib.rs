@@ -3,8 +3,8 @@
 //!
 //! The paper's claims are parameterized over `(n, m, k)`, algorithms and
 //! adversaries; checking them at scale means running *families* of
-//! scenarios, not one [`Scenario`](set_agreement::Scenario) at a time. This
-//! crate provides:
+//! scenarios, not one [`ExecutionPlan`](set_agreement::ExecutionPlan) at a
+//! time. This crate provides:
 //!
 //! * [`CampaignSpec`] — a declarative campaign: a parameter grid (or
 //!   explicit cells), algorithms, adversary templates (including

@@ -266,17 +266,18 @@ impl SweepRecord {
     /// interleaving produced — only the safety verdicts and the space
     /// accounting are meaningful to compare across runs.
     pub fn from_threaded(campaign: &str, spec: &ScenarioSpec, report: &ThreadedRunReport) -> Self {
-        let distinct_outputs_max = report
+        let run = &report.run;
+        let distinct_outputs_max = run
             .decisions
             .instances()
-            .map(|t| report.decisions.distinct_outputs(t))
+            .map(|t| run.decisions.distinct_outputs(t))
             .max()
             .unwrap_or(0);
-        let registers_written = report.metrics.registers_written();
+        let registers_written = run.metrics.registers_written();
         let base = Self::base(campaign, spec);
         SweepRecord {
-            steps: report.steps,
-            stop: if report.all_halted() {
+            steps: run.total_steps(),
+            stop: if run.all_halted() {
                 "all-halted"
             } else {
                 "step-limit"
@@ -287,15 +288,15 @@ impl SweepRecord {
             // Nobody is obligated: all n threads may contend forever, which
             // the m-obstruction progress condition permits.
             survivors_decided: true,
-            decisions: report.decisions.len() as u64,
+            decisions: run.decisions.len() as u64,
             distinct_outputs_max,
-            total_ops: report.metrics.total_ops(),
+            total_ops: run.metrics.total_ops(),
             locations_written: report.locations_written,
             registers_written,
             components_written: report.locations_written - registers_written,
             bound_ok: report.locations_written <= base.component_bound,
-            wall_us: report.wall.as_micros() as u64,
-            steps_per_sec: report.steps_per_sec() as u64,
+            wall_us: run.wall.as_micros() as u64,
+            steps_per_sec: run.steps_per_sec() as u64,
             ..base
         }
     }
@@ -307,11 +308,12 @@ impl SweepRecord {
     pub fn from_exploration(campaign: &str, spec: &ScenarioSpec, report: &ExploreReport) -> Self {
         let symmetry_on = spec.symmetry != SymmetryMode::Off;
         let reduction_on = spec.reduction != ReductionMode::Off;
+        let run = &report.exploration;
         let base = Self::base(campaign, spec);
         SweepRecord {
-            stop: if report.violation.is_some() {
+            stop: if run.violation.is_some() {
                 "violation-found"
-            } else if report.truncated {
+            } else if run.truncated {
                 "truncated"
             } else {
                 "state-space-exhausted"
@@ -324,32 +326,29 @@ impl SweepRecord {
             registers_written: report.max_registers_written,
             components_written: report.max_components_written,
             bound_ok: report.max_locations_written <= base.component_bound,
-            explored_states: report.states_visited,
-            explored_depth: report.max_depth_reached,
-            verified: report.verified(),
-            frontier_peak: report.frontier_peak,
-            seen_entries: report.seen_entries,
-            approx_bytes: report.approx_bytes,
-            symmetry: status_label(symmetry_on, report.symmetry_applied, spec.symmetry.label()),
-            orbit_states: if symmetry_on { report.orbit_states } else { 0 },
+            explored_states: run.states_visited,
+            explored_depth: run.max_depth_reached,
+            verified: run.verified(),
+            frontier_peak: run.frontier_peak,
+            seen_entries: run.seen_entries,
+            approx_bytes: run.approx_bytes,
+            symmetry: status_label(symmetry_on, run.symmetry_applied, spec.symmetry.label()),
+            // With symmetry on, each visited state stands for one orbit.
+            orbit_states: if symmetry_on { run.states_visited } else { 0 },
             full_states_lower_bound: if symmetry_on {
-                report.full_states_lower_bound
+                run.full_states_lower_bound
             } else {
                 0
             },
-            reduction: status_label(
-                reduction_on,
-                report.reduction_applied,
-                spec.reduction.label(),
-            ),
-            expansions: if reduction_on { report.expansions } else { 0 },
-            sleep_pruned: if reduction_on { report.sleep_pruned } else { 0 },
+            reduction: status_label(reduction_on, run.reduction_applied, spec.reduction.label()),
+            expansions: if reduction_on { run.expansions } else { 0 },
+            sleep_pruned: if reduction_on { run.sleep_pruned } else { 0 },
             persistent_expanded: if reduction_on {
-                report.persistent_expanded
+                run.persistent_expanded
             } else {
                 0
             },
-            states_cut: if reduction_on { report.states_cut } else { 0 },
+            states_cut: if reduction_on { run.states_cut } else { 0 },
             ..base
         }
     }

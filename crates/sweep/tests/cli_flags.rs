@@ -3,6 +3,8 @@
 //! campaign run from a spec file and from the same keys given as flags
 //! writes identical bytes, and one command line that sets both `--params`
 //! and `--n/--m/--k` is rejected exactly as a spec file setting both is.
+//! `sweep serve` reads the same flags through the same parser, so its
+//! messages match `sweep run --mode serve`'s.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -38,12 +40,35 @@ impl Drop for Scratch {
     }
 }
 
+fn sweep(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(args)
+        .output()
+        .expect("the sweep binary runs")
+}
+
 fn sweep_run(args: &[String]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_sweep"))
         .arg("run")
         .args(args)
         .output()
         .expect("the sweep binary runs")
+}
+
+/// Runs `sweep serve` with `flags` and checks the decided-value fingerprint
+/// it prints: the virtual clock makes it a pure function of the flags.
+fn assert_serve_fingerprint(flags: &[&str], fingerprint: &str) {
+    let output = sweep(&[&["serve"], flags].concat());
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "{flags:?}: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(
+        stdout.contains(&format!("decided fingerprint: {fingerprint}\n")),
+        "{flags:?}: {stdout}"
+    );
 }
 
 /// `SPEC`'s settings as `--KEY VALUE` flag pairs.
@@ -96,4 +121,46 @@ fn params_and_grid_axes_on_one_command_line_are_rejected() {
     assert!(!output.status.success(), "the conflict must be rejected");
     assert!(stderr.contains("mutually exclusive"), "{stderr}");
     assert!(!out.0.exists(), "no output before the spec is valid");
+}
+
+#[test]
+fn serve_default_flags_keep_their_fingerprint() {
+    assert_serve_fingerprint(&[], "0x07d7f521a1d3bc25");
+}
+
+#[test]
+fn serve_readme_flags_keep_their_fingerprint() {
+    assert_serve_fingerprint(
+        &[
+            "--n",
+            "6",
+            "--m",
+            "2",
+            "--k",
+            "3",
+            "--clients",
+            "64",
+            "--rate",
+            "10",
+            "--duration",
+            "1000",
+        ],
+        "0x3fa9c398d02a1275",
+    );
+}
+
+#[test]
+fn serve_and_run_reject_a_bad_serve_key_with_one_message() {
+    let serve = sweep(&["serve", "--rate", "0"]);
+    let run = sweep(&["run", "--mode", "serve", "--rate", "0"]);
+    for output in [&serve, &run] {
+        assert!(!output.status.success(), "a zero rate must be rejected");
+        assert!(
+            output.stdout.is_empty(),
+            "nothing runs before the flags are valid"
+        );
+    }
+    let message = String::from_utf8_lossy(&serve.stderr);
+    assert!(message.contains("rate must be at least 1"), "{message}");
+    assert_eq!(message, String::from_utf8_lossy(&run.stderr));
 }

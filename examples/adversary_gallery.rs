@@ -11,7 +11,7 @@
 //! ```
 
 use set_agreement::model::Params;
-use set_agreement::{Adversary, Algorithm, ExecutionPlan, Executor};
+use set_agreement::{Adversary, Algorithm, Backend, ExecutionPlan};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = Params::new(6, 2, 3)?;
@@ -50,14 +50,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<44} {:>8} {:>9} {:>9} {:>6}",
         "adversary", "steps", "deciders", "distinct", "safe"
     );
-    // One executor, many plans: the adversary is the only thing that varies.
-    let executor = Executor::scheduled();
+    // One backend, many plans: the adversary is the only thing that varies.
     for (label, adversary) in adversaries {
         let plan = ExecutionPlan::new(params)
             .algorithm(Algorithm::OneShot)
             .adversary(adversary)
             .max_steps(60_000);
-        let report = executor.execute(&plan).expect_scheduled();
+        let report = plan.execute(Backend::Scheduled).expect_scheduled();
         println!(
             "{:<44} {:>8} {:>9} {:>9} {:>6}",
             label,

@@ -12,7 +12,7 @@
 
 use set_agreement::model::Params;
 use set_agreement::runtime::Workload;
-use set_agreement::{Adversary, Algorithm, Scenario};
+use set_agreement::{Adversary, Algorithm, Backend, ExecutionPlan};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 9 sensors, at most 3 reference readings, progress whenever at most 2
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let readings: Vec<u64> = vec![214, 213, 215, 214, 198, 214, 213, 240, 215];
     let workload = Workload::from_matrix(readings.iter().map(|&r| vec![r]).collect());
 
-    let report = Scenario::new(params)
+    let report = ExecutionPlan::new(params)
         .algorithm(Algorithm::AnonymousOneShot)
         .workload(workload.clone())
         .adversary(Adversary::Obstruction {
@@ -33,7 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seed: 99,
         })
         .max_steps(5_000_000)
-        .run();
+        .execute(Backend::Scheduled)
+        .expect_scheduled();
 
     println!("anonymous sensor agreement over {params}");
     println!("raw readings:   {readings:?}");

@@ -9,7 +9,7 @@
 use set_agreement::lowerbound::bounds::Figure1;
 use set_agreement::lowerbound::covering::minimal_resilient_width;
 use set_agreement::model::Params;
-use set_agreement::{Adversary, Algorithm, Scenario};
+use set_agreement::{Adversary, Algorithm, Backend, ExecutionPlan};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("Figure 4 (repeated, 2 instances)", Algorithm::Repeated(2)),
         ("Figure 5 (anonymous one-shot)", Algorithm::AnonymousOneShot),
     ] {
-        let report = Scenario::new(params)
+        let report = ExecutionPlan::new(params)
             .algorithm(algorithm)
             .adversary(Adversary::Obstruction {
                 contention_steps: 50 * n as u64,
@@ -37,7 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 seed: 1,
             })
             .max_steps(5_000_000)
-            .run();
+            .execute(Backend::Scheduled)
+            .expect_scheduled();
         println!(
             "{label:<34} wrote {:>3} locations (declares {:>3})",
             report.locations_written,

@@ -6,7 +6,7 @@
 //! ```
 
 use set_agreement::model::Params;
-use set_agreement::{Adversary, Algorithm, Scenario};
+use set_agreement::{Adversary, Algorithm, Backend, ExecutionPlan};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2-obstruction-free 3-set agreement among 8 processes: at most 3 distinct
@@ -22,14 +22,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run the Figure 3 algorithm: every process proposes a distinct value,
     // the schedule is chaotic for 400 steps, then only two processes survive.
-    let report = Scenario::new(params)
+    let report = ExecutionPlan::new(params)
         .algorithm(Algorithm::OneShot)
         .adversary(Adversary::Obstruction {
             contention_steps: 400,
             survivors: 2,
             seed: 2015,
         })
-        .run();
+        .execute(Backend::Scheduled)
+        .expect_scheduled();
 
     println!("steps executed: {}", report.steps);
     println!(

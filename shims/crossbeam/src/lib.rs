@@ -20,7 +20,8 @@ pub mod channel {
 /// The upstream crate implements lock-free Chase–Lev deques; this shim uses
 /// a `Mutex<VecDeque>` per queue, which preserves the API and the scheduling
 /// structure (owner pops from one end, thieves steal from the other,
-/// contended steals report [`Steal::Retry`]) at the cost of raw throughput.
+/// contended steals report [`Steal::Retry`](deque::Steal::Retry)) at the
+/// cost of raw throughput.
 /// Callers written against this module port to the real crate unchanged.
 pub mod deque {
     use std::collections::VecDeque;

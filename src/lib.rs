@@ -19,9 +19,9 @@
 //!   witnesses over schedule space, with a replayable witness format shared
 //!   with the hand-built constructions — [`search`],
 //! * this facade crate, which re-exports everything and adds the unified
-//!   execution API — [`ExecutionPlan`] → [`Executor`] → [`ExecutionReport`]
-//!   — used by the examples, benches and the sweep engine, plus the
-//!   [`Scenario`] shim kept for the original builder surface.
+//!   execution API — [`ExecutionPlan::execute`] on a [`Backend`] →
+//!   [`ExecutionReport`] — used by the examples, benches and the sweep
+//!   engine.
 //!
 //! # Execution model
 //!
@@ -32,34 +32,33 @@
 //! 2. **how** it runs — a [`Backend`]: the deterministic simulator
 //!    (`Scheduled`), real OS threads (`Threaded`), the bounded exhaustive
 //!    explorer (`Explore`), its work-stealing counterpart
-//!    (`ParallelExplore`, byte-identical results at any thread count), or
-//!    the goal-directed adversary search (`AdversarySearch`, also
-//!    byte-identical at any thread count);
+//!    (`ParallelExplore`, byte-identical results at any thread count), the
+//!    batched agreement service (`Serve`), or the goal-directed adversary
+//!    search (`AdversarySearch`, also byte-identical at any thread count);
 //! 3. **who fails** — crash failures are part of the *adversary*
 //!    ([`Adversary::Crash`]), not a backend, so they compose with any
 //!    scheduler.
 //!
-//! An [`Executor`] binds a [`Backend`] and turns plans into
-//! [`ExecutionReport`]s.
+//! [`ExecutionPlan::execute`] runs a plan on a backend and returns an
+//! [`ExecutionReport`] with one variant per backend.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use set_agreement::{Adversary, Algorithm, Backend, ExecutionPlan, Executor};
+//! use set_agreement::{Adversary, Algorithm, Backend, ExecutionPlan};
 //! use set_agreement::model::Params;
 //!
 //! // 2-obstruction-free 3-set agreement among 8 processes, every process
 //! // proposing a distinct value, under the obstruction adversary.
 //! let params = Params::new(8, 2, 3)?;
-//! let plan = ExecutionPlan::new(params)
+//! let report = ExecutionPlan::new(params)
 //!     .algorithm(Algorithm::OneShot)
 //!     .adversary(Adversary::Obstruction {
 //!         contention_steps: 200,
 //!         survivors: 2,
 //!         seed: 42,
-//!     });
-//! let report = Executor::new(Backend::Scheduled)
-//!     .execute(&plan)
+//!     })
+//!     .execute(Backend::Scheduled)
 //!     .expect_scheduled();
 //! assert!(report.safety.is_safe());
 //! assert!(report.survivors_decided);
@@ -81,8 +80,8 @@ pub use sa_serve as serve;
 /// The most commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::{
-        Adversary, Algorithm, Backend, ExecutionPlan, ExecutionReport, Executor, ExploreReport,
-        Scenario, ScenarioReport, ThreadedRunReport,
+        Adversary, Algorithm, Backend, ExecutionPlan, ExecutionReport, ExploreReport,
+        ScenarioReport, ThreadedRunReport,
     };
     pub use sa_core::{
         AnonymousSetAgreement, FullInfoSetAgreement, OneShotSetAgreement, RepeatedSetAgreement,
@@ -108,10 +107,10 @@ use sa_core::{
 use sa_memory::MemoryMetrics;
 use sa_model::{Automaton, DecisionSet, Params, ProcessId};
 use sa_runtime::{
-    explore, parallel_explore, run_threaded, BurstScheduler, CrashScheduler,
-    Executor as StepExecutor, ExploreConfig, ExploredViolation, InputLog, ObstructionScheduler,
-    ParallelExploreConfig, RandomScheduler, RoundRobin, RunConfig, SafetyReport, Scheduler,
-    SoloScheduler, StopReason, ThreadedConfig, Workload,
+    explore, parallel_explore, run_threaded, BurstScheduler, CrashScheduler, Executor, Exploration,
+    ExploreConfig, InputLog, ObstructionScheduler, ParallelExploreConfig, RandomScheduler,
+    RoundRobin, RunConfig, SafetyReport, Scheduler, SoloScheduler, StopReason, ThreadedConfig,
+    ThreadedReport, Workload,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
@@ -119,7 +118,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// Which algorithm of the paper (or baseline) a [`Scenario`] runs.
+/// Which algorithm of the paper (or baseline) an [`ExecutionPlan`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Figure 3: one-shot, `n + 2m − k` snapshot components.
@@ -260,7 +259,8 @@ impl Algorithm {
     }
 }
 
-/// The schedule adversary a [`Scenario`] runs under.
+/// The schedule adversary an [`ExecutionPlan`] runs under on
+/// [`Backend::Scheduled`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Adversary {
     /// Maximally fair round-robin contention.
@@ -373,7 +373,7 @@ impl Adversary {
     }
 }
 
-/// The result of running a [`Scenario`].
+/// The result of running an [`ExecutionPlan`] on [`Backend::Scheduled`].
 #[derive(Debug, Clone)]
 pub struct ScenarioReport {
     /// The parameters the scenario ran with.
@@ -405,27 +405,19 @@ impl ScenarioReport {
     }
 }
 
-/// The result of exhaustively exploring a [`Scenario`]'s interleavings with
-/// [`Scenario::explore`].
+/// The result of exhaustively exploring an [`ExecutionPlan`]'s
+/// interleavings on [`Backend::Explore`] or [`Backend::ParallelExplore`]:
+/// the explorer's own [`Exploration`], plus what the facade's safety probe
+/// measured over every visited state.
 #[derive(Debug, Clone)]
 pub struct ExploreReport {
-    /// The parameters the scenario ran with.
+    /// The parameters the plan ran with.
     pub params: Params,
     /// The algorithm explored.
     pub algorithm: Algorithm,
-    /// Reachable states visited.
-    pub states_visited: u64,
-    /// Maximal paths examined.
-    pub paths: u64,
-    /// The deepest schedule prefix (in steps) the search examined; with
-    /// dedup this is the longest non-revisiting path, which can be far
-    /// below the depth budget even when the state space is exhausted.
-    pub max_depth_reached: u64,
-    /// `true` if the search hit a depth or state budget before exhausting
-    /// the reachable state space.
-    pub truncated: bool,
-    /// The first safety violation found, with its witnessing schedule.
-    pub violation: Option<ExploredViolation>,
+    /// The explorer's report: states, paths, depth, budgets, memory
+    /// statistics, the first violation and the reduction counters.
+    pub exploration: Exploration,
     /// `false` if the violation (if any) was a validity violation.
     pub validity_ok: bool,
     /// `false` if the violation (if any) was a k-agreement violation.
@@ -443,70 +435,15 @@ pub struct ExploreReport {
     /// [`Backend::ParallelExplore`] results are byte-identical at any
     /// thread count.
     pub threads: usize,
-    /// Peak size of the frontier of states awaiting expansion (the deepest
-    /// DFS stack for the serial explorer, the widest BFS level for the
-    /// parallel one).
-    pub frontier_peak: u64,
-    /// Entries held by the dedup seen-set when the search stopped.
-    pub seen_entries: u64,
-    /// Rough, deterministic estimate of the bytes held by the explorer's
-    /// data structures at their peak (see
-    /// [`Exploration::approx_bytes`](sa_runtime::Exploration)).
-    pub approx_bytes: u64,
-    /// `true` if the search deduplicated up to process-id symmetry:
-    /// [`SymmetryMode::ProcessIds`](sa_runtime::SymmetryMode) was requested
-    /// **and** every automaton opted in via its
-    /// [`symmetry_class`](sa_model::Automaton::symmetry_class). `false`
-    /// covers both "not requested" and "requested but fell back" (e.g. the
-    /// single-writer emulation, whose register addresses are process ids).
-    pub symmetry_applied: bool,
-    /// Orbit representatives visited. This always equals
-    /// [`states_visited`](ExploreReport::states_visited) — with symmetry
-    /// applied the visited states *are* one representative per explored
-    /// orbit; without it every state is its own orbit — and is carried
-    /// separately so symmetry-enabled records are self-describing.
-    pub orbit_states: u64,
-    /// A lower bound on the number of distinct reachable configurations the
-    /// visited states represent (see
-    /// [`Exploration::full_states_lower_bound`](sa_runtime::Exploration)).
-    /// `full_states_lower_bound / orbit_states` is the reduction factor the
-    /// quotient achieved; 1x without symmetry.
-    pub full_states_lower_bound: u64,
-    /// `true` if the search ran the persistent-set DPOR explorer:
-    /// [`ReductionMode::PersistentSets`](sa_runtime::ReductionMode) was
-    /// requested **and** the explorer could honor it (the serial explorer,
-    /// at most 64 processes). The parallel explorer never
-    /// reduces, so it always reports `false`.
-    pub reduction_applied: bool,
-    /// Successor expansions the search performed (state × enabled-process
-    /// pairs actually stepped). Without reduction this is the raw edge
-    /// count of the explored graph.
-    pub expansions: u64,
-    /// Expansions the DPOR explorer skipped because a sleeping sibling
-    /// order was provably commuting (0 without reduction).
-    pub sleep_pruned: u64,
-    /// Expansions the DPOR explorer drew from persistent/backtrack sets
-    /// (0 without reduction).
-    pub persistent_expanded: u64,
-    /// Enabled transitions persistent-set selection left permanently
-    /// unexpanded — roots of subtrees proven redundant (0 without
-    /// reduction). This cut removes *states*, so `states_visited` shrinks
-    /// with it.
-    pub states_cut: u64,
 }
 
 impl ExploreReport {
     /// `true` if the safety properties hold in **every** reachable
     /// configuration within the bounds — no violation found and the state
-    /// space was exhausted, not truncated.
-    ///
-    /// Dedup keys are collision-resistant 128-bit hashes of the full
-    /// canonical state (see
-    /// [`Exploration::verified`](sa_runtime::Exploration::verified) for the
-    /// precise guarantee), so this claim does not rest on a 64-bit hash
-    /// never colliding.
+    /// space was exhausted, not truncated. See [`Exploration::verified`]
+    /// for why this does not rest on a 64-bit hash never colliding.
     pub fn verified(&self) -> bool {
-        self.violation.is_none() && !self.truncated
+        self.exploration.verified()
     }
 
     /// `true` if no violation was found (weaker than [`verified`]: the
@@ -535,46 +472,14 @@ pub struct ThreadedRunReport {
     pub algorithm: Algorithm,
     /// The threaded configuration (per-thread budget, stagger, seed).
     pub config: ThreadedConfig,
-    /// Wall-clock duration of the run.
-    pub wall: Duration,
-    /// Total shared-memory steps across all threads.
-    pub steps: u64,
-    /// Steps taken by each process.
-    pub steps_per_process: Vec<u64>,
-    /// Which processes halted (completed all their operations) in budget.
-    pub halted: Vec<bool>,
-    /// All decisions, grouped by instance.
-    pub decisions: DecisionSet,
-    /// Decisions in wall-clock arrival order — the only ordering evidence a
-    /// threaded run yields (e.g. that each process decides its repeated
-    /// instances in instance order).
-    pub arrival_order: Vec<(ProcessId, model::Decision)>,
+    /// The runtime's report: steps, halts, decisions in arrival order,
+    /// memory metrics and the wall clock (never zero for a run that
+    /// visibly took time).
+    pub run: ThreadedReport,
     /// Validity and k-agreement evaluated over the run.
     pub safety: SafetyReport,
-    /// Shared-memory usage metrics.
-    pub metrics: MemoryMetrics,
     /// Distinct base objects (registers or snapshot components) written.
     pub locations_written: usize,
-}
-
-impl ThreadedRunReport {
-    /// `true` if every process halted within its budget. Not guaranteed for
-    /// obstruction-free algorithms when all `n` threads keep contending —
-    /// that is the paper's whole point — so tests assert safety, not this.
-    pub fn all_halted(&self) -> bool {
-        self.halted.iter().all(|h| *h)
-    }
-
-    /// Aggregate throughput in shared-memory steps per second (0.0 when the
-    /// run was too fast for the clock to resolve).
-    pub fn steps_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.steps as f64 / secs
-        } else {
-            0.0
-        }
-    }
 }
 
 /// The result of executing an [`ExecutionPlan`] — one variant per
@@ -627,7 +532,7 @@ impl ExecutionReport {
     pub fn steps(&self) -> u64 {
         match self {
             ExecutionReport::Scheduled(r) => r.steps,
-            ExecutionReport::Threaded(r) => r.steps,
+            ExecutionReport::Threaded(r) => r.run.total_steps(),
             ExecutionReport::Explored(_) => 0,
             ExecutionReport::Served(r) => r.steps,
             ExecutionReport::Searched(_) => 0,
@@ -647,46 +552,6 @@ impl ExecutionReport {
             ExecutionReport::Searched(r) => {
                 r.witness.as_ref().map_or(0, |w| w.certificate.registers)
             }
-        }
-    }
-
-    /// The scheduled report, if this was a [`Backend::Scheduled`] run.
-    pub fn as_scheduled(&self) -> Option<&ScenarioReport> {
-        match self {
-            ExecutionReport::Scheduled(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The threaded report, if this was a [`Backend::Threaded`] run.
-    pub fn as_threaded(&self) -> Option<&ThreadedRunReport> {
-        match self {
-            ExecutionReport::Threaded(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The exploration report, if this was a [`Backend::Explore`] run.
-    pub fn as_explored(&self) -> Option<&ExploreReport> {
-        match self {
-            ExecutionReport::Explored(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The service report, if this was a [`Backend::Serve`] run.
-    pub fn as_served(&self) -> Option<&sa_serve::ServeReport> {
-        match self {
-            ExecutionReport::Served(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The search report, if this was a [`Backend::AdversarySearch`] run.
-    pub fn as_searched(&self) -> Option<&sa_search::SearchReport> {
-        match self {
-            ExecutionReport::Searched(r) => Some(r),
-            _ => None,
         }
     }
 
@@ -762,8 +627,9 @@ impl ExecutionReport {
 
 /// A declarative description of **what** to execute: parameters, algorithm,
 /// workload, adversary and step budget. **How** it executes is the
-/// [`Executor`]'s backend, so the same plan can be simulated, run on real
-/// threads, or exhaustively explored without being rebuilt.
+/// [`Backend`] given to [`execute`](Self::execute), so the same plan can be
+/// simulated, run on real threads, or exhaustively explored without being
+/// rebuilt.
 ///
 /// Backends ignore the parts of the plan that do not apply to them: the
 /// threaded backend lets the hardware schedule (the adversary is unused),
@@ -818,25 +684,22 @@ impl ExecutionPlan {
         self
     }
 
-    /// The parameters of this plan.
-    pub fn params(&self) -> Params {
-        self.params
-    }
-
-    /// The algorithm this plan runs.
-    pub fn algorithm_selected(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// The adversary this plan schedules under ([`Backend::Scheduled`]).
-    pub fn adversary_selected(&self) -> &Adversary {
-        &self.adversary
-    }
-
-    /// Executes this plan on `backend` — shorthand for
-    /// `Executor::new(backend).execute(&plan)`.
+    /// Executes this plan on `backend` — the facade's one entry point.
     pub fn execute(&self, backend: Backend) -> ExecutionReport {
-        Executor::new(backend).execute(self)
+        if let Backend::Serve(options) = backend {
+            // The service builds its own automata, one fresh Figure 4
+            // instance per batch, so it bypasses the plan's automata
+            // construction; the plan contributes the cell (m, k) and the
+            // per-batch step budget.
+            let config = sa_serve::ServeConfig {
+                m: self.params.m(),
+                k: self.params.k(),
+                options,
+                max_steps_per_batch: self.max_steps,
+            };
+            return ExecutionReport::Served(Box::new(sa_serve::serve(&config)));
+        }
+        self.with_automata(BackendDriver { backend })
     }
 
     fn effective_workload(&self) -> Workload {
@@ -926,7 +789,7 @@ impl ExecutionPlan {
         A: Automaton + Clone + Debug + Hash,
         A::Value: Clone + Eq + Debug + Hash,
     {
-        let mut executor = StepExecutor::new(automata);
+        let mut executor = Executor::new(automata);
         let mut scheduler = self.adversary.build(self.params.n());
         let report = executor.run(&mut *scheduler, RunConfig::with_max_steps(self.max_steps));
 
@@ -965,32 +828,24 @@ impl ExecutionPlan {
         A::Value: Clone + Eq + Debug + Send + Sync,
     {
         let start = Instant::now();
-        let report = run_threaded(automata, config);
+        let mut run = run_threaded(automata, config);
         // Prefer the runtime's own measurement but never report a zero wall
         // clock for a run that visibly took time.
-        let wall = if report.wall > Duration::ZERO {
-            report.wall
-        } else {
-            start.elapsed()
-        };
+        if run.wall == Duration::ZERO {
+            run.wall = start.elapsed();
+        }
 
         let mut inputs = InputLog::new();
         inputs.record_matrix(workload.matrix());
-        let safety = SafetyReport::evaluate(self.params.k(), &inputs, &report.decisions);
+        let safety = SafetyReport::evaluate(self.params.k(), &inputs, &run.decisions);
 
         ThreadedRunReport {
             params: self.params,
             algorithm: self.algorithm,
             config,
-            wall,
-            steps: report.total_steps(),
-            steps_per_process: report.steps_per_process,
-            halted: report.halted,
-            locations_written: report.metrics.distinct_locations_written(),
-            decisions: report.decisions,
-            arrival_order: report.arrival_order,
+            locations_written: run.metrics.distinct_locations_written(),
+            run,
             safety,
-            metrics: report.metrics,
         }
     }
 
@@ -1006,7 +861,7 @@ impl ExecutionPlan {
         A: Automaton + Clone + Debug + Hash,
         A::Value: Clone + Eq + Debug + Hash,
     {
-        let executor = StepExecutor::new(automata);
+        let executor = Executor::new(automata);
         let probe = SafetyProbe::new(self.params.k(), workload);
         let result = explore(&executor, config, |exec| probe.check(exec));
         self.explore_report(result, probe, 0)
@@ -1025,7 +880,7 @@ impl ExecutionPlan {
         A: Automaton + Clone + Debug + Hash + Send + Sync,
         A::Value: Clone + Eq + Debug + Hash + Send + Sync,
     {
-        let executor = StepExecutor::new(automata);
+        let executor = Executor::new(automata);
         let probe = SafetyProbe::new(self.params.k(), workload);
         let result = parallel_explore(&executor, config, |exec| probe.check(exec));
         self.explore_report(result, probe, config.effective_threads())
@@ -1039,41 +894,26 @@ impl ExecutionPlan {
         A: Automaton + Clone + Hash + Send + Sync,
         A::Value: Clone + Eq + Debug + Hash + Send + Sync,
     {
-        let executor = StepExecutor::new(automata);
+        let executor = Executor::new(automata);
         sa_search::search(&executor, config)
     }
 
     fn explore_report(
         &self,
-        result: sa_runtime::Exploration,
+        exploration: Exploration,
         probe: SafetyProbe,
         threads: usize,
     ) -> ExploreReport {
         ExploreReport {
             params: self.params,
             algorithm: self.algorithm,
-            states_visited: result.states_visited,
-            paths: result.paths,
-            max_depth_reached: result.max_depth_reached,
-            truncated: result.truncated,
-            violation: result.violation,
+            exploration,
             validity_ok: !probe.violated_validity.into_inner(),
             agreement_ok: !probe.violated_agreement.into_inner(),
             max_locations_written: probe.max_locations.into_inner(),
             max_registers_written: probe.max_registers.into_inner(),
             max_components_written: probe.max_components.into_inner(),
             threads,
-            frontier_peak: result.frontier_peak,
-            seen_entries: result.seen_entries,
-            approx_bytes: result.approx_bytes,
-            symmetry_applied: result.symmetry_applied,
-            orbit_states: result.states_visited,
-            full_states_lower_bound: result.full_states_lower_bound,
-            reduction_applied: result.reduction_applied,
-            expansions: result.expansions,
-            sleep_pruned: result.sleep_pruned,
-            persistent_expanded: result.persistent_expanded,
-            states_cut: result.states_cut,
         }
     }
 }
@@ -1114,7 +954,7 @@ impl SafetyProbe {
         }
     }
 
-    fn check<A>(&self, exec: &StepExecutor<A>) -> Option<String>
+    fn check<A>(&self, exec: &Executor<A>) -> Option<String>
     where
         A: Automaton,
         A::Value: Clone + Eq + Debug,
@@ -1151,84 +991,6 @@ impl SafetyProbe {
     }
 }
 
-/// Executes [`ExecutionPlan`]s on a fixed backend.
-///
-/// This is the single execution surface of the workspace: the examples, the
-/// bench binaries and the sweep engine all run through it, so an execution
-/// differs between a campaign and a one-off test only in *what* plan it was
-/// given, never in how the system was assembled.
-#[derive(Debug)]
-pub struct Executor {
-    backend: Backend,
-}
-
-impl Executor {
-    /// An executor for one of the [`Backend`]s.
-    pub fn new(backend: Backend) -> Self {
-        Executor { backend }
-    }
-
-    /// An executor for the deterministic simulator.
-    pub fn scheduled() -> Self {
-        Executor::new(Backend::Scheduled)
-    }
-
-    /// An executor running one OS thread per process.
-    pub fn threaded(config: ThreadedConfig) -> Self {
-        Executor::new(Backend::Threaded(config))
-    }
-
-    /// An executor that exhaustively explores every interleaving.
-    pub fn exploring(config: ExploreConfig) -> Self {
-        Executor::new(Backend::Explore(config))
-    }
-
-    /// An executor that exhaustively explores every interleaving on a
-    /// work-stealing worker pool, with byte-identical results at any
-    /// thread count.
-    pub fn exploring_parallel(config: ParallelExploreConfig) -> Self {
-        Executor::new(Backend::ParallelExplore(config))
-    }
-
-    /// An executor running the batched, sharded agreement service under an
-    /// open-loop load generator (see the `sa-serve` crate).
-    pub fn serving(options: ServeOptions) -> Self {
-        Executor::new(Backend::Serve(options))
-    }
-
-    /// An executor running the goal-directed adversary search for
-    /// lower-bound witnesses (see the `sa-search` crate), with
-    /// byte-identical results at any thread count.
-    pub fn searching(config: SearchConfig) -> Self {
-        Executor::new(Backend::AdversarySearch(config))
-    }
-
-    /// The label of this executor's backend.
-    pub fn label(&self) -> &'static str {
-        self.backend.label()
-    }
-
-    /// Executes a plan on this executor's backend.
-    pub fn execute(&self, plan: &ExecutionPlan) -> ExecutionReport {
-        if let Backend::Serve(options) = self.backend {
-            // The service builds its own automata, one fresh Figure 4
-            // instance per batch, so it bypasses the plan's automata
-            // construction; the plan contributes the cell (m, k) and the
-            // per-batch step budget.
-            let config = sa_serve::ServeConfig {
-                m: plan.params.m(),
-                k: plan.params.k(),
-                options,
-                max_steps_per_batch: plan.max_steps,
-            };
-            return ExecutionReport::Served(Box::new(sa_serve::serve(&config)));
-        }
-        plan.with_automata(BackendDriver {
-            backend: &self.backend,
-        })
-    }
-}
-
 /// Rank-2 dispatch over the algorithm's concrete automaton type: the
 /// [`ExecutionPlan::with_automata`] match instantiates `drive` once per
 /// algorithm, so every consumer of a built system is written once,
@@ -1244,15 +1006,14 @@ trait AutomataDriver {
         A::Value: Clone + Eq + Debug + Hash + Send + Sync;
 }
 
-/// The one driver behind every backend: dispatches the constructed system
-/// to the simulator, the thread pool or the explorer. This replaces the
-/// former separate `RunDriver`/`ExploreDriver` pair, so adding a backend
-/// touches exactly this match.
-struct BackendDriver<'a> {
-    backend: &'a Backend,
+/// The one driver behind every backend but the service: dispatches the
+/// constructed system to the simulator, the thread pool, an explorer or
+/// the search, so adding a backend touches exactly this match.
+struct BackendDriver {
+    backend: Backend,
 }
 
-impl AutomataDriver for BackendDriver<'_> {
+impl AutomataDriver for BackendDriver {
     type Output = ExecutionReport;
 
     fn drive<A>(
@@ -1270,19 +1031,19 @@ impl AutomataDriver for BackendDriver<'_> {
                 ExecutionReport::Scheduled(plan.run_scheduled(automata, workload))
             }
             Backend::Threaded(config) => {
-                ExecutionReport::Threaded(plan.run_on_threads(automata, workload, *config))
+                ExecutionReport::Threaded(plan.run_on_threads(automata, workload, config))
             }
             Backend::Explore(config) => {
-                ExecutionReport::Explored(plan.run_exploration(automata, workload, *config))
+                ExecutionReport::Explored(plan.run_exploration(automata, workload, config))
             }
-            Backend::ParallelExplore(config) => ExecutionReport::Explored(
-                plan.run_parallel_exploration(automata, workload, *config),
-            ),
+            Backend::ParallelExplore(config) => {
+                ExecutionReport::Explored(plan.run_parallel_exploration(automata, workload, config))
+            }
             Backend::AdversarySearch(config) => {
-                ExecutionReport::Searched(Box::new(plan.run_search(automata, *config)))
+                ExecutionReport::Searched(Box::new(plan.run_search(automata, config)))
             }
             // Serve runs are intercepted before automata construction in
-            // `Executor::execute`.
+            // `ExecutionPlan::execute`.
             Backend::Serve(_) => unreachable!("serve dispatches before automata construction"),
         }
     }
@@ -1317,94 +1078,8 @@ impl AutomataDriver for VerifyDriver<'_> {
         A: Automaton + Clone + Debug + Hash + Send + Sync,
         A::Value: Clone + Eq + Debug + Hash + Send + Sync,
     {
-        let executor = StepExecutor::new(automata);
+        let executor = Executor::new(automata);
         sa_search::verify(&executor, self.witness)
-    }
-}
-
-/// The original builder surface, kept as a **thin shim** over the unified
-/// [`ExecutionPlan`] → [`Executor`] → [`ExecutionReport`] API.
-///
-/// [`Scenario::run`] is `Executor::scheduled().execute(&plan)` and
-/// [`Scenario::explore`] is `Executor::exploring(config).execute(&plan)`,
-/// nothing more; new code (and anything that wants the threaded backend)
-/// should hold an [`ExecutionPlan`] directly.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    plan: ExecutionPlan,
-}
-
-impl Scenario {
-    /// Creates a scenario with the default algorithm (Figure 3 one-shot), a
-    /// round-robin adversary, an all-distinct workload and a one-million-step
-    /// budget.
-    pub fn new(params: Params) -> Self {
-        Scenario {
-            plan: ExecutionPlan::new(params),
-        }
-    }
-
-    /// Selects the algorithm to run.
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.plan = self.plan.algorithm(algorithm);
-        self
-    }
-
-    /// Selects the adversary schedule.
-    pub fn adversary(mut self, adversary: Adversary) -> Self {
-        self.plan = self.plan.adversary(adversary);
-        self
-    }
-
-    /// Supplies an explicit workload (inputs per process and instance). The
-    /// default is [`Workload::all_distinct`].
-    pub fn workload(mut self, workload: Workload) -> Self {
-        self.plan = self.plan.workload(workload);
-        self
-    }
-
-    /// Sets the step budget.
-    pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.plan = self.plan.max_steps(max_steps);
-        self
-    }
-
-    /// The parameters of this scenario.
-    pub fn params(&self) -> Params {
-        self.plan.params()
-    }
-
-    /// The underlying [`ExecutionPlan`].
-    pub fn plan(&self) -> &ExecutionPlan {
-        &self.plan
-    }
-
-    /// Converts this scenario into its [`ExecutionPlan`].
-    pub fn into_plan(self) -> ExecutionPlan {
-        self.plan
-    }
-
-    /// Runs the scenario on the deterministic simulator and reports
-    /// decisions, safety and space usage.
-    ///
-    /// Shim for `Executor::scheduled().execute(plan).expect_scheduled()`.
-    pub fn run(&self) -> ScenarioReport {
-        Executor::scheduled().execute(&self.plan).expect_scheduled()
-    }
-
-    /// Exhaustively explores **every** interleaving of the scenario's
-    /// processes up to the configured depth and state budgets, checking
-    /// validity and k-agreement in every reachable configuration.
-    ///
-    /// The adversary is deliberately ignored: exploration quantifies over
-    /// all schedules, which subsumes any single adversary. Feasible only
-    /// for tiny cells (a handful of processes, a modest depth bound).
-    ///
-    /// Shim for `Executor::exploring(config).execute(plan).expect_explored()`.
-    pub fn explore(&self, config: ExploreConfig) -> ExploreReport {
-        Executor::exploring(config)
-            .execute(&self.plan)
-            .expect_explored()
     }
 }
 
@@ -1501,14 +1176,15 @@ mod tests {
 
     #[test]
     fn oneshot_scenario_is_safe_and_terminates_for_survivors() {
-        let report = Scenario::new(params())
+        let report = ExecutionPlan::new(params())
             .algorithm(Algorithm::OneShot)
             .adversary(Adversary::Obstruction {
                 contention_steps: 100,
                 survivors: 2,
                 seed: 7,
             })
-            .run();
+            .execute(Backend::Scheduled)
+            .expect_scheduled();
         assert!(report.safety.is_safe());
         assert!(report.survivors_decided);
         assert!(report.locations_written <= params().snapshot_components());
@@ -1516,7 +1192,7 @@ mod tests {
 
     #[test]
     fn repeated_scenario_covers_every_instance_for_survivors() {
-        let report = Scenario::new(params())
+        let report = ExecutionPlan::new(params())
             .algorithm(Algorithm::Repeated(3))
             .adversary(Adversary::Obstruction {
                 contention_steps: 150,
@@ -1524,7 +1200,8 @@ mod tests {
                 seed: 3,
             })
             .max_steps(2_000_000)
-            .run();
+            .execute(Backend::Scheduled)
+            .expect_scheduled();
         assert!(report.safety.is_safe());
         assert!(report.survivors_decided);
         assert!(report.decisions.instances().count() >= 3);
@@ -1533,7 +1210,7 @@ mod tests {
     #[test]
     fn anonymous_scenarios_are_safe() {
         for algorithm in [Algorithm::AnonymousOneShot, Algorithm::AnonymousRepeated(2)] {
-            let report = Scenario::new(params())
+            let report = ExecutionPlan::new(params())
                 .algorithm(algorithm)
                 .adversary(Adversary::Obstruction {
                     contention_steps: 100,
@@ -1541,7 +1218,8 @@ mod tests {
                     seed: 11,
                 })
                 .max_steps(2_000_000)
-                .run();
+                .execute(Backend::Scheduled)
+                .expect_scheduled();
             assert!(report.safety.is_safe(), "{algorithm:?} violated safety");
             assert!(report.survivors_decided, "{algorithm:?} survivor starved");
         }
@@ -1551,7 +1229,7 @@ mod tests {
     fn baselines_run_and_stay_safe() {
         let p = Params::new(8, 1, 3).unwrap();
         for algorithm in [Algorithm::WideBaseline, Algorithm::FullInformation] {
-            let report = Scenario::new(p)
+            let report = ExecutionPlan::new(p)
                 .algorithm(algorithm)
                 .adversary(Adversary::Obstruction {
                     contention_steps: 80,
@@ -1559,7 +1237,8 @@ mod tests {
                     seed: 5,
                 })
                 .max_steps(2_000_000)
-                .run();
+                .execute(Backend::Scheduled)
+                .expect_scheduled();
             assert!(report.safety.is_safe(), "{algorithm:?} violated safety");
             assert!(report.survivors_decided, "{algorithm:?} survivor starved");
         }
@@ -1578,10 +1257,11 @@ mod tests {
         // Survivor p1 crashes: only p0 stays obligated.
         assert_eq!(adversary.obligated(6), vec![ProcessId(0)]);
         assert_eq!(adversary.label(), "crash");
-        let report = Scenario::new(params())
+        let report = ExecutionPlan::new(params())
             .algorithm(Algorithm::OneShot)
             .adversary(adversary)
-            .run();
+            .execute(Backend::Scheduled)
+            .expect_scheduled();
         assert!(report.safety.is_safe());
         assert!(report.survivors_decided, "the non-crashed survivor starved");
     }
@@ -1592,7 +1272,7 @@ mod tests {
             inner: Box::new(Adversary::RoundRobin),
             crash_after: vec![(0, 0), (2, 2)],
         };
-        let mut executor = StepExecutor::new(
+        let mut executor = Executor::new(
             (0..4)
                 .map(|p| OneShotSetAgreement::new(params4(), ProcessId(p), p as u64))
                 .collect::<Vec<_>>(),
@@ -1615,22 +1295,23 @@ mod tests {
         // only obstruction-free, so single paths can be much longer than
         // the state count suggests; dedup is what closes the cycles).
         let cell = Params::new(2, 1, 1).unwrap();
-        let report = Scenario::new(cell)
+        let report = ExecutionPlan::new(cell)
             .algorithm(Algorithm::OneShot)
-            .explore(ExploreConfig {
+            .execute(Backend::Explore(ExploreConfig {
                 max_depth: 100_000,
                 max_states: 1_000_000,
                 ..ExploreConfig::default()
-            });
+            }))
+            .expect_explored();
         assert!(
             report.verified(),
             "exploration truncated or found a violation: states={} truncated={} violation={:?}",
-            report.states_visited,
-            report.truncated,
-            report.violation
+            report.exploration.states_visited,
+            report.exploration.truncated,
+            report.exploration.violation
         );
         assert!(report.safe());
-        assert!(report.states_visited > 0 && report.paths > 0);
+        assert!(report.exploration.states_visited > 0 && report.exploration.paths > 0);
         assert!(
             report.max_locations_written <= Algorithm::OneShot.component_bound(cell),
             "some interleaving wrote {} locations",
@@ -1640,14 +1321,15 @@ mod tests {
 
     #[test]
     fn explore_reports_truncation_at_tiny_budgets() {
-        let report = Scenario::new(Params::new(3, 1, 2).unwrap())
+        let report = ExecutionPlan::new(Params::new(3, 1, 2).unwrap())
             .algorithm(Algorithm::OneShot)
-            .explore(ExploreConfig {
+            .execute(Backend::Explore(ExploreConfig {
                 max_depth: 2,
                 max_states: 10,
                 ..ExploreConfig::default()
-            });
-        assert!(report.truncated);
+            }))
+            .expect_explored();
+        assert!(report.exploration.truncated);
         assert!(!report.verified());
         // No violation within the explored prefix, so it is still "safe".
         assert!(report.safe());
@@ -1656,10 +1338,11 @@ mod tests {
     #[test]
     fn custom_workload_constrains_outputs() {
         let workload = Workload::uniform(6, 1, 99);
-        let report = Scenario::new(params())
+        let report = ExecutionPlan::new(params())
             .workload(workload)
             .adversary(Adversary::Solo { process: 2 })
-            .run();
+            .execute(Backend::Scheduled)
+            .expect_scheduled();
         assert!(report.safety.is_safe());
         for value in report.decisions.outputs(1) {
             assert_eq!(value, 99);
@@ -1673,59 +1356,57 @@ mod tests {
             .algorithm(Algorithm::OneShot)
             .adversary(Adversary::Solo { process: 0 });
 
-        let scheduled = Executor::scheduled().execute(&plan);
+        let scheduled = plan.execute(Backend::Scheduled);
         assert_eq!(scheduled.backend_label(), "scheduled");
         assert!(scheduled.safe());
         assert!(scheduled.steps() > 0);
-        assert!(scheduled.as_scheduled().is_some());
-        assert!(scheduled.as_threaded().is_none());
 
-        let threaded = Executor::threaded(ThreadedConfig::with_step_budget(100_000)).execute(&plan);
+        let threaded = plan.execute(Backend::Threaded(ThreadedConfig::with_step_budget(100_000)));
         assert_eq!(threaded.backend_label(), "threaded");
         assert!(threaded.safe());
         assert!(threaded.locations_written() > 0);
 
-        let explored = Executor::exploring(ExploreConfig {
+        let explored = plan.execute(Backend::Explore(ExploreConfig {
             max_depth: 100_000,
             max_states: 1_000_000,
             ..ExploreConfig::default()
-        })
-        .execute(&plan);
+        }));
         assert_eq!(explored.backend_label(), "explore");
         let explored = explored.expect_explored();
         assert!(explored.verified());
-        assert!(explored.max_depth_reached > 0);
+        assert!(explored.exploration.max_depth_reached > 0);
         assert_eq!(explored.threads, 0);
 
-        let parallel = Executor::exploring_parallel(ParallelExploreConfig {
+        let parallel = plan.execute(Backend::ParallelExplore(ParallelExploreConfig {
             threads: 2,
             max_depth: 100_000,
             max_states: 1_000_000,
             ..ParallelExploreConfig::default()
-        })
-        .execute(&plan);
+        }));
         assert_eq!(parallel.backend_label(), "parallel-explore");
         let parallel = parallel.expect_explored();
         assert!(parallel.verified());
         assert_eq!(parallel.threads, 2);
-        assert_eq!(parallel.states_visited, explored.states_visited);
+        assert_eq!(
+            parallel.exploration.states_visited,
+            explored.exploration.states_visited
+        );
 
         // n + 2m − k = 3 on this cell: the search must rediscover it.
-        let searched = Executor::searching(SearchConfig {
+        let searched = plan.execute(Backend::AdversarySearch(SearchConfig {
             goal: SearchGoal::Covering,
             target_registers: 3,
             max_depth: 32,
             max_states: 100_000,
             threads: 2,
             symmetry: sa_runtime::SymmetryMode::ProcessIds,
-        })
-        .execute(&plan);
+        }));
         assert_eq!(searched.backend_label(), "adversary-search");
         assert!(searched.safe());
         assert_eq!(searched.locations_written(), 3);
-        let witness = searched.as_searched().unwrap().witness.clone().unwrap();
-        assert!(verify_witness(&plan, &witness).is_ok());
         let searched = searched.expect_searched();
+        let witness = searched.witness.clone().unwrap();
+        assert!(verify_witness(&plan, &witness).is_ok());
         assert!(searched.target_reached && searched.verified);
         assert_eq!(searched.goal, SearchGoal::Covering);
         assert_eq!(witness.certificate.registers, 3);
@@ -1737,16 +1418,16 @@ mod tests {
         for goal in SearchGoal::all() {
             let mut previous: Option<sa_search::SearchReport> = None;
             for threads in [1, 2, 8] {
-                let report = Executor::searching(SearchConfig {
-                    goal,
-                    target_registers: 3,
-                    max_depth: 32,
-                    max_states: 100_000,
-                    threads,
-                    symmetry: sa_runtime::SymmetryMode::ProcessIds,
-                })
-                .execute(&plan)
-                .expect_searched();
+                let report = plan
+                    .execute(Backend::AdversarySearch(SearchConfig {
+                        goal,
+                        target_registers: 3,
+                        max_depth: 32,
+                        max_states: 100_000,
+                        threads,
+                        symmetry: sa_runtime::SymmetryMode::ProcessIds,
+                    }))
+                    .expect_searched();
                 assert!(report.target_reached, "{goal:?} threads={threads}");
                 assert!(report.verified, "{goal:?} threads={threads}");
                 let witness = report.witness.as_ref().expect("target reached");
@@ -1767,28 +1448,31 @@ mod tests {
     #[test]
     fn parallel_exploration_matches_serial_at_every_thread_count() {
         let plan = ExecutionPlan::new(Params::new(2, 1, 1).unwrap()).algorithm(Algorithm::OneShot);
-        let serial = Executor::exploring(ExploreConfig {
-            max_depth: 100_000,
-            max_states: 1_000_000,
-            ..ExploreConfig::default()
-        })
-        .execute(&plan)
-        .expect_explored();
+        let serial = plan
+            .execute(Backend::Explore(ExploreConfig {
+                max_depth: 100_000,
+                max_states: 1_000_000,
+                ..ExploreConfig::default()
+            }))
+            .expect_explored();
         assert!(serial.verified());
         let mut previous: Option<ExploreReport> = None;
         for threads in [1, 2, 8] {
-            let report = Executor::exploring_parallel(ParallelExploreConfig {
-                threads,
-                max_depth: 100_000,
-                max_states: 1_000_000,
-                ..ParallelExploreConfig::default()
-            })
-            .execute(&plan)
-            .expect_explored();
+            let report = plan
+                .execute(Backend::ParallelExplore(ParallelExploreConfig {
+                    threads,
+                    max_depth: 100_000,
+                    max_states: 1_000_000,
+                    ..ParallelExploreConfig::default()
+                }))
+                .expect_explored();
             assert!(report.verified(), "threads={threads}");
-            assert_eq!(report.states_visited, serial.states_visited);
-            assert_eq!(report.paths, serial.paths);
-            assert_eq!(report.violation, serial.violation);
+            assert_eq!(
+                report.exploration.states_visited,
+                serial.exploration.states_visited
+            );
+            assert_eq!(report.exploration.paths, serial.exploration.paths);
+            assert_eq!(report.exploration.violation, serial.exploration.violation);
             // Safety verdicts and space maxima range over the same state
             // set, so they agree with the serial explorer exactly.
             assert_eq!(report.validity_ok, serial.validity_ok);
@@ -1798,63 +1482,39 @@ mod tests {
             assert_eq!(report.max_components_written, serial.max_components_written);
             // And every parallel field is identical at any worker count.
             if let Some(previous) = &previous {
-                assert_eq!(report.frontier_peak, previous.frontier_peak);
-                assert_eq!(report.seen_entries, previous.seen_entries);
-                assert_eq!(report.approx_bytes, previous.approx_bytes);
-                assert_eq!(report.max_depth_reached, previous.max_depth_reached);
+                assert_eq!(
+                    report.exploration.frontier_peak,
+                    previous.exploration.frontier_peak
+                );
+                assert_eq!(
+                    report.exploration.seen_entries,
+                    previous.exploration.seen_entries
+                );
+                assert_eq!(
+                    report.exploration.approx_bytes,
+                    previous.exploration.approx_bytes
+                );
+                assert_eq!(
+                    report.exploration.max_depth_reached,
+                    previous.exploration.max_depth_reached
+                );
             }
             previous = Some(report);
         }
     }
 
     #[test]
-    fn scenario_is_a_shim_over_the_plan_api() {
-        let scenario = Scenario::new(params())
-            .algorithm(Algorithm::OneShot)
-            .adversary(Adversary::Obstruction {
-                contention_steps: 100,
-                survivors: 2,
-                seed: 7,
-            });
-        let via_shim = scenario.run();
-        let via_plan = Executor::scheduled()
-            .execute(scenario.plan())
-            .expect_scheduled();
-        // The scheduled backend is deterministic: the shim and the direct
-        // path must agree step-for-step.
-        assert_eq!(via_shim.steps, via_plan.steps);
-        assert_eq!(via_shim.locations_written, via_plan.locations_written);
-        assert_eq!(
-            via_shim.decisions.outputs(1).len(),
-            via_plan.decisions.outputs(1).len()
-        );
-        assert_eq!(scenario.params(), scenario.plan().params());
-    }
-
-    #[test]
     fn threaded_backend_checks_safety_and_reports_throughput() {
         let plan = ExecutionPlan::new(params()).algorithm(Algorithm::OneShot);
         let config = ThreadedConfig::with_step_budget(200_000).seeded(9);
-        let report = Executor::threaded(config).execute(&plan).expect_threaded();
+        let report = plan.execute(Backend::Threaded(config)).expect_threaded();
         // Safety counters, never step traces: the hardware linearizes.
         assert!(report.safety.is_safe());
-        assert!(report.steps > 0);
-        assert_eq!(report.steps_per_process.len(), 6);
+        assert!(report.run.total_steps() > 0);
+        assert_eq!(report.run.steps_per_process.len(), 6);
         assert_eq!(report.config.seed, 9);
-        assert!(report.wall > Duration::ZERO);
-        assert!(report.steps_per_sec() > 0.0);
+        assert!(report.run.wall > Duration::ZERO);
+        assert!(report.run.steps_per_sec() > 0.0);
         assert!(report.locations_written <= Algorithm::OneShot.component_bound(params()));
-    }
-
-    #[test]
-    fn plan_execute_shorthand_matches_explicit_executor() {
-        let plan = ExecutionPlan::new(params()).adversary(Adversary::Solo { process: 0 });
-        let a = plan.execute(Backend::Scheduled).expect_scheduled();
-        let b = Executor::new(Backend::Scheduled)
-            .execute(&plan)
-            .expect_scheduled();
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(plan.algorithm_selected(), Algorithm::OneShot);
-        assert_eq!(plan.adversary_selected().label(), "solo");
     }
 }

@@ -16,7 +16,7 @@
 
 use sa_sweep::{expand, CampaignMode, CampaignSpec, ScenarioSpec};
 use set_agreement::runtime::{ExploreConfig, ParallelExploreConfig};
-use set_agreement::{Backend, ExecutionPlan, Executor, ExploreReport};
+use set_agreement::{Backend, ExecutionPlan, ExploreReport};
 
 fn spec_scenarios() -> Vec<ScenarioSpec> {
     let text = std::fs::read_to_string("campaigns/exhaustive.spec")
@@ -32,7 +32,7 @@ fn explore_with(scenario: &ScenarioSpec, backend: Backend) -> ExploreReport {
     let plan = ExecutionPlan::new(scenario.params)
         .algorithm(scenario.algorithm)
         .workload(scenario.workload.clone());
-    Executor::new(backend).execute(&plan).expect_explored()
+    plan.execute(backend).expect_explored()
 }
 
 #[test]
@@ -74,7 +74,7 @@ fn serial_and_parallel_explorers_agree_on_every_spec_cell() {
                 }),
             );
             assert_eq!(
-                parallel.states_visited, serial.states_visited,
+                parallel.exploration.states_visited, serial.exploration.states_visited,
                 "{cell} at {threads} threads: states_visited diverged"
             );
             assert_eq!(
@@ -83,7 +83,7 @@ fn serial_and_parallel_explorers_agree_on_every_spec_cell() {
                 "{cell} at {threads} threads: verified diverged"
             );
             assert_eq!(
-                parallel.violation, serial.violation,
+                parallel.exploration.violation, serial.exploration.violation,
                 "{cell} at {threads} threads: violating schedule diverged"
             );
             assert_eq!(parallel.validity_ok, serial.validity_ok, "{cell}");
@@ -96,14 +96,26 @@ fn serial_and_parallel_explorers_agree_on_every_spec_cell() {
                 // Parallel-vs-parallel: every field is thread-count
                 // invariant, including the ones serial DFS measures
                 // differently (depth, frontier, memory estimate).
-                assert_eq!(parallel.paths, previous.paths, "{cell}");
                 assert_eq!(
-                    parallel.max_depth_reached, previous.max_depth_reached,
+                    parallel.exploration.paths, previous.exploration.paths,
                     "{cell}"
                 );
-                assert_eq!(parallel.frontier_peak, previous.frontier_peak, "{cell}");
-                assert_eq!(parallel.seen_entries, previous.seen_entries, "{cell}");
-                assert_eq!(parallel.approx_bytes, previous.approx_bytes, "{cell}");
+                assert_eq!(
+                    parallel.exploration.max_depth_reached, previous.exploration.max_depth_reached,
+                    "{cell}"
+                );
+                assert_eq!(
+                    parallel.exploration.frontier_peak, previous.exploration.frontier_peak,
+                    "{cell}"
+                );
+                assert_eq!(
+                    parallel.exploration.seen_entries, previous.exploration.seen_entries,
+                    "{cell}"
+                );
+                assert_eq!(
+                    parallel.exploration.approx_bytes, previous.exploration.approx_bytes,
+                    "{cell}"
+                );
             }
             previous = Some(parallel);
         }
@@ -116,8 +128,9 @@ fn serial_and_parallel_explorers_agree_on_every_spec_cell() {
 /// (serial and parallel at 1, 2 and 8 threads) must report identical
 /// `verified`/`violation` verdicts — the quotient may only shrink the
 /// search, never change its answer. The reduction itself is pinned exactly:
-/// `orbit_states ≤ states_visited`, with equality exactly when all inputs
-/// are distinct and the algorithm is non-anonymous (a non-anonymous process
+/// the quotient visits at most as many states (one per orbit) as the full
+/// search, with equality exactly when all inputs are distinct and the
+/// algorithm is non-anonymous (a non-anonymous process
 /// is identified with its input, so distinct-input slots never merge, while
 /// anonymous processes that converge become interchangeable).
 #[test]
@@ -150,28 +163,33 @@ fn symmetry_quotient_preserves_verdicts_on_every_spec_cell() {
         let off = explore_with(&scenario, serial(SymmetryMode::Off));
         let sym = explore_with(&scenario, serial(SymmetryMode::ProcessIds));
         assert!(
-            sym.symmetry_applied,
+            sym.exploration.symmetry_applied,
             "{cell}: the paper's algorithms opt in"
         );
-        assert!(!off.symmetry_applied, "{cell}");
+        assert!(!off.exploration.symmetry_applied, "{cell}");
         assert_eq!(sym.verified(), off.verified(), "{cell}: verdict changed");
-        assert_eq!(sym.violation, off.violation, "{cell}: violation changed");
+        assert_eq!(
+            sym.exploration.violation, off.exploration.violation,
+            "{cell}: violation changed"
+        );
         assert_eq!(sym.validity_ok, off.validity_ok, "{cell}");
         assert_eq!(sym.agreement_ok, off.agreement_ok, "{cell}");
         assert_eq!(
             sym.max_locations_written, off.max_locations_written,
             "{cell}: space maxima are orbit-invariant"
         );
-        assert_eq!(sym.orbit_states, sym.states_visited, "{cell}");
         assert!(
-            sym.orbit_states <= off.states_visited,
+            sym.exploration.states_visited <= off.exploration.states_visited,
             "{cell}: a quotient cannot be larger than the full space"
         );
         assert!(
-            sym.full_states_lower_bound <= off.states_visited,
+            sym.exploration.full_states_lower_bound <= off.exploration.states_visited,
             "{cell}: the lower bound must not exceed the true count"
         );
-        assert!(sym.full_states_lower_bound >= sym.orbit_states, "{cell}");
+        assert!(
+            sym.exploration.full_states_lower_bound >= sym.exploration.states_visited,
+            "{cell}"
+        );
         // exhaustive.spec uses the all-distinct workload, so equality holds
         // exactly for the non-anonymous algorithm.
         let anonymous = matches!(
@@ -180,16 +198,16 @@ fn symmetry_quotient_preserves_verdicts_on_every_spec_cell() {
         );
         if anonymous {
             assert!(
-                sym.orbit_states < off.states_visited,
+                sym.exploration.states_visited < off.exploration.states_visited,
                 "{cell}: anonymous cells must genuinely reduce \
                  ({} !< {})",
-                sym.orbit_states,
-                off.states_visited
+                sym.exploration.states_visited,
+                off.exploration.states_visited
             );
             reduced_cells += 1;
         } else {
             assert_eq!(
-                sym.orbit_states, off.states_visited,
+                sym.exploration.states_visited, off.exploration.states_visited,
                 "{cell}: distinct-input non-anonymous slots must never merge"
             );
         }
@@ -206,15 +224,19 @@ fn symmetry_quotient_preserves_verdicts_on_every_spec_cell() {
                     ..ParallelExploreConfig::default()
                 }),
             );
-            assert!(parallel.symmetry_applied, "{cell} x{threads}");
+            assert!(parallel.exploration.symmetry_applied, "{cell} x{threads}");
             assert_eq!(
-                parallel.states_visited, sym.states_visited,
+                parallel.exploration.states_visited, sym.exploration.states_visited,
                 "{cell} x{threads}: quotient size diverged"
             );
             assert_eq!(parallel.verified(), sym.verified(), "{cell} x{threads}");
-            assert_eq!(parallel.violation, sym.violation, "{cell} x{threads}");
             assert_eq!(
-                parallel.full_states_lower_bound, sym.full_states_lower_bound,
+                parallel.exploration.violation, sym.exploration.violation,
+                "{cell} x{threads}"
+            );
+            assert_eq!(
+                parallel.exploration.full_states_lower_bound,
+                sym.exploration.full_states_lower_bound,
                 "{cell} x{threads}: orbit statistics diverged"
             );
         }
@@ -246,29 +268,31 @@ fn uniform_workloads_reduce_id_carrying_cells_too() {
             .algorithm(Algorithm::OneShot)
             .workload(Workload::uniform(n, 1, 7));
         let explore = |symmetry| {
-            Executor::new(Backend::Explore(ExploreConfig {
+            plan.execute(Backend::Explore(ExploreConfig {
                 max_depth: 100_000,
                 max_states: 1_000_000,
                 symmetry,
                 ..ExploreConfig::default()
             }))
-            .execute(&plan)
             .expect_explored()
         };
         let off = explore(SymmetryMode::Off);
         let sym = explore(SymmetryMode::ProcessIds);
         let cell = format!("{n}/{m}/{k} uniform");
         assert!(off.verified() && sym.verified(), "{cell}");
-        assert!(sym.symmetry_applied, "{cell}");
+        assert!(sym.exploration.symmetry_applied, "{cell}");
         assert!(
-            sym.orbit_states < off.states_visited,
+            sym.exploration.states_visited < off.exploration.states_visited,
             "{cell}: equal-input id-carrying slots must merge ({} !< {})",
-            sym.orbit_states,
-            off.states_visited
+            sym.exploration.states_visited,
+            off.exploration.states_visited
         );
         // Equal-input orbits are fully reachable, so the lower bound
         // recovers the full count exactly here.
-        assert_eq!(sym.full_states_lower_bound, off.states_visited, "{cell}");
+        assert_eq!(
+            sym.exploration.full_states_lower_bound, off.exploration.states_visited,
+            "{cell}"
+        );
     }
 }
 
@@ -280,13 +304,13 @@ fn parallel_explorer_finds_violations_deterministically() {
     // thread count.
     use set_agreement::algorithms::OneShotSetAgreement;
     use set_agreement::model::{Params, ProcessId};
-    use set_agreement::runtime::{agreement_predicate, parallel_explore, Executor as StepExecutor};
+    use set_agreement::runtime::{agreement_predicate, parallel_explore, Executor};
 
     let params = Params::new(2, 1, 1).unwrap();
     let automata: Vec<_> = (0..2)
         .map(|p| OneShotSetAgreement::deficient(params, ProcessId(p), 10 + p as u64, 1).unwrap())
         .collect();
-    let executor = StepExecutor::new(automata);
+    let executor = Executor::new(automata);
     let reference = parallel_explore(
         &executor,
         ParallelExploreConfig::with_threads(1),

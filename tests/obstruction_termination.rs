@@ -4,14 +4,14 @@
 
 use set_agreement::model::{Params, ProcessId};
 use set_agreement::runtime::{check_obstruction_termination, Workload};
-use set_agreement::{Adversary, Algorithm, Scenario};
+use set_agreement::{Adversary, Algorithm, Backend, ExecutionPlan};
 
 #[test]
 fn survivors_up_to_m_always_decide_one_shot() {
     for (n, m, k) in [(4, 1, 2), (5, 2, 3), (6, 2, 2), (6, 3, 3), (7, 3, 5)] {
         let params = Params::new(n, m, k).unwrap();
         for survivors in 1..=m {
-            let report = Scenario::new(params)
+            let report = ExecutionPlan::new(params)
                 .algorithm(Algorithm::OneShot)
                 .adversary(Adversary::Obstruction {
                     contention_steps: 40 * n as u64,
@@ -19,7 +19,8 @@ fn survivors_up_to_m_always_decide_one_shot() {
                     seed: 1000 + survivors as u64,
                 })
                 .max_steps(3_000_000)
-                .run();
+                .execute(Backend::Scheduled)
+                .expect_scheduled();
             assert!(
                 report.survivors_decided,
                 "one-shot: {survivors} survivors did not decide for n={n} m={m} k={k}"
@@ -33,7 +34,7 @@ fn survivors_up_to_m_always_decide_one_shot() {
 fn survivors_up_to_m_always_decide_repeated() {
     for (n, m, k) in [(4, 1, 2), (5, 2, 3), (6, 2, 4)] {
         let params = Params::new(n, m, k).unwrap();
-        let report = Scenario::new(params)
+        let report = ExecutionPlan::new(params)
             .algorithm(Algorithm::Repeated(3))
             .adversary(Adversary::Obstruction {
                 contention_steps: 60 * n as u64,
@@ -41,7 +42,8 @@ fn survivors_up_to_m_always_decide_repeated() {
                 seed: 77,
             })
             .max_steps(5_000_000)
-            .run();
+            .execute(Backend::Scheduled)
+            .expect_scheduled();
         assert!(
             report.survivors_decided,
             "repeated: survivors did not complete every instance for n={n} m={m} k={k}"
@@ -62,7 +64,7 @@ fn survivors_up_to_m_always_decide_anonymous() {
     for (n, m, k) in [(4, 1, 2), (5, 2, 3), (6, 2, 3)] {
         let params = Params::new(n, m, k).unwrap();
         for algorithm in [Algorithm::AnonymousOneShot, Algorithm::AnonymousRepeated(2)] {
-            let report = Scenario::new(params)
+            let report = ExecutionPlan::new(params)
                 .algorithm(algorithm)
                 .adversary(Adversary::Obstruction {
                     contention_steps: 60 * n as u64,
@@ -70,7 +72,8 @@ fn survivors_up_to_m_always_decide_anonymous() {
                     seed: 31,
                 })
                 .max_steps(8_000_000)
-                .run();
+                .execute(Backend::Scheduled)
+                .expect_scheduled();
             assert!(
                 report.survivors_decided,
                 "{algorithm:?}: survivors starved for n={n} m={m} k={k}"
@@ -84,7 +87,7 @@ fn survivors_up_to_m_always_decide_anonymous() {
 fn baselines_terminate_under_obstruction() {
     let params = Params::new(8, 1, 3).unwrap();
     for algorithm in [Algorithm::WideBaseline, Algorithm::FullInformation] {
-        let report = Scenario::new(params)
+        let report = ExecutionPlan::new(params)
             .algorithm(algorithm)
             .adversary(Adversary::Obstruction {
                 contention_steps: 200,
@@ -92,7 +95,8 @@ fn baselines_terminate_under_obstruction() {
                 seed: 4,
             })
             .max_steps(5_000_000)
-            .run();
+            .execute(Backend::Scheduled)
+            .expect_scheduled();
         assert!(report.survivors_decided, "{algorithm:?} starved");
         assert!(report.safety.is_safe());
     }
@@ -102,11 +106,12 @@ fn baselines_terminate_under_obstruction() {
 fn solo_runs_decide_quickly_for_every_process() {
     let params = Params::new(5, 1, 2).unwrap();
     for p in 0..5 {
-        let report = Scenario::new(params)
+        let report = ExecutionPlan::new(params)
             .algorithm(Algorithm::OneShot)
             .adversary(Adversary::Solo { process: p })
             .max_steps(100_000)
-            .run();
+            .execute(Backend::Scheduled)
+            .expect_scheduled();
         assert!(report.survivors_decided, "solo process {p} did not decide");
         // A solo process must decide its own input (no other value is ever
         // visible).
@@ -131,11 +136,12 @@ fn termination_checker_flags_starved_survivors() {
     // construct such a run and check the checker reports the starved ones
     // when asked about them (and nothing when asked about the empty set).
     let params = Params::new(4, 1, 1).unwrap();
-    let report = Scenario::new(params)
+    let report = ExecutionPlan::new(params)
         .algorithm(Algorithm::OneShot)
         .adversary(Adversary::RoundRobin)
         .max_steps(2_000)
-        .run();
+        .execute(Backend::Scheduled)
+        .expect_scheduled();
     let halted: Vec<bool> = (0..4)
         .map(|p| report.decisions.decision_of(ProcessId(p), 1).is_some())
         .collect();
@@ -152,12 +158,13 @@ fn repeated_runs_make_progress_proportional_to_instances() {
     let params = Params::new(5, 1, 2).unwrap();
     let mut last_steps = 0;
     for instances in [1usize, 2, 4] {
-        let report = Scenario::new(params)
+        let report = ExecutionPlan::new(params)
             .algorithm(Algorithm::Repeated(instances))
             .workload(Workload::all_distinct(5, instances))
             .adversary(Adversary::Solo { process: 0 })
             .max_steps(5_000_000)
-            .run();
+            .execute(Backend::Scheduled)
+            .expect_scheduled();
         assert!(report.survivors_decided);
         assert_eq!(report.decisions.instances().count(), instances);
         assert!(

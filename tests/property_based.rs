@@ -7,7 +7,7 @@ use set_agreement::algorithms::History;
 use set_agreement::lowerbound::bounds::{Figure1, Naming, Setting};
 use set_agreement::model::{Decision, DecisionSet, Params, ProcessId};
 use set_agreement::runtime::Workload;
-use set_agreement::{Adversary, Algorithm, Scenario};
+use set_agreement::{Adversary, Algorithm, Backend, ExecutionPlan};
 
 /// A strategy producing valid `(n, m, k)` triples with `n ≤ 8` (kept small so
 /// each case runs in milliseconds).
@@ -46,12 +46,13 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let workload = Workload::random(params.n(), 1, universe, seed);
-        let report = Scenario::new(params)
+        let report = ExecutionPlan::new(params)
             .algorithm(Algorithm::OneShot)
             .workload(workload)
             .adversary(adversary)
             .max_steps(20_000)
-            .run();
+            .execute(Backend::Scheduled)
+            .expect_scheduled();
         prop_assert!(report.safety.is_safe(), "{}", report.safety);
     }
 
@@ -63,12 +64,13 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let workload = Workload::random(params.n(), instances, 5, seed);
-        let report = Scenario::new(params)
+        let report = ExecutionPlan::new(params)
             .algorithm(Algorithm::Repeated(instances))
             .workload(workload)
             .adversary(adversary)
             .max_steps(25_000)
-            .run();
+            .execute(Backend::Scheduled)
+            .expect_scheduled();
         prop_assert!(report.safety.is_safe(), "{}", report.safety);
     }
 
@@ -79,12 +81,13 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let workload = Workload::random(params.n(), 1, 4, seed);
-        let report = Scenario::new(params)
+        let report = ExecutionPlan::new(params)
             .algorithm(Algorithm::AnonymousOneShot)
             .workload(workload)
             .adversary(adversary)
             .max_steps(20_000)
-            .run();
+            .execute(Backend::Scheduled)
+            .expect_scheduled();
         prop_assert!(report.safety.is_safe(), "{}", report.safety);
     }
 
@@ -95,12 +98,13 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let workload = Workload::random(params.n(), 1, 4, seed);
-        let report = Scenario::new(params)
+        let report = ExecutionPlan::new(params)
             .algorithm(Algorithm::FullInformation)
             .workload(workload)
             .adversary(adversary)
             .max_steps(20_000)
-            .run();
+            .execute(Backend::Scheduled)
+            .expect_scheduled();
         prop_assert!(report.safety.is_safe(), "{}", report.safety);
     }
 
@@ -109,7 +113,7 @@ proptest! {
         params in params_strategy(),
         seed in any::<u64>(),
     ) {
-        let report = Scenario::new(params)
+        let report = ExecutionPlan::new(params)
             .algorithm(Algorithm::OneShot)
             .adversary(Adversary::Obstruction {
                 contention_steps: 30 * params.n() as u64,
@@ -117,7 +121,8 @@ proptest! {
                 seed,
             })
             .max_steps(3_000_000)
-            .run();
+            .execute(Backend::Scheduled)
+            .expect_scheduled();
         prop_assert!(report.survivors_decided, "survivors starved for {params:?}");
         prop_assert!(report.safety.is_safe());
     }
@@ -207,11 +212,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let run = || {
-            Scenario::new(params)
+            ExecutionPlan::new(params)
                 .algorithm(Algorithm::OneShot)
                 .adversary(Adversary::Random { seed })
                 .max_steps(10_000)
-                .run()
+                .execute(Backend::Scheduled)
+                .expect_scheduled()
         };
         let a = run();
         let b = run();

@@ -3,7 +3,7 @@
 //! termination is not guaranteed.
 
 use set_agreement::model::Params;
-use set_agreement::{Adversary, Algorithm, Scenario};
+use set_agreement::{Adversary, Algorithm, Backend, ExecutionPlan};
 
 fn algorithms_for(params: Params) -> Vec<Algorithm> {
     let mut algorithms = vec![
@@ -43,11 +43,12 @@ fn safety_holds_for_every_algorithm_and_adversary() {
         let params = Params::new(n, m, k).unwrap();
         for algorithm in algorithms_for(params) {
             for adversary in adversaries() {
-                let report = Scenario::new(params)
+                let report = ExecutionPlan::new(params)
                     .algorithm(algorithm)
                     .adversary(adversary.clone())
                     .max_steps(60_000)
-                    .run();
+                    .execute(Backend::Scheduled)
+                    .expect_scheduled();
                 assert!(
                     report.safety.is_safe(),
                     "{algorithm:?} under {adversary:?} for n={n} m={m} k={k}: {}",
@@ -68,7 +69,7 @@ fn uniform_inputs_always_decide_the_common_value() {
             Algorithm::AnonymousOneShot,
             Algorithm::FullInformation,
         ] {
-            let report = Scenario::new(params)
+            let report = ExecutionPlan::new(params)
                 .algorithm(algorithm)
                 .workload(Workload::uniform(n, 1, 4242))
                 .adversary(Adversary::Obstruction {
@@ -77,7 +78,8 @@ fn uniform_inputs_always_decide_the_common_value() {
                     seed: 9,
                 })
                 .max_steps(2_000_000)
-                .run();
+                .execute(Backend::Scheduled)
+                .expect_scheduled();
             assert!(report.safety.is_safe());
             for value in report.decisions.outputs(1) {
                 assert_eq!(value, 4242, "{algorithm:?} decided a non-proposed value");
@@ -102,7 +104,7 @@ fn decided_values_are_always_inputs_of_the_same_instance() {
             })
             .collect(),
     );
-    let report = Scenario::new(params)
+    let report = ExecutionPlan::new(params)
         .algorithm(Algorithm::Repeated(instances))
         .workload(workload)
         .adversary(Adversary::Obstruction {
@@ -111,7 +113,8 @@ fn decided_values_are_always_inputs_of_the_same_instance() {
             seed: 21,
         })
         .max_steps(5_000_000)
-        .run();
+        .execute(Backend::Scheduled)
+        .expect_scheduled();
     assert!(report.safety.is_safe());
     for instance in report.decisions.instances() {
         for value in report.decisions.outputs(instance) {
@@ -130,7 +133,7 @@ fn agreement_holds_even_when_k_equals_m() {
     // output a different value, but never more than k distinct values.
     let params = Params::new(6, 3, 3).unwrap();
     for survivors in 1..=3 {
-        let report = Scenario::new(params)
+        let report = ExecutionPlan::new(params)
             .algorithm(Algorithm::OneShot)
             .adversary(Adversary::Obstruction {
                 contention_steps: 200,
@@ -138,7 +141,8 @@ fn agreement_holds_even_when_k_equals_m() {
                 seed: survivors as u64,
             })
             .max_steps(2_000_000)
-            .run();
+            .execute(Backend::Scheduled)
+            .expect_scheduled();
         assert!(report.safety.is_safe());
         assert!(report.survivors_decided);
         assert!(report.distinct_outputs(1) <= 3);
@@ -150,11 +154,12 @@ fn locations_written_never_exceed_declared_components() {
     for (n, m, k) in [(4, 1, 2), (6, 2, 3), (8, 2, 4)] {
         let params = Params::new(n, m, k).unwrap();
         for algorithm in algorithms_for(params) {
-            let report = Scenario::new(params)
+            let report = ExecutionPlan::new(params)
                 .algorithm(algorithm)
                 .adversary(Adversary::Random { seed: 17 })
                 .max_steps(40_000)
-                .run();
+                .execute(Backend::Scheduled)
+                .expect_scheduled();
             assert!(
                 report.locations_written <= algorithm.component_bound(params),
                 "{algorithm:?} wrote {} locations but declares {} for n={n} m={m} k={k}",

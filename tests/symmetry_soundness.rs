@@ -24,9 +24,8 @@ use proptest::prelude::*;
 use set_agreement::algorithms::{AnonymousSetAgreement, OneShotSetAgreement, RepeatedSetAgreement};
 use set_agreement::model::{Automaton, IdRelabeling, Params, ProcessId};
 use set_agreement::runtime::{
-    agreement_predicate, canonical_state_key, explore, parallel_explore, state_key,
-    Executor as StepExecutor, Exploration, ExploreConfig, ParallelExploreConfig, SymmetryMode,
-    SymmetryPlan, Workload,
+    agreement_predicate, canonical_state_key, explore, parallel_explore, state_key, Executor,
+    Exploration, ExploreConfig, ParallelExploreConfig, SymmetryMode, SymmetryPlan, Workload,
 };
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -40,7 +39,7 @@ fn next(seed: &mut u64) -> u64 {
 }
 
 /// Drives `executor` through `steps` pseudo-random runnable steps.
-fn randomize<A>(executor: &mut StepExecutor<A>, steps: u64, seed: &mut u64)
+fn randomize<A>(executor: &mut Executor<A>, steps: u64, seed: &mut u64)
 where
     A: Automaton,
     A::Value: Clone + Eq + Debug,
@@ -91,7 +90,7 @@ fn input_classes(workload: &Workload) -> Vec<usize> {
 /// *initial* configuration — orbit groups are "processes with identical
 /// inputs", exactly as the explorers construct it.
 fn check_orbit_algebra<A>(
-    executor: &StepExecutor<A>,
+    executor: &Executor<A>,
     plan: &SymmetryPlan,
     sigma: &IdRelabeling,
     seed: &mut u64,
@@ -154,7 +153,7 @@ proptest! {
         // A small universe forces duplicate inputs, so orbit groups are
         // non-trivial and the permutations actually move slots.
         let workload = Workload::random(n, 1, universe, workload_seed);
-        let mut executor = StepExecutor::new(
+        let mut executor = Executor::new(
             (0..n)
                 .map(|p| OneShotSetAgreement::new(params, ProcessId(p), workload.input(p, 1)))
                 .collect::<Vec<_>>(),
@@ -176,7 +175,7 @@ proptest! {
     ) {
         let params = Params::new(n, 1, n.max(2) - 1).expect("valid triple");
         let workload = Workload::random(n, 2, universe, workload_seed);
-        let mut executor = StepExecutor::new(
+        let mut executor = Executor::new(
             (0..n)
                 .map(|p| {
                     RepeatedSetAgreement::new(params, ProcessId(p), workload.sequence(p).to_vec())
@@ -206,7 +205,7 @@ proptest! {
         } else {
             Workload::uniform(n, 1, 9)
         };
-        let mut executor = StepExecutor::new(
+        let mut executor = Executor::new(
             (0..n)
                 .map(|p| AnonymousSetAgreement::one_shot(params, workload.input(p, 1)))
                 .collect::<Vec<_>>(),
@@ -230,7 +229,7 @@ proptest! {
         // merging across them would be unsound.
         let params = Params::new(n, 1, n - 1).expect("valid triple");
         let workload = Workload::all_distinct(n, 1);
-        let mut executor = StepExecutor::new(
+        let mut executor = Executor::new(
             (0..n)
                 .map(|p| OneShotSetAgreement::new(params, ProcessId(p), workload.input(p, 1)))
                 .collect::<Vec<_>>(),
@@ -258,7 +257,7 @@ fn assert_witness_replays<A, B>(result: &Exploration, fresh: B, cell: &str)
 where
     A: Automaton + Clone + Hash,
     A::Value: Clone + Eq + Debug + Hash,
-    B: Fn() -> StepExecutor<A>,
+    B: Fn() -> Executor<A>,
 {
     let violation = result
         .violation
@@ -290,7 +289,7 @@ fn witnesses_replay_with_symmetry_on_and_off() {
     // Figure 3 stripped to one component: 1-agreement is violated. Mixed
     // inputs keep one non-trivial orbit group (p1 and p2 share value 20).
     let oneshot = || {
-        StepExecutor::new(
+        Executor::new(
             (0..3)
                 .map(|p| {
                     let input = if p == 0 { 10 } else { 20 };
@@ -302,7 +301,7 @@ fn witnesses_replay_with_symmetry_on_and_off() {
     // Figure 5 stripped to one component, distinct inputs: the anonymous
     // quotient merges across inputs, and its witnesses must still replay.
     let anonymous = || {
-        StepExecutor::new(
+        Executor::new(
             (0..3)
                 .map(|p| AnonymousSetAgreement::deficient(params, vec![10 + p], 1).unwrap())
                 .collect::<Vec<_>>(),
@@ -355,7 +354,7 @@ fn opaque_systems_fall_back_instead_of_pruning() {
     // The single-writer emulation addresses registers BY process id, so it
     // must refuse symmetry (fall back) — pruning would be unsound.
     let params = Params::new(2, 1, 1).unwrap();
-    let executor = StepExecutor::new(
+    let executor = Executor::new(
         (0..2)
             .map(|p| {
                 SwmrEmulated::<OneShotSetAgreement>::one_shot(params, ProcessId(p), 10 + p as u64)

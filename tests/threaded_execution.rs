@@ -1,7 +1,7 @@
 //! The threaded backend, driven through the unified execution API and
-//! through sweep campaigns — plus the regression tests proving the
-//! `ExecutionPlan` → `Executor` → `ExecutionReport` redesign changed no
-//! scheduled or explore output.
+//! through sweep campaigns — plus the regression tests proving that running
+//! plans through `ExecutionPlan::execute` changed no scheduled or explore
+//! output.
 //!
 //! Threaded runs are linearized by the hardware, so these tests assert
 //! *safety counters* (validity, k-agreement, space bounds) and never step
@@ -14,14 +14,14 @@ use set_agreement::model::Params;
 use set_agreement::prelude::*;
 use std::time::Duration;
 
-fn executor(budget: u64) -> Executor {
-    Executor::threaded(ThreadedConfig::with_step_budget(budget))
+fn threaded(budget: u64) -> Backend {
+    Backend::Threaded(ThreadedConfig::with_step_budget(budget))
 }
 
 #[test]
 fn threaded_one_shot_runs_are_safe() {
     let plan = ExecutionPlan::new(Params::new(6, 2, 3).unwrap()).algorithm(Algorithm::OneShot);
-    let report = executor(200_000).execute(&plan).expect_threaded();
+    let report = plan.execute(threaded(200_000)).expect_threaded();
     assert!(report.safety.is_safe());
     assert!(report.locations_written > 0);
 }
@@ -32,21 +32,25 @@ fn threaded_staggered_start_lets_the_first_thread_decide() {
     // long before thread 1 even starts.
     let plan = ExecutionPlan::new(Params::new(4, 1, 2).unwrap()).algorithm(Algorithm::OneShot);
     let config = ThreadedConfig::with_step_budget(500_000).staggered(Duration::from_millis(40));
-    let report = Executor::threaded(config).execute(&plan).expect_threaded();
-    assert!(report.halted[0], "staggered first thread did not decide");
+    let report = plan.execute(Backend::Threaded(config)).expect_threaded();
+    assert!(
+        report.run.halted[0],
+        "staggered first thread did not decide"
+    );
     assert!(report.safety.is_safe());
 }
 
 #[test]
 fn threaded_repeated_runs_are_safe_per_instance() {
     let plan = ExecutionPlan::new(Params::new(4, 2, 2).unwrap()).algorithm(Algorithm::Repeated(2));
-    let report = executor(300_000).execute(&plan).expect_threaded();
+    let report = plan.execute(threaded(300_000)).expect_threaded();
     assert!(report.safety.is_safe());
-    assert!(report.decisions.instances().count() <= 2);
+    assert!(report.run.decisions.instances().count() <= 2);
     // Decision arrival order respects instance order per process — the one
     // ordering invariant a hardware-linearized run must still satisfy.
     for p in 0..4 {
         let instances: Vec<u64> = report
+            .run
             .arrival_order
             .iter()
             .filter(|(pid, _)| pid.index() == p)
@@ -62,7 +66,7 @@ fn threaded_repeated_runs_are_safe_per_instance() {
 fn threaded_anonymous_runs_are_safe() {
     let plan =
         ExecutionPlan::new(Params::new(5, 2, 3).unwrap()).algorithm(Algorithm::AnonymousOneShot);
-    let report = executor(200_000).execute(&plan).expect_threaded();
+    let report = plan.execute(threaded(200_000)).expect_threaded();
     assert!(report.safety.is_safe());
 }
 
@@ -70,13 +74,13 @@ fn threaded_anonymous_runs_are_safe() {
 fn threaded_metrics_respect_the_layout() {
     let params = Params::new(4, 1, 2).unwrap();
     let plan = ExecutionPlan::new(params).algorithm(Algorithm::OneShot);
-    let report = executor(100_000).execute(&plan).expect_threaded();
+    let report = plan.execute(threaded(100_000)).expect_threaded();
     assert!(
         report.locations_written <= Algorithm::OneShot.component_bound(params),
         "threaded run wrote more locations than the algorithm declares"
     );
-    assert!(report.metrics.total_ops() > 0);
-    assert!(report.wall > Duration::ZERO);
+    assert!(report.run.metrics.total_ops() > 0);
+    assert!(report.run.wall > Duration::ZERO);
 }
 
 /// A `backend = threaded` smoke campaign end-to-end through the sweep
@@ -150,11 +154,11 @@ fn campaign_bytes(spec_text: &str, threads: usize) -> Vec<u8> {
     bytes
 }
 
-/// The seed JSONL in `tests/golden/` was generated by the pre-redesign
-/// engine (separate `Scenario::run`/`Scenario::explore` driver hooks).
-/// Re-running the same campaign through the unified `Executor` path must
-/// reproduce it **byte for byte**, at any thread count — the redesign is a
-/// pure refactor of the scheduled execution path.
+/// The seed JSONL in `tests/golden/` was generated by an engine that
+/// predates the unified execution API. Re-running the same campaign through
+/// [`ExecutionPlan::execute`] must reproduce it **byte for byte**, at any
+/// thread count — every redesign since has been a pure refactor of the
+/// scheduled execution path.
 #[test]
 fn scheduled_campaigns_are_byte_identical_to_the_pre_redesign_seed() {
     let golden = include_bytes!("golden/scheduled-seed.jsonl");
