@@ -226,12 +226,12 @@ mod tests {
         let a = History::from_vec(vec![5, 6]);
         let b = History::empty().appended(5).appended(6);
         assert_eq!(a, b);
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
+        use sa_model::Fingerprinter;
+        use std::hash::Hash;
         let hash = |h: &History| {
-            let mut s = DefaultHasher::new();
+            let mut s = Fingerprinter::new();
             h.hash(&mut s);
-            s.finish()
+            s.finish128()
         };
         assert_eq!(hash(&a), hash(&b));
     }

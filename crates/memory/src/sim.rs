@@ -216,28 +216,15 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
         self.snapshots = other.snapshots.clone();
     }
 
-    /// A compact fingerprint of the register/snapshot contents (not the
-    /// metrics), used by the covering adversary to compare configurations.
-    ///
-    /// This is a single 64-bit hash, so distinct contents *can* collide;
-    /// consumers that need collision resistance (the explorers' dedup keys)
-    /// should feed [`SimMemory::hash_contents`] into their own wide hash
-    /// instead of hashing this fingerprint.
-    pub fn content_fingerprint(&self) -> u64
-    where
-        V: std::hash::Hash,
-    {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::Hasher;
-        let mut hasher = DefaultHasher::new();
-        self.hash_contents(&mut hasher);
-        hasher.finish()
+    /// `true` if `other` holds exactly the same register and snapshot
+    /// contents. Metrics are ignored: they record how the contents were
+    /// reached, not what they are.
+    pub fn same_contents(&self, other: &SimMemory<V>) -> bool {
+        self.registers == other.registers && self.snapshots == other.snapshots
     }
 
     /// Hashes the full register/snapshot contents (not the metrics) into
-    /// `hasher`. Unlike [`SimMemory::content_fingerprint`] this exposes the
-    /// raw content stream, so a caller hashing into a wide (or salted) state
-    /// key is not bottlenecked by a 64-bit intermediate.
+    /// `hasher`.
     pub fn hash_contents<H: std::hash::Hasher>(&self, hasher: &mut H)
     where
         V: std::hash::Hash,
@@ -539,9 +526,10 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_changes_with_contents() {
+    fn same_contents_compares_contents_not_metrics() {
         let mut a: SimMemory<u64> = SimMemory::for_layout(&layout());
-        let f0 = a.content_fingerprint();
+        let empty = a.clone();
+        assert!(a.same_contents(&empty));
         a.apply(
             ProcessId(0),
             Op::Write {
@@ -550,17 +538,28 @@ mod tests {
             },
         )
         .unwrap();
-        let f1 = a.content_fingerprint();
-        assert_ne!(f0, f1);
-        // Metrics do not influence the fingerprint.
+        assert!(!a.same_contents(&empty));
+        let written = a.clone();
+        // Metrics do not influence the comparison.
         a.apply(ProcessId(0), Op::Read { register: 0 }).unwrap();
-        assert_eq!(a.content_fingerprint(), f1);
+        assert!(a.same_contents(&written));
+        // A snapshot component differs as much as a register does.
+        let mut b = written.clone();
+        b.apply(
+            ProcessId(1),
+            Op::Update {
+                snapshot: 0,
+                component: 1,
+                value: 1,
+            },
+        )
+        .unwrap();
+        assert!(!b.same_contents(&written));
     }
 
     #[test]
     fn mapped_hash_matches_materialized_canonicalization() {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::Hasher;
+        use sa_model::Fingerprinter;
         let mut mem: SimMemory<u64> = SimMemory::for_layout(&layout());
         mem.apply(
             ProcessId(0),
@@ -580,9 +579,9 @@ mod tests {
         )
         .unwrap();
         let hash_mapped = |mem: &SimMemory<u64>, map: fn(&u64) -> u64| {
-            let mut hasher = DefaultHasher::new();
+            let mut hasher = Fingerprinter::new();
             mem.hash_contents_mapped(&mut hasher, map);
-            hasher.finish()
+            hasher.finish128()
         };
         // Mapping then hashing raw equals hashing with the map inline.
         let doubled = mem.canonicalized(|v| v * 2);

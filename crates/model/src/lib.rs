@@ -19,6 +19,8 @@
 //! * [`Location`] / [`independent`] — the shared location vocabulary and the
 //!   static interference analysis over op footprints (module
 //!   [`independence`]) that feeds the explorers' partial-order reduction.
+//! * [`Fingerprinter`] — the stable 128-bit hasher behind the explorers'
+//!   state keys.
 //!
 //! The input domain of set agreement is the natural numbers (`D = IN` in the
 //! paper); we represent input values as [`InputValue`] (`u64`).
@@ -42,6 +44,7 @@
 
 mod automaton;
 mod error;
+mod fingerprint;
 mod ids;
 pub mod independence;
 mod layout;
@@ -51,6 +54,7 @@ mod symmetry;
 
 pub use automaton::{Automaton, Decision, DecisionSet, StepOutcome};
 pub use error::{LayoutError, ParamsError};
+pub use fingerprint::Fingerprinter;
 pub use ids::{InputValue, InstanceId, ProcessId};
 pub use independence::{independent, Access, Footprint, Location};
 pub use layout::{MemoryLayout, RegisterId, SnapshotId};

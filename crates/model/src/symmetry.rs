@@ -19,8 +19,9 @@ use crate::ids::ProcessId;
 /// relabelings, produced by sorting slots into canonical order) and the
 /// **erasure** [`IdRelabeling::erase`], which maps every id to `p0` so that
 /// per-slot signatures become id-blind. Erasure is only used to *order*
-/// slots; the final canonical key always applies a bijection, so distinct
-/// ids never collapse in a dedup key.
+/// slots, and to key anonymous systems, which hold no id to collapse; the
+/// canonical key of an id-carrying system always applies a bijection, so
+/// distinct ids never collapse in a dedup key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdRelabeling {
     map: Vec<ProcessId>,

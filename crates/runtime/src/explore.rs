@@ -23,7 +23,7 @@
 
 use crate::executor::Executor;
 use crate::store::KeyTable;
-use sa_model::{independent, Automaton, IdRelabeling, InstanceId, Op, ProcessId, SymmetryClass};
+use sa_model::{independent, Automaton, Fingerprinter, IdRelabeling, Op, ProcessId, SymmetryClass};
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
@@ -347,28 +347,34 @@ impl Exploration {
     ///
     /// # Soundness
     ///
-    /// Deduplication keys are 128-bit salted hashes of the **full** canonical
-    /// state (every automaton, the raw register/snapshot contents and all
-    /// decisions — see [`StateKey`]), so a reachable state is pruned only if
-    /// a state with the same key was already expanded. A false `verified`
+    /// Deduplication keys are 128-bit fingerprints, from two independently
+    /// seeded 64-bit lanes, of the **full** (canonical) state: every
+    /// automaton, the raw register/snapshot contents and all decisions —
+    /// under symmetry, the anonymous key reaches automata and decisions
+    /// through the slot signatures (see [`StateKey`] and
+    /// [`canonical_state_key`]). A reachable state is pruned only if a
+    /// state with the same key was already expanded. A false `verified`
     /// therefore requires a 128-bit collision between two distinct reachable
-    /// states (probability ≈ `s² / 2¹²⁹` for `s` states — below `10⁻²⁵` even
-    /// at the default two-million-state budget), not a 64-bit one as in
-    /// earlier releases.
+    /// states (probability ≈ `s² / 2¹²⁹` for `s` states, if the fingerprint
+    /// behaves like a random function — below `10⁻²⁵` even at the default
+    /// two-million-state budget), not a 64-bit one as in earlier releases.
     pub fn verified(&self) -> bool {
         self.violation.is_none() && !self.truncated
     }
 }
 
-/// A collision-resistant dedup key: two independently salted 64-bit hashes
-/// over the full canonical state.
+/// A collision-resistant dedup key: the 128-bit [`Fingerprinter`] digest of
+/// a configuration's full (possibly canonical) state.
 ///
-/// The pre-fix explorer keyed its seen-set by a single 64-bit
-/// `DefaultHasher` value, so one hash collision anywhere in a million-state
-/// search (birthday probability ≈ `s² / 2⁶⁵`, i.e. one in ~10⁷ per cell —
-/// material across whole campaigns) could unsoundly prune a reachable state
-/// while still reporting `verified`. The widened key makes that probability
-/// negligible; see [`Exploration::verified`].
+/// The digest is stable: it depends on the fingerprint's constants and on
+/// the `Hash` streams of the hashed types, not on the toolchain's std
+/// hasher, and the known-answer tests pin both. The pre-fix explorer keyed
+/// its seen-set by a single 64-bit hash, so one collision anywhere in a
+/// million-state search (birthday probability ≈ `s² / 2⁶⁵`, i.e. one in
+/// ~10⁷ per cell — material across whole campaigns) could unsoundly prune
+/// a reachable state while still reporting `verified`. The two 64-bit
+/// halves come from independently seeded lanes, which makes that
+/// probability negligible; see [`Exploration::verified`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StateKey([u64; 2]);
 
@@ -379,7 +385,7 @@ impl StateKey {
         StateKey(parts)
     }
 
-    /// The two independently salted halves of the key.
+    /// The two independently seeded halves of the key.
     pub fn parts(&self) -> [u64; 2] {
         self.0
     }
@@ -392,44 +398,6 @@ impl StateKey {
     }
 }
 
-/// Feeds one canonical-state stream into two differently salted
-/// `DefaultHasher`s, producing both halves of a [`StateKey`] in one
-/// traversal of the state.
-struct SplitHasher {
-    plain: std::collections::hash_map::DefaultHasher,
-    salted: std::collections::hash_map::DefaultHasher,
-}
-
-impl SplitHasher {
-    fn new() -> Self {
-        let plain = std::collections::hash_map::DefaultHasher::new();
-        let mut salted = std::collections::hash_map::DefaultHasher::new();
-        // Any fixed non-trivial prefix decorrelates the two finishes; the
-        // SplitMix64 increment is as good as any.
-        salted.write_u64(0x9E37_79B9_7F4A_7C15);
-        SplitHasher { plain, salted }
-    }
-
-    /// Consumes the hasher into the full 128-bit key. Deliberately not
-    /// named `finish`: the `Hasher::finish` impl below yields only the
-    /// unsalted half, and shadowing it would invite exactly the 64-bit-key
-    /// bug this type exists to fix.
-    fn into_key(self) -> StateKey {
-        StateKey([self.plain.finish(), self.salted.finish()])
-    }
-}
-
-impl Hasher for SplitHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        self.plain.write(bytes);
-        self.salted.write(bytes);
-    }
-
-    fn finish(&self) -> u64 {
-        self.plain.finish()
-    }
-}
-
 /// The dedup key of an executor configuration: automata, raw memory
 /// contents and decisions, hashed into a [`StateKey`]. Shared by the serial
 /// and the parallel explorer so their seen-sets agree on state identity.
@@ -438,16 +406,13 @@ where
     A: Automaton + Hash,
     A::Value: Hash + Clone + Eq + Debug,
 {
-    let mut hasher = SplitHasher::new();
+    let mut hasher = Fingerprinter::new();
     for p in 0..executor.process_count() {
         executor.automaton(ProcessId(p)).hash(&mut hasher);
     }
-    // Hash the raw contents, not `content_fingerprint()`: routing the state
-    // through a 64-bit intermediate would cap the whole key at 64 bits of
-    // collision resistance no matter how wide the final key is.
     executor.memory().hash_contents(&mut hasher);
     executor.decisions().hash(&mut hasher);
-    hasher.into_key()
+    StateKey(hasher.finish128())
 }
 
 /// The precomputed symmetry structure of one exploration: whether reduction
@@ -523,11 +488,11 @@ impl SymmetryPlan {
         // algorithms this is exactly "identical input sequence".
         let signatures: Vec<StateKey> = (0..n)
             .map(|p| {
-                let mut hasher = SplitHasher::new();
+                let mut hasher = Fingerprinter::new();
                 initial
                     .automaton(ProcessId(p))
                     .hash_behavior(&erase, &mut hasher);
-                hasher.into_key()
+                StateKey(hasher.finish128())
             })
             .collect();
         let mut initial_class = vec![0usize; n];
@@ -595,33 +560,33 @@ impl SymmetryPlan {
         if !self.applied {
             return IdRelabeling::identity(self.n);
         }
-        let (order, _) = self.canonical_order(executor);
+        let (order, ..) = self.canonical_order(executor);
         relabel_for_order(&order)
     }
 
-    /// The canonical slot order (`order[new_slot] = old_slot`) plus the
-    /// orbit-size lower bound of the configuration.
+    /// The canonical slot order (`order[new_slot] = old_slot`), the
+    /// orbit-size lower bound of the configuration and the slot signatures
+    /// the order sorts by (indexed by old slot).
     ///
     /// Within each orbit group, slots are sorted by an id-erased signature
     /// of their behavioral state and per-slot decisions; ties keep original
     /// slot order, so the result is a deterministic function of the
     /// configuration alone (never of thread count or discovery order).
-    fn canonical_order<A>(&self, executor: &Executor<A>) -> (Vec<usize>, u64)
+    fn canonical_order<A>(&self, executor: &Executor<A>) -> (Vec<usize>, u64, Vec<[u64; 2]>)
     where
         A: Automaton + Hash,
         A::Value: Hash + Clone + Eq + Debug,
     {
         let n = self.n;
-        let instances: Vec<InstanceId> = executor.decisions().instances().collect();
         let signatures: Vec<[u64; 2]> = (0..n)
             .map(|p| {
-                let mut hasher = SplitHasher::new();
+                let mut hasher = Fingerprinter::new();
                 executor
                     .automaton(ProcessId(p))
                     .hash_behavior(&self.erase, &mut hasher);
                 // The slot's decisions travel with it under relabeling, so
                 // they are part of what makes slots interchangeable.
-                for &instance in &instances {
+                for instance in executor.decisions().instances() {
                     if let Some(value) = executor.decisions().decision_of(ProcessId(p), instance) {
                         instance.hash(&mut hasher);
                         value.hash(&mut hasher);
@@ -646,18 +611,20 @@ impl SymmetryPlan {
                             A::relabel_value(value, &spotlight)
                         });
                 }
-                hasher.into_key().parts()
+                hasher.finish128()
             })
             .collect();
         // Within each orbit group, reassign the group's slot positions to
         // its members in signature order (stable: ties keep slot order).
         let mut order: Vec<usize> = (0..n).collect();
-        let groups = self.canon_class.iter().copied().max().map_or(0, |c| c + 1);
-        for group in 0..groups {
-            let positions: Vec<usize> = (0..n).filter(|p| self.canon_class[*p] == group).collect();
-            let mut members = positions.clone();
+        let (mut positions, mut members) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for group in 0..self.orbit_groups() {
+            positions.clear();
+            positions.extend((0..n).filter(|p| self.canon_class[*p] == group));
+            members.clear();
+            members.extend_from_slice(&positions);
             members.sort_by_key(|p| (signatures[*p], *p));
-            for (position, member) in positions.into_iter().zip(members) {
+            for (&position, &member) in positions.iter().zip(&members) {
                 order[position] = member;
             }
         }
@@ -674,11 +641,14 @@ impl SymmetryPlan {
             .max()
             .map_or(0, |c| c + 1);
         let mut orbit_lower: u64 = 1;
+        let mut sigs: Vec<[u64; 2]> = Vec::with_capacity(n);
         for class in 0..classes {
-            let mut sigs: Vec<[u64; 2]> = (0..n)
-                .filter(|p| self.initial_class[*p] == class)
-                .map(|p| signatures[p])
-                .collect();
+            sigs.clear();
+            sigs.extend(
+                (0..n)
+                    .filter(|p| self.initial_class[*p] == class)
+                    .map(|p| signatures[p]),
+            );
             sigs.sort_unstable();
             let mut arrangements: u64 = factorial(sigs.len() as u64);
             let mut run = 1u64;
@@ -692,7 +662,7 @@ impl SymmetryPlan {
             }
             orbit_lower = orbit_lower.saturating_mul(arrangements);
         }
-        (order, orbit_lower)
+        (order, orbit_lower, signatures)
     }
 }
 
@@ -708,16 +678,28 @@ fn factorial(n: u64) -> u64 {
 ///
 /// The key is the 128-bit [`StateKey`] of the configuration's **canonical
 /// orbit representative**: slots are reordered within their orbit groups by
-/// id-erased behavioral signature, then the automata
-/// ([`Automaton::hash_behavior`]), the memory contents
-/// ([`SimMemory::hash_contents_mapped`](sa_memory::SimMemory::hash_contents_mapped)
-/// with [`Automaton::relabel_value`]) and the decisions are hashed under the
-/// resulting relabeling. Two configurations share a key **only if** one is
-/// the other's image under an orbit-group permutation applied consistently
-/// through states, values and decisions (up to the same 128-bit collision
-/// bound as plain [`state_key`]) — so pruning on this key is sound: the
-/// pruned configuration's entire future is the relabeled image of an
-/// explored one, with identical safety verdicts.
+/// id-erased behavioral signature, and the representative is hashed in one
+/// of two ways, by the plan's [`SymmetryClass`]:
+///
+/// * **anonymous** — the slot signatures the canonical order sorted by, in
+///   canonical order, then the raw memory contents
+///   ([`SimMemory::hash_contents`](sa_memory::SimMemory::hash_contents)).
+///   A signature already covers its slot's behavior
+///   ([`Automaton::hash_behavior`]) and its decisions, and anonymous states
+///   and values embed no id, so the relabeling changes nothing the
+///   signatures or the memory hold;
+/// * **id-carrying** — the automata ([`Automaton::hash_behavior`]), the
+///   memory contents
+///   ([`SimMemory::hash_contents_mapped`](sa_memory::SimMemory::hash_contents_mapped)
+///   with [`Automaton::relabel_value`]) and the decisions, each under the
+///   canonical relabeling.
+///
+/// Two configurations share a key **only if** one is the other's image
+/// under an orbit-group permutation applied consistently through states,
+/// values and decisions (up to the same 128-bit collision bound as plain
+/// [`state_key`]) — so pruning on this key is sound: the pruned
+/// configuration's entire future is the relabeled image of an explored one,
+/// with identical safety verdicts.
 ///
 /// A plan that applies no reduction (a fallback for Opaque automata, or
 /// [`SymmetryMode::Off`]) degrades gracefully to the plain [`state_key`]
@@ -748,17 +730,26 @@ fn relabel_for_order(order: &[usize]) -> IdRelabeling {
 }
 
 /// The [`StateKey`] of the configuration's canonical orbit representative
-/// under an applied plan, its orbit-size lower bound and the canonical
-/// relabeling — the shared core of [`canonical_state_key`] and
+/// under an applied plan, its orbit-size lower bound and the canonical slot
+/// order — the shared core of [`canonical_state_key`] and
 /// `keyed_relabeled`.
-fn canonical_keyed<A>(executor: &Executor<A>, plan: &SymmetryPlan) -> (StateKey, u64, IdRelabeling)
+fn canonical_keyed<A>(executor: &Executor<A>, plan: &SymmetryPlan) -> (StateKey, u64, Vec<usize>)
 where
     A: Automaton + Hash,
     A::Value: Hash + Clone + Eq + Debug,
 {
-    let (order, orbit_lower) = plan.canonical_order(executor);
+    let (order, orbit_lower, signatures) = plan.canonical_order(executor);
+    let mut hasher = Fingerprinter::new();
+    if plan.class == SymmetryClass::Anonymous {
+        for &old_slot in &order {
+            let [lo, hi] = signatures[old_slot];
+            hasher.write_u64(lo);
+            hasher.write_u64(hi);
+        }
+        executor.memory().hash_contents(&mut hasher);
+        return (StateKey(hasher.finish128()), orbit_lower, order);
+    }
     let relabel = relabel_for_order(&order);
-    let mut hasher = SplitHasher::new();
     for &old_slot in &order {
         executor
             .automaton(ProcessId(old_slot))
@@ -779,7 +770,7 @@ where
             }
         }
     }
-    (hasher.into_key(), orbit_lower, relabel)
+    (StateKey(hasher.finish128()), orbit_lower, order)
 }
 
 /// The dedup key (and visited-orbit weight) of a configuration under a
@@ -813,7 +804,8 @@ where
     A::Value: Hash + Clone + Eq + Debug,
 {
     if plan.applied && !plan.is_trivial() {
-        canonical_keyed(executor, plan)
+        let (key, orbit_lower, order) = canonical_keyed(executor, plan);
+        (key, orbit_lower, relabel_for_order(&order))
     } else {
         (
             state_key(executor),
@@ -1787,7 +1779,7 @@ mod tests {
     #[test]
     fn state_keys_are_wide_and_distinguish_states() {
         // Regression shape for the 64-bit dedup keys: the seen-set key is
-        // 128 bits wide, its halves are independently salted, and distinct
+        // 128 bits wide, its halves are independently seeded, and distinct
         // reachable states produce distinct keys. (The pre-fix code had a
         // single `u64` key, so this test did not even compile against it.)
         assert_eq!(std::mem::size_of::<StateKey>(), 16);
@@ -1796,7 +1788,7 @@ mod tests {
         assert_ne!(
             root.parts()[0],
             root.parts()[1],
-            "the salt must decorrelate the two halves"
+            "the seeds must decorrelate the two halves"
         );
         exec.step(ProcessId(0));
         let stepped = state_key(&exec);
@@ -1942,6 +1934,69 @@ mod tests {
             canonical_state_key(&canonical, &plan).0,
             canonical_state_key(&exec, &plan).0
         );
+    }
+
+    /// The anonymous canonical key hashes slot signatures and raw memory
+    /// only, so it must still separate configurations that differ in a
+    /// single decision, memory cell or slot phase — none of which is a slot
+    /// permutation of the other.
+    #[test]
+    fn anonymous_canonical_keys_separate_decisions_memory_and_phases() {
+        fn run<const N: usize>(writers: [ToyWriter; N], schedule: &[usize]) -> Executor<ToyWriter> {
+            let mut exec = Executor::new(writers.to_vec());
+            for &p in schedule {
+                exec.step(ProcessId(p));
+            }
+            exec
+        }
+        fn assert_separated(x: &Executor<ToyWriter>, y: &Executor<ToyWriter>, what: &str) {
+            let plan = SymmetryPlan::for_executor(x, SymmetryMode::ProcessIds);
+            assert!(plan.applied() && plan.class == SymmetryClass::Anonymous);
+            assert_ne!(
+                canonical_state_key(x, &plan).0,
+                canonical_state_key(y, &plan).0,
+                "configurations differing only in {what} share a canonical key"
+            );
+        }
+        let automata = |e: &Executor<ToyWriter>| -> Vec<ToyWriter> {
+            (0..e.process_count())
+                .map(|p| e.automaton(ProcessId(p)).clone())
+                .collect()
+        };
+
+        // p0 reads register 0 before or after p1 overwrites it; p2 then
+        // restores p0's value. Only p0's decision differs (1 versus 2).
+        let writers = [
+            ToyWriter::new(0, 1),
+            ToyWriter::new(0, 2),
+            ToyWriter::new(0, 1),
+        ];
+        let x = run(writers.clone(), &[0, 0, 1, 2]);
+        let y = run(writers, &[0, 1, 0, 2]);
+        assert_eq!(automata(&x), automata(&y));
+        assert!(x.memory().same_contents(y.memory()));
+        assert_ne!(x.decisions(), y.decisions());
+        assert_separated(&x, &y, "one decision");
+
+        // The two writes land in either order: only register 0 differs.
+        let writers = [ToyWriter::new(0, 1), ToyWriter::new(0, 2)];
+        let x = run(writers.clone(), &[0, 1]);
+        let y = run(writers, &[1, 0]);
+        assert_eq!(automata(&x), automata(&y));
+        assert!(!x.memory().same_contents(y.memory()));
+        assert_eq!(x.decisions(), y.decisions());
+        assert_separated(&x, &y, "one memory cell");
+
+        // Twin writers of one value: after both wrote, or only p0 did, the
+        // memory is the same and only p1's phase differs.
+        let writers = [ToyWriter::new(0, 5), ToyWriter::new(0, 5)];
+        let x = run(writers.clone(), &[0, 1]);
+        let y = run(writers, &[0]);
+        assert_eq!(x.automaton(ProcessId(0)), y.automaton(ProcessId(0)));
+        assert_ne!(x.automaton(ProcessId(1)), y.automaton(ProcessId(1)));
+        assert!(x.memory().same_contents(y.memory()));
+        assert_eq!(x.decisions(), y.decisions());
+        assert_separated(&x, &y, "one slot's phase");
     }
 
     #[test]

@@ -701,14 +701,14 @@ where
         }
         depth += 1;
     }
-    // Every committed key, live or spilled, is charged as if resident, so
-    // the figure is identical with spill on or off, at any thread count.
-    let committed = |shard: &SeenShard| shard.live.len() as u64 + shard.spilled_count;
-    result.seen_entries = bfs.seen.sum(committed);
-    result.approx_bytes = level_bytes_peak
-        + bfs
-            .seen
-            .sum(|shard| KeyTable::bytes_for_len(committed(shard)));
+    // Every committed key, live or spilled, is charged as if resident in
+    // one table, as the serial explorers charge theirs: the figure is then
+    // identical with spill on or off, at any thread count, and does not
+    // depend on how the keys' bits happen to spread over the shards.
+    result.seen_entries = bfs
+        .seen
+        .sum(|shard| shard.live.len() as u64 + shard.spilled_count);
+    result.approx_bytes = level_bytes_peak + KeyTable::bytes_for_len(result.seen_entries);
     result
 }
 

@@ -162,7 +162,7 @@ pub fn obliterates<A>(
 ) -> bool
 where
     A: Automaton + Clone,
-    A::Value: Clone + Eq + Debug + Hash,
+    A::Value: Clone + Eq + Debug,
 {
     // Branch 1: fragment, then block write.
     let mut with_fragment = executor.clone();
@@ -177,7 +177,9 @@ where
     let mut without_fragment = executor.clone();
     block_write(&mut without_fragment, coverers);
 
-    with_fragment.memory().content_fingerprint() == without_fragment.memory().content_fingerprint()
+    with_fragment
+        .memory()
+        .same_contents(without_fragment.memory())
 }
 
 /// Checks that an observer cannot tell whether the fragment was spliced in:

@@ -33,7 +33,7 @@
 
 use sa_sweep::{
     diff, expand, lint_source, merge_shards, parse_allowlist, parse_jsonl, run_campaign,
-    CampaignSpec, EngineConfig, Summary, WorkloadSpec,
+    stale_entries, CampaignSpec, EngineConfig, Summary, WorkloadSpec,
 };
 use set_agreement::runtime::{SearchGoal, ServeClock, Workload};
 use set_agreement::search::{Certificate, VerifyError, Witness};
@@ -738,7 +738,7 @@ fn cmd_lint(args: &[String]) -> ExitCode {
             return fail(message);
         }
     }
-    let (mut findings, mut suppressed, mut scanned) = (Vec::new(), 0u64, 0u64);
+    let (mut findings, mut suppressed, mut scanned) = (Vec::new(), vec![0u64; allow.len()], 0u64);
     for path in &sources {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
@@ -747,19 +747,26 @@ fn cmd_lint(args: &[String]) -> ExitCode {
         let label = path.to_string_lossy();
         let (file_findings, file_suppressed) = lint_source(&label, &text, &allow);
         findings.extend(file_findings);
-        suppressed += file_suppressed;
+        for (total, count) in suppressed.iter_mut().zip(file_suppressed) {
+            *total += count;
+        }
         scanned += 1;
     }
     for finding in &findings {
         println!("{finding}");
     }
+    let stale = stale_entries(&allow, &suppressed);
+    for entry in &stale {
+        println!("stale allowlist entry `{entry}`: it suppresses nothing");
+    }
     println!(
-        "lint: {} files scanned, {} findings, {} suppressed by allowlist",
+        "lint: {} files scanned, {} findings, {} suppressed by allowlist, {} stale entries",
         scanned,
         findings.len(),
-        suppressed
+        suppressed.iter().sum::<u64>(),
+        stale.len()
     );
-    if findings.is_empty() {
+    if findings.is_empty() && stale.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -69,7 +69,7 @@ mod summary;
 
 pub use engine::{run_campaign, run_campaign_collect, run_scenario, CampaignOutcome, EngineConfig};
 pub use grid::{derive_seed, expand, ExpansionStats, ScenarioSpec};
-pub use lint::{lint_source, parse_allowlist, AllowEntry, LintFinding};
+pub use lint::{lint_source, parse_allowlist, stale_entries, AllowEntry, LintFinding};
 pub use record::{merge_shards, parse_jsonl, ParseError, SweepRecord};
 pub use spec::{
     parse_algorithms, parse_seeds, parse_values, AdversarySpec, BackendSpec, CampaignMode,

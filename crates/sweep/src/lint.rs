@@ -23,7 +23,9 @@
 //! `rule path-suffix` pair per line, `#` comments, matching every finding
 //! of `rule` in files whose path ends with `path-suffix`. The allowlist is
 //! the audit trail — each entry documents *why* the use cannot reach
-//! serialized output.
+//! serialized output — so an entry that suppresses nothing is an error
+//! too ([`stale_entries`]): deleting a use must not leave its audit entry
+//! behind to silently cover a new one.
 //!
 //! The lint is textual, not type-aware: it cannot follow dataflow, so it
 //! flags every mention and relies on the allowlist for precision. That
@@ -60,6 +62,13 @@ pub struct AllowEntry {
     pub rule: String,
     /// Path suffix the suppression applies to.
     pub path_suffix: String,
+}
+
+impl fmt::Display for AllowEntry {
+    /// The entry as its allowlist line.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {}", self.rule, self.path_suffix)
+    }
 }
 
 /// One determinism-relevant construct found in a source file.
@@ -117,18 +126,20 @@ pub fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, String> {
     Ok(entries)
 }
 
-fn allowed(allow: &[AllowEntry], rule: &str, path: &str) -> bool {
+/// The index of the first entry of `allow` suppressing `rule` in `path`.
+fn allowed(allow: &[AllowEntry], rule: &str, path: &str) -> Option<usize> {
     allow
         .iter()
-        .any(|entry| entry.rule == rule && path.ends_with(&entry.path_suffix))
+        .position(|entry| entry.rule == rule && path.ends_with(&entry.path_suffix))
 }
 
-/// Lints one source file. Returns the findings not covered by `allow` and
-/// the number of findings the allowlist suppressed. Comment-only lines are
-/// skipped — prose *about* a hash map is not a use of one.
-pub fn lint_source(path: &str, source: &str, allow: &[AllowEntry]) -> (Vec<LintFinding>, u64) {
+/// Lints one source file. Returns the findings not covered by `allow` and,
+/// for each entry of `allow`, the number of findings it suppressed (a
+/// finding counts against the first entry matching it). Comment-only lines
+/// are skipped — prose *about* a hash map is not a use of one.
+pub fn lint_source(path: &str, source: &str, allow: &[AllowEntry]) -> (Vec<LintFinding>, Vec<u64>) {
     let mut findings = Vec::new();
-    let mut suppressed = 0u64;
+    let mut suppressed = vec![0u64; allow.len()];
     for (index, line) in source.lines().enumerate() {
         let trimmed = line.trim_start();
         if trimmed.starts_with("//") {
@@ -138,19 +149,29 @@ pub fn lint_source(path: &str, source: &str, allow: &[AllowEntry]) -> (Vec<LintF
             if !patterns.iter().any(|pattern| trimmed.contains(pattern)) {
                 continue;
             }
-            if allowed(allow, rule, path) {
-                suppressed += 1;
-            } else {
-                findings.push(LintFinding {
+            match allowed(allow, rule, path) {
+                Some(entry) => suppressed[entry] += 1,
+                None => findings.push(LintFinding {
                     path: path.to_string(),
                     line: index + 1,
                     rule,
                     text: trimmed.trim_end().to_string(),
-                });
+                }),
             }
         }
     }
     (findings, suppressed)
+}
+
+/// The entries of `allow` that suppressed nothing, given each entry's
+/// suppression count summed over every scanned file.
+pub fn stale_entries<'a>(allow: &'a [AllowEntry], suppressed: &[u64]) -> Vec<&'a AllowEntry> {
+    allow
+        .iter()
+        .zip(suppressed)
+        .filter(|(_, count)| **count == 0)
+        .map(|(entry, _)| entry)
+        .collect()
 }
 
 #[cfg(test)]
@@ -167,7 +188,7 @@ mod tests {
              let fine = std::collections::BTreeMap::new();\n"
         );
         let (findings, suppressed) = lint_source("src/x.rs", &source, &[]);
-        assert_eq!(suppressed, 0);
+        assert!(suppressed.is_empty());
         let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
         assert_eq!(
             rules,
@@ -205,7 +226,7 @@ mod tests {
         let source = format!("use std::collections::{HASH_SET};\n");
         let (findings, suppressed) = lint_source("crates/runtime/src/explore.rs", &source, &allow);
         assert!(findings.is_empty(), "{findings:?}");
-        assert_eq!(suppressed, 1);
+        assert_eq!(suppressed, vec![1, 0]);
         // The suffix does not match a different file, and the rule does not
         // cover a different construct in the matching file.
         let (findings, _) = lint_source("crates/search/src/driver.rs", &source, &allow);
@@ -213,6 +234,37 @@ mod tests {
         let clock = format!("let t = {INSTANT_NOW}();\n");
         let (findings, _) = lint_source("crates/runtime/src/explore.rs", &clock, &allow);
         assert_eq!(findings.len(), 1, "{findings:?}");
+    }
+
+    #[test]
+    fn entries_that_suppress_nothing_are_stale() {
+        let allow = parse_allowlist(
+            "hash-collections runtime/src/explore.rs\n\
+             unstable-hasher runtime/src/explore.rs\n\
+             hash-collections runtime/src/parallel.rs\n",
+        )
+        .unwrap();
+        let source = format!("use std::collections::{HASH_MAP};\n");
+        // Per-entry counts add up over files; only the hasher entry, whose
+        // use no scanned file still has, is stale.
+        let mut total = vec![0u64; allow.len()];
+        for path in [
+            "crates/runtime/src/explore.rs",
+            "crates/runtime/src/parallel.rs",
+        ] {
+            let (findings, suppressed) = lint_source(path, &source, &allow);
+            assert!(findings.is_empty(), "{findings:?}");
+            for (sum, count) in total.iter_mut().zip(suppressed) {
+                *sum += count;
+            }
+        }
+        assert_eq!(total, vec![1, 0, 1]);
+        let stale = stale_entries(&allow, &total);
+        assert_eq!(stale, vec![&allow[1]]);
+        assert_eq!(
+            stale[0].to_string(),
+            "unstable-hasher runtime/src/explore.rs"
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use proptest::prelude::*;
 use sa_sweep::{run_campaign_collect, CampaignSpec, EngineConfig, SweepRecord};
 use set_agreement::memory::SimMemory;
-use set_agreement::model::{independent, Automaton, MemoryLayout, Op, ProcessId};
+use set_agreement::model::{independent, Automaton, MemoryLayout, Op, ProcessId, Response};
 use set_agreement::runtime::toy::{RacyConsensus, ToyWriter};
 use set_agreement::runtime::{mask_of, persistent_set, Executor, ReductionMode, SymmetryMode};
 
@@ -65,21 +65,28 @@ fn memory_strategy() -> impl Strategy<Value = SimMemory<u64>> {
     })
 }
 
+/// A memory compared by its contents alone ([`SimMemory::same_contents`]):
+/// the metrics record which order ran, the contents must not.
+#[derive(Debug)]
+struct Contents(SimMemory<u64>);
+
+impl PartialEq for Contents {
+    fn eq(&self, other: &Contents) -> bool {
+        self.0.same_contents(&other.0)
+    }
+}
+
 /// Applies `first` then `second`, returning the responses and the resulting
-/// contents fingerprint.
-fn run_order(memory: &SimMemory<u64>, first: &Op<u64>, second: &Op<u64>) -> (u64, u64, u64) {
+/// contents.
+fn run_order(
+    memory: &SimMemory<u64>,
+    first: &Op<u64>,
+    second: &Op<u64>,
+) -> (Response<u64>, Response<u64>, Contents) {
     let mut m = memory.clone();
     let r1 = m.apply(ProcessId(0), first.clone()).expect("in-layout op");
     let r2 = m.apply(ProcessId(1), second.clone()).expect("in-layout op");
-    // Responses are hashed so the tuple stays `Eq`-comparable without
-    // threading `Response<u64>` through the assertions.
-    use std::hash::{Hash, Hasher};
-    let digest = |r: &set_agreement::model::Response<u64>| {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        r.hash(&mut h);
-        h.finish()
-    };
-    (digest(&r1), digest(&r2), m.content_fingerprint())
+    (r1, r2, Contents(m))
 }
 
 proptest! {
