@@ -8,18 +8,19 @@
 //! those claims into a measured table or series:
 //!
 //! * [`figure1_report`] — the four cells of Figure 1 next to the space the
-//!   implementations *actually* use (distinct locations written).
+//!   implementations *actually* use (distinct locations written; binary
+//!   `figure1`).
 //! * [`space_rows`] — per-algorithm space measurements across a parameter
-//!   sweep (bench `space_usage`, binary `figure1`).
+//!   sweep.
 //! * [`baseline_rows`] — Figure 3 vs the `2(n−k)` baseline vs the trivial
-//!   `n`-register baseline (bench `baseline_comparison`).
+//!   `n`-register baseline.
 //! * [`obstruction_series`] — steps to decision as a function of how many
-//!   processes keep running (bench `obstruction`, binary `contention_sweep`).
+//!   processes keep running.
 //! * [`lower_bound_report`] — the covering and cloning attacks across widths
 //!   (binary `lower_bound_witness`).
 //!
-//! Every helper returns plain data structures so the Criterion benches, the
-//! report binaries and the integration tests all consume the same code.
+//! Every helper returns plain data structures, which this crate's unit tests
+//! check against the paper's bounds and progress claim.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,9 +9,9 @@
 //! an atomic object here, exactly as in the pseudocode of Figures 3–5.
 
 use crate::metrics::{Location, MemoryMetrics};
-use parking_lot::Mutex;
 use sa_model::{LayoutError, MemoryLayout, Op, ProcessId, Response};
 use std::fmt::Debug;
+use std::sync::{Mutex, MutexGuard};
 
 /// A thread-safe implementation of the shared objects declared by a
 /// [`MemoryLayout`].
@@ -73,12 +73,12 @@ impl<V: Clone + Eq + Debug> SharedMemory<V> {
         let (response, written) = match op {
             Op::Read { register } => {
                 self.layout.check_register(register)?;
-                let value = self.registers[register].lock().clone();
+                let value = lock(&self.registers[register]).clone();
                 (Response::Read(value), None)
             }
             Op::Write { register, value } => {
                 self.layout.check_register(register)?;
-                *self.registers[register].lock() = Some(value);
+                *lock(&self.registers[register]) = Some(value);
                 (Response::Written, Some(Location::Register(register)))
             }
             Op::Update {
@@ -87,7 +87,7 @@ impl<V: Clone + Eq + Debug> SharedMemory<V> {
                 value,
             } => {
                 self.layout.check_component(snapshot, component)?;
-                self.snapshots[snapshot].lock()[component] = Some(value);
+                lock(&self.snapshots[snapshot])[component] = Some(value);
                 (
                     Response::Updated,
                     Some(Location::Component {
@@ -98,35 +98,41 @@ impl<V: Clone + Eq + Debug> SharedMemory<V> {
             }
             Op::Scan { snapshot } => {
                 self.layout.check_snapshot(snapshot)?;
-                let view = self.snapshots[snapshot].lock().clone();
+                let view = lock(&self.snapshots[snapshot]).clone();
                 (Response::Snapshot(view), None)
             }
             Op::Nop => (Response::Nop, None),
         };
-        self.metrics.lock().record(process, kind, written);
+        lock(&self.metrics).record(process, kind, written);
         Ok(response)
     }
 
     /// A copy of the usage metrics accumulated so far.
     pub fn metrics(&self) -> MemoryMetrics {
-        self.metrics.lock().clone()
+        lock(&self.metrics).clone()
     }
 
     /// Clears the usage metrics without touching register contents.
     pub fn reset_metrics(&self) {
-        self.metrics.lock().reset();
+        lock(&self.metrics).reset();
     }
 
     /// Reads register `register` without recording a metric.
     pub fn peek_register(&self, register: usize) -> Option<V> {
-        self.registers.get(register).and_then(|r| r.lock().clone())
+        self.registers.get(register).and_then(|r| lock(r).clone())
     }
 
     /// Reads the current contents of snapshot object `snapshot` without
     /// recording a metric.
     pub fn peek_snapshot(&self, snapshot: usize) -> Vec<Option<V>> {
-        self.snapshots[snapshot].lock().clone()
+        lock(&self.snapshots[snapshot]).clone()
     }
+}
+
+/// Locks one shared object. A lock is poisoned only when a thread panicked
+/// while holding it, and a threaded run re-raises that panic at join.
+fn lock<T>(object: &Mutex<T>) -> MutexGuard<'_, T> {
+    object.lock().expect("shared object poisoned")
 }
 
 #[cfg(test)]

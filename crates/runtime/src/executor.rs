@@ -36,7 +36,7 @@ use std::fmt::Debug;
 ///   interleaving of a (tiny) configuration is checked, which subsumes any
 ///   single adversary.
 /// * [`Backend::ParallelExplore`] — the same exhaustive check spread over a
-///   work-stealing worker pool, with byte-identical results at any thread
+///   pool of worker threads, with byte-identical results at any thread
 ///   count; the backend that pushes exhaustive verification past the cells
 ///   the serial explorer can finish.
 ///
@@ -52,7 +52,7 @@ pub enum Backend {
     Threaded(ThreadedConfig),
     /// Bounded exhaustive exploration of every interleaving.
     Explore(ExploreConfig),
-    /// Work-stealing exhaustive exploration of every interleaving.
+    /// Parallel exhaustive exploration of every interleaving.
     ParallelExplore(ParallelExploreConfig),
     /// A long-running batched agreement service under an open-loop load
     /// generator (implemented by the `sa-serve` crate; this variant only

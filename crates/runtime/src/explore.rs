@@ -17,8 +17,8 @@
 //! enumeration without risking an unsound prune (see
 //! [`Exploration::verified`]).
 //!
-//! This module is the serial depth-first explorer; its work-stealing
-//! counterpart, which shares the [`StateKey`] dedup guarantee, lives in
+//! This module is the serial depth-first explorer; its parallel
+//! breadth-first counterpart, which shares the [`StateKey`] dedup guarantee, lives in
 //! [`parallel_explore`](crate::parallel_explore).
 
 use crate::executor::Executor;

@@ -17,8 +17,8 @@
 //! * [`explore`] — a bounded exhaustive explorer (tiny model checker) that
 //!   checks a safety predicate in **every** interleaving of small
 //!   configurations.
-//! * [`parallel_explore`] — the same exhaustive check on a work-stealing
-//!   worker pool, byte-identical at any thread count.
+//! * [`parallel_explore`] — the same exhaustive check on a pool of worker
+//!   threads, byte-identical at any thread count.
 //! * [`check_commutation`] — the dynamic oracle auditing the static
 //!   independence relation ([`sa_model::independent`]) that feeds the
 //!   serial explorer's persistent-set partial-order reduction

@@ -1,4 +1,4 @@
-//! The work-stealing exhaustive explorer, and the breadth-first kernel it
+//! The parallel exhaustive explorer, and the breadth-first kernel it
 //! shares with the adversary search.
 //!
 //! [`parallel_explore`] checks the same property as [`explore`](crate::explore)
@@ -9,16 +9,12 @@
 //!
 //! # Design
 //!
-//! The search is a **level-synchronized breadth-first traversal** with
-//! work-stealing inside each level, run by the [`Bfs`] kernel:
+//! The search is a **level-synchronized breadth-first traversal**, run by
+//! the [`Bfs`] kernel:
 //!
-//! * the current BFS level is the shared frontier: its entries are pushed
-//!   into a [`crossbeam::deque::Injector`], and each worker refills a local
-//!   [`crossbeam::deque::Worker`] deque in batches, stealing from its
-//!   peers' [`Stealer`](crossbeam::deque::Stealer)s when both run dry
-//!   (cooperative termination: a worker exits once its own deque, the
-//!   injector and every peer report `Empty`, retrying on contended `Retry`
-//!   results);
+//! * the current BFS level is the shared frontier: it sits behind one lock,
+//!   and each worker takes up to 32 entries from it at a time, exiting when
+//!   a take comes back empty;
 //! * discovered successors are deduplicated against a **sharded seen-set**
 //!   (shards selected by a [`StateKey`] prefix) holding the same
 //!   collision-resistant 128-bit keys as the serial explorer;
@@ -69,7 +65,6 @@ use crate::store::{
     corrupt, read_segment, KeyTable, ScheduleArena, SegmentKind, SegmentWriter, SpillDir,
     SCHEDULE_ROOT,
 };
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use sa_model::{Automaton, ProcessId};
 use std::collections::HashMap;
 use std::fmt::Debug;
@@ -83,6 +78,9 @@ use std::sync::Mutex;
 /// [`StateKey`] prefix selects a shard with a mask; 64 shards keep lock
 /// contention negligible at any realistic worker count.
 const SHARDS: usize = 64;
+
+/// Entries a worker takes from the shared level at a time.
+const CHUNK: usize = 32;
 
 /// Configuration of a parallel bounded exploration.
 ///
@@ -393,20 +391,18 @@ where
         let terminal = AtomicU64::new(0);
         let expansions = AtomicU64::new(0);
         let depth_cut = AtomicBool::new(false);
-        let injector = Injector::new();
-        for task in level.into_iter().enumerate() {
-            injector.push(task);
-        }
-        let workers: Vec<Worker<(usize, BfsEntry<A>)>> =
-            (0..self.threads).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<(usize, BfsEntry<A>)>> =
-            workers.iter().map(Worker::stealer).collect();
+        // The shared iterator owns the level, so each entry's executor is
+        // dropped as soon as a worker has expanded it.
+        let level = Mutex::new(level.into_iter().enumerate());
         std::thread::scope(|scope| {
-            for local in workers {
-                let (injector, stealers, next) = (&injector, &stealers, &next);
-                let (terminal, expansions, depth_cut) = (&terminal, &expansions, &depth_cut);
-                scope.spawn(move || {
-                    while let Some((rank, entry)) = find_task(&local, injector, stealers) {
+            for _ in 0..self.threads {
+                scope.spawn(|| {
+                    let tasks = std::iter::from_fn(|| {
+                        let mut level = level.lock().expect("level poisoned");
+                        let chunk: Vec<_> = level.by_ref().take(CHUNK).collect();
+                        (!chunk.is_empty()).then_some(chunk)
+                    });
+                    for (rank, entry) in tasks.flatten() {
                         let state = entry.state.unwrap_or_else(|| {
                             replay(self.initial, self.arena.materialize(entry.node))
                         });
@@ -525,36 +521,8 @@ fn decode_level_record(record: &[u8], arena_len: usize) -> io::Result<(u32, u64)
     Ok((node, orbit))
 }
 
-/// Pulls the next task for a worker: local deque first, then the shared
-/// injector (in batches), then the peers — retrying while any source
-/// reports a contended `Retry`, terminating once all report `Empty`.
-fn find_task<T>(local: &Worker<T>, injector: &Injector<T>, stealers: &[Stealer<T>]) -> Option<T> {
-    if let Some(task) = local.pop() {
-        return Some(task);
-    }
-    loop {
-        let mut contended = false;
-        match injector.steal_batch_and_pop(local) {
-            Steal::Success(task) => return Some(task),
-            Steal::Retry => contended = true,
-            Steal::Empty => {}
-        }
-        for stealer in stealers {
-            match stealer.steal() {
-                Steal::Success(task) => return Some(task),
-                Steal::Retry => contended = true,
-                Steal::Empty => {}
-            }
-        }
-        if !contended {
-            return None;
-        }
-        std::hint::spin_loop();
-    }
-}
-
 /// Exhaustively explores every interleaving of the executor's processes on a
-/// pool of work-stealing workers, checking `predicate` in every reachable
+/// pool of worker threads, checking `predicate` in every reachable
 /// configuration — including the initial one.
 ///
 /// The report is byte-identical at any `config.threads` (see the module
@@ -731,23 +699,32 @@ mod tests {
 
     #[test]
     fn matches_the_serial_explorer_on_verified_systems() {
-        let exec = writers(3);
-        let serial = explore(&exec, ExploreConfig::default(), agreement_predicate(3));
-        assert!(serial.verified());
-        for threads in [1, 2, 8] {
-            let parallel = parallel_explore(
-                &exec,
-                ParallelExploreConfig::with_threads(threads),
-                agreement_predicate(3),
-            );
-            assert!(parallel.verified(), "threads={threads}: {parallel:?}");
-            assert_eq!(
-                parallel.states_visited, serial.states_visited,
-                "threads={threads}"
-            );
-            assert_eq!(parallel.paths, serial.paths, "threads={threads}");
-            assert_eq!(parallel.violation, serial.violation);
-            assert_eq!(parallel.seen_entries, serial.seen_entries);
+        // Six writers reach 729 states, and their widest level holds 141
+        // entries: several chunks, so equal `expansions` at every worker
+        // count means every entry was expanded exactly once.
+        for n in [3, 6] {
+            let exec = writers(n);
+            let serial = explore(&exec, ExploreConfig::default(), agreement_predicate(n));
+            assert!(serial.verified());
+            for threads in [1, 2, 3, 8] {
+                let parallel = parallel_explore(
+                    &exec,
+                    ParallelExploreConfig::with_threads(threads),
+                    agreement_predicate(n),
+                );
+                assert!(parallel.verified(), "n={n} threads={threads}: {parallel:?}");
+                assert_eq!(
+                    parallel.states_visited, serial.states_visited,
+                    "n={n} threads={threads}"
+                );
+                assert_eq!(parallel.paths, serial.paths, "n={n} threads={threads}");
+                assert_eq!(
+                    parallel.expansions, serial.expansions,
+                    "n={n} threads={threads}"
+                );
+                assert_eq!(parallel.violation, serial.violation);
+                assert_eq!(parallel.seen_entries, serial.seen_entries);
+            }
         }
     }
 
@@ -1004,42 +981,45 @@ mod tests {
 
     #[test]
     fn spill_mode_is_byte_identical_at_any_worker_count() {
-        let exec = writers(3);
-        let base = parallel_explore(
-            &exec,
-            ParallelExploreConfig::with_threads(1),
-            agreement_predicate(3),
-        );
-        assert!(base.verified());
-        assert_eq!(base.spilled_entries, 0);
-        for threads in [1, 2, 8] {
-            let spilled = parallel_explore(
+        for n in [3, 6] {
+            let exec = writers(n);
+            let base = parallel_explore(
                 &exec,
-                ParallelExploreConfig {
-                    threads,
-                    spill: true,
-                    max_resident_bytes: 1,
-                    ..ParallelExploreConfig::default()
-                },
-                agreement_predicate(3),
+                ParallelExploreConfig::with_threads(1),
+                agreement_predicate(n),
             );
-            assert!(
-                spilled.spilled_entries > 0,
-                "threads={threads}: the tiny cap must force level spills"
-            );
-            assert!(spilled.verified(), "threads={threads}: {spilled:?}");
-            assert_eq!(spilled.states_visited, base.states_visited);
-            assert_eq!(spilled.paths, base.paths);
-            assert_eq!(spilled.violation, base.violation);
-            assert_eq!(spilled.max_depth_reached, base.max_depth_reached);
-            assert_eq!(spilled.frontier_peak, base.frontier_peak);
-            assert_eq!(spilled.pending_at_exit, base.pending_at_exit);
-            assert_eq!(spilled.seen_entries, base.seen_entries);
-            assert_eq!(spilled.approx_bytes, base.approx_bytes);
-            assert_eq!(
-                spilled.full_states_lower_bound,
-                base.full_states_lower_bound
-            );
+            assert!(base.verified());
+            assert_eq!(base.spilled_entries, 0);
+            for threads in [1, 2, 3, 8] {
+                let spilled = parallel_explore(
+                    &exec,
+                    ParallelExploreConfig {
+                        threads,
+                        spill: true,
+                        max_resident_bytes: 1,
+                        ..ParallelExploreConfig::default()
+                    },
+                    agreement_predicate(n),
+                );
+                assert!(
+                    spilled.spilled_entries > 0,
+                    "n={n} threads={threads}: the tiny cap must force level spills"
+                );
+                assert!(spilled.verified(), "n={n} threads={threads}: {spilled:?}");
+                assert_eq!(spilled.states_visited, base.states_visited);
+                assert_eq!(spilled.paths, base.paths);
+                assert_eq!(spilled.expansions, base.expansions);
+                assert_eq!(spilled.violation, base.violation);
+                assert_eq!(spilled.max_depth_reached, base.max_depth_reached);
+                assert_eq!(spilled.frontier_peak, base.frontier_peak);
+                assert_eq!(spilled.pending_at_exit, base.pending_at_exit);
+                assert_eq!(spilled.seen_entries, base.seen_entries);
+                assert_eq!(spilled.approx_bytes, base.approx_bytes);
+                assert_eq!(
+                    spilled.full_states_lower_bound,
+                    base.full_states_lower_bound
+                );
+            }
         }
     }
 

@@ -18,10 +18,10 @@
 //! * Decisions are collected through a channel, so the report also contains
 //!   the wall-clock arrival order of decisions.
 
-use crossbeam::channel;
 use sa_memory::{MemoryMetrics, SharedMemory};
 use sa_model::{Automaton, Decision, DecisionSet, MemoryLayout, ProcessId};
 use std::fmt::Debug;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Configuration of a threaded run.
@@ -158,7 +158,7 @@ where
         .fold(MemoryLayout::default(), |acc, l| acc.union(&l));
     let memory = SharedMemory::for_layout(&layout);
     let process_count = automata.len();
-    let (tx, rx) = channel::unbounded::<(ProcessId, Decision)>();
+    let (tx, rx) = mpsc::channel::<(ProcessId, Decision)>();
 
     let mut steps_per_process = vec![0u64; process_count];
     let mut halted = vec![false; process_count];

@@ -2,7 +2,7 @@
 //!
 //! A level-synchronized breadth-first search over schedule space, run on
 //! the exhaustive explorers' own breadth-first kernel ([`Bfs`]): the same
-//! work-stealing level expansion, sharded seen-set of (optionally
+//! parallel level expansion, sharded seen-set of (optionally
 //! symmetry-canonicalized) 128-bit `StateKey`s and
 //! lexicographically-smallest-schedule merge as
 //! [`parallel_explore`](sa_runtime::parallel_explore). The driver adds only

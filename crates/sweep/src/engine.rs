@@ -87,7 +87,7 @@ pub struct CampaignOutcome {
     pub unverified_explorations: u64,
     /// Records executed on the threaded backend (real OS threads).
     pub threaded: u64,
-    /// Explore-mode records executed by the work-stealing parallel
+    /// Explore-mode records executed by the parallel breadth-first
     /// explorer (a subset of [`CampaignOutcome::explored`]).
     pub parallel_explored: u64,
     /// Serve-mode records (batched service runs under the open-loop load
@@ -118,6 +118,8 @@ pub fn run_scenario(campaign: &str, spec: &ScenarioSpec) -> SweepRecord {
         .algorithm(spec.algorithm)
         .workload(spec.workload.clone())
         .max_steps(spec.max_steps);
+    // A cap past 2^64 bytes saturates, and is then no cap at all.
+    let max_resident_bytes = spec.max_resident_mb.saturating_mul(1 << 20);
     let backend = match (spec.mode, spec.backend) {
         (CampaignMode::Sample, BackendSpec::Scheduled) => {
             let adversary = spec
@@ -142,7 +144,7 @@ pub fn run_scenario(campaign: &str, spec: &ScenarioSpec) -> SweepRecord {
                 symmetry: spec.symmetry,
                 reduction: spec.reduction,
                 spill: spec.spill,
-                max_resident_bytes: spec.max_resident_mb * 1024 * 1024,
+                max_resident_bytes,
             })
         }
         (CampaignMode::Explore, _) => Backend::Explore(ExploreConfig {
@@ -151,7 +153,7 @@ pub fn run_scenario(campaign: &str, spec: &ScenarioSpec) -> SweepRecord {
             symmetry: spec.symmetry,
             reduction: spec.reduction,
             spill: spec.spill,
-            max_resident_bytes: spec.max_resident_mb * 1024 * 1024,
+            max_resident_bytes,
         }),
         (CampaignMode::AdversarySearch, _) => Backend::AdversarySearch(SearchConfig {
             goal: spec.goal,
@@ -590,6 +592,27 @@ mod tests {
         assert!(outcome.clean(), "{outcome:?}");
         assert!(!records[0].verified);
         assert_eq!(records[0].stop, "truncated");
+    }
+
+    #[test]
+    fn a_resident_cap_past_u64_bytes_is_no_cap() {
+        // (2^44 + 1) MiB is 2^64 + 2^20 bytes: wrapped, it would be a
+        // 1 MiB cap, which truncates this cell after 1,898 states.
+        let spec = |max_resident_mb| CampaignSpec {
+            name: "resident-cap".into(),
+            params: ParamsSpec::Explicit(vec![sa_model::Params::new(3, 1, 2).unwrap()]),
+            algorithms: vec![Algorithm::AnonymousOneShot],
+            mode: crate::spec::CampaignMode::Explore,
+            max_steps: 100_000,
+            max_states: 5_000,
+            explore_threads: 1,
+            max_resident_mb,
+            ..CampaignSpec::default()
+        };
+        let (uncapped, _) = run_campaign_collect(&spec(0), EngineConfig::default());
+        let (huge, _) = run_campaign_collect(&spec((1 << 44) + 1), EngineConfig::default());
+        assert!(uncapped[0].explored_states >= 5_000);
+        assert_eq!(huge[0].to_json(), uncapped[0].to_json());
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub struct ScenarioSpec {
     /// State budget for exhaustive scenarios (unused when sampling).
     pub max_states: u64,
     /// Worker threads for exhaustive scenarios: 0 = serial explorer, any
-    /// other value = the work-stealing parallel explorer (unused when
+    /// other value = the parallel breadth-first explorer (unused when
     /// sampling). Not part of the scenario's identity — exploration output
     /// is byte-identical at any worker count.
     pub explore_threads: usize,

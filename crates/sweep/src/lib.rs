@@ -20,8 +20,8 @@
 //!   count. `mode = explore` campaigns route each (cell, algorithm) pair
 //!   through the bounded exhaustive explorer instead of sampling one
 //!   schedule, upgrading "sampled, 0 violations" to "exhaustively
-//!   verified"; `explore-threads = N` hands them to the work-stealing
-//!   parallel explorer, whose records (including memory statistics) are
+//!   verified"; `explore-threads = N` hands them to the parallel
+//!   breadth-first explorer, whose records (including memory statistics) are
 //!   byte-identical at any worker count. `mode = serve` campaigns run each
 //!   cell as a batched, sharded set-agreement service (`sa-serve`) under an
 //!   open-loop load generator and the virtual clock, recording latency

@@ -448,8 +448,8 @@ pub struct CampaignSpec {
     /// State budget per exploration (ignored in [`CampaignMode::Sample`]).
     pub max_states: u64,
     /// Worker threads per exploration (ignored in [`CampaignMode::Sample`]):
-    /// 0 runs the serial explorer, any other value the work-stealing
-    /// parallel explorer with that many workers. Parallel results are
+    /// 0 runs the serial explorer, any other value the parallel
+    /// breadth-first explorer with that many workers. Parallel results are
     /// byte-identical across all worker counts ≥ 1, so this is a "how"
     /// knob like the engine's thread count, not part of a scenario's
     /// identity. (Serial records use the plain `explore` shape without the

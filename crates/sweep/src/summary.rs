@@ -60,7 +60,7 @@ pub struct CellSummary {
     /// Maximum exploration depth (longest schedule prefix examined) of any
     /// exploration of this cell.
     pub max_explored_depth: u64,
-    /// Explored scenarios run on the work-stealing parallel explorer.
+    /// Explored scenarios run on the parallel breadth-first explorer.
     pub parallel_explored: u64,
     /// Explored scenarios deduplicated up to process-id orbits
     /// (`symmetry = process-ids` applied).

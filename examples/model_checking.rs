@@ -7,7 +7,7 @@
 //!    Figure 3 algorithm is checked for k-agreement — first at the paper's
 //!    width, where no violation exists, then at a deliberately reduced width,
 //!    where the explorer produces a concrete violating schedule;
-//! 2. the same exhaustive check runs on the work-stealing parallel explorer,
+//! 2. the same exhaustive check runs on the parallel breadth-first explorer,
 //!    whose report (state count, verification verdict, memory statistics) is
 //!    byte-identical at any worker count;
 //! 3. the anonymous algorithm is explored up to process-id orbits
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<_>>()
     );
 
-    // 2. The work-stealing explorer checks the same property level by level
+    // 2. The parallel explorer checks the same property level by level
     //    and agrees with the serial search state for state; its memory
     //    statistics show what a bigger cell would cost before you run it.
     let exec = executor(params, params.snapshot_components());

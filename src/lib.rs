@@ -31,7 +31,7 @@
 //!    [`Adversary`], workload and step budget;
 //! 2. **how** it runs — a [`Backend`]: the deterministic simulator
 //!    (`Scheduled`), real OS threads (`Threaded`), the bounded exhaustive
-//!    explorer (`Explore`), its work-stealing counterpart
+//!    explorer (`Explore`), its parallel counterpart
 //!    (`ParallelExplore`, byte-identical results at any thread count), the
 //!    batched agreement service (`Serve`), or the goal-directed adversary
 //!    search (`AdversarySearch`, also byte-identical at any thread count);
@@ -867,7 +867,7 @@ impl ExecutionPlan {
         self.explore_report(result, probe, 0)
     }
 
-    /// Bounded exhaustive exploration on the work-stealing worker pool —
+    /// Bounded exhaustive exploration on the parallel worker pool —
     /// the same check as `run_exploration`, byte-identical at any thread
     /// count.
     fn run_parallel_exploration<A>(

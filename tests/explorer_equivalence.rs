@@ -1,7 +1,7 @@
 //! Serial-vs-parallel explorer equivalence suite.
 //!
 //! For every (cell, algorithm) of `campaigns/exhaustive.spec`, the serial
-//! depth-first explorer and the work-stealing parallel explorer must agree
+//! depth-first explorer and the parallel breadth-first explorer must agree
 //! on everything a verification claim rests on: `states_visited` (the two
 //! seen-sets share the same 128-bit state keys, so an exhausted search
 //! counts the identical state set), `verified`, and the violating schedule
