@@ -4,23 +4,15 @@
 //! bounds; the rest of its claims are qualitative comparisons (the new
 //! algorithm improves the `2(n−k)` registers of prior work, anonymity costs a
 //! quadratic rather than linear number of registers, termination holds
-//! whenever at most `m` processes keep running). This crate turns each of
-//! those claims into a measured table or series:
+//! whenever at most `m` processes keep running). The report binaries turn
+//! those claims into tables: `figure1`, `contention_sweep` and
+//! `lower_bound_witness`. This library holds what they share:
 //!
 //! * [`figure1_report`] — the four cells of Figure 1 next to the space the
-//!   implementations *actually* use (distinct locations written; binary
-//!   `figure1`).
-//! * [`space_rows`] — per-algorithm space measurements across a parameter
-//!   sweep.
-//! * [`baseline_rows`] — Figure 3 vs the `2(n−k)` baseline vs the trivial
-//!   `n`-register baseline.
-//! * [`obstruction_series`] — steps to decision as a function of how many
-//!   processes keep running.
-//! * [`lower_bound_report`] — the covering and cloning attacks across widths
-//!   (binary `lower_bound_witness`).
+//!   implementations *actually* use (distinct locations written).
+//! * [`lower_bound_report`] — the covering and cloning attacks across widths.
 //!
-//! Every helper returns plain data structures, which this crate's unit tests
-//! check against the paper's bounds and progress claim.
+//! The unit tests check measured space against the paper's bounds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,86 +24,19 @@ use sa_model::Params;
 use set_agreement::{Adversary, Algorithm, Backend, ExecutionPlan, ScenarioReport};
 use std::fmt::Write as _;
 
-/// The default obstruction adversary used for space and termination
-/// measurements: heavy contention followed by `m` survivors.
-pub fn obstruction_adversary(params: Params, seed: u64) -> Adversary {
-    Adversary::Obstruction {
-        contention_steps: 50 * params.n() as u64,
-        survivors: params.m(),
-        seed,
-    }
-}
-
 /// Runs one scenario of `algorithm` for `params` under the standard
-/// obstruction adversary.
+/// obstruction adversary: heavy contention followed by `m` survivors.
 pub fn run_measured(params: Params, algorithm: Algorithm, seed: u64) -> ScenarioReport {
     ExecutionPlan::new(params)
         .algorithm(algorithm)
-        .adversary(obstruction_adversary(params, seed))
+        .adversary(Adversary::Obstruction {
+            contention_steps: 50 * params.n() as u64,
+            survivors: params.m(),
+            seed,
+        })
         .max_steps(5_000_000)
         .execute(Backend::Scheduled)
         .expect_scheduled()
-}
-
-/// One row of a space-usage table: an algorithm, its paper bound and the
-/// space it actually used in a measured run.
-#[derive(Debug, Clone)]
-pub struct SpaceRow {
-    /// The parameters of the run.
-    pub params: Params,
-    /// The algorithm measured.
-    pub algorithm: Algorithm,
-    /// The paper's register bound for this algorithm.
-    pub bound: usize,
-    /// The number of base objects the implementation declares (snapshot
-    /// components plus registers); the measured space can never exceed this.
-    pub component_bound: usize,
-    /// Distinct base objects written during the run.
-    pub measured: usize,
-    /// The measured footprint converted to the paper's register accounting
-    /// ([`Algorithm::register_equivalent`]): snapshot components beyond `n`
-    /// are charged `n` single-writer registers for the non-anonymous
-    /// algorithms. This is the column comparable against `bound`.
-    pub measured_registers: usize,
-    /// Steps executed.
-    pub steps: u64,
-    /// Whether the run satisfied validity and k-agreement.
-    pub safe: bool,
-    /// Whether every obligated survivor decided.
-    pub survivors_decided: bool,
-}
-
-/// Measures the space actually used by each of the paper's algorithms (and
-/// both baselines where applicable) for one parameter triple.
-pub fn space_rows(params: Params, seed: u64) -> Vec<SpaceRow> {
-    let mut algorithms = vec![
-        Algorithm::OneShot,
-        Algorithm::Repeated(2),
-        Algorithm::AnonymousOneShot,
-        Algorithm::AnonymousRepeated(2),
-        Algorithm::FullInformation,
-    ];
-    // The wide baseline only exists where 2(n − k) meets the Figure 3 minimum.
-    if 2 * (params.n() - params.k()) >= params.snapshot_components() {
-        algorithms.push(Algorithm::WideBaseline);
-    }
-    algorithms
-        .into_iter()
-        .map(|algorithm| {
-            let report = run_measured(params, algorithm, seed);
-            SpaceRow {
-                params,
-                algorithm,
-                bound: algorithm.register_bound(params),
-                component_bound: algorithm.component_bound(params),
-                measured: report.locations_written,
-                measured_registers: register_equivalent_of(&report),
-                steps: report.steps,
-                safe: report.safety.is_safe(),
-                survivors_decided: report.survivors_decided,
-            }
-        })
-        .collect()
 }
 
 /// The register-accounted footprint of a completed run: distinct registers
@@ -200,88 +125,6 @@ pub fn figure1_report(params: Params, seed: u64) -> String {
         let _ = writeln!(out, "{footnote}");
     }
     out
-}
-
-/// One row of the baseline comparison of Section 4: the paper's algorithm
-/// against the `2(n−k)` prior work and the trivial `n`-register baseline.
-#[derive(Debug, Clone)]
-pub struct BaselineRow {
-    /// The parameters of the comparison.
-    pub params: Params,
-    /// The algorithm measured.
-    pub algorithm: Algorithm,
-    /// The paper's register bound for this algorithm.
-    pub registers: usize,
-    /// Steps executed until every survivor decided.
-    pub steps: u64,
-    /// Whether the run satisfied both safety properties.
-    pub safe: bool,
-}
-
-/// Compares the Figure 3 algorithm against both baselines for an `m = 1`
-/// parameter triple (the regime of the comparison with \[4\]).
-pub fn baseline_rows(params: Params, seed: u64) -> Vec<BaselineRow> {
-    assert_eq!(params.m(), 1, "the [4] baseline is defined for m = 1");
-    let mut algorithms = vec![Algorithm::OneShot, Algorithm::FullInformation];
-    if 2 * (params.n() - params.k()) >= params.snapshot_components() {
-        algorithms.insert(1, Algorithm::WideBaseline);
-    }
-    algorithms
-        .into_iter()
-        .map(|algorithm| {
-            let report = run_measured(params, algorithm, seed);
-            BaselineRow {
-                params,
-                algorithm,
-                registers: algorithm.register_bound(params),
-                steps: report.steps,
-                safe: report.safety.is_safe(),
-            }
-        })
-        .collect()
-}
-
-/// One point of the obstruction characterization: how long the survivors
-/// needed to decide when `survivors` processes keep running.
-#[derive(Debug, Clone)]
-pub struct ObstructionPoint {
-    /// How many processes keep running after the contention phase.
-    pub survivors: usize,
-    /// Steps executed when the run stopped.
-    pub steps: u64,
-    /// Whether every survivor decided within the step budget.
-    pub decided: bool,
-}
-
-/// Measures, for each survivor-set size `1..=max_survivors`, whether the
-/// survivors decide and how many steps the run took. The paper's progress
-/// condition guarantees `decided == true` exactly when `survivors ≤ m`.
-pub fn obstruction_series(
-    params: Params,
-    algorithm: Algorithm,
-    max_survivors: usize,
-    budget: u64,
-    seed: u64,
-) -> Vec<ObstructionPoint> {
-    (1..=max_survivors)
-        .map(|survivors| {
-            let report = ExecutionPlan::new(params)
-                .algorithm(algorithm)
-                .adversary(Adversary::Obstruction {
-                    contention_steps: 20 * params.n() as u64,
-                    survivors,
-                    seed,
-                })
-                .max_steps(budget)
-                .execute(Backend::Scheduled)
-                .expect_scheduled();
-            ObstructionPoint {
-                survivors,
-                steps: report.steps,
-                decided: report.survivors_decided,
-            }
-        })
-        .collect()
 }
 
 /// The lower-bound witness report: covering-attack outcomes per width for the
@@ -390,25 +233,34 @@ pub fn default_sweep() -> Vec<Params> {
 mod tests {
     use super::*;
 
+    /// Every catalog algorithm that applies to `params`, measured by
+    /// [`run_measured`].
+    fn measured_runs(params: Params, seed: u64) -> Vec<ScenarioReport> {
+        Algorithm::catalog(2)
+            .into_iter()
+            .filter(|algorithm| algorithm.applicable(params))
+            .map(|algorithm| run_measured(params, algorithm, seed))
+            .collect()
+    }
+
     #[test]
-    fn space_rows_stay_within_paper_bounds() {
+    fn measured_space_stays_within_paper_bounds() {
         let params = Params::new(6, 2, 3).unwrap();
-        for row in space_rows(params, 1) {
-            assert!(row.safe, "{:?} violated safety", row.algorithm);
-            assert!(row.survivors_decided, "{:?} starved", row.algorithm);
+        for report in measured_runs(params, 1) {
+            let algorithm = report.algorithm;
+            assert!(report.safety.is_safe(), "{algorithm:?} violated safety");
+            assert!(report.survivors_decided, "{algorithm:?} starved");
+            let measured = report.locations_written;
+            let component_bound = algorithm.component_bound(params);
             assert!(
-                row.measured <= row.component_bound,
-                "{:?} wrote {} locations, component bound {}",
-                row.algorithm,
-                row.measured,
-                row.component_bound
+                measured <= component_bound,
+                "{algorithm:?} wrote {measured} locations, component bound {component_bound}"
             );
+            let charged = register_equivalent_of(&report);
+            let bound = algorithm.register_bound(params);
             assert!(
-                row.measured_registers <= row.bound,
-                "{:?} charged {} registers, register bound {}",
-                row.algorithm,
-                row.measured_registers,
-                row.bound
+                charged <= bound,
+                "{algorithm:?} charged {charged} registers, register bound {bound}"
             );
         }
     }
@@ -448,13 +300,13 @@ mod tests {
         // column used to report raw components and could exceed the bound.
         let params = Params::new(4, 2, 3).unwrap();
         for seed in 0..8 {
-            for row in space_rows(params, seed) {
+            for report in measured_runs(params, seed) {
+                let charged = register_equivalent_of(&report);
+                let bound = report.algorithm.register_bound(params);
                 assert!(
-                    row.measured_registers <= row.bound,
-                    "{:?} seed {seed}: measured_registers {} > bound {}",
-                    row.algorithm,
-                    row.measured_registers,
-                    row.bound
+                    charged <= bound,
+                    "{:?} seed {seed}: measured_registers {charged} > bound {bound}",
+                    report.algorithm
                 );
             }
         }
@@ -467,42 +319,6 @@ mod tests {
         assert!(report.contains("non-anonymous"));
         assert!(report.contains("anonymous"));
         assert!(report.contains("measured"));
-    }
-
-    #[test]
-    fn baseline_rows_show_paper_using_fewer_registers() {
-        let params = Params::new(10, 1, 3).unwrap();
-        let rows = baseline_rows(params, 1);
-        assert_eq!(rows.len(), 3);
-        let ours = rows
-            .iter()
-            .find(|r| r.algorithm == Algorithm::OneShot)
-            .unwrap();
-        let wide = rows
-            .iter()
-            .find(|r| r.algorithm == Algorithm::WideBaseline)
-            .unwrap();
-        let trivial = rows
-            .iter()
-            .find(|r| r.algorithm == Algorithm::FullInformation)
-            .unwrap();
-        assert!(ours.registers < wide.registers);
-        assert!(ours.registers < trivial.registers);
-        assert!(rows.iter().all(|r| r.safe));
-    }
-
-    #[test]
-    fn obstruction_series_decides_up_to_m() {
-        let params = Params::new(5, 2, 3).unwrap();
-        let series = obstruction_series(params, Algorithm::OneShot, params.m(), 2_000_000, 3);
-        assert_eq!(series.len(), 2);
-        for point in &series {
-            assert!(
-                point.decided,
-                "survivors={} did not decide",
-                point.survivors
-            );
-        }
     }
 
     #[test]

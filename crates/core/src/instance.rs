@@ -109,7 +109,7 @@ where
         let op_kind = op.kind();
         let response = self
             .memory
-            .apply(process, op)
+            .apply(op)
             .unwrap_or_else(|e| panic!("{process} issued an out-of-layout operation: {e}"));
         let decisions = automaton.apply(response);
         self.decisions

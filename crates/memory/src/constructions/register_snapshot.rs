@@ -99,8 +99,8 @@ impl TagSource for NonceTags {
 /// use sa_model::ProcessId;
 ///
 /// let object = RegisterSnapshot::<u64>::new(4);
-/// let mut writer = object.handle(IdTags::new(ProcessId(0)), ProcessId(0));
-/// let mut reader = object.handle(IdTags::new(ProcessId(1)), ProcessId(1));
+/// let mut writer = object.handle(IdTags::new(ProcessId(0)));
+/// let mut reader = object.handle(IdTags::new(ProcessId(1)));
 /// writer.update(2, 99);
 /// assert_eq!(reader.scan(), vec![None, None, Some(99), None]);
 /// ```
@@ -139,15 +139,13 @@ impl<V: Clone + Eq + Debug> RegisterSnapshot<V> {
         &self.memory
     }
 
-    /// Creates a per-process handle. `process` is only used for metrics
-    /// attribution in the underlying memory; anonymous callers can pass any
-    /// placeholder id and a [`NonceTags`] source.
-    pub fn handle<T: TagSource>(&self, tags: T, process: ProcessId) -> SnapshotHandle<V, T> {
+    /// Creates a per-process handle; anonymous callers pass a [`NonceTags`]
+    /// source.
+    pub fn handle<T: TagSource>(&self, tags: T) -> SnapshotHandle<V, T> {
         SnapshotHandle {
             memory: Arc::clone(&self.memory),
             width: self.width,
             tags,
-            process,
         }
     }
 }
@@ -158,7 +156,6 @@ pub struct SnapshotHandle<V, T: TagSource> {
     memory: Arc<SharedMemory<Tagged<V>>>,
     width: usize,
     tags: T,
-    process: ProcessId,
 }
 
 impl<V: Clone + Eq + Debug, T: TagSource> SnapshotHandle<V, T> {
@@ -179,13 +176,10 @@ impl<V: Clone + Eq + Debug, T: TagSource> SnapshotHandle<V, T> {
             seq: self.tags.next_seq(),
         };
         self.memory
-            .apply(
-                self.process,
-                Op::Write {
-                    register: component,
-                    value: cell,
-                },
-            )
+            .apply(Op::Write {
+                register: component,
+                value: cell,
+            })
             .expect("component index validated above");
     }
 
@@ -194,7 +188,7 @@ impl<V: Clone + Eq + Debug, T: TagSource> SnapshotHandle<V, T> {
             .map(|i| {
                 match self
                     .memory
-                    .apply(self.process, Op::Read { register: i })
+                    .apply(Op::Read { register: i })
                     .expect("register index in range")
                 {
                     Response::Read(v) => v,
@@ -247,14 +241,14 @@ mod tests {
     #[test]
     fn empty_object_scans_to_bottoms() {
         let object = RegisterSnapshot::<u64>::new(3);
-        let reader = object.handle(IdTags::new(ProcessId(0)), ProcessId(0));
+        let reader = object.handle(IdTags::new(ProcessId(0)));
         assert_eq!(reader.scan(), vec![None, None, None]);
     }
 
     #[test]
     fn update_is_visible_to_scan() {
         let object = RegisterSnapshot::<u64>::new(3);
-        let mut writer = object.handle(IdTags::new(ProcessId(0)), ProcessId(0));
+        let mut writer = object.handle(IdTags::new(ProcessId(0)));
         writer.update(0, 7);
         writer.update(2, 8);
         assert_eq!(writer.scan(), vec![Some(7), None, Some(8)]);
@@ -264,7 +258,7 @@ mod tests {
     fn space_accounting_equals_width() {
         let object = RegisterSnapshot::<u64>::new(5);
         assert_eq!(object.register_count(), 5);
-        let mut writer = object.handle(IdTags::new(ProcessId(0)), ProcessId(0));
+        let mut writer = object.handle(IdTags::new(ProcessId(0)));
         for c in 0..5 {
             writer.update(c, c as u64);
         }
@@ -275,14 +269,14 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn update_out_of_range_panics() {
         let object = RegisterSnapshot::<u64>::new(2);
-        let mut writer = object.handle(IdTags::new(ProcessId(0)), ProcessId(0));
+        let mut writer = object.handle(IdTags::new(ProcessId(0)));
         writer.update(2, 1);
     }
 
     #[test]
     fn nonce_tags_do_not_expose_ids() {
         let object = RegisterSnapshot::<u64>::new(2);
-        let mut writer = object.handle(NonceTags::new(0xDEAD_BEEF), ProcessId(0));
+        let mut writer = object.handle(NonceTags::new(0xDEAD_BEEF));
         writer.update(0, 1);
         // The stored tag origin is the nonce, not the process id.
         let raw = object.memory().peek_register(0).unwrap();
@@ -294,7 +288,7 @@ mod tests {
     fn try_scan_reports_interference() {
         // With zero attempts allowed the scan cannot certify anything.
         let object = RegisterSnapshot::<u64>::new(1);
-        let reader = object.handle(IdTags::new(ProcessId(0)), ProcessId(0));
+        let reader = object.handle(IdTags::new(ProcessId(0)));
         assert_eq!(reader.try_scan(0), None);
         assert!(reader.try_scan(1).is_some());
     }
@@ -307,7 +301,7 @@ mod tests {
         let object = StdArc::new(RegisterSnapshot::<u64>::new(2));
         let writer_obj = StdArc::clone(&object);
         let writer = std::thread::spawn(move || {
-            let mut h = writer_obj.handle(IdTags::new(ProcessId(0)), ProcessId(0));
+            let mut h = writer_obj.handle(IdTags::new(ProcessId(0)));
             for seq in 1..400u64 {
                 h.update(0, seq);
                 h.update(1, seq);
@@ -315,7 +309,7 @@ mod tests {
         });
         let reader_obj = StdArc::clone(&object);
         let reader = std::thread::spawn(move || {
-            let h = reader_obj.handle(IdTags::new(ProcessId(1)), ProcessId(1));
+            let h = reader_obj.handle(IdTags::new(ProcessId(1)));
             for _ in 0..200 {
                 let view = h.scan();
                 let c0 = view[0].unwrap_or(0);

@@ -108,7 +108,7 @@ impl<V: Clone + Eq + Debug> SwmrHandle<V> {
             .map(|i| {
                 match self
                     .memory
-                    .apply(self.process, Op::Read { register: i })
+                    .apply(Op::Read { register: i })
                     .expect("register index in range")
                 {
                     Response::Read(v) => v,
@@ -173,13 +173,10 @@ impl<V: Clone + Eq + Debug> SwmrHandle<V> {
             embedded,
         };
         self.memory
-            .apply(
-                self.process,
-                Op::Write {
-                    register: self.process.index(),
-                    value: cell,
-                },
-            )
+            .apply(Op::Write {
+                register: self.process.index(),
+                value: cell,
+            })
             .expect("own register index in range");
     }
 }

@@ -1,14 +1,14 @@
-//! Accounting of shared-memory usage: operation counts and which locations
-//! were actually written.
+//! Accounting of shared-memory usage: how many operations ran and which
+//! locations were written.
 //!
 //! The central measurement of the paper is *space*: how many registers (or
 //! snapshot components) an algorithm uses. [`MemoryMetrics`] records, for a
-//! run, every location that was ever written, per-kind operation counts and
-//! per-process step counts, so experiments can report measured space
-//! alongside the paper's formulas.
+//! run, the set of locations that were ever written and the total operation
+//! count, so experiments can report measured space alongside the paper's
+//! formulas.
 
-use sa_model::{OpKind, ProcessId, SnapshotId};
-use std::collections::{BTreeMap, BTreeSet};
+use sa_model::SnapshotId;
+use std::collections::BTreeSet;
 
 // The location vocabulary lives in `sa-model` (it is shared with the
 // interference analysis and the covering adversary); re-exported here so the
@@ -18,10 +18,8 @@ pub use sa_model::Location;
 /// Usage statistics of a shared memory over one execution.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoryMetrics {
-    ops_by_kind: BTreeMap<OpKind, u64>,
-    ops_by_process: BTreeMap<ProcessId, u64>,
-    writes_by_location: BTreeMap<Location, u64>,
-    writers_by_location: BTreeMap<Location, BTreeSet<ProcessId>>,
+    total_ops: u64,
+    written: BTreeSet<Location>,
 }
 
 impl MemoryMetrics {
@@ -30,99 +28,51 @@ impl MemoryMetrics {
         MemoryMetrics::default()
     }
 
-    /// Records one operation of `kind` by `process`; `written` is the
-    /// location modified by a write-like operation.
-    pub fn record(&mut self, process: ProcessId, kind: OpKind, written: Option<Location>) {
-        *self.ops_by_kind.entry(kind).or_insert(0) += 1;
-        *self.ops_by_process.entry(process).or_insert(0) += 1;
-        if let Some(loc) = written {
-            *self.writes_by_location.entry(loc).or_insert(0) += 1;
-            self.writers_by_location
-                .entry(loc)
-                .or_default()
-                .insert(process);
+    /// Records one operation; `written` is the location modified by a
+    /// write-like operation.
+    pub fn record(&mut self, written: Option<Location>) {
+        self.total_ops += 1;
+        if let Some(location) = written {
+            self.written.insert(location);
         }
     }
 
     /// Total number of shared-memory operations recorded (including `Nop`s).
     pub fn total_ops(&self) -> u64 {
-        self.ops_by_kind.values().sum()
-    }
-
-    /// Number of operations of the given kind.
-    pub fn ops_of_kind(&self, kind: OpKind) -> u64 {
-        self.ops_by_kind.get(&kind).copied().unwrap_or(0)
-    }
-
-    /// Number of operations performed by the given process.
-    pub fn ops_by(&self, process: ProcessId) -> u64 {
-        self.ops_by_process.get(&process).copied().unwrap_or(0)
+        self.total_ops
     }
 
     /// The set of locations that were written at least once.
     pub fn written_locations(&self) -> impl Iterator<Item = Location> + '_ {
-        self.writes_by_location.keys().copied()
+        self.written.iter().copied()
     }
 
     /// The number of distinct locations ever written — the "space actually
-    /// used" measurement reported in EXPERIMENTS.md.
+    /// used" measurement.
     pub fn distinct_locations_written(&self) -> usize {
-        self.writes_by_location.len()
+        self.written.len()
     }
 
     /// The number of distinct components of snapshot object `snapshot` ever
     /// written.
     pub fn components_written(&self, snapshot: SnapshotId) -> usize {
-        self.writes_by_location
-            .keys()
+        self.written
+            .iter()
             .filter(|loc| matches!(loc, Location::Component { snapshot: s, .. } if *s == snapshot))
             .count()
     }
 
     /// The number of distinct plain registers ever written.
     pub fn registers_written(&self) -> usize {
-        self.writes_by_location
-            .keys()
+        self.written
+            .iter()
             .filter(|loc| matches!(loc, Location::Register(_)))
             .count()
-    }
-
-    /// The number of writes applied to `location`.
-    pub fn writes_to(&self, location: Location) -> u64 {
-        self.writes_by_location.get(&location).copied().unwrap_or(0)
-    }
-
-    /// The processes that ever wrote `location`.
-    pub fn writers_of(&self, location: Location) -> BTreeSet<ProcessId> {
-        self.writers_by_location
-            .get(&location)
-            .cloned()
-            .unwrap_or_default()
     }
 
     /// Resets all counters.
     pub fn reset(&mut self) {
         *self = MemoryMetrics::default();
-    }
-
-    /// Merges another metrics object into this one (used by the threaded
-    /// memory, which keeps per-thread metrics and merges at the end).
-    pub fn merge(&mut self, other: &MemoryMetrics) {
-        for (k, v) in &other.ops_by_kind {
-            *self.ops_by_kind.entry(*k).or_insert(0) += v;
-        }
-        for (p, v) in &other.ops_by_process {
-            *self.ops_by_process.entry(*p).or_insert(0) += v;
-        }
-        for (l, v) in &other.writes_by_location {
-            *self.writes_by_location.entry(*l).or_insert(0) += v;
-        }
-        for (l, ps) in &other.writers_by_location {
-            self.writers_by_location
-                .entry(*l)
-                .or_default()
-                .extend(ps.iter().copied());
-        }
     }
 }
 
@@ -132,78 +82,39 @@ mod tests {
 
     #[test]
     fn records_ops_and_writes() {
+        let component = Location::Component {
+            snapshot: 0,
+            component: 3,
+        };
         let mut m = MemoryMetrics::new();
-        m.record(
-            ProcessId(0),
-            OpKind::Update,
-            Some(Location::Component {
-                snapshot: 0,
-                component: 3,
-            }),
-        );
-        m.record(ProcessId(0), OpKind::Scan, None);
-        m.record(ProcessId(1), OpKind::Write, Some(Location::Register(2)));
-        m.record(
-            ProcessId(1),
-            OpKind::Update,
-            Some(Location::Component {
-                snapshot: 0,
-                component: 3,
-            }),
-        );
+        m.record(Some(component));
+        m.record(None);
+        m.record(Some(Location::Register(2)));
+        m.record(Some(component));
 
         assert_eq!(m.total_ops(), 4);
-        assert_eq!(m.ops_of_kind(OpKind::Update), 2);
-        assert_eq!(m.ops_of_kind(OpKind::Scan), 1);
-        assert_eq!(m.ops_by(ProcessId(0)), 2);
         assert_eq!(m.distinct_locations_written(), 2);
         assert_eq!(m.components_written(0), 1);
         assert_eq!(m.registers_written(), 1);
         assert_eq!(
-            m.writes_to(Location::Component {
-                snapshot: 0,
-                component: 3
-            }),
-            2
-        );
-        assert_eq!(
-            m.writers_of(Location::Component {
-                snapshot: 0,
-                component: 3
-            })
-            .len(),
-            2
+            m.written_locations().collect::<Vec<_>>(),
+            [Location::Register(2), component]
         );
     }
 
     #[test]
     fn reset_clears_everything() {
         let mut m = MemoryMetrics::new();
-        m.record(ProcessId(0), OpKind::Write, Some(Location::Register(0)));
+        m.record(Some(Location::Register(0)));
         m.reset();
         assert_eq!(m.total_ops(), 0);
         assert_eq!(m.distinct_locations_written(), 0);
     }
 
     #[test]
-    fn merge_adds_counts() {
-        let mut a = MemoryMetrics::new();
-        a.record(ProcessId(0), OpKind::Write, Some(Location::Register(0)));
-        let mut b = MemoryMetrics::new();
-        b.record(ProcessId(1), OpKind::Write, Some(Location::Register(0)));
-        b.record(ProcessId(1), OpKind::Read, None);
-        a.merge(&b);
-        assert_eq!(a.total_ops(), 3);
-        assert_eq!(a.writes_to(Location::Register(0)), 2);
-        assert_eq!(a.writers_of(Location::Register(0)).len(), 2);
-    }
-
-    #[test]
     fn unknown_queries_return_zero() {
         let m = MemoryMetrics::new();
-        assert_eq!(m.ops_by(ProcessId(9)), 0);
-        assert_eq!(m.writes_to(Location::Register(9)), 0);
         assert_eq!(m.components_written(4), 0);
-        assert!(m.writers_of(Location::Register(0)).is_empty());
+        assert_eq!(m.registers_written(), 0);
     }
 }

@@ -9,7 +9,7 @@
 //! an atomic object here, exactly as in the pseudocode of Figures 3–5.
 
 use crate::metrics::{Location, MemoryMetrics};
-use sa_model::{LayoutError, MemoryLayout, Op, ProcessId, Response};
+use sa_model::{LayoutError, MemoryLayout, Op, Response};
 use std::fmt::Debug;
 use std::sync::{Mutex, MutexGuard};
 
@@ -18,16 +18,16 @@ use std::sync::{Mutex, MutexGuard};
 ///
 /// ```
 /// use sa_memory::SharedMemory;
-/// use sa_model::{MemoryLayout, Op, ProcessId, Response};
+/// use sa_model::{MemoryLayout, Op, Response};
 /// use std::sync::Arc;
 ///
 /// let mem = Arc::new(SharedMemory::<u64>::for_layout(&MemoryLayout::with_snapshot(2)));
 /// let m = Arc::clone(&mem);
 /// let handle = std::thread::spawn(move || {
-///     m.apply(ProcessId(0), Op::Update { snapshot: 0, component: 0, value: 1 }).unwrap();
+///     m.apply(Op::Update { snapshot: 0, component: 0, value: 1 }).unwrap();
 /// });
 /// handle.join().unwrap();
-/// let resp = mem.apply(ProcessId(1), Op::Scan { snapshot: 0 })?;
+/// let resp = mem.apply(Op::Scan { snapshot: 0 })?;
 /// assert_eq!(resp, Response::Snapshot(vec![Some(1), None]));
 /// # Ok::<(), sa_model::LayoutError>(())
 /// ```
@@ -61,15 +61,13 @@ impl<V: Clone + Eq + Debug> SharedMemory<V> {
         &self.layout
     }
 
-    /// Applies one atomic operation on behalf of `process` and returns its
-    /// response.
+    /// Applies one atomic operation and returns its response.
     ///
     /// # Errors
     ///
     /// Returns a [`LayoutError`] if the operation refers to a register or
     /// component outside the layout.
-    pub fn apply(&self, process: ProcessId, op: Op<V>) -> Result<Response<V>, LayoutError> {
-        let kind = op.kind();
+    pub fn apply(&self, op: Op<V>) -> Result<Response<V>, LayoutError> {
         let (response, written) = match op {
             Op::Read { register } => {
                 self.layout.check_register(register)?;
@@ -103,7 +101,7 @@ impl<V: Clone + Eq + Debug> SharedMemory<V> {
             }
             Op::Nop => (Response::Nop, None),
         };
-        lock(&self.metrics).record(process, kind, written);
+        lock(&self.metrics).record(written);
         Ok(response)
     }
 
@@ -148,14 +146,11 @@ mod tests {
             .map(|i| {
                 let mem = Arc::clone(&mem);
                 std::thread::spawn(move || {
-                    mem.apply(
-                        ProcessId(i),
-                        Op::Update {
-                            snapshot: 0,
-                            component: i,
-                            value: i as u64,
-                        },
-                    )
+                    mem.apply(Op::Update {
+                        snapshot: 0,
+                        component: i,
+                        value: i as u64,
+                    })
                     .unwrap();
                 })
             })
@@ -174,19 +169,16 @@ mod tests {
     fn register_read_write_roundtrip() {
         let mem = SharedMemory::<u64>::for_layout(&MemoryLayout::registers_only(2));
         assert_eq!(
-            mem.apply(ProcessId(0), Op::Read { register: 0 }).unwrap(),
+            mem.apply(Op::Read { register: 0 }).unwrap(),
             Response::Read(None)
         );
-        mem.apply(
-            ProcessId(0),
-            Op::Write {
-                register: 0,
-                value: 11,
-            },
-        )
+        mem.apply(Op::Write {
+            register: 0,
+            value: 11,
+        })
         .unwrap();
         assert_eq!(
-            mem.apply(ProcessId(1), Op::Read { register: 0 }).unwrap(),
+            mem.apply(Op::Read { register: 0 }).unwrap(),
             Response::Read(Some(11))
         );
         assert_eq!(mem.peek_register(1), None);
@@ -195,16 +187,13 @@ mod tests {
     #[test]
     fn layout_violations_are_reported() {
         let mem = SharedMemory::<u64>::for_layout(&MemoryLayout::with_snapshot(2));
-        assert!(mem.apply(ProcessId(0), Op::Read { register: 0 }).is_err());
+        assert!(mem.apply(Op::Read { register: 0 }).is_err());
         assert!(mem
-            .apply(
-                ProcessId(0),
-                Op::Update {
-                    snapshot: 0,
-                    component: 2,
-                    value: 0
-                }
-            )
+            .apply(Op::Update {
+                snapshot: 0,
+                component: 2,
+                value: 0
+            })
             .is_err());
     }
 
@@ -221,23 +210,17 @@ mod tests {
             let mem = Arc::clone(&mem);
             std::thread::spawn(move || {
                 for seq in 1..500u64 {
-                    mem.apply(
-                        ProcessId(0),
-                        Op::Update {
-                            snapshot: 0,
-                            component: 0,
-                            value: seq,
-                        },
-                    )
+                    mem.apply(Op::Update {
+                        snapshot: 0,
+                        component: 0,
+                        value: seq,
+                    })
                     .unwrap();
-                    mem.apply(
-                        ProcessId(0),
-                        Op::Update {
-                            snapshot: 0,
-                            component: 1,
-                            value: seq,
-                        },
-                    )
+                    mem.apply(Op::Update {
+                        snapshot: 0,
+                        component: 1,
+                        value: seq,
+                    })
                     .unwrap();
                 }
             })
@@ -246,9 +229,7 @@ mod tests {
             let mem = Arc::clone(&mem);
             std::thread::spawn(move || {
                 for _ in 0..500 {
-                    if let Response::Snapshot(view) =
-                        mem.apply(ProcessId(1), Op::Scan { snapshot: 0 }).unwrap()
-                    {
+                    if let Response::Snapshot(view) = mem.apply(Op::Scan { snapshot: 0 }).unwrap() {
                         let c0 = view[0].unwrap_or(0);
                         let c1 = view[1].unwrap_or(0);
                         assert!(c0 >= c1, "scan observed torn state: {c0} < {c1}");
@@ -266,17 +247,14 @@ mod tests {
             &MemoryLayout::registers_only(1),
         ));
         let handles: Vec<_> = (0..4)
-            .map(|i| {
+            .map(|_| {
                 let mem = Arc::clone(&mem);
                 std::thread::spawn(move || {
                     for _ in 0..10 {
-                        mem.apply(
-                            ProcessId(i),
-                            Op::Write {
-                                register: 0,
-                                value: 1,
-                            },
-                        )
+                        mem.apply(Op::Write {
+                            register: 0,
+                            value: 1,
+                        })
                         .unwrap();
                     }
                 })
@@ -287,7 +265,10 @@ mod tests {
         }
         let metrics = mem.metrics();
         assert_eq!(metrics.total_ops(), 40);
-        assert_eq!(metrics.writers_of(Location::Register(0)).len(), 4);
+        assert_eq!(
+            metrics.written_locations().collect::<Vec<_>>(),
+            [Location::Register(0)]
+        );
         mem.reset_metrics();
         assert_eq!(mem.metrics().total_ops(), 0);
     }

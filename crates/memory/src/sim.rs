@@ -6,7 +6,7 @@
 //! interleaving chosen by a scheduler *is* the linearization order.
 
 use crate::metrics::{Location, MemoryMetrics};
-use sa_model::{LayoutError, MemoryLayout, Op, ProcessId, Response};
+use sa_model::{LayoutError, MemoryLayout, Op, Response};
 use std::fmt::Debug;
 
 /// A deterministic in-memory implementation of the shared objects declared by
@@ -18,12 +18,12 @@ use std::fmt::Debug;
 ///
 /// ```
 /// use sa_memory::SimMemory;
-/// use sa_model::{MemoryLayout, Op, ProcessId, Response};
+/// use sa_model::{MemoryLayout, Op, Response};
 ///
 /// let layout = MemoryLayout::with_snapshot_and_registers(3, 1);
 /// let mut mem: SimMemory<u64> = SimMemory::for_layout(&layout);
-/// mem.apply(ProcessId(0), Op::Update { snapshot: 0, component: 1, value: 42 })?;
-/// let resp = mem.apply(ProcessId(1), Op::Scan { snapshot: 0 })?;
+/// mem.apply(Op::Update { snapshot: 0, component: 1, value: 42 })?;
+/// let resp = mem.apply(Op::Scan { snapshot: 0 })?;
 /// assert_eq!(resp, Response::Snapshot(vec![None, Some(42), None]));
 /// # Ok::<(), sa_model::LayoutError>(())
 /// ```
@@ -55,16 +55,14 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
         &self.layout
     }
 
-    /// Applies one atomic operation on behalf of `process` and returns its
-    /// response.
+    /// Applies one atomic operation and returns its response.
     ///
     /// # Errors
     ///
     /// Returns a [`LayoutError`] if the operation refers to a register or
     /// component outside the layout. This indicates a protocol bug; the
     /// runtime treats it as fatal.
-    pub fn apply(&mut self, process: ProcessId, op: Op<V>) -> Result<Response<V>, LayoutError> {
-        let kind = op.kind();
+    pub fn apply(&mut self, op: Op<V>) -> Result<Response<V>, LayoutError> {
         let (response, written) = match op {
             Op::Read { register } => {
                 self.layout.check_register(register)?;
@@ -96,7 +94,7 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
             }
             Op::Nop => (Response::Nop, None),
         };
-        self.metrics.record(process, kind, written);
+        self.metrics.record(written);
         Ok(response)
     }
 
@@ -198,22 +196,6 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
             }
             _ => false,
         }
-    }
-
-    /// Overwrites the full contents of the memory with another memory's
-    /// contents. Both must share the same layout. Used by the covering
-    /// adversary when splicing execution fragments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layouts differ.
-    pub fn restore_from(&mut self, other: &SimMemory<V>) {
-        assert_eq!(
-            self.layout, other.layout,
-            "cannot restore memory contents across different layouts"
-        );
-        self.registers = other.registers.clone();
-        self.snapshots = other.snapshots.clone();
     }
 
     /// `true` if `other` holds exactly the same register and snapshot
@@ -348,7 +330,7 @@ mod tests {
         let scan = Op::Scan { snapshot: 0 };
         // Against ⊥ contents, an update is visible to a scan.
         assert!(!mem.invisibly_independent(&upd(7), &scan));
-        mem.apply(ProcessId(0), upd(7)).unwrap();
+        mem.apply(upd(7)).unwrap();
         // Re-writing the value the cell already holds is invisible; the
         // relation is symmetric and flips off once the condition breaks.
         assert!(mem.invisibly_independent(&upd(7), &scan));
@@ -368,7 +350,7 @@ mod tests {
         let write = |value| Op::Write { register: 0, value };
         let read = Op::Read { register: 0 };
         assert!(!mem.invisibly_independent(&write(3), &read));
-        mem.apply(ProcessId(1), write(3)).unwrap();
+        mem.apply(write(3)).unwrap();
         assert!(mem.invisibly_independent(&write(3), &read));
         assert!(mem.invisibly_independent(&read, &write(3)));
         assert!(!mem.invisibly_independent(&write(4), &read));
@@ -393,36 +375,30 @@ mod tests {
     #[test]
     fn write_then_read_roundtrips() {
         let mut mem: SimMemory<u64> = SimMemory::for_layout(&layout());
-        mem.apply(
-            ProcessId(0),
-            Op::Write {
-                register: 1,
-                value: 5,
-            },
-        )
+        mem.apply(Op::Write {
+            register: 1,
+            value: 5,
+        })
         .unwrap();
-        let r = mem.apply(ProcessId(1), Op::Read { register: 1 }).unwrap();
+        let r = mem.apply(Op::Read { register: 1 }).unwrap();
         assert_eq!(r, Response::Read(Some(5)));
-        let r = mem.apply(ProcessId(1), Op::Read { register: 0 }).unwrap();
+        let r = mem.apply(Op::Read { register: 0 }).unwrap();
         assert_eq!(r, Response::Read(None));
     }
 
     #[test]
     fn update_then_scan_sees_value() {
         let mut mem: SimMemory<u64> = SimMemory::for_layout(&layout());
-        mem.apply(
-            ProcessId(0),
-            Op::Update {
-                snapshot: 1,
-                component: 1,
-                value: 9,
-            },
-        )
+        mem.apply(Op::Update {
+            snapshot: 1,
+            component: 1,
+            value: 9,
+        })
         .unwrap();
-        let r = mem.apply(ProcessId(2), Op::Scan { snapshot: 1 }).unwrap();
+        let r = mem.apply(Op::Scan { snapshot: 1 }).unwrap();
         assert_eq!(r, Response::Snapshot(vec![None, Some(9)]));
         // Other snapshot object unaffected.
-        let r = mem.apply(ProcessId(2), Op::Scan { snapshot: 0 }).unwrap();
+        let r = mem.apply(Op::Scan { snapshot: 0 }).unwrap();
         assert_eq!(r, Response::Snapshot(vec![None, None, None]));
     }
 
@@ -430,14 +406,11 @@ mod tests {
     fn overwrites_keep_latest_value() {
         let mut mem: SimMemory<u64> = SimMemory::for_layout(&layout());
         for v in 0..10u64 {
-            mem.apply(
-                ProcessId(0),
-                Op::Update {
-                    snapshot: 0,
-                    component: 0,
-                    value: v,
-                },
-            )
+            mem.apply(Op::Update {
+                snapshot: 0,
+                component: 0,
+                value: v,
+            })
             .unwrap();
         }
         assert_eq!(mem.peek_snapshot(0)[0], Some(9));
@@ -446,52 +419,40 @@ mod tests {
     #[test]
     fn out_of_range_operations_error() {
         let mut mem: SimMemory<u64> = SimMemory::for_layout(&layout());
-        assert!(mem.apply(ProcessId(0), Op::Read { register: 2 }).is_err());
+        assert!(mem.apply(Op::Read { register: 2 }).is_err());
         assert!(mem
-            .apply(
-                ProcessId(0),
-                Op::Update {
-                    snapshot: 0,
-                    component: 3,
-                    value: 1
-                }
-            )
+            .apply(Op::Update {
+                snapshot: 0,
+                component: 3,
+                value: 1
+            })
             .is_err());
-        assert!(mem.apply(ProcessId(0), Op::Scan { snapshot: 2 }).is_err());
+        assert!(mem.apply(Op::Scan { snapshot: 2 }).is_err());
         assert!(mem
-            .apply(
-                ProcessId(0),
-                Op::Write {
-                    register: 5,
-                    value: 0
-                }
-            )
+            .apply(Op::Write {
+                register: 5,
+                value: 0
+            })
             .is_err());
     }
 
     #[test]
     fn metrics_track_ops_and_space() {
         let mut mem: SimMemory<u64> = SimMemory::for_layout(&layout());
-        mem.apply(
-            ProcessId(0),
-            Op::Update {
-                snapshot: 0,
-                component: 0,
-                value: 1,
-            },
-        )
+        mem.apply(Op::Update {
+            snapshot: 0,
+            component: 0,
+            value: 1,
+        })
         .unwrap();
-        mem.apply(
-            ProcessId(0),
-            Op::Update {
-                snapshot: 0,
-                component: 1,
-                value: 2,
-            },
-        )
+        mem.apply(Op::Update {
+            snapshot: 0,
+            component: 1,
+            value: 2,
+        })
         .unwrap();
-        mem.apply(ProcessId(1), Op::Scan { snapshot: 0 }).unwrap();
-        mem.apply(ProcessId(1), Op::Nop).unwrap();
+        mem.apply(Op::Scan { snapshot: 0 }).unwrap();
+        mem.apply(Op::Nop).unwrap();
         let metrics = mem.metrics();
         assert_eq!(metrics.total_ops(), 4);
         assert_eq!(metrics.components_written(0), 2);
@@ -502,27 +463,9 @@ mod tests {
     fn nop_touches_nothing() {
         let mut mem: SimMemory<u64> = SimMemory::for_layout(&layout());
         let before = mem.clone();
-        mem.apply(ProcessId(0), Op::Nop).unwrap();
+        mem.apply(Op::Nop).unwrap();
         assert_eq!(mem.peek_snapshot(0), before.peek_snapshot(0));
         assert_eq!(mem.metrics().distinct_locations_written(), 0);
-    }
-
-    #[test]
-    fn restore_from_copies_contents_only() {
-        let mut a: SimMemory<u64> = SimMemory::for_layout(&layout());
-        let mut b: SimMemory<u64> = SimMemory::for_layout(&layout());
-        b.apply(
-            ProcessId(0),
-            Op::Write {
-                register: 0,
-                value: 3,
-            },
-        )
-        .unwrap();
-        a.restore_from(&b);
-        assert_eq!(a.peek_register(0), Some(&3));
-        // Metrics of `a` are untouched by restore.
-        assert_eq!(a.metrics().total_ops(), 0);
     }
 
     #[test]
@@ -530,29 +473,23 @@ mod tests {
         let mut a: SimMemory<u64> = SimMemory::for_layout(&layout());
         let empty = a.clone();
         assert!(a.same_contents(&empty));
-        a.apply(
-            ProcessId(0),
-            Op::Write {
-                register: 0,
-                value: 1,
-            },
-        )
+        a.apply(Op::Write {
+            register: 0,
+            value: 1,
+        })
         .unwrap();
         assert!(!a.same_contents(&empty));
         let written = a.clone();
         // Metrics do not influence the comparison.
-        a.apply(ProcessId(0), Op::Read { register: 0 }).unwrap();
+        a.apply(Op::Read { register: 0 }).unwrap();
         assert!(a.same_contents(&written));
         // A snapshot component differs as much as a register does.
         let mut b = written.clone();
-        b.apply(
-            ProcessId(1),
-            Op::Update {
-                snapshot: 0,
-                component: 1,
-                value: 1,
-            },
-        )
+        b.apply(Op::Update {
+            snapshot: 0,
+            component: 1,
+            value: 1,
+        })
         .unwrap();
         assert!(!b.same_contents(&written));
     }
@@ -561,22 +498,16 @@ mod tests {
     fn mapped_hash_matches_materialized_canonicalization() {
         use sa_model::Fingerprinter;
         let mut mem: SimMemory<u64> = SimMemory::for_layout(&layout());
-        mem.apply(
-            ProcessId(0),
-            Op::Write {
-                register: 1,
-                value: 10,
-            },
-        )
+        mem.apply(Op::Write {
+            register: 1,
+            value: 10,
+        })
         .unwrap();
-        mem.apply(
-            ProcessId(1),
-            Op::Update {
-                snapshot: 0,
-                component: 2,
-                value: 20,
-            },
-        )
+        mem.apply(Op::Update {
+            snapshot: 0,
+            component: 2,
+            value: 20,
+        })
         .unwrap();
         let hash_mapped = |mem: &SimMemory<u64>, map: fn(&u64) -> u64| {
             let mut hasher = Fingerprinter::new();
@@ -594,13 +525,5 @@ mod tests {
         assert_eq!(doubled.peek_register(0), None);
         // Metrics ride along unchanged.
         assert_eq!(doubled.metrics().total_ops(), mem.metrics().total_ops());
-    }
-
-    #[test]
-    #[should_panic(expected = "different layouts")]
-    fn restore_from_rejects_layout_mismatch() {
-        let mut a: SimMemory<u64> = SimMemory::for_layout(&MemoryLayout::registers_only(1));
-        let b: SimMemory<u64> = SimMemory::for_layout(&MemoryLayout::registers_only(2));
-        a.restore_from(&b);
     }
 }

@@ -226,8 +226,8 @@ impl DecisionSet {
     /// Records that `process` decided `decision.value` in `decision.instance`.
     ///
     /// A well-formed execution never has a process decide twice in the same
-    /// instance; if it does (a protocol bug), the later value overwrites the
-    /// earlier one and [`DecisionSet::double_decisions`] reports it.
+    /// instance; if it does (a protocol bug), the later value silently
+    /// overwrites the earlier one.
     pub fn record(&mut self, process: crate::ProcessId, decision: Decision) {
         self.by_instance
             .entry(decision.instance)
@@ -279,14 +279,6 @@ impl DecisionSet {
     /// The number of processes that decided in `instance`.
     pub fn deciders(&self, instance: InstanceId) -> usize {
         self.by_instance.get(&instance).map_or(0, |m| m.len())
-    }
-
-    /// Processes that decided more than once in some instance are impossible
-    /// with this representation, but a driver can use this to double-check by
-    /// re-recording: always empty here; kept for interface symmetry with
-    /// trace-based checkers.
-    pub fn double_decisions(&self) -> usize {
-        0
     }
 
     /// Total number of recorded decisions across all instances.

@@ -93,21 +93,6 @@ impl MemoryLayout {
         self.registers + self.snapshots.iter().sum::<usize>()
     }
 
-    /// The register cost of this layout when each snapshot object of width
-    /// `w` is implemented from `min(w, n)` registers (the non-anonymous
-    /// accounting of Theorem 7, valid because `n` single-writer registers can
-    /// implement any number of MWMR registers).
-    pub fn register_cost_non_anonymous(&self, n: usize) -> usize {
-        self.registers + self.snapshots.iter().map(|w| (*w).min(n)).sum::<usize>()
-    }
-
-    /// The register cost of this layout when each snapshot object of width
-    /// `w` is implemented from exactly `w` registers (the anonymous
-    /// accounting used by Theorem 11).
-    pub fn register_cost_anonymous(&self) -> usize {
-        self.total_components()
-    }
-
     /// Validates that a register index is within the layout.
     ///
     /// # Errors
@@ -206,17 +191,6 @@ mod tests {
         assert_eq!(layout.snapshot_width(1), Some(3));
         assert_eq!(layout.snapshot_width(2), None);
         assert_eq!(layout.total_components(), 10);
-    }
-
-    #[test]
-    fn register_cost_accounting() {
-        // A 12-component snapshot among 8 processes costs min(12, 8) = 8 registers
-        // non-anonymously, but 12 registers anonymously.
-        let layout = MemoryLayout::with_snapshot(12);
-        assert_eq!(layout.register_cost_non_anonymous(8), 8);
-        assert_eq!(layout.register_cost_anonymous(), 12);
-        let with_h = MemoryLayout::with_snapshot_and_registers(12, 1);
-        assert_eq!(with_h.register_cost_anonymous(), 13);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   static interference analysis over op footprints (module
 //!   [`independence`]) that feeds the explorers' partial-order reduction.
 //! * [`Fingerprinter`] — the stable 128-bit hasher behind the explorers'
-//!   state keys.
+//!   state keys; [`SplitMix64`] — the seeded generator behind every random
+//!   schedule and workload.
 //!
 //! The input domain of set agreement is the natural numbers (`D = IN` in the
 //! paper); we represent input values as [`InputValue`] (`u64`).
@@ -54,7 +55,7 @@ mod symmetry;
 
 pub use automaton::{Automaton, Decision, DecisionSet, StepOutcome};
 pub use error::{LayoutError, ParamsError};
-pub use fingerprint::Fingerprinter;
+pub use fingerprint::{Fingerprinter, SplitMix64};
 pub use ids::{InputValue, InstanceId, ProcessId};
 pub use independence::{independent, Access, Footprint, Location};
 pub use layout::{MemoryLayout, RegisterId, SnapshotId};

@@ -61,18 +61,6 @@ impl<V> Op<V> {
         }
     }
 
-    /// `true` if this operation modifies shared memory (a register write or a
-    /// snapshot update).
-    pub fn is_write_like(&self) -> bool {
-        matches!(self, Op::Write { .. } | Op::Update { .. })
-    }
-
-    /// `true` if this operation only observes shared memory (a register read
-    /// or a snapshot scan).
-    pub fn is_read_like(&self) -> bool {
-        matches!(self, Op::Read { .. } | Op::Scan { .. })
-    }
-
     /// The read and write access sets of this operation — the footprint the
     /// interference analysis ([`crate::independence`]) reasons over.
     ///
@@ -109,31 +97,9 @@ impl<V> Op<V> {
             Op::Nop => Footprint::default(),
         }
     }
-
-    /// Maps the value payload of this operation, preserving the shape.
-    pub fn map_value<W>(self, f: impl FnOnce(V) -> W) -> Op<W> {
-        match self {
-            Op::Read { register } => Op::Read { register },
-            Op::Write { register, value } => Op::Write {
-                register,
-                value: f(value),
-            },
-            Op::Update {
-                snapshot,
-                component,
-                value,
-            } => Op::Update {
-                snapshot,
-                component,
-                value: f(value),
-            },
-            Op::Scan { snapshot } => Op::Scan { snapshot },
-            Op::Nop => Op::Nop,
-        }
-    }
 }
 
-/// The kind of an [`Op`], with payloads erased. Useful for metrics.
+/// The kind of an [`Op`], with payloads erased, as recorded in traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpKind {
     /// A register read.
@@ -146,17 +112,6 @@ pub enum OpKind {
     Scan,
     /// A local step.
     Nop,
-}
-
-impl OpKind {
-    /// All operation kinds, in a fixed order (useful for tabulating metrics).
-    pub const ALL: [OpKind; 5] = [
-        OpKind::Read,
-        OpKind::Write,
-        OpKind::Update,
-        OpKind::Scan,
-        OpKind::Nop,
-    ];
 }
 
 impl fmt::Display for OpKind {
@@ -257,29 +212,10 @@ mod tests {
         };
         let scan: Op<u64> = Op::Scan { snapshot: 0 };
         assert_eq!(read.kind(), OpKind::Read);
-        assert!(read.is_read_like() && !read.is_write_like());
-        assert!(write.is_write_like());
-        assert!(update.is_write_like());
-        assert!(scan.is_read_like());
+        assert_eq!(write.kind(), OpKind::Write);
+        assert_eq!(update.kind(), OpKind::Update);
+        assert_eq!(scan.kind(), OpKind::Scan);
         assert_eq!(Op::<u64>::Nop.kind(), OpKind::Nop);
-    }
-
-    #[test]
-    fn map_value_preserves_shape() {
-        let op = Op::Update {
-            snapshot: 0,
-            component: 1,
-            value: 5u32,
-        };
-        let mapped = op.map_value(|v| v as u64 * 2);
-        assert_eq!(
-            mapped,
-            Op::Update {
-                snapshot: 0,
-                component: 1,
-                value: 10u64
-            }
-        );
     }
 
     #[test]
@@ -298,8 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn op_kind_display_and_all() {
-        assert_eq!(OpKind::ALL.len(), 5);
+    fn op_kind_display() {
         assert_eq!(OpKind::Scan.to_string(), "scan");
     }
 }

@@ -131,13 +131,6 @@ impl Params {
         self.anonymous_snapshot_components() + 1
     }
 
-    /// `c = ⌈(k + 1) / m⌉`, the number of process groups used by the
-    /// Theorem 2 lower-bound construction.
-    #[inline]
-    pub fn covering_groups(&self) -> usize {
-        (self.k + 1).div_ceil(self.m)
-    }
-
     /// `√(m(n/k − 2))` — any anonymous one-shot algorithm must use strictly
     /// more registers than this (Theorem 10). Returned as a float; use
     /// [`Params::anonymous_oneshot_lower_bound`] for the integer form.
@@ -173,13 +166,6 @@ impl Params {
     #[inline]
     pub fn is_obstruction_free(&self) -> bool {
         self.m == 1
-    }
-
-    /// `true` when the progress condition is wait-freedom restricted to the
-    /// solvable regime (`m = k`).
-    #[inline]
-    pub fn is_maximal_obstruction(&self) -> bool {
-        self.m == self.k
     }
 }
 
@@ -305,7 +291,6 @@ mod tests {
         assert_eq!(p.repeated_lower_bound(), 8);
         assert_eq!(p.anonymous_snapshot_components(), 3 * 6 + 4);
         assert_eq!(p.anonymous_repeated_registers(), 3 * 6 + 4 + 1);
-        assert_eq!(p.covering_groups(), 3); // ceil(5 / 2)
     }
 
     #[test]
@@ -347,13 +332,6 @@ mod tests {
         let raw = p.anonymous_oneshot_lower_bound_raw();
         assert!((raw - (98f64).sqrt()).abs() < 1e-9);
         assert_eq!(p.anonymous_oneshot_lower_bound(), 10);
-    }
-
-    #[test]
-    fn covering_groups_at_least_two() {
-        for p in ParamSweep::up_to(10) {
-            assert!(p.covering_groups() >= 2, "c < 2 for {p:?}");
-        }
     }
 
     #[test]

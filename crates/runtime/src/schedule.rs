@@ -7,9 +7,7 @@
 //! this module let tests and experiments produce exactly those executions
 //! (plus crash patterns, bursts, solo runs and fully scripted interleavings).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sa_model::ProcessId;
+use sa_model::{ProcessId, SplitMix64};
 use std::collections::BTreeMap;
 
 /// What a scheduler is allowed to observe when picking the next process: the
@@ -81,14 +79,14 @@ impl Scheduler for RoundRobin {
 /// reproducibly from a seed.
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
-    rng: StdRng,
+    rng: SplitMix64,
 }
 
 impl RandomScheduler {
     /// Creates a random scheduler from a seed.
     pub fn new(seed: u64) -> Self {
         RandomScheduler {
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
         }
     }
 }
@@ -98,7 +96,7 @@ impl Scheduler for RandomScheduler {
         if view.runnable.is_empty() {
             return None;
         }
-        let idx = self.rng.gen_range(0..view.runnable.len());
+        let idx = self.rng.below(view.runnable.len() as u64) as usize;
         Some(view.runnable[idx])
     }
 
@@ -119,7 +117,7 @@ impl Scheduler for RandomScheduler {
 pub struct ObstructionScheduler {
     contention_steps: u64,
     survivors: Vec<ProcessId>,
-    rng: StdRng,
+    rng: SplitMix64,
 }
 
 impl ObstructionScheduler {
@@ -129,7 +127,7 @@ impl ObstructionScheduler {
         ObstructionScheduler {
             contention_steps,
             survivors,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
         }
     }
 
@@ -161,7 +159,7 @@ impl Scheduler for ObstructionScheduler {
         if pool.is_empty() {
             return None;
         }
-        let idx = self.rng.gen_range(0..pool.len());
+        let idx = self.rng.below(pool.len() as u64) as usize;
         Some(pool[idx])
     }
 
@@ -254,39 +252,21 @@ impl Scheduler for SoloScheduler {
     }
 }
 
-/// Replays an explicit sequence of process ids; used by tests and by the
-/// lower-bound adversaries, which construct executions step by step.
+/// Replays an explicit sequence of process ids, skipping entries whose
+/// process has halted; tests use it to pin exact interleavings.
 #[derive(Debug, Clone)]
 pub struct ScriptedScheduler {
     script: Vec<ProcessId>,
     position: usize,
-    skip_halted: bool,
 }
 
 impl ScriptedScheduler {
-    /// Creates a scheduler that replays `script` and then stops. Entries
-    /// whose process has halted are skipped.
+    /// Creates a scheduler that replays `script` and then stops.
     pub fn new(script: Vec<ProcessId>) -> Self {
         ScriptedScheduler {
             script,
             position: 0,
-            skip_halted: true,
         }
-    }
-
-    /// Like [`ScriptedScheduler::new`] but entries for halted processes end
-    /// the schedule instead of being skipped.
-    pub fn strict(script: Vec<ProcessId>) -> Self {
-        ScriptedScheduler {
-            script,
-            position: 0,
-            skip_halted: false,
-        }
-    }
-
-    /// How many entries of the script have been consumed.
-    pub fn consumed(&self) -> usize {
-        self.position
     }
 }
 
@@ -297,9 +277,6 @@ impl Scheduler for ScriptedScheduler {
             self.position += 1;
             if view.runnable.contains(&pick) {
                 return Some(pick);
-            }
-            if !self.skip_halted {
-                return None;
             }
         }
         None
@@ -316,7 +293,7 @@ impl Scheduler for ScriptedScheduler {
 /// [`RandomScheduler`].
 #[derive(Debug, Clone)]
 pub struct BurstScheduler {
-    rng: StdRng,
+    rng: SplitMix64,
     burst_len: u64,
     current: Option<ProcessId>,
     remaining: u64,
@@ -331,7 +308,7 @@ impl BurstScheduler {
     pub fn new(burst_len: u64, seed: u64) -> Self {
         assert!(burst_len > 0, "burst length must be positive");
         BurstScheduler {
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
             burst_len,
             current: None,
             remaining: 0,
@@ -350,7 +327,7 @@ impl Scheduler for BurstScheduler {
                 return Some(p);
             }
         }
-        let idx = self.rng.gen_range(0..view.runnable.len());
+        let idx = self.rng.below(view.runnable.len() as u64) as usize;
         let pick = view.runnable[idx];
         self.current = Some(pick);
         self.remaining = self.burst_len - 1;
@@ -565,14 +542,6 @@ mod tests {
         // ProcessId(1) is not runnable: skipped, moves on to the next entry.
         assert_eq!(s.next(&view(&runnable, 1)), Some(ProcessId(0)));
         assert_eq!(s.next(&view(&runnable, 2)), None);
-        assert_eq!(s.consumed(), 3);
-    }
-
-    #[test]
-    fn strict_scripted_scheduler_stops_at_halted_entry() {
-        let mut s = ScriptedScheduler::strict(vec![ProcessId(1), ProcessId(0)]);
-        let runnable = vec![ProcessId(0)];
-        assert_eq!(s.next(&view(&runnable, 0)), None);
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //!   progress condition — so every thread gets a step budget and the report
 //!   says who finished. Tests assert *safety* on threaded runs and assert
 //!   termination only on runs whose contention pattern satisfies the
-//!   m-obstruction hypothesis (e.g. solo or staggered runs).
+//!   m-obstruction hypothesis (e.g. solo runs).
 //! * Decisions are collected through a channel, so the report also contains
 //!   the wall-clock arrival order of decisions.
 
 use sa_memory::{MemoryMetrics, SharedMemory};
-use sa_model::{Automaton, Decision, DecisionSet, MemoryLayout, ProcessId};
+use sa_model::{Automaton, Decision, DecisionSet, MemoryLayout, ProcessId, SplitMix64};
 use std::fmt::Debug;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -29,10 +29,6 @@ use std::time::{Duration, Instant};
 pub struct ThreadedConfig {
     /// Maximum number of shared-memory operations each thread may perform.
     pub max_steps_per_process: u64,
-    /// Optional delay between consecutive thread starts; staggering starts
-    /// reduces contention and in practice lets obstruction-free algorithms
-    /// terminate quickly.
-    pub stagger: Option<Duration>,
     /// Deterministic seed for everything the run derives pseudo-randomly —
     /// today the thread *spawn order* (a seed-derived permutation, so
     /// different seeds expose different start-up contention patterns and the
@@ -48,7 +44,6 @@ impl Default for ThreadedConfig {
     fn default() -> Self {
         ThreadedConfig {
             max_steps_per_process: 1_000_000,
-            stagger: None,
             seed: 0,
         }
     }
@@ -63,28 +58,11 @@ impl ThreadedConfig {
         }
     }
 
-    /// Adds a stagger delay between thread starts.
-    pub fn staggered(mut self, delay: Duration) -> Self {
-        self.stagger = Some(delay);
-        self
-    }
-
     /// Sets the deterministic seed (spawn order, caller-derived workloads).
     pub fn seeded(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
-}
-
-/// SplitMix64: a tiny deterministic generator for the spawn-order shuffle
-/// (the `rand` shim is not a dependency of this code path on purpose — the
-/// permutation must stay stable even if the workload RNG evolves).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The seed-derived order in which threads are spawned (a Fisher–Yates
@@ -93,9 +71,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 fn spawn_order(n: usize, seed: u64) -> Vec<usize> {
     let mut order: Vec<usize> = (0..n).collect();
     if seed != 0 {
-        let mut state = seed;
+        let mut rng = SplitMix64::new(seed);
         for i in (1..n).rev() {
-            let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
+            let j = rng.below(i as u64 + 1) as usize;
             order.swap(i, j);
         }
     }
@@ -177,9 +155,6 @@ where
             let process = ProcessId(index);
             let memory = &memory;
             let tx = tx.clone();
-            if let Some(delay) = config.stagger {
-                std::thread::sleep(delay);
-            }
             let budget = config.max_steps_per_process;
             handles.push(scope.spawn(move || {
                 let mut steps = 0u64;
@@ -187,7 +162,7 @@ where
                     let Some(op) = automaton.poised() else {
                         break;
                     };
-                    let response = memory.apply(process, op).unwrap_or_else(|e| {
+                    let response = memory.apply(op).unwrap_or_else(|e| {
                         panic!("{process} issued an out-of-layout operation: {e}")
                     });
                     for decision in automaton.apply(response) {
@@ -246,15 +221,6 @@ mod tests {
         let report = run_threaded(automata, ThreadedConfig::with_step_budget(50));
         assert!(!report.all_halted());
         assert!(report.steps_per_process.iter().all(|s| *s == 50));
-    }
-
-    #[test]
-    fn staggered_start_still_collects_all_decisions() {
-        let automata: Vec<ToyWriter> = (0..3).map(|i| ToyWriter::new(i, i as u64)).collect();
-        let config = ThreadedConfig::default().staggered(Duration::from_millis(1));
-        let report = run_threaded(automata, config);
-        assert!(report.all_halted());
-        assert_eq!(report.decisions.deciders(1), 3);
     }
 
     #[test]

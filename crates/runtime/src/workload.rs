@@ -4,9 +4,7 @@
 //! in successive instances of repeated set agreement. All generators are
 //! deterministic given their seed, so experiments are reproducible.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sa_model::{InputValue, InstanceId};
+use sa_model::{InputValue, InstanceId, SplitMix64};
 
 /// A workload: `inputs[p][t - 1]` is the value process `p` proposes in its
 /// `t`-th instance.
@@ -48,9 +46,9 @@ impl Workload {
 
     /// Random values drawn from `0..universe`, reproducibly from `seed`.
     pub fn random(processes: usize, instances: usize, universe: u64, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let inputs = (0..processes)
-            .map(|_| (0..instances).map(|_| rng.gen_range(0..universe)).collect())
+            .map(|_| (0..instances).map(|_| rng.below(universe)).collect())
             .collect();
         Workload { inputs }
     }

@@ -8,16 +8,8 @@
 //! configured rate, and the seed — which also makes the whole arrival
 //! schedule deterministic and independent of shard count.
 
+use sa_model::SplitMix64;
 use sa_runtime::ServeLoad;
-
-/// SplitMix64: a tiny, high-quality mixing function for the seed-derived
-/// value stream (same finalizer the sweep engine uses for seed derivation).
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Deterministic open-loop proposal source.
 #[derive(Debug, Clone)]
@@ -58,7 +50,7 @@ impl LoadGenerator {
                 ServeLoad::Distinct => self.issued,
                 ServeLoad::Uniform(value) => value,
                 ServeLoad::Random { universe } => {
-                    splitmix(self.seed ^ self.issued) % universe.max(1)
+                    SplitMix64::new(self.seed ^ self.issued).below(universe.max(1))
                 }
             };
             arrivals.push((client, value));

@@ -159,7 +159,8 @@ it --params and --n/--m/--k exclude each other):
                        work moves to disk and the search continues
 
 flags that are not spec keys:
-  --spec FILE          load a `key = value` campaign spec, then apply flags
+  --spec FILE          load a `key = value` campaign spec, then apply flags;
+                       at most one --spec per run
   --shard I/N          run only scenarios with index = I mod N (0 <= I < N);
                        indices are preserved, `sweep merge` reassembles
   --checkpoint DIR     journal each completed scenario to
@@ -229,7 +230,11 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
 
     let mut spec = CampaignSpec::default();
-    if let Some((_, path)) = pairs.iter().find(|(flag, _)| *flag == "--spec") {
+    let mut spec_paths = pairs.iter().filter(|(flag, _)| *flag == "--spec");
+    if let Some((_, path)) = spec_paths.next() {
+        if spec_paths.next().is_some() {
+            return fail("--spec given more than once; a run reads one spec file");
+        }
         let loaded: Result<CampaignSpec, String> = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {path}: {e}"))
             .and_then(|text| CampaignSpec::parse(&text).map_err(|e| e.to_string()));

@@ -133,7 +133,6 @@ pub fn run_scenario(campaign: &str, spec: &ScenarioSpec) -> SweepRecord {
             // The campaign budget is a total like the scheduled backend's,
             // so each of the n threads gets its share.
             max_steps_per_process: (spec.max_steps / spec.params.n() as u64).max(1),
-            stagger: None,
             seed: derive_seed(spec.derived_seed, "threaded-start"),
         }),
         (CampaignMode::Explore, _) if spec.explore_threads > 0 => {

@@ -11,7 +11,7 @@ use crate::record::scenario_identity;
 use crate::spec::{
     AdversarySpec, BackendSpec, CampaignMode, CampaignSpec, Survivors, WorkloadSpec,
 };
-use sa_model::Params;
+use sa_model::{Params, SplitMix64};
 use set_agreement::runtime::{
     ReductionMode, SearchGoal, ServeClock, ServeLoad, ServeOptions, SymmetryMode, Workload,
 };
@@ -20,8 +20,9 @@ use set_agreement::{Adversary, Algorithm};
 /// Mixes a campaign seed and a scenario's *identity* (its
 /// [`SweepRecord::key`](crate::SweepRecord::key) text; serve scenarios
 /// keep an older text of their own) into an
-/// independent per-scenario seed: FNV-1a over the identity, then a
-/// SplitMix64 finalizer over the campaign seed.
+/// independent per-scenario seed: FNV-1a over the identity, scaled by an
+/// odd constant and added to the campaign seed, seeds a [`SplitMix64`]
+/// whose first output is the scenario's seed.
 ///
 /// Deriving from identity rather than list position means growing a
 /// campaign (more seeds, cells, algorithms or adversaries) leaves every
@@ -33,12 +34,7 @@ pub fn derive_seed(campaign_seed: u64, identity: &str) -> u64 {
         hash ^= byte as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    let mut z = campaign_seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(hash.wrapping_mul(0xA24B_AED4_963E_E407));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    SplitMix64::new(campaign_seed.wrapping_add(hash.wrapping_mul(0xA24B_AED4_963E_E407))).next_u64()
 }
 
 /// One fully concrete scenario of an expanded campaign.

@@ -205,12 +205,13 @@ impl AdversarySpec {
                         .parse()
                         .map_err(|_| SpecError(format!("bad contention factor in {text:?}")))?,
                 };
-                let survivors = match tail.get(1) {
+                let survivors = match tail.get(1).map(|s| s.parse()) {
                     None => Survivors::M,
-                    Some(s) => Survivors::Count(
-                        s.parse()
-                            .map_err(|_| SpecError(format!("bad survivor count in {text:?}")))?,
-                    ),
+                    Some(Ok(0)) => {
+                        return err(format!("survivor count must be positive in {text:?}"))
+                    }
+                    Some(Ok(count)) => Survivors::Count(count),
+                    Some(Err(_)) => return err(format!("bad survivor count in {text:?}")),
                 };
                 if tail.len() > 2 {
                     return err(format!("too many fields in {text:?}"));
@@ -992,6 +993,24 @@ mod tests {
         );
         assert!(AdversarySpec::parse("bursts:0").is_err());
         assert!(AdversarySpec::parse("obstruction:1:2:3").is_err());
+    }
+
+    #[test]
+    fn a_zero_survivor_count_is_rejected() {
+        for bad in ["obstruction:50:0", "crash:obstruction:50:0:1"] {
+            let message = AdversarySpec::parse(bad).unwrap_err().to_string();
+            assert!(
+                message.contains("survivor count must be positive"),
+                "{bad}: {message}"
+            );
+        }
+        assert_eq!(
+            AdversarySpec::parse("obstruction:50:1").unwrap(),
+            AdversarySpec::Obstruction {
+                contention_factor: 50,
+                survivors: Survivors::Count(1),
+            }
+        );
     }
 
     #[test]

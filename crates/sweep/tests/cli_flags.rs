@@ -2,7 +2,8 @@
 //! `KEY = VALUE` is also a `--KEY VALUE` flag, parsed by the same code. A
 //! campaign run from a spec file and from the same keys given as flags
 //! writes identical bytes, and one command line that sets both `--params`
-//! and `--n/--m/--k` is rejected exactly as a spec file setting both is.
+//! and `--n/--m/--k` is rejected exactly as a spec file setting both is, as
+//! is a second `--spec`.
 //! `sweep serve` reads the same flags through the same parser, so its
 //! messages match `sweep run --mode serve`'s.
 
@@ -121,6 +122,25 @@ fn params_and_grid_axes_on_one_command_line_are_rejected() {
     assert!(!output.status.success(), "the conflict must be rejected");
     assert!(stderr.contains("mutually exclusive"), "{stderr}");
     assert!(!out.0.exists(), "no output before the spec is valid");
+}
+
+#[test]
+fn a_repeated_spec_flag_is_rejected_before_anything_runs() {
+    let (first, second) = (Scratch::new("first.spec"), Scratch::new("second.spec"));
+    std::fs::write(&first.0, SPEC).expect("write the first spec file");
+    std::fs::write(&second.0, SPEC.replace("cli-flags", "cli-flags-second"))
+        .expect("write the second spec file");
+    let out = Scratch::new("two-specs.jsonl");
+    let args: Vec<String> = [&first.0, &second.0]
+        .iter()
+        .flat_map(|path| ["--spec".to_string(), path.display().to_string()])
+        .chain(["--out".to_string(), out.0.display().to_string()])
+        .collect();
+    let output = sweep_run(&args);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--spec given more than once"), "{stderr}");
+    assert!(!out.0.exists(), "nothing runs when two specs are given");
 }
 
 #[test]

@@ -470,7 +470,7 @@ pub struct ThreadedRunReport {
     pub params: Params,
     /// The algorithm that ran.
     pub algorithm: Algorithm,
-    /// The threaded configuration (per-thread budget, stagger, seed).
+    /// The threaded configuration (per-thread budget and seed).
     pub config: ThreadedConfig,
     /// The runtime's report: steps, halts, decisions in arrival order,
     /// memory metrics and the wall clock (never zero for a run that

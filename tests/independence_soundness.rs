@@ -59,7 +59,7 @@ fn memory_strategy() -> impl Strategy<Value = SimMemory<u64>> {
     proptest::collection::vec(op_strategy(), 0..12).prop_map(|ops| {
         let mut memory: SimMemory<u64> = SimMemory::for_layout(&layout());
         for op in ops {
-            memory.apply(ProcessId(0), op).expect("in-layout op");
+            memory.apply(op).expect("in-layout op");
         }
         memory
     })
@@ -84,8 +84,8 @@ fn run_order(
     second: &Op<u64>,
 ) -> (Response<u64>, Response<u64>, Contents) {
     let mut m = memory.clone();
-    let r1 = m.apply(ProcessId(0), first.clone()).expect("in-layout op");
-    let r2 = m.apply(ProcessId(1), second.clone()).expect("in-layout op");
+    let r1 = m.apply(first.clone()).expect("in-layout op");
+    let r2 = m.apply(second.clone()).expect("in-layout op");
     (r1, r2, Contents(m))
 }
 
@@ -190,7 +190,7 @@ fn write_read_conflict_witness() {
     assert_ne!(r_before, r_after, "the read must observe the write");
     // Once the register holds 7, re-writing 7 is invisible to the reader.
     let mut primed = memory.clone();
-    primed.apply(ProcessId(0), write.clone()).unwrap();
+    primed.apply(write.clone()).unwrap();
     assert!(primed.invisibly_independent(&write, &read));
     let (w_ab, r_ab, fp_ab) = run_order(&primed, &write, &read);
     let (r_ba, w_ba, fp_ba) = run_order(&primed, &read, &write);
@@ -233,7 +233,7 @@ fn update_scan_conflict_witness() {
     assert_ne!(scan_before, scan_after, "the scan must observe the update");
     // With the component already holding 9, the update is invisible.
     let mut primed = memory.clone();
-    primed.apply(ProcessId(0), update.clone()).unwrap();
+    primed.apply(update.clone()).unwrap();
     assert!(primed.invisibly_independent(&update, &scan));
     let (u_ab, s_ab, fp_ab) = run_order(&primed, &update, &scan);
     let (s_ba, u_ba, fp_ba) = run_order(&primed, &scan, &update);

@@ -27,20 +27,6 @@ fn threaded_one_shot_runs_are_safe() {
 }
 
 #[test]
-fn threaded_staggered_start_lets_the_first_thread_decide() {
-    // A generous stagger means thread 0 effectively runs solo and must decide
-    // long before thread 1 even starts.
-    let plan = ExecutionPlan::new(Params::new(4, 1, 2).unwrap()).algorithm(Algorithm::OneShot);
-    let config = ThreadedConfig::with_step_budget(500_000).staggered(Duration::from_millis(40));
-    let report = plan.execute(Backend::Threaded(config)).expect_threaded();
-    assert!(
-        report.run.halted[0],
-        "staggered first thread did not decide"
-    );
-    assert!(report.safety.is_safe());
-}
-
-#[test]
 fn threaded_repeated_runs_are_safe_per_instance() {
     let plan = ExecutionPlan::new(Params::new(4, 2, 2).unwrap()).algorithm(Algorithm::Repeated(2));
     let report = plan.execute(threaded(300_000)).expect_threaded();
