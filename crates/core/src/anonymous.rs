@@ -32,6 +32,7 @@ use sa_model::{
 };
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Which step the process performs next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,7 +77,7 @@ pub struct AnonymousSetAgreement {
     params: Params,
     components: usize,
     ell: usize,
-    inputs: Vec<InputValue>,
+    inputs: Arc<[InputValue]>,
     use_helper: bool,
     helper_period: u8,
     // Persistent local variables of Figure 5.
@@ -102,9 +103,12 @@ impl AnonymousSetAgreement {
 
     /// Creates a one-shot automaton (a single instance, no helper register).
     pub fn one_shot(params: Params, input: InputValue) -> Self {
-        let mut automaton =
-            Self::with_width(params, vec![input], params.anonymous_snapshot_components())
-                .expect("a single input is never empty");
+        let mut automaton = Self::unchecked(
+            params,
+            Arc::from([input]),
+            params.anonymous_snapshot_components(),
+        )
+        .expect("a single input is never empty");
         automaton.use_helper = false;
         automaton.phase = Phase::BeginPropose;
         automaton
@@ -128,7 +132,7 @@ impl AnonymousSetAgreement {
                 requested: width,
             });
         }
-        Self::unchecked(params, inputs, width)
+        Self::unchecked(params, inputs.into(), width)
     }
 
     /// Creates a **deliberately under-provisioned** automaton for the
@@ -148,12 +152,12 @@ impl AnonymousSetAgreement {
                 requested: 0,
             });
         }
-        Self::unchecked(params, inputs, width)
+        Self::unchecked(params, inputs.into(), width)
     }
 
     fn unchecked(
         params: Params,
-        inputs: Vec<InputValue>,
+        inputs: Arc<[InputValue]>,
         width: usize,
     ) -> Result<Self, AlgorithmError> {
         if inputs.is_empty() {
@@ -377,7 +381,8 @@ impl Automaton for AnonymousSetAgreement {
     type Value = AnonValue;
 
     fn approx_heap_bytes(&self) -> usize {
-        self.inputs.len() * std::mem::size_of::<InputValue>() + self.history.heap_bytes()
+        // The input sequence is shared behind an `Arc` by every clone.
+        self.history.heap_bytes()
     }
 
     fn value_heap_bytes(value: &AnonValue) -> usize {

@@ -22,6 +22,7 @@ use sa_model::{
     Response, SymmetryClass,
 };
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Which step the process performs next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,7 +61,7 @@ pub struct RepeatedSetAgreement {
     params: Params,
     components: usize,
     id: ProcessId,
-    inputs: Vec<InputValue>,
+    inputs: Arc<[InputValue]>,
     // Persistent local variables of Figure 4.
     location: usize,
     instance: InstanceId,
@@ -149,7 +150,7 @@ impl RepeatedSetAgreement {
             params,
             components: width,
             id,
-            inputs,
+            inputs: inputs.into(),
             location: 0,
             instance: 0,
             history: History::empty(),
@@ -356,7 +357,8 @@ impl Automaton for RepeatedSetAgreement {
     }
 
     fn approx_heap_bytes(&self) -> usize {
-        self.inputs.len() * std::mem::size_of::<InputValue>() + self.history.heap_bytes()
+        // The input sequence is shared behind an `Arc` by every clone.
+        self.history.heap_bytes()
     }
 
     fn value_heap_bytes(value: &Tuple) -> usize {

@@ -20,9 +20,9 @@
 //!   space accounting the paper relies on when converting "components" into
 //!   "registers".
 //!
-//! Space usage is measured by [`MemoryMetrics`]: every location (register or
-//! snapshot component) that is ever written is recorded, so experiments can
-//! report measured space next to the paper's formulas.
+//! Space usage is measured by [`MemoryMetrics`], which holds every location
+//! (register or snapshot component) ever written, so experiments can report
+//! measured space next to the paper's formulas.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

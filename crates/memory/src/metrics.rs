@@ -2,10 +2,17 @@
 //! locations were written.
 //!
 //! The central measurement of the paper is *space*: how many registers (or
-//! snapshot components) an algorithm uses. [`MemoryMetrics`] records, for a
+//! snapshot components) an algorithm uses. [`MemoryMetrics`] holds, for a
 //! run, the set of locations that were ever written and the total operation
 //! count, so experiments can report measured space alongside the paper's
 //! formulas.
+//!
+//! The two memories fill it differently. [`SimMemory`](crate::SimMemory)
+//! counts operations and derives the written set from its contents when
+//! asked: no operation writes `⊥`, so a cell was written exactly when it is
+//! occupied, and a cloned configuration carries no set of its own.
+//! [`SharedMemory`](crate::SharedMemory) records each written location as
+//! its operation runs.
 
 use sa_model::SnapshotId;
 use std::collections::BTreeSet;
@@ -26,6 +33,11 @@ impl MemoryMetrics {
     /// Creates empty metrics.
     pub fn new() -> Self {
         MemoryMetrics::default()
+    }
+
+    /// Metrics of `total_ops` operations that wrote exactly `written`.
+    pub(crate) fn derived(total_ops: u64, written: BTreeSet<Location>) -> Self {
+        MemoryMetrics { total_ops, written }
     }
 
     /// Records one operation; `written` is the location modified by a
@@ -69,11 +81,6 @@ impl MemoryMetrics {
             .filter(|loc| matches!(loc, Location::Register(_)))
             .count()
     }
-
-    /// Resets all counters.
-    pub fn reset(&mut self) {
-        *self = MemoryMetrics::default();
-    }
 }
 
 #[cfg(test)]
@@ -100,15 +107,6 @@ mod tests {
             m.written_locations().collect::<Vec<_>>(),
             [Location::Register(2), component]
         );
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut m = MemoryMetrics::new();
-        m.record(Some(Location::Register(0)));
-        m.reset();
-        assert_eq!(m.total_ops(), 0);
-        assert_eq!(m.distinct_locations_written(), 0);
     }
 
     #[test]

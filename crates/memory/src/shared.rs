@@ -110,11 +110,6 @@ impl<V: Clone + Eq + Debug> SharedMemory<V> {
         lock(&self.metrics).clone()
     }
 
-    /// Clears the usage metrics without touching register contents.
-    pub fn reset_metrics(&self) {
-        lock(&self.metrics).reset();
-    }
-
     /// Reads register `register` without recording a metric.
     pub fn peek_register(&self, register: usize) -> Option<V> {
         self.registers.get(register).and_then(|r| lock(r).clone())
@@ -269,7 +264,5 @@ mod tests {
             metrics.written_locations().collect::<Vec<_>>(),
             [Location::Register(0)]
         );
-        mem.reset_metrics();
-        assert_eq!(mem.metrics().total_ops(), 0);
     }
 }

@@ -8,6 +8,8 @@
 use crate::metrics::{Location, MemoryMetrics};
 use sa_model::{LayoutError, MemoryLayout, Op, Response};
 use std::fmt::Debug;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// A deterministic in-memory implementation of the shared objects declared by
 /// a [`MemoryLayout`].
@@ -29,30 +31,40 @@ use std::fmt::Debug;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimMemory<V> {
-    layout: MemoryLayout,
-    registers: Vec<Option<V>>,
-    snapshots: Vec<Vec<Option<V>>>,
-    metrics: MemoryMetrics,
+    /// Shared by every clone: a layout never changes after creation.
+    layout: Arc<MemoryLayout>,
+    /// Every register, then each snapshot object's components in object
+    /// order: one allocation per configuration.
+    cells: Vec<Option<V>>,
+    /// Operations applied so far, `Nop`s included.
+    ops: u64,
 }
 
 impl<V: Clone + Eq + Debug> SimMemory<V> {
     /// Creates a memory with every register and component initialized to `⊥`.
     pub fn for_layout(layout: &MemoryLayout) -> Self {
         SimMemory {
-            layout: layout.clone(),
-            registers: vec![None; layout.register_count()],
-            snapshots: layout
-                .snapshot_widths()
-                .iter()
-                .map(|w| vec![None; *w])
-                .collect(),
-            metrics: MemoryMetrics::new(),
+            layout: Arc::new(layout.clone()),
+            cells: vec![None; layout.total_components()],
+            ops: 0,
         }
     }
 
     /// The layout this memory was created for.
     pub fn layout(&self) -> &MemoryLayout {
         &self.layout
+    }
+
+    /// The cells of snapshot object `snapshot`, which must exist.
+    fn snapshot_cells(&self, snapshot: usize) -> Range<usize> {
+        let widths = self.layout.snapshot_widths();
+        let start = self.layout.register_count() + widths[..snapshot].iter().sum::<usize>();
+        start..start + widths[snapshot]
+    }
+
+    /// Every snapshot object's cells, in object order.
+    fn snapshots(&self) -> impl Iterator<Item = &[Option<V>]> + '_ {
+        (0..self.layout.snapshot_count()).map(|s| &self.cells[self.snapshot_cells(s)])
     }
 
     /// Applies one atomic operation and returns its response.
@@ -63,15 +75,15 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
     /// component outside the layout. This indicates a protocol bug; the
     /// runtime treats it as fatal.
     pub fn apply(&mut self, op: Op<V>) -> Result<Response<V>, LayoutError> {
-        let (response, written) = match op {
+        let response = match op {
             Op::Read { register } => {
                 self.layout.check_register(register)?;
-                (Response::Read(self.registers[register].clone()), None)
+                Response::Read(self.cells[register].clone())
             }
             Op::Write { register, value } => {
                 self.layout.check_register(register)?;
-                self.registers[register] = Some(value);
-                (Response::Written, Some(Location::Register(register)))
+                self.cells[register] = Some(value);
+                Response::Written
             }
             Op::Update {
                 snapshot,
@@ -79,45 +91,59 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
                 value,
             } => {
                 self.layout.check_component(snapshot, component)?;
-                self.snapshots[snapshot][component] = Some(value);
-                (
-                    Response::Updated,
-                    Some(Location::Component {
-                        snapshot,
-                        component,
-                    }),
-                )
+                let cell = self.snapshot_cells(snapshot).start + component;
+                self.cells[cell] = Some(value);
+                Response::Updated
             }
             Op::Scan { snapshot } => {
                 self.layout.check_snapshot(snapshot)?;
-                (Response::Snapshot(self.snapshots[snapshot].clone()), None)
+                Response::Snapshot(self.cells[self.snapshot_cells(snapshot)].to_vec())
             }
-            Op::Nop => (Response::Nop, None),
+            Op::Nop => Response::Nop,
         };
-        self.metrics.record(written);
+        self.ops += 1;
         Ok(response)
     }
 
-    /// The usage metrics accumulated so far.
-    pub fn metrics(&self) -> &MemoryMetrics {
-        &self.metrics
+    /// The locations written so far, in [`Location`] order. No operation
+    /// writes `⊥`, so a cell has been written exactly when it is occupied.
+    pub fn written_locations(&self) -> impl Iterator<Item = Location> + '_ {
+        let registers = (0..self.layout.register_count())
+            .filter(|&register| self.cells[register].is_some())
+            .map(Location::Register);
+        let components = self.snapshots().enumerate().flat_map(|(snapshot, cells)| {
+            cells
+                .iter()
+                .enumerate()
+                .filter(|(_, cell)| cell.is_some())
+                .map(move |(component, _)| Location::Component {
+                    snapshot,
+                    component,
+                })
+        });
+        registers.chain(components)
     }
 
-    /// Clears the usage metrics without touching register contents.
-    pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
+    /// The usage metrics accumulated so far: the operation count, and the
+    /// written set derived from the occupied cells.
+    pub fn metrics(&self) -> MemoryMetrics {
+        MemoryMetrics::derived(self.ops, self.written_locations().collect())
     }
 
     /// Reads register `register` without recording a metric (used by
     /// inspection and assertions in tests and adversaries).
     pub fn peek_register(&self, register: usize) -> Option<&V> {
-        self.registers.get(register).and_then(|v| v.as_ref())
+        if register < self.layout.register_count() {
+            self.cells[register].as_ref()
+        } else {
+            None
+        }
     }
 
     /// Returns the current contents of snapshot object `snapshot` without
     /// recording a metric.
     pub fn peek_snapshot(&self, snapshot: usize) -> &[Option<V>] {
-        &self.snapshots[snapshot]
+        &self.cells[self.snapshot_cells(snapshot)]
     }
 
     /// State-conditional refinement of the static independence relation:
@@ -155,11 +181,8 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
                 component,
                 value,
             } => {
-                self.snapshots
-                    .get(*snapshot)
-                    .and_then(|cells| cells.get(*component))
-                    .and_then(|cell| cell.as_ref())
-                    == Some(value)
+                self.layout.check_component(*snapshot, *component).is_ok()
+                    && self.peek_snapshot(*snapshot)[*component].as_ref() == Some(value)
             }
             _ => false,
         };
@@ -199,21 +222,26 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
     }
 
     /// `true` if `other` holds exactly the same register and snapshot
-    /// contents. Metrics are ignored: they record how the contents were
-    /// reached, not what they are.
+    /// contents. The operation counts are ignored: they record how the
+    /// contents were reached, not what they are.
     pub fn same_contents(&self, other: &SimMemory<V>) -> bool {
-        self.registers == other.registers && self.snapshots == other.snapshots
+        self.layout == other.layout && self.cells == other.cells
     }
 
-    /// Hashes the full register/snapshot contents (not the metrics) into
-    /// `hasher`.
+    /// Hashes the full register/snapshot contents (not the operation
+    /// count) into `hasher`, as the word stream of the pair
+    /// `(Vec<Option<V>>, Vec<Vec<Option<V>>>)` of registers and snapshot
+    /// objects.
     pub fn hash_contents<H: std::hash::Hasher>(&self, hasher: &mut H)
     where
         V: std::hash::Hash,
     {
         use std::hash::Hash;
-        self.registers.hash(hasher);
-        self.snapshots.hash(hasher);
+        self.cells[..self.layout.register_count()].hash(hasher);
+        hasher.write_usize(self.layout.snapshot_count());
+        for snapshot in self.snapshots() {
+            snapshot.hash(hasher);
+        }
     }
 
     /// Hashes the register/snapshot contents with every stored value first
@@ -238,12 +266,13 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
                 map(value).hash(hasher);
             }
         };
-        hasher.write_usize(self.registers.len());
-        for slot in &self.registers {
+        let registers = &self.cells[..self.layout.register_count()];
+        hasher.write_usize(registers.len());
+        for slot in registers {
             hash_slot(hasher, slot);
         }
-        hasher.write_usize(self.snapshots.len());
-        for snapshot in &self.snapshots {
+        hasher.write_usize(self.layout.snapshot_count());
+        for snapshot in self.snapshots() {
             hasher.write_usize(snapshot.len());
             for slot in snapshot {
                 hash_slot(hasher, slot);
@@ -251,11 +280,11 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
         }
     }
 
-    /// A length-based estimate of the heap bytes this memory owns: the
-    /// register and snapshot slot vectors plus, for every **occupied** slot,
-    /// the value's own heap footprint as reported by `value_heap` (the
-    /// `Automaton::value_heap_bytes` hook). Metrics and layout bookkeeping
-    /// are deliberately excluded — they are shared, not per-configuration.
+    /// A length-based estimate of the heap bytes this memory owns: its one
+    /// cell vector, charged per register and component, plus, for every
+    /// **occupied** cell, the value's own heap footprint as reported by
+    /// `value_heap` (the `Automaton::value_heap_bytes` hook). The layout is
+    /// charged nothing: every clone shares it behind one `Arc`.
     ///
     /// Computed from lengths, never capacities, so the result is a pure
     /// function of the contents: that determinism is what lets the
@@ -264,24 +293,15 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
     where
         F: FnMut(&V) -> usize,
     {
-        let slot = std::mem::size_of::<Option<V>>();
-        let mut bytes = self.registers.len() * slot;
-        for snapshot in &self.snapshots {
-            bytes += std::mem::size_of::<Vec<Option<V>>>() + snapshot.len() * slot;
-        }
-        for value in self
-            .registers
-            .iter()
-            .chain(self.snapshots.iter().flatten())
-            .flatten()
-        {
+        let mut bytes = self.cells.len() * std::mem::size_of::<Option<V>>();
+        for value in self.cells.iter().flatten() {
             bytes += value_heap(value);
         }
         bytes
     }
 
     /// A copy of this memory with every stored value passed through `map`
-    /// (locations keep their positions, metrics are cloned unchanged) — the
+    /// (locations keep their positions, the operation count is unchanged) — the
     /// materialized counterpart of [`SimMemory::hash_contents_mapped`],
     /// used when a whole configuration is canonicalized (e.g. by the
     /// orbit-soundness tests).
@@ -290,23 +310,13 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
         F: FnMut(&V) -> V,
     {
         SimMemory {
-            layout: self.layout.clone(),
-            registers: self
-                .registers
+            layout: Arc::clone(&self.layout),
+            cells: self
+                .cells
                 .iter()
                 .map(|slot| slot.as_ref().map(&mut map))
                 .collect(),
-            snapshots: self
-                .snapshots
-                .iter()
-                .map(|snapshot| {
-                    snapshot
-                        .iter()
-                        .map(|slot| slot.as_ref().map(&mut map))
-                        .collect()
-                })
-                .collect(),
-            metrics: self.metrics.clone(),
+            ops: self.ops,
         }
     }
 }
@@ -363,6 +373,48 @@ mod tests {
         };
         assert!(!mem.invisibly_independent(&stray, &Op::Read { register: 99 }));
         assert!(!mem.invisibly_independent(&Op::Nop, &scan));
+    }
+
+    #[test]
+    fn seeded_op_sequences_match_the_shared_memory_and_nested_contents() {
+        use crate::SharedMemory;
+        use sa_model::{Fingerprinter, SplitMix64};
+        use std::hash::Hash;
+        let layout = layout();
+        for seed in 0..100 {
+            let mut rng = SplitMix64::new(seed);
+            let mut sim: SimMemory<u64> = SimMemory::for_layout(&layout);
+            let shared: SharedMemory<u64> = SharedMemory::for_layout(&layout);
+            for _ in 0..rng.below(30) {
+                let snapshot = rng.below(2) as usize;
+                let component = rng.below(layout.snapshot_width(snapshot).unwrap() as u64) as usize;
+                let register = rng.below(2) as usize;
+                let value = rng.below(4);
+                let op = match rng.below(5) {
+                    0 => Op::Read { register },
+                    1 => Op::Write { register, value },
+                    2 => Op::Update {
+                        snapshot,
+                        component,
+                        value,
+                    },
+                    3 => Op::Scan { snapshot },
+                    _ => Op::Nop,
+                };
+                assert_eq!(sim.apply(op.clone()), shared.apply(op), "seed {seed}");
+            }
+            assert_eq!(sim.metrics(), shared.metrics(), "seed {seed}");
+
+            let registers: Vec<Option<u64>> =
+                (0..2).map(|r| sim.peek_register(r).copied()).collect();
+            let snapshots: Vec<Vec<Option<u64>>> =
+                (0..2).map(|s| sim.peek_snapshot(s).to_vec()).collect();
+            let mut nested = Fingerprinter::new();
+            (registers, snapshots).hash(&mut nested);
+            let mut flat = Fingerprinter::new();
+            sim.hash_contents(&mut flat);
+            assert_eq!(flat.finish128(), nested.finish128(), "seed {seed}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::ids::{InputValue, InstanceId};
 use crate::layout::MemoryLayout;
 use crate::op::{Op, OpKind, Response};
 use crate::symmetry::{IdRelabeling, SymmetryClass};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 
@@ -212,10 +212,16 @@ pub struct StepOutcome {
 /// assert_eq!(set.distinct_outputs(2), 1);
 /// assert_eq!(set.instances().count(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DecisionSet {
-    by_instance: BTreeMap<InstanceId, BTreeMap<crate::ProcessId, InputValue>>,
+    /// One `(instance, process, value)` entry per deciding pair, sorted by
+    /// `(instance, process)`: one allocation however many instances there
+    /// are, so cloning a configuration copies the set in one `memcpy`.
+    entries: Vec<Entry>,
 }
+
+/// One recorded decision: `(instance, process, value)`.
+type Entry = (InstanceId, crate::ProcessId, InputValue);
 
 impl DecisionSet {
     /// Creates an empty decision set.
@@ -229,10 +235,12 @@ impl DecisionSet {
     /// instance; if it does (a protocol bug), the later value silently
     /// overwrites the earlier one.
     pub fn record(&mut self, process: crate::ProcessId, decision: Decision) {
-        self.by_instance
-            .entry(decision.instance)
-            .or_default()
-            .insert(process, decision.value);
+        match self.find(decision.instance, process) {
+            Ok(at) => self.entries[at].2 = decision.value,
+            Err(at) => self
+                .entries
+                .insert(at, (decision.instance, process, decision.value)),
+        }
     }
 
     /// Records every decision of an iterator for one process.
@@ -246,17 +254,34 @@ impl DecisionSet {
         }
     }
 
+    /// The index of the entry of `(instance, process)`, or where it would
+    /// be inserted.
+    fn find(&self, instance: InstanceId, process: crate::ProcessId) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by_key(&(instance, process), |&(i, p, _)| (i, p))
+    }
+
+    /// The entries of each instance with at least one decision, in
+    /// instance order.
+    fn groups(&self) -> impl Iterator<Item = &[Entry]> + '_ {
+        self.entries.chunk_by(|a, b| a.0 == b.0)
+    }
+
+    /// The entries of `instance`, in process order.
+    fn of_instance(&self, instance: InstanceId) -> &[Entry] {
+        let start = self.entries.partition_point(|e| e.0 < instance);
+        let len = self.entries[start..].partition_point(|e| e.0 == instance);
+        &self.entries[start..start + len]
+    }
+
     /// The instances for which at least one decision was recorded.
     pub fn instances(&self) -> impl Iterator<Item = InstanceId> + '_ {
-        self.by_instance.keys().copied()
+        self.groups().map(|group| group[0].0)
     }
 
     /// The set of distinct values output in `instance`.
     pub fn outputs(&self, instance: InstanceId) -> BTreeSet<InputValue> {
-        self.by_instance
-            .get(&instance)
-            .map(|m| m.values().copied().collect())
-            .unwrap_or_default()
+        self.of_instance(instance).iter().map(|e| e.2).collect()
     }
 
     /// The number of distinct values output in `instance`.
@@ -270,47 +295,43 @@ impl DecisionSet {
         process: crate::ProcessId,
         instance: InstanceId,
     ) -> Option<InputValue> {
-        self.by_instance
-            .get(&instance)
-            .and_then(|m| m.get(&process))
-            .copied()
+        self.find(instance, process)
+            .ok()
+            .map(|at| self.entries[at].2)
+    }
+
+    /// The `(instance, value)` decisions of `process`, in instance order.
+    pub fn decisions_by(
+        &self,
+        process: crate::ProcessId,
+    ) -> impl Iterator<Item = (InstanceId, InputValue)> + '_ {
+        self.entries
+            .iter()
+            .filter(move |e| e.1 == process)
+            .map(|e| (e.0, e.2))
     }
 
     /// The number of processes that decided in `instance`.
     pub fn deciders(&self, instance: InstanceId) -> usize {
-        self.by_instance.get(&instance).map_or(0, |m| m.len())
+        self.of_instance(instance).len()
     }
 
     /// Total number of recorded decisions across all instances.
     pub fn len(&self) -> usize {
-        self.by_instance.values().map(|m| m.len()).sum()
+        self.entries.len()
     }
 
     /// `true` if no decision has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.by_instance.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Merges another decision set into this one.
-    pub fn merge(&mut self, other: &DecisionSet) {
-        for (instance, decisions) in &other.by_instance {
-            let entry = self.by_instance.entry(*instance).or_default();
-            for (p, v) in decisions {
-                entry.insert(*p, *v);
-            }
-        }
-    }
-
-    /// A length-based estimate of the heap bytes this set owns: its BTree
-    /// nodes, charged per instance and per recorded decision. Part of the
-    /// explorers' deep-size accounting; like every such estimate it is a
-    /// pure function of the contents (lengths, never capacities).
+    /// A length-based estimate of the heap bytes this set owns: its entry
+    /// vector, charged per recorded decision. Part of the explorers'
+    /// deep-size accounting; like every such estimate it is a pure function
+    /// of the contents (lengths, never capacities).
     pub fn approx_heap_bytes(&self) -> usize {
-        // A BTree entry costs its payload plus roughly three words of node
-        // bookkeeping amortized across the node's occupancy.
-        let per_instance = std::mem::size_of::<InstanceId>() + 24;
-        let per_decision = std::mem::size_of::<(crate::ProcessId, InputValue)>() + 24;
-        self.by_instance.len() * per_instance + self.len() * per_decision
+        self.entries.len() * std::mem::size_of::<Entry>()
     }
 
     /// A copy of this set with every process id written through `relabel`
@@ -319,13 +340,32 @@ impl DecisionSet {
     /// explorers' canonical state keys and the orbit-soundness tests.
     pub fn relabeled(&self, relabel: &crate::symmetry::IdRelabeling) -> DecisionSet {
         debug_assert!(relabel.is_bijection(), "relabeling a set needs a bijection");
-        let mut relabeled = DecisionSet::new();
-        for (instance, decisions) in &self.by_instance {
-            for (p, v) in decisions {
-                relabeled.record(relabel.apply(*p), Decision::new(*instance, *v));
+        let mut entries: Vec<_> = self
+            .entries
+            .iter()
+            .map(|&(instance, p, value)| (instance, relabel.apply(p), value))
+            .collect();
+        entries.sort_unstable();
+        DecisionSet { entries }
+    }
+}
+
+/// Writes the word stream of a
+/// `BTreeMap<InstanceId, BTreeMap<ProcessId, InputValue>>` holding the same
+/// decisions: the instance count, then per instance its id, its decider
+/// count and each `(process, value)` pair in process order. State keys hash
+/// decision sets, and `tests/state_keys.rs` pins keys of that stream.
+impl Hash for DecisionSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.groups().count());
+        for group in self.groups() {
+            group[0].0.hash(state);
+            state.write_usize(group.len());
+            for (_, process, value) in group {
+                process.hash(state);
+                value.hash(state);
             }
         }
-        relabeled
     }
 }
 
@@ -333,6 +373,7 @@ impl DecisionSet {
 mod tests {
     use super::*;
     use crate::ProcessId;
+    use std::collections::BTreeMap;
 
     #[test]
     fn decision_ordering_is_by_instance_then_value() {
@@ -364,16 +405,78 @@ mod tests {
         assert!(set.is_empty());
     }
 
+    /// A decision set as nested maps: the reference for the flat set's
+    /// queries and hash stream.
+    type Nested = BTreeMap<InstanceId, BTreeMap<ProcessId, InputValue>>;
+
     #[test]
-    fn merge_combines_instances() {
-        let mut a = DecisionSet::new();
-        a.record(ProcessId(0), Decision::new(1, 1));
-        let mut b = DecisionSet::new();
-        b.record(ProcessId(1), Decision::new(2, 2));
-        b.record(ProcessId(1), Decision::new(1, 3));
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.instances().count(), 2);
+    fn flat_set_matches_nested_maps_on_seeded_sequences() {
+        use crate::{Fingerprinter, SplitMix64};
+        let digest = |value: &dyn Fn(&mut Fingerprinter)| {
+            let mut hasher = Fingerprinter::new();
+            value(&mut hasher);
+            hasher.finish128()
+        };
+        for seed in 0..200 {
+            let mut rng = SplitMix64::new(seed);
+            let mut set = DecisionSet::new();
+            let mut nested = Nested::new();
+            let mut record = |set: &mut DecisionSet, p: usize, instance: u64, value: u64| {
+                set.record(ProcessId(p), Decision::new(instance, value));
+                nested
+                    .entry(instance)
+                    .or_default()
+                    .insert(ProcessId(p), value);
+            };
+            let mut first = None;
+            for _ in 0..rng.below(20) {
+                let (p, instance) = (rng.below(5) as usize, 1 + rng.below(4));
+                record(&mut set, p, instance, rng.below(3));
+                first.get_or_insert((p, instance));
+            }
+            // Decide the first pair again with a new value: the later
+            // value overwrites the earlier one in both representations.
+            if let Some((p, instance)) = first {
+                record(&mut set, p, instance, 7);
+            }
+
+            assert_eq!(
+                digest(&|h| set.hash(h)),
+                digest(&|h| nested.hash(h)),
+                "seed {seed}"
+            );
+            assert_eq!(
+                set.instances().collect::<Vec<_>>(),
+                nested.keys().copied().collect::<Vec<_>>()
+            );
+            assert_eq!(set.len(), nested.values().map(BTreeMap::len).sum::<usize>());
+            assert_eq!(set.is_empty(), nested.is_empty());
+            for instance in 0..6 {
+                let deciders = nested.get(&instance);
+                assert_eq!(set.deciders(instance), deciders.map_or(0, BTreeMap::len));
+                assert_eq!(
+                    set.outputs(instance),
+                    deciders
+                        .map(|m| m.values().copied().collect())
+                        .unwrap_or_default()
+                );
+                for p in (0..6).map(ProcessId) {
+                    assert_eq!(
+                        set.decision_of(p, instance),
+                        deciders.and_then(|m| m.get(&p)).copied()
+                    );
+                }
+            }
+            for p in (0..6).map(ProcessId) {
+                assert_eq!(
+                    set.decisions_by(p).collect::<Vec<_>>(),
+                    nested
+                        .iter()
+                        .filter_map(|(i, m)| m.get(&p).map(|v| (*i, *v)))
+                        .collect::<Vec<_>>()
+                );
+            }
+        }
     }
 
     #[test]

@@ -445,7 +445,9 @@ where
     /// configuration occupies: the executor shell, the automata (inline
     /// size plus each one's [`Automaton::approx_heap_bytes`]), the shared
     /// memory contents (slots plus each occupied value's
-    /// [`Automaton::value_heap_bytes`]) and the decision set.
+    /// [`Automaton::value_heap_bytes`]) and the decision set. What every
+    /// clone shares behind an `Arc` — the memory layout, the automata's
+    /// input sequences — is charged nothing.
     ///
     /// This is the deep-size hook behind
     /// [`Exploration::approx_bytes`](crate::Exploration::approx_bytes) and
@@ -560,7 +562,7 @@ where
             decisions: self.decisions.clone(),
             steps_per_process: self.steps_per_process.clone(),
             halted: self.automata.iter().map(|a| a.is_halted()).collect(),
-            metrics: self.memory.metrics().clone(),
+            metrics: self.memory.metrics(),
             trace,
         }
     }

@@ -254,7 +254,7 @@ pub struct Exploration {
     /// data structures at their peak: the deep size of the peak frontier
     /// (resident plus spilled or evicted, so it is spill-invariant) plus the
     /// final seen-set table. Deep means heap payloads — register contents,
-    /// histories, decision maps — are charged per entry, not just the
+    /// histories, decision sets — are charged per entry, not just the
     /// struct shells; the pre-fix shallow accounting under-reported
     /// history-heavy cells by an order of magnitude.
     pub approx_bytes: u64,
@@ -435,10 +435,11 @@ pub struct SymmetryPlan {
     /// id-carrying systems (so the relabelings quotiented by are exactly
     /// those fixing the initial configuration).
     canon_class: Vec<usize>,
-    /// Equal-initial-behavior class per slot, used by the orbit-size lower
-    /// bound: relabelings within these classes fix the initial
-    /// configuration, so every orbit member they produce is reachable.
-    initial_class: Vec<usize>,
+    /// The slots of each equal-initial-behavior class of two or more slots,
+    /// used by the orbit-size lower bound: relabelings within these classes
+    /// fix the initial configuration, so every orbit member they produce is
+    /// reachable. A one-slot class has one arrangement and is left out.
+    shared_classes: Vec<Vec<usize>>,
     /// The id-erasing map used for order-independent slot signatures.
     erase: IdRelabeling,
 }
@@ -451,7 +452,7 @@ impl SymmetryPlan {
             n,
             class: SymmetryClass::Opaque,
             canon_class: Vec::new(),
-            initial_class: Vec::new(),
+            shared_classes: Vec::new(),
             erase: IdRelabeling::erase(n),
         }
     }
@@ -515,12 +516,18 @@ impl SymmetryPlan {
             SymmetryClass::IdCarrying => initial_class.clone(),
             SymmetryClass::Opaque => unreachable!("checked above"),
         };
+        let initial_class = &initial_class;
+        let members = |class: usize| (0..n).filter(move |&p| initial_class[p] == class);
+        let shared_classes = (0..representatives.len())
+            .filter(|&class| members(class).nth(1).is_some())
+            .map(|class| members(class).collect())
+            .collect();
         SymmetryPlan {
             applied: true,
             n,
             class,
             canon_class,
-            initial_class,
+            shared_classes,
             erase,
         }
     }
@@ -586,11 +593,9 @@ impl SymmetryPlan {
                     .hash_behavior(&self.erase, &mut hasher);
                 // The slot's decisions travel with it under relabeling, so
                 // they are part of what makes slots interchangeable.
-                for instance in executor.decisions().instances() {
-                    if let Some(value) = executor.decisions().decision_of(ProcessId(p), instance) {
-                        instance.hash(&mut hasher);
-                        value.hash(&mut hasher);
-                    }
+                for (instance, value) in executor.decisions().decisions_by(ProcessId(p)) {
+                    instance.hash(&mut hasher);
+                    value.hash(&mut hasher);
                 }
                 // Id-carrying values couple slots to memory: two slots whose
                 // local states differ only in the id are still distinguished
@@ -616,16 +621,23 @@ impl SymmetryPlan {
             .collect();
         // Within each orbit group, reassign the group's slot positions to
         // its members in signature order (stable: ties keep slot order).
+        // One group (every anonymous plan) holds every slot in order, so
+        // the sorted slots are the order itself.
         let mut order: Vec<usize> = (0..n).collect();
-        let (mut positions, mut members) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        for group in 0..self.orbit_groups() {
-            positions.clear();
-            positions.extend((0..n).filter(|p| self.canon_class[*p] == group));
-            members.clear();
-            members.extend_from_slice(&positions);
-            members.sort_by_key(|p| (signatures[*p], *p));
-            for (&position, &member) in positions.iter().zip(&members) {
-                order[position] = member;
+        let groups = self.orbit_groups();
+        if groups == 1 {
+            order.sort_by_key(|p| (signatures[*p], *p));
+        } else {
+            let (mut positions, mut members) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            for group in 0..groups {
+                positions.clear();
+                positions.extend((0..n).filter(|p| self.canon_class[*p] == group));
+                members.clear();
+                members.extend_from_slice(&positions);
+                members.sort_by_key(|p| (signatures[*p], *p));
+                for (&position, &member) in positions.iter().zip(&members) {
+                    order[position] = member;
+                }
             }
         }
         // Orbit-size lower bound: within each equal-initial-behavior class,
@@ -634,21 +646,11 @@ impl SymmetryPlan {
         // reachable configurations. Slots whose *projected* states collide
         // are conservatively treated as interchangeable, keeping this a
         // lower bound.
-        let classes = self
-            .initial_class
-            .iter()
-            .copied()
-            .max()
-            .map_or(0, |c| c + 1);
         let mut orbit_lower: u64 = 1;
-        let mut sigs: Vec<[u64; 2]> = Vec::with_capacity(n);
-        for class in 0..classes {
+        let mut sigs: Vec<[u64; 2]> = Vec::new();
+        for members in &self.shared_classes {
             sigs.clear();
-            sigs.extend(
-                (0..n)
-                    .filter(|p| self.initial_class[*p] == class)
-                    .map(|p| signatures[p]),
-            );
+            sigs.extend(members.iter().map(|&p| signatures[p]));
             sigs.sort_unstable();
             let mut arrangements: u64 = factorial(sigs.len() as u64);
             let mut run = 1u64;
@@ -1040,7 +1042,7 @@ where
 
 /// The deterministic deep-byte charge of one frontier entry: the executor's
 /// [`deep size`](Executor::approx_deep_bytes) (struct shells **plus** heap
-/// payloads — register contents, histories, decision maps) plus a schedule
+/// payloads — register contents, histories, decision sets) plus a schedule
 /// vector and the entry's bookkeeping words — charged even where no schedule
 /// is stored, as recorded `approx_bytes` and budget decisions depend on it.
 ///
@@ -1073,6 +1075,32 @@ where
         state.step(process);
     }
     state
+}
+
+/// Each step of `runnable` with the successor it leads to from `state`.
+/// Every successor but the last steps a clone of `state`; the last steps
+/// `state` itself, so no parent is cloned only to be dropped.
+pub(crate) fn successors_of<A>(
+    state: Executor<A>,
+    runnable: Vec<ProcessId>,
+) -> impl Iterator<Item = (ProcessId, Executor<A>)>
+where
+    A: Automaton + Clone,
+    A::Value: Clone + Eq + Debug,
+{
+    let last = runnable.len().saturating_sub(1);
+    let mut parent = Some(state);
+    runnable.into_iter().enumerate().map(move |(i, step)| {
+        let mut successor = if i == last {
+            parent.take().expect("only the last step takes the parent")
+        } else {
+            parent
+                .clone()
+                .expect("the parent outlives every other step")
+        };
+        successor.step(step);
+        (step, successor)
+    })
 }
 
 /// One pending entry of the serial DFS: its depth and the step from its
@@ -1225,10 +1253,8 @@ where
             result.paths += 1;
             continue;
         }
-        for process in runnable {
+        for (process, next) in successors_of(state, runnable) {
             result.expansions += 1;
-            let mut next = state.clone();
-            next.step(process);
             if let Some(description) = predicate(&next) {
                 path.push(process);
                 result.max_depth_reached = result.max_depth_reached.max(path.len() as u64);

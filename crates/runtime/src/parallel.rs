@@ -58,8 +58,8 @@
 
 use crate::executor::Executor;
 use crate::explore::{
-    entry_bytes, keyed, replay, Exploration, ExploredViolation, FrontierSemantics, ReductionMode,
-    StateKey, SymmetryMode, SymmetryPlan,
+    entry_bytes, keyed, replay, successors_of, Exploration, ExploredViolation, FrontierSemantics,
+    ReductionMode, StateKey, SymmetryMode, SymmetryPlan,
 };
 use crate::store::{
     corrupt, read_segment, KeyTable, ScheduleArena, SegmentKind, SegmentWriter, SpillDir,
@@ -415,9 +415,7 @@ where
                             continue;
                         }
                         expansions.fetch_add(runnable.len() as u64, Ordering::Relaxed);
-                        for step in runnable {
-                            let mut successor = state.clone();
-                            successor.step(step);
+                        for (step, successor) in successors_of(state, runnable) {
                             let (key, orbit_lower) = keyed(&successor, &self.plan);
                             if self.seen.contains(&key) {
                                 // A spilled key reads as unseen here; the

@@ -281,7 +281,7 @@ where
     }
     covering.sort_by_key(|c| c.location);
     let covered: BTreeSet<Location> = covering.iter().map(|c| c.location).collect();
-    let written: BTreeSet<Location> = executor.memory().metrics().written_locations().collect();
+    let written: BTreeSet<Location> = executor.memory().written_locations().collect();
     let registers = written.union(&covered).count();
     GoalMeasure {
         registers_covered: covered.len(),
@@ -353,7 +353,7 @@ where
         if measure.covering.is_empty() {
             return None;
         }
-        let written: BTreeSet<Location> = executor.memory().metrics().written_locations().collect();
+        let written: BTreeSet<Location> = executor.memory().written_locations().collect();
         if !measure
             .covering
             .iter()

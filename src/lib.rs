@@ -104,7 +104,7 @@ pub use sa_runtime::{Backend, SearchConfig, SearchGoal, ServeClock, ServeLoad, S
 use sa_core::{
     AnonymousSetAgreement, OneShotSetAgreement, RepeatedSetAgreement, SwmrEmulated, WideBaseline,
 };
-use sa_memory::MemoryMetrics;
+use sa_memory::{Location, MemoryMetrics};
 use sa_model::{Automaton, DecisionSet, Params, ProcessId};
 use sa_runtime::{
     explore, parallel_explore, run_threaded, BurstScheduler, CrashScheduler, Executor, Exploration,
@@ -959,9 +959,11 @@ impl SafetyProbe {
         A: Automaton,
         A::Value: Clone + Eq + Debug,
     {
-        let metrics = exec.memory().metrics();
-        let locations = metrics.distinct_locations_written();
-        let registers = metrics.registers_written();
+        let (mut locations, mut registers) = (0, 0);
+        for location in exec.memory().written_locations() {
+            locations += 1;
+            registers += usize::from(matches!(location, Location::Register(_)));
+        }
         self.max_locations.fetch_max(locations, Ordering::Relaxed);
         self.max_registers.fetch_max(registers, Ordering::Relaxed);
         self.max_components
