@@ -30,7 +30,7 @@ use sa_model::{
     Automaton, Decision, IdRelabeling, InputValue, InstanceId, MemoryLayout, Op, Params, Response,
     SymmetryClass,
 };
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -267,14 +267,9 @@ impl AnonymousSetAgreement {
     /// Lines 20–28: process a scan of the snapshot object.
     fn handle_scan(&mut self, view: &[Option<AnonValue>]) -> Option<Decision> {
         let t = self.instance;
-        let cells: Vec<Option<&AnonTuple>> = view
-            .iter()
-            .map(|entry| entry.as_ref().and_then(AnonValue::as_cell))
-            .collect();
         // Line 20: a tuple from a higher instance carries every output up to
         // (and beyond) this instance.
-        if let Some(ahead) = cells
-            .iter()
+        if let Some(ahead) = cells(view)
             .flatten()
             .filter(|cell| cell.instance > t)
             .max_by_key(|cell| cell.instance)
@@ -288,19 +283,17 @@ impl AnonymousSetAgreement {
         }
         // Line 23: at most m distinct tuples and every component holds a
         // tuple of this very instance.
-        let all_current = cells
-            .iter()
-            .all(|cell| matches!(cell, Some(c) if c.instance == t));
-        if all_current && distinct_cells(&cells) <= self.params.m() {
-            let value = most_frequent_value(&cells).expect("the object is full");
+        let all_current = cells(view).all(|cell| matches!(cell, Some(c) if c.instance == t));
+        if all_current && distinct_cells(view) <= self.params.m() {
+            let value = most_frequent_value(view).expect("the object is full");
             self.history = self.history.appended(value);
             return Some(self.finish_instance(value));
         }
         // Line 27: adopt a value that already occupies ℓ components when the
         // current preference occupies fewer than ℓ.
-        let own_support = value_support(&cells, t, self.pref);
+        let own_support = value_support(view, t, self.pref);
         if own_support < self.ell {
-            if let Some(new) = best_supported_value(&cells, t, self.ell, self.pref) {
+            if let Some(new) = best_supported_value(view, t, self.ell, self.pref) {
                 self.pref = new;
             }
         }
@@ -323,34 +316,41 @@ impl AnonymousSetAgreement {
     }
 }
 
-/// Counts distinct tuples among the snapshot cells.
-fn distinct_cells(cells: &[Option<&AnonTuple>]) -> usize {
-    let mut seen: Vec<&AnonTuple> = Vec::with_capacity(cells.len());
-    for cell in cells.iter().flatten() {
-        if !seen.contains(cell) {
-            seen.push(cell);
-        }
-    }
-    seen.len()
+/// The tuple in each component of a scan; `⊥` (and anything that is not a
+/// tuple) is `None`.
+fn cells(view: &[Option<AnonValue>]) -> impl Iterator<Item = Option<&AnonTuple>> {
+    view.iter()
+        .map(|entry| entry.as_ref().and_then(AnonValue::as_cell))
+}
+
+/// Counts distinct tuples among the snapshot cells: the tuples that no
+/// earlier component holds.
+fn distinct_cells(view: &[Option<AnonValue>]) -> usize {
+    cells(view)
+        .enumerate()
+        .filter(|&(j, cell)| cell.is_some() && !cells(&view[..j]).any(|earlier| earlier == cell))
+        .count()
 }
 
 /// The value occurring in the most components (ties broken towards the
 /// smallest value, for determinism).
-fn most_frequent_value(cells: &[Option<&AnonTuple>]) -> Option<InputValue> {
-    let mut counts: BTreeMap<InputValue, usize> = BTreeMap::new();
-    for cell in cells.iter().flatten() {
-        *counts.entry(cell.value).or_insert(0) += 1;
-    }
-    counts
-        .into_iter()
-        .max_by(|(va, ca), (vb, cb)| ca.cmp(cb).then(vb.cmp(va)))
-        .map(|(value, _)| value)
+fn most_frequent_value(view: &[Option<AnonValue>]) -> Option<InputValue> {
+    cells(view)
+        .flatten()
+        .map(|cell| {
+            let count = cells(view)
+                .flatten()
+                .filter(|c| c.value == cell.value)
+                .count();
+            (Reverse(count), cell.value)
+        })
+        .min()
+        .map(|(_, value)| value)
 }
 
 /// How many components hold a tuple of instance `t` with value `value`.
-fn value_support(cells: &[Option<&AnonTuple>], t: InstanceId, value: InputValue) -> usize {
-    cells
-        .iter()
+fn value_support(view: &[Option<AnonValue>], t: InstanceId, value: InputValue) -> usize {
+    cells(view)
         .flatten()
         .filter(|cell| cell.instance == t && cell.value == value)
         .count()
@@ -359,22 +359,17 @@ fn value_support(cells: &[Option<&AnonTuple>], t: InstanceId, value: InputValue)
 /// The smallest value different from `pref` whose support in instance `t`
 /// reaches `ell`.
 fn best_supported_value(
-    cells: &[Option<&AnonTuple>],
+    view: &[Option<AnonValue>],
     t: InstanceId,
     ell: usize,
     pref: InputValue,
 ) -> Option<InputValue> {
-    let mut counts: BTreeMap<InputValue, usize> = BTreeMap::new();
-    for cell in cells.iter().flatten() {
-        if cell.instance == t {
-            *counts.entry(cell.value).or_insert(0) += 1;
-        }
-    }
-    counts
-        .into_iter()
-        .filter(|(value, count)| *count >= ell && *value != pref)
-        .map(|(value, _)| value)
-        .next()
+    cells(view)
+        .flatten()
+        .filter(|cell| cell.instance == t && cell.value != pref)
+        .map(|cell| cell.value)
+        .filter(|&value| value_support(view, t, value) >= ell)
+        .min()
 }
 
 impl Automaton for AnonymousSetAgreement {
@@ -421,7 +416,13 @@ impl Automaton for AnonymousSetAgreement {
         }
     }
 
-    fn apply(&mut self, response: Response<AnonValue>) -> Vec<Decision> {
+    fn is_halted(&self) -> bool {
+        // The phase says it without building the poised op (which clones
+        // the history).
+        self.phase == Phase::Done
+    }
+
+    fn apply(&mut self, response: Response<'_, AnonValue>) -> Vec<Decision> {
         match self.phase {
             Phase::WriteHelper => {
                 debug_assert_eq!(response, Response::Written);
@@ -750,16 +751,115 @@ mod tests {
 
     #[test]
     fn helper_functions_compute_supports() {
-        let t1 = AnonTuple::new(5, 1, History::empty());
-        let t2 = AnonTuple::new(7, 1, History::empty());
-        let t3 = AnonTuple::new(7, 2, History::empty());
-        let cells = vec![Some(&t1), Some(&t2), Some(&t2), Some(&t3), None];
-        assert_eq!(distinct_cells(&cells), 3);
-        assert_eq!(most_frequent_value(&cells), Some(7));
-        assert_eq!(value_support(&cells, 1, 7), 2);
-        assert_eq!(value_support(&cells, 1, 5), 1);
-        assert_eq!(best_supported_value(&cells, 1, 2, 5), Some(7));
-        assert_eq!(best_supported_value(&cells, 1, 3, 5), None);
+        let cell = |value, instance| {
+            Some(AnonValue::Cell(AnonTuple::new(
+                value,
+                instance,
+                History::empty(),
+            )))
+        };
+        let view = vec![cell(5, 1), cell(7, 1), cell(7, 1), cell(7, 2), None];
+        assert_eq!(distinct_cells(&view), 3);
+        assert_eq!(most_frequent_value(&view), Some(7));
+        assert_eq!(value_support(&view, 1, 7), 2);
+        assert_eq!(value_support(&view, 1, 5), 1);
+        assert_eq!(best_supported_value(&view, 1, 2, 5), Some(7));
+        assert_eq!(best_supported_value(&view, 1, 3, 5), None);
         assert_eq!(most_frequent_value(&[]), None);
+    }
+
+    /// Reference scan helpers that count with a `seen` vector and
+    /// `BTreeMap` counters over a vector of cell references.
+    mod reference {
+        use super::*;
+        use std::collections::BTreeMap;
+
+        pub fn distinct_cells(cells: &[Option<&AnonTuple>]) -> usize {
+            let mut seen: Vec<&AnonTuple> = Vec::with_capacity(cells.len());
+            for cell in cells.iter().flatten() {
+                if !seen.contains(cell) {
+                    seen.push(cell);
+                }
+            }
+            seen.len()
+        }
+
+        pub fn most_frequent_value(cells: &[Option<&AnonTuple>]) -> Option<InputValue> {
+            let mut counts: BTreeMap<InputValue, usize> = BTreeMap::new();
+            for cell in cells.iter().flatten() {
+                *counts.entry(cell.value).or_insert(0) += 1;
+            }
+            counts
+                .into_iter()
+                .max_by(|(va, ca), (vb, cb)| ca.cmp(cb).then(vb.cmp(va)))
+                .map(|(value, _)| value)
+        }
+
+        pub fn best_supported_value(
+            cells: &[Option<&AnonTuple>],
+            t: InstanceId,
+            ell: usize,
+            pref: InputValue,
+        ) -> Option<InputValue> {
+            let mut counts: BTreeMap<InputValue, usize> = BTreeMap::new();
+            for cell in cells.iter().flatten() {
+                if cell.instance == t {
+                    *counts.entry(cell.value).or_insert(0) += 1;
+                }
+            }
+            counts
+                .into_iter()
+                .filter(|(value, count)| *count >= ell && *value != pref)
+                .map(|(value, _)| value)
+                .next()
+        }
+    }
+
+    #[test]
+    fn scan_helpers_match_the_counting_references_on_seeded_views() {
+        use sa_model::SplitMix64;
+        // Three values, two instances and two histories over widths 1–8, so
+        // that duplicate tuples and tied counts are common.
+        let histories = [History::empty(), History::from_vec(vec![4])];
+        for seed in 0..2_000 {
+            let mut rng = SplitMix64::new(seed);
+            let width = 1 + rng.below(8) as usize;
+            let view: Vec<Option<AnonValue>> = (0..width)
+                .map(|_| match rng.below(8) {
+                    0 => None,
+                    1 => Some(AnonValue::Outputs(History::empty())),
+                    _ => Some(AnonValue::Cell(AnonTuple::new(
+                        rng.below(3),
+                        1 + rng.below(2),
+                        histories[rng.below(2) as usize].clone(),
+                    ))),
+                })
+                .collect();
+            let cells: Vec<Option<&AnonTuple>> = view
+                .iter()
+                .map(|entry| entry.as_ref().and_then(AnonValue::as_cell))
+                .collect();
+            assert_eq!(
+                distinct_cells(&view),
+                reference::distinct_cells(&cells),
+                "seed {seed}"
+            );
+            assert_eq!(
+                most_frequent_value(&view),
+                reference::most_frequent_value(&cells),
+                "seed {seed}"
+            );
+            for t in 1..=2 {
+                for value in 0..3 {
+                    for ell in 1..=width {
+                        assert_eq!(
+                            best_supported_value(&view, t, ell, value),
+                            reference::best_supported_value(&cells, t, ell, value),
+                            "seed {seed}, t {t}, ell {ell}, pref {value}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -97,7 +97,7 @@ impl Automaton for WideBaseline {
         self.inner.poised()
     }
 
-    fn apply(&mut self, response: Response<Pair>) -> Vec<Decision> {
+    fn apply(&mut self, response: Response<'_, Pair>) -> Vec<Decision> {
         self.inner.apply(response)
     }
 
@@ -408,7 +408,7 @@ where
         }
     }
 
-    fn apply(&mut self, response: Response<FullInfoRecord<A::Value>>) -> Vec<Decision> {
+    fn apply(&mut self, response: Response<'_, FullInfoRecord<A::Value>>) -> Vec<Decision> {
         match std::mem::replace(&mut self.phase, EmulationPhase::Idle) {
             EmulationPhase::Idle => {
                 // The wrapped automaton was poised to a Nop (a purely local
@@ -482,7 +482,7 @@ where
                     Some(previous) if previous == current => {
                         // Two identical collects: the merged view is atomic.
                         let view = Self::merge(&current, self.width);
-                        let decisions = self.inner.apply(Response::Snapshot(view));
+                        let decisions = self.inner.apply(Response::Snapshot(view.into()));
                         self.arm();
                         decisions
                     }
@@ -703,7 +703,7 @@ mod tests {
             None
         }
 
-        fn apply(&mut self, _response: Response<u8>) -> Vec<Decision> {
+        fn apply(&mut self, _response: Response<'_, u8>) -> Vec<Decision> {
             Vec::new()
         }
     }

@@ -67,3 +67,68 @@ pub use instance::AgreementInstance;
 pub use oneshot::OneShotSetAgreement;
 pub use repeated::RepeatedSetAgreement;
 pub use values::{AnonTuple, AnonValue, History, Pair, Tuple};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sa_model::{Automaton, Params, ProcessId};
+    use sa_runtime::{Executor, RandomScheduler, Scheduler, SchedulerView, Workload};
+
+    /// Steps `automata` under a seeded random schedule for at most `budget`
+    /// steps, checking after every step that each automaton's `is_halted`
+    /// agrees with its `poised`; returns how many automata halted.
+    fn halting_matches_poised<A: Automaton + Clone>(
+        automata: Vec<A>,
+        seed: u64,
+        budget: u64,
+    ) -> usize {
+        let mut exec = Executor::new(automata);
+        let mut scheduler = RandomScheduler::new(seed);
+        let processes: Vec<ProcessId> = (0..exec.process_count()).map(ProcessId).collect();
+        for step in 0..budget {
+            let runnable = exec.runnable();
+            let view = SchedulerView {
+                step,
+                runnable: &runnable,
+            };
+            let Some(pick) = scheduler.next(&view) else {
+                break;
+            };
+            exec.step(pick);
+            for &p in &processes {
+                let automaton = exec.automaton(p);
+                assert_eq!(
+                    automaton.is_halted(),
+                    automaton.poised().is_none(),
+                    "seed {seed}, step {step}, {p}"
+                );
+            }
+        }
+        processes
+            .iter()
+            .filter(|&&p| exec.automaton(p).is_halted())
+            .count()
+    }
+
+    #[test]
+    fn is_halted_matches_poised_after_every_step() {
+        let params = Params::new(3, 1, 2).unwrap();
+        let (mut figure4, mut figure5) = (0, 0);
+        for seed in 0..20 {
+            let workload = Workload::random(3, 3, 3, seed);
+            let inputs = |p: usize| workload.sequence(p).to_vec();
+            let repeated: Vec<_> = (0..3)
+                .map(|p| RepeatedSetAgreement::new(params, ProcessId(p), inputs(p)).unwrap())
+                .collect();
+            figure4 += halting_matches_poised(repeated, seed, 3_000);
+            let anonymous: Vec<_> = (0..3)
+                .map(|p| AnonymousSetAgreement::repeated(params, inputs(p)).unwrap())
+                .collect();
+            figure5 += halting_matches_poised(anonymous, seed, 3_000);
+        }
+        assert!(
+            figure4 > 0 && figure5 > 0,
+            "no process halted: {figure4}, {figure5}"
+        );
+    }
+}

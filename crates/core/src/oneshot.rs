@@ -262,7 +262,7 @@ impl Automaton for OneShotSetAgreement {
         }
     }
 
-    fn apply(&mut self, response: Response<Pair>) -> Vec<Decision> {
+    fn apply(&mut self, response: Response<'_, Pair>) -> Vec<Decision> {
         match self.phase {
             Phase::Update => {
                 debug_assert_eq!(response, Response::Updated);

@@ -244,17 +244,19 @@ impl RepeatedSetAgreement {
             self.history = self.history.appended(value);
             return Some(self.finish_instance(value));
         }
-        // Line 22: own tuple absent outside location i and two identical
-        // t-tuples exist somewhere.
-        let own = Tuple::new(self.pref, self.id, t, self.history.clone());
+        // Line 22: own tuple `(pref, id, t, history)` absent outside
+        // location i and two identical t-tuples exist somewhere.
+        let is_own = |tuple: &Tuple| {
+            tuple.value == self.pref
+                && tuple.id == self.id
+                && tuple.instance == t
+                && tuple.history == self.history
+        };
         let own_absent_elsewhere = view
             .iter()
             .enumerate()
             .filter(|(j, _)| *j != self.location)
-            .all(|(_, entry)| match entry {
-                None => false,
-                Some(tuple) => *tuple != own,
-            });
+            .all(|(_, entry)| matches!(entry, Some(tuple) if !is_own(tuple)));
         if own_absent_elsewhere {
             if let Some(j1) = first_duplicate_t_index(view, t) {
                 // Lines 23–24: as in the one-shot algorithm, the location is
@@ -275,15 +277,13 @@ impl RepeatedSetAgreement {
     }
 }
 
-/// Counts distinct non-`⊥` tuples in a scan.
+/// Counts distinct non-`⊥` tuples in a scan: the tuples that no earlier
+/// entry holds.
 fn distinct_tuples(view: &[Option<Tuple>]) -> usize {
-    let mut seen: Vec<&Tuple> = Vec::with_capacity(view.len());
-    for tuple in view.iter().flatten() {
-        if !seen.contains(&tuple) {
-            seen.push(tuple);
-        }
-    }
-    seen.len()
+    view.iter()
+        .enumerate()
+        .filter(|&(j, entry)| entry.is_some() && !view[..j].contains(entry))
+        .count()
 }
 
 /// The smallest index holding a tuple that also occurs at a later index.
@@ -331,7 +331,13 @@ impl Automaton for RepeatedSetAgreement {
         }
     }
 
-    fn apply(&mut self, response: Response<Tuple>) -> Vec<Decision> {
+    fn is_halted(&self) -> bool {
+        // The phase says it without building the poised op (which clones
+        // the history).
+        self.phase == Phase::Done
+    }
+
+    fn apply(&mut self, response: Response<'_, Tuple>) -> Vec<Decision> {
         match self.phase {
             Phase::BeginPropose => {
                 debug_assert_eq!(response, Response::Nop);
@@ -601,7 +607,9 @@ mod tests {
         assert_eq!(a.poised(), Some(Op::Scan { snapshot: 0 }));
         let near = Tuple::new(30, ProcessId(1), 2, History::from_vec(vec![80]));
         let far = Tuple::new(50, ProcessId(2), 4, History::from_vec(vec![60, 61, 62]));
-        let d = a.apply(Response::Snapshot(vec![Some(near), None, Some(far), None]));
+        let d = a.apply(Response::Snapshot(
+            vec![Some(near), None, Some(far), None].into(),
+        ));
         assert_eq!(d, vec![Decision::new(1, 60)]);
         assert_eq!(a.history().len(), 3, "the longer history must be adopted");
         assert!(a.is_halted());
@@ -686,6 +694,41 @@ mod tests {
         let mut sched = ObstructionScheduler::new(400, vec![ProcessId(0), ProcessId(1)], 3);
         let report = exec.run(&mut sched, RunConfig::with_max_steps(500_000));
         assert!(report.metrics.components_written(0) <= params.snapshot_components());
+    }
+
+    #[test]
+    fn distinct_tuples_matches_a_seen_vector_on_seeded_views() {
+        use sa_model::SplitMix64;
+        /// Reference: the count with a `seen` vector.
+        fn reference(view: &[Option<Tuple>]) -> usize {
+            let mut seen: Vec<&Tuple> = Vec::with_capacity(view.len());
+            for tuple in view.iter().flatten() {
+                if !seen.contains(&tuple) {
+                    seen.push(tuple);
+                }
+            }
+            seen.len()
+        }
+        // Few values, ids, instances and histories over widths 1–8, so that
+        // duplicate tuples are common.
+        let histories = [History::empty(), History::from_vec(vec![4])];
+        for seed in 0..2_000 {
+            let mut rng = SplitMix64::new(seed);
+            let width = 1 + rng.below(8) as usize;
+            let view: Vec<Option<Tuple>> = (0..width)
+                .map(|_| {
+                    (rng.below(6) != 0).then(|| {
+                        Tuple::new(
+                            rng.below(2),
+                            ProcessId(rng.below(2) as usize),
+                            1 + rng.below(2),
+                            histories[rng.below(2) as usize].clone(),
+                        )
+                    })
+                })
+                .collect();
+            assert_eq!(distinct_tuples(&view), reference(&view), "seed {seed}");
+        }
     }
 
     #[test]

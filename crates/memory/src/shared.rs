@@ -28,7 +28,7 @@ use std::sync::{Mutex, MutexGuard};
 /// });
 /// handle.join().unwrap();
 /// let resp = mem.apply(Op::Scan { snapshot: 0 })?;
-/// assert_eq!(resp, Response::Snapshot(vec![Some(1), None]));
+/// assert_eq!(resp, Response::Snapshot(vec![Some(1), None].into()));
 /// # Ok::<(), sa_model::LayoutError>(())
 /// ```
 #[derive(Debug)]
@@ -63,11 +63,15 @@ impl<V: Clone + Eq + Debug> SharedMemory<V> {
 
     /// Applies one atomic operation and returns its response.
     ///
+    /// A scan copies the object while it holds the object's lock and hands
+    /// over that copy ([`Cow::Owned`](std::borrow::Cow::Owned)): the cells
+    /// cannot be lent past the lock.
+    ///
     /// # Errors
     ///
     /// Returns a [`LayoutError`] if the operation refers to a register or
     /// component outside the layout.
-    pub fn apply(&self, op: Op<V>) -> Result<Response<V>, LayoutError> {
+    pub fn apply(&self, op: Op<V>) -> Result<Response<'_, V>, LayoutError> {
         let (response, written) = match op {
             Op::Read { register } => {
                 self.layout.check_register(register)?;
@@ -97,7 +101,7 @@ impl<V: Clone + Eq + Debug> SharedMemory<V> {
             Op::Scan { snapshot } => {
                 self.layout.check_snapshot(snapshot)?;
                 let view = lock(&self.snapshots[snapshot]).clone();
-                (Response::Snapshot(view), None)
+                (Response::Snapshot(view.into()), None)
             }
             Op::Nop => (Response::Nop, None),
         };
@@ -131,6 +135,7 @@ fn lock<T>(object: &Mutex<T>) -> MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
     use std::sync::Arc;
 
     #[test]
@@ -158,6 +163,11 @@ mod tests {
             assert_eq!(*v, Some(i as u64));
         }
         assert_eq!(mem.metrics().distinct_locations_written(), 8);
+        // A scan hands over the copy it took under the object's lock.
+        assert!(matches!(
+            mem.apply(Op::Scan { snapshot: 0 }).unwrap(),
+            Response::Snapshot(Cow::Owned(_))
+        ));
     }
 
     #[test]

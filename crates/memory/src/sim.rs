@@ -7,6 +7,7 @@
 
 use crate::metrics::{Location, MemoryMetrics};
 use sa_model::{LayoutError, MemoryLayout, Op, Response};
+use std::borrow::Cow;
 use std::fmt::Debug;
 use std::ops::Range;
 use std::sync::Arc;
@@ -26,7 +27,7 @@ use std::sync::Arc;
 /// let mut mem: SimMemory<u64> = SimMemory::for_layout(&layout);
 /// mem.apply(Op::Update { snapshot: 0, component: 1, value: 42 })?;
 /// let resp = mem.apply(Op::Scan { snapshot: 0 })?;
-/// assert_eq!(resp, Response::Snapshot(vec![None, Some(42), None]));
+/// assert_eq!(resp, Response::Snapshot(vec![None, Some(42), None].into()));
 /// # Ok::<(), sa_model::LayoutError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -69,12 +70,15 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
 
     /// Applies one atomic operation and returns its response.
     ///
+    /// A scan lends the object's cells ([`Cow::Borrowed`]) instead of
+    /// copying them, so the memory stays borrowed while its response lives.
+    ///
     /// # Errors
     ///
     /// Returns a [`LayoutError`] if the operation refers to a register or
     /// component outside the layout. This indicates a protocol bug; the
     /// runtime treats it as fatal.
-    pub fn apply(&mut self, op: Op<V>) -> Result<Response<V>, LayoutError> {
+    pub fn apply(&mut self, op: Op<V>) -> Result<Response<'_, V>, LayoutError> {
         let response = match op {
             Op::Read { register } => {
                 self.layout.check_register(register)?;
@@ -97,7 +101,8 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
             }
             Op::Scan { snapshot } => {
                 self.layout.check_snapshot(snapshot)?;
-                Response::Snapshot(self.cells[self.snapshot_cells(snapshot)].to_vec())
+                let cells = self.snapshot_cells(snapshot);
+                Response::Snapshot(Cow::Borrowed(&self.cells[cells]))
             }
             Op::Nop => Response::Nop,
         };
@@ -448,10 +453,12 @@ mod tests {
         })
         .unwrap();
         let r = mem.apply(Op::Scan { snapshot: 1 }).unwrap();
-        assert_eq!(r, Response::Snapshot(vec![None, Some(9)]));
+        assert_eq!(r, Response::Snapshot(vec![None, Some(9)].into()));
+        // The scan lends the cells instead of copying them.
+        assert!(matches!(r, Response::Snapshot(Cow::Borrowed(_))));
         // Other snapshot object unaffected.
         let r = mem.apply(Op::Scan { snapshot: 0 }).unwrap();
-        assert_eq!(r, Response::Snapshot(vec![None, None, None]));
+        assert_eq!(r, Response::Snapshot(vec![None, None, None].into()));
     }
 
     #[test]

@@ -40,7 +40,7 @@ impl Decision {
 ///
 /// ```text
 /// while let Some(op) = a.poised() {
-///     let resp = memory.apply(op);      // atomic
+///     let resp = memory.apply(op);      // atomic; a scan may borrow memory
 ///     let decisions = a.apply(resp);    // local computation
 /// }
 /// ```
@@ -71,12 +71,16 @@ pub trait Automaton {
     /// computation that follows it, returning any decisions produced by this
     /// step.
     ///
+    /// A scan's view may borrow the memory's cells, and only for the length
+    /// of this call: an implementation clones the entries it keeps (such as
+    /// a history it adopts) and nothing else.
+    ///
     /// # Panics
     ///
     /// Implementations may panic if called while [`Automaton::poised`]
     /// returns `None` or with a response of the wrong shape; both indicate a
     /// bug in the driver, not in user code.
-    fn apply(&mut self, response: Response<Self::Value>) -> Vec<Decision>;
+    fn apply(&mut self, response: Response<'_, Self::Value>) -> Vec<Decision>;
 
     /// `true` once the process has halted.
     fn is_halted(&self) -> bool {

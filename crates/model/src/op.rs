@@ -2,6 +2,7 @@
 
 use crate::independence::{Access, Footprint, Location};
 use crate::layout::{RegisterId, SnapshotId};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A shared-memory operation a process is poised to perform.
@@ -128,21 +129,28 @@ impl fmt::Display for OpKind {
 }
 
 /// The response to a shared-memory [`Op`].
+///
+/// A scan's vector may borrow the memory that answered it: the simulator
+/// lends its cells ([`Cow::Borrowed`]) for as long as the response lives,
+/// while a memory that has to copy the object under a lock hands over that
+/// copy ([`Cow::Owned`]). Either way the receiver clones only the entries it
+/// keeps. A register read always carries its own value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Response<V> {
+pub enum Response<'a, V: Clone> {
     /// The value read from a register (`None` encodes the initial value `⊥`).
     Read(Option<V>),
     /// Acknowledgement of a register write.
     Written,
     /// Acknowledgement of a snapshot update.
     Updated,
-    /// The vector returned by a snapshot scan; `None` entries are `⊥`.
-    Snapshot(Vec<Option<V>>),
+    /// The vector returned by a snapshot scan, one entry per component;
+    /// `None` entries are `⊥`.
+    Snapshot(Cow<'a, [Option<V>]>),
     /// Acknowledgement of a local step.
     Nop,
 }
 
-impl<V> Response<V> {
+impl<'a, V: Clone> Response<'a, V> {
     /// Extracts the scan vector, panicking with a protocol-error message if
     /// this response is not a snapshot.
     ///
@@ -151,7 +159,7 @@ impl<V> Response<V> {
     /// Panics if the response is not [`Response::Snapshot`]. Algorithms use
     /// this only right after issuing a [`Op::Scan`]; a mismatch indicates a
     /// runtime bug, not a user error.
-    pub fn expect_snapshot(self) -> Vec<Option<V>> {
+    pub fn expect_snapshot(self) -> Cow<'a, [Option<V>]> {
         match self {
             Response::Snapshot(v) => v,
             other => panic!(
@@ -179,9 +187,9 @@ impl<V> Response<V> {
 }
 
 /// Helper for panic messages that does not require `V: Debug`.
-struct ResponseKindOf<'a, V>(&'a Response<V>);
+struct ResponseKindOf<'r, 'a, V: Clone>(&'r Response<'a, V>);
 
-impl<V> fmt::Debug for ResponseKindOf<'_, V> {
+impl<V: Clone> fmt::Debug for ResponseKindOf<'_, '_, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self.0 {
             Response::Read(_) => "Read",
@@ -220,16 +228,19 @@ mod tests {
 
     #[test]
     fn response_extractors() {
-        let r: Response<u64> = Response::Snapshot(vec![Some(1), None]);
+        let r: Response<'_, u64> = Response::Snapshot(vec![Some(1), None].into());
         assert_eq!(r.expect_snapshot(), vec![Some(1), None]);
-        let r: Response<u64> = Response::Read(Some(9));
+        let cells = [None, Some(2)];
+        let r: Response<'_, u64> = Response::Snapshot(Cow::Borrowed(&cells));
+        assert_eq!(r.expect_snapshot(), vec![None, Some(2)]);
+        let r: Response<'_, u64> = Response::Read(Some(9));
         assert_eq!(r.expect_read(), Some(9));
     }
 
     #[test]
     #[should_panic(expected = "protocol error")]
     fn expect_snapshot_panics_on_mismatch() {
-        let r: Response<u64> = Response::Written;
+        let r: Response<'_, u64> = Response::Written;
         let _ = r.expect_snapshot();
     }
 

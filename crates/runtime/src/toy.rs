@@ -52,7 +52,7 @@ impl Automaton for ToyWriter {
         }
     }
 
-    fn apply(&mut self, response: Response<InputValue>) -> Vec<Decision> {
+    fn apply(&mut self, response: Response<'_, InputValue>) -> Vec<Decision> {
         match self.stage {
             0 => {
                 debug_assert_eq!(response, Response::Written);
@@ -126,7 +126,7 @@ impl Automaton for RacyConsensus {
         }
     }
 
-    fn apply(&mut self, response: Response<InputValue>) -> Vec<Decision> {
+    fn apply(&mut self, response: Response<'_, InputValue>) -> Vec<Decision> {
         match self.stage {
             0 => {
                 self.saw = response.expect_read();
@@ -201,7 +201,7 @@ impl Automaton for Spinner {
         })
     }
 
-    fn apply(&mut self, _response: Response<InputValue>) -> Vec<Decision> {
+    fn apply(&mut self, _response: Response<'_, InputValue>) -> Vec<Decision> {
         self.counter += 1;
         vec![]
     }

@@ -29,6 +29,7 @@ use set_agreement::memory::SimMemory;
 use set_agreement::model::{independent, Automaton, MemoryLayout, Op, ProcessId, Response};
 use set_agreement::runtime::toy::{RacyConsensus, ToyWriter};
 use set_agreement::runtime::{mask_of, persistent_set, Executor, ReductionMode, SymmetryMode};
+use std::borrow::Cow;
 
 const REGISTERS: usize = 2;
 const WIDTH: usize = 3;
@@ -82,11 +83,23 @@ fn run_order(
     memory: &SimMemory<u64>,
     first: &Op<u64>,
     second: &Op<u64>,
-) -> (Response<u64>, Response<u64>, Contents) {
+) -> (Response<'static, u64>, Response<'static, u64>, Contents) {
     let mut m = memory.clone();
-    let r1 = m.apply(first.clone()).expect("in-layout op");
-    let r2 = m.apply(second.clone()).expect("in-layout op");
+    let r1 = owned(m.apply(first.clone()).expect("in-layout op"));
+    let r2 = owned(m.apply(second.clone()).expect("in-layout op"));
     (r1, r2, Contents(m))
+}
+
+/// `response` with a scan's view copied out of the memory that lent it, so
+/// that it outlives later operations on that memory.
+fn owned(response: Response<'_, u64>) -> Response<'static, u64> {
+    match response {
+        Response::Read(value) => Response::Read(value),
+        Response::Written => Response::Written,
+        Response::Updated => Response::Updated,
+        Response::Snapshot(view) => Response::Snapshot(Cow::Owned(view.into_owned())),
+        Response::Nop => Response::Nop,
+    }
 }
 
 proptest! {
