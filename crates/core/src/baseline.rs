@@ -408,6 +408,12 @@ where
         }
     }
 
+    fn is_halted(&self) -> bool {
+        // The phase says it without building the poised op (which clones
+        // the own record while a write is pending).
+        matches!(self.phase, EmulationPhase::Done)
+    }
+
     fn apply(&mut self, response: Response<'_, FullInfoRecord<A::Value>>) -> Vec<Decision> {
         match std::mem::replace(&mut self.phase, EmulationPhase::Idle) {
             EmulationPhase::Idle => {

@@ -106,14 +106,14 @@ mod tests {
         }
         processes
             .iter()
-            .filter(|&&p| exec.automaton(p).is_halted())
+            .filter(|&&p| exec.automaton(p).poised().is_none())
             .count()
     }
 
     #[test]
     fn is_halted_matches_poised_after_every_step() {
         let params = Params::new(3, 1, 2).unwrap();
-        let (mut figure4, mut figure5) = (0, 0);
+        let (mut figure4, mut figure5, mut full_info) = (0, 0, 0);
         for seed in 0..20 {
             let workload = Workload::random(3, 3, 3, seed);
             let inputs = |p: usize| workload.sequence(p).to_vec();
@@ -125,10 +125,20 @@ mod tests {
                 .map(|p| AnonymousSetAgreement::repeated(params, inputs(p)).unwrap())
                 .collect();
             figure5 += halting_matches_poised(anonymous, seed, 3_000);
+            let emulated: Vec<_> = (0..3)
+                .map(|p| {
+                    SwmrEmulated::<OneShotSetAgreement>::one_shot(
+                        params,
+                        ProcessId(p),
+                        inputs(p)[0],
+                    )
+                })
+                .collect();
+            full_info += halting_matches_poised(emulated, seed, 3_000);
         }
         assert!(
-            figure4 > 0 && figure5 > 0,
-            "no process halted: {figure4}, {figure5}"
+            figure4 > 0 && figure5 > 0 && full_info > 0,
+            "no process halted: {figure4}, {figure5}, {full_info}"
         );
     }
 }

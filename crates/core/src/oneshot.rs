@@ -220,15 +220,13 @@ impl OneShotSetAgreement {
     }
 }
 
-/// Counts the distinct non-`⊥` pairs of a scan.
+/// Counts the distinct non-`⊥` pairs of a scan: an entry counts when no
+/// earlier entry equals it.
 fn distinct_pairs(view: &[Option<Pair>]) -> usize {
-    let mut seen: Vec<&Pair> = Vec::with_capacity(view.len());
-    for pair in view.iter().flatten() {
-        if !seen.contains(&pair) {
-            seen.push(pair);
-        }
-    }
-    seen.len()
+    view.iter()
+        .enumerate()
+        .filter(|&(j, entry)| entry.is_some() && !view[..j].contains(entry))
+        .count()
 }
 
 /// The smallest index `j1` such that some `j2 > j1` holds an identical
@@ -511,5 +509,33 @@ mod tests {
         let no_dup = vec![None, p(1, 0), p(2, 1)];
         assert_eq!(first_duplicate_index(&no_dup), None);
         assert_eq!(distinct_pairs(&[]), 0);
+    }
+
+    #[test]
+    fn distinct_pairs_matches_a_seen_vector_on_seeded_views() {
+        use sa_model::SplitMix64;
+        /// Reference: the count with a `seen` vector.
+        fn reference(view: &[Option<Pair>]) -> usize {
+            let mut seen: Vec<&Pair> = Vec::with_capacity(view.len());
+            for pair in view.iter().flatten() {
+                if !seen.contains(&pair) {
+                    seen.push(pair);
+                }
+            }
+            seen.len()
+        }
+        // Few values and ids over widths 1–8, so that duplicate pairs are
+        // common.
+        for seed in 0..2_000 {
+            let mut rng = SplitMix64::new(seed);
+            let width = 1 + rng.below(8) as usize;
+            let view: Vec<Option<Pair>> = (0..width)
+                .map(|_| {
+                    (rng.below(6) != 0)
+                        .then(|| Pair::new(rng.below(2), ProcessId(rng.below(2) as usize)))
+                })
+                .collect();
+            assert_eq!(distinct_pairs(&view), reference(&view), "seed {seed}");
+        }
     }
 }

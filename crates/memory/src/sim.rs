@@ -172,10 +172,9 @@ impl<V: Clone + Eq + Debug> SimMemory<V> {
     /// `a`/`b`, so reduced explorations using it stay deterministic at any
     /// worker count. Ops referring to locations outside the layout (or an
     /// overwriting write to a still-`⊥` cell) conservatively return `false`.
-    /// Soundness is machine-checked: the DPOR explorer asserts (in
-    /// debug builds) that every pair kept by this refinement actually
-    /// commutes, and `sa-runtime`'s commutation checker audits it alongside
-    /// the static relation.
+    /// Soundness is machine-checked: the soundness battery
+    /// (`tests/independence_soundness.rs`) executes both orders of random
+    /// pairs this refinement keeps and checks that they commute.
     pub fn invisibly_independent(&self, a: &Op<V>, b: &Op<V>) -> bool {
         // `true` if the op writes a value identical to what its target cell
         // currently holds, making it invisible to any observer.

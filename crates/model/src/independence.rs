@@ -1,8 +1,8 @@
 //! Static interference analysis over [`Op`] footprints.
 //!
 //! The paper's lower-bound argument (Theorem 2) hinges on which operations
-//! can be reordered invisibly; the explorers' partial-order reduction hinges
-//! on exactly the same structure. This module makes it first-class:
+//! can be reordered invisibly. This module makes that structure
+//! first-class:
 //!
 //! * [`Location`] — a single writable cell of the shared memory (a plain
 //!   register or one snapshot component), the vocabulary shared by the
@@ -17,11 +17,9 @@
 //!
 //! The relation is *state-independent* (it looks only at the ops, never at
 //! the memory contents) and conservative: declaring a commuting pair
-//! dependent costs reduction, never soundness. The runtime backs it with a
-//! dynamic commutation checker (`sa_runtime::check_commutation`) that
-//! executes both orders of every statically-independent enabled pair and
-//! compares successor state keys, so an unsound footprint can never silently
-//! prune.
+//! dependent costs reduction, never soundness. The soundness battery
+//! (`tests/independence_soundness.rs`) executes both orders of random
+//! independent pairs and checks that memory and responses agree.
 
 use crate::layout::{RegisterId, SnapshotId};
 use crate::op::Op;
@@ -140,9 +138,7 @@ impl Footprint {
 /// soundness. The payload- and state-sensitive cases (same-value writes to
 /// one cell; a write of the value a cell already holds against a concurrent
 /// reader) are recovered by `sa-memory`'s `SimMemory::invisibly_independent`
-/// refinement, which the DPOR explorer's sleep sets evaluate per
-/// configuration and the dynamic commutation checker audits alongside this
-/// relation.
+/// refinement, which is judged per configuration.
 pub fn independent<V, W>(a: &Op<V>, b: &Op<W>) -> bool {
     match (a, b) {
         (Op::Nop, _) | (_, Op::Nop) => true,

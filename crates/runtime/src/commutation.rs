@@ -1,107 +1,174 @@
-//! The dynamic commutation checker: an executable oracle for the static
-//! independence relation.
+//! Interference gates that no explorer calls.
 //!
-//! The serial explorer's persistent-set search
-//! ([`ReductionMode::PersistentSets`](crate::ReductionMode)) closes its
-//! persistent sets under, and prunes sleeping sibling orders of, every pair
-//! of transitions whose poised operations [`sa_model::independent`] calls
-//! independent. That relation is computed *statically* from op footprints —
-//! if it ever called a non-commuting pair independent (say, after a new op
-//! kind or a memory semantics change), the reduction would silently prune
-//! reachable states. [`check_commutation`] closes that gap dynamically: it
-//! walks the reachable configurations of a system and, for every enabled
-//! pair the static analysis calls independent, executes **both orders**
-//! from the same configuration and asserts the successors collapse to one
-//! state key.
-//!
-//! The DPOR explorer's sleep sets also prune through a *state-conditional*
-//! refinement — [`sa_memory::SimMemory::invisibly_independent`], which calls
-//! same-value writes to one cell and already-present-value writes against a
-//! reader independent in the state at hand — so the sweep audits that
-//! relation too, at exactly the configurations it would be consulted from.
-//!
-//! The DPOR explorer additionally runs the same oracle inline in debug
-//! builds (see [`orders_commute`]): every pair a sleep set actually retains
-//! is checked at the very expansion that would prune unsoundly. This module
-//! is the campaign-level sweep — it checks *all* independent pairs
-//! everywhere, not just the ones a particular search happens to keep
-//! asleep.
+//! These names exist only for the repository benchmark (`perfbench/`):
+//! its layer timings call [`persistent_set`], [`successor_sleep`],
+//! [`mask_of`] and [`orders_commute`], and its explore workloads pass
+//! [`ReductionMode`] on to
+//! [`ParallelExploreConfig::reduction`](crate::ParallelExploreConfig::reduction).
+//! They go when the benchmark drops those timings (`ROADMAP.md`, item 2).
 
 use crate::executor::Executor;
-use crate::explore::{dfs, state_key, ExploreConfig};
+use crate::explore::state_key;
 use sa_model::{independent, Automaton, ProcessId};
 use std::fmt::Debug;
 use std::hash::Hash;
 
-/// Bounds on a commutation sweep. The defaults match a medium exhaustive
-/// cell; the sweep walks the same deduplicated state space an exploration
-/// does, plus four extra steps per independent pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommutationConfig {
-    /// Maximum schedule depth to walk.
-    pub max_depth: u64,
-    /// Maximum number of states to check before giving up.
-    pub max_states: u64,
+/// The partial-order reduction an exploration requests. No explorer applies
+/// one, so [`Off`](ReductionMode::Off) is the only mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum ReductionMode {
+    /// Every enabled transition of every visited state is expanded.
+    #[default]
+    Off,
 }
 
-impl Default for CommutationConfig {
-    fn default() -> Self {
-        CommutationConfig {
-            max_depth: 60,
-            max_states: 100_000,
+impl ReductionMode {
+    /// A stable label used by records and CLIs.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ReductionMode::Off => "off",
+        }
+    }
+
+    /// Parses [`ReductionMode::label`] output.
+    pub fn parse(text: &str) -> Option<ReductionMode> {
+        match text {
+            "off" => Some(ReductionMode::Off),
+            _ => None,
         }
     }
 }
 
-/// A pair the static analysis called independent whose two orders produced
-/// **different** successor states — a witness that the footprint analysis
-/// is unsound for this system.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommutationViolation {
-    /// The schedule reaching the configuration the pair diverges from.
-    pub schedule: Vec<ProcessId>,
-    /// The first process of the pair.
-    pub first: ProcessId,
-    /// The second process of the pair.
-    pub second: ProcessId,
-    /// The operation kind `first` was poised to perform.
-    pub first_op: String,
-    /// The operation kind `second` was poised to perform.
-    pub second_op: String,
+/// One process's bit in a `u64` process mask, checked: `None` for
+/// `p.index() >= 64`. The single chokepoint every mask builder below goes
+/// through — `1u64 << p.index()` alone is a masked shift in release builds,
+/// so a 65th process would silently alias process 1.
+pub fn checked_bit_of(process: ProcessId) -> Option<u64> {
+    1u64.checked_shl(process.index() as u32)
 }
 
-/// The result of a commutation sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommutationReport {
-    /// Configurations walked.
-    pub states_checked: u64,
-    /// Statically-independent enabled pairs whose orders were executed.
-    pub pairs_checked: u64,
-    /// Enabled pairs the state-conditional invisible-write refinement
-    /// ([`sa_memory::SimMemory::invisibly_independent`]) called independent
-    /// where the static relation did not; each was executed in both orders
-    /// from the very configuration the refinement judged.
-    pub conditional_pairs_checked: u64,
-    /// `true` if a bound cut the walk short of the full reachable space.
-    pub truncated: bool,
-    /// Every pair that failed to commute (empty on a sound relation).
-    pub violations: Vec<CommutationViolation>,
+/// The bit mask of a process set, checked: `None` if any process index is
+/// outside the 64-bit mask width. Callers that know `n <= 64` use
+/// [`mask_of`].
+pub fn checked_mask_of(processes: &[ProcessId]) -> Option<u64> {
+    processes
+        .iter()
+        .try_fold(0u64, |mask, p| Some(mask | checked_bit_of(*p)?))
 }
 
-impl CommutationReport {
-    /// `true` if no independent pair failed to commute. A truncated pass is
-    /// still a pass over everything walked — check
-    /// [`truncated`](Self::truncated) separately when exhaustiveness
-    /// matters.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
+/// The bit mask of a process set: sleep and persistent sets are `u64` bit
+/// sets indexed by process slot.
+///
+/// # Panics
+///
+/// Panics if a process index is outside the mask width, where a wrapping
+/// shift would alias process `p` with `p - 64`. Use [`checked_mask_of`]
+/// when `n <= 64` is not already established.
+pub fn mask_of(processes: &[ProcessId]) -> u64 {
+    checked_mask_of(processes).expect("process index outside the 64-bit mask width")
+}
+
+/// The sleep set a successor inherits when `process` steps from `state`:
+/// the members of `sleep` whose poised operations commute with the one
+/// `process` is about to perform (dependent members wake).
+///
+/// Commutation is judged by a three-tier interference analysis, every tier
+/// a pure (and, across the pair, symmetric) function of the configuration:
+///
+/// 1. the static footprint relation ([`independent`]) — free, holds in
+///    every state;
+/// 2. the invisible-write refinement
+///    ([`SimMemory::invisibly_independent`](sa_memory::SimMemory::invisibly_independent))
+///    — a value comparison against the current contents;
+/// 3. [`orders_commute`] — executes both orders from this very
+///    configuration and keeps the pair asleep only if the successors
+///    collapse to one state key.
+///
+/// Debug builds run tier 3 on every pair the cheap tiers keep as well, and
+/// panic if such a pair does not commute.
+pub fn successor_sleep<A>(state: &Executor<A>, process: ProcessId, sleep: u64) -> u64
+where
+    A: Automaton + Clone + Hash,
+    A::Value: Hash + Clone + Eq + Debug,
+{
+    if sleep == 0 {
+        return 0;
+    }
+    let Some(op) = state.poised(process) else {
+        return 0;
+    };
+    let mut kept = 0u64;
+    let mut rest = sleep;
+    while rest != 0 {
+        let q = ProcessId(rest.trailing_zeros() as usize);
+        rest &= rest - 1;
+        // A sleeping process with no poised op cannot be judged; waking it
+        // is always sound.
+        let Some(other) = state.poised(q) else {
+            continue;
+        };
+        if independent(&op, &other) || state.memory().invisibly_independent(&op, &other) {
+            kept |= 1u64 << q.index();
+            debug_assert!(
+                orders_commute(state, process, q),
+                "independent pair {process}/{q} does not commute — the interference analysis is unsound here"
+            );
+        } else if orders_commute(state, process, q) {
+            kept |= 1u64 << q.index();
+        }
+    }
+    kept
+}
+
+/// The persistent subset of `runnable` at `state`: seeded from the first
+/// runnable process and closed under the **static** dependency relation
+/// over poised operations — a process joins the set when its poised op
+/// fails [`independent`] against any member's poised op, until a fixpoint.
+///
+/// A process with no poised op cannot conflict and never joins. The result
+/// is a pure function of the configuration.
+pub fn persistent_set<A>(state: &Executor<A>, runnable: &[ProcessId]) -> u64
+where
+    A: Automaton,
+    A::Value: Clone + Eq + Debug,
+{
+    let Some(seed) = runnable.first() else {
+        return 0;
+    };
+    let mut set = mask_of(&[*seed]);
+    loop {
+        let mut grew = false;
+        for q in runnable {
+            let q_bit = mask_of(&[*q]);
+            if set & q_bit != 0 {
+                continue;
+            }
+            let Some(q_op) = state.poised(*q) else {
+                continue;
+            };
+            let mut members = set;
+            while members != 0 {
+                let p = ProcessId(members.trailing_zeros() as usize);
+                members &= members - 1;
+                let Some(p_op) = state.poised(p) else {
+                    continue;
+                };
+                if !independent(&p_op, &q_op) {
+                    set |= q_bit;
+                    grew = true;
+                    break;
+                }
+            }
+        }
+        if !grew {
+            return set;
+        }
     }
 }
 
 /// `true` if stepping `first` then `second` reaches the same configuration
-/// as stepping `second` then `first` — the ground truth the static
-/// independence relation predicts. Shared by [`check_commutation`] and the
-/// explorers' debug-build inline oracle.
+/// as stepping `second` then `first`: the ground truth the independence
+/// relations predict.
 pub fn orders_commute<A>(state: &Executor<A>, first: ProcessId, second: ProcessId) -> bool
 where
     A: Automaton + Clone + Hash,
@@ -116,110 +183,10 @@ where
     state_key(&ab) == state_key(&ba)
 }
 
-/// Walks the deduplicated reachable configurations of `initial` and, in
-/// every one, executes both orders of every enabled pair the interference
-/// analysis calls independent — statically via [`sa_model::independent`] or
-/// conditionally via
-/// [`invisibly_independent`](sa_memory::SimMemory::invisibly_independent)
-/// judged at that very configuration — collecting the pairs whose orders
-/// diverge.
-///
-/// The walk is [`explore`](crate::explore)'s plain DFS with no symmetry,
-/// reduction or spill — the oracle must not trust the relation it is
-/// auditing — and is deterministic: depth-first in process order, so a
-/// violating system yields the same witness every run.
-pub fn check_commutation<A>(initial: &Executor<A>, config: CommutationConfig) -> CommutationReport
-where
-    A: Automaton + Clone + Hash,
-    A::Value: Hash + Clone + Eq + Debug,
-{
-    let mut report = CommutationReport {
-        states_checked: 0,
-        pairs_checked: 0,
-        conditional_pairs_checked: 0,
-        truncated: false,
-        violations: Vec::new(),
-    };
-    let walk = ExploreConfig {
-        max_depth: config.max_depth,
-        max_states: config.max_states,
-        ..ExploreConfig::default()
-    };
-    let audit = |state: &Executor<A>, schedule: &[ProcessId], runnable: &[ProcessId]| {
-        for (i, &p) in runnable.iter().enumerate() {
-            // A process with no poised op contributes no footprint; there
-            // is nothing to audit.
-            let Some(op_p) = state.poised(p) else {
-                continue;
-            };
-            for &q in &runnable[i + 1..] {
-                let Some(op_q) = state.poised(q) else {
-                    continue;
-                };
-                // Audit both faces of the interference analysis: the static
-                // footprint relation and, where it declines, the
-                // state-conditional invisible-write refinement judged at
-                // exactly this configuration — the same disjunction the
-                // DPOR explorer's sleep sets prune with.
-                if independent(&op_p, &op_q) {
-                    report.pairs_checked += 1;
-                } else if state.memory().invisibly_independent(&op_p, &op_q) {
-                    report.conditional_pairs_checked += 1;
-                } else {
-                    continue;
-                }
-                if !orders_commute(state, p, q) {
-                    report.violations.push(CommutationViolation {
-                        schedule: schedule.to_vec(),
-                        first: p,
-                        second: q,
-                        first_op: op_p.kind().to_string(),
-                        second_op: op_q.kind().to_string(),
-                    });
-                }
-            }
-        }
-    };
-    let walked = dfs(initial, walk, |_| None, audit);
-    report.states_checked = walked.states_visited;
-    report.truncated = walked.truncated;
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toy::{RacyConsensus, ToyWriter};
-
-    #[test]
-    fn independent_writers_commute_everywhere() {
-        // Three writers on three distinct registers: every enabled pair is
-        // independent, and every one must commute.
-        let exec = Executor::new(vec![
-            ToyWriter::new(0, 1),
-            ToyWriter::new(1, 2),
-            ToyWriter::new(2, 3),
-        ]);
-        let report = check_commutation(&exec, CommutationConfig::default());
-        assert!(report.passed(), "violations: {:?}", report.violations);
-        assert!(!report.truncated);
-        assert!(report.states_checked > 1);
-        assert!(report.pairs_checked > 0, "independent pairs must be found");
-    }
-
-    #[test]
-    fn racy_readers_commute_where_independent() {
-        // RacyConsensus processes read the same register before writing it:
-        // the read/read pairs are independent (and commute); the read/write
-        // and write/write pairs are dependent and never audited.
-        let exec = Executor::new(vec![
-            RacyConsensus::new(ProcessId(0), 10),
-            RacyConsensus::new(ProcessId(1), 20),
-        ]);
-        let report = check_commutation(&exec, CommutationConfig::default());
-        assert!(report.passed(), "violations: {:?}", report.violations);
-        assert!(report.pairs_checked > 0, "the read/read pair is audited");
-    }
+    use crate::toy::ToyWriter;
 
     #[test]
     fn dependent_orders_genuinely_diverge() {
@@ -231,95 +198,5 @@ mod tests {
         // Same values, though, collapse to one state either way.
         let same = Executor::new(vec![ToyWriter::new(0, 7), ToyWriter::new(0, 7)]);
         assert!(orders_commute(&same, ProcessId(0), ProcessId(1)));
-    }
-
-    #[test]
-    fn conditional_pairs_are_audited() {
-        // Two writers of the SAME value on one register: statically
-        // dependent, but the invisible-write refinement calls them
-        // independent — so the sweep must audit (and pass) them.
-        let exec = Executor::new(vec![ToyWriter::new(0, 7), ToyWriter::new(0, 7)]);
-        let report = check_commutation(&exec, CommutationConfig::default());
-        assert!(report.passed(), "violations: {:?}", report.violations);
-        assert!(
-            report.conditional_pairs_checked > 0,
-            "the same-value write/write pair is conditionally independent"
-        );
-        // Different values stay dependent under both relations: nothing
-        // conditional is audited and nothing can be (unsoundly) pruned.
-        let racing = Executor::new(vec![ToyWriter::new(0, 1), ToyWriter::new(0, 2)]);
-        let report = check_commutation(&racing, CommutationConfig::default());
-        assert!(report.passed());
-        assert_eq!(report.conditional_pairs_checked, 0);
-    }
-
-    #[test]
-    fn state_budget_truncates() {
-        let exec = Executor::new(vec![
-            ToyWriter::new(0, 1),
-            ToyWriter::new(1, 2),
-            ToyWriter::new(2, 3),
-        ]);
-        let report = check_commutation(
-            &exec,
-            CommutationConfig {
-                max_states: 2,
-                ..CommutationConfig::default()
-            },
-        );
-        assert!(report.truncated);
-        assert_eq!(report.states_checked, 2);
-    }
-
-    #[test]
-    fn sweep_counts_are_exact() {
-        // Three writers on distinct registers: 27 reachable states (3
-        // stages each), and every pair of poised ops is statically
-        // independent.
-        let writers = Executor::new(vec![
-            ToyWriter::new(0, 1),
-            ToyWriter::new(1, 2),
-            ToyWriter::new(2, 3),
-        ]);
-        let report = check_commutation(&writers, CommutationConfig::default());
-        assert_eq!(
-            (
-                report.states_checked,
-                report.pairs_checked,
-                report.conditional_pairs_checked,
-                report.truncated
-            ),
-            (27, 36, 0, false)
-        );
-        // Two same-value writers on one register: one read/read pair is
-        // statically independent, three write/write and write/read pairs
-        // are conditionally independent.
-        let same = Executor::new(vec![ToyWriter::new(0, 7), ToyWriter::new(0, 7)]);
-        let report = check_commutation(&same, CommutationConfig::default());
-        assert_eq!(
-            (
-                report.states_checked,
-                report.pairs_checked,
-                report.conditional_pairs_checked,
-                report.truncated
-            ),
-            (9, 1, 3, false)
-        );
-        // The depth bound cuts the writers' walk short.
-        let report = check_commutation(
-            &writers,
-            CommutationConfig {
-                max_depth: 2,
-                ..CommutationConfig::default()
-            },
-        );
-        assert_eq!(
-            (
-                report.states_checked,
-                report.pairs_checked,
-                report.truncated
-            ),
-            (10, 24, true)
-        );
     }
 }

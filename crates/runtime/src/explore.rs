@@ -23,8 +23,7 @@
 
 use crate::executor::Executor;
 use crate::store::KeyTable;
-use sa_model::{independent, Automaton, Fingerprinter, IdRelabeling, Op, ProcessId, SymmetryClass};
-use std::collections::HashMap;
+use sa_model::{Automaton, Fingerprinter, IdRelabeling, ProcessId, SymmetryClass};
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 
@@ -67,58 +66,6 @@ impl SymmetryMode {
     }
 }
 
-/// Whether the serial explorer cuts redundant interleavings with
-/// partial-order reduction.
-///
-/// Only [`explore`] applies a reduction. The breadth-first
-/// [`parallel_explore`](crate::parallel_explore) keeps no DFS path to hang
-/// backtrack sets on, so it always expands fully and reports
-/// [`Exploration::reduction_applied`] as `false`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReductionMode {
-    /// Every enabled transition of every visited state is expanded — the
-    /// historical behavior.
-    #[default]
-    Off,
-    /// Persistent-set selective search with Flanagan–Godefroid dynamic
-    /// backtracking (POPL 2005): each state expands only a provably
-    /// sufficient subset of its enabled processes — a seed closed under the
-    /// static dependency relation (see [`persistent_set`]) — so whole
-    /// successor *states* are cut, not just redundant transitions. Sleep
-    /// sets ([`successor_sleep`]) still prune the second order of commuting
-    /// pairs within the persistent subset.
-    ///
-    /// On discovering (while expanding a transition) a static dependency
-    /// with an earlier transition of the DFS path, the stepping process is
-    /// added to that ancestor's backtrack set, which re-establishes the
-    /// persistent-set condition the cheap seed may have missed.
-    ///
-    /// This is **requested**, not guaranteed: the masks are u64 bit sets,
-    /// so searches over more than 64 processes (the mask width) fall back
-    /// to [`Off`](ReductionMode::Off) rather than prune unsoundly —
-    /// [`Exploration::reduction_applied`] records what actually happened.
-    PersistentSets,
-}
-
-impl ReductionMode {
-    /// A stable label used by records and CLIs.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ReductionMode::Off => "off",
-            ReductionMode::PersistentSets => "persistent-set",
-        }
-    }
-
-    /// Parses [`ReductionMode::label`] output.
-    pub fn parse(text: &str) -> Option<ReductionMode> {
-        match text {
-            "off" => Some(ReductionMode::Off),
-            "persistent-set" => Some(ReductionMode::PersistentSets),
-            _ => None,
-        }
-    }
-}
-
 /// Configuration of a bounded exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreConfig {
@@ -132,10 +79,6 @@ pub struct ExploreConfig {
     /// Whether to deduplicate up to process-id symmetry (falls back to [`SymmetryMode::Off`] for automata that do not opt
     /// in — see [`SymmetryMode::ProcessIds`]).
     pub symmetry: SymmetryMode,
-    /// Whether to run the persistent-set DPOR search (requires at most 64
-    /// processes; falls back to [`ReductionMode::Off`] otherwise
-    /// — see [`ReductionMode::PersistentSets`]).
-    pub reduction: ReductionMode,
     /// Whether the explorer may evict the executors of cold frontier entries
     /// when the resident frontier exceeds
     /// [`max_resident_bytes`](Self::max_resident_bytes). An evicted entry
@@ -160,7 +103,6 @@ impl Default for ExploreConfig {
             max_depth: 60,
             max_states: 2_000_000,
             symmetry: SymmetryMode::Off,
-            reduction: ReductionMode::Off,
             spill: false,
             max_resident_bytes: 0,
         }
@@ -260,7 +202,7 @@ pub struct Exploration {
     pub approx_bytes: u64,
     /// Cumulative number of frontier entries moved out of memory (0 unless
     /// spill was on and the resident budget was exceeded): entries whose
-    /// executors the serial explorers evicted, or level entries the
+    /// executors the serial explorer evicted, or level entries the
     /// breadth-first explorer wrote to disk. The only statistic that
     /// legitimately differs between a spilled and an in-core run of the
     /// same cell.
@@ -280,28 +222,9 @@ pub struct Exploration {
     /// factor the quotient achieved. Exact up to 128-bit signature
     /// collisions between distinct slot states.
     pub full_states_lower_bound: u64,
-    /// `true` if the search ran the persistent-set DPOR explorer:
-    /// [`ReductionMode::PersistentSets`] was requested **and** its
-    /// preconditions held (the serial explorer, at most 64 processes). When `false` despite a request, the search fell back to
-    /// plain expansion — same verdicts, no reduction.
-    pub reduction_applied: bool,
     /// Number of successor configurations generated (one per expanded
     /// transition).
     pub expansions: u64,
-    /// Number of enabled transitions the DPOR explorer skipped because they
-    /// were asleep at a state's expansion (0 without
-    /// [`ReductionMode::PersistentSets`]).
-    pub sleep_pruned: u64,
-    /// Number of transitions expanded out of persistent/backtrack sets —
-    /// i.e. from states where the persistent-set selection restricted the
-    /// expansion (0 without [`ReductionMode::PersistentSets`]).
-    pub persistent_expanded: u64,
-    /// Number of enabled transitions the persistent-set selection left
-    /// permanently unexpanded — each the root of a successor subtree the
-    /// selective search proved redundant, which is how this mode cuts
-    /// *states* rather than transitions (0 without
-    /// [`ReductionMode::PersistentSets`]).
-    pub states_cut: u64,
 }
 
 impl Exploration {
@@ -312,7 +235,6 @@ impl Exploration {
     pub(crate) fn new(
         frontier_semantics: FrontierSemantics,
         symmetry_applied: bool,
-        reduction_applied: bool,
         root_violation: Option<String>,
     ) -> Exploration {
         let root_visited = root_violation.is_some() as u64;
@@ -333,11 +255,7 @@ impl Exploration {
             spilled_entries: 0,
             symmetry_applied,
             full_states_lower_bound: root_visited,
-            reduction_applied,
             expansions: 0,
-            sleep_pruned: 0,
-            persistent_expanded: 0,
-            states_cut: 0,
         }
     }
 
@@ -717,29 +635,6 @@ where
         // singleton orbit, so callers can use the two interchangeably.
         return (state_key(executor), 1);
     }
-    let (key, orbit_lower, _) = canonical_keyed(executor, plan);
-    (key, orbit_lower)
-}
-
-/// The canonical relabeling (`old id → new id`) induced by a canonical slot
-/// order (`order[new_slot] = old_slot`).
-fn relabel_for_order(order: &[usize]) -> IdRelabeling {
-    let mut map = vec![ProcessId(0); order.len()];
-    for (new_slot, &old_slot) in order.iter().enumerate() {
-        map[old_slot] = ProcessId(new_slot);
-    }
-    IdRelabeling::from_map(map)
-}
-
-/// The [`StateKey`] of the configuration's canonical orbit representative
-/// under an applied plan, its orbit-size lower bound and the canonical slot
-/// order — the shared core of [`canonical_state_key`] and
-/// `keyed_relabeled`.
-fn canonical_keyed<A>(executor: &Executor<A>, plan: &SymmetryPlan) -> (StateKey, u64, Vec<usize>)
-where
-    A: Automaton + Hash,
-    A::Value: Hash + Clone + Eq + Debug,
-{
     let (order, orbit_lower, signatures) = plan.canonical_order(executor);
     let mut hasher = Fingerprinter::new();
     if plan.class == SymmetryClass::Anonymous {
@@ -749,7 +644,7 @@ where
             hasher.write_u64(hi);
         }
         executor.memory().hash_contents(&mut hasher);
-        return (StateKey(hasher.finish128()), orbit_lower, order);
+        return (StateKey(hasher.finish128()), orbit_lower);
     }
     let relabel = relabel_for_order(&order);
     for &old_slot in &order {
@@ -772,7 +667,17 @@ where
             }
         }
     }
-    (StateKey(hasher.finish128()), orbit_lower, order)
+    (StateKey(hasher.finish128()), orbit_lower)
+}
+
+/// The canonical relabeling (`old id → new id`) induced by a canonical slot
+/// order (`order[new_slot] = old_slot`).
+fn relabel_for_order(order: &[usize]) -> IdRelabeling {
+    let mut map = vec![ProcessId(0); order.len()];
+    for (new_slot, &old_slot) in order.iter().enumerate() {
+        map[old_slot] = ProcessId(new_slot);
+    }
+    IdRelabeling::from_map(map)
 }
 
 /// The dedup key (and visited-orbit weight) of a configuration under a
@@ -792,252 +697,6 @@ where
     } else {
         (state_key(executor), 1)
     }
-}
-
-/// [`keyed`], additionally returning the canonical relabeling that maps the
-/// configuration onto its orbit representative — what the DPOR explorer
-/// needs to store its masks in **canonical** process coordinates, where
-/// masks from different members of one orbit are comparable. The identity
-/// when the plan applies no (or only trivial) reduction. One
-/// `canonical_order` pass serves the key, the weight and the relabeling.
-fn keyed_relabeled<A>(executor: &Executor<A>, plan: &SymmetryPlan) -> (StateKey, u64, IdRelabeling)
-where
-    A: Automaton + Hash,
-    A::Value: Hash + Clone + Eq + Debug,
-{
-    if plan.applied && !plan.is_trivial() {
-        let (key, orbit_lower, order) = canonical_keyed(executor, plan);
-        (key, orbit_lower, relabel_for_order(&order))
-    } else {
-        (
-            state_key(executor),
-            1,
-            IdRelabeling::identity(executor.process_count()),
-        )
-    }
-}
-
-/// One process's bit in a `u64` process mask, checked: `None` for
-/// `p.index() >= 64`. The single chokepoint every mask builder below goes
-/// through — `1u64 << p.index()` alone is a masked shift in release builds,
-/// so a 65th process would silently alias process 1 instead of triggering
-/// the documented >64-process fallback.
-pub fn checked_bit_of(process: ProcessId) -> Option<u64> {
-    1u64.checked_shl(process.index() as u32)
-}
-
-/// The bit mask of a process set, checked: `None` if any process index is
-/// outside the 64-bit mask width. Callers that have already established the
-/// fallback precondition (`n <= 64`) use [`mask_of`].
-pub fn checked_mask_of(processes: &[ProcessId]) -> Option<u64> {
-    processes
-        .iter()
-        .try_fold(0u64, |mask, p| Some(mask | checked_bit_of(*p)?))
-}
-
-/// The bit mask of a process set. Sleep and backtrack masks are `u64` bit
-/// sets indexed by process slot — the reason persistent-set reduction falls
-/// back to plain expansion beyond 64 processes.
-///
-/// # Panics
-///
-/// Panics if a process index is outside the mask width: the DPOR explorer
-/// is gated on `n <= 64`, so an out-of-range index here is a bug, and the
-/// pre-fix wrapping shift would have aliased process `p` with `p - 64` in
-/// sleep/backtrack masks instead of failing. Use [`checked_mask_of`] when
-/// the precondition is not already established.
-pub fn mask_of(processes: &[ProcessId]) -> u64 {
-    checked_mask_of(processes)
-        .expect("process index outside the 64-bit mask width; reduction must fall back at n > 64")
-}
-
-/// The image of a process-set mask under a relabeling: bit `p` maps to bit
-/// `relabel(p)` (used to store sleep masks in canonical coordinates).
-///
-/// # Panics
-///
-/// Panics if the relabeling maps a set bit outside the 64-bit mask width
-/// (see [`mask_of`]).
-fn relabel_mask(mask: u64, relabel: &IdRelabeling) -> u64 {
-    let mut out = 0u64;
-    let mut rest = mask;
-    while rest != 0 {
-        let p = rest.trailing_zeros() as usize;
-        out |= checked_bit_of(relabel.apply(ProcessId(p)))
-            .expect("relabeled process index outside the 64-bit mask width");
-        rest &= rest - 1;
-    }
-    out
-}
-
-/// The preimage of a canonical-coordinate mask under a relabeling: bit `p`
-/// is set iff bit `relabel(p)` is set in `mask`. Scanning the domain avoids
-/// materializing the inverse map.
-///
-/// # Panics
-///
-/// Panics if the relabeling maps a domain slot outside the 64-bit mask
-/// width (see [`mask_of`]).
-fn unrelabel_mask(mask: u64, relabel: &IdRelabeling) -> u64 {
-    let mut out = 0u64;
-    for p in 0..relabel.len() {
-        let image = checked_bit_of(relabel.apply(ProcessId(p)))
-            .expect("relabeled process index outside the 64-bit mask width");
-        if mask & image != 0 {
-            out |= 1u64 << p;
-        }
-    }
-    out
-}
-
-/// The sleep set inherited by the successor the DPOR explorer reaches by
-/// stepping `process` from `state`: the members of `sleep` whose poised
-/// operations commute with the one `process` is about to perform (dependent
-/// members wake — their orders with `process` are now distinguishable and
-/// must be explored).
-///
-/// Commutation is judged by a three-tier interference analysis, every tier
-/// a pure (and, across the pair, symmetric) function of the configuration,
-/// so reduced output stays byte-identical at any cell-level worker count:
-///
-/// 1. the static footprint relation ([`independent`]) — free, holds in
-///    every state;
-/// 2. the invisible-write refinement
-///    ([`SimMemory::invisibly_independent`](sa_memory::SimMemory::invisibly_independent))
-///    — a value comparison against the current contents;
-/// 3. the dynamic commutation checker
-///    ([`orders_commute`](crate::orders_commute)) — executes both orders
-///    from this very configuration and keeps the pair asleep only if the
-///    successors collapse to one state key. This is the precise state-local
-///    diamond, so it also prunes pairs no footprint analysis can clear —
-///    e.g. an update racing a scan whose caller's behavior is insensitive
-///    to that one component.
-///
-/// Each tier is evaluated at exactly the state the pruning decision is made
-/// from, which is what the sleep-set induction needs: a per-state diamond,
-/// re-established here at every expansion. (Enabledness preservation, the
-/// other diamond leg, is structural — stepping one process never disables
-/// another in this model.)
-///
-/// Debug builds run the dynamic oracle on every pair the *cheap* tiers
-/// retain: if either analysis ever called a non-commuting pair independent,
-/// the very expansion that would prune unsoundly panics instead (see
-/// [`check_commutation`](crate::check_commutation) for the standalone
-/// campaign-level sweep). Tier 3 needs no audit — it is the oracle.
-pub fn successor_sleep<A>(state: &Executor<A>, process: ProcessId, sleep: u64) -> u64
-where
-    A: Automaton + Clone + Hash,
-    A::Value: Hash + Clone + Eq + Debug,
-{
-    if sleep == 0 {
-        return 0;
-    }
-    let Some(op) = state.poised(process) else {
-        return 0;
-    };
-    let mut kept = 0u64;
-    let mut rest = sleep;
-    while rest != 0 {
-        let q = ProcessId(rest.trailing_zeros() as usize);
-        rest &= rest - 1;
-        // A sleeping process with no poised op cannot be judged; waking it
-        // is always sound.
-        let Some(other) = state.poised(q) else {
-            continue;
-        };
-        if independent(&op, &other) || state.memory().invisibly_independent(&op, &other) {
-            kept |= 1u64 << q.index();
-            #[cfg(debug_assertions)]
-            debug_assert_commutes(state, process, q);
-        } else if crate::commutation::orders_commute(state, process, q) {
-            kept |= 1u64 << q.index();
-        }
-    }
-    kept
-}
-
-/// The persistent subset of `runnable` at `state`: seeded from the lowest-
-/// indexed enabled process and closed under the **static** dependency
-/// relation over poised operations — a process joins the set when its
-/// poised op fails [`independent`] against any member's poised op, until a
-/// fixpoint.
-///
-/// Static (footprint) independence holds in *every* state, so members'
-/// pending operations stay independent of non-members' poised operations no
-/// matter which non-members step in between — the part of the persistent-set
-/// condition a state-conditional relation could not deliver. What the
-/// closure cannot see is a non-member's *future* operations becoming
-/// dependent after it steps; the DPOR explorer closes that hole with
-/// Flanagan–Godefroid dynamic backtracking (the missed process is added to
-/// the ancestor's backtrack set the moment the dependency materializes).
-///
-/// A process with no poised op cannot conflict and never joins. The result
-/// is a pure function of the configuration, so reduced output stays
-/// byte-identical at any cell-level worker count.
-pub fn persistent_set<A>(state: &Executor<A>, runnable: &[ProcessId]) -> u64
-where
-    A: Automaton,
-    A::Value: Clone + Eq + Debug,
-{
-    let Some(seed) = runnable.first() else {
-        return 0;
-    };
-    persistent_closure(state, runnable, *seed)
-}
-
-/// The static-dependency closure of `{seed}` over `runnable` — the engine
-/// behind [`persistent_set`], with the seed chosen by the caller (the DFS
-/// seeds from the lowest *non-sleeping* enabled process so a sleep-filtered
-/// backtrack set never starts empty).
-fn persistent_closure<A>(state: &Executor<A>, runnable: &[ProcessId], seed: ProcessId) -> u64
-where
-    A: Automaton,
-    A::Value: Clone + Eq + Debug,
-{
-    let mut set = mask_of(&[seed]);
-    loop {
-        let mut grew = false;
-        for q in runnable {
-            let q_bit = mask_of(&[*q]);
-            if set & q_bit != 0 {
-                continue;
-            }
-            let Some(q_op) = state.poised(*q) else {
-                continue;
-            };
-            let mut members = set;
-            while members != 0 {
-                let p = ProcessId(members.trailing_zeros() as usize);
-                members &= members - 1;
-                let Some(p_op) = state.poised(p) else {
-                    continue;
-                };
-                if !independent(&p_op, &q_op) {
-                    set |= q_bit;
-                    grew = true;
-                    break;
-                }
-            }
-        }
-        if !grew {
-            return set;
-        }
-    }
-}
-
-/// Debug oracle behind [`successor_sleep`]: executes both orders of a pair
-/// the interference analysis called independent and asserts identical
-/// successor state keys.
-#[cfg(debug_assertions)]
-fn debug_assert_commutes<A>(state: &Executor<A>, a: ProcessId, b: ProcessId)
-where
-    A: Automaton + Clone + Hash,
-    A::Value: Hash + Clone + Eq + Debug,
-{
-    debug_assert!(
-        crate::commutation::orders_commute(state, a, b),
-        "independent pair {a}/{b} does not commute — the interference analysis is unsound here"
-    );
 }
 
 /// The deterministic deep-byte charge of one frontier entry: the executor's
@@ -1105,7 +764,7 @@ where
 
 /// One pending entry of the serial DFS: its depth and the step from its
 /// parent, whose schedule is a prefix of the DFS path when the entry is
-/// popped (see [`dfs`]). States are kept in their *original* labeling —
+/// popped (see [`explore`]). States are kept in their *original* labeling —
 /// canonical forms exist only inside the dedup keys — so witness schedules
 /// replay on the caller's executor as-is.
 struct DfsEntry<A: Automaton> {
@@ -1125,49 +784,22 @@ struct DfsEntry<A: Automaton> {
 /// The predicate receives the executor after each step and returns
 /// `Some(description)` to report a violation (which stops the search) or
 /// `None` if the configuration is acceptable.
-pub fn explore<A, F>(initial: &Executor<A>, config: ExploreConfig, predicate: F) -> Exploration
-where
-    A: Automaton + Clone + Hash,
-    A::Value: Hash + Clone + Eq + Debug,
-    F: FnMut(&Executor<A>) -> Option<String>,
-{
-    // Persistent-set selective search restructures the DFS around a path
-    // stack with per-frame backtrack sets; it lives in its own driver. Its
-    // masks live in u64 bit sets, so it falls back (mirroring the symmetry
-    // fallback) when the system outgrows the mask width.
-    let n = initial.process_count();
-    if config.reduction == ReductionMode::PersistentSets && n > 0 && n <= u64::BITS as usize {
-        return explore_dpor(initial, config, predicate);
-    }
-    dfs(initial, config, predicate, |_, _, _| {})
-}
-
-/// The plain serial DFS behind [`explore`]. `visit` sees every visited
-/// state, its schedule and its runnable processes before the terminal and
-/// depth checks: the hook [`check_commutation`](crate::check_commutation)
-/// audits on.
 ///
-/// The only schedule stored is the path to the state being expanded. Stack
-/// depths never decrease toward the top, so every pending entry's parent
-/// lies on the path: popping an entry at depth `d` truncates the path to
-/// `d - 1` steps and appends the entry's step.
-pub(crate) fn dfs<A, F, V>(
-    initial: &Executor<A>,
-    config: ExploreConfig,
-    mut predicate: F,
-    mut visit: V,
-) -> Exploration
+/// The search is a depth-first one, and the only schedule it stores is the
+/// path to the state being expanded. Stack depths never decrease toward the
+/// top, so every pending entry's parent lies on the path: popping an entry
+/// at depth `d` truncates the path to `d - 1` steps and appends the entry's
+/// step.
+pub fn explore<A, F>(initial: &Executor<A>, config: ExploreConfig, mut predicate: F) -> Exploration
 where
     A: Automaton + Clone + Hash,
     A::Value: Hash + Clone + Eq + Debug,
     F: FnMut(&Executor<A>) -> Option<String>,
-    V: FnMut(&Executor<A>, &[ProcessId], &[ProcessId]),
 {
     let plan = SymmetryPlan::for_executor(initial, config.symmetry);
     let mut result = Exploration::new(
         FrontierSemantics::DfsStackDepth,
         plan.applied(),
-        false,
         // The initial configuration is reachable (by the empty schedule): a
         // predicate that rejects it must be reported, not silently skipped.
         predicate(initial),
@@ -1244,7 +876,6 @@ where
             .saturating_add(entry.orbit_lower);
         result.max_depth_reached = result.max_depth_reached.max(path.len() as u64);
         let runnable = state.runnable();
-        visit(&state, &path, &runnable);
         if runnable.is_empty() || path.len() as u64 >= config.max_depth {
             if !runnable.is_empty() {
                 // Depth bound cut this path short.
@@ -1305,352 +936,6 @@ where
     }
     result.seen_entries = seen.len() as u64;
     result.approx_bytes = logical_peak + KeyTable::bytes_for_len(seen.len() as u64);
-    result
-}
-
-/// One frame of the persistent-set DFS path stack. Unlike [`DfsEntry`]
-/// (siblings coexist on the stack), the stack here *is* the current
-/// schedule: frame `i` holds the state reached by the first `i` steps — the
-/// `taken` processes of the frames below it — and expands one transition
-/// at a time from its backtrack set, so Flanagan–Godefroid race detection
-/// can add processes to an ancestor's `backtrack` **after** the ancestor
-/// was first expanded.
-struct DporFrame<A: Automaton> {
-    /// `None` while evicted to honor the resident budget; rebuilt by
-    /// replaying the path when the frame is on top again. The masks below
-    /// stay resident, so race additions can target evicted frames.
-    state: Option<Executor<A>>,
-    /// The operation most recently executed *from* this frame along the
-    /// current path — the anchor races are detected against.
-    taken_op: Option<Op<A::Value>>,
-    /// The process that executed `taken_op`: the path's next step.
-    taken: ProcessId,
-    bytes: u64,
-    /// Enabled processes at this frame, in its own labeling.
-    runnable_mask: u64,
-    /// The sleep set this frame arrived with (own labeling).
-    sleep: u64,
-    /// Processes promised an expansion: the sleep-filtered persistent set at
-    /// creation, grown by dynamic backtracking when a deeper transition
-    /// races with an op outside it.
-    backtrack: u64,
-    /// Processes already expanded from this frame.
-    done: u64,
-    /// `false` for owed-revisit frames, which re-expand transitions a
-    /// smaller-sleep arrival found uncovered and are not re-counted.
-    fresh: bool,
-    /// Canonical dedup key and the relabeling that produced it, kept so
-    /// backtrack growth can shrink the stored promise mask in canonical
-    /// coordinates.
-    key: StateKey,
-    relabel: IdRelabeling,
-}
-
-/// The serial persistent-set explorer: a path-stack DFS with
-/// Flanagan–Godefroid dynamic backtracking, dispatched to by [`explore`]
-/// under [`ReductionMode::PersistentSets`] (≤ 64 processes).
-///
-/// Each fresh state's initial backtrack set is the sleep-filtered
-/// [static persistent set](persistent_set); whenever a newly generated
-/// transition's op is *dependent* with the op an ancestor frame executed,
-/// the new process is added to that ancestor's backtrack set — re-adding
-/// exactly the schedules the static closure could not prove redundant.
-/// Dedup uses the sleep-set promise discipline: the stored mask per
-/// canonical key is the set of enabled transitions **not** promised an
-/// expansion (it shrinks as backtrack sets grow), and an arrival whose
-/// sleep set leaves part of the stored mask uncovered pushes an owed
-/// revisit for exactly that part. Race detection also runs for dedup-pruned
-/// successors, so promises made by a pruned subtree's representative are
-/// tightened the moment a race is visible at the prune point.
-///
-/// All decisions are pure functions of the configuration, and every
-/// statistic is accounted at frame creation or completion — never at
-/// eviction — so output is byte-identical with spill on or off.
-fn explore_dpor<A, F>(initial: &Executor<A>, config: ExploreConfig, mut predicate: F) -> Exploration
-where
-    A: Automaton + Clone + Hash,
-    A::Value: Hash + Clone + Eq + Debug,
-    F: FnMut(&Executor<A>) -> Option<String>,
-{
-    let plan = SymmetryPlan::for_executor(initial, config.symmetry);
-    let mut result = Exploration::new(
-        FrontierSemantics::DfsStackDepth,
-        plan.applied(),
-        true,
-        predicate(initial),
-    );
-    if result.violation.is_some() {
-        return result;
-    }
-    // Seen-map: canonical key → mask of enabled transitions NOT promised an
-    // expansion (canonical coordinates). Godefroid's sleep-set
-    // state-matching discipline, except promises also shrink when
-    // backtracking grows.
-    let mut map: HashMap<StateKey, u64> = HashMap::new();
-    let mut frames: Vec<DporFrame<A>> = Vec::new();
-    // Byte accounting mirrors `dfs`: resident + evicted is conserved by
-    // eviction and rebuild, so `approx_bytes` is spill-invariant.
-    let cap = config.max_resident_bytes;
-    let mut resident: u64 = 0;
-    let mut evicted: u64 = 0;
-    let mut logical_peak: u64 = 0;
-    // Eviction takes the coldest resident frames, so the evicted frames are
-    // always the bottom `evicted_below` of the path stack.
-    let mut evicted_below: usize = 0;
-
-    // Creates (and accounts) a frame for `state` at `depth`, keyed by
-    // `keyed_relabeled` and arriving with `sleep`; `owed` is `Some(mask)`
-    // for revisit frames. Returns the frame; the caller pushes it.
-    let make_frame = |state: Executor<A>,
-                      depth: usize,
-                      sleep: u64,
-                      owed: Option<u64>,
-                      (key, orbit, relabel): (StateKey, u64, IdRelabeling),
-                      result: &mut Exploration,
-                      map: &mut HashMap<StateKey, u64>|
-     -> DporFrame<A> {
-        let runnable = state.runnable();
-        let runnable_mask = mask_of(&runnable);
-        let fresh = owed.is_none();
-        if fresh {
-            result.states_visited += 1;
-            result.full_states_lower_bound = result.full_states_lower_bound.saturating_add(orbit);
-            result.max_depth_reached = result.max_depth_reached.max(depth as u64);
-            result.sleep_pruned += (sleep & runnable_mask).count_ones() as u64;
-        }
-        let backtrack = match owed {
-            Some(owed) => owed,
-            None if depth as u64 >= config.max_depth => 0,
-            None => {
-                // Seed from the lowest non-sleeping enabled process; the
-                // closure still ranges over everything enabled, but sleeping
-                // members are filtered out of the promise (their coverage is
-                // owned by the path that put them to sleep).
-                let seeded = runnable
-                    .iter()
-                    .find(|q| sleep & mask_of(&[**q]) == 0)
-                    .map(|seed| persistent_closure(&state, &runnable, *seed))
-                    .unwrap_or(0);
-                seeded & !sleep
-            }
-        };
-        if fresh {
-            // Promise: everything enabled outside the (sleep-filtered)
-            // backtrack set is *not* covered here. Sleeping transitions are
-            // never promised (the stored sleep set Z of state matching).
-            map.insert(key, relabel_mask(runnable_mask & !backtrack, &relabel));
-        }
-        let bytes = entry_bytes(&state, depth);
-        DporFrame {
-            state: Some(state),
-            taken_op: None,
-            taken: ProcessId(0),
-            bytes,
-            runnable_mask,
-            sleep,
-            backtrack,
-            done: 0,
-            fresh,
-            key,
-            relabel,
-        }
-    };
-
-    let root_keyed = keyed_relabeled(initial, &plan);
-    let root = make_frame(
-        initial.clone(),
-        0,
-        0,
-        None,
-        root_keyed,
-        &mut result,
-        &mut map,
-    );
-    resident += root.bytes;
-    logical_peak = logical_peak.max(resident);
-    frames.push(root);
-    result.frontier_peak = 1;
-
-    loop {
-        if cap > 0 && !config.spill && resident > cap {
-            result.truncated = true;
-            result.pending_at_exit =
-                frames.iter().filter(|f| f.backtrack & !f.done != 0).count() as u64;
-            break;
-        }
-        let Some(top) = frames.len().checked_sub(1) else {
-            break;
-        };
-        let todo = frames[top].backtrack & !frames[top].done;
-        if todo == 0 {
-            let frame = frames.pop().expect("top frame exists");
-            if frame.state.is_some() {
-                resident -= frame.bytes;
-            } else {
-                evicted -= frame.bytes;
-                evicted_below = top;
-            }
-            if frame.fresh {
-                // The popped frame's depth is the new stack height.
-                let at_bound = frames.len() as u64 >= config.max_depth;
-                if frame.runnable_mask == 0 || at_bound {
-                    result.paths += 1;
-                    if frame.runnable_mask != 0 {
-                        result.truncated = true;
-                    }
-                } else {
-                    // Enabled, unslept, never expanded: the roots of the
-                    // subtrees the persistent set proved redundant.
-                    result.states_cut +=
-                        (frame.runnable_mask & !frame.done & !frame.sleep).count_ones() as u64;
-                }
-            }
-            continue;
-        }
-        let bit = todo & todo.wrapping_neg();
-        let process = ProcessId(bit.trailing_zeros() as usize);
-        frames[top].done |= bit;
-        if frames[top].sleep & bit != 0 {
-            // A race addition may name a sleeping process; its orders are
-            // covered by the path that put it to sleep.
-            continue;
-        }
-        if frames[top].state.is_none() {
-            // The DFS returned to an evicted frame with work left: rebuild it
-            // by replaying the path, the steps taken from the frames below.
-            let state = replay(initial, frames[..top].iter().map(|f| f.taken));
-            resident += frames[top].bytes;
-            evicted -= frames[top].bytes;
-            frames[top].state = Some(state);
-            evicted_below = top;
-        }
-        let state = frames[top].state.as_ref().expect("top frame is resident");
-        let taken_op = state.poised(process);
-        let mut next = state.clone();
-        next.step(process);
-        frames[top].taken_op = taken_op;
-        frames[top].taken = process;
-        result.expansions += 1;
-        result.persistent_expanded += 1;
-        if let Some(description) = predicate(&next) {
-            let schedule: Vec<ProcessId> = frames.iter().map(|f| f.taken).collect();
-            result.max_depth_reached = result.max_depth_reached.max(schedule.len() as u64);
-            result.violation = Some(ExploredViolation {
-                schedule,
-                description,
-            });
-            break;
-        }
-        // Flanagan–Godefroid race detection, run for EVERY generated
-        // successor (pushed or dedup-pruned): each process enabled at the
-        // successor is raced against the ops executed along the current
-        // path — frame `top`'s op is the one just taken. The *last*
-        // dependent frame gains the process in its backtrack set. No
-        // happens-before check beyond program order is attempted (skipping
-        // one only errs toward more exploration), and program order needs
-        // no explicit test: if `q`'s own last op is dependent with its next
-        // one, the frame that executed it has `q` in `done` and the scan
-        // stops there; if independent (a no-op prelude, say), the scan
-        // correctly ranges past it to older conflicting frames.
-        let next_runnable = next.runnable();
-        for q in &next_runnable {
-            let q_bit = mask_of(&[*q]);
-            let q_op = next.poised(*q);
-            for j in (0..frames.len()).rev() {
-                // An op we cannot judge is treated as dependent.
-                let dependent = match (&frames[j].taken_op, &q_op) {
-                    (Some(t), Some(o)) => !independent(t, o),
-                    _ => true,
-                };
-                if !dependent {
-                    continue;
-                }
-                if frames[j].backtrack & q_bit == 0
-                    && frames[j].done & q_bit == 0
-                    && frames[j].sleep & q_bit == 0
-                {
-                    debug_assert!(
-                        frames[j].runnable_mask & q_bit != 0,
-                        "enabledness is monotone: a process enabled deeper is enabled here"
-                    );
-                    frames[j].backtrack |= q_bit;
-                    // The frame now promises this transition too.
-                    if let Some(stored) = map.get_mut(&frames[j].key) {
-                        *stored &= !relabel_mask(q_bit, &frames[j].relabel);
-                    }
-                }
-                break;
-            }
-        }
-        let (key, orbit, relabel) = keyed_relabeled(&next, &plan);
-        // The successor sleeps on still-independent previously expanded
-        // siblings (done ∖ {bit}) and inherited sleepers.
-        let sibling_base = frames[top].sleep | (frames[top].done & !bit);
-        let state = frames[top].state.as_ref().expect("top frame is resident");
-        let child_sleep = successor_sleep(state, process, sibling_base);
-        let canon_sleep = relabel_mask(child_sleep, &relabel);
-        let push = match map.entry(key) {
-            std::collections::hash_map::Entry::Vacant(_) => {
-                // Budget check exactly where a new state would be counted:
-                // a space of exactly `max_states` states drains every
-                // backtrack set and exits exhausted, not truncated.
-                if result.states_visited >= config.max_states {
-                    result.truncated = true;
-                    result.pending_at_exit =
-                        frames.iter().filter(|f| f.backtrack & !f.done != 0).count() as u64 + 1;
-                    break;
-                }
-                Some(None)
-            }
-            std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                let stored = *occupied.get();
-                let owed = stored & !canon_sleep;
-                if owed == 0 {
-                    None
-                } else {
-                    occupied.insert(stored & canon_sleep);
-                    Some(Some(unrelabel_mask(owed, &relabel)))
-                }
-            }
-        };
-        if let Some(owed) = push {
-            let keyed = (key, orbit, relabel);
-            let frame = make_frame(
-                next,
-                frames.len(),
-                child_sleep,
-                owed,
-                keyed,
-                &mut result,
-                &mut map,
-            );
-            resident += frame.bytes;
-            frames.push(frame);
-        }
-        result.frontier_peak = result.frontier_peak.max(frames.len() as u64);
-        logical_peak = logical_peak.max(resident + evicted);
-        // Over the resident cap with spill on: evict the coldest half of the
-        // still-resident frames (never the top — it is about to be
-        // expanded). Masks stay resident so race additions keep working;
-        // only the executor bytes leave memory.
-        let live = frames.len() - evicted_below;
-        if config.spill && cap > 0 && resident > cap && live >= 2 {
-            for frame in &mut frames[evicted_below..evicted_below + live / 2] {
-                frame.state = None;
-                resident -= frame.bytes;
-                evicted += frame.bytes;
-            }
-            evicted_below += live / 2;
-            result.spilled_entries += (live / 2) as u64;
-        }
-    }
-    if !plan.applied() {
-        result.full_states_lower_bound = result.states_visited;
-    }
-    result.seen_entries = map.len() as u64;
-    result.approx_bytes = logical_peak
-        + KeyTable::bytes_for_len(map.len() as u64)
-        + map.len() as u64 * std::mem::size_of::<u64>() as u64;
     result
 }
 
@@ -2184,159 +1469,5 @@ mod tests {
             (a.frontier_peak, a.seen_entries, a.approx_bytes),
             (b.frontier_peak, b.seen_entries, b.approx_bytes)
         );
-    }
-
-    #[test]
-    fn persistent_sets_cut_states_below_full_expansion() {
-        // Three writers on distinct registers commute pairwise: a singleton
-        // persistent set is dependency-closed, so the DPOR search explores
-        // one interleaving where full expansion walks the whole product
-        // lattice — the win is measured on *states*, not just expansions.
-        let exec = Executor::new(vec![
-            ToyWriter::new(0, 1),
-            ToyWriter::new(1, 2),
-            ToyWriter::new(2, 3),
-        ]);
-        let off = explore(&exec, ExploreConfig::default(), agreement_predicate(3));
-        let dpor = explore(
-            &exec,
-            ExploreConfig {
-                reduction: ReductionMode::PersistentSets,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(3),
-        );
-        assert!(off.verified() && dpor.verified());
-        assert!(!off.reduction_applied);
-        assert!(dpor.reduction_applied);
-        assert!(
-            dpor.states_visited < off.states_visited,
-            "persistent sets must cut states: {} !< {}",
-            dpor.states_visited,
-            off.states_visited
-        );
-        assert!(dpor.states_cut > 0);
-        assert!(dpor.persistent_expanded > 0);
-        assert_eq!(off.persistent_expanded, 0);
-        assert_eq!(off.states_cut, 0);
-        assert_eq!(off.sleep_pruned, 0);
-        // Deterministic: the same reduced run yields the same report.
-        let again = explore(
-            &exec,
-            ExploreConfig {
-                reduction: ReductionMode::PersistentSets,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(3),
-        );
-        assert_eq!(dpor.states_visited, again.states_visited);
-        assert_eq!(dpor.expansions, again.expansions);
-        assert_eq!(dpor.states_cut, again.states_cut);
-        assert_eq!(dpor.persistent_expanded, again.persistent_expanded);
-    }
-
-    #[test]
-    fn persistent_sets_keep_the_racy_verdict() {
-        // RacyConsensus's read/write pairs are dependent: the backtrack sets
-        // must grow until the violating interleaving is scheduled, and the
-        // witness must replay to a genuine violation.
-        let exec = Executor::new(vec![
-            RacyConsensus::new(ProcessId(0), 10),
-            RacyConsensus::new(ProcessId(1), 20),
-        ]);
-        let off = explore(&exec, ExploreConfig::default(), agreement_predicate(1));
-        let on = explore(
-            &exec,
-            ExploreConfig {
-                reduction: ReductionMode::PersistentSets,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(1),
-        );
-        assert!(on.reduction_applied);
-        assert!(!off.verified() && !on.verified(), "both must find the race");
-        let witness = on.violation.expect("the race must still be found");
-        assert!(witness.description.contains("exceeding k = 1"));
-        let mut replayed = exec.clone();
-        for &p in &witness.schedule {
-            replayed.step(p);
-        }
-        assert!(agreement_predicate(1)(&replayed).is_some());
-    }
-
-    #[test]
-    fn persistent_sets_compose_with_symmetry() {
-        // Symmetry quotients states, persistent sets then cut redundant
-        // interleavings of the quotient; the verified verdict must survive
-        // the composition.
-        let exec = Executor::new(vec![
-            ToyWriter::new(0, 7),
-            ToyWriter::new(1, 7),
-            ToyWriter::new(2, 9),
-        ]);
-        let sym_only = explore(
-            &exec,
-            ExploreConfig {
-                symmetry: SymmetryMode::ProcessIds,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(3),
-        );
-        let both = explore(
-            &exec,
-            ExploreConfig {
-                symmetry: SymmetryMode::ProcessIds,
-                reduction: ReductionMode::PersistentSets,
-                ..ExploreConfig::default()
-            },
-            agreement_predicate(3),
-        );
-        assert!(sym_only.verified() && both.verified());
-        assert!(both.symmetry_applied && both.reduction_applied);
-        assert!(
-            both.states_visited < sym_only.states_visited,
-            "persistent sets must cut orbit states too: {} !< {}",
-            both.states_visited,
-            sym_only.states_visited
-        );
-    }
-
-    #[test]
-    fn persistent_set_spill_is_byte_identical() {
-        // Under the 1-byte cap the DPOR explorer keeps evicting the coldest
-        // half of its resident path frames: an evicted frame drops only its
-        // executor, keeps its backtrack/done masks, and is rebuilt by
-        // replaying the path when the DFS returns to it with work left.
-        // That must change nothing but spilled_entries.
-        let exec = Executor::new(vec![
-            RacyConsensus::new(ProcessId(0), 10),
-            RacyConsensus::new(ProcessId(1), 10),
-        ]);
-        let config = ExploreConfig {
-            reduction: ReductionMode::PersistentSets,
-            ..ExploreConfig::default()
-        };
-        let base = explore(&exec, config, agreement_predicate(2));
-        let spilled = explore(
-            &exec,
-            ExploreConfig {
-                spill: true,
-                max_resident_bytes: 1,
-                ..config
-            },
-            agreement_predicate(2),
-        );
-        assert!(
-            spilled.spilled_entries > 0,
-            "the tiny cap must force spills"
-        );
-        assert!(base.verified() && spilled.verified());
-        assert_eq!(spilled.states_visited, base.states_visited);
-        assert_eq!(spilled.expansions, base.expansions);
-        assert_eq!(spilled.states_cut, base.states_cut);
-        assert_eq!(spilled.persistent_expanded, base.persistent_expanded);
-        assert_eq!(spilled.paths, base.paths);
-        assert_eq!(spilled.max_depth_reached, base.max_depth_reached);
-        assert_eq!(spilled.seen_entries, base.seen_entries);
     }
 }

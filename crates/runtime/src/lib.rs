@@ -19,10 +19,6 @@
 //!   configurations.
 //! * [`parallel_explore`] — the same exhaustive check on a pool of worker
 //!   threads, byte-identical at any thread count.
-//! * [`check_commutation`] — the dynamic oracle auditing the static
-//!   independence relation ([`sa_model::independent`]) that feeds the
-//!   serial explorer's persistent-set partial-order reduction
-//!   ([`ReductionMode`]).
 //! * [`run_threaded`] — runs the same automata on real OS threads against a
 //!   [`SharedMemory`](sa_memory::SharedMemory).
 //! * [`Workload`] — reproducible input generators.
@@ -59,16 +55,16 @@ mod trace;
 mod workload;
 
 pub use commutation::{
-    check_commutation, orders_commute, CommutationConfig, CommutationReport, CommutationViolation,
+    checked_bit_of, checked_mask_of, mask_of, orders_commute, persistent_set, successor_sleep,
+    ReductionMode,
 };
 pub use executor::{
     Backend, Executor, RunConfig, RunReport, SearchConfig, SearchGoal, ServeClock, ServeLoad,
     ServeOptions, StopReason,
 };
 pub use explore::{
-    agreement_predicate, canonical_state_key, checked_bit_of, checked_mask_of, explore, keyed,
-    mask_of, persistent_set, state_key, successor_sleep, Exploration, ExploreConfig,
-    ExploredViolation, FrontierSemantics, ReductionMode, StateKey, SymmetryMode, SymmetryPlan,
+    agreement_predicate, canonical_state_key, explore, keyed, state_key, Exploration,
+    ExploreConfig, ExploredViolation, FrontierSemantics, StateKey, SymmetryMode, SymmetryPlan,
 };
 pub use parallel::{
     parallel_explore, Bfs, BfsEntry, BfsLevel, BfsSuccessor, ParallelExploreConfig,

@@ -49,17 +49,12 @@
 //! measure a stack rather than a level. On *verified* runs `states_visited`,
 //! `verified` and the absence of a violation agree exactly; the
 //! serial-vs-parallel equivalence suite pins that.
-//!
-//! Partial-order reduction is the serial explorer's alone: its DPOR search
-//! needs a DFS path to hang backtrack sets on. This explorer always expands
-//! every enabled transition, whatever
-//! [`ParallelExploreConfig::reduction`] asks for, and reports
-//! [`Exploration::reduction_applied`] as `false`.
 
+use crate::commutation::ReductionMode;
 use crate::executor::Executor;
 use crate::explore::{
     entry_bytes, keyed, replay, successors_of, Exploration, ExploredViolation, FrontierSemantics,
-    ReductionMode, StateKey, SymmetryMode, SymmetryPlan,
+    StateKey, SymmetryMode, SymmetryPlan,
 };
 use crate::store::{
     corrupt, read_segment, KeyTable, ScheduleArena, SegmentKind, SegmentWriter, SpillDir,
@@ -104,12 +99,9 @@ pub struct ParallelExploreConfig {
     /// Falls back to [`SymmetryMode::Off`] for automata that do not opt in
     /// (see [`SymmetryMode::ProcessIds`]).
     pub symmetry: SymmetryMode,
-    /// The requested partial-order reduction. Never applied: this explorer
-    /// always expands fully and reports
-    /// [`Exploration::reduction_applied`] as `false`, the same fallback the
-    /// serial explorer takes beyond 64 processes. Only
-    /// the serial [`explore`](crate::explore) runs
-    /// [`ReductionMode::PersistentSets`].
+    /// The requested partial-order reduction; [`ReductionMode::Off`] is its
+    /// only value, and this explorer always expands every enabled
+    /// transition.
     pub reduction: ReductionMode,
     /// Whether the explorer may spill frozen BFS levels (and seen-set
     /// shards) to disk when they exceed
@@ -547,7 +539,6 @@ where
     let mut result = Exploration::new(
         FrontierSemantics::BfsLevelWidth,
         bfs.symmetry_applied(),
-        false,
         predicate(initial),
     );
     if result.violation.is_some() {
@@ -1071,40 +1062,6 @@ mod tests {
             "spill must let the capped cell exhaust: {rescued:?}"
         );
         assert_eq!(rescued.pending_at_exit, 0);
-    }
-
-    #[test]
-    fn reduction_requests_fall_back_to_full_expansion() {
-        // Partial-order reduction belongs to the serial DPOR explorer: a
-        // persistent-set request here must expand fully, report that it
-        // did, and leave every statistic equal to the unreduced run.
-        let exec = writers(3);
-        let off = parallel_explore(
-            &exec,
-            ParallelExploreConfig::default(),
-            agreement_predicate(3),
-        );
-        let requested = parallel_explore(
-            &exec,
-            ParallelExploreConfig {
-                reduction: ReductionMode::PersistentSets,
-                ..ParallelExploreConfig::default()
-            },
-            agreement_predicate(3),
-        );
-        assert!(requested.verified());
-        assert!(!off.reduction_applied && !requested.reduction_applied);
-        assert_eq!(requested.states_visited, off.states_visited);
-        assert_eq!(requested.expansions, off.expansions);
-        assert_eq!(requested.approx_bytes, off.approx_bytes);
-        assert_eq!(
-            (
-                requested.sleep_pruned,
-                requested.persistent_expanded,
-                requested.states_cut
-            ),
-            (0, 0, 0)
-        );
     }
 
     #[test]

@@ -500,23 +500,20 @@ pub struct FrontierRecord {
     pub schedule: Vec<ProcessId>,
     /// The orbit-size lower bound of the configuration.
     pub orbit_lower: u64,
-    /// The sleep mask the entry arrived with (its own labeling; 0 outside
-    /// persistent-set runs).
+    /// A sleep mask (see [`mask_of`](crate::mask_of)).
     pub sleep: u64,
-    /// `Some(owed)` for an owed-revisit entry of the DPOR explorer's
-    /// sleep-set state matching (`None` outside persistent-set runs).
+    /// `Some(owed)` for an owed-revisit entry of sleep-set state matching.
     pub expand: Option<u64>,
-    /// The DPOR backtrack set at freeze time (0 outside persistent-set
-    /// runs).
+    /// A backtrack mask.
     pub backtrack: u64,
-    /// The DPOR done set at freeze time (0 outside persistent-set runs).
+    /// A done mask.
     pub done: u64,
 }
 
 /// Encodes one spilled frontier record: the orbit-size lower bound, the
-/// entry's sleep mask, its owed-revisit mask (flag byte then mask — see
-/// the DPOR explorer's state matching), the DPOR backtrack and done
-/// sets, the schedule length, then the schedule's steps as `u32`s.
+/// entry's sleep mask, its owed-revisit mask (flag byte then mask), the
+/// backtrack and done masks, the schedule length, then the schedule's
+/// steps as `u32`s.
 ///
 /// # Panics
 ///

@@ -15,9 +15,7 @@
 //! therefore **byte-identical at any thread count**.
 //!
 //! The search expands every enabled transition of every admitted
-//! configuration: partial-order reduction lives only in the serial
-//! exhaustive explorer, whose DPOR search needs a DFS path to backtrack
-//! over.
+//! configuration.
 
 use crate::goal::{goal_for, GoalMeasure};
 use crate::witness::{verify, Certificate, Witness};

@@ -109,22 +109,8 @@ it --params and --n/--m/--k exclude each other):
                        automata cannot establish the symmetry fall back to
                        plain exploration (symmetry = fallback-off in the
                        record) instead of pruning unsoundly
-  --reduction MODE     `off` (default) or `persistent-set`: the serial
-                       explorer's DPOR search restricts each state's
-                       expansion to a dependency-closed subset of enabled
-                       processes, grown by dynamic backtracking, and prunes
-                       commuting siblings with sleep sets judged by a
-                       three-tier interference analysis (static op
-                       footprints, invisible-write refinement, dynamic
-                       commutation). It cuts visited states; verdicts stay
-                       identical to full exploration. Records carry
-                       expansions / sleep_pruned / persistent_expanded /
-                       states_cut, and the reduction composes with
-                       --symmetry. Serial explore mode only: explore-threads
-                       >= 1 and adversary-search mode reject it before any
-                       scenario runs; sample and serve modes ignore it.
-                       Cells with more than 64 processes fall back to plain
-                       exploration (reduction = fallback-off in the record)
+  --reduction MODE     `off`, the only value; the key stays so that
+                       existing specs and checkpoints still parse
   --goals LIST         adversary-search mode: comma list of witness goals to
                        sweep, `covering` (default) and/or `block-write`
   --target-registers T adversary-search mode: `auto` (default; the paper's

@@ -150,7 +150,6 @@ pub fn run_scenario(campaign: &str, spec: &ScenarioSpec) -> SweepRecord {
             max_depth: spec.max_steps,
             max_states: spec.max_states,
             symmetry: spec.symmetry,
-            reduction: spec.reduction,
             spill: spec.spill,
             max_resident_bytes,
         }),

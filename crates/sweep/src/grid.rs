@@ -93,11 +93,9 @@ pub struct ScenarioSpec {
     /// [`SymmetryMode::Off`] when sampling). Like `explore_threads`, not
     /// part of the scenario's identity.
     pub symmetry: SymmetryMode,
-    /// Partial-order reduction for exhaustive scenarios (always
-    /// [`ReductionMode::Off`] when sampling, serving or searching). Only the
-    /// serial explorer applies it. Like `symmetry`, not part of the
-    /// scenario's identity: it changes how many states the explorer visits,
-    /// never a verdict.
+    /// Partial-order reduction for exhaustive scenarios;
+    /// [`ReductionMode::Off`] is its only value. Not part of the scenario's
+    /// identity.
     pub reduction: ReductionMode,
     /// Spill frozen frontier levels and seen-set shards to disk when the
     /// explorer exceeds its resident budget (exhaustive scenarios only).
@@ -616,8 +614,7 @@ fn serve_scenario(spec: &CampaignSpec, index: u64, params: Params, seed: u64) ->
 /// here, so `auto` pins `n + 2m − k` into the scenario. `explore-threads`
 /// and `symmetry` carry over as the search's "how" knobs — results are
 /// byte-identical at any worker count, and symmetry canonicalization prunes
-/// orbits without changing the best witness. The search never reduces
-/// (see [`CampaignSpec::validate`]).
+/// orbits without changing the best witness.
 fn search_scenario(
     spec: &CampaignSpec,
     index: u64,

@@ -8,7 +8,7 @@
 //! field walk (`field_walk!` below), so a new field is one row there.
 
 use crate::grid::ScenarioSpec;
-use set_agreement::runtime::{ReductionMode, StopReason, SymmetryMode};
+use set_agreement::runtime::{StopReason, SymmetryMode};
 use set_agreement::{ExploreReport, ScenarioReport, ThreadedRunReport};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -122,30 +122,23 @@ pub struct SweepRecord {
     /// is the achieved reduction factor. Encoded only when symmetry was
     /// requested.
     pub full_states_lower_bound: u64,
-    /// Partial-order-reduction status of an exploration: `off` (not
-    /// requested), `persistent-set` (requested and applied by the serial
-    /// DPOR explorer) or `fallback-off` (requested, but the explorer could
-    /// not honor it — the parallel explorer or more than 64 processes — so
-    /// full expansion ran instead). Records written while
-    /// `sleep-set` reduction existed carry that label; they still parse,
-    /// summarize and diff. Encoded, together with the two expansion
-    /// statistics below, only when the campaign requested reduction —
-    /// records of reduction-off campaigns stay byte-identical to
-    /// pre-reduction releases.
+    /// Partial-order-reduction status of an exploration. New records are
+    /// always `off`, which is not encoded. Records written while reductions
+    /// existed carry `sleep-set`, `persistent-set` or `fallback-off` (the
+    /// request could not be honored) with the counters below; they still
+    /// parse, summarize and diff.
     pub reduction: String,
-    /// Successor expansions the exploration performed (0 for sampled
-    /// records). Encoded only when reduction was requested.
+    /// Successor expansions a reduced exploration performed. Encoded only
+    /// with a reduction other than `off`.
     pub expansions: u64,
     /// Expansions skipped because a sleeping sibling order was provably
-    /// commuting. Encoded only when reduction was requested.
+    /// commuting. Encoded only with a reduction other than `off`.
     pub sleep_pruned: u64,
-    /// Expansions the DPOR explorer drew from persistent/backtrack sets.
-    /// Encoded only when `persistent-set` reduction was applied, so records
-    /// of other campaigns stay byte-identical to earlier releases.
+    /// Expansions a persistent-set search drew from its backtrack sets.
+    /// Encoded only in `persistent-set` records.
     pub persistent_expanded: u64,
-    /// Enabled transitions left permanently unexpanded by persistent-set
-    /// selection — the roots of subtrees the reduction proved redundant.
-    /// Encoded only when `persistent-set` reduction was requested.
+    /// Enabled transitions a persistent-set search left unexpanded. Encoded
+    /// only in `persistent-set` records.
     pub states_cut: u64,
     /// Wall-clock microseconds of a threaded run (0 otherwise; encoded only
     /// for threaded records, whose output makes no byte-determinism claim).
@@ -307,7 +300,6 @@ impl SweepRecord {
     /// footprint.
     pub fn from_exploration(campaign: &str, spec: &ScenarioSpec, report: &ExploreReport) -> Self {
         let symmetry_on = spec.symmetry != SymmetryMode::Off;
-        let reduction_on = spec.reduction != ReductionMode::Off;
         let run = &report.exploration;
         let base = Self::base(campaign, spec);
         SweepRecord {
@@ -340,15 +332,6 @@ impl SweepRecord {
             } else {
                 0
             },
-            reduction: status_label(reduction_on, run.reduction_applied, spec.reduction.label()),
-            expansions: if reduction_on { run.expansions } else { 0 },
-            sleep_pruned: if reduction_on { run.sleep_pruned } else { 0 },
-            persistent_expanded: if reduction_on {
-                run.persistent_expanded
-            } else {
-                0
-            },
-            states_cut: if reduction_on { run.states_cut } else { 0 },
             ..base
         }
     }
@@ -654,8 +637,8 @@ fn reduction_requested(r: &SweepRecord) -> bool {
     r.reduction != "off"
 }
 
-/// Only an applied persistent-set search writes its two counters, so
-/// fallback records (and old sleep-set ones) keep their earlier bytes.
+/// Only old persistent-set records carry these two counters, so fallback
+/// and sleep-set records keep their earlier bytes.
 fn persistent(r: &SweepRecord) -> bool {
     r.reduction == "persistent-set"
 }
@@ -677,9 +660,7 @@ fn serves(r: &SweepRecord) -> bool {
 /// The record label of a requested reduction: `off` when not requested,
 /// `label` when the engine applied it, and `fallback-off` when the engine
 /// could not honor the request and ran unreduced instead rather than prune
-/// unsoundly (automata that cannot establish the symmetry; for
-/// partial-order reduction, the parallel explorer or more than 64
-/// processes).
+/// unsoundly (automata that cannot establish the symmetry).
 fn status_label(requested: bool, applied: bool, label: &str) -> String {
     match (requested, applied) {
         (false, _) => "off",

@@ -467,18 +467,9 @@ pub struct CampaignSpec {
     /// prune unsoundly. Off by default, which keeps record bytes identical
     /// to pre-symmetry releases.
     pub symmetry: SymmetryMode,
-    /// Partial-order reduction per exploration (ignored in
-    /// [`CampaignMode::Sample`] and [`CampaignMode::Serve`]):
-    /// `persistent-set` runs persistent-set selective search with dynamic
-    /// (Flanagan–Godefroid) backtracking in the serial explorer, cutting
-    /// whole redundant *states* while preserving every verdict. It needs
-    /// the serial explorer, so [`validate`](Self::validate) rejects it
-    /// with `explore-threads ≥ 1` or in [`CampaignMode::AdversarySearch`].
-    /// Like `symmetry` this is a "how" knob, not part of a scenario's
-    /// identity, and it composes with `symmetry`. Explorations that cannot
-    /// honor the request (more than 64 processes) fall back to full
-    /// expansion rather than prune unsoundly. Off by default, which keeps
-    /// record bytes identical to pre-reduction releases.
+    /// Partial-order reduction per exploration. `off` is its only value;
+    /// the key stays because a campaign's `Display` text names it, and that
+    /// text tags checkpoint journals.
     pub reduction: ReductionMode,
     /// Whether explorations may spill frozen frontier chunks and seen-set
     /// shards to disk when they exceed the resident-byte budget (ignored
@@ -657,9 +648,7 @@ impl CampaignSpec {
     /// (exploration state budget), `explore-threads` (exploration worker
     /// threads; 0 = serial explorer), `symmetry` (`off` or
     /// `process-ids`: deduplicate explored states up to process-id
-    /// orbits), `reduction` (`off` or `persistent-set`: cut redundant
-    /// interleavings and states with the serial explorer's DPOR search,
-    /// composable with `symmetry`),
+    /// orbits), `reduction` (`off`, the only value),
     /// `spill` (`on` or `off`: let explorations move cold
     /// frontier and seen-set state to disk under memory pressure),
     /// `max-resident-mb` (resident-memory budget per exploration in MiB;
@@ -729,9 +718,7 @@ impl CampaignSpec {
                 }
                 "reduction" => {
                     spec.reduction = ReductionMode::parse(value).ok_or_else(|| {
-                        SpecError(format!(
-                            "unknown reduction {value:?} (want off or persistent-set)"
-                        ))
+                        SpecError(format!("unknown reduction {value:?} (want off)"))
                     })?;
                 }
                 "spill" => {
@@ -799,33 +786,7 @@ impl CampaignSpec {
         if spec.goals.is_empty() {
             return err("no goals");
         }
-        spec.validate()?;
         Ok(spec)
-    }
-
-    /// Rejects a reduction no scenario of the campaign could apply:
-    /// `reduction = persistent-set` is the serial explorer's alone, so it
-    /// fails with `explore-threads ≥ 1` in explore mode and in adversary
-    /// search. [`apply`](Self::apply) runs this check after every layer, so
-    /// spec files and command-line overrides fail the same way, before any
-    /// scenario runs.
-    pub fn validate(&self) -> Result<(), SpecError> {
-        if self.reduction == ReductionMode::Off {
-            return Ok(());
-        }
-        match self.mode {
-            CampaignMode::AdversarySearch => err(format!(
-                "reduction = {} needs the serial explorer; adversary searches never reduce",
-                self.reduction.label()
-            )),
-            CampaignMode::Explore if self.explore_threads > 0 => err(format!(
-                "reduction = {} needs the serial explorer (explore-threads = 0), got \
-                 explore-threads = {}",
-                self.reduction.label(),
-                self.explore_threads
-            )),
-            _ => Ok(()),
-        }
     }
 }
 
@@ -1218,61 +1179,28 @@ symmetry = process-ids",
     }
 
     #[test]
-    fn reduction_parses_round_trips_and_defaults_off() {
+    fn reduction_defaults_off_and_retired_modes_are_unknown() {
+        let spec = CampaignSpec::parse("").unwrap();
+        assert_eq!(spec.reduction, ReductionMode::Off);
+        // The key stays in the display text, which tags checkpoint journals.
+        assert!(spec.to_string().contains("\nreduction = off\n"));
+        let explicit = CampaignSpec::parse("mode = explore\nreduction = off").unwrap();
+        assert_eq!(explicit.reduction, ReductionMode::Off);
         assert_eq!(
-            CampaignSpec::parse("").unwrap().reduction,
-            ReductionMode::Off
+            CampaignSpec::parse(&explicit.to_string()).unwrap(),
+            explicit
         );
-        let dpor = CampaignSpec::parse(
-            "mode = explore
-symmetry = process-ids
-reduction = persistent-set",
-        )
-        .unwrap();
-        assert_eq!(dpor.reduction, ReductionMode::PersistentSets);
-        assert_eq!(dpor.symmetry, SymmetryMode::ProcessIds);
-        assert_eq!(CampaignSpec::parse(&dpor.to_string()).unwrap(), dpor);
-        assert!(CampaignSpec::parse("reduction = ample-set").is_err());
-    }
-
-    #[test]
-    fn retired_sleep_set_reduction_is_an_unknown_value() {
-        let error = CampaignSpec::parse("mode = explore\nreduction = sleep-set")
-            .expect_err("sleep-set reduction is gone");
-        assert!(
-            error.0.contains("unknown reduction \"sleep-set\""),
-            "{error}"
-        );
-    }
-
-    #[test]
-    fn persistent_sets_need_the_serial_explorer() {
-        let parallel = CampaignSpec::parse(
-            "mode = explore
-explore-threads = 2
-reduction = persistent-set",
-        )
-        .expect_err("the parallel explorer never reduces");
-        assert!(parallel.0.contains("explore-threads = 2"), "{parallel}");
-        let search = CampaignSpec::parse(
-            "mode = adversary-search
-reduction = persistent-set",
-        )
-        .expect_err("adversary searches never reduce");
-        assert!(search.0.contains("adversary searches"), "{search}");
-        // The same check catches a command-line override of a valid spec.
-        let mut spec = CampaignSpec::parse("mode = explore\nreduction = persistent-set").unwrap();
-        spec.validate().unwrap();
-        spec.explore_threads = 1;
-        assert!(spec.validate().is_err());
-        // Modes that ignore the knob, and reduction off, stay valid.
-        for text in [
-            "mode = sample\nreduction = persistent-set",
-            "mode = serve\nreduction = persistent-set",
-            "mode = adversary-search\nexplore-threads = 8",
-            "mode = explore\nexplore-threads = 8",
-        ] {
-            CampaignSpec::parse(text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+        for retired in ["sleep-set", "persistent-set", "ample-set"] {
+            for mode in ["explore", "adversary-search", "sample", "serve"] {
+                let text = format!("mode = {mode}\nreduction = {retired}");
+                let error = CampaignSpec::parse(&text).expect_err("off is the only reduction");
+                assert!(
+                    error
+                        .0
+                        .contains(&format!("unknown reduction \"{retired}\"")),
+                    "{text:?}: {error}"
+                );
+            }
         }
     }
 

@@ -1,7 +1,6 @@
-//! `sweep run` rejects a reduction no scenario could apply — the retired
-//! `sleep-set` value, or `persistent-set` outside the serial explorer —
-//! from command-line flags exactly as from a spec file: with an error,
-//! before any scenario runs or the output file is created.
+//! `sweep run` rejects the retired `sleep-set` and `persistent-set`
+//! reductions from command-line flags exactly as from a spec file: with an
+//! error, before any scenario runs or the output file is created.
 
 use std::process::Command;
 
@@ -27,7 +26,13 @@ fn sweep_run(label: &str, args: &str) -> (bool, String, bool) {
 }
 
 #[test]
-fn unsupported_reduction_flags_fail_before_any_scenario_runs() {
+fn retired_reductions_fail_before_any_scenario_runs() {
+    let spec = std::env::temp_dir().join(format!(
+        "sa-sweep-cli-reduction-{}.spec",
+        std::process::id()
+    ));
+    std::fs::write(&spec, "mode = explore\nreduction = persistent-set\n").unwrap();
+    let spec_args = format!("--spec {}", spec.display());
     for (label, args, message) in [
         (
             "sleep-set",
@@ -35,14 +40,14 @@ fn unsupported_reduction_flags_fail_before_any_scenario_runs() {
             "unknown reduction \"sleep-set\"",
         ),
         (
-            "parallel",
-            "--mode explore --explore-threads 2 --reduction persistent-set",
-            "explore-threads = 2",
+            "persistent-set",
+            "--mode explore --reduction persistent-set",
+            "unknown reduction \"persistent-set\"",
         ),
         (
-            "search",
-            "--mode adversary-search --reduction persistent-set",
-            "adversary searches never reduce",
+            "spec-file",
+            spec_args.as_str(),
+            "unknown reduction \"persistent-set\"",
         ),
     ] {
         let (succeeded, stderr, created) = sweep_run(label, args);
@@ -50,4 +55,5 @@ fn unsupported_reduction_flags_fail_before_any_scenario_runs() {
         assert!(stderr.contains(message), "{label}: {stderr}");
         assert!(!created, "{label}: no output before validation");
     }
+    let _ = std::fs::remove_file(&spec);
 }

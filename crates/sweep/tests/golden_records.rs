@@ -1,8 +1,8 @@
 //! The golden mixed-mode fixture: `golden/mixed.jsonl` holds one result
 //! line per record shape the engine writes — scheduled, crash, threaded,
 //! serial explore with symmetry applied and with symmetry fallen back,
-//! persistent-set, parallel explore, serve, both adversary-search goals,
-//! and a line of the retired sleep-set mode — and `golden/mixed.summary.txt`
+//! parallel explore, serve, both adversary-search goals — and a line each
+//! of the retired persistent-set and sleep-set modes; `golden/mixed.summary.txt`
 //! is what `sweep summarize` printed for that file when it was committed.
 //! Decoding and re-encoding must reproduce every line byte for byte, and
 //! the summary must render the identical text.

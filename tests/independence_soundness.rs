@@ -1,7 +1,7 @@
 //! Soundness battery for the op-footprint interference analysis and the
-//! persistent-set reduction it feeds.
+//! persistent sets built on it.
 //!
-//! Three layers, mirroring the places the analysis is trusted:
+//! Three layers:
 //!
 //! 1. **Statically-independent pairs commute** on arbitrary [`SimMemory`]
 //!    states: both orders yield identical memory contents *and* identical
@@ -11,24 +11,15 @@
 //!    proving the rule is not vacuous conservatism — plus the matching
 //!    invisible-write cases showing exactly when the state-conditional
 //!    refinement is allowed to overrule it.
-//! 3. **Persistent-set soundness**: the per-state persistent sets the
-//!    selective search expands are dependency-closed on random reachable
-//!    configurations (proptest over random automata and schedule prefixes),
-//!    and `ReductionMode::PersistentSets` in the serial DPOR explorer
-//!    reproduces the full exploration's verdicts — and violation witnesses,
-//!    trivially `None == None` on these verified cells — over every
-//!    `exhaustive.spec` cell, crossed with `SymmetryMode` on/off. Persistent
-//!    sets cut *states*, so `explored_states` is pinned as `reduced ≤ full`,
-//!    not as equality. In a debug build these runs are also a full dynamic
-//!    audit of the interference tiers: every pair a sleep set keeps is
-//!    re-executed in both orders at the state being pruned.
+//! 3. **Persistent-set closure**: [`persistent_set`] is dependency-closed
+//!    on random reachable configurations (proptest over random automata and
+//!    schedule prefixes).
 
 use proptest::prelude::*;
-use sa_sweep::{run_campaign_collect, CampaignSpec, EngineConfig, SweepRecord};
 use set_agreement::memory::SimMemory;
 use set_agreement::model::{independent, Automaton, MemoryLayout, Op, ProcessId, Response};
 use set_agreement::runtime::toy::{RacyConsensus, ToyWriter};
-use set_agreement::runtime::{mask_of, persistent_set, Executor, ReductionMode, SymmetryMode};
+use set_agreement::runtime::{mask_of, persistent_set, Executor};
 use std::borrow::Cow;
 
 const REGISTERS: usize = 2;
@@ -126,8 +117,8 @@ proptest! {
     }
 
     /// Layer 1b: the state-conditional invisible-write refinement is sound
-    /// *on the state that judged it* — the only place the explorers ever
-    /// consult it.
+    /// *on the state that judged it*, the only state it makes a claim
+    /// about.
     #[test]
     fn invisibly_independent_pairs_commute_on_the_judging_state(
         memory in memory_strategy(),
@@ -253,13 +244,6 @@ fn update_scan_conflict_witness() {
     assert_eq!((u_ab, s_ab, fp_ab), (u_ba, s_ba, fp_ba));
 }
 
-/// Loads `campaigns/exhaustive.spec` from the repository root.
-fn exhaustive_spec() -> CampaignSpec {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/campaigns/exhaustive.spec");
-    let text = std::fs::read_to_string(path).expect("exhaustive.spec is checked in");
-    CampaignSpec::parse(&text).expect("exhaustive.spec parses")
-}
-
 /// Layer 3 invariant: the set the selective search expands must be
 /// dependency-closed — a persistent member with a poised op statically
 /// dependent on some enabled non-member's poised op would let that
@@ -354,68 +338,4 @@ proptest! {
         }
         assert_dependency_closed(&exec);
     }
-}
-
-/// Layer 3 worker: runs the exhaustive campaign with reduction off and with
-/// persistent sets on the serial explorer under one symmetry mode, and
-/// asserts verdict equivalence on every cell. `explored_states` is pinned as
-/// `reduced ≤ full` — cutting states is the point of the mode.
-fn assert_persistent_matches_full(symmetry: SymmetryMode) {
-    let mut off = exhaustive_spec();
-    off.symmetry = symmetry;
-    off.reduction = ReductionMode::Off;
-    let (full, full_outcome) = run_campaign_collect(&off, EngineConfig::default());
-
-    let mut on = off.clone();
-    on.reduction = ReductionMode::PersistentSets;
-    let (reduced, reduced_outcome) = run_campaign_collect(&on, EngineConfig::default());
-
-    assert_eq!(full_outcome.clean(), reduced_outcome.clean());
-    assert_eq!(full.len(), reduced.len(), "cell list must not change");
-    let mut total_persistent_expanded = 0;
-    for (f, r) in full.iter().zip(&reduced) {
-        let cell = |rec: &SweepRecord| {
-            (
-                rec.n,
-                rec.m,
-                rec.k,
-                rec.algorithm.clone(),
-                rec.instances,
-                rec.scenario,
-            )
-        };
-        assert_eq!(cell(f), cell(r), "records must pair up cell-for-cell");
-        // The verdict: same safety outcome, same exhaustiveness, same stop
-        // reason — and on these verified cells the violation witnesses are
-        // identical trivially (none on either side).
-        assert_eq!(f.validity_ok, r.validity_ok, "{:?}", cell(f));
-        assert_eq!(f.agreement_ok, r.agreement_ok, "{:?}", cell(f));
-        assert_eq!(f.verified, r.verified, "{:?}", cell(f));
-        assert_eq!(f.stop, r.stop, "{:?}", cell(f));
-        assert!(
-            r.explored_states <= f.explored_states,
-            "persistent sets may never visit new states: {} > {} on {:?}",
-            r.explored_states,
-            f.explored_states,
-            cell(f)
-        );
-        assert_eq!(f.reduction, "off");
-        assert_eq!(r.reduction, "persistent-set");
-        total_persistent_expanded += r.persistent_expanded;
-    }
-    // Serial DPOR draws every expansion from a backtrack set.
-    assert!(
-        total_persistent_expanded > 0,
-        "the DPOR search must report its persistent expansions"
-    );
-}
-
-#[test]
-fn persistent_matches_full_serial_without_symmetry() {
-    assert_persistent_matches_full(SymmetryMode::Off);
-}
-
-#[test]
-fn persistent_matches_full_serial_with_symmetry() {
-    assert_persistent_matches_full(SymmetryMode::ProcessIds);
 }
