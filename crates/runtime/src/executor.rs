@@ -451,10 +451,11 @@ where
     ///
     /// This is the deep-size hook behind
     /// [`Exploration::approx_bytes`](crate::Exploration::approx_bytes) and
-    /// the explorers' spill triggers. It is computed from lengths, never capacities, so two
-    /// equal configurations always report the same bytes — regardless of
-    /// how they were produced, which worker produced them, or whether they
-    /// were round-tripped through a spill segment.
+    /// the explorers' spill triggers. It is computed from lengths, never
+    /// capacities, so two equal configurations always report the same
+    /// bytes — regardless of how they were produced, which worker produced
+    /// them, or whether they were rebuilt by replay after an explorer shed
+    /// them.
     pub fn approx_deep_bytes(&self) -> u64 {
         let mut bytes = std::mem::size_of::<Executor<A>>()
             + self.automata.len() * std::mem::size_of::<A>()

@@ -175,9 +175,9 @@ pub struct Exploration {
     pub max_depth_reached: u64,
     /// Peak size of the frontier of states awaiting expansion; what a
     /// "frontier entry" *is* differs per backend — see
-    /// [`frontier_semantics`](Self::frontier_semantics). Spilled and evicted
-    /// entries count: the peak is a property of the search, not of where
-    /// the entries happened to live.
+    /// [`frontier_semantics`](Self::frontier_semantics). Entries that shed
+    /// their executors count: the peak is a property of the search, not of
+    /// which entries held their executors.
     pub frontier_peak: u64,
     /// What [`frontier_peak`](Self::frontier_peak) measures for the backend
     /// that produced this report: the deepest DFS stack for the serial
@@ -194,18 +194,19 @@ pub struct Exploration {
     pub seen_entries: u64,
     /// A rough, deterministic estimate of the bytes held by the explorer's
     /// data structures at their peak: the deep size of the peak frontier
-    /// (resident plus spilled or evicted, so it is spill-invariant) plus the
-    /// final seen-set table. Deep means heap payloads — register contents,
-    /// histories, decision sets — are charged per entry, not just the
-    /// struct shells; the pre-fix shallow accounting under-reported
-    /// history-heavy cells by an order of magnitude.
+    /// (entries holding their executors plus those that shed them, so it is
+    /// spill-invariant) plus the final seen-set table. Deep means heap
+    /// payloads — register contents, histories, decision sets — are charged
+    /// per entry, not just the struct shells; the pre-fix shallow
+    /// accounting under-reported history-heavy cells by an order of
+    /// magnitude.
     pub approx_bytes: u64,
-    /// Cumulative number of frontier entries moved out of memory (0 unless
-    /// spill was on and the resident budget was exceeded): entries whose
-    /// executors the serial explorer evicted, or level entries the
-    /// breadth-first explorer wrote to disk. The only statistic that
-    /// legitimately differs between a spilled and an in-core run of the
-    /// same cell.
+    /// Cumulative number of frontier entries whose executors were shed (0
+    /// unless spill was on and the resident budget was exceeded): entries
+    /// the serial explorer evicted from its DFS stack, or entries of the
+    /// frozen BFS levels that exceeded the budget. Both explorers rebuild a
+    /// shed executor by replay. The only statistic that legitimately
+    /// differs between a spilled and an in-core run of the same cell.
     pub spilled_entries: u64,
     /// `true` if the search deduplicated up to process-id symmetry:
     /// [`SymmetryMode::ProcessIds`] was requested **and** every automaton
@@ -297,8 +298,9 @@ impl Exploration {
 pub struct StateKey([u64; 2]);
 
 impl StateKey {
-    /// Reassembles a key from [`parts`](Self::parts) output — used when
-    /// keys round-trip through on-disk seen-set shards.
+    /// Reassembles a key from [`parts`](Self::parts) output — used where
+    /// keys are stored as their bare words, as
+    /// [`KeyTable`](crate::store::KeyTable) stores them.
     pub fn from_parts(parts: [u64; 2]) -> StateKey {
         StateKey(parts)
     }
@@ -719,8 +721,8 @@ pub(crate) fn entry_bytes<A: Automaton>(state: &Executor<A>, schedule_len: usize
 }
 
 /// Reconstructs the executor reached by `schedule` from `initial` by
-/// deterministic replay — the reason evicted and spilled frontier entries
-/// need to keep no automaton or memory bytes at all.
+/// deterministic replay — the reason a frontier entry that shed its
+/// executor needs to keep no automaton or memory bytes at all.
 pub(crate) fn replay<A>(
     initial: &Executor<A>,
     schedule: impl IntoIterator<Item = ProcessId>,

@@ -56,16 +56,11 @@ use crate::explore::{
     entry_bytes, keyed, replay, successors_of, Exploration, ExploredViolation, FrontierSemantics,
     StateKey, SymmetryMode, SymmetryPlan,
 };
-use crate::store::{
-    corrupt, read_segment, KeyTable, ScheduleArena, SegmentKind, SegmentWriter, SpillDir,
-    SCHEDULE_ROOT,
-};
+use crate::store::{KeyTable, ScheduleArena, SCHEDULE_ROOT};
 use sa_model::{Automaton, ProcessId};
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
-use std::io;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -103,19 +98,19 @@ pub struct ParallelExploreConfig {
     /// only value, and this explorer always expands every enabled
     /// transition.
     pub reduction: ReductionMode,
-    /// Whether the explorer may spill frozen BFS levels (and seen-set
-    /// shards) to disk when they exceed
-    /// [`max_resident_bytes`](Self::max_resident_bytes). Spilled level
-    /// records carry only a schedule-arena node and an orbit weight; the
-    /// executor states are rebuilt by deterministic replay, so the report
-    /// stays byte-identical with spill on or off — and still at any thread
-    /// count — except for [`Exploration::spilled_entries`].
+    /// Whether the explorer may shed the executors of a frozen BFS level
+    /// when the level exceeds
+    /// [`max_resident_bytes`](Self::max_resident_bytes). A shed entry keeps
+    /// only its schedule-arena node and orbit weight, and the worker that
+    /// expands it rebuilds its executor by deterministic replay, so the
+    /// report stays byte-identical with spill on or off — and still at any
+    /// thread count — except for [`Exploration::spilled_entries`]. Nothing
+    /// is written to disk, and the seen-set stays resident.
     pub spill: bool,
     /// A budget, in estimated deep bytes, on a resident BFS level. `0`
     /// means unlimited. Over budget: with [`spill`](Self::spill) the frozen
-    /// level moves to disk (and seen shards follow when their tables exceed
-    /// the same budget); without it the search deterministically truncates
-    /// at the level barrier, reporting the pending count in
+    /// level sheds its executors; without it the search deterministically
+    /// truncates at the level barrier, reporting the pending count in
     /// [`Exploration::pending_at_exit`].
     pub max_resident_bytes: u64,
 }
@@ -154,26 +149,12 @@ impl ParallelExploreConfig {
     }
 }
 
-/// One seen-set shard: a live open-addressed key table plus the sealed
-/// segments its earlier generations were spilled to. Spilled keys are
-/// invisible to [`ShardedSeen::contains`] — workers may re-discover a
-/// spilled state, and the barrier filters those candidates against the
-/// on-disk generations before treating them as new. That deferral is sound:
-/// every spilled key belongs to a state whose level already completed
-/// without ending the search, so dropping its re-discovery changes no
-/// verdict and no statistic.
-#[derive(Debug, Default)]
-struct SeenShard {
-    live: KeyTable,
-    spilled: Vec<PathBuf>,
-    spilled_count: u64,
-}
-
 /// The seen-set, sharded by key prefix so workers rarely contend on the
-/// same lock.
+/// same lock. It stays resident: at 16 bytes per key it is small next to
+/// the executors of a single level.
 #[derive(Debug)]
 struct ShardedSeen {
-    shards: Vec<Mutex<SeenShard>>,
+    shards: Vec<Mutex<KeyTable>>,
 }
 
 impl ShardedSeen {
@@ -183,69 +164,23 @@ impl ShardedSeen {
         }
     }
 
-    fn shard(&self, index: usize) -> std::sync::MutexGuard<'_, SeenShard> {
+    fn shard(&self, index: usize) -> std::sync::MutexGuard<'_, KeyTable> {
         self.shards[index].lock().expect("seen shard poisoned")
     }
 
-    /// `true` if the key is in the shard's **live** table. Spilled keys
-    /// report `false`; see [`SeenShard`] for why that is sound.
     fn contains(&self, key: &StateKey) -> bool {
-        self.shard(key.shard(SHARDS)).live.contains(key)
+        self.shard(key.shard(SHARDS)).contains(key)
     }
 
     fn insert(&self, key: StateKey) -> bool {
-        self.shard(key.shard(SHARDS)).live.insert(key)
+        self.shard(key.shard(SHARDS)).insert(key)
     }
 
-    /// A per-shard figure summed over the shards.
-    fn sum(&self, figure: impl Fn(&SeenShard) -> u64) -> u64 {
-        (0..SHARDS).map(|index| figure(&self.shard(index))).sum()
-    }
-
-    /// Moves every non-empty live table to a sealed on-disk generation.
-    fn spill_live(&self, dir: &SpillDir, generation: u64) {
-        for index in 0..SHARDS {
-            let mut shard = self.shard(index);
-            if shard.live.is_empty() {
-                continue;
-            }
-            let path = dir.file(&format!("seen-{index:02}-{generation:08}.seg"));
-            let mut writer = SegmentWriter::create(&path, SegmentKind::SeenShard, generation)
-                .expect("creating a seen-shard spill segment");
-            for key in shard.live.iter() {
-                let parts = key.parts();
-                let mut record = [0u8; 16];
-                record[..8].copy_from_slice(&parts[0].to_le_bytes());
-                record[8..].copy_from_slice(&parts[1].to_le_bytes());
-                writer.append(&record).expect("writing a seen-shard key");
-            }
-            writer.finish().expect("sealing a seen-shard spill segment");
-            shard.spilled_count += shard.live.len() as u64;
-            shard.spilled.push(path);
-            shard.live = KeyTable::new();
-        }
-    }
-
-    /// Loads a shard's spilled generations back into one lookup table (used
-    /// at barriers to filter re-discovered states); `None` if the shard
-    /// never spilled.
-    fn spilled_keys(&self, index: usize) -> Option<KeyTable> {
-        let paths = self.shard(index).spilled.clone();
-        if paths.is_empty() {
-            return None;
-        }
-        let mut table = KeyTable::new();
-        for path in paths {
-            let (_tag, records) =
-                read_segment(&path, SegmentKind::SeenShard).expect("reading a seen-shard segment");
-            for record in records {
-                assert_eq!(record.len(), 16, "seen-shard records are 16-byte keys");
-                let lo = u64::from_le_bytes(record[..8].try_into().expect("8 bytes"));
-                let hi = u64::from_le_bytes(record[8..].try_into().expect("8 bytes"));
-                table.insert(StateKey::from_parts([lo, hi]));
-            }
-        }
-        Some(table)
+    /// The number of keys held, over every shard.
+    fn len(&self) -> u64 {
+        (0..SHARDS)
+            .map(|index| self.shard(index).len() as u64)
+            .sum()
     }
 }
 
@@ -254,8 +189,8 @@ impl ShardedSeen {
 /// only inside the dedup keys.
 #[derive(Debug)]
 pub struct BfsEntry<A: Automaton> {
-    /// The configuration; absent when the level was thawed from disk —
-    /// workers rebuild it by deterministic replay.
+    /// The configuration; `None` once shed to honor the resident budget —
+    /// the worker that expands the entry rebuilds it by replaying `node`.
     state: Option<Executor<A>>,
     /// Schedule-arena node of the delta-encoded path that produced it, the
     /// lexicographically smallest among its shortest schedules.
@@ -410,9 +345,6 @@ where
                         for (step, successor) in successors_of(state, runnable) {
                             let (key, orbit_lower) = keyed(&successor, &self.plan);
                             if self.seen.contains(&key) {
-                                // A spilled key reads as unseen here; the
-                                // barrier re-filters against the on-disk
-                                // generations.
                                 continue;
                             }
                             let mut shard =
@@ -442,19 +374,14 @@ where
                 });
             }
         });
-        let mut found: Vec<BfsSuccessor<A, V>> = Vec::new();
-        for (index, shard) in next.into_iter().enumerate() {
-            let shard = shard.into_inner().expect("next shard poisoned");
-            if shard.is_empty() {
-                continue;
-            }
-            let spilled = self.seen.spilled_keys(index);
-            found.extend(
-                shard
-                    .into_values()
-                    .filter(|s| spilled.as_ref().is_none_or(|keys| !keys.contains(&s.key))),
-            );
-        }
+        let next: Vec<HashMap<StateKey, BfsSuccessor<A, V>>> = next
+            .into_iter()
+            .map(|shard| shard.into_inner().expect("next shard poisoned"))
+            .collect();
+        // One allocation at the level's exact size: growing the vector shard
+        // by shard would briefly hold the old buffer and a larger new one.
+        let mut found = Vec::with_capacity(next.iter().map(HashMap::len).sum());
+        found.extend(next.into_iter().flat_map(HashMap::into_values));
         found.sort_unstable_by_key(|s| (s.rank, s.step));
         BfsLevel {
             successors: found,
@@ -481,34 +408,6 @@ where
         schedule.push(successor.step);
         schedule
     }
-}
-
-/// Length of one spilled-level record: arena node (u32) and orbit weight
-/// (u64), both LE.
-const LEVEL_RECORD_LEN: usize = 4 + 8;
-
-/// Encodes one spilled-level record.
-fn encode_level_record(node: u32, orbit_lower: u64) -> [u8; LEVEL_RECORD_LEN] {
-    let mut record = [0u8; LEVEL_RECORD_LEN];
-    record[..4].copy_from_slice(&node.to_le_bytes());
-    record[4..].copy_from_slice(&orbit_lower.to_le_bytes());
-    record
-}
-
-/// Decodes [`encode_level_record`] output against an arena of `arena_len`
-/// nodes. The bytes come from disk: a record of the wrong length, or one
-/// naming a node the arena does not hold, is a clean `corrupt segment`
-/// error here rather than an out-of-bounds panic inside a worker's replay.
-fn decode_level_record(record: &[u8], arena_len: usize) -> io::Result<(u32, u64)> {
-    if record.len() != LEVEL_RECORD_LEN {
-        return Err(corrupt("corrupt segment: level record length mismatch"));
-    }
-    let node = u32::from_le_bytes(record[..4].try_into().expect("4 bytes"));
-    if node != SCHEDULE_ROOT && node as usize >= arena_len {
-        return Err(corrupt("corrupt segment: level record node out of range"));
-    }
-    let orbit = u64::from_le_bytes(record[4..].try_into().expect("8 bytes"));
-    Ok((node, orbit))
 }
 
 /// Exhaustively explores every interleaving of the executor's processes on a
@@ -545,34 +444,13 @@ where
         return result;
     }
     let cap = config.max_resident_bytes;
-    let mut spill_dir: Option<SpillDir> = None;
-    let mut seen_spill_generation: u64 = 0;
     let mut level = root;
-    // A level frozen to a sealed segment of `(arena node, orbit weight)`
-    // records, awaiting thaw.
-    let mut spilled_level: Option<PathBuf> = None;
     // Peak deep bytes of any single level — the frontier term of
     // `approx_bytes`. Tracked from barrier sums (plus the root entry), so
     // it is a pure function of the state space.
     let mut level_bytes_peak: u64 = entry_bytes(initial, 0);
     let mut depth: u64 = 0;
     loop {
-        // Thaw a spilled level: records carry only (node, orbit); workers
-        // rebuild the executors by replaying the materialized schedules.
-        if let Some(path) = spilled_level.take() {
-            let (_tag, records) = read_segment(&path, SegmentKind::FrontierLevel)
-                .expect("reading back a spilled level segment");
-            let _ = std::fs::remove_file(&path);
-            for record in records {
-                let (node, orbit_lower) = decode_level_record(&record, bfs.arena.len())
-                    .expect("decoding a spilled level record");
-                level.push(BfsEntry {
-                    state: None,
-                    node,
-                    orbit_lower,
-                });
-            }
-        }
         result.states_visited += level.len() as u64;
         for entry in &level {
             result.full_states_lower_bound = result
@@ -621,50 +499,31 @@ where
             result.pending_at_exit = next_level.len() as u64;
             break;
         }
-        if cap > 0 && !config.spill && next_level_bytes > cap {
-            // Over the resident-byte budget with spill disabled: a
-            // deterministic truncation, decided at the barrier from the
-            // frozen level alone.
-            result.truncated = true;
-            result.pending_at_exit = next_level.len() as u64;
-            break;
-        }
-        if config.spill && cap > 0 && next_level_bytes > cap {
-            // Freeze the level to a sealed segment of (node, orbit)
-            // records; the executors are dropped here and rebuilt by
-            // replay when the level thaws.
-            let dir = spill_dir
-                .get_or_insert_with(|| SpillDir::fresh().expect("creating the spill directory"));
-            let path = dir.file(&format!("level-{depth:08}.seg"));
-            let mut writer = SegmentWriter::create(&path, SegmentKind::FrontierLevel, depth)
-                .expect("creating a level spill segment");
-            result.spilled_entries += next_level.len() as u64;
-            for entry in next_level.drain(..) {
-                writer
-                    .append(&encode_level_record(entry.node, entry.orbit_lower))
-                    .expect("writing a level spill record");
+        if cap > 0 && next_level_bytes > cap {
+            if !config.spill {
+                // Over the resident-byte budget with spill disabled: a
+                // deterministic truncation, decided at the barrier from the
+                // frozen level alone.
+                result.truncated = true;
+                result.pending_at_exit = next_level.len() as u64;
+                break;
             }
-            writer.finish().expect("sealing a level spill segment");
-            spilled_level = Some(path);
+            // Over budget with spill enabled: shed the frozen level's
+            // executors in place, as the serial explorer evicts its coldest
+            // entries. Each is rebuilt by replay when a worker expands it.
+            result.spilled_entries += next_level.len() as u64;
+            for entry in &mut next_level {
+                entry.state = None;
+            }
         }
         level = next_level;
-        // Seen-set shards follow the same budget: once the live tables
-        // outgrow it, they move to sealed per-shard generations.
-        if config.spill && cap > 0 && bfs.seen.sum(|s| s.live.allocated_bytes()) > cap {
-            let dir = spill_dir
-                .get_or_insert_with(|| SpillDir::fresh().expect("creating the spill directory"));
-            bfs.seen.spill_live(dir, seen_spill_generation);
-            seen_spill_generation += 1;
-        }
         depth += 1;
     }
-    // Every committed key, live or spilled, is charged as if resident in
-    // one table, as the serial explorers charge theirs: the figure is then
-    // identical with spill on or off, at any thread count, and does not
-    // depend on how the keys' bits happen to spread over the shards.
-    result.seen_entries = bfs
-        .seen
-        .sum(|shard| shard.live.len() as u64 + shard.spilled_count);
+    // Every committed key is charged as if resident in one table, as the
+    // serial explorer charges its own: the figure is then identical at any
+    // thread count, and does not depend on how the keys' bits happen to
+    // spread over the shards.
+    result.seen_entries = bfs.seen.len();
     result.approx_bytes = level_bytes_peak + KeyTable::bytes_for_len(result.seen_entries);
     result
 }
@@ -990,9 +849,11 @@ mod tests {
                     },
                     agreement_predicate(n),
                 );
-                assert!(
-                    spilled.spilled_entries > 0,
-                    "n={n} threads={threads}: the tiny cap must force level spills"
+                // A 1-byte cap sheds every level past the root.
+                assert_eq!(
+                    spilled.spilled_entries,
+                    base.states_visited - 1,
+                    "n={n} threads={threads}"
                 );
                 assert!(spilled.verified(), "n={n} threads={threads}: {spilled:?}");
                 assert_eq!(spilled.states_visited, base.states_visited);
@@ -1062,45 +923,6 @@ mod tests {
             "spill must let the capped cell exhaust: {rescued:?}"
         );
         assert_eq!(rescued.pending_at_exit, 0);
-    }
-
-    #[test]
-    fn level_records_roundtrip() {
-        assert_eq!(
-            decode_level_record(&encode_level_record(7, 42), 8).unwrap(),
-            (7, 42)
-        );
-        assert_eq!(
-            decode_level_record(&encode_level_record(SCHEDULE_ROOT, u64::MAX), 0).unwrap(),
-            (SCHEDULE_ROOT, u64::MAX)
-        );
-    }
-
-    #[test]
-    fn doctored_level_records_fail_as_corrupt_not_panic() {
-        // A sealed segment whose checksum is intact but whose level record
-        // names a node the arena does not hold, or has the wrong length:
-        // decoding must refuse with a clean `corrupt segment` io::Error
-        // instead of handing a worker a node that panics with an
-        // out-of-bounds index inside `ScheduleArena::materialize`.
-        let dir = SpillDir::fresh().unwrap();
-        let path = dir.file("doctored-level.seg");
-        let mut writer = SegmentWriter::create(&path, SegmentKind::FrontierLevel, 0).unwrap();
-        writer.append(&encode_level_record(999, 1)).unwrap();
-        writer.append(&encode_level_record(2, 1)[..10]).unwrap();
-        writer.finish().unwrap();
-        let (_tag, records) = read_segment(&path, SegmentKind::FrontierLevel).unwrap();
-        assert_eq!(records.len(), 2);
-        // A 1000-node arena holds node 999; a 3-node arena does not.
-        assert_eq!(decode_level_record(&records[0], 1000).unwrap(), (999, 1));
-        for (record, arena_len) in [(&records[0], 3), (&records[1], 3)] {
-            let err = decode_level_record(record, arena_len).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(
-                err.to_string().contains("corrupt segment"),
-                "unexpected error: {err}"
-            );
-        }
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! configuration), a *goal* (what structure the configuration exhibits) and
 //! a *certificate* (the measured structure: covering pairs, register
 //! counts, a fingerprint). It carries no automaton or memory bytes — like
-//! the explorer's spill records, it is replay-based: anyone holding the
-//! initial configuration can [`verify`] it by stepping the schedule and
-//! re-evaluating the goal. Hand-built Theorem 2 constructions
-//! (`sa-lowerbound`) and machine-found search results (the driver in this
-//! crate) both emit this format, so one verification path checks them all.
+//! an explorer's frontier entry that shed its executor, it is replay-based:
+//! anyone holding the initial configuration can [`verify`] it by stepping
+//! the schedule and re-evaluating the goal. Hand-built Theorem 2
+//! constructions (`sa-lowerbound`) and machine-found search results (the
+//! driver in this crate) both emit this format, so one verification path
+//! checks them all.
 
 use crate::goal::{goal_for, CoveringPair, GoalMeasure};
 use sa_memory::Location;

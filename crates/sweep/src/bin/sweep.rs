@@ -134,15 +134,16 @@ it --params and --n/--m/--k exclude each other):
   --rate N             serve mode: proposals per virtual tick (default 8)
   --duration N         serve mode: virtual ticks before the drain
                        (default 1000)
-  --spill on|off       explore mode: spill frozen frontier levels and
-                       seen-set shards to disk once the resident budget is
-                       exceeded (default off). Output is byte-identical with
-                       spill on or off — spilling trades wall-clock for
-                       memory, never verdicts
+  --spill on|off       explore mode: once the resident budget is exceeded,
+                       shed the executors of frozen frontier work and
+                       rebuild them by replay (default off); nothing is
+                       written to disk. Output is byte-identical with spill
+                       on or off — spilling trades wall-clock for memory,
+                       never verdicts
   --max-resident-mb N  explore mode: resident-memory budget per exploration
                        in MiB (0 = unlimited, the default). Without --spill
                        the explorer truncates at the budget; with it, frozen
-                       work moves to disk and the search continues
+                       work sheds its executors and the search continues
 
 flags that are not spec keys:
   --spec FILE          load a `key = value` campaign spec, then apply flags;

@@ -97,8 +97,9 @@ pub struct ScenarioSpec {
     /// [`ReductionMode::Off`] is its only value. Not part of the scenario's
     /// identity.
     pub reduction: ReductionMode,
-    /// Spill frozen frontier levels and seen-set shards to disk when the
-    /// explorer exceeds its resident budget (exhaustive scenarios only).
+    /// Shed the executors of frozen frontier work, rebuilding them by
+    /// replay, when the explorer exceeds its resident budget (exhaustive
+    /// scenarios only).
     /// Like `explore_threads`, not part of the scenario's identity —
     /// exploration output is byte-identical with spill on or off.
     pub spill: bool,

@@ -471,15 +471,16 @@ pub struct CampaignSpec {
     /// the key stays because a campaign's `Display` text names it, and that
     /// text tags checkpoint journals.
     pub reduction: ReductionMode,
-    /// Whether explorations may spill frozen frontier chunks and seen-set
-    /// shards to disk when they exceed the resident-byte budget (ignored
-    /// in [`CampaignMode::Sample`]). A "how" knob like `explore-threads`:
-    /// records are byte-identical with spill on or off, so it is not part
-    /// of a scenario's identity.
+    /// Whether explorations may shed the executors of frozen frontier work,
+    /// and rebuild them by replay, when they exceed the resident-byte
+    /// budget (ignored in [`CampaignMode::Sample`]). Nothing is written to
+    /// disk. A "how" knob like `explore-threads`: records are
+    /// byte-identical with spill on or off, so it is not part of a
+    /// scenario's identity.
     pub spill: bool,
     /// Resident-memory budget per exploration in MiB (ignored in
     /// [`CampaignMode::Sample`]); 0 means unlimited. Over budget, a
-    /// spilling exploration moves cold state to disk and continues, a
+    /// spilling exploration sheds cold executors and continues, a
     /// non-spilling one deterministically truncates. Also a "how" knob —
     /// except that a budget small enough to truncate a non-spilling cell
     /// changes that cell's verdict, exactly like `max-states` does.
@@ -649,8 +650,8 @@ impl CampaignSpec {
     /// threads; 0 = serial explorer), `symmetry` (`off` or
     /// `process-ids`: deduplicate explored states up to process-id
     /// orbits), `reduction` (`off`, the only value),
-    /// `spill` (`on` or `off`: let explorations move cold
-    /// frontier and seen-set state to disk under memory pressure),
+    /// `spill` (`on` or `off`: let explorations shed the executors of
+    /// cold frontier work under memory pressure),
     /// `max-resident-mb` (resident-memory budget per exploration in MiB;
     /// 0 = unlimited), the `mode = adversary-search` keys `goals` (comma
     /// list of `covering` / `block-write`), `target-registers` (`auto`,
