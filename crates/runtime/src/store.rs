@@ -155,11 +155,6 @@ impl SegmentWriter {
         Ok(())
     }
 
-    /// The number of records appended so far.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
     /// Writes the trailer and flushes the file; the segment is now readable.
     pub fn finish(mut self) -> io::Result<()> {
         self.out.write_all(&self.records.to_le_bytes())?;
@@ -451,22 +446,6 @@ impl ScheduleArena {
         steps.reverse();
         steps
     }
-
-    /// The schedule length of `node` without materializing it.
-    pub fn depth(&self, node: u32) -> usize {
-        let mut depth = 0;
-        let mut current = node;
-        while current != SCHEDULE_ROOT {
-            depth += 1;
-            current = self.nodes[current as usize].0;
-        }
-        depth
-    }
-
-    /// The bytes the arena allocates (length-based, deterministic).
-    pub fn approx_bytes(&self) -> u64 {
-        (self.nodes.len() * std::mem::size_of::<(u32, u32)>()) as u64
-    }
 }
 
 /// Bytes preceding the steps of a frontier record: orbit weight, sleep
@@ -585,7 +564,6 @@ mod tests {
         for record in &records {
             writer.append(record).unwrap();
         }
-        assert_eq!(writer.records(), 3);
         writer.finish().unwrap();
         let (tag, read) = read_segment(&path, SegmentKind::FrontierLevel).unwrap();
         assert_eq!(tag, 77);
@@ -717,10 +695,7 @@ mod tests {
             vec![ProcessId(2), ProcessId(0), ProcessId(1)]
         );
         assert_eq!(arena.materialize(sibling), vec![ProcessId(2), ProcessId(3)]);
-        assert_eq!(arena.depth(c), 3);
-        assert_eq!(arena.depth(SCHEDULE_ROOT), 0);
-        // Four committed nodes of 8 bytes each.
-        assert_eq!(arena.approx_bytes(), 32);
+        assert_eq!(arena.materialize(c).len(), 3);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!                                         driver from sa-core)
 //!                                           │        │        │
 //!                                           └────────┴────────┘
-//!                                              results channel
-//!                                        (reassembled by instance id,
+//!                                        joined at drain: each shard
+//!                                        returns its results once
+//!                                        (sorted by instance id,
 //!                                         per-shard histograms merged)
 //! ```
 //!
@@ -27,11 +28,12 @@
 //! global sequencer *before* sharding, each batch executes under a fixed
 //! deterministic schedule (bounded round-robin contention, then solo
 //! completion — guaranteed to terminate by m-obstruction-freedom), and
-//! results are reassembled by instance id. The shard count decides only
-//! *where* a batch executes, never what it contains or decides, so reports
-//! are bit-for-bit identical at any shard count. Under
-//! [`ServeClock::Wall`], latencies come from `std::time::Instant` and no
-//! reproducibility is claimed — but decided values are still shard-independent.
+//! the results the shards return at drain are sorted by instance id. The
+//! shard count decides only *where* a batch executes, never what it
+//! contains or decides, so reports are bit-for-bit identical at any shard
+//! count. Under [`ServeClock::Wall`], latencies come from
+//! `std::time::Instant` and no reproducibility is claimed — but decided
+//! values are still shard-independent.
 
 use crate::batcher::{Batch, Batcher, Proposal};
 use crate::histogram::LatencyHistogram;
@@ -39,7 +41,6 @@ use crate::loadgen::LoadGenerator;
 use sa_core::{AgreementInstance, RepeatedSetAgreement};
 use sa_model::{Params, ProcessId};
 use sa_runtime::{ServeClock, ServeOptions};
-use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -160,7 +161,7 @@ impl ServeReport {
     }
 }
 
-/// What a worker sends back per batch.
+/// What a worker hands back per batch.
 struct BatchResult {
     instance: u64,
     steps: u64,
@@ -267,30 +268,29 @@ fn execute_batch(
     }
 }
 
-/// One shard: drains its batch queue until the sequencer hangs up, then
-/// returns its latency histogram for the final merge.
+/// One shard: runs its batches in dispatch (so instance) order until the
+/// sequencer hangs up, then hands back their results and its latency
+/// histogram once, when it is joined.
 fn worker(
     batches: mpsc::Receiver<Batch>,
-    results: mpsc::Sender<BatchResult>,
     m: usize,
     k: usize,
     max_steps: u64,
     clock: ServeClock,
     epoch: Instant,
-) -> LatencyHistogram {
+) -> (Vec<BatchResult>, LatencyHistogram) {
     let mut histogram = LatencyHistogram::new();
-    while let Ok(batch) = batches.recv() {
-        let result = execute_batch(&batch, m, k, max_steps, clock, epoch, &mut histogram);
-        if results.send(result).is_err() {
-            break;
-        }
-    }
-    histogram
+    let results = batches
+        .iter()
+        .map(|batch| execute_batch(&batch, m, k, max_steps, clock, epoch, &mut histogram))
+        .collect();
+    (results, histogram)
 }
 
 /// Runs the service to completion: `duration_ticks` of open-loop load,
 /// then a graceful drain (flush the open batch, close the shard queues,
-/// let every worker finish its backlog, merge the shard histograms).
+/// join every worker once it has finished its backlog, merge the shard
+/// results and histograms).
 ///
 /// # Panics
 ///
@@ -310,20 +310,17 @@ pub fn serve(config: &ServeConfig) -> ServeReport {
         LoadGenerator::new(options.clients, options.rate, options.load, options.seed);
     let mut batcher = Batcher::new(options.batch_max);
 
-    let mut results: BTreeMap<u64, BatchResult> = BTreeMap::new();
+    let mut results: Vec<BatchResult> = Vec::new();
     let mut histogram = LatencyHistogram::new();
-    let (result_tx, result_rx) = mpsc::channel::<BatchResult>();
     thread::scope(|s| {
         let mut queues = Vec::with_capacity(options.shards);
         let mut handles = Vec::with_capacity(options.shards);
         for _ in 0..options.shards {
             let (tx, rx) = mpsc::channel::<Batch>();
             queues.push(tx);
-            let results = result_tx.clone();
             let (m, k, max_steps) = (config.m, config.k, config.max_steps_per_batch);
-            handles.push(s.spawn(move || worker(rx, results, m, k, max_steps, clock, epoch)));
+            handles.push(s.spawn(move || worker(rx, m, k, max_steps, clock, epoch)));
         }
-        drop(result_tx);
 
         let dispatch = |batch: Batch| {
             let shard = (batch.instance % queues.len() as u64) as usize;
@@ -359,14 +356,14 @@ pub fn serve(config: &ServeConfig) -> ServeReport {
             dispatch(batch);
         }
         drop(queues);
-        for result in result_rx.iter() {
-            results.insert(result.instance, result);
-        }
         for handle in handles {
-            let shard_histogram = handle.join().expect("a shard worker panicked");
+            let (shard_results, shard_histogram) = handle.join().expect("a shard worker panicked");
+            results.extend(shard_results);
             histogram.merge(&shard_histogram);
         }
     });
+    // Ids are unique, so an unstable sort restores global instance order.
+    results.sort_unstable_by_key(|result| result.instance);
 
     let duration_us = match clock {
         ServeClock::Virtual => options.duration_ticks * 1000,
@@ -388,7 +385,7 @@ pub fn serve(config: &ServeConfig) -> ServeReport {
         drained: false,
     };
     let mut answered = 0u64;
-    for (instance, result) in &results {
+    for result in &results {
         report.steps += result.steps;
         report.validity_violations += result.validity_violations;
         if result.distinct > config.k {
@@ -399,7 +396,7 @@ pub fn serve(config: &ServeConfig) -> ServeReport {
         answered += result.decided.len() as u64;
         for &(client, value) in &result.decided {
             report.decided.push(DecidedEntry {
-                instance: *instance,
+                instance: result.instance,
                 client,
                 value,
             });
@@ -482,6 +479,37 @@ mod tests {
         assert_eq!(one.decided_fingerprint(), four.decided_fingerprint());
         assert_eq!(one.safety_violations(), 0);
         assert_ne!(one.shards, four.shards, "only the shard count differs");
+    }
+
+    #[test]
+    fn the_wall_clock_decides_what_the_virtual_clock_decides_at_another_shard_count() {
+        let run = |clock, shards| {
+            serve(&config(
+                2,
+                3,
+                ServeOptions {
+                    shards,
+                    batch_max: 6,
+                    clients: 12,
+                    rate: 8,
+                    duration_ticks: 6,
+                    clock,
+                    load: ServeLoad::Random { universe: 30 },
+                    seed: 5,
+                },
+            ))
+        };
+        let virtual_run = run(ServeClock::Virtual, 1);
+        let wall_run = run(ServeClock::Wall, 3);
+        assert_eq!(wall_run.decided, virtual_run.decided);
+        assert_eq!(wall_run.steps, virtual_run.steps);
+        assert_eq!(wall_run.batches, virtual_run.batches);
+        assert!(virtual_run.drained && wall_run.drained);
+        assert!(wall_run.steps > 0, "batches of 6 > k run the algorithm");
+        let mut ids: Vec<u64> = wall_run.decided.iter().map(|e| e.instance).collect();
+        assert!(ids.windows(2).all(|w| w[0] <= w[1]), "ids never decrease");
+        ids.dedup();
+        assert_eq!(ids, (0..wall_run.batches).collect::<Vec<_>>());
     }
 
     #[test]
