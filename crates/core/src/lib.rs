@@ -47,6 +47,30 @@
 //! check_k_agreement(3, &report.decisions).unwrap();
 //! # Ok::<(), sa_model::ParamsError>(())
 //! ```
+//!
+//! With no scheduler at all, bounded round-robin contention followed by a
+//! solo run of each process is a deterministic schedule that terminates,
+//! because every algorithm here is m-obstruction-free with `m ≥ 1`. It is
+//! the schedule the `sa-serve` service runs each batch under:
+//!
+//! ```
+//! use sa_core::OneShotSetAgreement;
+//! use sa_model::{Params, ProcessId};
+//! use sa_runtime::Executor;
+//!
+//! let params = Params::new(3, 1, 2)?;
+//! let automata: Vec<_> = (0..3)
+//!     .map(|p| OneShotSetAgreement::new(params, ProcessId(p), 10 + p as u64))
+//!     .collect();
+//! let mut exec = Executor::new(automata);
+//! exec.run_round_robin(24);
+//! for p in 0..3 {
+//!     assert!(exec.run_solo(ProcessId(p), 10_000));
+//! }
+//! assert!(exec.all_halted());
+//! assert!(exec.decisions().distinct_outputs(1) <= 2);
+//! # Ok::<(), sa_model::ParamsError>(())
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +79,6 @@
 mod anonymous;
 mod baseline;
 mod error;
-mod instance;
 mod oneshot;
 mod repeated;
 pub mod values;
@@ -63,10 +86,12 @@ pub mod values;
 pub use anonymous::AnonymousSetAgreement;
 pub use baseline::{FullInfoRecord, FullInfoSetAgreement, SwmrEmulated, WideBaseline};
 pub use error::AlgorithmError;
-pub use instance::AgreementInstance;
 pub use oneshot::OneShotSetAgreement;
 pub use repeated::RepeatedSetAgreement;
 pub use values::{AnonTuple, AnonValue, History, Pair, Tuple};
+
+/// The perfbench benchmark's name for [`sa_runtime::Executor`]; kept only for it.
+pub use sa_runtime::Executor as AgreementInstance;
 
 #[cfg(test)]
 mod tests {
@@ -108,6 +133,71 @@ mod tests {
             .iter()
             .filter(|&&p| exec.automaton(p).poised().is_none())
             .count()
+    }
+
+    fn oneshot_system(params: Params) -> Executor<OneShotSetAgreement> {
+        Executor::new(
+            (0..params.n())
+                .map(|p| OneShotSetAgreement::new(params, ProcessId(p), 100 + p as u64))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn solo_runs_terminate_and_agree() {
+        let params = Params::new(5, 2, 3).unwrap();
+        let mut exec = oneshot_system(params);
+        exec.run_round_robin(40);
+        for p in 0..params.n() {
+            assert!(exec.run_solo(ProcessId(p), 100_000), "p{p} did not halt");
+        }
+        assert!(exec.all_halted());
+        assert_eq!(exec.decisions().deciders(1), params.n());
+        assert!(exec.decisions().distinct_outputs(1) <= params.k());
+        for value in exec.decisions().outputs(1) {
+            assert!((100..100 + params.n() as u64).contains(&value));
+        }
+    }
+
+    #[test]
+    fn round_robin_respects_the_budget_and_stops_when_halted() {
+        let params = Params::new(4, 1, 2).unwrap();
+        let mut exec = oneshot_system(params);
+        assert_eq!(exec.run_round_robin(7), 7);
+        assert_eq!(exec.steps(), 7);
+        for p in 0..params.n() {
+            exec.run_solo(ProcessId(p), 100_000);
+        }
+        let done = exec.steps();
+        assert_eq!(exec.run_round_robin(50), 0);
+        assert_eq!(exec.steps(), done);
+    }
+
+    #[test]
+    fn repeated_instances_run_under_the_same_driver() {
+        let params = Params::new(4, 1, 1).unwrap();
+        let mut exec = Executor::new(
+            (0..params.n())
+                .map(|p| {
+                    RepeatedSetAgreement::new(params, ProcessId(p), vec![10 + p as u64]).unwrap()
+                })
+                .collect(),
+        );
+        exec.run_round_robin(32);
+        for p in 0..params.n() {
+            assert!(exec.run_solo(ProcessId(p), 100_000));
+        }
+        assert_eq!(exec.decisions().distinct_outputs(1), 1);
+    }
+
+    #[test]
+    fn stepping_a_halted_or_unknown_process_is_a_no_op() {
+        let params = Params::new(3, 1, 2).unwrap();
+        let mut exec = oneshot_system(params);
+        assert!(exec.step(ProcessId(9)).is_none());
+        exec.run_solo(ProcessId(0), 100_000);
+        assert!(exec.step(ProcessId(0)).is_none());
+        assert_eq!(exec.process_count(), 3);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! An [`Executor`] owns a set of automata (one per process) and a
 //! [`SimMemory`]; each call to [`Executor::step`] lets one process perform
 //! its poised shared-memory operation atomically. [`Executor::run`] drives
-//! the whole execution under a [`Scheduler`].
+//! the whole execution under a [`Scheduler`]; [`Executor::run_round_robin`]
+//! and [`Executor::run_solo`] are the two fixed schedules the service runs
+//! each batch under, with no scheduler at all.
 //!
 //! Because `Executor` is `Clone` (whenever the automata are), adversaries can
 //! snapshot a configuration, explore alternative futures and backtrack —
@@ -349,16 +351,10 @@ where
             .iter()
             .map(|a| a.layout())
             .fold(MemoryLayout::default(), |acc, l| acc.union(&l));
-        Executor::with_layout(automata, &layout)
-    }
-
-    /// Creates an executor with an explicit memory layout (it must be at
-    /// least as large as every automaton's declared layout).
-    pub fn with_layout(automata: Vec<A>, layout: &MemoryLayout) -> Self {
         let n = automata.len();
         Executor {
             automata,
-            memory: SimMemory::for_layout(layout),
+            memory: SimMemory::for_layout(&layout),
             decisions: DecisionSet::new(),
             steps: 0,
             steps_per_process: vec![0; n],
@@ -414,8 +410,9 @@ where
         self.steps
     }
 
-    /// Lets `process` perform its poised operation. Returns `None` if the
-    /// process has already halted.
+    /// Lets `process` perform its poised operation. Returns `None`, and
+    /// changes nothing, if the process has halted or the id is out of
+    /// range.
     ///
     /// # Panics
     ///
@@ -566,6 +563,49 @@ where
             metrics: self.memory.metrics(),
             trace,
         }
+    }
+
+    /// Cycles over the live processes for at most `budget` steps (stopping
+    /// early once everyone halts) and returns the number of steps taken.
+    ///
+    /// This is bounded *contention*, not a termination schedule: an
+    /// m-obstruction-free algorithm owes no progress while more than `m`
+    /// processes keep taking steps. Unlike [`run`](Self::run) under a
+    /// [`RoundRobin`](crate::RoundRobin) scheduler, it builds no runnable
+    /// list or scheduler view per step and returns no report; the service
+    /// executes every batch with it and [`run_solo`](Self::run_solo).
+    pub fn run_round_robin(&mut self, budget: u64) -> u64 {
+        let n = self.automata.len();
+        let mut taken = 0;
+        let mut idle = 0;
+        let mut next = 0;
+        while taken < budget && idle < n {
+            if self.step(ProcessId(next)).is_some() {
+                taken += 1;
+                idle = 0;
+            } else {
+                idle += 1;
+            }
+            next = (next + 1) % n.max(1);
+        }
+        taken
+    }
+
+    /// Runs `process` alone until it halts or `budget` steps elapse;
+    /// returns `true` if it halted (an out-of-range id counts as halted).
+    /// Obstruction-freedom guarantees a solo run terminates, so a
+    /// sufficient budget always returns `true`: bounded contention from
+    /// [`run_round_robin`](Self::run_round_robin), then a solo run of each
+    /// process in turn, is a deterministic schedule that finishes.
+    pub fn run_solo(&mut self, process: ProcessId, budget: u64) -> bool {
+        for _ in 0..budget {
+            if self.step(process).is_none() {
+                return true;
+            }
+        }
+        self.automata
+            .get(process.index())
+            .is_none_or(|a| a.is_halted())
     }
 }
 

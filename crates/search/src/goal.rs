@@ -11,8 +11,7 @@
 //! of them, the [`WitnessGoal`] trait the adversary-search driver evaluates
 //! per configuration: [`Covering`] (p processes poised to write p distinct
 //! locations) and [`BlockWrite`] (a covering whose covered locations were
-//! all written before, so releasing it obliterates recorded information),
-//! composable with [`And`] / [`Or`].
+//! all written before, so releasing it obliterates recorded information).
 //!
 //! The hand-built Theorem 2 constructions in `sa-lowerbound` and the
 //! machine search evaluate witnesses through this *same* code, and the
@@ -164,19 +163,7 @@ where
     A: Automaton + Clone,
     A::Value: Clone + Eq + Debug,
 {
-    // Branch 1: fragment, then block write.
-    let mut with_fragment = executor.clone();
-    for process in fragment {
-        if !with_fragment.automaton(*process).is_halted() {
-            with_fragment.step(*process);
-        }
-    }
-    block_write(&mut with_fragment, coverers);
-
-    // Branch 2: block write alone.
-    let mut without_fragment = executor.clone();
-    block_write(&mut without_fragment, coverers);
-
+    let (with_fragment, without_fragment) = spliced_branches(executor, coverers, fragment);
     with_fragment
         .memory()
         .same_contents(without_fragment.memory())
@@ -201,29 +188,37 @@ where
     A::Value: Clone + Eq + Debug + Hash,
 {
     let run_observer = |mut exec: Executor<A>| {
-        let mut steps = 0;
-        while !exec.automaton(observer).is_halted() && steps < max_steps {
-            exec.step(observer);
-            steps += 1;
-        }
-        let decisions = exec.decisions().clone();
+        exec.run_solo(observer, max_steps);
+        let decisions = exec.decisions();
         (0u64..)
             .map_while(|i| decisions.decision_of(observer, i + 1).map(|v| (i + 1, v)))
             .collect::<Vec<_>>()
     };
+    let (with_fragment, without_fragment) = spliced_branches(executor, coverers, fragment);
+    run_observer(with_fragment) == run_observer(without_fragment)
+}
 
+/// The two branches [`obliterates`] and [`splice_is_invisible`] compare,
+/// both cloned from `executor`: `fragment` then the block write of
+/// `coverers`, and the block write alone. A halted process in `fragment`
+/// takes no step.
+fn spliced_branches<A>(
+    executor: &Executor<A>,
+    coverers: &[ProcessId],
+    fragment: &[ProcessId],
+) -> (Executor<A>, Executor<A>)
+where
+    A: Automaton + Clone,
+    A::Value: Clone + Eq + Debug,
+{
     let mut with_fragment = executor.clone();
     for process in fragment {
-        if !with_fragment.automaton(*process).is_halted() {
-            with_fragment.step(*process);
-        }
+        with_fragment.step(*process);
     }
     block_write(&mut with_fragment, coverers);
-
     let mut without_fragment = executor.clone();
     block_write(&mut without_fragment, coverers);
-
-    run_observer(with_fragment) == run_observer(without_fragment)
+    (with_fragment, without_fragment)
 }
 
 /// One process of a covering: `process` is poised to write `location`.
@@ -371,52 +366,6 @@ where
     }
 }
 
-/// Conjunction of two goals: hits when both hit, yielding the first goal's
-/// measure (the second acts as a filter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct And<G, H>(pub G, pub H);
-
-impl<A, G, H> WitnessGoal<A> for And<G, H>
-where
-    A: Automaton,
-    A::Value: Clone + Eq + Debug,
-    G: WitnessGoal<A>,
-    H: WitnessGoal<A>,
-{
-    fn label(&self) -> String {
-        format!("{}+{}", self.0.label(), self.1.label())
-    }
-
-    fn evaluate(&self, executor: &Executor<A>) -> Option<GoalMeasure> {
-        let measure = self.0.evaluate(executor)?;
-        self.1.evaluate(executor)?;
-        Some(measure)
-    }
-}
-
-/// Disjunction of two goals: the first goal's hit wins, otherwise the
-/// second's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Or<G, H>(pub G, pub H);
-
-impl<A, G, H> WitnessGoal<A> for Or<G, H>
-where
-    A: Automaton,
-    A::Value: Clone + Eq + Debug,
-    G: WitnessGoal<A>,
-    H: WitnessGoal<A>,
-{
-    fn label(&self) -> String {
-        format!("{}|{}", self.0.label(), self.1.label())
-    }
-
-    fn evaluate(&self, executor: &Executor<A>) -> Option<GoalMeasure> {
-        self.0
-            .evaluate(executor)
-            .or_else(|| self.1.evaluate(executor))
-    }
-}
-
 /// The concrete goal behind a [`SearchGoal`] selector — the single mapping
 /// both the search driver and the replay verifier use, so a witness always
 /// re-verifies under exactly the goal that found it.
@@ -496,33 +445,6 @@ mod tests {
         exec.step(ProcessId(0));
         let measure = WitnessGoal::evaluate(&BlockWrite, &exec).unwrap();
         assert_eq!(measure.registers_covered, 1);
-    }
-
-    #[test]
-    fn and_hits_only_when_both_goals_hit_and_keeps_the_first_measure() {
-        let goal = And(Covering { registers: 1 }, BlockWrite);
-        assert_eq!(
-            WitnessGoal::<OneShotSetAgreement>::label(&goal),
-            "covering>=1+block-write"
-        );
-        let mut exec = executor();
-        assert!(goal.evaluate(&exec).is_none());
-        exec.step(ProcessId(0));
-        let measure = goal.evaluate(&exec).unwrap();
-        assert_eq!(measure, covering_measure(&exec));
-    }
-
-    #[test]
-    fn or_falls_through_to_the_second_goal() {
-        let goal = Or(Covering { registers: 5 }, BlockWrite);
-        assert_eq!(
-            WitnessGoal::<OneShotSetAgreement>::label(&goal),
-            "covering>=5|block-write"
-        );
-        let mut exec = executor();
-        assert!(goal.evaluate(&exec).is_none());
-        exec.step(ProcessId(0));
-        assert!(goal.evaluate(&exec).is_some());
     }
 
     #[test]

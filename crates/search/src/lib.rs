@@ -10,11 +10,11 @@
 //!
 //! * [`goal`] — the [`WitnessGoal`] trait and its implementations:
 //!   [`Covering`] (p processes poised to write p pairwise-distinct
-//!   locations), [`BlockWrite`] (a covering whose covered locations were
-//!   all written before, so releasing it obliterates information),
-//!   composable via [`And`]/[`Or`] — plus the block-write mechanics
-//!   ([`block_write`], [`obliterates`], [`splice_is_invisible`]) they are
-//!   built from, shared with the hand-built constructions.
+//!   locations) and [`BlockWrite`] (a covering whose covered locations
+//!   were all written before, so releasing it obliterates information) —
+//!   plus the block-write mechanics ([`block_write`], [`obliterates`],
+//!   [`splice_is_invisible`]) they are built from, shared with the
+//!   hand-built constructions.
 //! * [`driver`] — [`search`]: a level-synchronized BFS over schedule space
 //!   that deduplicates configurations by their (optionally
 //!   symmetry-canonicalized) 128-bit `StateKey`, evaluates the goal on
@@ -43,8 +43,8 @@ pub mod witness;
 pub use driver::{search, SearchReport, SearchStop};
 pub use goal::{
     block_write, covered_locations, covering_measure, goal_for, obliterates, poised_write_location,
-    run_until_poised_outside, splice_is_invisible, And, BlockWrite, Covering, CoveringPair,
-    GoalMeasure, GroupRun, Or, WitnessGoal,
+    run_until_poised_outside, splice_is_invisible, BlockWrite, Covering, CoveringPair, GoalMeasure,
+    GroupRun, WitnessGoal,
 };
 pub use sa_runtime::{SearchConfig, SearchGoal};
 pub use witness::{location_label, verify, Certificate, VerifyError, Witness};

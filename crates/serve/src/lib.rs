@@ -21,8 +21,9 @@
 //!   p50/p90/p99/p999 estimation and exact cross-shard merging.
 //! * [`serve`] — the service loop: batches dispatch to `shards` worker
 //!   threads over per-shard MPSC queues (`instance % shards`), each batch
-//!   executes on the harness-free [`sa_core::AgreementInstance`] driver,
-//!   and a graceful drain flushes, hangs up, joins and merges.
+//!   is stepped by [`sa_runtime::Executor`] under a fixed schedule with no
+//!   scheduler (round-robin contention, then solo completion), and a
+//!   graceful drain flushes, hangs up, joins and merges.
 //!
 //! Executions are driven either directly ([`serve`] with a
 //! [`ServeConfig`]) or through the facade crate's one entry point,

@@ -9,9 +9,9 @@
 //!   rate/tick)         numbers instances)   ▼        ▼        ▼
 //!                                        shard 0  shard 1  shard S-1
 //!                                        (one Figure 4 instance
-//!                                         per batch, executed on the
-//!                                         harness-free AgreementInstance
-//!                                         driver from sa-core)
+//!                                         per batch, stepped by
+//!                                         sa_runtime::Executor with
+//!                                         no scheduler)
 //!                                           │        │        │
 //!                                           └────────┴────────┘
 //!                                        joined at drain: each shard
@@ -38,9 +38,9 @@
 use crate::batcher::{Batch, Batcher, Proposal};
 use crate::histogram::LatencyHistogram;
 use crate::loadgen::LoadGenerator;
-use sa_core::{AgreementInstance, RepeatedSetAgreement};
+use sa_core::RepeatedSetAgreement;
 use sa_model::{Params, ProcessId};
-use sa_runtime::{ServeClock, ServeOptions};
+use sa_runtime::{Executor, ServeClock, ServeOptions};
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -218,7 +218,7 @@ fn execute_batch(
                     .expect("participant ids are in range and inputs non-empty")
             })
             .collect();
-        let mut instance = AgreementInstance::new(automata);
+        let mut instance = Executor::new(automata);
         instance.run_round_robin(b as u64 * CONTENTION_FACTOR);
         for (i, proposal) in batch.proposals.iter().enumerate() {
             let halted =

@@ -1412,6 +1412,20 @@ mod tests {
         assert!(searched.target_reached && searched.verified);
         assert_eq!(searched.goal, SearchGoal::Covering);
         assert_eq!(witness.certificate.registers, 3);
+
+        // The service builds its own batches and takes only m, k and the
+        // step budget from the plan. `sweep serve` prints the same
+        // fingerprint.
+        let served = plan.execute(Backend::Serve(ServeOptions::default()));
+        assert_eq!(served.backend_label(), "serve");
+        assert!(served.safe());
+        assert_eq!(served.steps(), 90_000);
+        let served = served.expect_served();
+        assert_eq!(served.decided_fingerprint(), 0x07d7_f521_a1d3_bc25);
+        assert_eq!(served.batches, 1_000);
+        assert_eq!(served.proposals, 8_000);
+        assert!(served.drained);
+        assert_eq!(served.unfinished, 0);
     }
 
     #[test]
