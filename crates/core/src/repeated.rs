@@ -80,7 +80,7 @@ impl RepeatedSetAgreement {
     pub fn new(
         params: Params,
         id: ProcessId,
-        inputs: Vec<InputValue>,
+        inputs: impl Into<Arc<[InputValue]>>,
     ) -> Result<Self, AlgorithmError> {
         RepeatedSetAgreement::with_width(params, id, inputs, params.snapshot_components())
     }
@@ -96,7 +96,7 @@ impl RepeatedSetAgreement {
     pub fn with_width(
         params: Params,
         id: ProcessId,
-        inputs: Vec<InputValue>,
+        inputs: impl Into<Arc<[InputValue]>>,
         width: usize,
     ) -> Result<Self, AlgorithmError> {
         if width < params.snapshot_components() {
@@ -119,7 +119,7 @@ impl RepeatedSetAgreement {
     pub fn deficient(
         params: Params,
         id: ProcessId,
-        inputs: Vec<InputValue>,
+        inputs: impl Into<Arc<[InputValue]>>,
         width: usize,
     ) -> Result<Self, AlgorithmError> {
         if width == 0 {
@@ -134,9 +134,10 @@ impl RepeatedSetAgreement {
     fn unchecked(
         params: Params,
         id: ProcessId,
-        inputs: Vec<InputValue>,
+        inputs: impl Into<Arc<[InputValue]>>,
         width: usize,
     ) -> Result<Self, AlgorithmError> {
+        let inputs = inputs.into();
         if id.index() >= params.n() {
             return Err(AlgorithmError::UnknownProcess {
                 id: id.index(),
@@ -150,7 +151,7 @@ impl RepeatedSetAgreement {
             params,
             components: width,
             id,
-            inputs: inputs.into(),
+            inputs,
             location: 0,
             instance: 0,
             history: History::empty(),
@@ -238,7 +239,7 @@ impl RepeatedSetAgreement {
         let all_current = view
             .iter()
             .all(|entry| matches!(entry, Some(tuple) if tuple.instance >= t));
-        if all_current && distinct_tuples(view) <= self.params.m() {
+        if all_current && at_most_distinct(view, self.params.m()) {
             let j1 = first_duplicate_index(view).unwrap_or(0);
             let value = view[j1].as_ref().expect("all entries are full").value;
             self.history = self.history.appended(value);
@@ -277,13 +278,21 @@ impl RepeatedSetAgreement {
     }
 }
 
-/// Counts distinct non-`⊥` tuples in a scan: the tuples that no earlier
-/// entry holds.
-fn distinct_tuples(view: &[Option<Tuple>]) -> usize {
-    view.iter()
-        .enumerate()
-        .filter(|&(j, entry)| entry.is_some() && !view[..j].contains(entry))
-        .count()
+/// `true` if a scan holds at most `m` distinct non-`⊥` tuples. A tuple
+/// counts at the first entry that holds it, and the count stops at the
+/// (m + 1)-th. Each entry is compared with the earlier ones nearest first:
+/// a process updates consecutive components, so equal tuples sit in runs.
+fn at_most_distinct(view: &[Option<Tuple>], m: usize) -> bool {
+    let mut distinct = 0;
+    for (j, entry) in view.iter().enumerate() {
+        if entry.is_some() && !view[..j].iter().rev().any(|earlier| earlier == entry) {
+            distinct += 1;
+            if distinct > m {
+                return false;
+            }
+        }
+    }
+    true
 }
 
 /// The smallest index holding a tuple that also occurs at a later index.
@@ -697,7 +706,7 @@ mod tests {
     }
 
     #[test]
-    fn distinct_tuples_matches_a_seen_vector_on_seeded_views() {
+    fn at_most_distinct_matches_a_seen_vector_on_seeded_views() {
         use sa_model::SplitMix64;
         /// Reference: the count with a `seen` vector.
         fn reference(view: &[Option<Tuple>]) -> usize {
@@ -727,7 +736,14 @@ mod tests {
                     })
                 })
                 .collect();
-            assert_eq!(distinct_tuples(&view), reference(&view), "seed {seed}");
+            let distinct = reference(&view);
+            for m in 0..=width {
+                assert_eq!(
+                    at_most_distinct(&view, m),
+                    distinct <= m,
+                    "seed {seed}, m = {m}"
+                );
+            }
         }
     }
 
@@ -737,7 +753,8 @@ mod tests {
         let t1 = |v: u64, p: usize| Some(Tuple::new(v, ProcessId(p), 1, h.clone()));
         let t2 = |v: u64, p: usize| Some(Tuple::new(v, ProcessId(p), 2, h.clone()));
         let view = vec![t1(4, 0), t1(4, 0), t2(5, 1), t2(5, 1)];
-        assert_eq!(distinct_tuples(&view), 2);
+        assert!(!at_most_distinct(&view, 1));
+        assert!(at_most_distinct(&view, 2));
         assert_eq!(first_duplicate_index(&view), Some(0));
         assert_eq!(first_duplicate_t_index(&view, 2), Some(2));
         assert_eq!(first_duplicate_t_index(&view, 3), None);

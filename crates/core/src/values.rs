@@ -12,32 +12,38 @@
 
 use sa_model::{InputValue, InstanceId, ProcessId};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// An immutable sequence of output values, one per completed instance of
 /// repeated set agreement. Cloning is O(1).
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct History(Arc<[InputValue]>);
+///
+/// The empty history is `None` and owns no heap allocation, so building,
+/// cloning, dropping or comparing it touches no reference count; a
+/// non-empty one is never `None`, which keeps the derived equality
+/// structural.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct History(Option<Arc<[InputValue]>>);
 
 impl History {
     /// The empty history.
     pub fn empty() -> Self {
-        History(Arc::from(Vec::new()))
+        History(None)
     }
 
     /// Builds a history from a vector of outputs (index 0 is instance 1).
     pub fn from_vec(values: Vec<InputValue>) -> Self {
-        History(Arc::from(values))
+        History((!values.is_empty()).then(|| Arc::from(values)))
     }
 
     /// The number of instances covered by this history.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_slice().len()
     }
 
     /// `true` if no instance has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.0.is_none()
     }
 
     /// The output of instance `instance` (1-based), if recorded.
@@ -45,19 +51,20 @@ impl History {
         if instance == 0 {
             return None;
         }
-        self.0.get((instance - 1) as usize).copied()
+        self.as_slice().get((instance - 1) as usize).copied()
     }
 
     /// Returns a new history extended with the output of the next instance.
     pub fn appended(&self, value: InputValue) -> History {
-        let mut values = self.0.to_vec();
-        values.push(value);
-        History(Arc::from(values))
+        // The chained iterator reports its exact length, so the slice is
+        // allocated once, at its final size.
+        let values = self.as_slice().iter().copied().chain([value]);
+        History(Some(values.collect()))
     }
 
     /// The recorded outputs as a slice (index 0 is instance 1).
     pub fn as_slice(&self) -> &[InputValue] {
-        &self.0
+        self.0.as_deref().unwrap_or_default()
     }
 
     /// A length-based estimate of the heap bytes behind this history: the
@@ -65,27 +72,31 @@ impl History {
     /// instance). Structural sharing means several holders may charge the
     /// same allocation — deliberately conservative (an overcount), and a
     /// pure function of the history's length, which is what the explorers'
-    /// deterministic memory accounting requires.
+    /// deterministic memory accounting requires. The empty history owns no
+    /// allocation but is still charged the 16 B of counts, which keeps the
+    /// estimate one length formula for every history.
     pub fn heap_bytes(&self) -> usize {
-        2 * std::mem::size_of::<usize>() + self.0.len() * std::mem::size_of::<InputValue>()
+        2 * std::mem::size_of::<usize>() + self.len() * std::mem::size_of::<InputValue>()
     }
 }
 
-impl Default for History {
-    fn default() -> Self {
-        History::empty()
+/// Hashes the recorded outputs as a slice, so the empty history hashes as
+/// `&[]` and no state key depends on how it is represented.
+impl Hash for History {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
     }
 }
 
 impl fmt::Debug for History {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "History{:?}", &self.0[..])
+        write!(f, "History{:?}", self.as_slice())
     }
 }
 
 impl FromIterator<InputValue> for History {
     fn from_iter<T: IntoIterator<Item = InputValue>>(iter: T) -> Self {
-        History(iter.into_iter().collect::<Vec<_>>().into())
+        History::from_vec(iter.into_iter().collect())
     }
 }
 
@@ -223,17 +234,32 @@ mod tests {
 
     #[test]
     fn history_equality_is_structural() {
+        use sa_model::Fingerprinter;
+        fn hash<T: Hash + ?Sized>(value: &T) -> [u64; 2] {
+            let mut s = Fingerprinter::new();
+            value.hash(&mut s);
+            s.finish128()
+        }
         let a = History::from_vec(vec![5, 6]);
         let b = History::empty().appended(5).appended(6);
         assert_eq!(a, b);
-        use sa_model::Fingerprinter;
-        use std::hash::Hash;
-        let hash = |h: &History| {
-            let mut s = Fingerprinter::new();
-            h.hash(&mut s);
-            s.finish128()
-        };
         assert_eq!(hash(&a), hash(&b));
+        assert_eq!(hash(&a), hash(&[5u64, 6][..]));
+        // Every way of building the empty history gives one value, which
+        // hashes as the empty slice.
+        let empties = [
+            History::empty(),
+            History::default(),
+            History::from_vec(vec![]),
+            std::iter::empty().collect(),
+        ];
+        for empty in &empties {
+            assert_eq!(empty, &History::empty());
+            assert!(empty.is_empty());
+            assert_eq!(hash(empty), hash(&[] as &[u64]));
+        }
+        assert_eq!(History::empty().appended(7), History::from_vec(vec![7]));
+        assert_ne!(History::empty(), History::from_vec(vec![7]));
     }
 
     #[test]

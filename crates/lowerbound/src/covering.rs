@@ -192,7 +192,7 @@ pub fn attack_repeated(
 ) -> AttackOutcome {
     let automata: Vec<RepeatedSetAgreement> = (0..params.n())
         .map(|p| {
-            let inputs = (1..=instances as u64).map(|t| 100 * t + p as u64).collect();
+            let inputs: Vec<_> = (1..=instances as u64).map(|t| 100 * t + p as u64).collect();
             RepeatedSetAgreement::deficient(params, ProcessId(p), inputs, width)
                 .expect("width is positive and ids are in range")
         })

@@ -12,12 +12,10 @@
 //!   group-sequential adversary schedules, width sweeps, the empirical
 //!   "smallest resilient width", exhaustive searches over all
 //!   interleavings for tiny configurations, and [`hand_built_witness`] —
-//!   the construction emitted as a replayable `sa-search` `Witness`, checked
-//!   by the same replay verifier as machine-found ones. The mechanical
-//!   core it drives — covering configurations, block writes, the
-//!   obliteration and splice-invisibility checks — lives in
-//!   `sa_search::goal`, where the adversary search evaluates the same
-//!   mechanics.
+//!   the construction emitted as a replayable `sa-search` `Witness`. It
+//!   measures each configuration with the evaluator `sa_search::goal_for`
+//!   selects, the one the adversary search uses, and checks its witness
+//!   with `sa_search::verify`, the replay verifier of machine-found ones.
 //! * [`cloning`] — the cloning mechanism of **Lemma 9 / Theorem 10** for
 //!   anonymous algorithms: lockstep clone schedules, the executable
 //!   indistinguishability property, and the anonymous group-isolation

@@ -18,7 +18,7 @@ use crate::schedule::{Scheduler, SchedulerView};
 use crate::threaded::ThreadedConfig;
 use crate::trace::{Trace, TraceEvent};
 use sa_memory::{MemoryMetrics, SimMemory};
-use sa_model::{Automaton, DecisionSet, IdRelabeling, MemoryLayout, Op, ProcessId, StepOutcome};
+use sa_model::{Automaton, DecisionSet, IdRelabeling, Op, ProcessId, StepOutcome};
 use std::fmt::Debug;
 
 /// Which execution backend drives a system of automata — the third axis of
@@ -347,10 +347,13 @@ where
     /// Creates an executor for the given automata. The shared memory is
     /// sized to the union of the automata's declared layouts.
     pub fn new(automata: Vec<A>) -> Self {
+        // Automata of one algorithm declare equal layouts: the union is
+        // built only where a layout differs from the union so far.
         let layout = automata
             .iter()
             .map(|a| a.layout())
-            .fold(MemoryLayout::default(), |acc, l| acc.union(&l));
+            .reduce(|union, l| if union == l { union } else { union.union(&l) })
+            .unwrap_or_default();
         let n = automata.len();
         Executor {
             automata,

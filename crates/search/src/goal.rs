@@ -6,25 +6,24 @@
 //! inside `A`, then releasing `P`'s pending writes (a *block write*) leaves
 //! the shared memory in exactly the state it would have had if `Q`'s
 //! fragment had never happened. This module provides those mechanics over
-//! real executors — [`poised_write_location`], [`run_until_poised_outside`],
-//! [`block_write`], [`obliterates`], [`splice_is_invisible`] — and, on top
-//! of them, the [`WitnessGoal`] trait the adversary-search driver evaluates
-//! per configuration: [`Covering`] (p processes poised to write p distinct
+//! real executors — [`poised_write_location`], [`covered_locations`],
+//! [`block_write`], [`obliterates`] — and, on top of them, the
+//! [`WitnessGoal`] trait the adversary-search driver evaluates per
+//! configuration: [`Covering`] (p processes poised to write p distinct
 //! locations) and [`BlockWrite`] (a covering whose covered locations were
 //! all written before, so releasing it obliterates recorded information).
 //!
-//! The hand-built Theorem 2 constructions in `sa-lowerbound` and the
-//! machine search evaluate witnesses through this *same* code, and the
-//! tests below are the executable specification of the mechanics
-//! (covering observation, block-write release, obliteration and splice
-//! invisibility) against the paper's own algorithms.
+//! The search and the replay verifier, which checks the hand-built Theorem 2
+//! witnesses of `sa-lowerbound` too, evaluate goals through [`goal_for`],
+//! and the tests below are the executable specification of the mechanics
+//! (covering observation, block-write release and obliteration) against
+//! the paper's own algorithms.
 
 use sa_memory::Location;
 use sa_model::{Automaton, ProcessId};
 use sa_runtime::{Executor, SearchGoal};
 use std::collections::BTreeSet;
 use std::fmt::Debug;
-use std::hash::Hash;
 
 /// The location `process` is poised to write, or `None` if it is halted, or
 /// poised to a read, a scan or a local step.
@@ -53,73 +52,6 @@ where
         .iter()
         .filter_map(|p| poised_write_location(executor, *p))
         .collect()
-}
-
-/// The outcome of [`run_until_poised_outside`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GroupRun {
-    /// Some process of the group is poised to write to a location outside the
-    /// covered set (and has **not** performed that write yet).
-    PoisedOutside {
-        /// The process about to write.
-        process: ProcessId,
-        /// The location it is about to write.
-        location: Location,
-        /// Steps executed before it became poised.
-        steps: u64,
-    },
-    /// Every process of the group halted without ever being poised to write
-    /// outside the covered set.
-    Halted {
-        /// Steps executed.
-        steps: u64,
-    },
-    /// The step budget ran out first.
-    Exhausted {
-        /// Steps executed (equals the budget).
-        steps: u64,
-    },
-}
-
-/// Runs the processes of `group` (one at a time, in group order, exactly like
-/// the fragments of the Theorem 2 construction) until one of them is poised
-/// to write to a location **outside** `covered`, leaving it poised. Reads,
-/// scans, local steps and writes *inside* `covered` are allowed to proceed.
-pub fn run_until_poised_outside<A>(
-    executor: &mut Executor<A>,
-    group: &[ProcessId],
-    covered: &BTreeSet<Location>,
-    max_steps: u64,
-) -> GroupRun
-where
-    A: Automaton,
-    A::Value: Clone + Eq + Debug,
-{
-    let mut steps = 0;
-    loop {
-        // The next runnable process in group order.
-        let Some(process) = group
-            .iter()
-            .copied()
-            .find(|p| !executor.automaton(*p).is_halted())
-        else {
-            return GroupRun::Halted { steps };
-        };
-        if let Some(location) = poised_write_location(executor, process) {
-            if !covered.contains(&location) {
-                return GroupRun::PoisedOutside {
-                    process,
-                    location,
-                    steps,
-                };
-            }
-        }
-        if steps >= max_steps {
-            return GroupRun::Exhausted { steps };
-        }
-        executor.step(process);
-        steps += 1;
-    }
 }
 
 /// Performs a block write: every process of `writers` takes exactly one step,
@@ -153,60 +85,12 @@ where
 /// This is the step of the Theorem 2 proof that makes spliced fragments
 /// invisible. It holds whenever the fragment writes only to locations covered
 /// by `coverers`; it fails (returns `false`) as soon as the fragment touches
-/// an uncovered location.
+/// an uncovered location. A halted process in `fragment` takes no step.
 pub fn obliterates<A>(
     executor: &Executor<A>,
     coverers: &[ProcessId],
     fragment: &[ProcessId],
 ) -> bool
-where
-    A: Automaton + Clone,
-    A::Value: Clone + Eq + Debug,
-{
-    let (with_fragment, without_fragment) = spliced_branches(executor, coverers, fragment);
-    with_fragment
-        .memory()
-        .same_contents(without_fragment.memory())
-}
-
-/// Checks that an observer cannot tell whether the fragment was spliced in:
-/// starting from the current configuration, run `fragment`, block-write the
-/// coverers, then let `observer` run alone to completion — and compare its
-/// decisions with the branch where the fragment never happened.
-///
-/// Returns `true` when the observer's decisions are identical in both
-/// branches (the splice is invisible).
-pub fn splice_is_invisible<A>(
-    executor: &Executor<A>,
-    coverers: &[ProcessId],
-    fragment: &[ProcessId],
-    observer: ProcessId,
-    max_steps: u64,
-) -> bool
-where
-    A: Automaton + Clone,
-    A::Value: Clone + Eq + Debug + Hash,
-{
-    let run_observer = |mut exec: Executor<A>| {
-        exec.run_solo(observer, max_steps);
-        let decisions = exec.decisions();
-        (0u64..)
-            .map_while(|i| decisions.decision_of(observer, i + 1).map(|v| (i + 1, v)))
-            .collect::<Vec<_>>()
-    };
-    let (with_fragment, without_fragment) = spliced_branches(executor, coverers, fragment);
-    run_observer(with_fragment) == run_observer(without_fragment)
-}
-
-/// The two branches [`obliterates`] and [`splice_is_invisible`] compare,
-/// both cloned from `executor`: `fragment` then the block write of
-/// `coverers`, and the block write alone. A halted process in `fragment`
-/// takes no step.
-fn spliced_branches<A>(
-    executor: &Executor<A>,
-    coverers: &[ProcessId],
-    fragment: &[ProcessId],
-) -> (Executor<A>, Executor<A>)
 where
     A: Automaton + Clone,
     A::Value: Clone + Eq + Debug,
@@ -218,7 +102,9 @@ where
     block_write(&mut with_fragment, coverers);
     let mut without_fragment = executor.clone();
     block_write(&mut without_fragment, coverers);
-    (with_fragment, without_fragment)
+    with_fragment
+        .memory()
+        .same_contents(without_fragment.memory())
 }
 
 /// One process of a covering: `process` is poised to write `location`.
@@ -495,51 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_poised_outside_finds_the_second_location() {
-        // With nothing covered, the group is immediately poised outside; with
-        // component 0 covered, it runs until poised to component 1.
-        let params = Params::new(3, 1, 1).unwrap();
-        let mut exec = full_width_executor(params);
-        let group = vec![ProcessId(1)];
-        let outcome = run_until_poised_outside(&mut exec, &group, &BTreeSet::new(), 1_000);
-        assert!(matches!(
-            outcome,
-            GroupRun::PoisedOutside {
-                location: COMPONENT_0,
-                ..
-            }
-        ));
-        let covered = BTreeSet::from([COMPONENT_0]);
-        let outcome = run_until_poised_outside(&mut exec, &group, &covered, 1_000);
-        match outcome {
-            GroupRun::PoisedOutside {
-                location, process, ..
-            } => {
-                assert_eq!(process, ProcessId(1));
-                assert_eq!(
-                    location,
-                    Location::Component {
-                        snapshot: 0,
-                        component: 1
-                    }
-                );
-            }
-            other => panic!("unexpected outcome: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn run_until_poised_outside_reports_halting_groups() {
-        // A width-1 process can never write outside {component 0}, so it runs
-        // to completion (it decides) without ever being poised outside.
-        let params = Params::new(3, 1, 1).unwrap();
-        let mut exec = width_one_executor(params);
-        let covered = BTreeSet::from([COMPONENT_0]);
-        let outcome = run_until_poised_outside(&mut exec, &[ProcessId(0)], &covered, 10_000);
-        assert!(matches!(outcome, GroupRun::Halted { .. }), "{outcome:?}");
-    }
-
-    #[test]
     fn block_write_steps_every_coverer_once() {
         let params = Params::new(4, 1, 2).unwrap();
         let mut exec = full_width_executor(params);
@@ -577,39 +418,5 @@ mod tests {
         let exec = full_width_executor(params);
         let fragment: Vec<ProcessId> = std::iter::repeat_n(ProcessId(1), 12).collect();
         assert!(!obliterates(&exec, &[ProcessId(0)], &fragment));
-    }
-
-    #[test]
-    fn spliced_fragments_are_invisible_to_later_observers() {
-        // The heart of Theorem 2: with the width-1 algorithm, whether or not
-        // p1 ran (and decided!) before the block write, the later solo
-        // observer p2 decides exactly the same values.
-        let params = Params::new(3, 1, 1).unwrap();
-        let exec = width_one_executor(params);
-        let fragment: Vec<ProcessId> = std::iter::repeat_n(ProcessId(1), 30).collect();
-        assert!(splice_is_invisible(
-            &exec,
-            &[ProcessId(0)],
-            &fragment,
-            ProcessId(2),
-            10_000
-        ));
-    }
-
-    #[test]
-    fn splice_visibility_returns_false_when_traces_survive() {
-        // With the full-width algorithm the fragment's writes to uncovered
-        // locations survive the block write and change what the observer
-        // decides (p2 adopts p1's value instead of its own in one branch).
-        let params = Params::new(3, 1, 1).unwrap();
-        let exec = full_width_executor(params);
-        let fragment: Vec<ProcessId> = std::iter::repeat_n(ProcessId(1), 40).collect();
-        assert!(!splice_is_invisible(
-            &exec,
-            &[ProcessId(0)],
-            &fragment,
-            ProcessId(2),
-            10_000
-        ));
     }
 }

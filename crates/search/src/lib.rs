@@ -12,9 +12,8 @@
 //!   [`Covering`] (p processes poised to write p pairwise-distinct
 //!   locations) and [`BlockWrite`] (a covering whose covered locations
 //!   were all written before, so releasing it obliterates information) —
-//!   plus the block-write mechanics ([`block_write`], [`obliterates`],
-//!   [`splice_is_invisible`]) they are built from, shared with the
-//!   hand-built constructions.
+//!   plus the block-write mechanics ([`covered_locations`],
+//!   [`block_write`], [`obliterates`]) they are built from.
 //! * [`driver`] — [`search`]: a level-synchronized BFS over schedule space
 //!   that deduplicates configurations by their (optionally
 //!   symmetry-canonicalized) 128-bit `StateKey`, evaluates the goal on
@@ -43,8 +42,7 @@ pub mod witness;
 pub use driver::{search, SearchReport, SearchStop};
 pub use goal::{
     block_write, covered_locations, covering_measure, goal_for, obliterates, poised_write_location,
-    run_until_poised_outside, splice_is_invisible, BlockWrite, Covering, CoveringPair, GoalMeasure,
-    GroupRun, WitnessGoal,
+    BlockWrite, Covering, CoveringPair, GoalMeasure, WitnessGoal,
 };
 pub use sa_runtime::{SearchConfig, SearchGoal};
 pub use witness::{location_label, verify, Certificate, VerifyError, Witness};

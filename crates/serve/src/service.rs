@@ -214,7 +214,7 @@ fn execute_batch(
             .iter()
             .enumerate()
             .map(|(i, proposal)| {
-                RepeatedSetAgreement::new(params, ProcessId(i), vec![proposal.value])
+                RepeatedSetAgreement::new(params, ProcessId(i), [proposal.value])
                     .expect("participant ids are in range and inputs non-empty")
             })
             .collect();

@@ -727,7 +727,7 @@ impl ExecutionPlan {
                 self,
                 (0..params.n())
                     .map(|p| {
-                        let inputs = (1..=instances as u64)
+                        let inputs: Vec<_> = (1..=instances as u64)
                             .map(|t| workload.input(p, t))
                             .collect();
                         RepeatedSetAgreement::new(params, ProcessId(p), inputs)
