@@ -210,7 +210,7 @@ pub fn lower_bound_report(params: Params, max_steps: u64) -> LowerBoundReport {
     }
 }
 
-/// The parameter triples used by the report binaries and EXPERIMENTS.md.
+/// The parameter triples of the `figure1` report binary.
 pub fn default_sweep() -> Vec<Params> {
     [
         (3, 1, 1),

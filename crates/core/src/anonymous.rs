@@ -284,7 +284,7 @@ impl AnonymousSetAgreement {
         // Line 23: at most m distinct tuples and every component holds a
         // tuple of this very instance.
         let all_current = cells(view).all(|cell| matches!(cell, Some(c) if c.instance == t));
-        if all_current && distinct_cells(view) <= self.params.m() {
+        if all_current && at_most_distinct_cells(view, self.params.m()) {
             let value = most_frequent_value(view).expect("the object is full");
             self.history = self.history.appended(value);
             return Some(self.finish_instance(value));
@@ -318,18 +318,27 @@ impl AnonymousSetAgreement {
 
 /// The tuple in each component of a scan; `⊥` (and anything that is not a
 /// tuple) is `None`.
-fn cells(view: &[Option<AnonValue>]) -> impl Iterator<Item = Option<&AnonTuple>> {
+fn cells(view: &[Option<AnonValue>]) -> impl DoubleEndedIterator<Item = Option<&AnonTuple>> {
     view.iter()
         .map(|entry| entry.as_ref().and_then(AnonValue::as_cell))
 }
 
-/// Counts distinct tuples among the snapshot cells: the tuples that no
-/// earlier component holds.
-fn distinct_cells(view: &[Option<AnonValue>]) -> usize {
-    cells(view)
-        .enumerate()
-        .filter(|&(j, cell)| cell.is_some() && !cells(&view[..j]).any(|earlier| earlier == cell))
-        .count()
+/// `true` if the snapshot cells hold at most `m` distinct tuples. A tuple
+/// counts at the first component that holds it, and the count stops at the
+/// (m + 1)-th. Each component is compared with the earlier ones nearest
+/// first: a process updates consecutive components, so equal tuples sit in
+/// runs.
+fn at_most_distinct_cells(view: &[Option<AnonValue>], m: usize) -> bool {
+    let mut distinct = 0;
+    for (j, cell) in cells(view).enumerate() {
+        if cell.is_some() && !cells(&view[..j]).rev().any(|earlier| earlier == cell) {
+            distinct += 1;
+            if distinct > m {
+                return false;
+            }
+        }
+    }
+    true
 }
 
 /// The value occurring in the most components (ties broken towards the
@@ -759,7 +768,8 @@ mod tests {
             )))
         };
         let view = vec![cell(5, 1), cell(7, 1), cell(7, 1), cell(7, 2), None];
-        assert_eq!(distinct_cells(&view), 3);
+        assert!(!at_most_distinct_cells(&view, 2));
+        assert!(at_most_distinct_cells(&view, 3));
         assert_eq!(most_frequent_value(&view), Some(7));
         assert_eq!(value_support(&view, 1, 7), 2);
         assert_eq!(value_support(&view, 1, 5), 1);
@@ -839,11 +849,14 @@ mod tests {
                 .iter()
                 .map(|entry| entry.as_ref().and_then(AnonValue::as_cell))
                 .collect();
-            assert_eq!(
-                distinct_cells(&view),
-                reference::distinct_cells(&cells),
-                "seed {seed}"
-            );
+            let distinct = reference::distinct_cells(&cells);
+            for m in 0..=width {
+                assert_eq!(
+                    at_most_distinct_cells(&view, m),
+                    distinct <= m,
+                    "seed {seed}, m = {m}"
+                );
+            }
             assert_eq!(
                 most_frequent_value(&view),
                 reference::most_frequent_value(&cells),

@@ -75,7 +75,8 @@ impl OneShotSetAgreement {
     /// Creates the automaton with an explicit snapshot width of at least
     /// `n + 2m − k` components. Wider objects remain correct (the pigeonhole
     /// arguments only need *at least* that many components); this is how the
-    /// space-inefficient baseline of EXPERIMENTS.md is instantiated.
+    /// space-inefficient [`WideBaseline`](crate::WideBaseline) is
+    /// instantiated.
     ///
     /// # Errors
     ///

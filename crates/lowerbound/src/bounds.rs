@@ -283,7 +283,7 @@ impl Figure1 {
 }
 
 /// A row of a parameter sweep over Figure 1, used by the `figure1` bench
-/// binary and EXPERIMENTS.md.
+/// binary (see the README's "Benchmarks and reports" section).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRow {
     /// The parameters of this row.

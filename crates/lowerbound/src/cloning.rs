@@ -185,9 +185,10 @@ pub fn clone_attack_sweep(params: Params, max_width: usize, max_steps: u64) -> V
 }
 
 /// The smallest width at which the anonymous group-isolation attack no longer
-/// violates k-agreement. Compared against `√(m(n/k − 2))` (the Theorem 10
-/// bound, which it must exceed) and `(m+1)(n−k) + m²` (the Theorem 11 width,
-/// which it can never exceed) in EXPERIMENTS.md.
+/// violates k-agreement. The `lower_bound_witness` binary prints it beside
+/// `√(m(n/k − 2))` (the Theorem 10 bound) and `(m+1)(n−k) + m²` (the
+/// Theorem 11 width, which it can never exceed); the test
+/// `resilient_width_sits_between_the_paper_bounds` checks the latter.
 pub fn minimal_resilient_anonymous_width(params: Params, max_steps: u64) -> usize {
     for outcome in clone_attack_sweep(params, params.anonymous_snapshot_components(), max_steps) {
         if !outcome.violates_agreement() {

@@ -20,8 +20,9 @@
 //! * [`attack_one_shot`] / [`attack_repeated`] — run the attack against a
 //!   given width and report how many distinct values were output.
 //! * [`minimal_resilient_width`] — the smallest width at which the attack no
-//!   longer violates k-agreement, compared against the paper's formulas in
-//!   EXPERIMENTS.md.
+//!   longer violates k-agreement, printed beside the paper's formulas by the
+//!   `lower_bound_witness` binary and checked against the paper's width by
+//!   the test `minimal_resilient_width_never_exceeds_paper_width`.
 //! * [`exhaustive_violation`] — for tiny configurations, search **all**
 //!   interleavings for an agreement violation of an under-provisioned
 //!   variant using the bounded explorer.

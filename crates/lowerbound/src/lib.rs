@@ -6,7 +6,7 @@
 //!
 //! * [`bounds`] — every cell of **Figure 1** as an executable formula, with
 //!   consistency relations, rendering and parameter sweeps (used by the
-//!   `figure1` bench binary and EXPERIMENTS.md).
+//!   `figure1` bench binary).
 //! * [`covering`] — the covering attack of **Theorem 2** run against
 //!   deliberately under-provisioned instances of the paper's algorithms:
 //!   group-sequential adversary schedules, width sweeps, the empirical

@@ -14,13 +14,26 @@
 //!
 //! * the current BFS level is the shared frontier: it sits behind one lock,
 //!   and each worker takes up to 32 entries from it at a time, exiting when
-//!   a take comes back empty;
+//!   a take comes back empty. The calling thread is one of the workers, so
+//!   a level on `threads` workers spawns `threads − 1` threads, and a
+//!   1-worker traversal spawns none;
 //! * discovered successors are deduplicated against a **sharded seen-set**
 //!   (shards selected by a [`StateKey`] prefix) holding the same
-//!   collision-resistant 128-bit keys as the serial explorer;
-//! * levels are separated by a barrier at which the caller's policy
-//!   (violations and budgets here, admission and witnesses in
-//!   `sa_search::search`) commits new states, in schedule order.
+//!   collision-resistant 128-bit keys as the serial explorer. It changes
+//!   only at level barriers, so workers read it without a lock;
+//! * a successor whose key is not yet seen is kept **by the worker that
+//!   built it**, in a vector of its own, once it holds the key's claim: a
+//!   per-level claims map records, per new key, the smallest
+//!   `(rank, step)` — the parent's position in its level and the step
+//!   taken — that has reached it. A worker keeps a successor only if it set
+//!   the claim, and at the barrier the successors whose claim a smaller
+//!   schedule later took are dropped. The claims map holds no executors,
+//!   so a successor is moved once, into its worker's vector;
+//! * levels are separated by a barrier that merges the worker vectors in
+//!   schedule order (each is already sorted, so one worker's is one linear
+//!   pass) and at which the caller's policy (violations and budgets here,
+//!   admission and witnesses in `sa_search::search`) commits new states,
+//!   in schedule order.
 //!
 //! # Determinism
 //!
@@ -58,15 +71,14 @@ use crate::explore::{
 };
 use crate::store::{KeyTable, ScheduleArena, SCHEDULE_ROOT};
 use sa_model::{Automaton, ProcessId};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::Debug;
-use std::hash::Hash;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Mutex;
 
-/// Number of seen-set (and next-frontier) shards. A power of two so a
+/// Number of seen-set (and claims-map) shards. A power of two so a
 /// [`StateKey`] prefix selects a shard with a mask; 64 shards keep lock
-/// contention negligible at any realistic worker count.
+/// contention on the claims map negligible at any realistic worker count.
 const SHARDS: usize = 64;
 
 /// Entries a worker takes from the shared level at a time.
@@ -149,40 +161,73 @@ impl ParallelExploreConfig {
     }
 }
 
-/// The seen-set, sharded by key prefix so workers rarely contend on the
-/// same lock. It stays resident: at 16 bytes per key it is small next to
-/// the executors of a single level.
+/// The seen-set, split by key prefix so that a growing table rehashes one
+/// shard's keys at a time. It changes only at level barriers, through
+/// [`Bfs::commit`]'s `&mut self`, so workers read it without a lock. It
+/// stays resident: at 16 bytes per key it is small next to the executors
+/// of a single level.
 #[derive(Debug)]
 struct ShardedSeen {
-    shards: Vec<Mutex<KeyTable>>,
+    shards: Vec<KeyTable>,
 }
 
 impl ShardedSeen {
     fn new() -> Self {
         ShardedSeen {
-            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
+            shards: (0..SHARDS).map(|_| KeyTable::new()).collect(),
         }
     }
 
-    fn shard(&self, index: usize) -> std::sync::MutexGuard<'_, KeyTable> {
-        self.shards[index].lock().expect("seen shard poisoned")
-    }
-
     fn contains(&self, key: &StateKey) -> bool {
-        self.shard(key.shard(SHARDS)).contains(key)
+        self.shards[key.shard(SHARDS)].contains(key)
     }
 
-    fn insert(&self, key: StateKey) -> bool {
-        self.shard(key.shard(SHARDS)).insert(key)
+    fn insert(&mut self, key: StateKey) -> bool {
+        self.shards[key.shard(SHARDS)].insert(key)
     }
 
     /// The number of keys held, over every shard.
     fn len(&self) -> u64 {
-        (0..SHARDS)
-            .map(|index| self.shard(index).len() as u64)
-            .sum()
+        self.shards.iter().map(|shard| shard.len() as u64).sum()
     }
 }
+
+/// A successor's place in schedule order: its parent's rank in the
+/// (schedule-ordered) level, then the step taken. Successors order by it
+/// exactly as their schedules order, and no two successors of a level
+/// share one.
+type Claim = (usize, ProcessId);
+
+/// A level's claims shard: new keys and the smallest [`Claim`] that has
+/// reached each.
+type ClaimShard = HashMap<StateKey, Claim, BuildHasherDefault<KeyHasher>>;
+
+/// Hashes a [`StateKey`] to its second word. A key is already a uniform
+/// 128-bit digest, so SipHash would only mix it again; the first word's top
+/// bits select the shard, and the second word is independent of them.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    /// `StateKey`'s derived `Hash` writes a length prefix and then its two
+    /// words: the last eight bytes written are the second word.
+    fn write(&mut self, bytes: &[u8]) {
+        if let Some(word) = bytes.rchunks_exact(8).next() {
+            self.0 = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        }
+    }
+
+    fn write_usize(&mut self, _length_prefix: usize) {}
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// What one worker returns from a level: its share of the [`BfsLevel`],
+/// whose successors are in schedule order, and the claims it took over,
+/// each naming a successor that another worker kept and must drop.
+type WorkerLevel<A, V> = (BfsLevel<A, V>, Vec<Claim>);
 
 /// One entry of a breadth-first level: a configuration awaiting expansion.
 /// States are kept in their *original* labeling — canonical forms exist
@@ -202,14 +247,16 @@ pub struct BfsEntry<A: Automaton> {
 /// A successor found by [`Bfs::expand`] and not yet committed: the retained
 /// configuration of one new dedup key.
 ///
-/// With symmetry on, several *distinct* configurations of one orbit can be
-/// discovered under the same canonical key in one level; the kernel keeps
-/// the one whose schedule is lexicographically smallest (state, schedule,
-/// weight, bytes and value are always replaced together, so the retained
-/// successor stays consistent and deterministic). All orbit members have
-/// relabel-identical futures and identical predicate verdicts, so which one
-/// expands cannot change any reported verdict — only the
-/// (deterministically chosen) witness labels.
+/// The worker that builds a successor keeps it in its own vector if the
+/// successor took its key's claim, and drops it at once otherwise; a kept
+/// successor whose claim a smaller schedule takes later is dropped at the
+/// level barrier. What survives is, per key, the successor reached by the
+/// lexicographically smallest schedule. With symmetry on, several
+/// *distinct* configurations of one orbit can be discovered under the same
+/// canonical key in one level; all orbit members have relabel-identical
+/// futures and identical predicate verdicts, so which one expands cannot
+/// change any reported verdict — only the (deterministically chosen)
+/// witness labels.
 #[derive(Debug)]
 pub struct BfsSuccessor<A: Automaton, V> {
     /// The caller's per-state value of the retained configuration: a
@@ -270,7 +317,7 @@ where
         threads: usize,
     ) -> (Self, Vec<BfsEntry<A>>) {
         let plan = SymmetryPlan::for_executor(initial, symmetry);
-        let seen = ShardedSeen::new();
+        let mut seen = ShardedSeen::new();
         let (key, orbit_lower) = keyed(initial, &plan);
         seen.insert(key);
         let root = BfsEntry {
@@ -295,13 +342,18 @@ where
     }
 
     /// Expands `level`, whose entries are `depth` steps deep, across the
-    /// worker pool; with `successors` off, entries are only classified.
+    /// worker pool — the calling thread and `threads − 1` spawned ones;
+    /// with `successors` off, entries are only classified.
     ///
     /// Each successor whose key is not yet seen is kept once per key: the
-    /// one reached by the lexicographically smallest schedule. `value` is
-    /// evaluated, in nondeterministic order, on first discovery and again
-    /// whenever a smaller schedule replaces the kept state, so a returned
-    /// value always describes its successor's state.
+    /// one reached by the lexicographically smallest schedule. A worker
+    /// reads the seen-set without a lock, claims the key in the level's
+    /// claims map, and keeps the successor in its own vector only if no
+    /// smaller schedule holds the claim; the barrier drops the kept
+    /// successors whose claim a smaller schedule took later, and merges the
+    /// worker vectors in schedule order. `value` is evaluated, in
+    /// nondeterministic order, on every successor a worker keeps, so a
+    /// returned value always describes its successor's state.
     pub fn expand<V, F>(
         &self,
         level: Vec<BfsEntry<A>>,
@@ -313,82 +365,112 @@ where
         V: Send,
         F: Fn(&Executor<A>) -> V + Sync,
     {
-        let next: Vec<Mutex<HashMap<StateKey, BfsSuccessor<A, V>>>> =
-            (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
-        let terminal = AtomicU64::new(0);
-        let expansions = AtomicU64::new(0);
-        let depth_cut = AtomicBool::new(false);
+        // The claims map is sized for as many new keys as the level has
+        // entries, and each worker's vector for its share of them, so that
+        // neither regrows while a level of steady width expands.
+        let expected = if successors { level.len() } else { 0 };
+        let claims: Vec<Mutex<ClaimShard>> = (0..SHARDS)
+            .map(|_| {
+                Mutex::new(ClaimShard::with_capacity_and_hasher(
+                    expected / SHARDS,
+                    Default::default(),
+                ))
+            })
+            .collect();
         // The shared iterator owns the level, so each entry's executor is
         // dropped as soon as a worker has expanded it.
         let level = Mutex::new(level.into_iter().enumerate());
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads {
-                scope.spawn(|| {
-                    let tasks = std::iter::from_fn(|| {
-                        let mut level = level.lock().expect("level poisoned");
-                        let chunk: Vec<_> = level.by_ref().take(CHUNK).collect();
-                        (!chunk.is_empty()).then_some(chunk)
+        let work = || -> WorkerLevel<A, V> {
+            let mut found = BfsLevel {
+                successors: Vec::with_capacity(expected / self.threads),
+                expansions: 0,
+                terminal: 0,
+                depth_cut: false,
+            };
+            let mut superseded = Vec::new();
+            let mut chunk = Vec::with_capacity(CHUNK);
+            loop {
+                chunk.extend(level.lock().expect("level poisoned").by_ref().take(CHUNK));
+                if chunk.is_empty() {
+                    return (found, superseded);
+                }
+                for (rank, entry) in chunk.drain(..) {
+                    let state = entry.state.unwrap_or_else(|| {
+                        replay(self.initial, self.arena.materialize(entry.node))
                     });
-                    for (rank, entry) in tasks.flatten() {
-                        let state = entry.state.unwrap_or_else(|| {
-                            replay(self.initial, self.arena.materialize(entry.node))
-                        });
-                        let runnable = state.runnable();
-                        if runnable.is_empty() || !successors {
-                            terminal.fetch_add(1, Ordering::Relaxed);
-                            if !runnable.is_empty() {
-                                depth_cut.store(true, Ordering::Relaxed);
-                            }
+                    let runnable = state.runnable();
+                    if runnable.is_empty() || !successors {
+                        found.terminal += 1;
+                        found.depth_cut |= !runnable.is_empty();
+                        continue;
+                    }
+                    found.expansions += runnable.len() as u64;
+                    for (step, successor) in successors_of(state, runnable) {
+                        let (key, orbit_lower) = keyed(&successor, &self.plan);
+                        if self.seen.contains(&key) {
                             continue;
                         }
-                        expansions.fetch_add(runnable.len() as u64, Ordering::Relaxed);
-                        for (step, successor) in successors_of(state, runnable) {
-                            let (key, orbit_lower) = keyed(&successor, &self.plan);
-                            if self.seen.contains(&key) {
-                                continue;
+                        // Same key, another schedule: the smallest one
+                        // holds the claim, so the retained successor never
+                        // depends on timing.
+                        let claim = (rank, step);
+                        match claims[key.shard(SHARDS)]
+                            .lock()
+                            .expect("claims shard poisoned")
+                            .entry(key)
+                        {
+                            Entry::Vacant(free) => {
+                                free.insert(claim);
                             }
-                            let mut shard =
-                                next[key.shard(SHARDS)].lock().expect("next shard poisoned");
-                            // Same key, different parent: keep the
-                            // lexicographically smallest schedule, so the
-                            // retained successor never depends on timing.
-                            if shard
-                                .get(&key)
-                                .is_some_and(|kept| (kept.rank, kept.step) < (rank, step))
-                            {
-                                continue;
-                            }
-                            let found = BfsSuccessor {
-                                value: value(&successor),
-                                bytes: entry_bytes(&successor, depth + 1),
-                                key,
-                                state: successor,
-                                rank,
-                                parent: entry.node,
-                                step,
-                                orbit_lower,
-                            };
-                            shard.insert(key, found);
+                            Entry::Occupied(held) if *held.get() < claim => continue,
+                            Entry::Occupied(mut held) => superseded.push(held.insert(claim)),
                         }
+                        found.successors.push(BfsSuccessor {
+                            value: value(&successor),
+                            bytes: entry_bytes(&successor, depth + 1),
+                            key,
+                            state: successor,
+                            rank,
+                            parent: entry.node,
+                            step,
+                            orbit_lower,
+                        });
                     }
-                });
+                }
             }
+        };
+        let (mut found, mut superseded) = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..self.threads).map(|_| scope.spawn(work)).collect();
+            let (mut found, mut superseded) = work();
+            let helpers: Vec<WorkerLevel<A, V>> = helpers
+                .into_iter()
+                .map(|helper| helper.join().expect("BFS worker panicked"))
+                .collect();
+            // One allocation at the level's exact size: growing the vector
+            // worker by worker could briefly hold the old buffer and a
+            // larger new one.
+            found
+                .successors
+                .reserve_exact(helpers.iter().map(|(more, _)| more.successors.len()).sum());
+            for (more, more_superseded) in helpers {
+                found.successors.extend(more.successors);
+                found.expansions += more.expansions;
+                found.terminal += more.terminal;
+                found.depth_cut |= more.depth_cut;
+                superseded.extend(more_superseded);
+            }
+            (found, superseded)
         });
-        let next: Vec<HashMap<StateKey, BfsSuccessor<A, V>>> = next
-            .into_iter()
-            .map(|shard| shard.into_inner().expect("next shard poisoned"))
-            .collect();
-        // One allocation at the level's exact size: growing the vector shard
-        // by shard would briefly hold the old buffer and a larger new one.
-        let mut found = Vec::with_capacity(next.iter().map(HashMap::len).sum());
-        found.extend(next.into_iter().flat_map(HashMap::into_values));
-        found.sort_unstable_by_key(|s| (s.rank, s.step));
-        BfsLevel {
-            successors: found,
-            expansions: expansions.into_inner(),
-            terminal: terminal.into_inner(),
-            depth_cut: depth_cut.into_inner(),
+        if !superseded.is_empty() {
+            superseded.sort_unstable();
+            found
+                .successors
+                .retain(|s| superseded.binary_search(&(s.rank, s.step)).is_err());
         }
+        // Each worker's successors are in schedule order already: the sort
+        // merges those runs, and on one worker it is one pass.
+        found.successors.sort_by_key(|s| (s.rank, s.step));
+        found
     }
 
     /// Commits `successor` into the traversal — its key becomes seen and its
@@ -419,11 +501,11 @@ where
 /// reported fields, though it may accumulate its own statistics through
 /// interior mutability. It is evaluated (in nondeterministic order) once
 /// per newly discovered dedup key, and again whenever a lexicographically
-/// smaller schedule replaces the state retained for that key, so a
-/// violation's description always describes the reported schedule's
-/// configuration. With [`SymmetryMode::ProcessIds`] the predicate must
-/// additionally be relabeling-invariant — true of any predicate over
-/// decided value sets and memory contents, like the safety properties.
+/// smaller schedule takes over that key's claim, so a violation's
+/// description always describes the reported schedule's configuration.
+/// With [`SymmetryMode::ProcessIds`] the predicate must additionally be
+/// relabeling-invariant — true of any predicate over decided value sets
+/// and memory contents, like the safety properties.
 pub fn parallel_explore<A, F>(
     initial: &Executor<A>,
     config: ParallelExploreConfig,
@@ -531,8 +613,37 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{agreement_predicate, explore, ExploreConfig};
+    use crate::explore::{agreement_predicate, explore, state_key, ExploreConfig};
     use crate::toy::{RacyConsensus, ToyWriter};
+    use std::hash::BuildHasher;
+
+    /// Each level's successors as [`Bfs::expand`] returns them: schedule,
+    /// value and orbit weight, in order.
+    type Levels = Vec<Vec<(Vec<ProcessId>, StateKey, u64)>>;
+
+    /// Drives the kernel by hand on `threads` workers, committing every
+    /// successor. The value is the successor's unreduced key, which tells
+    /// the members of one orbit apart, so it shows which member was kept.
+    fn kernel_levels(exec: &Executor<ToyWriter>, symmetry: SymmetryMode, threads: usize) -> Levels {
+        let (mut bfs, mut level) = Bfs::new(exec, symmetry, threads);
+        let mut levels = Levels::new();
+        while !level.is_empty() {
+            let expanded = bfs.expand(level, levels.len(), true, &state_key::<ToyWriter>);
+            levels.push(
+                expanded
+                    .successors
+                    .iter()
+                    .map(|s| (bfs.schedule(s), s.value, s.orbit_lower))
+                    .collect(),
+            );
+            level = expanded
+                .successors
+                .into_iter()
+                .map(|s| bfs.commit(s))
+                .collect();
+        }
+        levels
+    }
 
     fn writers(n: usize) -> Executor<ToyWriter> {
         Executor::new((0..n).map(|p| ToyWriter::new(p, p as u64 + 1)).collect())
@@ -572,6 +683,47 @@ mod tests {
                 );
                 assert_eq!(parallel.violation, serial.violation);
                 assert_eq!(parallel.seen_entries, serial.seen_entries);
+            }
+        }
+    }
+
+    #[test]
+    fn key_hasher_hashes_a_key_to_its_second_word() {
+        let key = StateKey::from_parts([0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210]);
+        let hash = BuildHasherDefault::<KeyHasher>::default().hash_one(key);
+        assert_eq!(hash, key.parts()[1]);
+    }
+
+    #[test]
+    fn claims_keep_the_smallest_schedule_at_any_worker_count() {
+        // Six distinct writers, and eight writers in four identical pairs.
+        // Under symmetry the pairs' orbits merge, so one key is reached from
+        // several parents of a level, and by two steps of one parent. The
+        // widest levels span several chunks, so keys are found again in
+        // chunks that other workers expand, and three workers split the
+        // chunks unevenly.
+        let paired = Executor::new(
+            (0..8)
+                .map(|p| ToyWriter::new(p / 2, p as u64 / 2 + 1))
+                .collect(),
+        );
+        for exec in [writers(6), paired] {
+            for symmetry in [SymmetryMode::Off, SymmetryMode::ProcessIds] {
+                let reference = kernel_levels(&exec, symmetry, 1);
+                assert!(reference.iter().any(|level| level.len() > 2 * CHUNK));
+                for level in &reference {
+                    assert!(level.windows(2).all(|pair| pair[0].0 < pair[1].0));
+                }
+                for threads in [2, 3, 8] {
+                    let levels = kernel_levels(&exec, symmetry, threads);
+                    assert_eq!(levels.len(), reference.len());
+                    for (depth, (level, expected)) in levels.iter().zip(&reference).enumerate() {
+                        assert_eq!(
+                            level, expected,
+                            "{symmetry:?}, {threads} workers, depth {depth}"
+                        );
+                    }
+                }
             }
         }
     }
