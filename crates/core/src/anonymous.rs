@@ -202,11 +202,6 @@ impl AnonymousSetAgreement {
         self.components
     }
 
-    /// `true` if this automaton uses the helper register `H` (repeated mode).
-    pub fn uses_helper(&self) -> bool {
-        self.use_helper
-    }
-
     /// The instance the process is currently working on (0 before the first
     /// `Propose`).
     pub fn current_instance(&self) -> InstanceId {
@@ -541,11 +536,9 @@ mod tests {
         assert!(AnonymousSetAgreement::deficient(params, vec![1], 0).is_err());
         let a = AnonymousSetAgreement::repeated(params, vec![1, 2]).unwrap();
         assert_eq!(a.width(), 10);
-        assert!(a.uses_helper());
         assert_eq!(a.planned_instances(), 2);
         assert_eq!(a.layout(), MemoryLayout::with_snapshot_and_registers(10, 1));
         let o = AnonymousSetAgreement::one_shot(params, 5);
-        assert!(!o.uses_helper());
         assert_eq!(o.layout(), MemoryLayout::with_snapshot_and_registers(10, 0));
     }
 

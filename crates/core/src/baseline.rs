@@ -7,7 +7,9 @@
 //!   `n − k + 2` components. (The exact pseudocode of \[4\] is not contained
 //!   in the paper; instantiating Figure 3 with the wider object preserves the
 //!   quantity the paper compares — the register count — and gives a runnable
-//!   algorithm with the same communication pattern. See DESIGN.md.)
+//!   algorithm with the same communication pattern. The `figure1` report
+//!   binary, listed in the README's "Benchmarks and reports", measures it
+//!   beside the paper's algorithms.)
 //! * [`SwmrEmulated`] — a protocol adapter realizing the paper's *trivial*
 //!   upper bound of `n` registers: "n (large) single-writer registers can
 //!   implement any number of multi-writer registers \[13\]". It wraps any
@@ -277,11 +279,6 @@ where
     /// The problem parameters.
     pub fn params(&self) -> &Params {
         &self.params
-    }
-
-    /// The emulated snapshot width.
-    pub fn emulated_width(&self) -> usize {
-        self.width
     }
 
     /// Number of collect rounds performed by the scan currently in progress.
@@ -579,7 +576,6 @@ mod tests {
         let layout = a.layout();
         assert_eq!(layout.register_count(), 6);
         assert_eq!(layout.snapshot_count(), 0);
-        assert_eq!(a.emulated_width(), params.snapshot_components());
         assert_eq!(a.params().n(), 6);
     }
 

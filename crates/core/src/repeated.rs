@@ -262,7 +262,8 @@ impl RepeatedSetAgreement {
             if let Some(j1) = first_duplicate_t_index(view, t) {
                 // Lines 23–24: as in the one-shot algorithm, the location is
                 // kept only when the preference actually changes (see the
-                // interpretation note in `oneshot.rs` and DESIGN.md).
+                // note on lines 12–13 in `OneShotSetAgreement`'s scan
+                // handling in `oneshot.rs`).
                 let adopted = view[j1].as_ref().expect("duplicates are full").value;
                 if adopted != self.pref {
                     self.pref = adopted;

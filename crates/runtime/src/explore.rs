@@ -23,6 +23,7 @@
 
 use crate::executor::Executor;
 use crate::store::KeyTable;
+use sa_memory::SimMemory;
 use sa_model::{Automaton, Fingerprinter, IdRelabeling, ProcessId, SymmetryClass};
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
@@ -69,7 +70,14 @@ impl SymmetryMode {
 /// Configuration of a bounded exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreConfig {
-    /// Maximum number of steps along any single execution path.
+    /// Maximum number of steps along any single execution path: in this
+    /// depth-first explorer, the length of the DFS path. That length
+    /// depends on the order the search takes, not on the model alone: the
+    /// 5/1/4 anonymous cell under symmetry reaches a DFS path 152,628 steps
+    /// deep, so a bound of 100,000 reports it truncated. The parallel
+    /// explorer's bound
+    /// ([`ParallelExploreConfig::max_depth`](crate::ParallelExploreConfig::max_depth))
+    /// is the breadth-first radius instead.
     pub max_depth: u64,
     /// Maximum number of states to visit before giving up (truncation).
     /// A state space of **exactly** `max_states` states is exhausted, not
@@ -474,6 +482,31 @@ impl SymmetryPlan {
         self.canon_class.iter().copied().max().map_or(0, |c| c + 1)
     }
 
+    /// `true` if entries carry their slot signatures, so a successor's
+    /// key re-hashes only the slot that stepped (see [`successor_key`]):
+    /// an applied, non-trivial anonymous plan. An id-carrying signature
+    /// includes the slot's memory spotlight profile, which any write
+    /// changes, so those plans (and off and trivial ones) key every state
+    /// from scratch.
+    pub(crate) fn carries_signatures(&self) -> bool {
+        self.applied && self.class == SymmetryClass::Anonymous && !self.is_trivial()
+    }
+
+    /// The slot signatures a frontier entry for `executor` carries: every
+    /// slot's, in slot order, under a plan that
+    /// [carries them](Self::carries_signatures); none otherwise, and an
+    /// empty box allocates nothing.
+    pub(crate) fn carried_signatures<A>(&self, executor: &Executor<A>) -> Box<[SlotSignature]>
+    where
+        A: Automaton + Hash,
+        A::Value: Hash + Clone + Eq + Debug,
+    {
+        if !self.carries_signatures() {
+            return Box::default();
+        }
+        self.signatures(executor).collect()
+    }
+
     /// The canonical relabeling of `executor`'s configuration: a bijection
     /// `old id → new id` that, applied consistently to slots, local states,
     /// memory values and decisions, yields the orbit representative whose
@@ -487,58 +520,67 @@ impl SymmetryPlan {
         if !self.applied {
             return IdRelabeling::identity(self.n);
         }
-        let (order, ..) = self.canonical_order(executor);
-        relabel_for_order(&order)
+        let signatures: Vec<SlotSignature> = self.signatures(executor).collect();
+        relabel_for_order(&self.canonical_order(&signatures))
     }
 
-    /// The canonical slot order (`order[new_slot] = old_slot`), the
-    /// orbit-size lower bound of the configuration and the slot signatures
-    /// the order sorts by (indexed by old slot).
-    ///
-    /// Within each orbit group, slots are sorted by an id-erased signature
-    /// of their behavioral state and per-slot decisions; ties keep original
-    /// slot order, so the result is a deterministic function of the
-    /// configuration alone (never of thread count or discovery order).
-    fn canonical_order<A>(&self, executor: &Executor<A>) -> (Vec<usize>, u64, Vec<[u64; 2]>)
+    /// The signature of one slot: the id-erased 128-bit digest of its
+    /// behavioral state and its decisions, by which the canonical order
+    /// sorts slots.
+    fn slot_signature<A>(&self, executor: &Executor<A>, slot: usize) -> SlotSignature
     where
         A: Automaton + Hash,
         A::Value: Hash + Clone + Eq + Debug,
     {
+        let mut hasher = Fingerprinter::new();
+        executor
+            .automaton(ProcessId(slot))
+            .hash_behavior(&self.erase, &mut hasher);
+        // The slot's decisions travel with it under relabeling, so they are
+        // part of what makes slots interchangeable.
+        for (instance, value) in executor.decisions().decisions_by(ProcessId(slot)) {
+            instance.hash(&mut hasher);
+            value.hash(&mut hasher);
+        }
+        // Id-carrying values couple slots to memory: two slots whose local
+        // states differ only in the id are still distinguished by WHERE
+        // their ids occur in memory (e.g. only p1 has a pair in the
+        // snapshot). Sign each slot with its id-occurrence profile — every
+        // value hashed under a "spotlight" map sending this slot's id to p1
+        // and every other id to p0 — so the canonical order separates them
+        // consistently across the whole orbit. (Anonymous values embed no
+        // ids; the profile would be constant, so skip it.)
+        if self.class == SymmetryClass::IdCarrying && self.n > 1 {
+            let mut spotlight = vec![ProcessId(0); self.n];
+            spotlight[slot] = ProcessId(1);
+            let spotlight = IdRelabeling::from_map(spotlight);
+            executor
+                .memory()
+                .hash_contents_mapped(&mut hasher, |value| A::relabel_value(value, &spotlight));
+        }
+        hasher.finish128()
+    }
+
+    /// Every slot's [signature](Self::slot_signature), in slot order.
+    fn signatures<'a, A>(
+        &'a self,
+        executor: &'a Executor<A>,
+    ) -> impl Iterator<Item = SlotSignature> + 'a
+    where
+        A: Automaton + Hash,
+        A::Value: Hash + Clone + Eq + Debug,
+    {
+        (0..self.n).map(|slot| self.slot_signature(executor, slot))
+    }
+
+    /// The canonical slot order (`order[new_slot] = old_slot`) of a
+    /// configuration whose slot signatures are `signatures`.
+    ///
+    /// Within each orbit group, slots are sorted by signature; ties keep
+    /// original slot order, so the result is a deterministic function of
+    /// the configuration alone (never of thread count or discovery order).
+    fn canonical_order(&self, signatures: &[SlotSignature]) -> Vec<usize> {
         let n = self.n;
-        let signatures: Vec<[u64; 2]> = (0..n)
-            .map(|p| {
-                let mut hasher = Fingerprinter::new();
-                executor
-                    .automaton(ProcessId(p))
-                    .hash_behavior(&self.erase, &mut hasher);
-                // The slot's decisions travel with it under relabeling, so
-                // they are part of what makes slots interchangeable.
-                for (instance, value) in executor.decisions().decisions_by(ProcessId(p)) {
-                    instance.hash(&mut hasher);
-                    value.hash(&mut hasher);
-                }
-                // Id-carrying values couple slots to memory: two slots whose
-                // local states differ only in the id are still distinguished
-                // by WHERE their ids occur in memory (e.g. only p1 has a
-                // pair in the snapshot). Sign each slot with its
-                // id-occurrence profile — every value hashed under a
-                // "spotlight" map sending this slot's id to p1 and every
-                // other id to p0 — so the canonical order separates them
-                // consistently across the whole orbit. (Anonymous values
-                // embed no ids; the profile would be constant, so skip it.)
-                if self.class == SymmetryClass::IdCarrying && n > 1 {
-                    let mut spotlight = vec![ProcessId(0); n];
-                    spotlight[p] = ProcessId(1);
-                    let spotlight = IdRelabeling::from_map(spotlight);
-                    executor
-                        .memory()
-                        .hash_contents_mapped(&mut hasher, |value| {
-                            A::relabel_value(value, &spotlight)
-                        });
-                }
-                hasher.finish128()
-            })
-            .collect();
         // Within each orbit group, reassign the group's slot positions to
         // its members in signature order (stable: ties keep slot order).
         // One group (every anonymous plan) holds every slot in order, so
@@ -560,22 +602,27 @@ impl SymmetryPlan {
                 }
             }
         }
-        // Orbit-size lower bound: within each equal-initial-behavior class,
-        // relabelings fix the initial configuration, so they produce
-        // class_size! / (product of equal-signature run lengths!) distinct
-        // reachable configurations. Slots whose *projected* states collide
-        // are conservatively treated as interchangeable, keeping this a
-        // lower bound.
+        order
+    }
+
+    /// The orbit-size lower bound of a configuration whose slot signatures
+    /// are `signatures`; `sorted` is scratch space.
+    ///
+    /// Within each equal-initial-behavior class, relabelings fix the
+    /// initial configuration, so they produce class_size! / (product of
+    /// equal-signature run lengths!) distinct reachable configurations.
+    /// Slots whose *projected* states collide are conservatively treated as
+    /// interchangeable, keeping this a lower bound.
+    fn orbit_lower(&self, signatures: &[SlotSignature], sorted: &mut Vec<SlotSignature>) -> u64 {
         let mut orbit_lower: u64 = 1;
-        let mut sigs: Vec<[u64; 2]> = Vec::new();
         for members in &self.shared_classes {
-            sigs.clear();
-            sigs.extend(members.iter().map(|&p| signatures[p]));
-            sigs.sort_unstable();
-            let mut arrangements: u64 = factorial(sigs.len() as u64);
+            sorted.clear();
+            sorted.extend(members.iter().map(|&p| signatures[p]));
+            sorted.sort_unstable();
+            let mut arrangements: u64 = factorial(sorted.len() as u64);
             let mut run = 1u64;
-            for i in 1..=sigs.len() {
-                if i < sigs.len() && sigs[i] == sigs[i - 1] {
+            for i in 1..=sorted.len() {
+                if i < sorted.len() && sorted[i] == sorted[i - 1] {
                     run += 1;
                 } else {
                     arrangements /= factorial(run);
@@ -584,8 +631,49 @@ impl SymmetryPlan {
             }
             orbit_lower = orbit_lower.saturating_mul(arrangements);
         }
-        (order, orbit_lower, signatures)
+        orbit_lower
     }
+
+    /// The anonymous canonical key and orbit weight of a configuration
+    /// whose slot signatures (in slot order) are `signatures` and whose
+    /// memory is `memory`: the signatures in sorted order, then the raw
+    /// memory contents. Sorting the signatures hashes the same words as
+    /// hashing them in canonical slot order, whose ties are equal
+    /// signatures. `sorted` is scratch space.
+    fn anonymous_key<V: Hash + Clone + Eq + Debug>(
+        &self,
+        signatures: &[SlotSignature],
+        memory: &SimMemory<V>,
+        sorted: &mut Vec<SlotSignature>,
+    ) -> (StateKey, u64) {
+        sorted.clear();
+        sorted.extend_from_slice(signatures);
+        sorted.sort_unstable();
+        let mut hasher = Fingerprinter::new();
+        for &[lo, hi] in sorted.iter() {
+            hasher.write_u64(lo);
+            hasher.write_u64(hi);
+        }
+        memory.hash_contents(&mut hasher);
+        let key = StateKey(hasher.finish128());
+        (key, self.orbit_lower(signatures, sorted))
+    }
+}
+
+/// One process slot's signature: the 128-bit digest of its id-erased
+/// behavior and its decisions (plus, for id-carrying plans, its memory
+/// spotlight profile) that the canonical order sorts slots by.
+pub(crate) type SlotSignature = [u64; 2];
+
+/// Reused buffers for keying configurations from slot signatures.
+#[derive(Debug, Default)]
+pub(crate) struct SignatureBuffers {
+    /// The slot signatures of the configuration keyed last, in slot order:
+    /// empty after [`successor_key`] under a plan that does not carry
+    /// signatures.
+    pub(crate) signatures: Vec<SlotSignature>,
+    /// The sort buffer of the key.
+    sorted: Vec<SlotSignature>,
 }
 
 /// `n!`, saturating — orbit groups are at most `n` slots wide, and a
@@ -626,6 +714,12 @@ fn factorial(n: u64) -> u64 {
 /// A plan that applies no reduction (a fallback for Opaque automata, or
 /// [`SymmetryMode::Off`]) degrades gracefully to the plain [`state_key`]
 /// with a singleton orbit weight.
+///
+/// This function computes every slot signature from scratch. The explorers
+/// key an anonymous successor from the signatures its parent carries
+/// instead, recomputing only the slot that stepped, and then hash the same
+/// words through the same code (see [`keyed`]), so both paths give the
+/// same key.
 pub fn canonical_state_key<A>(executor: &Executor<A>, plan: &SymmetryPlan) -> (StateKey, u64)
 where
     A: Automaton + Hash,
@@ -637,17 +731,13 @@ where
         // singleton orbit, so callers can use the two interchangeably.
         return (state_key(executor), 1);
     }
-    let (order, orbit_lower, signatures) = plan.canonical_order(executor);
-    let mut hasher = Fingerprinter::new();
+    let signatures: Vec<SlotSignature> = plan.signatures(executor).collect();
     if plan.class == SymmetryClass::Anonymous {
-        for &old_slot in &order {
-            let [lo, hi] = signatures[old_slot];
-            hasher.write_u64(lo);
-            hasher.write_u64(hi);
-        }
-        executor.memory().hash_contents(&mut hasher);
-        return (StateKey(hasher.finish128()), orbit_lower);
+        return plan.anonymous_key(&signatures, executor.memory(), &mut Vec::new());
     }
+    let order = plan.canonical_order(&signatures);
+    let orbit_lower = plan.orbit_lower(&signatures, &mut Vec::new());
+    let mut hasher = Fingerprinter::new();
     let relabel = relabel_for_order(&order);
     for &old_slot in &order {
         executor
@@ -689,6 +779,12 @@ fn relabel_for_order(order: &[usize]) -> IdRelabeling {
 /// group a singleton, e.g. a distinct-workload id-carrying cell) provably
 /// cannot merge anything, so they skip the per-slot signature work entirely
 /// rather than pay n extra memory hashes per state for a 1.0x reduction.
+///
+/// The explorers call it for their root and for the states of plans that do
+/// not carry slot signatures. Under an applied, non-trivial anonymous plan
+/// every other state is keyed from its parent's carried signatures by
+/// `successor_key`: the same key, without re-hashing the n − 1 slots a
+/// step left unchanged.
 pub fn keyed<A>(executor: &Executor<A>, plan: &SymmetryPlan) -> (StateKey, u64)
 where
     A: Automaton + Hash,
@@ -699,6 +795,37 @@ where
     } else {
         (state_key(executor), 1)
     }
+}
+
+/// The key and orbit weight of `successor`, reached by a step of `stepped`
+/// from a parent whose carried slot signatures are `parent` (see
+/// [`SymmetryPlan::carried_signatures`]). `buffers.signatures` is left
+/// holding the successor's signatures, to carry on.
+///
+/// [`Executor::step`] changes only the stepping process's automaton and
+/// records decisions only for it, so the successor's other n − 1 slot
+/// signatures are the parent's: only `stepped`'s is recomputed, and the
+/// key is built by the code [`canonical_state_key`] builds it with, so the
+/// two agree bit for bit. A parent that carries no signatures (a plan that
+/// does not carry them) is keyed by [`keyed`], from scratch.
+pub(crate) fn successor_key<A>(
+    plan: &SymmetryPlan,
+    parent: &[SlotSignature],
+    successor: &Executor<A>,
+    stepped: ProcessId,
+    buffers: &mut SignatureBuffers,
+) -> (StateKey, u64)
+where
+    A: Automaton + Hash,
+    A::Value: Hash + Clone + Eq + Debug,
+{
+    buffers.signatures.clear();
+    if parent.is_empty() {
+        return keyed(successor, plan);
+    }
+    buffers.signatures.extend_from_slice(parent);
+    buffers.signatures[stepped.index()] = plan.slot_signature(successor, stepped.index());
+    plan.anonymous_key(&buffers.signatures, successor.memory(), &mut buffers.sorted)
 }
 
 /// The deterministic deep-byte charge of one frontier entry: the executor's
@@ -713,6 +840,11 @@ where
 /// ~3.8 GB. Length-based deep accounting keeps the figure a pure function
 /// of the search (never of capacities or discovery order), so it stays
 /// byte-identical across worker counts and spill modes.
+///
+/// The slot signatures an entry carries under anonymous symmetry (see
+/// [`SymmetryPlan::carried_signatures`]) are not charged, so recorded
+/// `approx_bytes` and every budget decision are those of a search that
+/// carries none.
 pub(crate) fn entry_bytes<A: Automaton>(state: &Executor<A>, schedule_len: usize) -> u64 {
     state.approx_deep_bytes()
         + (std::mem::size_of::<Vec<ProcessId>>()
@@ -768,7 +900,9 @@ where
 /// parent, whose schedule is a prefix of the DFS path when the entry is
 /// popped (see [`explore`]). States are kept in their *original* labeling —
 /// canonical forms exist only inside the dedup keys — so witness schedules
-/// replay on the caller's executor as-is.
+/// replay on the caller's executor as-is. Under a plan that carries slot
+/// signatures, the one an entry needs is kept beside the stack (see
+/// [`PathSignatures`]), so an entry is the same size under every plan.
 struct DfsEntry<A: Automaton> {
     /// `None` once evicted to honor the resident budget; rebuilt by
     /// replaying the DFS path when the entry is popped.
@@ -777,6 +911,58 @@ struct DfsEntry<A: Automaton> {
     step: ProcessId,
     orbit_lower: u64,
     bytes: u64,
+}
+
+/// The carried slot signatures of the serial DFS: one row of n signatures
+/// per state on the path, the root's first, and for every stack entry above
+/// the root the signature of the slot its step changed. An entry's row is
+/// its parent's with that one signature replaced, so a pending entry costs
+/// 16 B beside the stack, and an evicted entry keeps its signature. Both
+/// stay empty under a plan that does not carry signatures.
+struct PathSignatures {
+    width: usize,
+    rows: Vec<SlotSignature>,
+    /// The stepped slot's signature of each stack entry above the root, in
+    /// stack order.
+    stepped: Vec<SlotSignature>,
+}
+
+impl PathSignatures {
+    fn new(root: Box<[SlotSignature]>) -> Self {
+        PathSignatures {
+            width: root.len(),
+            rows: root.into_vec(),
+            stepped: Vec::new(),
+        }
+    }
+
+    /// Records the entry just pushed on the stack, reached by `step` and
+    /// keyed from `signatures` (its signatures, as [`successor_key`] left
+    /// them).
+    fn push(&mut self, signatures: &[SlotSignature], step: ProcessId) {
+        if self.width > 0 {
+            self.stepped.push(signatures[step.index()]);
+        }
+    }
+
+    /// Enters the entry just popped from the stack, at `depth` (at least 1)
+    /// and reached by `step` from the state at `depth − 1` on the path: its
+    /// row is its parent's with `step`'s signature replaced by the one
+    /// recorded when it was pushed.
+    fn enter(&mut self, depth: usize, step: ProcessId) {
+        if self.width == 0 {
+            return;
+        }
+        let signature = self.stepped.pop().expect("every pushed entry recorded one");
+        self.rows.truncate(depth * self.width);
+        self.rows.extend_from_within((depth - 1) * self.width..);
+        self.rows[depth * self.width + step.index()] = signature;
+    }
+
+    /// The signatures of the state entered last.
+    fn current(&self) -> &[SlotSignature] {
+        &self.rows[self.rows.len() - self.width..]
+    }
 }
 
 /// Exhaustively explores every interleaving of the executor's processes up to
@@ -791,7 +977,9 @@ struct DfsEntry<A: Automaton> {
 /// path to the state being expanded. Stack depths never decrease toward the
 /// top, so every pending entry's parent lies on the path: popping an entry
 /// at depth `d` truncates the path to `d - 1` steps and appends the entry's
-/// step.
+/// step. Under anonymous symmetry the path also holds each of its states'
+/// slot signatures, from which a successor's key is built by re-hashing
+/// only the slot that stepped.
 pub fn explore<A, F>(initial: &Executor<A>, config: ExploreConfig, mut predicate: F) -> Exploration
 where
     A: Automaton + Clone + Hash,
@@ -822,6 +1010,8 @@ where
     result.frontier_peak = 1;
     seen.insert(initial_key);
     let mut path: Vec<ProcessId> = Vec::new();
+    let mut signatures = PathSignatures::new(plan.carried_signatures(initial));
+    let mut buffers = SignatureBuffers::default();
     // Byte accounting. `resident` tracks the deep bytes of entries holding
     // their executor (what the cap polices), `evicted` those of evicted
     // entries. Their sum — whose peak feeds `approx_bytes` — is conserved
@@ -860,6 +1050,7 @@ where
         if let Some(parent_len) = entry.depth.checked_sub(1) {
             path.truncate(parent_len);
             path.push(entry.step);
+            signatures.enter(entry.depth, entry.step);
         }
         let state = match entry.state {
             Some(state) => {
@@ -897,7 +1088,8 @@ where
                 });
                 break 'search;
             }
-            let (key, next_orbit) = keyed(&next, &plan);
+            let (key, next_orbit) =
+                successor_key(&plan, signatures.current(), &next, process, &mut buffers);
             if !seen.insert(key) {
                 // Plain keys: an identical state was expanded. Canonical
                 // keys: a configuration whose entire future is the
@@ -914,6 +1106,7 @@ where
                 orbit_lower: next_orbit,
                 bytes: next_bytes,
             });
+            signatures.push(&buffers.signatures, process);
         }
         result.frontier_peak = result.frontier_peak.max(stack.len() as u64);
         logical_peak = logical_peak.max(resident + evicted);
@@ -1310,6 +1503,97 @@ mod tests {
         assert!(x.memory().same_contents(y.memory()));
         assert_eq!(x.decisions(), y.decisions());
         assert_separated(&x, &y, "one slot's phase");
+    }
+
+    #[test]
+    fn successor_keys_equal_keys_computed_from_scratch() {
+        use sa_model::SplitMix64;
+        // Six writers on two registers: slots 0 and 2, and 1 and 3, are
+        // identical pairs (orbit weights above 1), and reads see other
+        // writers' values, so decisions differ between walks.
+        let initial = Executor::new(
+            (0..6)
+                .map(|p| ToyWriter::new(p % 2, p as u64 / 4 + 1))
+                .collect(),
+        );
+        let plan = SymmetryPlan::for_executor(&initial, SymmetryMode::ProcessIds);
+        assert!(plan.carries_signatures());
+        let mut buffers = SignatureBuffers::default();
+        let mut rng = SplitMix64::new(0x5EED);
+        let mut weighted = false;
+        for walk in 0..200 {
+            let mut state = initial.clone();
+            let mut signatures = plan.carried_signatures(&state);
+            loop {
+                let runnable = state.runnable();
+                if runnable.is_empty() {
+                    break;
+                }
+                let step = runnable[rng.below(runnable.len() as u64) as usize];
+                state.step(step);
+                let carried = successor_key(&plan, &signatures, &state, step, &mut buffers);
+                assert_eq!(
+                    carried,
+                    canonical_state_key(&state, &plan),
+                    "walk {walk}, step {}",
+                    state.steps()
+                );
+                assert_eq!(buffers.signatures, *plan.carried_signatures(&state));
+                weighted |= carried.1 > 1;
+                signatures = buffers.signatures.as_slice().into();
+            }
+        }
+        assert!(weighted, "some walk must reach a state of orbit weight > 1");
+
+        // A plan that carries no signatures keys every state from scratch.
+        let mut uniform = Executor::new(vec![
+            RacyConsensus::new(ProcessId(0), 5),
+            RacyConsensus::new(ProcessId(1), 5),
+        ]);
+        let plan = SymmetryPlan::for_executor(&uniform, SymmetryMode::ProcessIds);
+        assert!(plan.applied() && !plan.carries_signatures());
+        assert!(plan.carried_signatures(&uniform).is_empty());
+        uniform.step(ProcessId(1));
+        let key = successor_key(&plan, &[], &uniform, ProcessId(1), &mut buffers);
+        assert_eq!(key, keyed(&uniform, &plan));
+        assert!(buffers.signatures.is_empty());
+    }
+
+    #[test]
+    fn evicted_entries_keep_their_signatures() {
+        // Under symmetry a 1-byte cap evicts after every expansion, and an
+        // evicted entry is rebuilt by replay: its carried signature and the
+        // path's rows still key its successors, so the search is the
+        // in-core one.
+        let exec = Executor::new(
+            (0..6)
+                .map(|p| ToyWriter::new(p % 2, p as u64 / 4 + 1))
+                .collect(),
+        );
+        let config = ExploreConfig {
+            symmetry: SymmetryMode::ProcessIds,
+            ..ExploreConfig::default()
+        };
+        let base = explore(&exec, config, agreement_predicate(6));
+        let spilled = explore(
+            &exec,
+            ExploreConfig {
+                spill: true,
+                max_resident_bytes: 1,
+                ..config
+            },
+            agreement_predicate(6),
+        );
+        assert!(base.verified() && spilled.verified());
+        assert!(spilled.spilled_entries > 0);
+        assert_eq!(spilled.states_visited, base.states_visited);
+        assert_eq!(spilled.paths, base.paths);
+        assert_eq!(spilled.frontier_peak, base.frontier_peak);
+        assert_eq!(spilled.approx_bytes, base.approx_bytes);
+        assert_eq!(
+            spilled.full_states_lower_bound,
+            base.full_states_lower_bound
+        );
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //! * discovered successors are deduplicated against a **sharded seen-set**
 //!   (shards selected by a [`StateKey`] prefix) holding the same
 //!   collision-resistant 128-bit keys as the serial explorer. It changes
-//!   only at level barriers, so workers read it without a lock;
+//!   only at level barriers, so workers read it without a lock. Under
+//!   anonymous symmetry each entry carries its slot signatures, so a
+//!   successor's key re-hashes only the slot that stepped (see
+//!   [`BfsEntry`]);
 //! * a successor whose key is not yet seen is kept **by the worker that
 //!   built it**, in a vector of its own, once it holds the key's claim: a
 //!   per-level claims map records, per new key, the smallest
@@ -66,8 +69,8 @@
 use crate::commutation::ReductionMode;
 use crate::executor::Executor;
 use crate::explore::{
-    entry_bytes, keyed, replay, successors_of, Exploration, ExploredViolation, FrontierSemantics,
-    StateKey, SymmetryMode, SymmetryPlan,
+    entry_bytes, keyed, replay, successor_key, successors_of, Exploration, ExploredViolation,
+    FrontierSemantics, SignatureBuffers, SlotSignature, StateKey, SymmetryMode, SymmetryPlan,
 };
 use crate::store::{KeyTable, ScheduleArena, SCHEDULE_ROOT};
 use sa_model::{Automaton, ProcessId};
@@ -193,10 +196,10 @@ impl ShardedSeen {
 }
 
 /// A successor's place in schedule order: its parent's rank in the
-/// (schedule-ordered) level, then the step taken. Successors order by it
-/// exactly as their schedules order, and no two successors of a level
-/// share one.
-type Claim = (usize, ProcessId);
+/// (schedule-ordered) level, then the index of the process that stepped.
+/// Successors order by it exactly as their schedules order, and no two
+/// successors of a level share one.
+type Claim = (u32, u32);
 
 /// A level's claims shard: new keys and the smallest [`Claim`] that has
 /// reached each.
@@ -242,6 +245,12 @@ pub struct BfsEntry<A: Automaton> {
     node: u32,
     /// Orbit-size lower bound.
     orbit_lower: u64,
+    /// The configuration's slot signatures, from which its successors'
+    /// keys are built (see [`SymmetryPlan::carried_signatures`]); empty,
+    /// with nothing allocated, under a plan that does not carry them, so
+    /// such an entry holds only the box's 16-byte pointer. A shed entry
+    /// keeps them, outside the resident budget.
+    signatures: Box<[SlotSignature]>,
 }
 
 /// A successor found by [`Bfs::expand`] and not yet committed: the retained
@@ -257,21 +266,29 @@ pub struct BfsEntry<A: Automaton> {
 /// futures and identical predicate verdicts, so which one expands cannot
 /// change any reported verdict — only the (deterministically chosen)
 /// witness labels.
+///
+/// A successor carries its slot signatures into its next-level entry. Its
+/// rank, step and byte charge are held in 32 bits each, so the box of
+/// signatures does not grow the struct.
 #[derive(Debug)]
 pub struct BfsSuccessor<A: Automaton, V> {
     /// The caller's per-state value of the retained configuration: a
     /// predicate's verdict, a goal's measure.
     pub value: V,
     /// The retained configuration's deep-byte frontier charge.
-    pub(crate) bytes: u64,
+    pub(crate) bytes: u32,
     key: StateKey,
     state: Executor<A>,
     /// The parent's position in its (schedule-ordered) level: successors
     /// order by `(rank, step)` exactly as their schedules order.
-    rank: usize,
+    rank: u32,
     parent: u32,
-    step: ProcessId,
+    /// The index of the process that stepped.
+    step: u32,
     orbit_lower: u64,
+    /// The retained configuration's slot signatures, as a [`BfsEntry`]
+    /// carries them.
+    signatures: Box<[SlotSignature]>,
 }
 
 /// One expanded level; see [`Bfs::expand`].
@@ -324,6 +341,7 @@ where
             state: Some(initial.clone()),
             node: SCHEDULE_ROOT,
             orbit_lower,
+            signatures: plan.carried_signatures(initial),
         };
         let bfs = Bfs {
             initial,
@@ -389,12 +407,14 @@ where
             };
             let mut superseded = Vec::new();
             let mut chunk = Vec::with_capacity(CHUNK);
+            let mut buffers = SignatureBuffers::default();
             loop {
                 chunk.extend(level.lock().expect("level poisoned").by_ref().take(CHUNK));
                 if chunk.is_empty() {
                     return (found, superseded);
                 }
                 for (rank, entry) in chunk.drain(..) {
+                    let rank = u32::try_from(rank).expect("a level holds under 2^32 entries");
                     let state = entry.state.unwrap_or_else(|| {
                         replay(self.initial, self.arena.materialize(entry.node))
                     });
@@ -406,13 +426,20 @@ where
                     }
                     found.expansions += runnable.len() as u64;
                     for (step, successor) in successors_of(state, runnable) {
-                        let (key, orbit_lower) = keyed(&successor, &self.plan);
+                        let (key, orbit_lower) = successor_key(
+                            &self.plan,
+                            &entry.signatures,
+                            &successor,
+                            step,
+                            &mut buffers,
+                        );
                         if self.seen.contains(&key) {
                             continue;
                         }
                         // Same key, another schedule: the smallest one
                         // holds the claim, so the retained successor never
                         // depends on timing.
+                        let step = u32::try_from(step.index()).expect("under 2^32 processes");
                         let claim = (rank, step);
                         match claims[key.shard(SHARDS)]
                             .lock()
@@ -425,15 +452,17 @@ where
                             Entry::Occupied(held) if *held.get() < claim => continue,
                             Entry::Occupied(mut held) => superseded.push(held.insert(claim)),
                         }
+                        let bytes = entry_bytes(&successor, depth + 1);
                         found.successors.push(BfsSuccessor {
                             value: value(&successor),
-                            bytes: entry_bytes(&successor, depth + 1),
+                            bytes: u32::try_from(bytes).expect("an entry's charge fits 32 bits"),
                             key,
                             state: successor,
                             rank,
                             parent: entry.node,
                             step,
                             orbit_lower,
+                            signatures: buffers.signatures.as_slice().into(),
                         });
                     }
                 }
@@ -446,6 +475,9 @@ where
                 .into_iter()
                 .map(|helper| helper.join().expect("BFS worker panicked"))
                 .collect();
+            // Every entry is expanded: free the level's buffer before the
+            // merge allocates the next level's.
+            drop(std::mem::take(&mut *level.lock().expect("level poisoned")));
             // One allocation at the level's exact size: growing the vector
             // worker by worker could briefly hold the old buffer and a
             // larger new one.
@@ -479,15 +511,18 @@ where
         self.seen.insert(successor.key);
         BfsEntry {
             state: Some(successor.state),
-            node: self.arena.push(successor.parent, successor.step),
+            node: self
+                .arena
+                .push(successor.parent, ProcessId(successor.step as usize)),
             orbit_lower: successor.orbit_lower,
+            signatures: successor.signatures,
         }
     }
 
     /// The schedule reaching `successor`'s configuration.
     pub fn schedule<V>(&self, successor: &BfsSuccessor<A, V>) -> Vec<ProcessId> {
         let mut schedule = self.arena.materialize(successor.parent);
-        schedule.push(successor.step);
+        schedule.push(ProcessId(successor.step as usize));
         schedule
     }
 }
@@ -560,7 +595,7 @@ where
                 schedule: bfs.schedule(successor),
             })
         });
-        let next_level_bytes: u64 = expanded.successors.iter().map(|s| s.bytes).sum();
+        let next_level_bytes: u64 = expanded.successors.iter().map(|s| u64::from(s.bytes)).sum();
         let mut next_level: Vec<BfsEntry<A>> = expanded
             .successors
             .into_iter()
@@ -613,7 +648,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{agreement_predicate, explore, state_key, ExploreConfig};
+    use crate::explore::{
+        agreement_predicate, canonical_state_key, explore, state_key, ExploreConfig,
+    };
     use crate::toy::{RacyConsensus, ToyWriter};
     use std::hash::BuildHasher;
 
@@ -723,6 +760,57 @@ mod tests {
                             "{symmetry:?}, {threads} workers, depth {depth}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn carried_keys_equal_keys_computed_from_scratch() {
+        // Under symmetry each successor is keyed from its parent's carried
+        // slot signatures, re-hashing only the slot that stepped; every
+        // kept successor's key and orbit weight must equal those computed
+        // from its state alone. The paired writers' orbits weigh more than
+        // one state. Shedding every level, as a 1-byte spill cap does,
+        // makes workers replay executors while entries keep signatures.
+        let paired = Executor::new(
+            (0..8)
+                .map(|p| ToyWriter::new(p / 2, p as u64 / 2 + 1))
+                .collect(),
+        );
+        for exec in [writers(6), paired] {
+            for threads in [1, 3] {
+                for shed in [false, true] {
+                    let (mut bfs, mut level) = Bfs::new(&exec, SymmetryMode::ProcessIds, threads);
+                    assert!(bfs.plan.carries_signatures());
+                    let (mut depth, mut checked, mut weighted) = (0, 0, false);
+                    while !level.is_empty() {
+                        let expanded =
+                            bfs.expand(level, depth, true, &|_: &Executor<ToyWriter>| ());
+                        for successor in &expanded.successors {
+                            assert_eq!(
+                                (successor.key, successor.orbit_lower),
+                                canonical_state_key(&successor.state, &bfs.plan),
+                                "{threads} workers, shed {shed}, schedule {:?}",
+                                bfs.schedule(successor)
+                            );
+                            weighted |= successor.orbit_lower > 1;
+                        }
+                        checked += expanded.successors.len();
+                        level = expanded
+                            .successors
+                            .into_iter()
+                            .map(|s| bfs.commit(s))
+                            .collect();
+                        if shed {
+                            for entry in &mut level {
+                                entry.state = None;
+                            }
+                        }
+                        depth += 1;
+                    }
+                    assert_eq!(checked as u64 + 1, bfs.seen.len());
+                    assert_eq!(weighted, exec.process_count() == 8);
                 }
             }
         }

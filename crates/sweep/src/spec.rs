@@ -440,7 +440,12 @@ pub struct CampaignSpec {
     /// The workload proposed in every scenario.
     pub workload: WorkloadSpec,
     /// Step budget per scenario. In [`CampaignMode::Explore`] this bounds
-    /// the depth of any single explored path.
+    /// the depth of any single explored path, which means one thing per
+    /// explorer: with `explore-threads = 0` the serial explorer's DFS path
+    /// length, which depends on the search order rather than on the model
+    /// alone (152,628 steps on the 5/1/4 anonymous cell under symmetry, so
+    /// `max-steps = 100000` reports that cell truncated); with
+    /// `explore-threads` ≥ 1 the breadth-first radius.
     pub max_steps: u64,
     /// Root seed mixed into every scenario's derived seed.
     pub campaign_seed: u64,
