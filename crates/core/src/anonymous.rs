@@ -25,14 +25,13 @@
 //! [`AnonymousSetAgreement::one_shot`] uses one register fewer.
 
 use crate::error::AlgorithmError;
-use crate::values::{AnonTuple, AnonValue, History};
+use crate::values::{AnonTuple, AnonValue, History, Inputs};
 use sa_model::{
     Automaton, Decision, IdRelabeling, InputValue, InstanceId, MemoryLayout, Op, Params, Response,
     SymmetryClass,
 };
 use std::cmp::Reverse;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// Which step the process performs next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,7 +76,7 @@ pub struct AnonymousSetAgreement {
     params: Params,
     components: usize,
     ell: usize,
-    inputs: Arc<[InputValue]>,
+    inputs: Inputs,
     use_helper: bool,
     helper_period: u8,
     // Persistent local variables of Figure 5.
@@ -105,7 +104,7 @@ impl AnonymousSetAgreement {
     pub fn one_shot(params: Params, input: InputValue) -> Self {
         let mut automaton = Self::unchecked(
             params,
-            Arc::from([input]),
+            Inputs::One(input),
             params.anonymous_snapshot_components(),
         )
         .expect("a single input is never empty");
@@ -155,11 +154,7 @@ impl AnonymousSetAgreement {
         Self::unchecked(params, inputs.into(), width)
     }
 
-    fn unchecked(
-        params: Params,
-        inputs: Arc<[InputValue]>,
-        width: usize,
-    ) -> Result<Self, AlgorithmError> {
+    fn unchecked(params: Params, inputs: Inputs, width: usize) -> Result<Self, AlgorithmError> {
         if inputs.is_empty() {
             return Err(AlgorithmError::EmptyInputSequence);
         }
@@ -380,7 +375,8 @@ impl Automaton for AnonymousSetAgreement {
     type Value = AnonValue;
 
     fn approx_heap_bytes(&self) -> usize {
-        // The input sequence is shared behind an `Arc` by every clone.
+        // The inputs are charged nothing: one value is inline, and a longer
+        // sequence is shared behind an `Arc` by every clone.
         self.history.heap_bytes()
     }
 
@@ -426,28 +422,28 @@ impl Automaton for AnonymousSetAgreement {
         self.phase == Phase::Done
     }
 
-    fn apply(&mut self, response: Response<'_, AnonValue>) -> Vec<Decision> {
+    fn apply(&mut self, response: Response<'_, AnonValue>) -> Option<Decision> {
         match self.phase {
             Phase::WriteHelper => {
                 debug_assert_eq!(response, Response::Written);
-                self.begin_propose().into_iter().collect()
+                self.begin_propose()
             }
             Phase::BeginPropose => {
                 debug_assert_eq!(response, Response::Nop);
-                self.begin_propose().into_iter().collect()
+                self.begin_propose()
             }
             Phase::Update => {
                 debug_assert_eq!(response, Response::Updated);
                 self.phase = Phase::Scan;
-                Vec::new()
+                None
             }
             Phase::Scan => {
                 let view = response.expect_snapshot();
-                self.handle_scan(&view).into_iter().collect()
+                self.handle_scan(&view)
             }
             Phase::ReadHelper => {
                 let value = response.expect_read();
-                self.handle_helper(value).into_iter().collect()
+                self.handle_helper(value)
             }
             Phase::Done => panic!("apply called on a halted process"),
         }
@@ -657,7 +653,7 @@ mod tests {
         a.phase = Phase::ReadHelper;
         let outputs = AnonValue::Outputs(History::from_vec(vec![77]));
         let d = a.apply(Response::Read(Some(outputs)));
-        assert_eq!(d, vec![Decision::new(1, 77)]);
+        assert_eq!(d, Some(Decision::new(1, 77)));
         assert!(a.is_halted());
         assert_eq!(a.history().get(1), Some(77));
     }
@@ -669,7 +665,7 @@ mod tests {
         a.apply(Response::Written);
         a.phase = Phase::ReadHelper;
         let d = a.apply(Response::Read(Some(AnonValue::Outputs(History::empty()))));
-        assert!(d.is_empty());
+        assert!(d.is_none());
         assert!(matches!(a.poised(), Some(Op::Update { .. })));
     }
 

@@ -99,7 +99,7 @@ impl Automaton for WideBaseline {
         self.inner.poised()
     }
 
-    fn apply(&mut self, response: Response<'_, Pair>) -> Vec<Decision> {
+    fn apply(&mut self, response: Response<'_, Pair>) -> Option<Decision> {
         self.inner.apply(response)
     }
 
@@ -411,20 +411,20 @@ where
         matches!(self.phase, EmulationPhase::Done)
     }
 
-    fn apply(&mut self, response: Response<'_, FullInfoRecord<A::Value>>) -> Vec<Decision> {
+    fn apply(&mut self, response: Response<'_, FullInfoRecord<A::Value>>) -> Option<Decision> {
         match std::mem::replace(&mut self.phase, EmulationPhase::Idle) {
             EmulationPhase::Idle => {
                 // The wrapped automaton was poised to a Nop (a purely local
                 // step) or we are about to arm the next emulated operation.
                 match self.inner.poised() {
                     Some(Op::Nop) => {
-                        let decisions = self.inner.apply(Response::Nop);
+                        let decision = self.inner.apply(Response::Nop);
                         self.arm();
-                        decisions
+                        decision
                     }
                     _ => {
                         self.arm();
-                        Vec::new()
+                        None
                     }
                 }
             }
@@ -457,13 +457,13 @@ where
                     });
                     self.phase = EmulationPhase::UpdateWrite;
                 }
-                Vec::new()
+                None
             }
             EmulationPhase::UpdateWrite => {
                 debug_assert_eq!(response, Response::Written);
-                let decisions = self.inner.apply(Response::Updated);
+                let decision = self.inner.apply(Response::Updated);
                 self.arm();
-                decisions
+                decision
             }
             EmulationPhase::ScanCollect {
                 next_register,
@@ -477,7 +477,7 @@ where
                         current,
                         previous,
                     };
-                    return Vec::new();
+                    return None;
                 }
                 // A collect just completed.
                 self.scan_rounds += 1;
@@ -485,9 +485,9 @@ where
                     Some(previous) if previous == current => {
                         // Two identical collects: the merged view is atomic.
                         let view = Self::merge(&current, self.width);
-                        let decisions = self.inner.apply(Response::Snapshot(view.into()));
+                        let decision = self.inner.apply(Response::Snapshot(view.into()));
                         self.arm();
-                        decisions
+                        decision
                     }
                     _ => {
                         // Keep collecting until two consecutive collects agree.
@@ -496,7 +496,7 @@ where
                             current: vec![None; self.params.n()],
                             previous: Some(current),
                         };
-                        Vec::new()
+                        None
                     }
                 }
             }
@@ -705,8 +705,8 @@ mod tests {
             None
         }
 
-        fn apply(&mut self, _response: Response<'_, u8>) -> Vec<Decision> {
-            Vec::new()
+        fn apply(&mut self, _response: Response<'_, u8>) -> Option<Decision> {
+            None
         }
     }
 }

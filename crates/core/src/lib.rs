@@ -88,7 +88,7 @@ pub use baseline::{FullInfoRecord, FullInfoSetAgreement, SwmrEmulated, WideBasel
 pub use error::AlgorithmError;
 pub use oneshot::OneShotSetAgreement;
 pub use repeated::RepeatedSetAgreement;
-pub use values::{AnonTuple, AnonValue, History, Pair, Tuple};
+pub use values::{AnonTuple, AnonValue, History, Inputs, Pair, Tuple};
 
 /// The perfbench benchmark's name for [`sa_runtime::Executor`]; kept only for it.
 pub use sa_runtime::Executor as AgreementInstance;
@@ -96,8 +96,12 @@ pub use sa_runtime::Executor as AgreementInstance;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_model::{Automaton, Params, ProcessId};
-    use sa_runtime::{Executor, RandomScheduler, Scheduler, SchedulerView, Workload};
+    use sa_model::{Automaton, Params, ProcessId, SplitMix64};
+    use sa_runtime::{
+        state_key, Executor, RandomScheduler, RoundRobin, RunConfig, Scheduler, SchedulerView,
+        Workload,
+    };
+    use std::hash::Hash;
 
     /// Steps `automata` under a seeded random schedule for at most `budget`
     /// steps, checking after every step that each automaton's `is_halted`
@@ -230,5 +234,83 @@ mod tests {
             figure4 > 0 && figure5 > 0 && full_info > 0,
             "no process halted: {figure4}, {figure5}, {full_info}"
         );
+    }
+
+    /// The states of a seeded random walk from `initial`, the initial one
+    /// first: until every process halts, or for at most 200 steps.
+    fn seeded_walk<A: Automaton + Clone>(initial: Executor<A>, seed: u64) -> Vec<Executor<A>> {
+        let mut rng = SplitMix64::new(seed);
+        let mut walk = vec![initial];
+        while walk.len() <= 200 {
+            let state = walk.last().expect("the walk starts with the initial state");
+            let runnable = state.runnable();
+            if runnable.is_empty() {
+                break;
+            }
+            let mut next = state.clone();
+            next.step(runnable[rng.below(runnable.len() as u64) as usize]);
+            walk.push(next);
+        }
+        walk
+    }
+
+    /// Copies every state of seeded walks from `initial` into a spare that
+    /// held the walk's last state (deeper, more decisions) and into one
+    /// that held its first (shallower): each copy must be what a clone
+    /// gives, and stay so after one more step.
+    fn assert_clone_from_matches_clone<A>(initial: Executor<A>)
+    where
+        A: Automaton + Clone + Hash,
+        A::Value: Hash,
+    {
+        let counters = |executor: &mut Executor<A>| {
+            // A run with no budget takes no step and reports the counters.
+            let report = executor.run(&mut RoundRobin::new(), RunConfig::with_max_steps(0));
+            (report.steps, report.steps_per_process, report.metrics)
+        };
+        for seed in 0..8 {
+            let walk = seeded_walk(initial.clone(), seed);
+            let (shallower, deeper) = (&walk[0], &walk[walk.len() - 1]);
+            assert!(deeper.steps() > 0 && !deeper.decisions().is_empty());
+            for state in &walk {
+                for spare in [deeper, shallower] {
+                    let mut copy = spare.clone();
+                    copy.clone_from(state);
+                    let mut fresh = state.clone();
+                    let depth = state.steps();
+                    assert_eq!(state_key(&copy), state_key(&fresh), "seed {seed}, {depth}");
+                    assert_eq!(copy.approx_deep_bytes(), fresh.approx_deep_bytes());
+                    assert_eq!(copy.decisions(), fresh.decisions());
+                    assert_eq!(counters(&mut copy), counters(&mut fresh));
+                    if let Some(&next) = fresh.runnable().last() {
+                        copy.step(next);
+                        fresh.step(next);
+                        assert_eq!(state_key(&copy), state_key(&fresh), "seed {seed}, {depth}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_gives_what_clone_gives_on_seeded_walks() {
+        let params = Params::new(3, 1, 2).unwrap();
+        assert_clone_from_matches_clone(Executor::new(
+            (0..3)
+                .map(|p| AnonymousSetAgreement::one_shot(params, 10 + p as u64))
+                .collect(),
+        ));
+        assert_clone_from_matches_clone(Executor::new(
+            (0..3)
+                .map(|p| {
+                    RepeatedSetAgreement::new(
+                        params,
+                        ProcessId(p),
+                        vec![10 + p as u64, 20 + p as u64],
+                    )
+                    .unwrap()
+                })
+                .collect(),
+        ));
     }
 }

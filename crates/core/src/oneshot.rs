@@ -261,16 +261,16 @@ impl Automaton for OneShotSetAgreement {
         }
     }
 
-    fn apply(&mut self, response: Response<'_, Pair>) -> Vec<Decision> {
+    fn apply(&mut self, response: Response<'_, Pair>) -> Option<Decision> {
         match self.phase {
             Phase::Update => {
                 debug_assert_eq!(response, Response::Updated);
                 self.phase = Phase::Scan;
-                Vec::new()
+                None
             }
             Phase::Scan => {
                 let view = response.expect_snapshot();
-                self.handle_scan(&view).into_iter().collect()
+                self.handle_scan(&view)
             }
             Phase::Done => panic!("apply called on a halted process"),
         }

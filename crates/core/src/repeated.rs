@@ -16,13 +16,12 @@
 //! after another, and halts after its last instance.
 
 use crate::error::AlgorithmError;
-use crate::values::{History, Tuple};
+use crate::values::{History, Inputs, Tuple};
 use sa_model::{
     Automaton, Decision, IdRelabeling, InputValue, InstanceId, MemoryLayout, Op, Params, ProcessId,
     Response, SymmetryClass,
 };
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// Which step the process performs next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,7 +60,7 @@ pub struct RepeatedSetAgreement {
     params: Params,
     components: usize,
     id: ProcessId,
-    inputs: Arc<[InputValue]>,
+    inputs: Inputs,
     // Persistent local variables of Figure 4.
     location: usize,
     instance: InstanceId,
@@ -80,7 +79,7 @@ impl RepeatedSetAgreement {
     pub fn new(
         params: Params,
         id: ProcessId,
-        inputs: impl Into<Arc<[InputValue]>>,
+        inputs: impl Into<Inputs>,
     ) -> Result<Self, AlgorithmError> {
         RepeatedSetAgreement::with_width(params, id, inputs, params.snapshot_components())
     }
@@ -96,7 +95,7 @@ impl RepeatedSetAgreement {
     pub fn with_width(
         params: Params,
         id: ProcessId,
-        inputs: impl Into<Arc<[InputValue]>>,
+        inputs: impl Into<Inputs>,
         width: usize,
     ) -> Result<Self, AlgorithmError> {
         if width < params.snapshot_components() {
@@ -119,7 +118,7 @@ impl RepeatedSetAgreement {
     pub fn deficient(
         params: Params,
         id: ProcessId,
-        inputs: impl Into<Arc<[InputValue]>>,
+        inputs: impl Into<Inputs>,
         width: usize,
     ) -> Result<Self, AlgorithmError> {
         if width == 0 {
@@ -134,7 +133,7 @@ impl RepeatedSetAgreement {
     fn unchecked(
         params: Params,
         id: ProcessId,
-        inputs: impl Into<Arc<[InputValue]>>,
+        inputs: impl Into<Inputs>,
         width: usize,
     ) -> Result<Self, AlgorithmError> {
         let inputs = inputs.into();
@@ -347,20 +346,20 @@ impl Automaton for RepeatedSetAgreement {
         self.phase == Phase::Done
     }
 
-    fn apply(&mut self, response: Response<'_, Tuple>) -> Vec<Decision> {
+    fn apply(&mut self, response: Response<'_, Tuple>) -> Option<Decision> {
         match self.phase {
             Phase::BeginPropose => {
                 debug_assert_eq!(response, Response::Nop);
-                self.begin_propose().into_iter().collect()
+                self.begin_propose()
             }
             Phase::Update => {
                 debug_assert_eq!(response, Response::Updated);
                 self.phase = Phase::Scan;
-                Vec::new()
+                None
             }
             Phase::Scan => {
                 let view = response.expect_snapshot();
-                self.handle_scan(&view).into_iter().collect()
+                self.handle_scan(&view)
             }
             Phase::Done => panic!("apply called on a halted process"),
         }
@@ -373,7 +372,8 @@ impl Automaton for RepeatedSetAgreement {
     }
 
     fn approx_heap_bytes(&self) -> usize {
-        // The input sequence is shared behind an `Arc` by every clone.
+        // The inputs are charged nothing: one value is inline, and a longer
+        // sequence is shared behind an `Arc` by every clone.
         self.history.heap_bytes()
     }
 
@@ -533,10 +533,10 @@ mod tests {
         // First Propose: history covers instance 1.
         assert_eq!(a.poised(), Some(Op::Nop));
         let d = a.apply(Response::Nop);
-        assert_eq!(d, vec![Decision::new(1, 40)]);
+        assert_eq!(d, Some(Decision::new(1, 40)));
         // Second Propose: history covers instance 2; after that the process halts.
         let d = a.apply(Response::Nop);
-        assert_eq!(d, vec![Decision::new(2, 41)]);
+        assert_eq!(d, Some(Decision::new(2, 41)));
         assert!(a.is_halted());
     }
 
@@ -601,7 +601,7 @@ mod tests {
         assert_eq!(a.history().len(), 2);
         // The next Propose is answered straight from the adopted history.
         let d = a.apply(Response::Nop);
-        assert_eq!(d, vec![Decision::new(2, 71)]);
+        assert_eq!(d, Some(Decision::new(2, 71)));
         assert!(a.is_halted());
     }
 
@@ -620,7 +620,7 @@ mod tests {
         let d = a.apply(Response::Snapshot(
             vec![Some(near), None, Some(far), None].into(),
         ));
-        assert_eq!(d, vec![Decision::new(1, 60)]);
+        assert_eq!(d, Some(Decision::new(1, 60)));
         assert_eq!(a.history().len(), 3, "the longer history must be adopted");
         assert!(a.is_halted());
     }

@@ -8,11 +8,13 @@
 //!   in its value type.
 //!
 //! Histories (sequences of outputs of earlier instances) are shared
-//! structurally via [`History`], a cheaply clonable immutable sequence.
+//! structurally via [`History`], a cheaply clonable immutable sequence. The
+//! repeated algorithms' own input sequences are [`Inputs`].
 
 use sa_model::{InputValue, InstanceId, ProcessId};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// An immutable sequence of output values, one per completed instance of
@@ -97,6 +99,81 @@ impl fmt::Debug for History {
 impl FromIterator<InputValue> for History {
     fn from_iter<T: IntoIterator<Item = InputValue>>(iter: T) -> Self {
         History::from_vec(iter.into_iter().collect())
+    }
+}
+
+/// The input sequence of a Figure 4 or Figure 5 process: the value it
+/// proposes in each instance, in instance order.
+///
+/// A service or one-shot process proposes one value, which is stored
+/// inline, so building, cloning or dropping it touches no heap and no
+/// reference count; a longer sequence is shared behind an `Arc` by every
+/// clone. Equality, hashing and `Debug` are the slice's, so the two
+/// representations of one sequence are interchangeable and no state key
+/// depends on which one a process holds.
+#[derive(Clone)]
+pub enum Inputs {
+    /// A single value, inline.
+    One(InputValue),
+    /// A sequence of any length, shared behind an `Arc`.
+    Many(Arc<[InputValue]>),
+}
+
+impl Inputs {
+    /// The inputs as a slice (index 0 is instance 1).
+    pub fn as_slice(&self) -> &[InputValue] {
+        match self {
+            Inputs::One(value) => std::slice::from_ref(value),
+            Inputs::Many(values) => values,
+        }
+    }
+}
+
+impl Deref for Inputs {
+    type Target = [InputValue];
+
+    fn deref(&self) -> &[InputValue] {
+        self.as_slice()
+    }
+}
+
+/// One value is stored inline; any other length is shared.
+impl From<Vec<InputValue>> for Inputs {
+    fn from(values: Vec<InputValue>) -> Self {
+        match values[..] {
+            [value] => Inputs::One(value),
+            _ => Inputs::Many(values.into()),
+        }
+    }
+}
+
+/// One value is stored inline; any other length is shared.
+impl<const N: usize> From<[InputValue; N]> for Inputs {
+    fn from(values: [InputValue; N]) -> Self {
+        match values[..] {
+            [value] => Inputs::One(value),
+            _ => Inputs::Many(values.into()),
+        }
+    }
+}
+
+impl PartialEq for Inputs {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Inputs {}
+
+impl Hash for Inputs {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for Inputs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
     }
 }
 
@@ -260,6 +337,44 @@ mod tests {
         }
         assert_eq!(History::empty().appended(7), History::from_vec(vec![7]));
         assert_ne!(History::empty(), History::from_vec(vec![7]));
+    }
+
+    #[test]
+    fn one_input_equals_a_shared_sequence_of_it() {
+        use sa_model::Fingerprinter;
+        fn hash<T: Hash + ?Sized>(value: &T) -> [u64; 2] {
+            let mut s = Fingerprinter::new();
+            value.hash(&mut s);
+            s.finish128()
+        }
+        let one = Inputs::One(7);
+        let many = Inputs::Many(Arc::from([7]));
+        assert_eq!(one, many);
+        assert_eq!(hash(&one), hash(&[7u64][..]));
+        assert_eq!(hash(&many), hash(&[7u64][..]));
+        assert_eq!(format!("{one:?}"), "[7]");
+        assert_eq!(format!("{many:?}"), "[7]");
+        assert_ne!(one, Inputs::from(vec![7, 8]));
+        let longer = Inputs::from(vec![7, 8]);
+        assert_eq!(hash(&longer), hash(&[7u64, 8][..]));
+        assert_eq!(format!("{longer:?}"), "[7, 8]");
+        assert_eq!(&longer[1..], &[8]);
+    }
+
+    #[test]
+    fn a_single_input_is_stored_inline() {
+        assert!(matches!(Inputs::from([7]), Inputs::One(7)));
+        assert!(matches!(Inputs::from(vec![7]), Inputs::One(7)));
+        assert!(matches!(Inputs::from(vec![7, 8]), Inputs::Many(_)));
+        assert!(matches!(Inputs::from([7, 8]), Inputs::Many(_)));
+        assert!(Inputs::from(vec![]).is_empty());
+        // The inline variant sits beside the `Arc`'s non-null pointer, so
+        // holding inputs costs an automaton no more than the `Arc` did.
+        // Automaton sizes feed the explorers' byte accounting.
+        assert_eq!(
+            std::mem::size_of::<Inputs>(),
+            std::mem::size_of::<Arc<[InputValue]>>()
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::sync::Arc;
 /// assert_eq!(resp, Response::Snapshot(vec![None, Some(42), None].into()));
 /// # Ok::<(), sa_model::LayoutError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SimMemory<V> {
     /// Shared by every clone: a layout never changes after creation.
     layout: Arc<MemoryLayout>,
@@ -39,6 +39,27 @@ pub struct SimMemory<V> {
     cells: Vec<Option<V>>,
     /// Operations applied so far, `Nop`s included.
     ops: u64,
+}
+
+impl<V: Clone> Clone for SimMemory<V> {
+    fn clone(&self) -> Self {
+        SimMemory {
+            layout: Arc::clone(&self.layout),
+            cells: self.cells.clone(),
+            ops: self.ops,
+        }
+    }
+
+    /// Copies `source` field by field: the cell buffer is reused when it is
+    /// large enough, and a layout both memories already share is not
+    /// touched.
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.layout, &source.layout) {
+            self.layout = Arc::clone(&source.layout);
+        }
+        self.cells.clone_from(&source.cells);
+        self.ops = source.ops;
+    }
 }
 
 impl<V: Clone + Eq + Debug> SimMemory<V> {
@@ -524,6 +545,33 @@ mod tests {
         mem.apply(Op::Nop).unwrap();
         assert_eq!(mem.peek_snapshot(0), before.peek_snapshot(0));
         assert_eq!(mem.metrics().distinct_locations_written(), 0);
+    }
+
+    #[test]
+    fn clone_from_copies_layout_contents_and_metrics() {
+        let mut source: SimMemory<u64> = SimMemory::for_layout(&layout());
+        source
+            .apply(Op::Write {
+                register: 1,
+                value: 4,
+            })
+            .unwrap();
+        // A target of another layout, and one that shares the source's.
+        let mut other: SimMemory<u64> = SimMemory::for_layout(&MemoryLayout::registers_only(1));
+        let mut shared = source.clone();
+        shared
+            .apply(Op::Update {
+                snapshot: 1,
+                component: 0,
+                value: 8,
+            })
+            .unwrap();
+        for target in [&mut other, &mut shared] {
+            target.clone_from(&source);
+            assert!(target.same_contents(&source));
+            assert_eq!(target.layout(), source.layout());
+            assert_eq!(target.metrics(), source.metrics());
+        }
     }
 
     #[test]

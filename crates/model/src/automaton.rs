@@ -41,7 +41,7 @@ impl Decision {
 /// ```text
 /// while let Some(op) = a.poised() {
 ///     let resp = memory.apply(op);      // atomic; a scan may borrow memory
-///     let decisions = a.apply(resp);    // local computation
+///     let decision = a.apply(resp);     // local computation
 /// }
 /// ```
 ///
@@ -68,8 +68,9 @@ pub trait Automaton {
     fn poised(&self) -> Option<Op<Self::Value>>;
 
     /// Delivers the response of the poised operation and performs the local
-    /// computation that follows it, returning any decisions produced by this
-    /// step.
+    /// computation that follows it, returning the decision this step
+    /// produced, if any. A step completes at most one `Propose`, so it
+    /// yields at most one decision.
     ///
     /// A scan's view may borrow the memory's cells, and only for the length
     /// of this call: an implementation clones the entries it keeps (such as
@@ -80,7 +81,7 @@ pub trait Automaton {
     /// Implementations may panic if called while [`Automaton::poised`]
     /// returns `None` or with a response of the wrong shape; both indicate a
     /// bug in the driver, not in user code.
-    fn apply(&mut self, response: Response<'_, Self::Value>) -> Vec<Decision>;
+    fn apply(&mut self, response: Response<'_, Self::Value>) -> Option<Decision>;
 
     /// `true` once the process has halted.
     fn is_halted(&self) -> bool {
@@ -197,8 +198,8 @@ pub trait Automaton {
 pub struct StepOutcome {
     /// The kind of operation performed.
     pub op_kind: OpKind,
-    /// Decisions produced by this step.
-    pub decisions: Vec<Decision>,
+    /// The decision produced by this step, if any.
+    pub decision: Option<Decision>,
     /// Whether the automaton is halted after this step.
     pub halted: bool,
 }
@@ -216,7 +217,7 @@ pub struct StepOutcome {
 /// assert_eq!(set.distinct_outputs(2), 1);
 /// assert_eq!(set.instances().count(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct DecisionSet {
     /// One `(instance, process, value)` entry per deciding pair, sorted by
     /// `(instance, process)`: one allocation however many instances there
@@ -226,6 +227,20 @@ pub struct DecisionSet {
 
 /// One recorded decision: `(instance, process, value)`.
 type Entry = (InstanceId, crate::ProcessId, InputValue);
+
+impl Clone for DecisionSet {
+    fn clone(&self) -> Self {
+        DecisionSet {
+            entries: self.entries.clone(),
+        }
+    }
+
+    /// Copies `source`'s entries into this set's buffer, which is reused
+    /// when it is large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+    }
+}
 
 impl DecisionSet {
     /// Creates an empty decision set.
@@ -244,17 +259,6 @@ impl DecisionSet {
             Err(at) => self
                 .entries
                 .insert(at, (decision.instance, process, decision.value)),
-        }
-    }
-
-    /// Records every decision of an iterator for one process.
-    pub fn record_all(
-        &mut self,
-        process: crate::ProcessId,
-        decisions: impl IntoIterator<Item = Decision>,
-    ) {
-        for d in decisions {
-            self.record(process, d);
         }
     }
 
@@ -285,12 +289,24 @@ impl DecisionSet {
 
     /// The set of distinct values output in `instance`.
     pub fn outputs(&self, instance: InstanceId) -> BTreeSet<InputValue> {
-        self.of_instance(instance).iter().map(|e| e.2).collect()
+        self.values(instance).collect()
     }
 
-    /// The number of distinct values output in `instance`.
+    /// The values decided in `instance`, one per decider, in process
+    /// order: a value several processes decided repeats.
+    pub fn values(&self, instance: InstanceId) -> impl Iterator<Item = InputValue> + '_ {
+        self.of_instance(instance).iter().map(|e| e.2)
+    }
+
+    /// The number of distinct values output in `instance`, counted in
+    /// place: a value counts at its first decider.
     pub fn distinct_outputs(&self, instance: InstanceId) -> usize {
-        self.outputs(instance).len()
+        let entries = self.of_instance(instance);
+        entries
+            .iter()
+            .enumerate()
+            .filter(|&(j, e)| !entries[..j].iter().any(|earlier| earlier.2 == e.2))
+            .count()
     }
 
     /// The value decided by `process` in `instance`, if any.
@@ -484,17 +500,27 @@ mod tests {
     }
 
     #[test]
-    fn record_all_collects_iterator() {
-        let mut set = DecisionSet::new();
-        set.record_all(
-            ProcessId(4),
-            vec![
-                Decision::new(1, 1),
-                Decision::new(2, 2),
-                Decision::new(3, 3),
-            ],
-        );
-        assert_eq!(set.len(), 3);
-        assert_eq!(set.decision_of(ProcessId(4), 2), Some(2));
+    fn distinct_outputs_count_the_output_set_in_place() {
+        use crate::SplitMix64;
+        for seed in 0..200 {
+            let mut rng = SplitMix64::new(seed);
+            let mut set = DecisionSet::new();
+            for _ in 0..rng.below(20) {
+                let (p, instance) = (rng.below(8) as usize, 1 + rng.below(3));
+                set.record(ProcessId(p), Decision::new(instance, rng.below(4)));
+            }
+            let mut clone = DecisionSet::new();
+            clone.record(ProcessId(9), Decision::new(5, 1));
+            clone.clone_from(&set);
+            assert_eq!(clone, set, "seed {seed}");
+            for instance in 0..5 {
+                assert_eq!(
+                    set.distinct_outputs(instance),
+                    set.outputs(instance).len(),
+                    "seed {seed}, instance {instance}"
+                );
+                assert_eq!(set.values(instance).count(), set.deciders(instance));
+            }
+        }
     }
 }

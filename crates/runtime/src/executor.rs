@@ -331,13 +331,37 @@ impl RunReport {
 /// assert!(report.all_halted());
 /// assert_eq!(report.decisions.deciders(1), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Executor<A: Automaton> {
     automata: Vec<A>,
     memory: SimMemory<A::Value>,
     decisions: DecisionSet,
     steps: u64,
     steps_per_process: Vec<u64>,
+}
+
+impl<A: Automaton + Clone> Clone for Executor<A> {
+    fn clone(&self) -> Self {
+        Executor {
+            automata: self.automata.clone(),
+            memory: self.memory.clone(),
+            decisions: self.decisions.clone(),
+            steps: self.steps,
+            steps_per_process: self.steps_per_process.clone(),
+        }
+    }
+
+    /// Copies `source` field by field into this executor's buffers, so an
+    /// executor of the same system becomes a copy of another without
+    /// allocating its vectors again. The explorers build successors this
+    /// way in the executor of a successor they did not keep.
+    fn clone_from(&mut self, source: &Self) {
+        self.automata.clone_from(&source.automata);
+        self.memory.clone_from(&source.memory);
+        self.decisions.clone_from(&source.decisions);
+        self.steps = source.steps;
+        self.steps_per_process.clone_from(&source.steps_per_process);
+    }
 }
 
 impl<A: Automaton> Executor<A>
@@ -371,12 +395,22 @@ where
 
     /// The processes that have not halted.
     pub fn runnable(&self) -> Vec<ProcessId> {
-        self.automata
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| !a.is_halted())
-            .map(|(i, _)| ProcessId(i))
-            .collect()
+        let mut runnable = Vec::new();
+        self.runnable_into(&mut runnable);
+        runnable
+    }
+
+    /// Overwrites `runnable` with the processes that have not halted, in
+    /// id order, reusing its buffer.
+    pub(crate) fn runnable_into(&self, runnable: &mut Vec<ProcessId>) {
+        runnable.clear();
+        runnable.extend(
+            self.automata
+                .iter()
+                .enumerate()
+                .filter(|(_, a)| !a.is_halted())
+                .map(|(i, _)| ProcessId(i)),
+        );
     }
 
     /// `true` once every process has halted.
@@ -429,15 +463,16 @@ where
             .memory
             .apply(op)
             .unwrap_or_else(|e| panic!("{process} issued an out-of-layout operation: {e}"));
-        let decisions = automaton.apply(response);
-        self.decisions
-            .record_all(process, decisions.iter().copied());
+        let decision = automaton.apply(response);
+        if let Some(decision) = decision {
+            self.decisions.record(process, decision);
+        }
         self.steps += 1;
         self.steps_per_process[process.index()] += 1;
         Some(StepOutcome {
             op_kind,
             halted: self.automata[process.index()].is_halted(),
-            decisions,
+            decision,
         })
     }
 
@@ -446,16 +481,18 @@ where
     /// size plus each one's [`Automaton::approx_heap_bytes`]), the shared
     /// memory contents (slots plus each occupied value's
     /// [`Automaton::value_heap_bytes`]) and the decision set. What every
-    /// clone shares behind an `Arc` — the memory layout, the automata's
-    /// input sequences — is charged nothing.
+    /// clone shares behind an `Arc` — the memory layout, an automaton's
+    /// input sequence of more than one value — is charged nothing; a
+    /// single input sits inline, inside the automaton's size.
     ///
     /// This is the deep-size hook behind
     /// [`Exploration::approx_bytes`](crate::Exploration::approx_bytes) and
     /// the explorers' spill triggers. It is computed from lengths, never
     /// capacities, so two equal configurations always report the same
-    /// bytes — regardless of how they were produced, which worker produced
-    /// them, or whether they were rebuilt by replay after an explorer shed
-    /// them.
+    /// bytes — regardless of how they were produced (a fresh clone, or a
+    /// [`clone_from`](Clone::clone_from) into a recycled executor whose
+    /// buffers may be larger), which worker produced them, or whether they
+    /// were rebuilt by replay after an explorer shed them.
     pub fn approx_deep_bytes(&self) -> u64 {
         let mut bytes = std::mem::size_of::<Executor<A>>()
             + self.automata.len() * std::mem::size_of::<A>()
@@ -553,7 +590,7 @@ where
                     process: pick,
                     op: outcome.op_kind,
                     wrote,
-                    decisions: outcome.decisions.clone(),
+                    decision: outcome.decision,
                 });
             }
         };
@@ -696,7 +733,7 @@ mod tests {
         assert!(!outcome.halted);
         let outcome = exec.step(ProcessId(0)).unwrap();
         assert!(outcome.halted);
-        assert_eq!(outcome.decisions.len(), 1);
+        assert_eq!(outcome.decision, Some(sa_model::Decision::new(1, 5)));
         assert!(exec.step(ProcessId(0)).is_none());
         assert!(exec.all_halted());
         assert_eq!(exec.steps(), 2);

@@ -870,30 +870,62 @@ where
     state
 }
 
-/// Each step of `runnable` with the successor it leads to from `state`.
-/// Every successor but the last steps a clone of `state`; the last steps
-/// `state` itself, so no parent is cloned only to be dropped.
-pub(crate) fn successors_of<A>(
-    state: Executor<A>,
-    runnable: Vec<ProcessId>,
-) -> impl Iterator<Item = (ProcessId, Executor<A>)>
+/// The executor an expanding worker builds its next successor in: the
+/// last successor it did not keep, or none.
+///
+/// Every successor of a state but the last is a copy of the parent
+/// stepped once, and most of them are duplicates that the worker drops as
+/// soon as their key is known. Built by [`Executor::clone_from`] into a
+/// spare of the same system, such a copy allocates no vectors; handed back by
+/// [`recycle`](Self::recycle), a duplicate becomes the next spare instead
+/// of being freed.
+#[derive(Debug)]
+pub(crate) struct Spare<A: Automaton>(Option<Executor<A>>);
+
+impl<A: Automaton> Default for Spare<A> {
+    fn default() -> Self {
+        Spare(None)
+    }
+}
+
+impl<A> Spare<A>
 where
     A: Automaton + Clone,
     A::Value: Clone + Eq + Debug,
 {
-    let last = runnable.len().saturating_sub(1);
-    let mut parent = Some(state);
-    runnable.into_iter().enumerate().map(move |(i, step)| {
-        let mut successor = if i == last {
+    /// The successor of `parent` by `step`. The last step of a state
+    /// (`last`) takes and steps the parent itself, so no parent is copied
+    /// only to be dropped; any other step copies the parent into the spare,
+    /// or into a fresh clone when there is none.
+    pub(crate) fn successor(
+        &mut self,
+        parent: &mut Option<Executor<A>>,
+        step: ProcessId,
+        last: bool,
+    ) -> Executor<A> {
+        let mut successor = if last {
             parent.take().expect("only the last step takes the parent")
         } else {
-            parent
-                .clone()
-                .expect("the parent outlives every other step")
+            let parent = parent
+                .as_ref()
+                .expect("the parent outlives every other step");
+            match self.0.take() {
+                Some(mut spare) => {
+                    spare.clone_from(parent);
+                    spare
+                }
+                None => parent.clone(),
+            }
         };
         successor.step(step);
-        (step, successor)
-    })
+        successor
+    }
+
+    /// Keeps `successor`, which the caller does not keep, to build the next
+    /// successor in.
+    pub(crate) fn recycle(&mut self, successor: Executor<A>) {
+        self.0 = Some(successor);
+    }
 }
 
 /// One pending entry of the serial DFS: its depth and the step from its
@@ -971,7 +1003,14 @@ impl PathSignatures {
 ///
 /// The predicate receives the executor after each step and returns
 /// `Some(description)` to report a violation (which stops the search) or
-/// `None` if the configuration is acceptable.
+/// `None` if the configuration is acceptable. It is evaluated once per
+/// newly discovered dedup key, after the seen-set is probed: every seen
+/// key's state already passed it, and states with equal keys get the same
+/// verdict, so a successor whose key is seen is dropped unchecked. With
+/// [`SymmetryMode::ProcessIds`] the predicate must therefore be
+/// relabeling-invariant, as
+/// [`parallel_explore`](crate::parallel_explore) requires too; a
+/// violating successor's key is never inserted.
 ///
 /// The search is a depth-first one, and the only schedule it stores is the
 /// path to the state being expanded. Stack depths never decrease toward the
@@ -980,6 +1019,11 @@ impl PathSignatures {
 /// step. Under anonymous symmetry the path also holds each of its states'
 /// slot signatures, from which a successor's key is built by re-hashing
 /// only the slot that stepped.
+///
+/// A popped state's successors are built one at a time: each but the last
+/// in the executor of the last successor that was dropped as a duplicate,
+/// the last in the popped state itself. So a duplicate allocates no
+/// vectors, and the runnable processes fill one reused buffer.
 pub fn explore<A, F>(initial: &Executor<A>, config: ExploreConfig, mut predicate: F) -> Exploration
 where
     A: Automaton + Clone + Hash,
@@ -1012,6 +1056,8 @@ where
     let mut path: Vec<ProcessId> = Vec::new();
     let mut signatures = PathSignatures::new(plan.carried_signatures(initial));
     let mut buffers = SignatureBuffers::default();
+    let mut runnable = Vec::new();
+    let mut spare = Spare::default();
     // Byte accounting. `resident` tracks the deep bytes of entries holding
     // their executor (what the cap polices), `evicted` those of evicted
     // entries. Their sum — whose peak feeds `approx_bytes` — is conserved
@@ -1068,7 +1114,7 @@ where
             .full_states_lower_bound
             .saturating_add(entry.orbit_lower);
         result.max_depth_reached = result.max_depth_reached.max(path.len() as u64);
-        let runnable = state.runnable();
+        state.runnable_into(&mut runnable);
         if runnable.is_empty() || path.len() as u64 >= config.max_depth {
             if !runnable.is_empty() {
                 // Depth bound cut this path short.
@@ -1077,8 +1123,20 @@ where
             result.paths += 1;
             continue;
         }
-        for (process, next) in successors_of(state, runnable) {
+        let mut parent = Some(state);
+        for (i, &process) in runnable.iter().enumerate() {
+            let next = spare.successor(&mut parent, process, i + 1 == runnable.len());
             result.expansions += 1;
+            let (key, next_orbit) =
+                successor_key(&plan, signatures.current(), &next, process, &mut buffers);
+            if seen.contains(&key) {
+                // Plain keys: an identical state was expanded. Canonical
+                // keys: a configuration whose entire future is the
+                // consistently relabeled image of an expanded one — same
+                // verdicts, so pruning it is sound.
+                spare.recycle(next);
+                continue;
+            }
             if let Some(description) = predicate(&next) {
                 path.push(process);
                 result.max_depth_reached = result.max_depth_reached.max(path.len() as u64);
@@ -1088,15 +1146,7 @@ where
                 });
                 break 'search;
             }
-            let (key, next_orbit) =
-                successor_key(&plan, signatures.current(), &next, process, &mut buffers);
-            if !seen.insert(key) {
-                // Plain keys: an identical state was expanded. Canonical
-                // keys: a configuration whose entire future is the
-                // consistently relabeled image of an expanded one — same
-                // verdicts, so pruning it is sound.
-                continue;
-            }
+            seen.insert(key);
             let next_bytes = entry_bytes(&next, path.len() + 1);
             resident += next_bytes;
             stack.push(DfsEntry {
@@ -1146,17 +1196,17 @@ where
     A::Value: Clone + Eq + Debug,
 {
     move |executor: &Executor<A>| {
-        for instance in executor.decisions().instances() {
-            let outputs = executor.decisions().outputs(instance);
-            if outputs.len() > k {
-                return Some(format!(
-                    "instance {instance} has {} distinct outputs {:?}, exceeding k = {k}",
-                    outputs.len(),
-                    outputs
-                ));
-            }
-        }
-        None
+        let decisions = executor.decisions();
+        let instance = decisions
+            .instances()
+            .find(|&instance| decisions.distinct_outputs(instance) > k)?;
+        // Only a violation's description builds the output set.
+        let outputs = decisions.outputs(instance);
+        Some(format!(
+            "instance {instance} has {} distinct outputs {:?}, exceeding k = {k}",
+            outputs.len(),
+            outputs
+        ))
     }
 }
 

@@ -32,6 +32,10 @@
 //!   the claim, and at the barrier the successors whose claim a smaller
 //!   schedule later took are dropped. The claims map holds no executors,
 //!   so a successor is moved once, into its worker's vector;
+//! * a worker builds every successor of an entry but the last in the
+//!   executor of the last successor it did not keep (already seen, or its
+//!   claim lost), refilled with [`Clone::clone_from`], and the last in the
+//!   entry's own executor, so a duplicate successor allocates no vectors;
 //! * levels are separated by a barrier that merges the worker vectors in
 //!   schedule order (each is already sorted, so one worker's is one linear
 //!   pass) and at which the caller's policy (violations and budgets here,
@@ -69,8 +73,8 @@
 use crate::commutation::ReductionMode;
 use crate::executor::Executor;
 use crate::explore::{
-    entry_bytes, keyed, replay, successor_key, successors_of, Exploration, ExploredViolation,
-    FrontierSemantics, SignatureBuffers, SlotSignature, StateKey, SymmetryMode, SymmetryPlan,
+    entry_bytes, keyed, replay, successor_key, Exploration, ExploredViolation, FrontierSemantics,
+    SignatureBuffers, SlotSignature, Spare, StateKey, SymmetryMode, SymmetryPlan,
 };
 use crate::store::{KeyTable, ScheduleArena, SCHEDULE_ROOT};
 use sa_model::{Automaton, ProcessId};
@@ -257,10 +261,11 @@ pub struct BfsEntry<A: Automaton> {
 /// configuration of one new dedup key.
 ///
 /// The worker that builds a successor keeps it in its own vector if the
-/// successor took its key's claim, and drops it at once otherwise; a kept
-/// successor whose claim a smaller schedule takes later is dropped at the
-/// level barrier. What survives is, per key, the successor reached by the
-/// lexicographically smallest schedule. With symmetry on, several
+/// successor took its key's claim, and otherwise keeps its executor to
+/// build the next successor in; a kept successor whose claim a smaller
+/// schedule takes later is dropped at the level barrier. What survives
+/// is, per key, the successor reached by the lexicographically smallest
+/// schedule. With symmetry on, several
 /// *distinct* configurations of one orbit can be discovered under the same
 /// canonical key in one level; all orbit members have relabel-identical
 /// futures and identical predicate verdicts, so which one expands cannot
@@ -369,9 +374,12 @@ where
     /// claims map, and keeps the successor in its own vector only if no
     /// smaller schedule holds the claim; the barrier drops the kept
     /// successors whose claim a smaller schedule took later, and merges the
-    /// worker vectors in schedule order. `value` is evaluated, in
-    /// nondeterministic order, on every successor a worker keeps, so a
-    /// returned value always describes its successor's state.
+    /// worker vectors in schedule order. A successor a worker does not
+    /// keep becomes the executor it builds its next successor in, and each
+    /// worker fills one reused buffer with an entry's runnable processes.
+    /// `value` is evaluated, in nondeterministic order, on every successor
+    /// a worker keeps, so a returned value always describes its successor's
+    /// state.
     pub fn expand<V, F>(
         &self,
         level: Vec<BfsEntry<A>>,
@@ -408,6 +416,8 @@ where
             let mut superseded = Vec::new();
             let mut chunk = Vec::with_capacity(CHUNK);
             let mut buffers = SignatureBuffers::default();
+            let mut runnable = Vec::new();
+            let mut spare = Spare::default();
             loop {
                 chunk.extend(level.lock().expect("level poisoned").by_ref().take(CHUNK));
                 if chunk.is_empty() {
@@ -418,14 +428,16 @@ where
                     let state = entry.state.unwrap_or_else(|| {
                         replay(self.initial, self.arena.materialize(entry.node))
                     });
-                    let runnable = state.runnable();
+                    state.runnable_into(&mut runnable);
                     if runnable.is_empty() || !successors {
                         found.terminal += 1;
                         found.depth_cut |= !runnable.is_empty();
                         continue;
                     }
                     found.expansions += runnable.len() as u64;
-                    for (step, successor) in successors_of(state, runnable) {
+                    let mut parent = Some(state);
+                    for (i, &step) in runnable.iter().enumerate() {
+                        let successor = spare.successor(&mut parent, step, i + 1 == runnable.len());
                         let (key, orbit_lower) = successor_key(
                             &self.plan,
                             &entry.signatures,
@@ -434,6 +446,7 @@ where
                             &mut buffers,
                         );
                         if self.seen.contains(&key) {
+                            spare.recycle(successor);
                             continue;
                         }
                         // Same key, another schedule: the smallest one
@@ -441,16 +454,24 @@ where
                         // depends on timing.
                         let step = u32::try_from(step.index()).expect("under 2^32 processes");
                         let claim = (rank, step);
-                        match claims[key.shard(SHARDS)]
+                        let lost = match claims[key.shard(SHARDS)]
                             .lock()
                             .expect("claims shard poisoned")
                             .entry(key)
                         {
                             Entry::Vacant(free) => {
                                 free.insert(claim);
+                                false
                             }
-                            Entry::Occupied(held) if *held.get() < claim => continue,
-                            Entry::Occupied(mut held) => superseded.push(held.insert(claim)),
+                            Entry::Occupied(held) if *held.get() < claim => true,
+                            Entry::Occupied(mut held) => {
+                                superseded.push(held.insert(claim));
+                                false
+                            }
+                        };
+                        if lost {
+                            spare.recycle(successor);
+                            continue;
                         }
                         let bytes = entry_bytes(&successor, depth + 1);
                         found.successors.push(BfsSuccessor {

@@ -165,7 +165,7 @@ where
                     let response = memory.apply(op).unwrap_or_else(|e| {
                         panic!("{process} issued an out-of-layout operation: {e}")
                     });
-                    for decision in automaton.apply(response) {
+                    if let Some(decision) = automaton.apply(response) {
                         // The receiver outlives all senders inside the scope.
                         let _ = tx.send((process, decision));
                     }

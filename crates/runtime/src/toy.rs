@@ -52,17 +52,17 @@ impl Automaton for ToyWriter {
         }
     }
 
-    fn apply(&mut self, response: Response<'_, InputValue>) -> Vec<Decision> {
+    fn apply(&mut self, response: Response<'_, InputValue>) -> Option<Decision> {
         match self.stage {
             0 => {
                 debug_assert_eq!(response, Response::Written);
                 self.stage = 1;
-                vec![]
+                None
             }
             1 => {
                 let read = response.expect_read();
                 self.stage = 2;
-                vec![Decision::new(1, read.unwrap_or(self.value))]
+                Some(Decision::new(1, read.unwrap_or(self.value)))
             }
             _ => panic!("apply called on a halted ToyWriter"),
         }
@@ -126,17 +126,17 @@ impl Automaton for RacyConsensus {
         }
     }
 
-    fn apply(&mut self, response: Response<'_, InputValue>) -> Vec<Decision> {
+    fn apply(&mut self, response: Response<'_, InputValue>) -> Option<Decision> {
         match self.stage {
             0 => {
                 self.saw = response.expect_read();
                 self.stage = 1;
-                vec![]
+                None
             }
             1 => {
                 self.stage = 2;
                 let decided = self.saw.unwrap_or(self.value);
-                vec![Decision::new(1, decided)]
+                Some(Decision::new(1, decided))
             }
             _ => panic!("apply called on a halted RacyConsensus"),
         }
@@ -201,9 +201,9 @@ impl Automaton for Spinner {
         })
     }
 
-    fn apply(&mut self, _response: Response<'_, InputValue>) -> Vec<Decision> {
+    fn apply(&mut self, _response: Response<'_, InputValue>) -> Option<Decision> {
         self.counter += 1;
-        vec![]
+        None
     }
 }
 
@@ -216,10 +216,10 @@ mod tests {
         let mut w = ToyWriter::new(0, 42);
         assert!(!w.is_halted());
         assert!(matches!(w.poised(), Some(Op::Write { .. })));
-        assert!(w.apply(Response::Written).is_empty());
+        assert!(w.apply(Response::Written).is_none());
         assert!(matches!(w.poised(), Some(Op::Read { .. })));
         let d = w.apply(Response::Read(Some(42)));
-        assert_eq!(d, vec![Decision::new(1, 42)]);
+        assert_eq!(d, Some(Decision::new(1, 42)));
         assert!(w.is_halted());
     }
 
@@ -229,7 +229,7 @@ mod tests {
         a.apply(Response::Read(Some(9)));
         assert_eq!(a.poised(), Some(Op::Nop));
         let d = a.apply(Response::Nop);
-        assert_eq!(d, vec![Decision::new(1, 9)]);
+        assert_eq!(d, Some(Decision::new(1, 9)));
     }
 
     #[test]
@@ -238,7 +238,7 @@ mod tests {
         a.apply(Response::Read(None));
         assert!(matches!(a.poised(), Some(Op::Write { value: 5, .. })));
         let d = a.apply(Response::Written);
-        assert_eq!(d, vec![Decision::new(1, 5)]);
+        assert_eq!(d, Some(Decision::new(1, 5)));
     }
 
     #[test]

@@ -19,8 +19,8 @@ pub struct TraceEvent {
     pub op: OpKind,
     /// The location written, for write-like operations.
     pub wrote: Option<Location>,
-    /// Decisions produced by this step.
-    pub decisions: Vec<Decision>,
+    /// The decision produced by this step, if any.
+    pub decision: Option<Decision>,
 }
 
 /// A sequence of [`TraceEvent`]s describing an execution (or a fragment).
@@ -69,7 +69,7 @@ impl Trace {
     pub fn decisions(&self) -> Vec<(ProcessId, Decision)> {
         self.events
             .iter()
-            .flat_map(|e| e.decisions.iter().map(move |d| (e.process, *d)))
+            .filter_map(|e| e.decision.map(|d| (e.process, d)))
             .collect()
     }
 
@@ -89,7 +89,7 @@ impl fmt::Display for Trace {
             if let Some(loc) = e.wrote {
                 write!(f, " -> {loc:?}")?;
             }
-            for d in &e.decisions {
+            if let Some(d) = e.decision {
                 write!(f, "  DECIDE(instance={}, value={})", d.instance, d.value)?;
             }
             writeln!(f)?;
@@ -108,7 +108,7 @@ mod tests {
             process: ProcessId(p),
             op,
             wrote: None,
-            decisions: vec![],
+            decision: None,
         }
     }
 
@@ -123,7 +123,7 @@ mod tests {
             process: ProcessId(0),
             op: OpKind::Scan,
             wrote: None,
-            decisions: vec![Decision::new(1, 7)],
+            decision: Some(Decision::new(1, 7)),
         });
         assert_eq!(t.len(), 3);
         assert_eq!(t.steps_of(ProcessId(0)).count(), 2);
@@ -140,7 +140,7 @@ mod tests {
                 process: ProcessId(0),
                 op: OpKind::Write,
                 wrote: Some(Location::Register(1)),
-                decisions: vec![],
+                decision: None,
             });
         }
         assert_eq!(t.written_locations(), vec![Location::Register(1)]);
@@ -154,7 +154,7 @@ mod tests {
             process: ProcessId(2),
             op: OpKind::Scan,
             wrote: None,
-            decisions: vec![Decision::new(3, 9)],
+            decision: Some(Decision::new(3, 9)),
         });
         let s = t.to_string();
         assert!(s.contains("DECIDE"));

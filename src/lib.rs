@@ -968,19 +968,25 @@ impl SafetyProbe {
         self.max_registers.fetch_max(registers, Ordering::Relaxed);
         self.max_components
             .fetch_max(locations - registers, Ordering::Relaxed);
-        for instance in exec.decisions().instances() {
-            let outputs = exec.decisions().outputs(instance);
-            if let Some(bad) = outputs
-                .iter()
-                .find(|v| !self.allowed.get(&instance).is_some_and(|a| a.contains(v)))
+        let decisions = exec.decisions();
+        for instance in decisions.instances() {
+            // The smallest disallowed value, the one the sorted output set
+            // would name first.
+            let allowed = self.allowed.get(&instance);
+            if let Some(bad) = decisions
+                .values(instance)
+                .filter(|v| !allowed.is_some_and(|a| a.contains(v)))
+                .min()
             {
                 self.violated_validity.store(true, Ordering::Relaxed);
                 return Some(format!(
                     "instance {instance} decided {bad}, which nobody proposed"
                 ));
             }
-            if outputs.len() > self.k {
+            if decisions.distinct_outputs(instance) > self.k {
                 self.violated_agreement.store(true, Ordering::Relaxed);
+                // Only a violation's description builds the output set.
+                let outputs = decisions.outputs(instance);
                 return Some(format!(
                     "instance {instance} has {} distinct outputs {outputs:?}, \
                      exceeding k = {}",
