@@ -164,7 +164,7 @@ impl FrontierSemantics {
 }
 
 /// The result of a bounded exploration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Exploration {
     /// Number of states visited.
     pub states_visited: u64,
@@ -211,10 +211,13 @@ pub struct Exploration {
     pub approx_bytes: u64,
     /// Cumulative number of frontier entries whose executors were shed (0
     /// unless spill was on and the resident budget was exceeded): entries
-    /// the serial explorer evicted from its DFS stack, or entries of the
-    /// frozen BFS levels that exceeded the budget. Both explorers rebuild a
-    /// shed executor by replay. The only statistic that legitimately
-    /// differs between a spilled and an in-core run of the same cell.
+    /// the serial explorer evicted from its DFS stack, or, in each frozen
+    /// BFS level over the budget, the entries past the longest
+    /// schedule-order prefix whose executors fit it. The serial explorer
+    /// rebuilds a shed executor by replaying the DFS path, the parallel one
+    /// from the executors along the last path its worker rebuilt. The only
+    /// statistic that legitimately differs between a spilled and an
+    /// in-core run of the same cell.
     pub spilled_entries: u64,
     /// `true` if the search deduplicated up to process-id symmetry:
     /// [`SymmetryMode::ProcessIds`] was requested **and** every automaton
@@ -853,8 +856,10 @@ pub(crate) fn entry_bytes<A: Automaton>(state: &Executor<A>, schedule_len: usize
 }
 
 /// Reconstructs the executor reached by `schedule` from `initial` by
-/// deterministic replay — the reason a frontier entry that shed its
-/// executor needs to keep no automaton or memory bytes at all.
+/// deterministic replay: how the serial DFS rebuilds an evicted entry from
+/// the DFS path, so that the entry keeps no automaton or memory bytes at
+/// all. The BFS rebuilds its shed entries with a cursor instead (see
+/// [`parallel_explore`](crate::parallel_explore)).
 pub(crate) fn replay<A>(
     initial: &Executor<A>,
     schedule: impl IntoIterator<Item = ProcessId>,
@@ -906,19 +911,26 @@ where
         let mut successor = if last {
             parent.take().expect("only the last step takes the parent")
         } else {
-            let parent = parent
-                .as_ref()
-                .expect("the parent outlives every other step");
-            match self.0.take() {
-                Some(mut spare) => {
-                    spare.clone_from(parent);
-                    spare
-                }
-                None => parent.clone(),
-            }
+            self.copy(
+                parent
+                    .as_ref()
+                    .expect("the parent outlives every other step"),
+            )
         };
         successor.step(step);
         successor
+    }
+
+    /// A copy of `state`: built in the spare, or a fresh clone when there
+    /// is none.
+    pub(crate) fn copy(&mut self, state: &Executor<A>) -> Executor<A> {
+        match self.0.take() {
+            Some(mut spare) => {
+                spare.clone_from(state);
+                spare
+            }
+            None => state.clone(),
+        }
     }
 
     /// Keeps `successor`, which the caller does not keep, to build the next

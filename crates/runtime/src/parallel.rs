@@ -40,7 +40,12 @@
 //!   schedule order (each is already sorted, so one worker's is one linear
 //!   pass) and at which the caller's policy (violations and budgets here,
 //!   admission and witnesses in `sa_search::search`) commits new states,
-//!   in schedule order.
+//!   in schedule order;
+//! * with spill on, a frozen level over the resident budget keeps the
+//!   executors of its longest schedule-order prefix that fits the budget
+//!   and sheds the rest. A worker rebuilds a shed entry with a
+//!   [`RebuildCursor`]: from the executors along the last path it rebuilt,
+//!   stepping only the steps the two schedules do not share.
 //!
 //! # Determinism
 //!
@@ -73,7 +78,7 @@
 use crate::commutation::ReductionMode;
 use crate::executor::Executor;
 use crate::explore::{
-    entry_bytes, keyed, replay, successor_key, Exploration, ExploredViolation, FrontierSemantics,
+    entry_bytes, keyed, successor_key, Exploration, ExploredViolation, FrontierSemantics,
     SignatureBuffers, SlotSignature, Spare, StateKey, SymmetryMode, SymmetryPlan,
 };
 use crate::store::{KeyTable, ScheduleArena, SCHEDULE_ROOT};
@@ -117,20 +122,25 @@ pub struct ParallelExploreConfig {
     /// only value, and this explorer always expands every enabled
     /// transition.
     pub reduction: ReductionMode,
-    /// Whether the explorer may shed the executors of a frozen BFS level
-    /// when the level exceeds
-    /// [`max_resident_bytes`](Self::max_resident_bytes). A shed entry keeps
-    /// only its schedule-arena node and orbit weight, and the worker that
-    /// expands it rebuilds its executor by deterministic replay, so the
-    /// report stays byte-identical with spill on or off — and still at any
-    /// thread count — except for [`Exploration::spilled_entries`]. Nothing
-    /// is written to disk, and the seen-set stays resident.
+    /// Whether the explorer may shed executors of a frozen BFS level when
+    /// the level exceeds [`max_resident_bytes`](Self::max_resident_bytes):
+    /// the entries past the longest schedule-order prefix that fits the
+    /// budget shed theirs. A shed entry keeps only its schedule-arena node,
+    /// charge, orbit weight and slot signatures, and the worker that
+    /// expands it rebuilds its executor deterministically from the
+    /// executors along the last path it rebuilt, so the report stays
+    /// byte-identical with spill on or off — and still at any thread
+    /// count — except for [`Exploration::spilled_entries`]. Nothing is
+    /// written to disk, and the seen-set stays resident.
     pub spill: bool,
     /// A budget, in estimated deep bytes, on a resident BFS level. `0`
     /// means unlimited. Over budget: with [`spill`](Self::spill) the frozen
-    /// level sheds its executors; without it the search deterministically
+    /// level keeps the executors of its longest schedule-order prefix that
+    /// fits and sheds the rest; without it the search deterministically
     /// truncates at the level barrier, reporting the pending count in
-    /// [`Exploration::pending_at_exit`].
+    /// [`Exploration::pending_at_exit`]. The seen-set, the claims map and
+    /// the executors each worker keeps to rebuild shed entries from (one
+    /// per depth above the level) sit outside the budget.
     pub max_resident_bytes: u64,
 }
 
@@ -242,11 +252,15 @@ type WorkerLevel<A, V> = (BfsLevel<A, V>, Vec<Claim>);
 #[derive(Debug)]
 pub struct BfsEntry<A: Automaton> {
     /// The configuration; `None` once shed to honor the resident budget —
-    /// the worker that expands the entry rebuilds it by replaying `node`.
+    /// the worker that expands the entry rebuilds it from `node` with its
+    /// [`RebuildCursor`].
     state: Option<Executor<A>>,
     /// Schedule-arena node of the delta-encoded path that produced it, the
     /// lexicographically smallest among its shortest schedules.
     node: u32,
+    /// The configuration's deep-byte charge (see [`entry_bytes`]), by which
+    /// the barrier decides which entries keep their executors.
+    bytes: u32,
     /// Orbit-size lower bound.
     orbit_lower: u64,
     /// The configuration's slot signatures, from which its successors'
@@ -345,6 +359,7 @@ where
         let root = BfsEntry {
             state: Some(initial.clone()),
             node: SCHEDULE_ROOT,
+            bytes: u32::try_from(entry_bytes(initial, 0)).expect("an entry's charge fits 32 bits"),
             orbit_lower,
             signatures: plan.carried_signatures(initial),
         };
@@ -377,6 +392,9 @@ where
     /// worker vectors in schedule order. A successor a worker does not
     /// keep becomes the executor it builds its next successor in, and each
     /// worker fills one reused buffer with an entry's runnable processes.
+    /// A worker rebuilds the shed entries it takes from the executors
+    /// along the last path it rebuilt, and allocates nothing for that until
+    /// it meets one.
     /// `value` is evaluated, in nondeterministic order, on every successor
     /// a worker keeps, so a returned value always describes its successor's
     /// state.
@@ -418,6 +436,7 @@ where
             let mut buffers = SignatureBuffers::default();
             let mut runnable = Vec::new();
             let mut spare = Spare::default();
+            let mut cursor = RebuildCursor::default();
             loop {
                 chunk.extend(level.lock().expect("level poisoned").by_ref().take(CHUNK));
                 if chunk.is_empty() {
@@ -426,7 +445,7 @@ where
                 for (rank, entry) in chunk.drain(..) {
                     let rank = u32::try_from(rank).expect("a level holds under 2^32 entries");
                     let state = entry.state.unwrap_or_else(|| {
-                        replay(self.initial, self.arena.materialize(entry.node))
+                        cursor.rebuild(self.initial, &self.arena, entry.node, depth, &mut spare)
                     });
                     state.runnable_into(&mut runnable);
                     if runnable.is_empty() || !successors {
@@ -535,6 +554,7 @@ where
             node: self
                 .arena
                 .push(successor.parent, ProcessId(successor.step as usize)),
+            bytes: successor.bytes,
             orbit_lower: successor.orbit_lower,
             signatures: successor.signatures,
         }
@@ -546,6 +566,106 @@ where
         schedule.push(ProcessId(successor.step as usize));
         schedule
     }
+}
+
+/// Rebuilds a worker's shed entries of one level from the executors along
+/// the last path it rebuilt, instead of replaying each schedule from the
+/// root: the "baseline snapshot + journal tail" restore rule, with that
+/// path as the snapshot and the schedule arena as the journal.
+///
+/// A worker takes a level's entries in schedule-ordered chunks, and
+/// consecutive entries share most of their schedules, so a rebuild climbs
+/// the entry's ancestors only up to the deepest one on the cursor's path,
+/// and steps only the rest. The cursor holds one executor per depth above
+/// the level, at most the search's radius, outside the resident budget; it
+/// allocates nothing until its worker meets a shed entry.
+#[derive(Debug)]
+struct RebuildCursor<A: Automaton> {
+    /// The arena nodes of the last path rebuilt, root first: `nodes[d]` is
+    /// its node `d` steps deep. A slot that no path has reached holds
+    /// [`SCHEDULE_ROOT`], which no node below the root equals.
+    nodes: Vec<u32>,
+    /// The configuration at each node of `nodes`.
+    states: Vec<Executor<A>>,
+}
+
+impl<A: Automaton> Default for RebuildCursor<A> {
+    fn default() -> Self {
+        RebuildCursor {
+            nodes: Vec::new(),
+            states: Vec::new(),
+        }
+    }
+}
+
+impl<A> RebuildCursor<A>
+where
+    A: Automaton + Clone,
+    A::Value: Clone + Eq + Debug,
+{
+    /// The configuration at `node`, which is `depth ≥ 1` steps deep in
+    /// `arena`'s traversal from `initial`, built in `spare`. The cursor
+    /// moves onto the path to `node`'s parent.
+    fn rebuild(
+        &mut self,
+        initial: &Executor<A>,
+        arena: &ScheduleArena,
+        node: u32,
+        depth: usize,
+        spare: &mut Spare<A>,
+    ) -> Executor<A> {
+        let (parent, last) = arena.parent(node);
+        if self.states.is_empty() {
+            self.states.push(initial.clone());
+        }
+        self.nodes.resize(depth, SCHEDULE_ROOT);
+        // Climb to the deepest ancestor the cursor's path holds, taking
+        // the path over below it; the root always matches.
+        let mut shared = depth - 1;
+        let mut ancestor = parent;
+        while self.nodes[shared] != ancestor {
+            self.nodes[shared] = ancestor;
+            ancestor = arena.parent(ancestor).0;
+            shared -= 1;
+        }
+        debug_assert!(
+            shared > 0 || ancestor == SCHEDULE_ROOT,
+            "node {node} is not {depth} steps deep"
+        );
+        for d in shared + 1..depth {
+            let (_, step) = arena.parent(self.nodes[d]);
+            if d < self.states.len() {
+                let (below, at) = self.states.split_at_mut(d);
+                at[0].clone_from(&below[d - 1]);
+            } else {
+                let copy = self.states[d - 1].clone();
+                self.states.push(copy);
+            }
+            self.states[d].step(step);
+        }
+        let mut state = spare.copy(&self.states[depth - 1]);
+        state.step(last);
+        state
+    }
+}
+
+/// The barrier's spill rule for a frozen `level` over `cap`: keeps the
+/// executors of its longest schedule-order prefix whose charges fit `cap`,
+/// sheds the rest, and returns how many it shed. It is a pure function of
+/// the level, so a spilled run sheds the same entries at any worker count.
+fn shed_overflow<A: Automaton>(level: &mut [BfsEntry<A>], cap: u64) -> u64 {
+    let mut resident = 0;
+    let kept = level
+        .iter()
+        .take_while(|entry| {
+            resident += u64::from(entry.bytes);
+            resident <= cap
+        })
+        .count();
+    for entry in &mut level[kept..] {
+        entry.state = None;
+    }
+    (level.len() - kept) as u64
 }
 
 /// Exhaustively explores every interleaving of the executor's processes on a
@@ -646,13 +766,10 @@ where
                 result.pending_at_exit = next_level.len() as u64;
                 break;
             }
-            // Over budget with spill enabled: shed the frozen level's
-            // executors in place, as the serial explorer evicts its coldest
-            // entries. Each is rebuilt by replay when a worker expands it.
-            result.spilled_entries += next_level.len() as u64;
-            for entry in &mut next_level {
-                entry.state = None;
-            }
+            // Over budget with spill enabled: shed the overflow in place,
+            // as the serial explorer evicts only part of its stack. A
+            // worker rebuilds each shed entry when it expands it.
+            result.spilled_entries += shed_overflow(&mut next_level, cap);
         }
         level = next_level;
         depth += 1;
@@ -670,9 +787,11 @@ where
 mod tests {
     use super::*;
     use crate::explore::{
-        agreement_predicate, canonical_state_key, explore, state_key, ExploreConfig,
+        agreement_predicate, canonical_state_key, explore, replay, state_key, ExploreConfig,
     };
     use crate::toy::{RacyConsensus, ToyWriter};
+    use crate::{RoundRobin, RunConfig};
+    use sa_model::SplitMix64;
     use std::hash::BuildHasher;
 
     /// Each level's successors as [`Bfs::expand`] returns them: schedule,
@@ -680,11 +799,22 @@ mod tests {
     type Levels = Vec<Vec<(Vec<ProcessId>, StateKey, u64)>>;
 
     /// Drives the kernel by hand on `threads` workers, committing every
-    /// successor. The value is the successor's unreduced key, which tells
-    /// the members of one orbit apart, so it shows which member was kept.
-    fn kernel_levels(exec: &Executor<ToyWriter>, symmetry: SymmetryMode, threads: usize) -> Levels {
+    /// successor, and returns its levels and the entries it shed. The value
+    /// is the successor's unreduced key, which tells the members of one
+    /// orbit apart, so it shows which member was kept. With a non-zero
+    /// `cap`, each committed level over it is shed by the barrier's rule,
+    /// and must keep exactly its longest schedule-order prefix that fits.
+    fn kernel_levels(
+        exec: &Executor<ToyWriter>,
+        symmetry: SymmetryMode,
+        threads: usize,
+        cap: u64,
+    ) -> (Levels, u64) {
+        let charge = |entries: &[BfsEntry<ToyWriter>]| -> u64 {
+            entries.iter().map(|entry| u64::from(entry.bytes)).sum()
+        };
         let (mut bfs, mut level) = Bfs::new(exec, symmetry, threads);
-        let mut levels = Levels::new();
+        let (mut levels, mut shed) = (Levels::new(), 0);
         while !level.is_empty() {
             let expanded = bfs.expand(level, levels.len(), true, &state_key::<ToyWriter>);
             levels.push(
@@ -699,12 +829,31 @@ mod tests {
                 .into_iter()
                 .map(|s| bfs.commit(s))
                 .collect();
+            if cap > 0 && charge(&level) > cap {
+                let spilled = shed_overflow(&mut level, cap);
+                let kept = level.iter().take_while(|e| e.state.is_some()).count();
+                assert!(level[kept..].iter().all(|entry| entry.state.is_none()));
+                assert!(charge(&level[..kept]) <= cap);
+                assert!(charge(&level[..=kept]) > cap);
+                assert_eq!(spilled, (level.len() - kept) as u64);
+                shed += spilled;
+            }
         }
-        levels
+        (levels, shed)
     }
 
     fn writers(n: usize) -> Executor<ToyWriter> {
         Executor::new((0..n).map(|p| ToyWriter::new(p, p as u64 + 1)).collect())
+    }
+
+    /// Eight writers in four identical pairs: under symmetry their orbits
+    /// merge, and weigh more than one state.
+    fn paired_writers() -> Executor<ToyWriter> {
+        Executor::new(
+            (0..8)
+                .map(|p| ToyWriter::new(p / 2, p as u64 / 2 + 1))
+                .collect(),
+        )
     }
 
     fn racy() -> Executor<RacyConsensus> {
@@ -760,20 +909,15 @@ mod tests {
         // widest levels span several chunks, so keys are found again in
         // chunks that other workers expand, and three workers split the
         // chunks unevenly.
-        let paired = Executor::new(
-            (0..8)
-                .map(|p| ToyWriter::new(p / 2, p as u64 / 2 + 1))
-                .collect(),
-        );
-        for exec in [writers(6), paired] {
+        for exec in [writers(6), paired_writers()] {
             for symmetry in [SymmetryMode::Off, SymmetryMode::ProcessIds] {
-                let reference = kernel_levels(&exec, symmetry, 1);
+                let (reference, _) = kernel_levels(&exec, symmetry, 1, 0);
                 assert!(reference.iter().any(|level| level.len() > 2 * CHUNK));
                 for level in &reference {
                     assert!(level.windows(2).all(|pair| pair[0].0 < pair[1].0));
                 }
                 for threads in [2, 3, 8] {
-                    let levels = kernel_levels(&exec, symmetry, threads);
+                    let (levels, _) = kernel_levels(&exec, symmetry, threads, 0);
                     assert_eq!(levels.len(), reference.len());
                     for (depth, (level, expected)) in levels.iter().zip(&reference).enumerate() {
                         assert_eq!(
@@ -793,13 +937,8 @@ mod tests {
         // kept successor's key and orbit weight must equal those computed
         // from its state alone. The paired writers' orbits weigh more than
         // one state. Shedding every level, as a 1-byte spill cap does,
-        // makes workers replay executors while entries keep signatures.
-        let paired = Executor::new(
-            (0..8)
-                .map(|p| ToyWriter::new(p / 2, p as u64 / 2 + 1))
-                .collect(),
-        );
-        for exec in [writers(6), paired] {
+        // makes workers rebuild executors while entries keep signatures.
+        for exec in [writers(6), paired_writers()] {
             for threads in [1, 3] {
                 for shed in [false, true] {
                     let (mut bfs, mut level) = Bfs::new(&exec, SymmetryMode::ProcessIds, threads);
@@ -1090,48 +1229,134 @@ mod tests {
 
     #[test]
     fn spill_mode_is_byte_identical_at_any_worker_count() {
-        for n in [3, 6] {
-            let exec = writers(n);
-            let base = parallel_explore(
-                &exec,
-                ParallelExploreConfig::with_threads(1),
-                agreement_predicate(n),
-            );
+        // A 1-byte cap sheds every level past the root. A cap of a third
+        // of the widest level's bytes, above any one entry's charge, sheds
+        // only each over-cap level's overflow. The kernel, driven by hand
+        // under each cap, checks that every over-cap level keeps exactly
+        // its longest schedule-order prefix that fits, that it sheds what
+        // the explorer reports, and that rebuilt entries expand as resident
+        // ones do. Under symmetry the paired writers' entries carry slot
+        // signatures, and three workers split chunks unevenly.
+        let cells = [
+            (writers(3), SymmetryMode::Off),
+            (writers(6), SymmetryMode::Off),
+            (paired_writers(), SymmetryMode::ProcessIds),
+        ];
+        for (exec, symmetry) in cells {
+            let n = exec.process_count();
+            let config = ParallelExploreConfig {
+                threads: 1,
+                symmetry,
+                ..ParallelExploreConfig::default()
+            };
+            let base = parallel_explore(&exec, config, agreement_predicate(n));
             assert!(base.verified());
             assert_eq!(base.spilled_entries, 0);
-            for threads in [1, 2, 3, 8] {
-                let spilled = parallel_explore(
-                    &exec,
-                    ParallelExploreConfig {
-                        threads,
-                        spill: true,
-                        max_resident_bytes: 1,
-                        ..ParallelExploreConfig::default()
-                    },
-                    agreement_predicate(n),
-                );
-                // A 1-byte cap sheds every level past the root.
-                assert_eq!(
-                    spilled.spilled_entries,
-                    base.states_visited - 1,
-                    "n={n} threads={threads}"
-                );
-                assert!(spilled.verified(), "n={n} threads={threads}: {spilled:?}");
-                assert_eq!(spilled.states_visited, base.states_visited);
-                assert_eq!(spilled.paths, base.paths);
-                assert_eq!(spilled.expansions, base.expansions);
-                assert_eq!(spilled.violation, base.violation);
-                assert_eq!(spilled.max_depth_reached, base.max_depth_reached);
-                assert_eq!(spilled.frontier_peak, base.frontier_peak);
-                assert_eq!(spilled.pending_at_exit, base.pending_at_exit);
-                assert_eq!(spilled.seen_entries, base.seen_entries);
-                assert_eq!(spilled.approx_bytes, base.approx_bytes);
-                assert_eq!(
-                    spilled.full_states_lower_bound,
-                    base.full_states_lower_bound
-                );
+            let (reference, _) = kernel_levels(&exec, symmetry, 1, 0);
+            let (mut widest, mut heaviest) = (0, 0);
+            for level in &reference {
+                let mut bytes = 0;
+                for (schedule, ..) in level {
+                    let state = replay(&exec, schedule.iter().copied());
+                    let charge = entry_bytes(&state, schedule.len());
+                    heaviest = heaviest.max(charge);
+                    bytes += charge;
+                }
+                widest = widest.max(bytes);
+            }
+            let partial = widest / 3;
+            assert!(partial > heaviest, "{partial} <= {heaviest}");
+            for cap in [1, partial] {
+                for threads in [1, 2, 3, 8] {
+                    let spilled = parallel_explore(
+                        &exec,
+                        ParallelExploreConfig {
+                            threads,
+                            spill: true,
+                            max_resident_bytes: cap,
+                            ..config
+                        },
+                        agreement_predicate(n),
+                    );
+                    let context = format!("n={n} {symmetry:?} cap={cap} threads={threads}");
+                    if cap == 1 {
+                        assert_eq!(
+                            spilled.spilled_entries,
+                            base.states_visited - 1,
+                            "{context}"
+                        );
+                    } else {
+                        let partly = 1..base.states_visited - 1;
+                        assert!(partly.contains(&spilled.spilled_entries), "{context}");
+                    }
+                    let (levels, shed) = kernel_levels(&exec, symmetry, threads, cap);
+                    assert_eq!(levels, reference, "{context}");
+                    assert_eq!(shed, spilled.spilled_entries, "{context}");
+                    assert_eq!(
+                        Exploration {
+                            spilled_entries: 0,
+                            ..spilled
+                        },
+                        base,
+                        "{context}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn rebuild_cursor_gives_what_replay_from_the_root_gives() {
+        // Depth 6 of six writers: 141 entries. In schedule order
+        // consecutive entries are often siblings, whose walk stops at once;
+        // in a shuffled order walks climb past the cursor's path, some of
+        // them to the root. Each rebuilt executor is recycled, so the next
+        // one is built in a used one.
+        const DEPTH: usize = 6;
+        let exec = writers(6);
+        let (mut bfs, mut level) = Bfs::new(&exec, SymmetryMode::Off, 1);
+        for depth in 0..DEPTH {
+            let expanded = bfs.expand(level, depth, true, &|_: &Executor<ToyWriter>| ());
+            level = expanded
+                .successors
+                .into_iter()
+                .map(|s| bfs.commit(s))
+                .collect();
+        }
+        let in_order: Vec<u32> = level.iter().map(|entry| entry.node).collect();
+        assert_eq!(in_order.len(), 141);
+        let mut shuffled = in_order.clone();
+        let mut rng = SplitMix64::new(7);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let first_step = |node: u32| bfs.arena.materialize(node)[0];
+        let parent = |node: u32| bfs.arena.parent(node).0;
+        assert!(in_order.windows(2).any(|w| parent(w[0]) == parent(w[1])));
+        assert!(shuffled
+            .windows(2)
+            .any(|w| first_step(w[0]) != first_step(w[1])));
+        let counters = |executor: &mut Executor<ToyWriter>| {
+            // A run with no budget takes no step and reports the counters.
+            let report = executor.run(&mut RoundRobin::new(), RunConfig::with_max_steps(0));
+            (report.steps, report.steps_per_process)
+        };
+        let mut cursor = RebuildCursor::default();
+        let mut spare = Spare::default();
+        for &node in in_order.iter().chain(&shuffled) {
+            let mut rebuilt = cursor.rebuild(&exec, &bfs.arena, node, DEPTH, &mut spare);
+            let schedule = bfs.arena.materialize(node);
+            let mut expected = replay(&exec, schedule.iter().copied());
+            assert_eq!(state_key(&rebuilt), state_key(&expected), "{schedule:?}");
+            assert_eq!(rebuilt.decisions(), expected.decisions(), "{schedule:?}");
+            assert_eq!(
+                counters(&mut rebuilt),
+                counters(&mut expected),
+                "{schedule:?}"
+            );
+            spare.recycle(rebuilt);
+        }
+        assert_eq!(cursor.states.len(), DEPTH);
     }
 
     #[test]

@@ -434,13 +434,24 @@ impl ScheduleArena {
         id
     }
 
+    /// The parent of `node` and the step that leads from it to `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`SCHEDULE_ROOT`], which has no parent, and on a node not
+    /// pushed into this arena.
+    pub(crate) fn parent(&self, node: u32) -> (u32, ProcessId) {
+        let (parent, step) = self.nodes[node as usize];
+        (parent, ProcessId(step as usize))
+    }
+
     /// The full schedule of `node`, root first.
     pub fn materialize(&self, node: u32) -> Vec<ProcessId> {
         let mut steps = Vec::new();
         let mut current = node;
         while current != SCHEDULE_ROOT {
-            let (parent, step) = self.nodes[current as usize];
-            steps.push(ProcessId(step as usize));
+            let (parent, step) = self.parent(current);
+            steps.push(step);
             current = parent;
         }
         steps.reverse();
@@ -696,6 +707,9 @@ mod tests {
         );
         assert_eq!(arena.materialize(sibling), vec![ProcessId(2), ProcessId(3)]);
         assert_eq!(arena.materialize(c).len(), 3);
+        assert_eq!(arena.parent(c), (b, ProcessId(1)));
+        assert_eq!(arena.parent(sibling), (a, ProcessId(3)));
+        assert_eq!(arena.parent(a), (SCHEDULE_ROOT, ProcessId(2)));
     }
 
     #[test]
